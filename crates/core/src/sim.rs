@@ -28,7 +28,7 @@ use cmpsim_protocols::dico::DiCo;
 use cmpsim_protocols::directory::Directory;
 use cmpsim_protocols::providers::Providers;
 use cmpsim_protocols::{ProtoStats, ProtocolKind};
-use cmpsim_virt::mem::{LogicalPage, PageKind, BLOCKS_PER_PAGE};
+use cmpsim_virt::mem::{LogicalPage, PageKind, Region, BLOCKS_PER_PAGE};
 use cmpsim_virt::MachineMemory;
 use cmpsim_workloads::{Benchmark, CoreStream};
 use std::collections::BTreeMap;
@@ -207,6 +207,108 @@ cmpsim_engine::impl_snap!(FaultState {
     violation,
 });
 
+/// Point-to-point FIFO delivery floors: the latest delivery cycle
+/// scheduled on each (source, destination) endpoint pair. Wormhole
+/// meshes preserve per-pair ordering and the protocols rely on it, so a
+/// message never lands before an earlier one on the same pair. A flat
+/// `2·tiles × 2·tiles` table indexed by endpoint (`L1(t)` is `t`,
+/// `L2(t)` is `tiles + t`), so the per-message probe is one indexed load.
+#[derive(Clone)]
+struct FifoFloors {
+    tiles: usize,
+    floors: Vec<Cycle>,
+}
+
+impl FifoFloors {
+    fn new(tiles: usize) -> Self {
+        Self { tiles, floors: vec![0; 4 * tiles * tiles] }
+    }
+
+    #[inline]
+    fn endpoint(&self, node: Node) -> usize {
+        match node {
+            Node::L1(t) => t,
+            Node::L2(t) => self.tiles + t,
+        }
+    }
+
+    #[inline]
+    fn pair(&self, src: Node, dst: Node) -> usize {
+        self.endpoint(src) * 2 * self.tiles + self.endpoint(dst)
+    }
+
+    /// Schedules a delivery from `src` to `dst` no earlier than `at`
+    /// and no earlier than the pair's previous delivery; returns the
+    /// delivery cycle, which becomes the pair's new floor.
+    #[inline]
+    fn admit(&mut self, src: Node, dst: Node, at: Cycle) -> Cycle {
+        let i = self.pair(src, dst);
+        let floor = &mut self.floors[i];
+        let at = at.max(*floor);
+        *floor = at;
+        at
+    }
+
+    /// The endpoint with table index `i` (inverse of `endpoint`).
+    fn node(&self, i: usize) -> Node {
+        if i < self.tiles {
+            Node::L1(i)
+        } else {
+            Node::L2(i - self.tiles)
+        }
+    }
+
+    /// Snapshots store the floors sparsely, as images always have: a
+    /// count, then `(src, dst, floor)` ascending by pair. A floor of 0
+    /// constrains nothing, so it doubles as "pair never used" and such
+    /// pairs are left out.
+    fn save(&self, w: &mut SnapWriter) {
+        let n = 2 * self.tiles;
+        w.len_prefix(self.floors.iter().filter(|&&f| f != 0).count());
+        for (i, &floor) in self.floors.iter().enumerate() {
+            if floor != 0 {
+                self.node(i / n).save(w);
+                self.node(i % n).save(w);
+                floor.save(w);
+            }
+        }
+    }
+
+    /// Decodes an image for a `tiles`-tile chip. Endpoints outside the
+    /// chip and pairs out of ascending order are refused.
+    fn load(r: &mut SnapReader<'_>, tiles: usize) -> Result<Self, SnapError> {
+        let mut fifo = Self::new(tiles);
+        let count = r.len_prefix("FIFO floors", 26)?;
+        let mut last = None;
+        for _ in 0..count {
+            let (src, dst, floor): (Node, Node, Cycle) = Snap::load(r)?;
+            if src.tile() >= tiles || dst.tile() >= tiles {
+                return Err(SnapError::Corrupt("FIFO floor names a tile outside the chip"));
+            }
+            let i = fifo.pair(src, dst);
+            if last.is_some_and(|l| l >= i) {
+                return Err(SnapError::Corrupt("FIFO floor pairs are not strictly ascending"));
+            }
+            fifo.floors[i] = floor;
+            last = Some(i);
+        }
+        Ok(fifo)
+    }
+}
+
+/// Initial value of [`ArchState::version_digest`].
+const ARCH_DIGEST_SEED: u64 = 0x243F_6A88_85A3_08D3;
+
+/// Folds one versioned block, keyed on its logical coordinates, into
+/// the architectural digest.
+fn arch_fold(digest: u64, vm: usize, region: Region, index: u64, off: u64, version: u64) -> u64 {
+    fn mix(h: u64, w: u64) -> u64 {
+        let mut s = h ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        splitmix64(&mut s)
+    }
+    mix(mix(mix(mix(mix(digest, vm as u64), region as u64), index), off), version)
+}
+
 /// The cache-structure counters attribution charges per dispatch, in
 /// [`EventCounts`] field order (the two network counters are charged
 /// per message instead).
@@ -223,8 +325,8 @@ fn cache_counts(ps: &ProtoStats) -> [u64; 7] {
 }
 
 /// True when `block` is backed by a deduplicated (inter-VM shared)
-/// page. Only consulted when attribution is on — a map lookup per
-/// observed message, never on the timing path.
+/// page. Only consulted when attribution is on — one indexed load into
+/// the page-kind table per observed message, never on the timing path.
 fn is_dedup_block(memory: &MachineMemory, block: Block) -> bool {
     matches!(memory.kind_of_block(block), Some(PageKind::Deduplicated))
 }
@@ -251,9 +353,8 @@ pub struct CmpSimulator {
     memory: MachineMemory,
     benchmark: Benchmark,
     rng: SimRng,
-    /// Point-to-point FIFO delivery floors (wormhole meshes preserve
-    /// per-pair ordering; the protocols rely on it).
-    fifo: FxHashMap<(Node, Node), Cycle>,
+    /// Point-to-point FIFO delivery floors.
+    fifo: FifoFloors,
     /// Reusable dispatch context: one `Ctx` serves every event, so the
     /// hot path constructs no buffers (see [`Ctx::reset`]).
     ctx_pool: Ctx,
@@ -342,7 +443,7 @@ impl CmpSimulator {
             memory: MachineMemory::new(cfg.num_vms),
             benchmark,
             rng,
-            fifo: FxHashMap::default(),
+            fifo: FifoFloors::new(tiles),
             ctx_pool: Ctx::default(),
             trace_block: cmpsim_engine::env::parsed_or_warn(
                 cmpsim_engine::env::TRACE_BLOCK,
@@ -417,9 +518,7 @@ impl CmpSimulator {
         if self.faults.is_some() {
             return self.deliver_faulty(at, msg);
         }
-        let floor = self.fifo.entry((msg.src, msg.dst)).or_insert(0);
-        let at = at.max(*floor);
-        *floor = at;
+        let at = self.fifo.admit(msg.src, msg.dst, at);
         self.queue.push(at, Ev::Deliver(msg, 0));
     }
 
@@ -464,22 +563,16 @@ impl CmpSimulator {
             }
             FaultDecision::Duplicate(extra) => {
                 let seq = if seq == 0 { fs.engine.alloc_seq() } else { seq };
-                let floor = self.fifo.entry((msg.src, msg.dst)).or_insert(0);
-                let at = at.max(*floor);
-                *floor = at;
+                let at = self.fifo.admit(msg.src, msg.dst, at);
                 self.queue.push(at, Ev::Deliver(msg, seq));
                 self.queue.push(at + extra, Ev::Deliver(msg, seq));
             }
             FaultDecision::Delay(extra) => {
-                let floor = self.fifo.entry((msg.src, msg.dst)).or_insert(0);
-                let at = (at + extra).max(*floor);
-                *floor = at;
+                let at = self.fifo.admit(msg.src, msg.dst, at + extra);
                 self.queue.push(at, Ev::Deliver(msg, seq));
             }
             FaultDecision::None => {
-                let floor = self.fifo.entry((msg.src, msg.dst)).or_insert(0);
-                let at = at.max(*floor);
-                *floor = at;
+                let at = self.fifo.admit(msg.src, msg.dst, at);
                 self.queue.push(at, Ev::Deliver(msg, seq));
             }
         }
@@ -852,27 +945,39 @@ impl CmpSimulator {
     /// numbers are first-touch-order artifacts and stay out of it, so
     /// two runs whose injected faults were all recovered — identical
     /// reference streams, possibly different timing — digest equal.
+    ///
+    /// Costs O(mapped pages + versioned blocks): a per-page bitmask of
+    /// versioned offsets lets pages nobody wrote be skipped whole.
     fn arch_state(&self) -> ArchState {
-        fn mix(h: u64, w: u64) -> u64 {
-            let mut s = h ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            splitmix64(&mut s)
-        }
-        let snap = self.proto.snapshot();
-        let mut digest: u64 = 0x243F_6A88_85A3_08D3;
-        let mut versioned_blocks = 0u64;
-        for (vm, region, index, ppn) in self.memory.mappings() {
-            for off in 0..BLOCKS_PER_PAGE {
-                let block = ppn * BLOCKS_PER_PAGE + off;
-                let version = snap.authority.get(&block).copied().unwrap_or(0);
-                if version == 0 {
-                    continue;
-                }
-                versioned_blocks += 1;
-                digest = mix(mix(mix(mix(mix(digest, vm as u64), region as u64), index), off), version);
+        const _: () = assert!(BLOCKS_PER_PAGE == u64::BITS as u64);
+        let authority = self.proto.authority();
+        let mut versioned = vec![0u64; self.memory.physical_pages() as usize];
+        for (&block, _) in authority.iter().filter(|&(_, &version)| version != 0) {
+            let page = usize::try_from(block / BLOCKS_PER_PAGE).ok();
+            if let Some(mask) = page.and_then(|p| versioned.get_mut(p)) {
+                *mask |= 1 << (block % BLOCKS_PER_PAGE);
             }
         }
+        let mut digest: u64 = ARCH_DIGEST_SEED;
+        let mut versioned_blocks = 0u64;
+        for (vm, region, index, ppn) in self.memory.mappings() {
+            let mut mask = versioned[ppn as usize];
+            while mask != 0 {
+                let off = u64::from(mask.trailing_zeros());
+                mask &= mask - 1;
+                let version = authority.latest(ppn * BLOCKS_PER_PAGE + off);
+                versioned_blocks += 1;
+                digest = arch_fold(digest, vm, region, index, off, version);
+            }
+        }
+        self.arch_with(digest, versioned_blocks)
+    }
+
+    /// [`ArchState`] with the given version digest and the memory and
+    /// progress counters of this simulator.
+    fn arch_with(&self, version_digest: u64, versioned_blocks: u64) -> ArchState {
         ArchState {
-            version_digest: digest,
+            version_digest,
             versioned_blocks,
             cow_faults: self.memory.cow_faults,
             logical_pages: self.memory.logical_pages(),
@@ -1374,7 +1479,7 @@ impl CmpSimulator {
             c.refs_done.save(&mut w);
             c.finished_at.save(&mut w);
         }
-        self.memory.save(&mut w);
+        self.memory.snap_save(&mut w);
         self.rng.save(&mut w);
         self.fifo.save(&mut w);
         self.ctrl_free.save(&mut w);
@@ -1463,9 +1568,9 @@ impl CmpSimulator {
             c.refs_done = Snap::load(r)?;
             c.finished_at = Snap::load(r)?;
         }
-        sim.memory = Snap::load(r)?;
+        sim.memory = MachineMemory::snap_load(r, cfg.num_vms)?;
         sim.rng = Snap::load(r)?;
-        sim.fifo = Snap::load(r)?;
+        sim.fifo = FifoFloors::load(r, cfg.tiles())?;
         sim.ctrl_free = Snap::load(r)?;
         sim.warmed_up = Snap::load(r)?;
         sim.measure_start = Snap::load(r)?;
@@ -1687,6 +1792,74 @@ pub fn run_matrix_with_options(
 mod tests {
     use super::*;
 
+    /// The architectural digest as first written: probe all 64 blocks
+    /// of every mapped page in a whole-chip protocol snapshot. Kept as
+    /// the oracle for [`CmpSimulator::arch_state`].
+    fn reference_arch_state(sim: &CmpSimulator) -> ArchState {
+        let snap = sim.proto.snapshot();
+        let mut digest = ARCH_DIGEST_SEED;
+        let mut versioned_blocks = 0u64;
+        for (vm, region, index, ppn) in sim.memory.mappings() {
+            for off in 0..BLOCKS_PER_PAGE {
+                let block = ppn * BLOCKS_PER_PAGE + off;
+                let version = snap.authority.get(&block).copied().unwrap_or(0);
+                if version == 0 {
+                    continue;
+                }
+                versioned_blocks += 1;
+                digest = arch_fold(digest, vm, region, index, off, version);
+            }
+        }
+        sim.arch_with(digest, versioned_blocks)
+    }
+
+    /// Runs a cell to the drained end state, then returns the
+    /// reference digest of that state with the finalized result.
+    fn run_with_reference(
+        kind: ProtocolKind,
+        benchmark: Benchmark,
+        cfg: &SystemConfig,
+    ) -> (ArchState, CmpSimulator) {
+        let mut sim = CmpSimulator::new(kind, benchmark, cfg);
+        sim.warm_up().expect("warm-up");
+        sim.run_phase(false).expect("measure");
+        (reference_arch_state(&sim), sim)
+    }
+
+    #[test]
+    fn arch_digest_matches_full_snapshot_reference() {
+        let cfg = SystemConfig::smoke();
+        for kind in ProtocolKind::all() {
+            for benchmark in Benchmark::all() {
+                let (reference, sim) = run_with_reference(kind, benchmark, &cfg);
+                let r = sim.finalize(HostProfiler::new()).expect("finalize");
+                assert_eq!(r.arch, Some(reference), "{kind:?} {benchmark:?}");
+                assert!(reference.versioned_blocks > 0, "{kind:?} {benchmark:?} wrote nothing");
+            }
+        }
+    }
+
+    #[test]
+    fn arch_digest_matches_reference_on_copy_on_written_pages() {
+        let cfg = SystemConfig::smoke()
+            .with_refs(2000)
+            .with_fault_plan(Some(FaultPlan::recoverable(7)));
+        let (reference, sim) = run_with_reference(ProtocolKind::DiCo, Benchmark::Apache, &cfg);
+        // Precondition: some version lives on a dedup page this run
+        // copied on write (a Dedup-region mapping now backed privately).
+        let authority = sim.proto.authority();
+        let cow_versioned = sim.memory.mappings().any(|(_, region, _, ppn)| {
+            region == Region::Dedup
+                && sim.memory.kind_of_block(ppn * BLOCKS_PER_PAGE) == Some(PageKind::Private)
+                && (0..BLOCKS_PER_PAGE).any(|off| authority.latest(ppn * BLOCKS_PER_PAGE + off) > 0)
+        });
+        assert!(cow_versioned, "no version landed on a copy-on-written page");
+        let r = sim.finalize(HostProfiler::new()).expect("recovered run");
+        let fired = r.faults.as_ref().expect("fault plan set").fired;
+        assert!(fired.total() > 0, "no fault fired");
+        assert_eq!(r.arch, Some(reference));
+    }
+
     #[test]
     fn smoke_all_protocols_complete() {
         let cfg = SystemConfig::smoke();
@@ -1860,5 +2033,119 @@ mod tests {
                 .expect("checked run");
         assert_eq!(plain.cycles, checked.cycles);
         assert_eq!(plain.measured_refs, checked.measured_refs);
+    }
+
+    fn encode_fifo(fifo: &FifoFloors) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        fifo.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// One `(src, dst, floor)` entry image with raw tile numbers.
+    fn fifo_image(entries: &[(u8, u64, u8, u64, u64)]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.len_prefix(entries.len());
+        for &(src_tag, src, dst_tag, dst, floor) in entries {
+            w.u8(src_tag);
+            w.u64(src);
+            w.u8(dst_tag);
+            w.u64(dst);
+            w.u64(floor);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn fifo_floors_keep_the_sorted_map_encoding() {
+        let tiles = 4;
+        let mut map: FxHashMap<(Node, Node), Cycle> = FxHashMap::default();
+        let mut fifo = FifoFloors::new(tiles);
+        let mut rng = SimRng::new(5);
+        for _ in 0..40 {
+            let node = |x: u64| if x & 1 == 0 { Node::L1(x as usize / 2) } else { Node::L2(x as usize / 2) };
+            let (src, dst) = (node(rng.gen_range(8)), node(rng.gen_range(8)));
+            let at = 1 + rng.gen_range(1000);
+            let floor = map.entry((src, dst)).or_insert(0);
+            *floor = at.max(*floor);
+            assert_eq!(fifo.admit(src, dst, at), *floor);
+        }
+        let mut w = SnapWriter::new();
+        map.save(&mut w);
+        let map_bytes = w.into_bytes();
+        assert_eq!(encode_fifo(&fifo), map_bytes);
+        let back = FifoFloors::load(&mut SnapReader::new(&map_bytes), tiles).expect("decode");
+        assert_eq!(encode_fifo(&back), map_bytes);
+    }
+
+    #[test]
+    fn fifo_floor_source_outside_the_chip_is_refused() {
+        let bytes = fifo_image(&[(0, 4, 1, 0, 9)]);
+        let err = FifoFloors::load(&mut SnapReader::new(&bytes), 4).err();
+        assert!(matches!(err, Some(SnapError::Corrupt(_))), "{err:?}");
+    }
+
+    #[test]
+    fn fifo_floor_destination_outside_the_chip_is_refused() {
+        let bytes = fifo_image(&[(0, 0, 1, u64::MAX, 9)]);
+        let err = FifoFloors::load(&mut SnapReader::new(&bytes), 4).err();
+        assert!(matches!(err, Some(SnapError::Corrupt(_))), "{err:?}");
+    }
+
+    #[test]
+    fn fifo_floor_pairs_out_of_order_are_refused() {
+        let bytes = fifo_image(&[(1, 0, 0, 0, 9), (0, 3, 0, 0, 9)]);
+        let err = FifoFloors::load(&mut SnapReader::new(&bytes), 4).err();
+        assert!(matches!(err, Some(SnapError::Corrupt(_))), "{err:?}");
+    }
+
+    /// Rewrites the payload section whose encoding is `section` with
+    /// `edit`, then re-seals the image with a matching payload digest,
+    /// so only the section decoder can catch the damage.
+    fn tamper(image: &[u8], section: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut header = SnapWriter::new();
+        snapshot::write_header(&mut header, 0);
+        let at = image.windows(section.len()).position(|w| w == section).expect("section in image");
+        let mut out = image[..image.len() - 8].to_vec();
+        edit(&mut out[at..at + section.len()]);
+        let sum = crate::manifest::digest(&out[header.len()..]);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// Restores `image` and asserts it fails as `E-SNAPSHOT` naming `why`.
+    fn expect_e_snapshot(kind: ProtocolKind, b: Benchmark, cfg: &SystemConfig, image: &[u8], why: &str) {
+        match CmpSimulator::restore_snapshot(kind, b, cfg, image) {
+            Err(e @ SimError::Snapshot(_)) => {
+                assert_eq!(e.code(), "E-SNAPSHOT");
+                assert!(e.to_string().contains(why), "{e}");
+            }
+            Err(other) => panic!("expected SimError::Snapshot, got {other}"),
+            Ok(_) => panic!("a corrupt image was accepted ({why})"),
+        }
+    }
+
+    #[test]
+    fn restore_maps_corrupt_dense_tables_to_e_snapshot() {
+        let cfg = SystemConfig::smoke();
+        let (kind, b) = (ProtocolKind::Directory, Benchmark::Radix);
+        let mut sim = CmpSimulator::new(kind, b, &cfg);
+        assert!(sim.warm_up().expect("warm-up"));
+        let image = sim.save_snapshot(snapshot::snapshot_key(kind, b, &cfg));
+        assert!(CmpSimulator::restore_snapshot(kind, b, &cfg, &image).is_ok());
+
+        let fifo = encode_fifo(&sim.fifo);
+        assert!(fifo.len() > 8, "warm-up scheduled no delivery");
+        // The first entry's source tile follows the count and its tag.
+        let tiles = (cfg.tiles() as u64).to_le_bytes();
+        let bad = tamper(&image, &fifo, |f| f[9..17].copy_from_slice(&tiles));
+        expect_e_snapshot(kind, b, &cfg, &bad, "outside the chip");
+
+        let mut w = SnapWriter::new();
+        sim.memory.snap_save(&mut w);
+        let memory = w.into_bytes();
+        // Shrinking `next_ppn` orphans the last allocated page.
+        let next_ppn = (sim.memory.physical_pages() - 1).to_le_bytes();
+        let bad = tamper(&image, &memory, |m| m[..8].copy_from_slice(&next_ppn));
+        expect_e_snapshot(kind, b, &cfg, &bad, "corrupt snapshot");
     }
 }

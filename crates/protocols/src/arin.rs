@@ -1842,6 +1842,10 @@ impl CoherenceProtocol for Arin {
         &self.stats
     }
 
+    fn authority(&self) -> &VersionAuthority {
+        &self.authority
+    }
+
     fn stats_mut(&mut self) -> &mut ProtoStats {
         &mut self.stats
     }

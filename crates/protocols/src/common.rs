@@ -1022,6 +1022,10 @@ pub trait CoherenceProtocol {
     fn quiescent(&self) -> bool;
     /// Whole-chip snapshot for the invariant checker.
     fn snapshot(&self) -> crate::checker::ChipSnapshot;
+    /// The write-serialization authority: every block's latest
+    /// committed version. Cheaper than [`Self::snapshot`] when only
+    /// versions are needed (the simulator's architectural digest).
+    fn authority(&self) -> &VersionAuthority;
     /// Human-readable dump of in-flight transaction state, used by the
     /// test harness when a run fails to drain.
     fn pending_summary(&self) -> String {
@@ -1470,7 +1474,10 @@ pub fn iter_bits(mut v: u64) -> impl Iterator<Item = Tile> {
 
 /// Write-serialization authority: every committed store gets a fresh,
 /// globally increasing version per block. Data messages carry versions so
-/// the checker can detect stale data being served.
+/// the checker can detect stale data being served, and the end-of-run
+/// architectural digest (`arch_state` in `cmpsim`'s simulator) reads the
+/// final versions straight from here through
+/// [`CoherenceProtocol::authority`].
 #[derive(Debug, Clone, Default)]
 pub struct VersionAuthority {
     latest: FxHashMap<Block, u64>,

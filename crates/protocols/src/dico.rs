@@ -1483,6 +1483,10 @@ impl CoherenceProtocol for DiCo {
         &self.stats
     }
 
+    fn authority(&self) -> &VersionAuthority {
+        &self.authority
+    }
+
     fn stats_mut(&mut self) -> &mut ProtoStats {
         &mut self.stats
     }

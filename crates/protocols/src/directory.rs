@@ -914,6 +914,10 @@ impl CoherenceProtocol for Directory {
         &self.stats
     }
 
+    fn authority(&self) -> &VersionAuthority {
+        &self.authority
+    }
+
     fn stats_mut(&mut self) -> &mut ProtoStats {
         &mut self.stats
     }

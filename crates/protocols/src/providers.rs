@@ -1911,6 +1911,10 @@ impl CoherenceProtocol for Providers {
         &self.stats
     }
 
+    fn authority(&self) -> &VersionAuthority {
+        &self.authority
+    }
+
     fn stats_mut(&mut self) -> &mut ProtoStats {
         &mut self.stats
     }
