@@ -31,7 +31,7 @@ use cmpsim_workloads::Benchmark;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CMPSNAP\0";
 /// Wire-format version. Bump on any change to the serialised layout of
 /// simulator state; readers reject every version but their own.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A snapshot failure: I/O on the snapshot directory, or a rejected
 /// image (bad magic, wrong version, corruption, key mismatch).

@@ -213,6 +213,11 @@ fn malformed_images_are_typed_errors_never_panics() {
     newer[8] = newer[8].wrapping_add(1);
     expect_snapshot_err(&newer, "version bump");
 
+    // Stale (older) version: images from before a layout change.
+    let mut older = image.clone();
+    older[8] = older[8].wrapping_sub(1);
+    expect_snapshot_err(&older, "older version");
+
     // Key mismatch: an image captured under a different seed.
     let other_cfg = cfg.clone().with_seed(12345);
     let mut other = CmpSimulator::new(kind, b, &other_cfg);

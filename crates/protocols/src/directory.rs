@@ -613,9 +613,10 @@ impl Directory {
         }
     }
 
-    fn home_handle_memdata(&mut self, ctx: &mut Ctx, home: Tile, block: Block) {
+    fn home_handle_memdata(&mut self, ctx: &mut Ctx, msg: &Msg) -> Result<(), ProtoError> {
+        let (home, block) = (msg.dst.tile(), msg.block);
         let Some(HomeTx::MemFetch { req }) = self.tx[home].remove(&block) else {
-            panic!("MemData without MemFetch tx for block {block:#x}");
+            return Err(ProtoError::unexpected(ProtocolKind::Directory, msg));
         };
         let version = self.mem.version(block);
         // Preserve sharers recorded in the dircache (blocks whose data
@@ -627,6 +628,7 @@ impl Directory {
         let MsgKind::Req(req) = req.kind else { panic!("MemFetch holds a request") };
         let msg = Msg { kind: MsgKind::Req(req), block, src: Node::L2(home), dst: Node::L2(home) };
         self.serve_from_home(ctx, home, msg, req, Supplier::Memory);
+        Ok(())
     }
 
     /// Applies an ownership writeback (forward-read downgrade, owner
@@ -848,9 +850,7 @@ impl CoherenceProtocol for Directory {
                     self.home_dispatch(ctx, home, msg, req);
                 }
             }
-            (Node::L2(home), MsgKind::MemData) => {
-                self.home_handle_memdata(ctx, home, msg.block);
-            }
+            (Node::L2(_), MsgKind::MemData) => self.home_handle_memdata(ctx, &msg)?,
             (Node::L2(home), MsgKind::OwnershipToHome { dirty, version, sharers, .. }) => {
                 self.stats.l2_tag.inc();
                 self.apply_wb(ctx, home, msg.block, msg.src.tile(), dirty, version, sharers);

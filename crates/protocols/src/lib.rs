@@ -12,6 +12,10 @@
 //! * [`dico`] — Direct Coherence: data, ownership and the sharing code
 //!   live together in the owner L1; an L1C$ predicts the supplier so most
 //!   misses resolve in two hops; the home's L2C$ tracks the exact owner.
+//! * [`dico_core`] — the DiCo family's one controller,
+//!   [`dico_core::DiCoCore`]: DiCo, DiCo-Providers and DiCo-Arin are type
+//!   aliases of it, each with an [`dico_core::AreaPolicy`] that holds only
+//!   what the paper says differs from DiCo.
 //! * [`providers`] — **DiCo-Providers** (paper §III-A/§IV-A): the chip is
 //!   statically divided into areas; the owner tracks one provider per
 //!   area plus the sharers of its own area; providers track the sharers
@@ -49,6 +53,7 @@ pub mod arin;
 pub mod checker;
 pub mod common;
 pub mod dico;
+pub mod dico_core;
 pub mod directory;
 pub mod harness;
 pub mod providers;
