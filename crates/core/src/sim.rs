@@ -582,7 +582,7 @@ impl CmpSimulator {
     /// draining the (pooled) context's buffers in a fixed order:
     /// sends, bcasts, replays, mem_ops, completions.
     fn apply_ctx(&mut self, now: Cycle, ctx: &mut Ctx) {
-        for out in std::mem::take(&mut ctx.sends) {
+        for out in ctx.sends.drain(..) {
             let flits = self.flits(&out.msg.kind);
             let d = self.mesh.send(now + out.delay, out.msg.src.tile(), out.msg.dst.tile(), flits);
             if let Some(tr) = &mut self.tracer {
@@ -746,7 +746,7 @@ impl CmpSimulator {
                 );
             }
         }
-        for c in std::mem::take(&mut ctx.completions) {
+        for c in ctx.completions.drain(..) {
             if let Some(fs) = &mut self.faults {
                 // The miss is closed: timeouts armed for it go stale
                 // and its retransmission state is dropped (the seen-set

@@ -62,7 +62,6 @@ pub mod par;
 pub mod phase;
 pub mod profile;
 pub mod rng;
-pub mod smallvec;
 pub mod snap;
 pub mod stats;
 pub mod trace;
@@ -76,6 +75,5 @@ pub use metrics::{MetricSource, MetricsRegistry};
 pub use phase::{EventCounts, Phase, PhaseCycles};
 pub use profile::{HostProfile, HostProfiler};
 pub use rng::SimRng;
-pub use smallvec::SmallVec;
 pub use snap::{Snap, SnapError, SnapReader, SnapWriter};
 pub use trace::{TraceEvent, TraceRing};

@@ -300,9 +300,9 @@ impl AreaPolicy for ArinPolicy {
                 }
             }
             (Node::L2(home), MsgKind::SbaTransition { dirty, version, former, reader }) => {
-                let mut propos: Propos = [None; MAX_AREAS];
-                propos[c.area_of(former)] = Some(former as u16);
-                propos[c.area_of(reader)] = Some(reader as u16);
+                let mut propos = Propos::NONE;
+                propos.set(c.area_of(former), Some(former));
+                propos.set(c.area_of(reader), Some(reader));
                 // The transition also satisfies a pending ownership
                 // recall: the data (and the ordering point) are home now.
                 let entry = L2Entry { dirty, version, code: L2Role::Sba { propos } };
@@ -394,24 +394,24 @@ fn serve_sba(c: &mut Arin, ctx: &mut Ctx, home: Tile, msg: Msg, req: ReqInfo, pr
     // (paper §IV-B: a forwarded request whose forwarder matches the
     // stored provider replaces it with the requestor).
     let mut propos = propos;
-    match propos[req_area] {
-        Some(p) if req.forwarder == Some(p as Tile) => {
+    match propos.get(req_area) {
+        Some(p) if req.forwarder == Some(p) => {
             ctx.send(
-                Msg { kind: MsgKind::InvSilent, block, src: Node::L2(home), dst: Node::L1(p as Tile) },
+                Msg { kind: MsgKind::InvSilent, block, src: Node::L2(home), dst: Node::L1(p) },
                 lat.l2_tag,
             );
-            propos[req_area] = Some(req.requestor as u16);
+            propos.set(req_area, Some(req.requestor));
         }
-        Some(p) if p as Tile != req.requestor => {
+        Some(p) if p != req.requestor => {
             // A provider exists: hand its identity to the requestor so
             // its future misses go there; data still served here (one
             // serve, no extra hop — the hint rides along).
         }
         _ => {
-            propos[req_area] = Some(req.requestor as u16);
+            propos.set(req_area, Some(req.requestor));
         }
     }
-    let hint = propos[req_area].map(|p| p as Tile).filter(|&p| p != req.requestor);
+    let hint = propos.get(req_area).filter(|&p| p != req.requestor);
     let e = c.l2[home].peek_mut(block).expect("SBA entry");
     e.code = L2Role::Sba { propos };
     let version = e.version;
@@ -458,8 +458,8 @@ fn serve_as_l2_owner(
                 // ("the L2 becomes a provider immediately"). The old
                 // area's sharers become untracked (the later broadcast
                 // covers them).
-                let mut propos = [None; MAX_AREAS];
-                propos[req_area] = Some(req.requestor as u16);
+                let mut propos = Propos::NONE;
+                propos.set(req_area, Some(req.requestor));
                 let e = c.l2[home].peek_mut(block).expect("home-owned entry");
                 e.code = L2Role::Sba { propos };
                 c.stats.l2_data_read.inc();
@@ -534,6 +534,15 @@ mod tests {
 
     fn harness() -> Harness<Arin> {
         Harness::new(Arin::new(ChipSpec::small()))
+    }
+
+    #[test]
+    #[should_panic(expected = "too many tiles for a one-byte ProPo")]
+    fn refuses_chips_too_big_for_one_byte_propos() {
+        Arin::new(ChipSpec {
+            areas: cmpsim_virt::AreaMap::new(16, 16, 16),
+            ..ChipSpec::small()
+        });
     }
 
     #[test]

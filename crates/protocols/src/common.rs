@@ -6,7 +6,7 @@
 use cmpsim_cache::Geometry;
 use cmpsim_engine::metrics::{MetricSource, MetricsRegistry};
 use cmpsim_engine::stats::{Counter, Log2Hist, Running};
-use cmpsim_engine::{Cycle, FxHashMap, FxHashSet, SmallVec};
+use cmpsim_engine::{Cycle, FxHashMap, FxHashSet};
 use cmpsim_virt::AreaMap;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -17,9 +17,66 @@ pub type Block = u64;
 /// Maximum number of areas a simulated chip can have (analytic models in
 /// `cmpsim-power` go beyond this; the cycle simulator does not need to).
 pub const MAX_AREAS: usize = 16;
+
 /// One provider pointer per area, as stored by owners (DiCo-Providers)
-/// or the home L2 (DiCo-Arin).
-pub type Propos = [Option<u16>; MAX_AREAS];
+/// or the home L2 (DiCo-Arin): a one-byte tile index per area, the
+/// paper's log2(n)-bit ProPo, with `u8::MAX` meaning "no provider".
+/// Snapshots and `Debug` output keep the `[Option<u16>; MAX_AREAS]`
+/// shape this type replaced.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Propos([u8; MAX_AREAS]);
+
+/// Slot value of an area with no provider.
+const NO_PROPO: u8 = u8::MAX;
+
+impl Propos {
+    /// No provider in any area.
+    pub const NONE: Propos = Propos([NO_PROPO; MAX_AREAS]);
+
+    /// Provider of `area`, if any.
+    pub fn get(&self, area: usize) -> Option<Tile> {
+        let p = self.0[area];
+        (p != NO_PROPO).then_some(p as Tile)
+    }
+
+    /// Records (or clears) the provider of `area`.
+    pub fn set(&mut self, area: usize, provider: Option<Tile>) {
+        self.0[area] = match provider {
+            Some(t) => {
+                assert!(t < NO_PROPO as Tile, "tile {t} does not fit a one-byte ProPo");
+                t as u8
+            }
+            None => NO_PROPO,
+        };
+    }
+
+    /// Live providers, in area order.
+    pub fn iter(&self) -> impl Iterator<Item = Tile> + '_ {
+        self.0.iter().filter(|&&p| p != NO_PROPO).map(|&p| p as Tile)
+    }
+
+    /// Number of live providers.
+    pub fn count(&self) -> u32 {
+        self.iter().count() as u32
+    }
+
+    /// Slots as the wider `Option<u16>` they are saved and printed as.
+    fn slots(&self) -> impl Iterator<Item = Option<u16>> + '_ {
+        self.0.iter().map(|&p| (p != NO_PROPO).then_some(p as u16))
+    }
+}
+
+impl Default for Propos {
+    fn default() -> Self {
+        Self::NONE
+    }
+}
+
+impl std::fmt::Debug for Propos {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.slots()).finish()
+    }
+}
 
 /// Identifies a protocol implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -290,7 +347,7 @@ impl DataInfo {
             ownership: false,
             make_provider: false,
             sharers: 0,
-            propos: [None; MAX_AREAS],
+            propos: Propos::NONE,
             provider_hint: None,
             acks_sharers: 0,
             acks_providers: 0,
@@ -632,14 +689,14 @@ pub struct Completion {
 pub struct Ctx {
     /// Current cycle.
     pub now: Cycle,
-    /// Unicasts to inject (inline up to the typical fan-out of 4).
-    pub sends: SmallVec<OutMsg, 4>,
+    /// Unicasts to inject.
+    pub sends: Vec<OutMsg>,
     /// Broadcasts to inject (DiCo-Arin only).
     pub bcasts: Vec<OutBcast>,
     /// Messages to re-handle immediately (drained pending queues).
     pub replays: Vec<Msg>,
-    /// Completed misses (inline: almost always 0 or 1 per dispatch).
-    pub completions: SmallVec<Completion, 2>,
+    /// Completed misses.
+    pub completions: Vec<Completion>,
     /// Memory fetches/writebacks.
     pub mem_ops: Vec<MemOp>,
 }
@@ -1086,6 +1143,27 @@ impl Snap for Node {
     }
 }
 
+impl Snap for Propos {
+    fn save(&self, w: &mut SnapWriter) {
+        for slot in self.slots() {
+            slot.save(w);
+        }
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut p = Propos::NONE;
+        for area in 0..MAX_AREAS {
+            if let Some(t) = Option::<u16>::load(r)? {
+                if t >= NO_PROPO as u16 {
+                    return Err(SnapError::Corrupt("ProPo tile out of range"));
+                }
+                p.set(area, Some(t as Tile));
+            }
+        }
+        Ok(p)
+    }
+}
+
 impl Snap for Supplier {
     fn save(&self, w: &mut SnapWriter) {
         w.u8(match self {
@@ -1525,6 +1603,70 @@ impl MemoryImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `[Option<u16>; MAX_AREAS]` array [`Propos`] replaced: the
+    /// oracle for its snapshot bytes and `Debug` text.
+    type OldPropos = [Option<u16>; MAX_AREAS];
+
+    fn snap_bytes(v: &impl Snap) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// The hot path moves these by value on every event; a field that
+    /// re-inflates them should fail here, not in a profile.
+    #[test]
+    fn hot_path_types_stay_small() {
+        assert_eq!(std::mem::size_of::<Propos>(), MAX_AREAS);
+        assert!(std::mem::size_of::<Msg>() <= 104, "Msg is {} B", std::mem::size_of::<Msg>());
+        assert!(std::mem::size_of::<Ctx>() <= 128, "Ctx is {} B", std::mem::size_of::<Ctx>());
+    }
+
+    proptest! {
+        /// Snapshot bytes, `Debug` text and the accessors agree with the
+        /// old array for any assignment of providers to areas.
+        #[test]
+        fn propos_matches_old_array(
+            slots in prop::collection::vec((prop::bool::ANY, 0u16..255), MAX_AREAS..MAX_AREAS + 1)
+        ) {
+            let mut old: OldPropos = [None; MAX_AREAS];
+            let mut new = Propos::NONE;
+            for (area, &(live, tile)) in slots.iter().enumerate() {
+                if live {
+                    old[area] = Some(tile);
+                    new.set(area, Some(tile as Tile));
+                }
+            }
+            prop_assert_eq!(snap_bytes(&new), snap_bytes(&old));
+            prop_assert_eq!(format!("{new:?}"), format!("{old:?}"));
+            prop_assert_eq!(format!("{new:#?}"), format!("{old:#?}"));
+            let live: Vec<Tile> = old.iter().flatten().map(|&t| t as Tile).collect();
+            prop_assert_eq!(new.iter().collect::<Vec<_>>(), live.clone());
+            prop_assert_eq!(new.count() as usize, live.len());
+            for (area, slot) in old.iter().enumerate() {
+                prop_assert_eq!(new.get(area), slot.map(|t| t as Tile));
+            }
+            let bytes = snap_bytes(&old);
+            let mut r = SnapReader::new(&bytes);
+            prop_assert_eq!(Propos::load(&mut r).unwrap(), new);
+            prop_assert!(r.finish().is_ok());
+        }
+    }
+
+    #[test]
+    fn propos_load_refuses_out_of_range_tiles() {
+        for bad in [255u16, 300, u16::MAX] {
+            let mut old: OldPropos = [None; MAX_AREAS];
+            old[3] = Some(bad);
+            let bytes = snap_bytes(&old);
+            assert!(
+                matches!(Propos::load(&mut SnapReader::new(&bytes)), Err(SnapError::Corrupt(_))),
+                "slot Some({bad}) must not decode"
+            );
+        }
+    }
 
     #[test]
     fn home_mapping_is_interleaved() {
@@ -1565,7 +1707,7 @@ mod tests {
         assert!(!MsgKind::OwnershipToHome {
             dirty: false,
             version: 0,
-            propos: [None; MAX_AREAS],
+            propos: Propos::NONE,
             sharers: 0,
             former_stays_provider: false
         }
@@ -1573,7 +1715,7 @@ mod tests {
         assert!(MsgKind::OwnershipToHome {
             dirty: true,
             version: 1,
-            propos: [None; MAX_AREAS],
+            propos: Propos::NONE,
             sharers: 0,
             former_stays_provider: false
         }

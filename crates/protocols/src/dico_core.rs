@@ -179,17 +179,11 @@ impl<V: Copy> Tombstones<V> {
 pub trait OwnerPropos: Copy + Default + Debug + Snap {
     /// Takes the pointers a message carried.
     fn from_msg(p: Propos) -> Self;
-    /// One slot per area (empty when no pointers are kept).
-    fn slots(&self) -> &[Option<u16>];
     /// The pointers as a message carries them.
-    fn to_msg(&self) -> Propos {
-        let mut p = [None; MAX_AREAS];
-        p[..self.slots().len()].copy_from_slice(self.slots());
-        p
-    }
+    fn to_msg(&self) -> Propos;
     /// Number of live pointers.
     fn count(&self) -> u32 {
-        self.slots().iter().filter(|x| x.is_some()).count() as u32
+        self.to_msg().count()
     }
 }
 
@@ -197,8 +191,8 @@ impl OwnerPropos for Propos {
     fn from_msg(p: Propos) -> Self {
         p
     }
-    fn slots(&self) -> &[Option<u16>] {
-        self
+    fn to_msg(&self) -> Propos {
+        *self
     }
 }
 
@@ -210,8 +204,8 @@ impl OwnerPropos for NoPropos {
     fn from_msg(_: Propos) -> Self {
         NoPropos
     }
-    fn slots(&self) -> &[Option<u16>] {
-        &[]
+    fn to_msg(&self) -> Propos {
+        Propos::NONE
     }
 }
 
@@ -499,6 +493,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
     /// Builds the protocol for `spec`.
     pub fn new(spec: ChipSpec) -> Self {
         assert!(!P::AREAS || spec.num_areas() <= MAX_AREAS, "too many areas for the ProPo array");
+        assert!(spec.tiles() < u8::MAX as usize, "too many tiles for a one-byte ProPo");
         let n = spec.tiles();
         Self {
             l1: (0..n).map(|_| SetAssoc::new(spec.l1)).collect(),
@@ -600,13 +595,13 @@ impl<P: AreaPolicy> DiCoCore<P> {
         ctx: &mut Ctx,
         src: Node,
         block: Block,
-        propos: &[Option<u16>],
+        propos: &Propos,
         reply_to: Node,
     ) {
-        for p in propos.iter().flatten() {
+        for p in propos.iter() {
             self.stats.invalidations.inc();
             ctx.send(
-                Msg { kind: MsgKind::InvProvider { reply_to }, block, src, dst: Node::L1(*p as Tile) },
+                Msg { kind: MsgKind::InvProvider { reply_to }, block, src, dst: Node::L1(p) },
                 self.spec.lat.l1_tag,
             );
         }
@@ -713,7 +708,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
             e.provider_acks_needed = propos.count() as i64;
             self.l1_queues[tile].set_busy(block);
             self.send_sharer_invs(ctx, tile, block, sharers, Node::L1(tile), version);
-            self.send_provider_invs(ctx, Node::L1(tile), block, propos.slots(), Node::L1(tile));
+            self.send_provider_invs(ctx, Node::L1(tile), block, &propos.to_msg(), Node::L1(tile));
             // Clear the code now; completion makes us exclusive.
             let line = self.l1[tile].peek_mut(block).expect("upgrade at owner");
             line.sharers = 0;
@@ -773,7 +768,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
         }
         self.l1_queues[tile].set_busy(block);
         self.send_sharer_invs(ctx, tile, block, sharers, Node::L1(tile), version);
-        self.send_provider_invs(ctx, Node::L1(tile), block, propos.slots(), Node::L1(tile));
+        self.send_provider_invs(ctx, Node::L1(tile), block, &propos.to_msg(), Node::L1(tile));
         let line = self.l1[tile].peek_mut(block).expect("owner line");
         line.sharers = 0;
         line.propos = P::Propos::default();
@@ -1134,7 +1129,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
         );
         // Invalidations from the old owner (it knows the sharers).
         self.send_sharer_invs(ctx, tile, block, invs, Node::L1(req.requestor), line.version);
-        self.send_provider_invs(ctx, Node::L1(tile), block, propos.slots(), Node::L1(req.requestor));
+        self.send_provider_invs(ctx, Node::L1(tile), block, &propos.to_msg(), Node::L1(req.requestor));
         // Register the new owner with the home.
         ctx.send(
             Msg {
@@ -1331,7 +1326,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
             // The former owner stays on as the provider of its area
             // (paper §IV-A1, L2C$ replacement).
             let mut propos = line.propos.to_msg();
-            propos[area] = Some(tile as u16);
+            propos.set(area, Some(tile));
             line.state = L1State::Provider;
             line.propos = P::Propos::default();
             (0, propos)
@@ -1340,7 +1335,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
             let sharers = line.sharers | sb;
             line.state = L1State::Sharer { hint: None };
             line.sharers = 0;
-            (sharers, [None; MAX_AREAS])
+            (sharers, Propos::NONE)
         };
         self.stats.l1_data_read.inc();
         ctx.send(
@@ -1995,8 +1990,8 @@ impl<P: AreaPolicy> CoherenceProtocol for DiCoCore<P> {
                     bits |= bit(self.sharer_tile(t, i));
                 }
                 if let L1State::Owner { .. } = line.state {
-                    for p in line.propos.slots().iter().flatten() {
-                        bits |= bit(*p as Tile);
+                    for p in line.propos.to_msg().iter() {
+                        bits |= bit(p);
                     }
                 }
                 *snap.recorded.entry(block).or_insert(0) |= bits;

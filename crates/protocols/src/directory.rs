@@ -285,7 +285,7 @@ impl Directory {
                         kind: MsgKind::OwnershipToHome {
                             dirty: line.state == L1State::Modified,
                             version: line.version,
-                            propos: [None; MAX_AREAS],
+                            propos: Propos::NONE,
                             sharers: 0,
                             former_stays_provider: false,
                         },
@@ -355,7 +355,7 @@ impl Directory {
                     kind: MsgKind::OwnershipToHome {
                         dirty: was_dirty,
                         version,
-                        propos: [None; MAX_AREAS],
+                        propos: Propos::NONE,
                         sharers: bit(tile),
                         former_stays_provider: false,
                     },
@@ -379,7 +379,7 @@ impl Directory {
                         kind: MsgKind::OwnershipToHome {
                             dirty: line.state == L1State::Modified,
                             version: line.version,
-                            propos: [None; MAX_AREAS],
+                            propos: Propos::NONE,
                             sharers: 0,
                             former_stays_provider: false,
                         },

@@ -31,7 +31,7 @@
 //! hand-offs.
 
 use crate::common::*;
-use crate::dico_core::{AreaPolicy, DiCoCore, L1Line, L1State, L2Entry, OwnerPropos, Tombstones};
+use crate::dico_core::{AreaPolicy, DiCoCore, L1Line, L1State, L2Entry, Tombstones};
 use cmpsim_engine::{Cycle, Snap, SnapError, SnapReader, SnapWriter};
 
 /// The DiCo-Providers protocol.
@@ -74,15 +74,15 @@ impl AreaPolicy for ProvidersPolicy {
     fn remote_read_at_owner(c: &mut Providers, ctx: &mut Ctx, tile: Tile, block: Block, req: ReqInfo) {
         let lat = c.spec.lat;
         let req_area = c.area_of(req.requestor);
-        let provider = c.l1[tile].peek(block).expect("owner line").propos[req_area];
+        let provider = c.l1[tile].peek(block).expect("owner line").propos.get(req_area);
         match provider {
-            Some(p) if req.forwarder != Some(p as Tile) => {
+            Some(p) if req.forwarder != Some(p) => {
                 // Forward to the provider of the requestor's area.
                 c.send_req(
                     ctx,
                     block,
                     Node::L1(tile),
-                    Node::L1(p as Tile),
+                    Node::L1(p),
                     ReqInfo { forwarder: Some(tile), hops: req.hops.saturating_add(1), ..req },
                     lat.l1_tag,
                 );
@@ -94,12 +94,12 @@ impl AreaPolicy for ProvidersPolicy {
                 // silently so no untracked copy survives.
                 if let Some(p) = provider {
                     ctx.send(
-                        Msg { kind: MsgKind::InvSilent, block, src: Node::L1(tile), dst: Node::L1(p as Tile) },
+                        Msg { kind: MsgKind::InvSilent, block, src: Node::L1(tile), dst: Node::L1(p) },
                         lat.l1_tag,
                     );
                 }
                 let line = c.l1[tile].get_mut(block).expect("owner line");
-                line.propos[req_area] = Some(req.requestor as u16);
+                line.propos.set(req_area, Some(req.requestor));
                 if let L1State::Owner { exclusive, .. } = &mut line.state {
                     *exclusive = false;
                 }
@@ -183,26 +183,26 @@ impl AreaPolicy for ProvidersPolicy {
         let req_area = c.area_of(req.requestor);
         // Read + live provider in the area: forward to the provider.
         if !req.write {
-            let propo = c.l2[home].peek(block).expect("home-owned entry").code[req_area];
+            let propo = c.l2[home].peek(block).expect("home-owned entry").code.get(req_area);
             match propo {
-                Some(p) if req.forwarder != Some(p as Tile) && p as Tile != req.requestor => {
+                Some(p) if req.forwarder != Some(p) && p != req.requestor => {
                     c.send_req(
                         ctx,
                         block,
                         Node::L2(home),
-                        Node::L1(p as Tile),
+                        Node::L1(p),
                         ReqInfo { via_home: true, hops: 0, ..req },
                         lat.l2_tag,
                     );
                     return;
                 }
-                Some(p) if req.forwarder == Some(p as Tile) => {
+                Some(p) if req.forwarder == Some(p) => {
                     // The provider pointer is stale (or the messages
                     // crossed): repair it and destroy any surviving copy
                     // at the displaced provider.
-                    c.l2[home].peek_mut(block).expect("home-owned entry").code[req_area] = None;
+                    c.l2[home].peek_mut(block).expect("home-owned entry").code.set(req_area, None);
                     ctx.send(
-                        Msg { kind: MsgKind::InvSilent, block, src: Node::L2(home), dst: Node::L1(p as Tile) },
+                        Msg { kind: MsgKind::InvSilent, block, src: Node::L2(home), dst: Node::L1(p) },
                         lat.l2_tag,
                     );
                 }
@@ -222,7 +222,7 @@ impl AreaPolicy for ProvidersPolicy {
             exclusive: n_prov == 0,
             ownership: true,
             sharers: 0,
-            propos: if req.write { [None; MAX_AREAS] } else { propos },
+            propos: if req.write { Propos::NONE } else { propos },
             acks_sharers: 0,
             acks_providers: if req.write { n_prov } else { 0 },
             dirty: e.dirty,
@@ -248,7 +248,7 @@ impl AreaPolicy for ProvidersPolicy {
     /// Suppliers self-report: their reachability is through the owner's
     /// ProPos or a providership hand-off chain, which no union can see.
     fn home_recorded(_: &Providers, propos: &Propos) -> Option<u64> {
-        Some(propos.iter().flatten().fold(0, |bits, p| bits | bit(*p as Tile)))
+        Some(propos.iter().fold(0, |bits, p| bits | bit(p)))
     }
 
     fn handle(c: &mut Providers, ctx: &mut Ctx, msg: Msg) -> Result<(), ProtoError> {
@@ -422,15 +422,15 @@ fn providership_transfer(
 fn apply_provider_update(propos: &mut Propos, ctx: &mut Ctx, msg: Msg, src: Node, delay: Cycle) {
     match msg.kind {
         MsgKind::ChangeProvider { area, new_provider } => {
-            propos[area as usize] = Some(new_provider as u16);
+            propos.set(area as usize, Some(new_provider));
             ctx.send(
                 Msg { kind: MsgKind::ChangeProviderAck, block: msg.block, src, dst: Node::L1(new_provider) },
                 delay,
             );
         }
         MsgKind::NoProvider { area, former } => {
-            if propos[area as usize] == Some(former as u16) {
-                propos[area as usize] = None;
+            if propos.get(area as usize) == Some(former) {
+                propos.set(area as usize, None);
             }
         }
         _ => unreachable!("not a provider update"),
@@ -474,6 +474,15 @@ mod tests {
 
     fn harness() -> Harness<Providers> {
         Harness::new(Providers::new(ChipSpec::small()))
+    }
+
+    #[test]
+    #[should_panic(expected = "too many tiles for a one-byte ProPo")]
+    fn refuses_chips_too_big_for_one_byte_propos() {
+        Providers::new(ChipSpec {
+            areas: cmpsim_virt::AreaMap::new(16, 16, 16),
+            ..ChipSpec::small()
+        });
     }
 
     /// ChipSpec::small is a 4x4 mesh with four 2x2 areas:
