@@ -24,7 +24,7 @@ pub mod geometry;
 pub mod mshr;
 pub mod spatial;
 
-pub use array::{Line, SetAssoc};
+pub use array::SetAssoc;
 pub use geometry::Geometry;
 pub use mshr::Mshr;
 pub use spatial::TileGrid;

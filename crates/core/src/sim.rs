@@ -2148,4 +2148,39 @@ mod tests {
         let bad = tamper(&image, &memory, |m| m[..8].copy_from_slice(&next_ppn));
         expect_e_snapshot(kind, b, &cfg, &bad, "corrupt snapshot");
     }
+
+    #[test]
+    fn restore_maps_corrupt_cache_arrays_to_e_snapshot() {
+        let cfg = SystemConfig::smoke();
+        let (kind, b) = (ProtocolKind::Directory, Benchmark::Radix);
+        let mut sim = CmpSimulator::new(kind, b, &cfg);
+        assert!(sim.warm_up().expect("warm-up"));
+        let image = sim.save_snapshot(snapshot::snapshot_key(kind, b, &cfg));
+
+        // Tile 0's L1 opens with its geometry and then its set count.
+        let l1 = cfg.chip.l1;
+        let mut w = SnapWriter::new();
+        l1.save(&mut w);
+        w.len_prefix(l1.sets);
+        let head = w.into_bytes();
+        let count = head.len() - 8;
+        let bad = tamper(&image, &head, |h| h[count..].copy_from_slice(&1u64.to_le_bytes()));
+        expect_e_snapshot(kind, b, &cfg, &bad, "set count");
+
+        // Leading empty sets are bare zero lengths; the first non-zero
+        // length is followed by that set's first line's block.
+        let at = image.windows(head.len()).position(|h| h == head).expect("L1 in image");
+        let u64_at = |i: usize| u64::from_le_bytes(image[i..i + 8].try_into().expect("8 bytes"));
+        let mut len_at = at + head.len();
+        while u64_at(len_at) == 0 {
+            len_at += 8;
+        }
+        assert!(len_at < at + head.len() + 8 * l1.sets, "tile 0's L1 is empty after warm-up");
+        let moved = (u64_at(len_at + 8) + (1 << l1.index_shift)).to_le_bytes();
+        let bad = tamper(&image, &image[at..len_at + 16], |s| {
+            let end = s.len();
+            s[end - 8..].copy_from_slice(&moved)
+        });
+        expect_e_snapshot(kind, b, &cfg, &bad, "wrong set");
+    }
 }

@@ -268,3 +268,33 @@ proptest! {
         prop_assert_eq!(image, reencoded, "restore must reproduce the exact serialized state");
     }
 }
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The warm-boundary image of each protocol's apache smoke cell is
+/// pinned byte for byte: a change to how the simulator stores its state
+/// (e.g. the cache arrays' host layout) must not change what it
+/// serializes. A deliberate format change bumps `SNAPSHOT_VERSION` and
+/// recaptures these digests.
+#[test]
+fn warm_snapshot_bytes_are_pinned() {
+    assert_eq!(cmpsim::snapshot::SNAPSHOT_VERSION, 2);
+    let cfg = SystemConfig::smoke();
+    let b = Benchmark::Apache;
+    let pinned = [
+        (ProtocolKind::Directory, 0x86ad_b382_5847_1261u64),
+        (ProtocolKind::DiCo, 0xa404_3083_87dd_76c2),
+        (ProtocolKind::DiCoProviders, 0x6e84_049f_2dc4_f5b0),
+        (ProtocolKind::DiCoArin, 0xe56a_920c_56ac_7825),
+    ];
+    for (kind, want) in pinned {
+        let mut sim = CmpSimulator::new(kind, b, &cfg);
+        assert!(sim.warm_up().expect("warm-up"), "{kind:?} must reach the boundary");
+        let image = sim.save_snapshot(snapshot_key(kind, b, &cfg));
+        let got = fnv1a64(&image);
+        assert_eq!(got, want, "{kind:?}/apache warm image digest {got:#018x} (len {})", image.len());
+    }
+}

@@ -6,6 +6,9 @@
 //! construction recommended by the xoshiro authors). Quality is far beyond
 //! what synthetic workload generation needs, and state is four words.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
 /// splitmix64 step; used for seeding and as a standalone mixer.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
@@ -115,30 +118,42 @@ impl SimRng {
 /// Sampler for a (truncated) Zipf distribution over `{0, .., n-1}`,
 /// used to model skewed page popularity in the synthetic workloads.
 ///
-/// Precomputes the CDF once; sampling is a binary search. For the pool
-/// sizes used by the workloads (≤ tens of thousands of pages) this is both
-/// exact and fast.
+/// Holds the CDF; sampling is a binary search. For the pool sizes used
+/// by the workloads (≤ tens of thousands of pages) this is both exact
+/// and fast. A table is a pure function of `(n, s)`, so samplers over
+/// the same domain and exponent share one: a 64-core chip builds each
+/// distinct table once instead of once per core, and the shared table
+/// stays warm in the host cache. Clones share it too.
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
 }
+
+/// Live CDF tables by `(n, s.to_bits())`. Entries are weak, so a table
+/// is freed with the last sampler using it.
+type ZipfTables = BTreeMap<(usize, u64), Weak<[f64]>>;
+static ZIPF_TABLES: Mutex<ZipfTables> = Mutex::new(BTreeMap::new());
 
 impl Zipf {
     /// Builds a sampler over `n` items with exponent `s` (`s = 0` is
-    /// uniform; `s ≈ 0.8–1.2` is typical for page popularity).
+    /// uniform; `s ≈ 0.8–1.2` is typical for page popularity), sharing
+    /// the CDF table of any live sampler with the same `(n, s)`.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf over empty domain");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
+        let key = (n, s.to_bits());
+        let mut tables = ZIPF_TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(cdf) = tables.get(&key).and_then(Weak::upgrade) {
+            return Self { cdf };
         }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
+        let cdf: Arc<[f64]> = zipf_cdf(n, s).into();
+        tables.retain(|_, table| table.strong_count() > 0);
+        tables.insert(key, Arc::downgrade(&cdf));
         Self { cdf }
+    }
+
+    /// True when `self` and `other` sample from the same shared table.
+    pub fn shares_table(&self, other: &Zipf) -> bool {
+        Arc::ptr_eq(&self.cdf, &other.cdf)
     }
 
     /// Number of items in the domain.
@@ -159,6 +174,22 @@ impl Zipf {
             Err(i) => i.min(self.cdf.len() - 1),
         }
     }
+}
+
+/// The normalised CDF of a Zipf distribution over `n` items with
+/// exponent `s`.
+fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
+    let mut cdf = Vec::with_capacity(n);
+    let mut acc = 0.0;
+    for k in 1..=n {
+        acc += 1.0 / (k as f64).powf(s);
+        cdf.push(acc);
+    }
+    let total = acc;
+    for v in &mut cdf {
+        *v /= total;
+    }
+    cdf
 }
 
 crate::impl_snap!(SimRng { s });
@@ -267,6 +298,27 @@ mod tests {
         // With s=1 over 100 items the first 10 items carry ~56% of the mass.
         let frac = head as f64 / n as f64;
         assert!(frac > 0.5, "head fraction {frac}");
+    }
+
+    #[test]
+    fn zipf_tables_are_shared_and_exact() {
+        let a = Zipf::new(1000, 0.7);
+        let b = Zipf::new(1000, 0.7);
+        assert!(a.shares_table(&b) && a.shares_table(&a.clone()));
+        assert!(!a.shares_table(&Zipf::new(1000, 0.75)));
+        assert!(!a.shares_table(&Zipf::new(999, 0.7)));
+        let fresh = zipf_cdf(1000, 0.7);
+        assert!(a.cdf.iter().zip(&fresh).all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert_eq!(a.len(), fresh.len());
+    }
+
+    #[test]
+    fn zipf_table_freed_with_last_sampler() {
+        let n = 4321;
+        let weak = Arc::downgrade(&Zipf::new(n, 0.9).cdf);
+        assert!(weak.upgrade().is_none(), "no sampler holds the table any more");
+        let again = Zipf::new(n, 0.9);
+        assert_eq!(again.len(), n);
     }
 
     #[test]

@@ -29,6 +29,8 @@ pub struct CoreStream {
     profile: &'static WorkloadProfile,
     core_in_vm: u64,
     rng: SimRng,
+    /// Page-popularity samplers per pool. Their CDF tables are shared
+    /// with every other stream over the same pool size and exponent.
     zipf_private: Zipf,
     zipf_shared: Zipf,
     zipf_dedup: Zipf,
@@ -142,8 +144,9 @@ impl CoreStream {
 
     /// Serializes the stream's mutable cursor state (RNG, locality
     /// cursors). The profile is identity, not state — the restorer
-    /// supplies it again and the Zipf tables are rebuilt from it
-    /// (they are pure functions of the profile, never touched by RNG).
+    /// supplies it again and the Zipf tables are looked up from it
+    /// (they are pure functions of the profile, never touched by RNG,
+    /// and shared with every live stream of the same profile).
     pub fn snap_save(&self, w: &mut cmpsim_engine::SnapWriter) {
         use cmpsim_engine::Snap;
         self.core_in_vm.save(w);
@@ -315,6 +318,25 @@ mod tests {
         for _ in 0..5000 {
             assert_eq!(a.next_ref(), b.next_ref());
         }
+    }
+
+    #[test]
+    fn streams_share_zipf_tables() {
+        let a = CoreStream::new(&APACHE, 0, SimRng::new(1));
+        let b = CoreStream::new(&APACHE, 3, SimRng::new(2));
+        let shared = |x: &CoreStream, y: &CoreStream| {
+            x.zipf_private.shares_table(&y.zipf_private)
+                && x.zipf_shared.shares_table(&y.zipf_shared)
+                && x.zipf_dedup.shares_table(&y.zipf_dedup)
+        };
+        assert!(shared(&a, &b), "cores of one profile share tables");
+        assert!(shared(&a, &a.clone()), "a forked stream shares its parent's tables");
+        let mut w = cmpsim_engine::SnapWriter::new();
+        a.snap_save(&mut w);
+        let bytes = w.into_bytes();
+        let restored = CoreStream::snap_load(&APACHE, &mut cmpsim_engine::SnapReader::new(&bytes))
+            .expect("decode");
+        assert!(shared(&a, &restored), "a restored stream shares the live tables");
     }
 
     #[test]
