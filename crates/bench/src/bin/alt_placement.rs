@@ -3,7 +3,7 @@
 //! change and only a logical increase in DiCo-Arin broadcast traffic.
 
 use cmpsim::report::table;
-use cmpsim::{run_matrix, Benchmark, Placement, ProtocolKind};
+use cmpsim::{run_matrix, Benchmark, Placement, ProtocolKind, RunOptions};
 use cmpsim_bench::report_config;
 
 fn main() {
@@ -11,11 +11,12 @@ fn main() {
     let benchmarks = [Benchmark::Apache, Benchmark::Radix];
     let protocols = ProtocolKind::all();
 
-    let matched = run_matrix(&protocols, &benchmarks, &cfg).expect("simulation failed");
+    let matched = run_matrix(&protocols, &benchmarks, &cfg, RunOptions::default()).expect("simulation failed");
     let alt = run_matrix(
         &protocols,
         &benchmarks,
         &cfg.clone().with_placement(Placement::Alternative),
+        RunOptions::default(),
     )
     .expect("simulation failed");
 

@@ -9,7 +9,7 @@
 //! compares the directory against the proposals at both densities.
 
 use cmpsim::report::{pct_delta, table};
-use cmpsim::{run_matrix, Benchmark, ProtocolKind, SystemConfig};
+use cmpsim::{run_matrix, Benchmark, ProtocolKind, RunOptions, SystemConfig};
 use cmpsim_protocols::common::ChipSpec;
 
 fn main() {
@@ -25,7 +25,8 @@ fn main() {
         }
         .with_refs(refs);
         let results =
-            run_matrix(&protocols, &[Benchmark::Apache], &cfg).expect("simulation failed");
+            run_matrix(&protocols, &[Benchmark::Apache], &cfg, RunOptions::default())
+                .expect("simulation failed");
         let base = &results[0];
         for (pi, p) in protocols.iter().enumerate() {
             let r = &results[pi];

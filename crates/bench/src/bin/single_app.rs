@@ -7,7 +7,7 @@
 //! consolidation.
 
 use cmpsim::report::{pct_delta, table};
-use cmpsim::{run_matrix, Benchmark, ProtocolKind, SystemConfig};
+use cmpsim::{run_matrix, Benchmark, ProtocolKind, RunOptions, SystemConfig};
 use cmpsim_bench::{obs_from_env, write_observability};
 
 fn main() {
@@ -16,7 +16,8 @@ fn main() {
     cfg.num_vms = 1; // one application on all 64 cores; areas stay hard-wired
     println!("== Single application on all 64 cores (4 hard-wired areas) ==\n");
     let results =
-        run_matrix(&ProtocolKind::all(), &[Benchmark::Apache], &cfg).expect("simulation failed");
+        run_matrix(&ProtocolKind::all(), &[Benchmark::Apache], &cfg, RunOptions::default())
+            .expect("simulation failed");
     for r in &results {
         write_observability(r, &r.protocol.name().to_lowercase());
     }

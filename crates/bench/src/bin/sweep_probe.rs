@@ -11,7 +11,8 @@ fn main() {
         _ => Benchmark::Apache,
     };
     let cfg = SystemConfig::paper().with_refs(refs);
-    let results = run_matrix(&ProtocolKind::all(), &[bench], &cfg).expect("simulation failed");
+    let results = run_matrix(&ProtocolKind::all(), &[bench], &cfg, RunOptions::default())
+        .expect("simulation failed");
     let base = results[0].total_dynamic_nj();
     let base_perf = results[0].performance();
     for r in &results {

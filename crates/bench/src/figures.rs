@@ -3,7 +3,9 @@
 //! the `all_figures` binary prints them all from a single sweep.
 
 use cmpsim::report::table;
-use cmpsim::{run_matrix, Benchmark, MissClass, ProtocolKind, RunResult, SystemConfig};
+use cmpsim::{
+    run_matrix, Benchmark, MissClass, ProtocolKind, RunOptions, RunResult, SystemConfig,
+};
 
 /// All results for the standard sweep, row-major `benchmarks x protocols`.
 pub struct Sweep {
@@ -22,7 +24,8 @@ impl Sweep {
     pub fn run(cfg: &SystemConfig) -> Self {
         let benchmarks = Benchmark::all().to_vec();
         let protocols = ProtocolKind::all().to_vec();
-        let results = run_matrix(&protocols, &benchmarks, cfg).expect("simulation failed");
+        let results = run_matrix(&protocols, &benchmarks, cfg, RunOptions::default())
+            .expect("simulation failed");
         for r in &results {
             let tag = format!("{}-{}", r.protocol.name().to_lowercase(), r.benchmark.name());
             crate::write_observability(r, &tag);

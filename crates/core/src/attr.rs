@@ -49,7 +49,6 @@ use cmpsim_engine::phase::{EventCounts, Phase, PhaseCycles, PHASES};
 use cmpsim_engine::stats::Log2Hist;
 use cmpsim_engine::Cycle;
 use cmpsim_protocols::common::{Block, BlockReason, MsgKind, Node, Tile};
-use std::collections::BTreeMap;
 
 /// Critical-path classification of one network message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,9 +294,6 @@ pub struct TxAttribution {
     /// The open transaction of each tile (one outstanding miss per
     /// core, so tile indexes the open set exactly).
     open: Vec<Option<OpenAttr>>,
-    /// Tiles with an open transaction on a block, oldest first — the
-    /// attribution order (identical to the tracer's rule).
-    by_block: BTreeMap<Block, Vec<Tile>>,
     /// Per-phase per-transaction distributions (one sample per
     /// completed transaction per phase, zeros included, so every hist
     /// count equals `completed`).
@@ -347,7 +343,6 @@ impl TxAttribution {
         debug_assert!(vm_of.iter().all(|&v| v < num_vms), "vm_of out of range");
         Self {
             open: vec![None; tiles],
-            by_block: BTreeMap::new(),
             hists: (0..PHASES).map(|_| Log2Hist::new()).collect(),
             totals: PhaseCycles::default(),
             completed: 0,
@@ -368,9 +363,6 @@ impl TxAttribution {
     /// Opens a transaction for the L1 miss issuing at `now` on `tile`.
     /// `dedup` marks a miss on a deduplicated (inter-VM shared) block.
     pub fn on_issue(&mut self, now: Cycle, tile: Tile, block: Block, write: bool, dedup: bool) {
-        if let Some(stale) = self.open[tile].take() {
-            self.unlink(stale.block, tile);
-        }
         self.open[tile] = Some(OpenAttr {
             block,
             write,
@@ -380,27 +372,22 @@ impl TxAttribution {
             counts: EventCounts::default(),
             dedup,
         });
-        self.by_block.entry(block).or_default().push(tile);
     }
 
-    fn owner_of(&mut self, block: Block) -> Option<&mut OpenAttr> {
-        let tile = *self.by_block.get(&block)?.first()?;
-        self.open[tile].as_mut()
-    }
-
-    /// Records one network message span on `block`, charging its NoC
-    /// energy events (`links` routings, `links * flits` flit-links) the
-    /// same way the mesh counts them, plus one interference-matrix cell
+    /// Records one network message span owned by `owner`'s open
+    /// transaction (none: untracked traffic), charging its NoC energy
+    /// events (`links` routings, `links * flits` flit-links) the same
+    /// way the mesh counts them, plus one interference-matrix cell
     /// (aggressor = the VM of the owning transaction's requestor, or of
     /// `src`'s tile for untracked traffic; victim = the VM of `dst`'s
     /// tile). `dedup` marks traffic on an inter-VM shared block.
     #[allow(clippy::too_many_arguments)]
     pub fn on_message(
         &mut self,
+        owner: Option<Tile>,
         depart: Cycle,
         arrival: Cycle,
         class: MsgClass,
-        block: Block,
         src: Node,
         dst: Node,
         links: u64,
@@ -408,11 +395,7 @@ impl TxAttribution {
         dedup: bool,
     ) {
         let noc = EventCounts { routing: links, flit_links: links * flits, ..Default::default() };
-        let owner_tile = self.by_block.get(&block).and_then(|tiles| tiles.first().copied());
-        let tx = match owner_tile {
-            Some(t) => self.open[t].as_mut(),
-            None => None,
-        };
+        let tx = owner.and_then(|t| self.open[t].as_mut());
         let aggressor = match tx {
             Some(tx) => {
                 tx.events.push(AttrEvent {
@@ -447,12 +430,12 @@ impl TxAttribution {
     }
 
     /// Charges a cache-side energy-event delta (the counter movement of
-    /// one protocol dispatch) to the transaction open on `block`.
-    pub fn on_cache_events(&mut self, block: Block, delta: EventCounts) {
+    /// one protocol dispatch) to `owner`'s open transaction.
+    pub fn on_cache_events(&mut self, owner: Option<Tile>, delta: EventCounts) {
         if delta.is_zero() {
             return;
         }
-        if let Some(tx) = self.owner_of(block) {
+        if let Some(tx) = owner.and_then(|t| self.open[t].as_mut()) {
             tx.counts.merge(&delta);
         } else {
             self.untracked_counts.merge(&delta);
@@ -482,7 +465,6 @@ impl TxAttribution {
         let Some(mut tx) = self.open[tile].take() else {
             return;
         };
-        self.unlink(tx.block, tile);
         let latency = now.saturating_sub(tx.issued);
         let req_vm = self.vm_of[tx.requestor];
         let num_vms = self.num_vms;
@@ -521,17 +503,6 @@ impl TxAttribution {
             vm.cross_txs += 1;
         } else {
             vm.intra_txs += 1;
-        }
-    }
-
-    fn unlink(&mut self, block: Block, tile: Tile) {
-        if let Some(tiles) = self.by_block.get_mut(&block) {
-            if let Some(i) = tiles.iter().position(|&t| t == tile) {
-                tiles.remove(i);
-            }
-            if tiles.is_empty() {
-                self.by_block.remove(&block);
-            }
         }
     }
 
@@ -775,8 +746,8 @@ mod tests {
     fn sweep_tiles_simple_miss() {
         let mut a = TxAttribution::new(4);
         a.on_issue(10, 1, 0x40, false, false);
-        a.on_message(10, 20, MsgClass::Request, 0x40, Node::L1(1), Node::L2(2), 3, 1, false);
-        a.on_message(25, 40, MsgClass::Data, 0x40, Node::L2(2), Node::L1(1), 3, 5, false);
+        a.on_message(Some(1), 10, 20, MsgClass::Request, Node::L1(1), Node::L2(2), 3, 1, false);
+        a.on_message(Some(1), 25, 40, MsgClass::Data, Node::L2(2), Node::L1(1), 3, 5, false);
         a.on_completion(43, 1);
         let log = a.finish();
         assert_eq!(log.completed, 1);
@@ -798,11 +769,11 @@ mod tests {
     fn sweep_charges_memory_gap() {
         let mut a = TxAttribution::new(4);
         a.on_issue(0, 0, 0x80, true, false);
-        a.on_message(0, 10, MsgClass::Request, 0x80, Node::L1(0), Node::L2(3), 2, 1, false);
-        a.on_message(12, 20, MsgClass::MemRead, 0x80, Node::L2(3), Node::L2(3), 4, 1, false);
+        a.on_message(Some(0), 0, 10, MsgClass::Request, Node::L1(0), Node::L2(3), 2, 1, false);
+        a.on_message(Some(0), 12, 20, MsgClass::MemRead, Node::L2(3), Node::L2(3), 4, 1, false);
         // DRAM: 20..320 is a gap at the controller.
-        a.on_message(320, 330, MsgClass::MemData, 0x80, Node::L2(3), Node::L2(3), 4, 5, false);
-        a.on_message(335, 350, MsgClass::Data, 0x80, Node::L2(3), Node::L1(0), 5, 5, false);
+        a.on_message(Some(0), 320, 330, MsgClass::MemData, Node::L2(3), Node::L2(3), 4, 5, false);
+        a.on_message(Some(0), 335, 350, MsgClass::Data, Node::L2(3), Node::L1(0), 5, 5, false);
         a.on_completion(352, 0);
         let log = a.finish();
         assert_eq!(log.reconciled, 1);
@@ -820,8 +791,8 @@ mod tests {
     fn sweep_clamps_to_completion() {
         let mut a = TxAttribution::new(2);
         a.on_issue(100, 0, 0x10, false, false);
-        a.on_message(100, 110, MsgClass::Request, 0x10, Node::L1(0), Node::L2(1), 2, 1, false);
-        a.on_message(110, 500, MsgClass::Inv, 0x10, Node::L2(1), Node::L1(1), 2, 1, false);
+        a.on_message(Some(0), 100, 110, MsgClass::Request, Node::L1(0), Node::L2(1), 2, 1, false);
+        a.on_message(Some(0), 110, 500, MsgClass::Inv, Node::L2(1), Node::L1(1), 2, 1, false);
         a.on_completion(130, 0);
         let log = a.finish();
         assert_eq!(log.reconciled, 1);
@@ -832,8 +803,8 @@ mod tests {
     #[test]
     fn untracked_traffic_lands_in_background_bucket() {
         let mut a = TxAttribution::new(2);
-        a.on_message(5, 9, MsgClass::Control, 0x99, Node::L2(1), Node::L2(0), 2, 1, false);
-        a.on_cache_events(0x99, EventCounts { l2_tag: 1, ..Default::default() });
+        a.on_message(None, 5, 9, MsgClass::Control, Node::L2(1), Node::L2(0), 2, 1, false);
+        a.on_cache_events(None, EventCounts { l2_tag: 1, ..Default::default() });
         let log = a.finish();
         assert_eq!(log.untracked_counts.routing, 2);
         assert_eq!(log.untracked_counts.l2_tag, 1);
@@ -858,9 +829,9 @@ mod tests {
     fn reset_keeps_spans_zeroes_counts() {
         let mut a = TxAttribution::new(2);
         a.on_issue(0, 0, 0x40, false, false);
-        a.on_message(0, 10, MsgClass::Request, 0x40, Node::L1(0), Node::L2(1), 3, 1, false);
+        a.on_message(Some(0), 0, 10, MsgClass::Request, Node::L1(0), Node::L2(1), 3, 1, false);
         a.reset();
-        a.on_message(12, 30, MsgClass::Data, 0x40, Node::L2(1), Node::L1(0), 3, 5, false);
+        a.on_message(Some(0), 12, 30, MsgClass::Data, Node::L2(1), Node::L1(0), 3, 5, false);
         a.on_completion(32, 0);
         let log = a.finish();
         assert_eq!(log.completed, 1);
@@ -891,8 +862,8 @@ mod tests {
     fn stall_lines_show_current_phase() {
         let mut a = TxAttribution::new(4);
         a.on_issue(10, 2, 0x40, true, false);
-        a.on_message(10, 20, MsgClass::Request, 0x40, Node::L1(2), Node::L2(3), 2, 1, false);
-        a.on_message(22, 30, MsgClass::MemRead, 0x40, Node::L2(3), Node::L2(3), 2, 1, false);
+        a.on_message(Some(2), 10, 20, MsgClass::Request, Node::L1(2), Node::L2(3), 2, 1, false);
+        a.on_message(Some(2), 22, 30, MsgClass::MemRead, Node::L2(3), Node::L2(3), 2, 1, false);
         let lines = a.stall_lines(500, 8);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("tile 2"), "{}", lines[0]);
@@ -908,13 +879,13 @@ mod tests {
         let mut a = TxAttribution::with_vms(vec![0, 0, 1, 1], 2);
         // VM 0, tile 0: private-block miss.
         a.on_issue(0, 0, 0x40, false, false);
-        a.on_message(0, 10, MsgClass::Request, 0x40, Node::L1(0), Node::L2(1), 2, 1, false);
-        a.on_message(12, 20, MsgClass::Data, 0x40, Node::L2(1), Node::L1(0), 2, 5, false);
+        a.on_message(Some(0), 0, 10, MsgClass::Request, Node::L1(0), Node::L2(1), 2, 1, false);
+        a.on_message(Some(0), 12, 20, MsgClass::Data, Node::L2(1), Node::L1(0), 2, 5, false);
         a.on_completion(22, 0);
         // VM 1, tile 2: dedup-backed miss.
         a.on_issue(30, 2, 0x80, true, true);
-        a.on_message(30, 40, MsgClass::Request, 0x80, Node::L1(2), Node::L2(3), 1, 1, true);
-        a.on_message(42, 50, MsgClass::Data, 0x80, Node::L2(3), Node::L1(2), 1, 5, true);
+        a.on_message(Some(2), 30, 40, MsgClass::Request, Node::L1(2), Node::L2(3), 1, 1, true);
+        a.on_message(Some(2), 42, 50, MsgClass::Data, Node::L2(3), Node::L1(2), 1, 5, true);
         a.on_completion(51, 2);
         a.on_blocked(BlockReason::MshrConflict, 5, 3);
         let log = a.finish();
@@ -952,10 +923,10 @@ mod tests {
     fn matrix_charges_aggressor_to_victim() {
         let mut a = TxAttribution::with_vms(vec![0, 0, 1, 1], 2);
         a.on_issue(0, 0, 0xC0, true, true);
-        a.on_message(0, 10, MsgClass::Request, 0xC0, Node::L1(0), Node::L2(1), 2, 1, true);
+        a.on_message(Some(0), 0, 10, MsgClass::Request, Node::L1(0), Node::L2(1), 2, 1, true);
         // Invalidation into VM 1's tile 2: 10..30 on the critical path.
-        a.on_message(10, 30, MsgClass::Inv, 0xC0, Node::L2(1), Node::L1(2), 3, 1, true);
-        a.on_message(30, 40, MsgClass::Data, 0xC0, Node::L2(1), Node::L1(0), 2, 5, true);
+        a.on_message(Some(0), 10, 30, MsgClass::Inv, Node::L2(1), Node::L1(2), 3, 1, true);
+        a.on_message(Some(0), 30, 40, MsgClass::Data, Node::L2(1), Node::L1(0), 2, 5, true);
         a.on_completion(42, 0);
         let log = a.finish();
 
@@ -975,7 +946,7 @@ mod tests {
         assert_eq!(matrix_routing, log.total_counts().routing);
         // Untracked traffic still lands in a cell (src tile's VM).
         a = TxAttribution::with_vms(vec![0, 0, 1, 1], 2);
-        a.on_message(5, 9, MsgClass::Control, 0x99, Node::L2(2), Node::L2(0), 2, 1, false);
+        a.on_message(None, 5, 9, MsgClass::Control, Node::L2(2), Node::L2(0), 2, 1, false);
         let log = a.finish();
         assert_eq!(log.matrix_cell(1, 0).msgs, 1);
     }
@@ -984,7 +955,7 @@ mod tests {
     fn publish_exports_counters_and_hists() {
         let mut a = TxAttribution::new(2);
         a.on_issue(0, 0, 0x40, false, false);
-        a.on_message(0, 10, MsgClass::Request, 0x40, Node::L1(0), Node::L2(1), 3, 1, false);
+        a.on_message(Some(0), 0, 10, MsgClass::Request, Node::L1(0), Node::L2(1), 3, 1, false);
         a.on_completion(12, 0);
         let log = a.finish();
         let mut reg = cmpsim_engine::MetricsRegistry::new();

@@ -70,7 +70,7 @@
 //! --manifest-out <file>   write the run manifest (run ledger entry) alone
 //! --host-profile-out <f>  write the host self-profile JSON (wall-clock,
 //!                         nondeterministic; keyed by manifest run_id)
-//! --progress-out <file>   live sweep telemetry as NDJSON (run/matrix/report/chaos)
+//! --progress-out <file>   live sweep telemetry as NDJSON (run/stats/matrix/report/chaos)
 //! ```
 //!
 //! Every deterministic JSON artifact (metrics, time-series, trace,
@@ -108,13 +108,13 @@ use cmpsim::report::{
     breakdown_csv, breakdown_energy_table, breakdown_json, breakdown_latency_table,
     markdown_chaos_section, markdown_report, table,
 };
-use cmpsim::chaos::{chaos_sweep_with_options, CellOutcome};
+use cmpsim::chaos::{chaos_sweep, CellOutcome};
 use cmpsim::snapshot::key_hex;
 use cmpsim::vmstat::{heatmap_csv, heatmap_json, vmstat_json, vmstat_tables};
 use cmpsim::{
-    run_benchmark_with_store, run_matrix_with_options, snapshot_eligible, snapshot_key, Benchmark,
-    CmpSimulator, FaultPlan, MissClass, Placement, ProtocolKind, ReplayArtifact, RunResult,
-    SimError, SnapshotStore, SystemConfig,
+    run_matrix, snapshot_eligible, snapshot_key, Benchmark, CmpSimulator, FaultPlan, MissClass,
+    Placement, ProtocolKind, ReplayArtifact, RunOptions, RunResult, SimError, SnapshotStore,
+    SystemConfig,
 };
 use cmpsim_power::{leakage_per_tile, overhead_percent};
 use std::path::Path;
@@ -413,26 +413,16 @@ fn write_breakdown(path: &str, results: &[RunResult]) {
     write_file(path, &body, "breakdown");
 }
 
-/// Writes the combined per-VM statistics artifact (always JSON).
-fn write_vmstat(path: &str, results: &[RunResult]) {
-    write_file(path, &vmstat_json(results), "vmstat");
-}
-
-/// Writes the combined spatial-heatmap artifact (CSV or JSON by
-/// extension).
-fn write_heatmap(path: &str, results: &[RunResult]) {
-    let body = if path.ends_with(".csv") { heatmap_csv(results) } else { heatmap_json(results) };
-    write_file(path, &body, "heatmap");
-}
-
 /// Writes the sweep-level tenant/spatial artifacts the flags asked
-/// for (one combined file each, like the breakdown artifact).
+/// for (one combined file each, like the breakdown artifact): per-VM
+/// statistics as JSON, the spatial heatmap as CSV or JSON by extension.
 fn write_tenant_outputs(o: &Options, results: &[RunResult]) {
     if let Some(p) = &o.vmstat_out {
-        write_vmstat(p, results);
+        write_file(p, &vmstat_json(results), "vmstat");
     }
     if let Some(p) = &o.heatmap_out {
-        write_heatmap(p, results);
+        let body = if p.ends_with(".csv") { heatmap_csv(results) } else { heatmap_json(results) };
+        write_file(p, &body, "heatmap");
     }
 }
 
@@ -456,23 +446,20 @@ fn bail(e: SimError) -> ! {
     std::process::exit(1);
 }
 
-fn cmd_run(o: &Options) {
-    // A single run is a one-cell sweep as far as telemetry goes; only
-    // build the sink when asked so the default stderr output is
-    // unchanged.
-    let sink = o.progress_out.as_deref().map(|p| progress_sink("run", 1, Some(p)));
+/// `run`/`stats`: one cell through the executor. A single run is a
+/// one-cell sweep as far as telemetry goes; the sink is only built when
+/// asked, so the default stderr output is unchanged.
+fn run_one(o: &Options, label: &str) -> RunResult {
+    let sink = o.progress_out.as_deref().map(|p| progress_sink(label, 1, Some(p)));
     let store = snapshot_store(o.snapshot_dir.as_deref());
-    let r = run_matrix_with_options(
-        &[o.protocol],
-        &[o.benchmark],
-        &config(o),
-        sink.as_ref(),
-        o.threads,
-        store.as_ref(),
-    )
-    .unwrap_or_else(|e| bail(e))
-    .pop()
-    .expect("one cell");
+    let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress: sink.as_ref() };
+    let mut results =
+        run_matrix(&[o.protocol], &[o.benchmark], &config(o), opts).unwrap_or_else(|e| bail(e));
+    results.pop().expect("one cell")
+}
+
+fn cmd_run(o: &Options) {
+    let r = run_one(o, "run");
     println!("{} on {}{}", r.protocol.name(), r.benchmark.name(), r.placement.suffix());
     println!("  cycles            {:>12}", r.cycles);
     println!("  throughput        {:>12.4} refs/cycle", r.throughput());
@@ -501,9 +488,7 @@ fn cmd_run(o: &Options) {
 /// `stats`: one run, then the full metrics registry, one line per
 /// metric (hierarchical names, sorted).
 fn cmd_stats(o: &Options) {
-    let store = snapshot_store(o.snapshot_dir.as_deref());
-    let r = run_benchmark_with_store(o.protocol, o.benchmark, &config(o), store.as_ref())
-        .unwrap_or_else(|e| bail(e));
+    let r = run_one(o, "stats");
     println!(
         "{} on {}{} ({} refs/core, seed {})",
         r.protocol.name(),
@@ -535,15 +520,8 @@ fn cmd_matrix(o: &Options) {
     let protocols = ProtocolKind::all();
     let sink = progress_sink("matrix", protocols.len(), o.progress_out.as_deref());
     let store = snapshot_store(o.snapshot_dir.as_deref());
-    let results = run_matrix_with_options(
-        &protocols,
-        &[o.benchmark],
-        &cfg,
-        Some(&sink),
-        o.threads,
-        store.as_ref(),
-    )
-    .unwrap_or_else(|e| bail(e));
+    let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress: Some(&sink) };
+    let results = run_matrix(&protocols, &[o.benchmark], &cfg, opts).unwrap_or_else(|e| bail(e));
     let base = &results[0];
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -576,22 +554,31 @@ fn cmd_matrix(o: &Options) {
     }
 }
 
+/// All four protocols on `o.benchmark` with attribution on, after the
+/// `view` header line that `breakdown` and `vmstat` print.
+fn attributed_matrix(o: &Options, view: &str) -> Vec<RunResult> {
+    let cfg = config(o).with_attribution();
+    let opts = RunOptions { threads: o.threads, ..RunOptions::default() };
+    let results =
+        run_matrix(&ProtocolKind::all(), &[o.benchmark], &cfg, opts).unwrap_or_else(|e| bail(e));
+    let (b, suffix) = (o.benchmark.name(), cfg.placement.suffix());
+    println!("{view}: {b}{suffix} at {} refs/core, seed {}", cfg.refs_per_core, cfg.seed);
+    println!();
+    results
+}
+
+/// The host self-profile line of each result, on stderr.
+fn print_throughput(results: &[RunResult]) {
+    for r in results {
+        eprintln!("{}: {}", r.protocol.name(), r.host.throughput_line());
+    }
+}
+
 /// `breakdown`: runs all four protocols with attribution on and prints
 /// the paper's Figure 7 (miss latency per critical-path phase) and
 /// Figure 8 (dynamic energy per structure) breakdowns.
 fn cmd_breakdown(o: &Options) {
-    let cfg = config(o).with_attribution();
-    let results =
-        run_matrix_with_options(&ProtocolKind::all(), &[o.benchmark], &cfg, None, o.threads, None)
-            .unwrap_or_else(|e| bail(e));
-    println!(
-        "critical-path & energy attribution: {}{} at {} refs/core, seed {}",
-        o.benchmark.name(),
-        cfg.placement.suffix(),
-        cfg.refs_per_core,
-        cfg.seed
-    );
-    println!();
+    let results = attributed_matrix(o, "critical-path & energy attribution");
     println!("miss latency by phase (avg cycles per miss, Fig. 7 style):");
     println!("{}", breakdown_latency_table(&results));
     println!("attributed dynamic energy by structure (uJ, Fig. 8 style):");
@@ -612,9 +599,7 @@ fn cmd_breakdown(o: &Options) {
     if let Some(p) = &o.breakdown_out {
         write_breakdown(p, &results);
     }
-    for r in &results {
-        eprintln!("{}: {}", r.protocol.name(), r.host.throughput_line());
-    }
+    print_throughput(&results);
 }
 
 /// `vmstat`: runs all four protocols with attribution on and prints
@@ -623,23 +608,10 @@ fn cmd_breakdown(o: &Options) {
 /// counters. `--vmstat-out`/`--heatmap-out` export the same data as
 /// manifest-stamped JSON/CSV artifacts.
 fn cmd_vmstat(o: &Options) {
-    let cfg = config(o).with_attribution();
-    let results =
-        run_matrix_with_options(&ProtocolKind::all(), &[o.benchmark], &cfg, None, o.threads, None)
-            .unwrap_or_else(|e| bail(e));
-    println!(
-        "tenant observability: {}{} at {} refs/core, seed {}",
-        o.benchmark.name(),
-        cfg.placement.suffix(),
-        cfg.refs_per_core,
-        cfg.seed
-    );
-    println!();
+    let results = attributed_matrix(o, "tenant observability");
     print!("{}", vmstat_tables(&results));
     write_tenant_outputs(o, &results);
-    for r in &results {
-        eprintln!("{}: {}", r.protocol.name(), r.host.throughput_line());
-    }
+    print_throughput(&results);
 }
 
 /// `report`: one deterministic Markdown report over a matrix run — the
@@ -654,23 +626,15 @@ fn cmd_report(o: &Options) {
     let protocols = ProtocolKind::all();
     let sink =
         progress_sink("report", protocols.len() * benchmarks.len(), o.progress_out.as_deref());
-    let results = run_matrix_with_options(
-        &protocols,
-        &benchmarks,
-        &cfg,
-        Some(&sink),
-        o.threads,
-        snapshot_store(o.snapshot_dir.as_deref()).as_ref(),
-    )
-    .unwrap_or_else(|e| bail(e));
+    let store = snapshot_store(o.snapshot_dir.as_deref());
+    let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress: Some(&sink) };
+    let results = run_matrix(&protocols, &benchmarks, &cfg, opts).unwrap_or_else(|e| bail(e));
     let md = markdown_report(&results);
     match &o.out {
         Some(p) => write_file(p, &md, "report"),
         None => print!("{md}"),
     }
-    for r in &results {
-        eprintln!("{}: {}", r.protocol.name(), r.host.throughput_line());
-    }
+    print_throughput(&results);
 }
 
 /// `compare`: structural diff of two runs/matrices, or (`--baseline`)
@@ -1016,15 +980,8 @@ fn cmd_chaos(args: &[String]) {
         progress_out.as_deref(),
     );
     let store = snapshot_store(snapshot_dir.as_deref());
-    let report = chaos_sweep_with_options(
-        &protocols,
-        &benchmarks,
-        &plans,
-        &cfg,
-        Some(&sink),
-        threads,
-        store.as_ref(),
-    );
+    let opts = RunOptions { threads, store: store.as_ref(), progress: Some(&sink) };
+    let report = chaos_sweep(&protocols, &benchmarks, &plans, &cfg, opts);
     if let Some(p) = &json_out {
         write_file(p, &report.to_json(), "chaos report");
     }

@@ -13,23 +13,20 @@
 //! across the protocol x benchmark matrix and classifies every cell:
 //! recovered-and-verified, typed error with a replay artifact, or — the
 //! failure modes the harness exists to catch — silent divergence and
-//! panic. The sweep itself never panics: worker panics are caught and
-//! reported as [`CellOutcome::Panicked`].
+//! panic. Both legs run through the [`orchestrator`](crate::orchestrator)
+//! executor, so the sweep itself never panics: worker panics are caught
+//! and reported as [`CellOutcome::Panicked`].
 
-use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use cmpsim_engine::par::{num_threads, par_map_with_threads};
 use cmpsim_engine::{Cycle, FaultPlan};
 use cmpsim_protocols::ProtocolKind;
 use cmpsim_workloads::Benchmark;
 
 use crate::config::SystemConfig;
 use crate::error::SimError;
-use crate::sim::run_benchmark_with_store;
-use crate::snapshot::SnapshotStore;
 use crate::manifest::RunManifest;
-use crate::progress::ProgressSink;
+use crate::orchestrator::{run_cells, run_heartbeat, RunOptions, SweepCell, SweepSpec};
 use crate::replay::Value;
 use crate::result::RunResult;
 
@@ -250,126 +247,97 @@ pub fn run_differential(
     benchmark: Benchmark,
     cfg: &SystemConfig,
 ) -> DiffOutcome {
-    let mut golden_cfg = cfg.clone();
-    golden_cfg.fault_plan = None;
-    let golden = match run_caught(kind, benchmark, &golden_cfg, None) {
+    let here = RunOptions { threads: Some(1), ..RunOptions::default() };
+    let run = |base: &SystemConfig| {
+        let cells = SweepSpec::matrix(&[kind], &[benchmark], base).expand();
+        run_cells(&cells, here, |c| c.run(None), run_heartbeat).remove(0)
+    };
+    let golden = match run(&cfg.clone().with_fault_plan(None)) {
         Ok(Ok(r)) => r,
         Ok(Err(e)) => return DiffOutcome::Faulted(Box::new(e)),
-        Err(msg) => {
-            return DiffOutcome::Panicked { message: format!("golden run panicked: {msg}") }
+        Err(p) => {
+            return DiffOutcome::Panicked { message: format!("golden run panicked: {}", p.message) }
         }
     };
-    judge(kind, benchmark, cfg, &golden, None)
+    match run(cfg) {
+        Ok(faulty) => judge(faulty, &golden),
+        Err(p) => DiffOutcome::Panicked { message: format!("faulty run panicked: {}", p.message) },
+    }
 }
 
-/// Judges the faulty leg of one cell against an already-computed golden
-/// result.
-fn judge(
-    kind: ProtocolKind,
-    benchmark: Benchmark,
-    cfg: &SystemConfig,
-    golden: &RunResult,
-    store: Option<&SnapshotStore>,
-) -> DiffOutcome {
-    match run_caught(kind, benchmark, cfg, store) {
-        Ok(Ok(mut faulty)) => match describe_divergence(golden, &faulty) {
+/// Judges the faulty leg of one cell against its golden result.
+fn judge(faulty: Result<RunResult, SimError>, golden: &RunResult) -> DiffOutcome {
+    match faulty {
+        Ok(mut faulty) => match describe_divergence(golden, &faulty) {
             None => {
                 faulty.effective_cycles = Some(golden.cycles);
                 DiffOutcome::Verified(Box::new(faulty))
             }
             Some(detail) => DiffOutcome::Diverged { detail, faulty: Box::new(faulty) },
         },
-        Ok(Err(e)) => DiffOutcome::Faulted(Box::new(e)),
-        Err(msg) => DiffOutcome::Panicked { message: format!("faulty run panicked: {msg}") },
+        Err(e) => DiffOutcome::Faulted(Box::new(e)),
     }
 }
 
 /// Fans `plans` across the `protocols` x `benchmarks` matrix. Golden
 /// runs are computed once per (protocol, benchmark) pair and shared by
-/// every plan. Cells run in parallel across host cores.
+/// every plan; the judged cells report to `opts.progress`. The fault
+/// plan is part of the snapshot key (faults fire during warm-up too),
+/// so with a store golden and per-plan legs never share an image — the
+/// wins come from repeated cells and from re-running a sweep against a
+/// disk-backed store.
 pub fn chaos_sweep(
     protocols: &[ProtocolKind],
     benchmarks: &[Benchmark],
     plans: &[FaultPlan],
     cfg: &SystemConfig,
+    opts: RunOptions<'_>,
 ) -> ChaosReport {
-    chaos_sweep_with_progress(protocols, benchmarks, plans, cfg, None)
-}
-
-/// [`chaos_sweep`] with an optional live-telemetry sink: every judged
-/// cell reports `plan:protocol/benchmark`, its status and the faulty
-/// leg's host events/s as it completes (completion order — the stream
-/// is host-side telemetry, the returned report stays deterministic).
-pub fn chaos_sweep_with_progress(
-    protocols: &[ProtocolKind],
-    benchmarks: &[Benchmark],
-    plans: &[FaultPlan],
-    cfg: &SystemConfig,
-    progress: Option<&ProgressSink>,
-) -> ChaosReport {
-    chaos_sweep_with_options(protocols, benchmarks, plans, cfg, progress, None, None)
-}
-
-/// [`chaos_sweep_with_progress`] plus the sweep-level knobs: an
-/// explicit worker-thread count (`None` = one per host core) and a
-/// shared [`SnapshotStore`]. The fault plan is part of the snapshot key
-/// (faults fire during warm-up too), so golden and per-plan legs never
-/// share an image within one sweep — the wins come from repeated cells
-/// and, with a disk-backed store, from re-running a sweep after the
-/// images were captured.
-pub fn chaos_sweep_with_options(
-    protocols: &[ProtocolKind],
-    benchmarks: &[Benchmark],
-    plans: &[FaultPlan],
-    cfg: &SystemConfig,
-    progress: Option<&ProgressSink>,
-    threads: Option<usize>,
-    store: Option<&SnapshotStore>,
-) -> ChaosReport {
-    let threads = threads.unwrap_or_else(num_threads);
-    let mut golden_cfg = cfg.clone();
-    golden_cfg.fault_plan = None;
-    let pairs: Vec<(ProtocolKind, Benchmark)> = benchmarks
-        .iter()
-        .flat_map(|&b| protocols.iter().map(move |&p| (p, b)))
-        .collect();
+    let spec = |plans| SweepSpec { plans, ..SweepSpec::matrix(protocols, benchmarks, cfg) };
+    let quiet = RunOptions { progress: None, ..opts };
     let goldens =
-        par_map_with_threads(&pairs, threads, |&(p, b)| run_caught(p, b, &golden_cfg, store));
-
-    let jobs: Vec<(usize, usize)> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, _)| (0..pairs.len()).map(move |ci| (pi, ci)))
-        .collect();
-    let outcomes = par_map_with_threads(&jobs, threads, |&(pi, ci)| {
-        let (proto, bench) = pairs[ci];
-        let cell_cfg = cfg.clone().with_fault_plan(Some(plans[pi].clone()));
-        let mut host = (0u64, 0.0f64);
-        let outcome = match &goldens[ci] {
+        run_cells(&spec(vec![None]).expand(), quiet, |c| c.run(opts.store), run_heartbeat);
+    // Judged cells run in (plan, benchmark, protocol) order, so cell i
+    // is judged against golden i mod |goldens|.
+    let judged = match plans {
+        [] => Vec::new(),
+        _ => spec(plans.iter().cloned().map(Some).collect()).expand(),
+    };
+    // Each judged cell yields its outcome and the faulty leg's host
+    // (events, events/s) for the progress stream.
+    let judge_cell = |c: &SweepCell| -> (CellOutcome, (u64, f64)) {
+        match &goldens[c.index % goldens.len()] {
             Ok(Ok(golden)) => {
-                let diff = judge(proto, bench, &cell_cfg, golden, store);
-                if let DiffOutcome::Verified(r) = &diff {
-                    host = (r.host.events, r.host.events_per_sec());
-                }
-                cell_outcome(diff)
+                let diff = judge(c.run(opts.store), golden);
+                let host = match &diff {
+                    DiffOutcome::Verified(r) => (r.host.events, r.host.events_per_sec()),
+                    _ => (0, 0.0),
+                };
+                (cell_outcome(diff), host)
             }
-            Ok(Err(e)) => CellOutcome::GoldenFailed {
-                message: format!("{} ({})", e.kind_label(), e.code()),
-            },
-            Err(msg) => CellOutcome::GoldenFailed { message: msg.clone() },
-        };
-        if let Some(sink) = progress {
-            let cell =
-                format!("{}:{}/{}", plans[pi].spec(), proto.name(), bench.name());
-            sink.cell_done(&cell, outcome.status(), host.0, host.1);
+            Ok(Err(e)) => {
+                let message = format!("{} ({})", e.kind_label(), e.code());
+                (CellOutcome::GoldenFailed { message }, (0, 0.0))
+            }
+            Err(p) => (CellOutcome::GoldenFailed { message: p.message.clone() }, (0, 0.0)),
         }
-        let manifest = RunManifest::new(proto, bench, &cell_cfg);
-        ChaosCell { protocol: proto, benchmark: bench, plan: plans[pi].clone(), outcome, manifest }
-    });
-    if let Some(sink) = progress {
-        sink.finish();
-    }
-    ChaosReport { cells: outcomes }
+    };
+    let outcomes = run_cells(&judged, opts, judge_cell, |(o, (ev, rate))| (o.status(), *ev, *rate));
+    let cells = judged
+        .into_iter()
+        .zip(outcomes)
+        .map(|(c, judged)| ChaosCell {
+            protocol: c.protocol,
+            benchmark: c.benchmark,
+            plan: c.plan.expect("judged cells run under a plan"),
+            outcome: judged.map_or_else(
+                |p| CellOutcome::Panicked { message: format!("faulty run panicked: {}", p.message) },
+                |(outcome, _)| outcome,
+            ),
+            manifest: c.manifest,
+        })
+        .collect();
+    ChaosReport { cells }
 }
 
 fn cell_outcome(diff: DiffOutcome) -> CellOutcome {
@@ -426,20 +394,6 @@ fn describe_divergence(golden: &RunResult, faulty: &RunResult) -> Option<String>
     Some(parts.join("; "))
 }
 
-/// Runs one benchmark with panics converted into `Err(message)` so a
-/// worker bug cannot take down the whole sweep.
-fn run_caught(
-    kind: ProtocolKind,
-    benchmark: Benchmark,
-    cfg: &SystemConfig,
-    store: Option<&SnapshotStore>,
-) -> Result<Result<RunResult, SimError>, String> {
-    panic::catch_unwind(AssertUnwindSafe(|| {
-        run_benchmark_with_store(kind, benchmark, cfg, store)
-    }))
-    .map_err(cmpsim_engine::par::panic_message)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,6 +420,7 @@ mod tests {
             &[Benchmark::Radix],
             &plans,
             &cfg,
+            RunOptions::default(),
         );
         assert_eq!(report.cells.len(), 4);
         assert!(report.passed(), "violations: {:?}", report.violations());

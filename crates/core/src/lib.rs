@@ -68,6 +68,7 @@ pub mod config;
 pub mod error;
 pub mod interval;
 pub mod manifest;
+mod observers;
 pub mod orchestrator;
 pub mod progress;
 pub mod replay;
@@ -80,8 +81,7 @@ pub mod vmstat;
 
 pub use attr::{BreakdownLog, TxAttribution};
 pub use chaos::{
-    chaos_sweep, chaos_sweep_with_options, chaos_sweep_with_progress, run_differential,
-    CellOutcome, ChaosCell, ChaosReport, DiffOutcome,
+    chaos_sweep, run_differential, CellOutcome, ChaosCell, ChaosReport, DiffOutcome,
 };
 pub use compare::{CompareOptions, CompareReport, MetricDiff, Verdict};
 pub use config::SystemConfig;
@@ -89,15 +89,14 @@ pub use error::{FaultContext, SimError, StallReason, TimeoutReport};
 pub use interval::{IntervalSample, IntervalSampler, TimeSeries};
 pub use manifest::RunManifest;
 pub use orchestrator::{
-    parse_journal, resume_sweep, run_sweep, CellError, CellState, Injection, SweepCell,
-    SweepOptions, SweepOutcome, SweepSpec,
+    parse_journal, resume_sweep, run_matrix, run_sweep, CellError, CellState, Injection,
+    RunOptions, SweepCell, SweepOptions, SweepOutcome, SweepSpec,
 };
 pub use progress::ProgressSink;
 pub use replay::ReplayArtifact;
 pub use result::{ArchState, RunResult, SpatialLog};
 pub use sim::{
-    build_protocol, run_benchmark, run_benchmark_with_store, run_matrix, run_matrix_with_options,
-    run_matrix_with_progress, snapshot_eligible, CmpSimulator,
+    build_protocol, run_benchmark, run_benchmark_with_store, snapshot_eligible, CmpSimulator,
 };
 pub use snapshot::{snapshot_key, SnapshotError, SnapshotStore, SNAPSHOT_VERSION};
 pub use trace::{TraceLog, TxTracer};

@@ -1,0 +1,311 @@
+//! The observer bus: [`Observers`] owns the transaction tracer, the
+//! attribution tracker, the invariant checker, the interval sampler with
+//! its energy model, and the one block → open-transaction index the
+//! tracer and attribution share. The event loop calls it once per hook
+//! site, handing messages over as one small [`MsgEvent`] record; with
+//! every observer off, each site is a single branch.
+
+use std::collections::BTreeMap;
+
+use cmpsim_engine::{Cycle, EventCounts};
+use cmpsim_noc::Delivery;
+use cmpsim_power::EnergyModel;
+use cmpsim_protocols::checker::StepChecker;
+use cmpsim_protocols::common::{Block, BlockReason, MsgKind, Node, Tile};
+use cmpsim_protocols::ProtoStats;
+use cmpsim_virt::mem::PageKind;
+use cmpsim_virt::MachineMemory;
+
+use crate::attr::{classify, BreakdownLog, MsgClass, TxAttribution};
+use crate::config::SystemConfig;
+use crate::interval::{CumSnapshot, IntervalSampler, TimeSeries};
+use crate::trace::{TraceLog, TxTracer};
+
+/// What a message on the wire is.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Wire {
+    /// A point-to-point protocol message.
+    Msg(MsgKind),
+    /// A protocol broadcast from its source tile to every L1.
+    Bcast(MsgKind),
+    /// Home → memory controller fetch.
+    MemRead,
+    /// Home → memory controller writeback.
+    MemWrite,
+    /// Memory controller → home data return.
+    MemData,
+}
+
+/// One network message as the observers see it: what it is, its
+/// endpoints, its NoC delivery from `depart`, and its size in flits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MsgEvent {
+    wire: Wire,
+    block: Block,
+    src: Node,
+    dst: Node,
+    depart: Cycle,
+    noc: Delivery,
+    flits: u64,
+}
+
+impl MsgEvent {
+    pub(crate) fn new(
+        wire: Wire,
+        block: Block,
+        src: Node,
+        dst: Node,
+        depart: Cycle,
+        noc: Delivery,
+        flits: u64,
+    ) -> Self {
+        Self { wire, block, src, dst, depart, noc, flits }
+    }
+
+    fn name(&self) -> &'static str {
+        match self.wire {
+            Wire::Msg(k) | Wire::Bcast(k) => k.label(),
+            Wire::MemRead => "MemRead",
+            Wire::MemWrite => "MemWrite",
+            Wire::MemData => "MemData",
+        }
+    }
+
+    fn category(&self) -> &'static str {
+        match self.wire {
+            Wire::Msg(_) => "msg",
+            Wire::Bcast(_) => "bcast",
+            Wire::MemRead | Wire::MemWrite | Wire::MemData => "mem",
+        }
+    }
+
+    fn class(&self) -> MsgClass {
+        match self.wire {
+            Wire::Msg(k) | Wire::Bcast(k) => classify(&k, self.src),
+            Wire::MemRead => MsgClass::MemRead,
+            Wire::MemWrite => MsgClass::MemWrite,
+            Wire::MemData => MsgClass::MemData,
+        }
+    }
+}
+
+/// The cache-structure counters attribution charges per dispatch, in
+/// [`EventCounts`] field order (the two network counters are charged
+/// per message instead).
+fn cache_counts(ps: &ProtoStats) -> [u64; 7] {
+    [
+        ps.l1_tag.get(),
+        ps.l1_data_read.get() + ps.l1_data_write.get(),
+        ps.l2_tag.get(),
+        ps.l2_data_read.get() + ps.l2_data_write.get(),
+        ps.dir_access.get(),
+        ps.l1c_access.get(),
+        ps.l2c_access.get(),
+    ]
+}
+
+/// True when `block` is backed by a deduplicated (inter-VM shared)
+/// page: one indexed load into the page-kind table, made only when
+/// attribution is on.
+fn is_dedup_block(memory: &MachineMemory, block: Block) -> bool {
+    matches!(memory.kind_of_block(block), Some(PageKind::Deduplicated))
+}
+
+/// Every opt-in observer of one simulation. Observation-only: nothing
+/// here touches the event queue or the RNG, so simulated timing is
+/// bit-identical with any observer on or off.
+pub(crate) struct Observers {
+    /// Per-message invariant checker (from `cfg.check_invariants`).
+    pub(crate) checker: Option<StepChecker>,
+    /// Coherence-transaction tracer (from `cfg.tracing`).
+    pub(crate) tracer: Option<TxTracer>,
+    /// Per-transaction critical-path and energy attribution (from
+    /// `cfg.attribution`).
+    pub(crate) attr: Option<TxAttribution>,
+    /// Interval time-series sampler, built when the warm-up window ends
+    /// (from `cfg.sample_interval`).
+    pub(crate) sampler: Option<IntervalSampler>,
+    /// Energy table for the sampler's cumulative snapshots.
+    pub(crate) energy_model: Option<EnergyModel>,
+    /// The block each tile's open transaction is on.
+    open: Vec<Option<Block>>,
+    /// Tiles with an open transaction on a block, oldest first: the
+    /// oldest owns every message on the block.
+    by_block: BTreeMap<Block, Vec<Tile>>,
+}
+
+impl Observers {
+    /// The observers `cfg` asks for; `vm_of[tile]` is each core's VM.
+    pub(crate) fn new(cfg: &SystemConfig, vm_of: Vec<usize>) -> Self {
+        let tiles = vm_of.len();
+        Self {
+            checker: cfg.check_invariants.then(StepChecker::new),
+            tracer: cfg.tracing.then(|| TxTracer::new(tiles, cfg.trace_capacity)),
+            attr: cfg.attribution.then(|| TxAttribution::with_vms(vm_of, cfg.num_vms)),
+            sampler: None,
+            energy_model: None,
+            open: vec![None; tiles],
+            by_block: BTreeMap::new(),
+        }
+    }
+
+    /// True when an observer follows transactions (tracer or
+    /// attribution): the one branch at each message site.
+    #[inline]
+    pub(crate) fn tracks_tx(&self) -> bool {
+        self.tracer.is_some() || self.attr.is_some()
+    }
+
+    /// The tile whose transaction owns traffic on `block`.
+    fn owner(&self, block: Block) -> Option<Tile> {
+        self.by_block.get(&block).and_then(|tiles| tiles.first().copied())
+    }
+
+    /// An L1 miss issues at `now` on `tile`: opens its transaction.
+    pub(crate) fn on_issue(
+        &mut self,
+        now: Cycle,
+        tile: Tile,
+        block: Block,
+        write: bool,
+        memory: &MachineMemory,
+    ) {
+        if !self.tracks_tx() {
+            return;
+        }
+        // A core has one outstanding miss at a time; a leftover entry
+        // would mean a completion was lost. Drop it defensively.
+        if let Some(stale) = self.open[tile].replace(block) {
+            self.unlink(stale, tile);
+        }
+        self.by_block.entry(block).or_default().push(tile);
+        if let Some(tr) = &mut self.tracer {
+            tr.on_issue(now, tile, block, write);
+        }
+        if let Some(a) = &mut self.attr {
+            a.on_issue(now, tile, block, write, is_dedup_block(memory, block));
+        }
+    }
+
+    /// One network message. Callers check [`Self::tracks_tx`] first.
+    pub(crate) fn on_message(&mut self, ev: MsgEvent, memory: &MachineMemory) {
+        let (owner, arrival, links) = (self.owner(ev.block), ev.noc.arrival, ev.noc.links);
+        if let Some(tr) = &mut self.tracer {
+            let (name, cat, src, dst) = (ev.name(), ev.category(), ev.src.tile(), ev.dst.tile());
+            tr.on_message(owner, ev.depart, arrival, name, cat, ev.block, src, dst, links);
+        }
+        if let Some(a) = &mut self.attr {
+            let dedup = is_dedup_block(memory, ev.block);
+            let (class, src, dst) = (ev.class(), ev.src, ev.dst);
+            a.on_message(owner, ev.depart, arrival, class, src, dst, links, ev.flits, dedup);
+        }
+    }
+
+    /// The miss open on `tile` completes at `now`.
+    pub(crate) fn on_completion(&mut self, now: Cycle, tile: Tile) {
+        let Some(block) = self.open[tile].take() else { return };
+        self.unlink(block, tile);
+        if let Some(tr) = &mut self.tracer {
+            tr.on_completion(now, tile);
+        }
+        if let Some(a) = &mut self.attr {
+            a.on_completion(now, tile);
+        }
+    }
+
+    fn unlink(&mut self, block: Block, tile: Tile) {
+        if let Some(tiles) = self.by_block.get_mut(&block) {
+            tiles.retain(|&t| t != tile);
+            if tiles.is_empty() {
+                self.by_block.remove(&block);
+            }
+        }
+    }
+
+    /// A core on `tile` waits `cycles` before retrying a blocked access.
+    pub(crate) fn on_blocked(&mut self, reason: BlockReason, cycles: u64, tile: Tile) {
+        if let Some(a) = &mut self.attr {
+            a.on_blocked(reason, cycles, tile);
+        }
+    }
+
+    /// The cache counters before a protocol dispatch, when attribution
+    /// wants the dispatch's delta (see [`Self::on_cache_delta`]).
+    #[inline]
+    pub(crate) fn cache_base(&self, stats: &ProtoStats) -> Option<[u64; 7]> {
+        self.attr.is_some().then(|| cache_counts(stats))
+    }
+
+    /// Charges the cache-counter movement since `base` to the
+    /// transaction open on `block` (or the untracked bucket).
+    pub(crate) fn on_cache_delta(&mut self, block: Block, base: [u64; 7], stats: &ProtoStats) {
+        let owner = self.owner(block);
+        let Some(a) = &mut self.attr else { return };
+        let cur = cache_counts(stats);
+        let [l1_tag, l1_data, l2_tag, l2_data, dir, l1c, l2c] =
+            std::array::from_fn(|i| cur[i] - base[i]);
+        let delta =
+            EventCounts { l1_tag, l1_data, l2_tag, l2_data, dir, l1c, l2c, ..Default::default() };
+        a.on_cache_events(owner, delta);
+    }
+
+    /// Warm-up reset: aggregates zero with the stats they mirror, while
+    /// open transactions are kept so misses straddling the boundary
+    /// still complete and reconcile.
+    pub(crate) fn reset(&mut self) {
+        if let Some(tr) = &mut self.tracer {
+            tr.reset();
+        }
+        if let Some(a) = &mut self.attr {
+            a.reset();
+        }
+    }
+
+    /// Stall-dump context at `now`: the trace tail and the phase
+    /// timelines of in-flight misses.
+    pub(crate) fn stall_context(&self, now: Cycle) -> (Vec<String>, Vec<String>) {
+        (
+            self.tracer.as_ref().map(|t| t.tail_lines(16)).unwrap_or_default(),
+            self.attr.as_ref().map(|a| a.stall_lines(now, 8)).unwrap_or_default(),
+        )
+    }
+
+    /// Closes every observer out. `series_end` is the sampler's final
+    /// (cycle, cumulative snapshot, occupancy), present when sampling.
+    pub(crate) fn finish(
+        &mut self,
+        series_end: Option<(Cycle, CumSnapshot, cmpsim_protocols::Occupancy)>,
+    ) -> (Option<TraceLog>, Option<BreakdownLog>, Option<TimeSeries>) {
+        let series = self.sampler.take().zip(series_end);
+        (
+            self.tracer.take().map(TxTracer::finish),
+            self.attr.take().map(TxAttribution::finish),
+            series.map(|(s, (now, cum, occ))| s.finish(now, &cum, &occ)),
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Messages on a block belong to its oldest open transaction, and
+    /// pass to the next one when that completes.
+    #[test]
+    fn traffic_follows_oldest_open_tx() {
+        let mut obs = Observers::new(&SystemConfig::smoke().with_tracing(), vec![0; 4]);
+        let memory = MachineMemory::new(1);
+        let noc = Delivery { arrival: 1, links: 1 };
+        let msg = MsgEvent::new(Wire::MemRead, 0x40, Node::L2(0), Node::L2(1), 0, noc, 1);
+        obs.on_issue(1, 2, 0x40, false, &memory);
+        obs.on_issue(2, 1, 0x40, true, &memory);
+        obs.on_message(msg, &memory);
+        obs.on_completion(6, 2);
+        obs.on_message(msg, &memory);
+        obs.on_completion(9, 1);
+        assert!(obs.by_block.is_empty());
+        let ring = obs.finish(None).0.expect("tracing on").ring;
+        let tids: Vec<u64> = ring.iter().filter(|e| e.cat == "mem").map(|e| e.tid).collect();
+        assert_eq!(tids, vec![1, 2], "tile 2 issued first, then tile 1");
+    }
+}

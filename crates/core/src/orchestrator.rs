@@ -1,18 +1,20 @@
-//! Resilient sweep orchestrator: isolated, retrying, crash-resumable
-//! matrix runs (ROADMAP item 5, robustness half).
+//! The one cell executor, and the resilient sweep built on it.
 //!
-//! [`run_matrix`](crate::run_matrix) is an all-or-nothing in-process
-//! loop: one panicking, hanging or faulted cell loses the whole sweep.
-//! This module promotes it into a job-queue engine with blast-radius
+//! Every simulation cell that runs on a worker thread goes through
+//! `run_cells`: it owns the worker pool, the per-cell `catch_unwind`
+//! and the live progress stream, and callers supply only a per-cell
+//! body. [`SweepSpec::expand`] is the only cell enumerator: [`run_matrix`]
+//! is a spec with no seeds and no plans, and
+//! [`chaos_sweep`](crate::chaos_sweep) expands one spec for its golden
+//! twins and one for its judged cells. [`run_sweep`] adds blast-radius
 //! containment per cell:
 //!
 //! * a [`SweepSpec`] expands into `(config, protocol, benchmark, seed,
 //!   fault_plan)` cells, each identified by its content-hash manifest
 //!   `run_id` (duplicate cells collapse through the run-id ledger and
 //!   pre-existing artifacts are reused, never recomputed);
-//! * cells execute on a bounded worker pool; every cell runs under
-//!   `catch_unwind`, so a panic is a typed [`CellError`] (`E-PANIC`)
-//!   for that cell, not a dead sweep;
+//! * a panic is a typed [`CellError`] (`E-PANIC`) for its cell, not a
+//!   dead sweep;
 //! * a per-cell wall-clock deadline ([`SweepOptions::deadline_ms`]) is
 //!   layered on the simulated-time watchdog via
 //!   [`SystemConfig::wall_deadline_ms`]; an overrunning cell aborts
@@ -41,7 +43,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use cmpsim_engine::par::{num_threads, panic_message, try_par_map_with_threads};
+use cmpsim_engine::par::{num_threads, panic_message, par_map_with_threads, ItemPanic};
 use cmpsim_engine::rng::splitmix64;
 use cmpsim_engine::{FaultPlan, WallDeadline};
 use cmpsim_protocols::ProtocolKind;
@@ -50,7 +52,9 @@ use cmpsim_workloads::Benchmark;
 use crate::config::SystemConfig;
 use crate::error::SimError;
 use crate::manifest::RunManifest;
+use crate::progress::ProgressSink;
 use crate::replay::{config_from_json, config_to_json, Value};
+use crate::result::RunResult;
 use crate::sim::run_benchmark_with_store;
 use crate::snapshot::SnapshotStore;
 
@@ -71,14 +75,30 @@ pub struct SweepSpec {
     pub benchmarks: Vec<Benchmark>,
     /// Seeds to run (empty means "the base config's seed").
     pub seeds: Vec<u64>,
-    /// Fault plans to run (`None` = fault-free; empty means
-    /// "fault-free only").
+    /// Fault plans to run (`None` = fault-free; empty means "the base
+    /// config's plan").
     pub plans: Vec<Option<FaultPlan>>,
     /// Everything else (chip, refs, watchdog knobs, ...).
     pub base: SystemConfig,
 }
 
 impl SweepSpec {
+    /// The `benchmarks x protocols` matrix over `base`, with no seeds
+    /// and no plans: every cell runs under `base`'s own seed and plan.
+    pub fn matrix(
+        protocols: &[ProtocolKind],
+        benchmarks: &[Benchmark],
+        base: &SystemConfig,
+    ) -> Self {
+        Self {
+            protocols: protocols.to_vec(),
+            benchmarks: benchmarks.to_vec(),
+            seeds: Vec::new(),
+            plans: Vec::new(),
+            base: base.clone(),
+        }
+    }
+
     /// Expands the spec into cells in deterministic (plan, seed,
     /// benchmark, protocol) row-major order, computing each cell's
     /// manifest and marking duplicates (same `run_id`) as dedups of
@@ -86,8 +106,9 @@ impl SweepSpec {
     pub fn expand(&self) -> Vec<SweepCell> {
         let seeds: &[u64] =
             if self.seeds.is_empty() { &[self.base.seed] } else { &self.seeds };
+        let base_plan = [self.base.fault_plan.clone()];
         let plans: &[Option<FaultPlan>] =
-            if self.plans.is_empty() { &[None] } else { &self.plans };
+            if self.plans.is_empty() { &base_plan } else { &self.plans };
         let mut cells = Vec::new();
         let mut first_by_run_id: HashMap<String, usize> = HashMap::new();
         for plan in plans {
@@ -161,6 +182,93 @@ impl SweepCell {
     pub fn artifact_name(&self) -> String {
         format!("{}.metrics.json", self.manifest.run_id)
     }
+
+    /// Runs the cell once on the calling thread.
+    pub fn run(&self, store: Option<&SnapshotStore>) -> Result<RunResult, SimError> {
+        run_benchmark_with_store(self.protocol, self.benchmark, &self.cfg, store)
+    }
+
+    /// The cell's name in the live progress stream: `protocol/benchmark`,
+    /// prefixed with `plan:` when it runs under a fault plan.
+    fn progress_name(&self) -> String {
+        let cell = format!("{}/{}", self.protocol.name(), self.benchmark.name());
+        match &self.plan {
+            Some(p) => format!("{}:{cell}", p.spec()),
+            None => cell,
+        }
+    }
+}
+
+/// Host-side knobs of every cell-executing entry point, all defaulted.
+#[derive(Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// Worker-pool size (`None` = one per host core).
+    pub threads: Option<usize>,
+    /// Shared snapshot store: cells sharing a snapshot key warm up once
+    /// and the rest fork from the captured image (`None` = all cold).
+    pub store: Option<&'a SnapshotStore>,
+    /// Live telemetry: one line per finished cell in completion order,
+    /// then a `finish` line.
+    pub progress: Option<&'a ProgressSink>,
+}
+
+/// What a finished cell reports to the progress stream: a short status
+/// tag and its run's host events and events/s (0 when unknown).
+pub(crate) type Heartbeat = (&'static str, u64, f64);
+
+/// The heartbeat of one simulated run.
+pub(crate) fn run_heartbeat(r: &Result<RunResult, SimError>) -> Heartbeat {
+    match r {
+        Ok(r) => ("ok", r.host.events, r.host.events_per_sec()),
+        Err(e) => (e.kind_label(), 0, 0.0),
+    }
+}
+
+/// The one cell executor: runs `body` on every cell on a bounded worker
+/// pool, each under `catch_unwind`, and reports each finished cell's
+/// `heartbeat` to `opts.progress`. Results come back in cell order; a
+/// panicking body is that cell's `Err`, and its siblings still run.
+pub(crate) fn run_cells<C, R>(
+    cells: &[C],
+    opts: RunOptions<'_>,
+    body: impl Fn(&SweepCell) -> R + Sync,
+    heartbeat: impl Fn(&R) -> Heartbeat + Sync,
+) -> Vec<Result<R, ItemPanic>>
+where
+    C: std::borrow::Borrow<SweepCell> + Sync,
+    R: Send,
+{
+    let threads = opts.threads.unwrap_or_else(num_threads);
+    let results = par_map_with_threads(cells, threads, |c| {
+        let cell = c.borrow();
+        let r = panic::catch_unwind(AssertUnwindSafe(|| body(cell)))
+            .map_err(|p| ItemPanic { message: panic_message(p) });
+        if let Some(sink) = opts.progress {
+            let (status, events, rate) = r.as_ref().map_or((PANIC_CODE, 0, 0.0), &heartbeat);
+            sink.cell_done(&cell.progress_name(), status, events, rate);
+        }
+        r
+    });
+    if let Some(sink) = opts.progress {
+        sink.finish();
+    }
+    results
+}
+
+/// Runs every (protocol, benchmark) pair of the given lists under `cfg`,
+/// returning results in row-major order (`benchmarks x protocols`). The
+/// first failing cell's error is returned (its replay artifact is still
+/// written); a panicking cell re-raises once every cell has finished.
+pub fn run_matrix(
+    protocols: &[ProtocolKind],
+    benchmarks: &[Benchmark],
+    cfg: &SystemConfig,
+    opts: RunOptions<'_>,
+) -> Result<Vec<RunResult>, SimError> {
+    let cells = SweepSpec::matrix(protocols, benchmarks, cfg).expand();
+    let results: Result<Vec<_>, ItemPanic> =
+        run_cells(&cells, opts, |c| c.run(opts.store), run_heartbeat).into_iter().collect();
+    results.unwrap_or_else(|p| panic::panic_any(p.message)).into_iter().collect()
 }
 
 /// A deliberately broken cell, for exercising the containment paths in
@@ -690,7 +798,7 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
             Value::Null => None,
             other => Some(other.as_u64()?),
         },
-        retries: start.field("retries")?.as_u64()? as u32,
+        retries: narrow(start.field("retries")?, "retries")?,
         backoff_ms: start.field("backoff_ms")?.as_u64()?,
         snapshot_dir: match start.field("snapshot_dir")? {
             Value::Null => None,
@@ -698,7 +806,7 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
         },
         injections,
     };
-    let cell_count = start.field("cells")?.as_u64()? as usize;
+    let cell_count = narrow(start.field("cells")?, "cells")?;
 
     let mut terminal: HashMap<usize, CellState> = HashMap::new();
     for line in lines {
@@ -761,6 +869,13 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
     Ok(JournalState { spec, options, cell_count, terminal })
 }
 
+/// A journal integer that must fit `T`: an out-of-range value is a
+/// tampered or corrupted journal, never silently truncated.
+fn narrow<T: TryFrom<u64>>(v: &Value, field: &str) -> Result<T, String> {
+    let n = v.as_u64()?;
+    T::try_from(n).map_err(|_| format!("journal field {field:?} is out of range ({n})"))
+}
+
 fn protocol_from_name(name: &str) -> Result<ProtocolKind, String> {
     ProtocolKind::all()
         .into_iter()
@@ -775,7 +890,8 @@ fn benchmark_from_name(name: &str) -> Result<Benchmark, String> {
         .ok_or_else(|| format!("unknown benchmark {name:?} in journal"))
 }
 
-/// The worker-pool execution core shared by fresh runs and resumes.
+/// The sweep body shared by fresh runs and resumes: dispatches every
+/// unique unfinished cell through [`run_cells`], then resolves dedups.
 fn execute(
     cells: Vec<SweepCell>,
     terminal: HashMap<usize, CellState>,
@@ -789,44 +905,43 @@ fn execute(
         None => SnapshotStore::in_memory(),
     };
     let skipped = terminal.len();
-    let states: Mutex<Vec<Option<CellState>>> = Mutex::new(vec![None; cells.len()]);
+    let mut states: Vec<Option<CellState>> = vec![None; cells.len()];
     for (&i, s) in &terminal {
-        states.lock().unwrap()[i] = Some(s.clone());
+        states[i] = Some(s.clone());
     }
 
     // Only primaries dispatch; dedups inherit their primary's outcome.
-    let primaries: Vec<usize> = cells
+    let primaries: Vec<&SweepCell> = cells
         .iter()
         .filter(|c| c.dedup_of.is_none() && !terminal.contains_key(&c.index))
-        .map(|c| c.index)
         .collect();
-
-    let threads = opts.threads.unwrap_or_else(num_threads);
-    let results = try_par_map_with_threads(&primaries, threads, |&i| {
-        let state = run_cell(&cells[i], opts, &store, journal);
-        journal_terminal(journal, &cells[i], &state);
-        states.lock().unwrap()[i] = Some(state);
-    });
-    // A panic in the orchestration code itself (not the cell — those
-    // are caught in run_cell) still quarantines only its cell.
-    for (slot, r) in primaries.iter().zip(&results) {
-        if let Err(p) = r {
+    let pool = RunOptions { threads: opts.threads, store: Some(&store), progress: None };
+    let body = |cell: &SweepCell| {
+        let state = run_cell(cell, opts, &store, journal);
+        journal_terminal(journal, cell, &state);
+        state
+    };
+    let results = run_cells(&primaries, pool, body, |s| (s.status(), 0, 0.0));
+    for (cell, r) in primaries.iter().zip(results) {
+        // A panic in the orchestration code itself (not the cell — those
+        // are caught in attempt_cell) still quarantines only its cell.
+        let state = r.unwrap_or_else(|p| {
             let state = CellState::Quarantined {
                 attempts: 0,
                 error: CellError {
                     code: PANIC_CODE.to_string(),
-                    message: p.message.clone(),
+                    message: p.message,
                     artifact: None,
                     transient: false,
                 },
             };
-            journal_terminal(journal, &cells[*slot], &state);
-            states.lock().unwrap()[*slot] = Some(state);
-        }
+            journal_terminal(journal, cell, &state);
+            state
+        });
+        states[cell.index] = Some(state);
     }
 
     // Dedup cells inherit their primary's terminal state.
-    let mut states = states.into_inner().unwrap();
     for c in &cells {
         if states[c.index].is_some() {
             continue;
@@ -1038,6 +1153,8 @@ fn attempt_cell(
         });
     }
 
+    // A panic is caught per attempt, so the journal records which
+    // attempt died.
     let panics = injections.iter().any(|i| matches!(i, Injection::Panic { .. }));
     let caught = panic::catch_unwind(AssertUnwindSafe(|| {
         if panics {
@@ -1101,6 +1218,21 @@ mod tests {
     }
 
     #[test]
+    fn matrix_runs_in_row_major_order() {
+        let rs = run_matrix(
+            &[ProtocolKind::Directory, ProtocolKind::DiCoArin],
+            &[Benchmark::Radix, Benchmark::Apache],
+            &SystemConfig::smoke(),
+            RunOptions::default(),
+        )
+        .expect("matrix");
+        assert_eq!(rs.len(), 4);
+        assert_eq!(rs[0].protocol, ProtocolKind::Directory);
+        assert_eq!(rs[0].benchmark.name(), "radix4x16p");
+        assert_eq!(rs[3].protocol, ProtocolKind::DiCoArin);
+    }
+
+    #[test]
     fn duplicate_cells_dedup_by_run_id() {
         let mut spec = tiny_spec();
         spec.seeds = vec![7, 7];
@@ -1118,6 +1250,20 @@ mod tests {
         assert_eq!(Injection::parse("flaky@2").unwrap(), Injection::Flaky { cell: 2, failures: 1 });
         assert!(Injection::parse("explode@1").is_err());
         assert!(Injection::parse("panic").is_err());
+    }
+
+    #[test]
+    fn tampered_journal_counts_fail_closed() {
+        let opts = SweepOptions::default();
+        let cells = tiny_spec().expand();
+        let mut start = String::new();
+        start_event(&tiny_spec(), &opts, &cells).render_compact_to(&mut start);
+        assert_eq!(parse_journal(&start).expect("pristine start line").options.retries, 2);
+        // 2^32 would truncate to a retry budget of 0.
+        assert!(start.contains("\"retries\":2,"), "{start}");
+        let tampered = start.replace("\"retries\":2,", "\"retries\":4294967296,");
+        let err = parse_journal(&tampered).err().expect("out-of-range retries must fail");
+        assert!(err.contains("retries") && err.contains("out of range"), "{err}");
     }
 
     #[test]

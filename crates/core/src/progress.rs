@@ -1,14 +1,14 @@
-//! Live sweep telemetry: a heartbeat progress stream for matrix and
-//! chaos sweeps.
+//! Live sweep telemetry: a heartbeat progress stream for the cell
+//! executor ([`RunOptions::progress`](crate::RunOptions::progress)).
 //!
 //! A [`ProgressSink`] counts completed cells and emits one event per
-//! cell — an NDJSON line to an optional file (`--progress-out`) and a
-//! human-readable line to stderr — with cells done/total, the cell's
-//! events/s from the host self-profiler, and an ETA extrapolated from
-//! the elapsed wall clock. This is *host-side telemetry*: lines carry
-//! wall-clock timings, arrive in completion order and are explicitly
-//! nondeterministic. They never touch the deterministic artifacts; the
-//! future sweep orchestrator (ROADMAP item 5) tails this stream.
+//! cell — an NDJSON line to an optional file (`--progress-out` on `run`,
+//! `stats`, `matrix`, `report` and `chaos`) and a human-readable line to
+//! stderr — with cells done/total, the cell's events/s from the host
+//! self-profiler, and an ETA extrapolated from the elapsed wall clock.
+//! This is *host-side telemetry*: lines carry wall-clock timings, arrive
+//! in completion order and are explicitly nondeterministic. They never
+//! touch the deterministic artifacts.
 //!
 //! Stream shape (one JSON document per line, `cmpsim-progress-v1`):
 //!

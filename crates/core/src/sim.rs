@@ -1,24 +1,22 @@
 //! The whole-chip simulator: cores, NoC, memory controllers and one
 //! coherence protocol, driven by a deterministic event loop.
 
-use crate::attr::{classify, MsgClass, TxAttribution};
 use crate::config::SystemConfig;
 use crate::error::{
     CoreStallState, FaultAbort, FaultContext, HotBlock, InFlightMsg, InvariantReport,
     ProtocolFault, SimError, StallReason, StallReport, TimeoutReport,
 };
 use crate::interval::{CumSnapshot, IntervalSampler};
+use crate::observers::{MsgEvent, Observers, Wire};
 use crate::replay::ReplayArtifact;
 use crate::result::{ArchState, RunResult, SpatialLog};
-use crate::trace::TxTracer;
 use crate::snapshot::{self, SnapshotError, SnapshotStore};
-use cmpsim_engine::par::{num_threads, par_map_with_threads};
 use cmpsim_engine::rng::splitmix64;
 use cmpsim_engine::{
-    Cycle, EventCounts, EventQueue, FaultDecision, FaultEngine, FaultPlan, FxHashMap, FxHashSet,
-    HostProfiler, SimRng, Snap, SnapError, SnapReader, SnapWriter, WallDeadline,
+    Cycle, EventQueue, FaultDecision, FaultEngine, FaultPlan, FxHashMap, FxHashSet, HostProfiler,
+    SimRng, Snap, SnapError, SnapReader, SnapWriter, WallDeadline,
 };
-use cmpsim_noc::Mesh;
+use cmpsim_noc::{Delivery, Mesh};
 use cmpsim_protocols::arin::Arin;
 use cmpsim_protocols::checker::StepChecker;
 use cmpsim_protocols::common::{
@@ -27,8 +25,8 @@ use cmpsim_protocols::common::{
 use cmpsim_protocols::dico::DiCo;
 use cmpsim_protocols::directory::Directory;
 use cmpsim_protocols::providers::Providers;
-use cmpsim_protocols::{ProtoStats, ProtocolKind};
-use cmpsim_virt::mem::{LogicalPage, PageKind, Region, BLOCKS_PER_PAGE};
+use cmpsim_protocols::ProtocolKind;
+use cmpsim_virt::mem::{LogicalPage, Region, BLOCKS_PER_PAGE};
 use cmpsim_virt::MachineMemory;
 use cmpsim_workloads::{Benchmark, CoreStream};
 use std::collections::BTreeMap;
@@ -309,28 +307,6 @@ fn arch_fold(digest: u64, vm: usize, region: Region, index: u64, off: u64, versi
     mix(mix(mix(mix(mix(digest, vm as u64), region as u64), index), off), version)
 }
 
-/// The cache-structure counters attribution charges per dispatch, in
-/// [`EventCounts`] field order (the two network counters are charged
-/// per message instead).
-fn cache_counts(ps: &ProtoStats) -> [u64; 7] {
-    [
-        ps.l1_tag.get(),
-        ps.l1_data_read.get() + ps.l1_data_write.get(),
-        ps.l2_tag.get(),
-        ps.l2_data_read.get() + ps.l2_data_write.get(),
-        ps.dir_access.get(),
-        ps.l1c_access.get(),
-        ps.l2c_access.get(),
-    ]
-}
-
-/// True when `block` is backed by a deduplicated (inter-VM shared)
-/// page. Only consulted when attribution is on — one indexed load into
-/// the page-kind table per observed message, never on the timing path.
-fn is_dedup_block(memory: &MachineMemory, block: Block) -> bool {
-    matches!(memory.kind_of_block(block), Some(PageKind::Deduplicated))
-}
-
 #[derive(Clone)]
 struct Core {
     stream: CoreStream,
@@ -378,19 +354,8 @@ pub struct CmpSimulator {
     /// Running sum of every core's `refs_done` (the warm-up check runs
     /// per event, so it must not rescan the cores).
     refs_total: u64,
-    /// Per-message invariant checker (from `cfg.check_invariants`).
-    checker: Option<StepChecker>,
-    /// Coherence-transaction tracer (from `cfg.tracing`).
-    tracer: Option<TxTracer>,
-    /// Per-transaction critical-path and energy attribution (from
-    /// `cfg.attribution`).
-    attr: Option<TxAttribution>,
-    /// Interval time-series sampler; created when the warm-up window
-    /// ends (from `cfg.sample_interval`).
-    sampler: Option<IntervalSampler>,
-    /// Energy table for the sampler's cumulative dynamic-energy
-    /// snapshots (built alongside the sampler).
-    energy_model: Option<cmpsim_power::EnergyModel>,
+    /// Every opt-in observer, behind one fan-out.
+    obs: Observers,
     /// Fault-injection engine and recovery bookkeeping (from
     /// `cfg.fault_plan`; `None` keeps every fault hook inert).
     faults: Option<FaultState>,
@@ -434,7 +399,7 @@ impl CmpSimulator {
                 }
             })
             .collect::<Vec<Core>>();
-        let vm_of: Vec<usize> = cores.iter().map(|c| c.vm).collect();
+        let obs = Observers::new(cfg, cores.iter().map(|c| c.vm).collect());
         Self {
             proto: build_protocol(kind, cfg.chip.clone()),
             mesh: Mesh::new(cfg.noc),
@@ -457,11 +422,7 @@ impl CmpSimulator {
             events: 0,
             last_progress: 0,
             refs_total: 0,
-            checker: cfg.check_invariants.then(StepChecker::new),
-            tracer: cfg.tracing.then(|| TxTracer::new(tiles, cfg.trace_capacity)),
-            attr: cfg.attribution.then(|| TxAttribution::with_vms(vm_of, cfg.num_vms)),
-            sampler: None,
-            energy_model: None,
+            obs,
             faults: cfg.fault_plan.clone().map(|p| FaultState::new(p, tiles)),
             tile_misses: vec![0; tiles],
             tile_refs_base: vec![0; tiles],
@@ -469,12 +430,12 @@ impl CmpSimulator {
         }
     }
 
-    /// Turns on the per-message invariant checker regardless of the
-    /// configuration flag (used by `cmpsim-cli replay --check`).
+    /// Turns on the per-message invariant checker (used by `cmpsim-cli
+    /// replay --check`). The configuration records it, so the simulator
+    /// stops being snapshot-eligible.
     pub fn enable_invariant_checker(&mut self) {
-        if self.checker.is_none() {
-            self.checker = Some(StepChecker::new());
-        }
+        self.cfg.check_invariants = true;
+        self.obs.checker.get_or_insert_with(StepChecker::new);
     }
 
     fn flits(&self, kind: &MsgKind) -> u64 {
@@ -482,35 +443,6 @@ impl CmpSimulator {
             self.cfg.noc.data_flits
         } else {
             self.cfg.noc.control_flits
-        }
-    }
-
-    /// Snapshot of the cache-structure counters before a protocol
-    /// dispatch. Paired with [`Self::attr_record_cache_delta`] around
-    /// every `core_access` / `handle` call so each dispatch's energy
-    /// events charge to the transaction that caused them. Callers skip
-    /// both calls entirely when attribution is off.
-    fn attr_cache_base(&self) -> [u64; 7] {
-        cache_counts(self.proto.stats())
-    }
-
-    /// Charges the cache-counter delta since `base` to the transaction
-    /// open on `block` (or the untracked bucket when none is).
-    fn attr_record_cache_delta(&mut self, block: Block, base: [u64; 7]) {
-        let cur = cache_counts(self.proto.stats());
-        if let Some(a) = &mut self.attr {
-            let delta = EventCounts {
-                l1_tag: cur[0] - base[0],
-                l1_data: cur[1] - base[1],
-                l2_tag: cur[2] - base[2],
-                l2_data: cur[3] - base[3],
-                dir: cur[4] - base[4],
-                l1c: cur[5] - base[5],
-                l2c: cur[6] - base[6],
-                routing: 0,
-                flit_links: 0,
-            };
-            a.on_cache_events(block, delta);
         }
     }
 
@@ -585,68 +517,23 @@ impl CmpSimulator {
         for out in ctx.sends.drain(..) {
             let flits = self.flits(&out.msg.kind);
             let d = self.mesh.send(now + out.delay, out.msg.src.tile(), out.msg.dst.tile(), flits);
-            if let Some(tr) = &mut self.tracer {
-                tr.on_message(
-                    now + out.delay,
-                    d.arrival,
-                    out.msg.kind.label(),
-                    "msg",
-                    out.msg.block,
-                    out.msg.src.tile(),
-                    out.msg.dst.tile(),
-                    d.links,
-                );
-            }
-            if let Some(a) = &mut self.attr {
-                a.on_message(
-                    now + out.delay,
-                    d.arrival,
-                    classify(&out.msg.kind, out.msg.src),
-                    out.msg.block,
-                    out.msg.src,
-                    out.msg.dst,
-                    d.links,
-                    flits,
-                    is_dedup_block(&self.memory, out.msg.block),
-                );
+            if self.obs.tracks_tx() {
+                let (m, depart) = (out.msg, now + out.delay);
+                let ev = MsgEvent::new(Wire::Msg(m.kind), m.block, m.src, m.dst, depart, d, flits);
+                self.obs.on_message(ev, &self.memory);
             }
             self.deliver(d.arrival, out.msg);
         }
         for b in ctx.bcasts.drain(..) {
-            let flits = if b.kind.carries_data() {
-                self.cfg.noc.data_flits
-            } else {
-                self.cfg.noc.control_flits
-            };
+            let flits = self.flits(&b.kind);
             let arrivals = self.mesh.broadcast(now + b.delay, b.src.tile(), flits);
-            let end = arrivals.iter().map(|&(_, at)| at).max().unwrap_or(now + b.delay);
-            // The spanning-tree broadcast charges tiles - 1 links.
-            let bcast_links = (self.cfg.tiles() - 1) as u64;
-            if let Some(tr) = &mut self.tracer {
-                let src = b.src.tile();
-                tr.on_message(
-                    now + b.delay,
-                    end,
-                    b.kind.label(),
-                    "bcast",
-                    b.block,
-                    src,
-                    src,
-                    bcast_links,
-                );
-            }
-            if let Some(a) = &mut self.attr {
-                a.on_message(
-                    now + b.delay,
-                    end,
-                    classify(&b.kind, b.src),
-                    b.block,
-                    b.src,
-                    b.src,
-                    bcast_links,
-                    flits,
-                    is_dedup_block(&self.memory, b.block),
-                );
+            if self.obs.tracks_tx() {
+                let arrival = arrivals.iter().map(|&(_, at)| at).max().unwrap_or(now + b.delay);
+                // The spanning-tree broadcast charges tiles - 1 links.
+                let d = Delivery { arrival, links: (self.cfg.tiles() - 1) as u64 };
+                let wire = Wire::Bcast(b.kind);
+                let ev = MsgEvent::new(wire, b.block, b.src, b.src, now + b.delay, d, flits);
+                self.obs.on_message(ev, &self.memory);
             }
             for (t, at) in arrivals {
                 if Some(t) == b.exclude {
@@ -677,32 +564,11 @@ impl CmpSimulator {
             let flits =
                 if op.is_write { self.cfg.noc.data_flits } else { self.cfg.noc.control_flits };
             let d = self.mesh.send(now + op.delay, op.home, ctrl_tile, flits);
-            if let Some(tr) = &mut self.tracer {
-                let name = if op.is_write { "MemWrite" } else { "MemRead" };
-                tr.on_message(
-                    now + op.delay,
-                    d.arrival,
-                    name,
-                    "mem",
-                    op.block,
-                    op.home,
-                    ctrl_tile,
-                    d.links,
-                );
-            }
-            if let Some(a) = &mut self.attr {
-                let class = if op.is_write { MsgClass::MemWrite } else { MsgClass::MemRead };
-                a.on_message(
-                    now + op.delay,
-                    d.arrival,
-                    class,
-                    op.block,
-                    Node::L2(op.home),
-                    Node::L2(ctrl_tile),
-                    d.links,
-                    flits,
-                    is_dedup_block(&self.memory, op.block),
-                );
+            if self.obs.tracks_tx() {
+                let wire = if op.is_write { Wire::MemWrite } else { Wire::MemRead };
+                let (home, ctrl) = (Node::L2(op.home), Node::L2(ctrl_tile));
+                let ev = MsgEvent::new(wire, op.block, home, ctrl, now + op.delay, d, flits);
+                self.obs.on_message(ev, &self.memory);
             }
             let start = d.arrival.max(self.ctrl_free[ctrl]);
             self.ctrl_free[ctrl] = start + self.cfg.mem_service;
@@ -710,30 +576,11 @@ impl CmpSimulator {
                 let ready = start + self.cfg.mem_latency + self.rng.jitter(self.cfg.mem_jitter);
                 let back =
                     self.mesh.send(ready, ctrl_tile, op.home, self.cfg.noc.data_flits);
-                if let Some(tr) = &mut self.tracer {
-                    tr.on_message(
-                        ready,
-                        back.arrival,
-                        "MemData",
-                        "mem",
-                        op.block,
-                        ctrl_tile,
-                        op.home,
-                        back.links,
-                    );
-                }
-                if let Some(a) = &mut self.attr {
-                    a.on_message(
-                        ready,
-                        back.arrival,
-                        MsgClass::MemData,
-                        op.block,
-                        Node::L2(ctrl_tile),
-                        Node::L2(op.home),
-                        back.links,
-                        self.cfg.noc.data_flits,
-                        is_dedup_block(&self.memory, op.block),
-                    );
+                if self.obs.tracks_tx() {
+                    let (home, ctrl) = (Node::L2(op.home), Node::L2(ctrl_tile));
+                    let flits = self.cfg.noc.data_flits;
+                    let ev = MsgEvent::new(Wire::MemData, op.block, ctrl, home, ready, back, flits);
+                    self.obs.on_message(ev, &self.memory);
                 }
                 self.deliver(
                     back.arrival,
@@ -762,12 +609,7 @@ impl CmpSimulator {
                     continue;
                 }
             }
-            if let Some(tr) = &mut self.tracer {
-                tr.on_completion(now, c.tile);
-            }
-            if let Some(a) = &mut self.attr {
-                a.on_completion(now, c.tile);
-            }
+            self.obs.on_completion(now, c.tile);
             let core = &mut self.cores[c.tile];
             debug_assert!(core.outstanding, "completion without outstanding access");
             core.outstanding = false;
@@ -802,26 +644,31 @@ impl CmpSimulator {
             }
         }
         let (block, write) = self.cores[tile].pending.expect("pending set above");
-        if let Some(chk) = &mut self.checker {
+        if let Some(chk) = &mut self.obs.checker {
             chk.record_access(now, tile, block, write);
         }
-        let attr_on = self.attr.is_some();
         let mut ctx = std::mem::take(&mut self.ctx_pool);
         ctx.reset(now);
-        let attr_base = if attr_on { self.attr_cache_base() } else { [0; 7] };
+        let cache_base = self.obs.cache_base(self.proto.stats());
         let outcome = match self.proto.core_access(&mut ctx, tile, block, write) {
             Ok(o) => o,
             Err(e) => return Err(self.protocol_fault(now, e)),
         };
+        // A miss opens its transaction before its request is routed, so
+        // its own messages and this dispatch's cache probes attribute to
+        // it.
+        if matches!(outcome, AccessOutcome::Miss) {
+            self.obs.on_issue(now, tile, block, write, &self.memory);
+        }
+        if let Some(base) = cache_base {
+            self.obs.on_cache_delta(block, base, self.proto.stats());
+        }
         match outcome {
             AccessOutcome::Hit { latency } => {
                 self.cores[tile].pending = None;
                 self.cores[tile].refs_done += 1;
                 self.refs_total += 1;
                 self.last_progress = now;
-                if attr_on {
-                    self.attr_record_cache_delta(block, attr_base);
-                }
                 self.apply_ctx(now, &mut ctx);
                 self.queue.push(now + latency, Ev::CoreResume(tile));
             }
@@ -829,33 +676,16 @@ impl CmpSimulator {
                 self.cores[tile].pending = None;
                 self.cores[tile].outstanding = true;
                 self.tile_misses[tile] += 1;
-                // Open the transaction before routing the request so
-                // its own messages (and this dispatch's cache probes)
-                // attribute to it.
-                if let Some(tr) = &mut self.tracer {
-                    tr.on_issue(now, tile, block, write);
-                }
-                if let Some(a) = &mut self.attr {
-                    a.on_issue(now, tile, block, write, is_dedup_block(&self.memory, block));
-                }
-                if attr_on {
-                    self.attr_record_cache_delta(block, attr_base);
-                }
                 if self.faults.is_some() {
                     self.fault_open_miss(now, tile, block, &ctx);
                 }
                 self.apply_ctx(now, &mut ctx);
             }
             AccessOutcome::Blocked { reason } => {
-                if attr_on {
-                    self.attr_record_cache_delta(block, attr_base);
-                }
                 // The 7-cycle retry below is a pre-issue wait: it is
                 // accounted chip-wide by reason, outside the per-miss
                 // reconciliation window (the miss has not opened yet).
-                if let Some(a) = &mut self.attr {
-                    a.on_blocked(reason, 7, tile);
-                }
+                self.obs.on_blocked(reason, 7, tile);
                 self.apply_ctx(now, &mut ctx);
                 self.queue.push(now + 7, Ev::CoreResume(tile));
             }
@@ -1020,6 +850,7 @@ impl CmpSimulator {
         let mut ranked: Vec<(Block, usize)> = traffic.into_iter().collect();
         ranked.sort_by_key(|&(block, n)| (std::cmp::Reverse(n), block));
         let snap = self.proto.snapshot();
+        let (trace_tail, phase_lines) = self.obs.stall_context(now);
         let hot_blocks = ranked
             .into_iter()
             .take(4)
@@ -1047,8 +878,8 @@ impl CmpSimulator {
             in_flight,
             pending_summary: self.proto.pending_summary(),
             hot_blocks,
-            trace_tail: self.tracer.as_ref().map(|t| t.tail_lines(16)).unwrap_or_default(),
-            phase_lines: self.attr.as_ref().map(|a| a.stall_lines(now, 8)).unwrap_or_default(),
+            trace_tail,
+            phase_lines,
             fault: self.faults.as_ref().map(FaultState::context),
             artifact: None,
         }))
@@ -1080,7 +911,7 @@ impl CmpSimulator {
 
     /// Runs the per-message invariant checks after `msg` was handled.
     fn check_invariants(&mut self, now: Cycle, msg: &Msg) -> Result<(), SimError> {
-        if let Some(chk) = &mut self.checker {
+        if let Some(chk) = &mut self.obs.checker {
             chk.record_message(now, msg);
         } else {
             return Ok(());
@@ -1090,7 +921,7 @@ impl CmpSimulator {
         // traffic (hints, acks, writebacks) is not tracked by the
         // protocol's pending state.
         let quiescent = self.queue.is_empty() && self.proto.quiescent();
-        let chk = self.checker.as_ref().expect("checked above");
+        let chk = self.obs.checker.as_ref().expect("checked above");
         if let Err(violations) = chk.check_step(msg, &snap, quiescent) {
             return Err(SimError::InvariantViolation(Box::new(InvariantReport {
                 cycle: now,
@@ -1118,18 +949,7 @@ impl CmpSimulator {
             self.refs_at_reset = total;
             self.proto.reset_stats();
             self.mesh.reset_stats();
-            // The tracer's hop accounting mirrors the NoC counters, so
-            // it resets with them (open transactions are kept).
-            if let Some(tr) = &mut self.tracer {
-                tr.reset();
-            }
-            // Attribution likewise: aggregates zero with the stats, and
-            // open transactions keep their recorded spans so misses
-            // straddling the boundary still reconcile against the
-            // protocol's full-latency miss record.
-            if let Some(a) = &mut self.attr {
-                a.reset();
-            }
+            self.obs.reset();
             // Spatial counters cover the measurement window only.
             self.tile_misses.iter_mut().for_each(|m| *m = 0);
             for (base, c) in self.tile_refs_base.iter_mut().zip(&self.cores) {
@@ -1151,13 +971,13 @@ impl CmpSimulator {
             let tiles = self.cfg.tiles() as u64;
             let areas = self.cfg.chip.num_areas() as u64;
             let leak = cmpsim_power::leakage_per_tile(self.proto.kind(), tiles, areas);
-            self.energy_model =
+            self.obs.energy_model =
                 Some(cmpsim_power::EnergyModel::new(self.proto.kind(), tiles, areas));
             // The proto/NoC stats were just reset, but the per-core
             // ref counters were not — snapshot after the resets so
             // interval deltas cover the measurement window only.
             let base = self.cum_snapshot();
-            self.sampler = Some(IntervalSampler::new(
+            self.obs.sampler = Some(IntervalSampler::new(
                 interval,
                 now,
                 base,
@@ -1172,7 +992,7 @@ impl CmpSimulator {
     fn cum_snapshot(&self) -> CumSnapshot {
         let ps = self.proto.stats();
         let ns = self.mesh.stats();
-        let model = self.energy_model.as_ref().expect("built with the sampler");
+        let model = self.obs.energy_model.as_ref().expect("built with the sampler");
         CumSnapshot {
             messages: ns.messages.get(),
             hops: ns.routing_events.get(),
@@ -1188,7 +1008,7 @@ impl CmpSimulator {
             refs: self.cores.iter().map(|c| c.refs_done).sum(),
             cache_nj: model.cache_energy(ps).total(),
             net_nj: model.network_energy(ns).total(),
-            phase: self.attr.as_ref().map(|a| a.phase_totals().0).unwrap_or_default(),
+            phase: self.obs.attr.as_ref().map(|a| a.phase_totals().0).unwrap_or_default(),
             faults_injected: self.faults.as_ref().map(|f| f.engine.stats().total()).unwrap_or(0),
             retries: ps.retries.get(),
             timeouts: ps.timeouts.get(),
@@ -1197,7 +1017,7 @@ impl CmpSimulator {
 
     /// Takes any interval samples due at `now`.
     fn maybe_sample(&mut self, now: Cycle) {
-        let due = match &self.sampler {
+        let due = match &self.obs.sampler {
             Some(s) => s.due(now),
             None => return,
         };
@@ -1206,7 +1026,7 @@ impl CmpSimulator {
         }
         let cum = self.cum_snapshot();
         let occ = self.proto.occupancy();
-        if let Some(s) = &mut self.sampler {
+        if let Some(s) = &mut self.obs.sampler {
             s.sample(now, &cum, &occ);
         }
     }
@@ -1278,17 +1098,16 @@ impl CmpSimulator {
                     if self.trace_block == Some(msg.block) {
                         cmpsim_engine::debug_log::trace(now, format_args!("{msg:?}"));
                     }
-                    let attr_on = self.attr.is_some();
                     let mut ctx = std::mem::take(&mut self.ctx_pool);
                     ctx.reset(now);
-                    let attr_base = if attr_on { self.attr_cache_base() } else { [0; 7] };
+                    let cache_base = self.obs.cache_base(self.proto.stats());
                     if let Err(e) = self.proto.handle(&mut ctx, msg) {
                         return Err(self.protocol_fault(now, e));
                     }
                     // Charge this dispatch's cache events before the
                     // Ctx is applied (which may close the transaction).
-                    if attr_on {
-                        self.attr_record_cache_delta(msg.block, attr_base);
+                    if let Some(base) = cache_base {
+                        self.obs.on_cache_delta(msg.block, base, self.proto.stats());
                     }
                     self.apply_ctx(now, &mut ctx);
                     self.ctx_pool = ctx;
@@ -1388,12 +1207,9 @@ impl CmpSimulator {
         let vm_finish: Vec<f64> =
             vm_sum.iter().zip(&vm_n).map(|(s, &n)| s / n.max(1) as f64).collect();
         // Close out the observability layers before the stats are moved.
-        let timeseries = self.sampler.take().map(|s| {
-            let cum = self.cum_snapshot();
-            let occ = self.proto.occupancy();
-            s.finish(now, &cum, &occ)
-        });
-        let trace = self.tracer.take().map(TxTracer::finish);
+        let series_end =
+            self.obs.sampler.is_some().then(|| (now, self.cum_snapshot(), self.proto.occupancy()));
+        let (trace, breakdown, timeseries) = self.obs.finish(series_end);
         let mut result = RunResult::collect(
             self.proto.kind(),
             self.benchmark,
@@ -1410,7 +1226,7 @@ impl CmpSimulator {
         );
         result.timeseries = timeseries;
         result.trace = trace;
-        result.breakdown = self.attr.take().map(TxAttribution::finish);
+        result.breakdown = breakdown;
         result.spatial = Some(SpatialLog {
             rows: self.cfg.noc.rows as u64,
             cols: self.cfg.noc.cols as u64,
@@ -1453,15 +1269,11 @@ impl CmpSimulator {
     /// [`snapshot::snapshot_key`] for the same (protocol, benchmark,
     /// config) triple — restore validates it.
     ///
-    /// Only valid on observer-free simulators (the [`snapshot_eligible`]
-    /// precondition): the tracer, invariant checker and attribution
-    /// accumulate pre-warm-up history that is deliberately not part of
-    /// the image.
+    /// Only valid on [`snapshot_eligible`] simulators: the tracer,
+    /// invariant checker and attribution accumulate pre-warm-up history
+    /// that is deliberately not part of the image.
     pub fn save_snapshot(&self, key: u64) -> Vec<u8> {
-        debug_assert!(
-            self.checker.is_none() && self.tracer.is_none() && self.attr.is_none(),
-            "snapshots are only taken from observer-free simulators"
-        );
+        assert!(snapshot_eligible(&self.cfg), "snapshots need an observer-free simulator");
         let mut w = SnapWriter::with_capacity(1 << 16);
         w.u8(Self::proto_tag(self.proto.kind()));
         self.proto.save_state(&mut w);
@@ -1506,7 +1318,8 @@ impl CmpSimulator {
     /// [`Self::save_snapshot`] under the same (protocol, benchmark,
     /// config) triple. Resuming it is bit-for-bit identical to the
     /// uninterrupted run. Every defect — wrong key, foreign version,
-    /// truncation, corruption — surfaces as a typed
+    /// truncation, corruption, a `cfg` that is not
+    /// [`snapshot_eligible`] — surfaces as a typed
     /// [`SimError::Snapshot`]; this function never panics on bad input.
     pub fn restore_snapshot(
         kind: ProtocolKind,
@@ -1514,6 +1327,12 @@ impl CmpSimulator {
         cfg: &SystemConfig,
         bytes: &[u8],
     ) -> Result<Self, SimError> {
+        if !snapshot_eligible(cfg) {
+            return Err(SnapshotError::new(
+                "tracing, invariant-checking and attribution runs cannot resume from a snapshot",
+            )
+            .into());
+        }
         let key = snapshot::snapshot_key(kind, benchmark, cfg);
         let mut r = snapshot::read_header(bytes, key)?;
         let rem = r.remaining();
@@ -1586,15 +1405,12 @@ impl CmpSimulator {
 
     /// Cheap in-memory fork: duplicates the full machine state so many
     /// measurement legs can branch from one warmed simulator without
-    /// serialising anything. Only valid on observer-free simulators
-    /// (the [`snapshot_eligible`] precondition), and meant to be taken
-    /// at the warm-up boundary — the fork's interval sampler is rebuilt
-    /// there, exactly like a snapshot restore.
+    /// serialising anything. Only valid on [`snapshot_eligible`]
+    /// simulators, and meant to be taken at the warm-up boundary — the
+    /// fork's interval sampler is rebuilt there, exactly like a
+    /// snapshot restore.
     pub fn fork(&self) -> Self {
-        assert!(
-            self.checker.is_none() && self.tracer.is_none() && self.attr.is_none(),
-            "fork is only valid on observer-free simulators"
-        );
+        assert!(snapshot_eligible(&self.cfg), "snapshots need an observer-free simulator");
         let mut f = Self {
             cfg: self.cfg.clone(),
             proto: self.proto.clone(),
@@ -1615,11 +1431,7 @@ impl CmpSimulator {
             events: self.events,
             last_progress: self.last_progress,
             refs_total: self.refs_total,
-            checker: None,
-            tracer: None,
-            attr: None,
-            sampler: None,
-            energy_model: None,
+            obs: Observers::new(&self.cfg, self.cores.iter().map(|c| c.vm).collect()),
             faults: self.faults.clone(),
             tile_misses: self.tile_misses.clone(),
             tile_refs_base: self.tile_refs_base.clone(),
@@ -1724,73 +1536,10 @@ pub fn run_benchmark_with_store(
     })
 }
 
-/// Runs every (protocol, benchmark) pair of the given lists in parallel
-/// across host cores, returning results in row-major order
-/// (`benchmarks x protocols`). The first failing cell's error is
-/// returned (its replay artifact is still written).
-pub fn run_matrix(
-    protocols: &[ProtocolKind],
-    benchmarks: &[Benchmark],
-    cfg: &SystemConfig,
-) -> Result<Vec<RunResult>, SimError> {
-    run_matrix_with_progress(protocols, benchmarks, cfg, None)
-}
-
-/// [`run_matrix`] with an optional live-telemetry sink: every finished
-/// cell reports its name, host events/s and ETA to `progress` as it
-/// completes (completion order, not row-major order — the stream is
-/// host-side telemetry, the returned results stay deterministic).
-pub fn run_matrix_with_progress(
-    protocols: &[ProtocolKind],
-    benchmarks: &[Benchmark],
-    cfg: &SystemConfig,
-    progress: Option<&crate::progress::ProgressSink>,
-) -> Result<Vec<RunResult>, SimError> {
-    run_matrix_with_options(protocols, benchmarks, cfg, progress, None, None)
-}
-
-/// [`run_matrix_with_progress`] plus the sweep-level knobs: an explicit
-/// worker-thread count (`None` = one per host core) and a shared
-/// [`SnapshotStore`]. With a store, all cells sharing a snapshot key
-/// warm up once; the rest fork from the captured image — and with a
-/// disk-backed store the warm-up survives across invocations.
-pub fn run_matrix_with_options(
-    protocols: &[ProtocolKind],
-    benchmarks: &[Benchmark],
-    cfg: &SystemConfig,
-    progress: Option<&crate::progress::ProgressSink>,
-    threads: Option<usize>,
-    store: Option<&SnapshotStore>,
-) -> Result<Vec<RunResult>, SimError> {
-    let jobs: Vec<(ProtocolKind, Benchmark)> = benchmarks
-        .iter()
-        .flat_map(|&b| protocols.iter().map(move |&p| (p, b)))
-        .collect();
-    let threads = threads.unwrap_or_else(num_threads);
-    let out = par_map_with_threads(&jobs, threads, |&(p, b)| {
-        let r = run_benchmark_with_store(p, b, cfg, store);
-        if let Some(sink) = progress {
-            let cell = format!("{}/{}", p.name(), b.name());
-            match &r {
-                Ok(res) => {
-                    sink.cell_done(&cell, "ok", res.host.events, res.host.events_per_sec())
-                }
-                Err(e) => sink.cell_done(&cell, e.kind_label(), 0, 0.0),
-            }
-        }
-        r
-    })
-    .into_iter()
-    .collect();
-    if let Some(sink) = progress {
-        sink.finish();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmpsim_virt::mem::PageKind;
 
     /// The architectural digest as first written: probe all 64 blocks
     /// of every mapped page in a whole-chip protocol snapshot. Kept as
@@ -1907,21 +1656,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_runs_in_parallel() {
-        let cfg = SystemConfig::smoke();
-        let rs = run_matrix(
-            &[ProtocolKind::Directory, ProtocolKind::DiCoArin],
-            &[Benchmark::Radix, Benchmark::Apache],
-            &cfg,
-        )
-        .expect("matrix");
-        assert_eq!(rs.len(), 4);
-        assert_eq!(rs[0].protocol, ProtocolKind::Directory);
-        assert_eq!(rs[0].benchmark.name(), "radix4x16p");
-        assert_eq!(rs[3].protocol, ProtocolKind::DiCoArin);
-    }
-
-    #[test]
     fn event_budget_trips_watchdog() {
         let cfg = SystemConfig::smoke().with_event_budget(100);
         let err = CmpSimulator::new(ProtocolKind::DiCo, Benchmark::Radix, &cfg)
@@ -1961,23 +1695,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
             assert!(r.measured_refs > 0);
         }
-    }
-
-    #[test]
-    fn attribution_does_not_change_timing() {
-        let cfg = SystemConfig::smoke();
-        let plain = run_benchmark(ProtocolKind::DiCoArin, Benchmark::Apache, &cfg).expect("run");
-        let attributed = run_benchmark(
-            ProtocolKind::DiCoArin,
-            Benchmark::Apache,
-            &cfg.clone().with_attribution(),
-        )
-        .expect("attributed run");
-        assert_eq!(plain.cycles, attributed.cycles);
-        assert_eq!(plain.measured_refs, attributed.measured_refs);
-        assert_eq!(plain.noc_stats.messages.get(), attributed.noc_stats.messages.get());
-        assert!(plain.breakdown.is_none());
-        assert!(attributed.breakdown.is_some());
     }
 
     #[test]
@@ -2022,17 +1739,6 @@ mod tests {
         assert_eq!(b.vm.iter().map(|v| v.completed).sum::<u64>(), b.completed);
         assert_eq!(b.vm.iter().map(|v| v.latency_cycles).sum::<u64>(), b.latency_cycles);
         assert!(b.vm.iter().any(|v| v.completed > 0), "some VM saw traffic");
-    }
-
-    #[test]
-    fn checker_does_not_change_timing() {
-        let cfg = SystemConfig::smoke();
-        let plain = run_benchmark(ProtocolKind::DiCo, Benchmark::Radix, &cfg).expect("run");
-        let checked =
-            run_benchmark(ProtocolKind::DiCo, Benchmark::Radix, &cfg.clone().with_invariant_checks())
-                .expect("checked run");
-        assert_eq!(plain.cycles, checked.cycles);
-        assert_eq!(plain.measured_refs, checked.measured_refs);
     }
 
     fn encode_fifo(fifo: &FifoFloors) -> Vec<u8> {

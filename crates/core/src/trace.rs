@@ -16,7 +16,6 @@
 
 use cmpsim_engine::{trace::format_event, Cycle, TraceEvent, TraceRing};
 use cmpsim_protocols::common::{Block, Tile};
-use std::collections::BTreeMap;
 
 /// One open (issued, not yet completed) transaction.
 #[derive(Debug, Clone)]
@@ -40,9 +39,6 @@ pub struct TxTracer {
     /// The open transaction of each tile (a core has at most one
     /// outstanding miss, so tile indexes the open set exactly).
     open: Vec<Option<OpenTx>>,
-    /// Tiles with an open transaction on a block, oldest first — the
-    /// attribution order for messages on that block.
-    by_block: BTreeMap<Block, Vec<Tile>>,
     /// Link traversals attributed to an open transaction.
     tx_hops: u64,
     /// Link traversals with no open transaction on their block
@@ -60,21 +56,10 @@ impl TxTracer {
             ring: TraceRing::new(capacity),
             next_id: 1,
             open: vec![None; tiles],
-            by_block: BTreeMap::new(),
             tx_hops: 0,
             untracked_hops: 0,
             completed: 0,
         }
-    }
-
-    /// The transaction a message on `block` belongs to (0 when none is
-    /// open — background traffic).
-    fn tid_of(&self, block: Block) -> u64 {
-        self.by_block
-            .get(&block)
-            .and_then(|tiles| tiles.first())
-            .and_then(|&t| self.open[t].as_ref())
-            .map_or(0, |tx| tx.id)
     }
 
     /// Records an L1 miss issuing at `now` on `tile`: opens a new
@@ -82,23 +67,18 @@ impl TxTracer {
     pub fn on_issue(&mut self, now: Cycle, tile: Tile, block: Block, write: bool) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        // A core has one outstanding miss at a time; a leftover entry
-        // would mean a completion was lost, which the simulator's own
-        // debug assertions catch. Drop it defensively here.
-        if let Some(stale) = self.open[tile].take() {
-            self.unlink(stale.block, tile);
-        }
         self.open[tile] = Some(OpenTx { id, block, write, issued: now, hops: 0, msgs: 0 });
-        self.by_block.entry(block).or_default().push(tile);
         id
     }
 
     /// Records one network message: a span `[depart, arrival)` on the
-    /// track of the transaction currently open on `block`, charging its
-    /// `links` hop count to that transaction (or the untracked bucket).
+    /// track of `owner`'s open transaction (the tile whose transaction
+    /// the message belongs to), charging its `links` hop count to that
+    /// transaction — or to the untracked bucket when there is none.
     #[allow(clippy::too_many_arguments)]
     pub fn on_message(
         &mut self,
+        owner: Option<Tile>,
         depart: Cycle,
         arrival: Cycle,
         name: &'static str,
@@ -108,18 +88,18 @@ impl TxTracer {
         dst: Tile,
         links: u64,
     ) {
-        let tid = self.tid_of(block);
-        if tid != 0 {
-            let tiles = &self.by_block[&block];
-            let owner = tiles[0];
-            if let Some(tx) = self.open[owner].as_mut() {
+        let tid = match owner.and_then(|t| self.open[t].as_mut()) {
+            Some(tx) => {
                 tx.hops += links;
                 tx.msgs += 1;
+                self.tx_hops += links;
+                tx.id
             }
-            self.tx_hops += links;
-        } else {
-            self.untracked_hops += links;
-        }
+            None => {
+                self.untracked_hops += links;
+                0
+            }
+        };
         self.ring.push(TraceEvent {
             ts: depart,
             dur: arrival.saturating_sub(depart),
@@ -141,7 +121,6 @@ impl TxTracer {
         let Some(tx) = self.open[tile].take() else {
             return;
         };
-        self.unlink(tx.block, tile);
         self.completed += 1;
         self.ring.push(TraceEvent {
             ts: tx.issued,
@@ -156,17 +135,6 @@ impl TxTracer {
                 ("msgs", tx.msgs),
             ],
         });
-    }
-
-    fn unlink(&mut self, block: Block, tile: Tile) {
-        if let Some(tiles) = self.by_block.get_mut(&block) {
-            if let Some(i) = tiles.iter().position(|&t| t == tile) {
-                tiles.remove(i);
-            }
-            if tiles.is_empty() {
-                self.by_block.remove(&block);
-            }
-        }
     }
 
     /// Warm-up reset: discards buffered events and zeroes the hop
@@ -242,8 +210,8 @@ mod tests {
         let mut t = TxTracer::new(4, 64);
         let id = t.on_issue(10, 2, 0x40, false);
         assert_eq!(id, 1);
-        t.on_message(10, 15, "GetS", "msg", 0x40, 2, 0, 3);
-        t.on_message(15, 22, "Data", "msg", 0x40, 0, 2, 3);
+        t.on_message(Some(2), 10, 15, "GetS", "msg", 0x40, 2, 0, 3);
+        t.on_message(Some(2), 15, 22, "Data", "msg", 0x40, 0, 2, 3);
         t.on_completion(22, 2);
         let log = t.finish();
         assert_eq!(log.completed_txs, 1);
@@ -262,7 +230,7 @@ mod tests {
     #[test]
     fn background_traffic_lands_on_track_zero() {
         let mut t = TxTracer::new(2, 16);
-        t.on_message(5, 9, "WbData", "msg", 0x80, 1, 0, 2);
+        t.on_message(None, 5, 9, "WbData", "msg", 0x80, 1, 0, 2);
         let log = t.finish();
         assert_eq!(log.untracked_hops, 2);
         assert_eq!(log.tx_hops, 0);
@@ -270,28 +238,13 @@ mod tests {
     }
 
     #[test]
-    fn attribution_follows_oldest_open_tx() {
-        let mut t = TxTracer::new(4, 16);
-        let a = t.on_issue(1, 0, 0x40, false);
-        let b = t.on_issue(2, 1, 0x40, true);
-        t.on_message(3, 5, "Fwd", "msg", 0x40, 0, 1, 1);
-        t.on_completion(6, 0);
-        // With tile 0's transaction closed, the same block now maps to
-        // tile 1's.
-        t.on_message(7, 9, "Data", "msg", 0x40, 1, 0, 1);
-        let tids: Vec<u64> =
-            t.ring.iter().filter(|e| e.cat == "msg").map(|e| e.tid).collect();
-        assert_eq!(tids, vec![a, b]);
-    }
-
-    #[test]
     fn reset_keeps_open_transactions() {
         let mut t = TxTracer::new(2, 16);
         t.on_issue(1, 0, 0x40, false);
-        t.on_message(1, 4, "GetS", "msg", 0x40, 0, 1, 2);
+        t.on_message(Some(0), 1, 4, "GetS", "msg", 0x40, 0, 1, 2);
         t.reset();
         assert_eq!(t.tail_lines(8).len(), 0);
-        t.on_message(5, 8, "Data", "msg", 0x40, 1, 0, 2);
+        t.on_message(Some(0), 5, 8, "Data", "msg", 0x40, 1, 0, 2);
         t.on_completion(8, 0);
         let log = t.finish();
         // Only the post-reset hops are counted...
@@ -305,7 +258,7 @@ mod tests {
     fn tail_lines_render() {
         let mut t = TxTracer::new(2, 16);
         t.on_issue(1, 0, 0x40, true);
-        t.on_message(1, 4, "GetX", "msg", 0x40, 0, 1, 2);
+        t.on_message(Some(0), 1, 4, "GetX", "msg", 0x40, 0, 1, 2);
         let lines = t.tail_lines(4);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("GetX"), "{}", lines[0]);

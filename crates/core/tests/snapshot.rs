@@ -9,9 +9,8 @@
 
 use cmpsim::snapshot::snapshot_key;
 use cmpsim::{
-    chaos_sweep_with_options, run_benchmark, run_benchmark_with_store, run_matrix_with_options,
-    Benchmark, CmpSimulator, FaultPlan, ProtocolKind, RunResult, SimError, SnapshotStore,
-    SystemConfig,
+    chaos_sweep, run_benchmark, run_benchmark_with_store, run_matrix, Benchmark, CmpSimulator,
+    FaultPlan, ProtocolKind, RunOptions, RunResult, SimError, SnapshotStore, SystemConfig,
 };
 use proptest::prelude::*;
 
@@ -65,16 +64,14 @@ fn store_driven_matrix_matches_cold_matrix() {
     let cfg = SystemConfig::smoke();
     let protocols = ProtocolKind::all();
     let benchmarks = Benchmark::all();
-    let cold =
-        run_matrix_with_options(&protocols, &benchmarks, &cfg, None, None, None).expect("cold");
+    let cold = run_matrix(&protocols, &benchmarks, &cfg, RunOptions::default()).expect("cold");
     let store = SnapshotStore::in_memory();
+    let opts = RunOptions { threads: Some(2), store: Some(&store), progress: None };
     // First pass populates the store (every cell is a miss), second
     // pass restores every cell from it.
-    let first = run_matrix_with_options(&protocols, &benchmarks, &cfg, None, Some(2), Some(&store))
-        .expect("populating pass");
+    let first = run_matrix(&protocols, &benchmarks, &cfg, opts).expect("populating pass");
     assert_eq!(store.cached(), protocols.len() * benchmarks.len());
-    let second = run_matrix_with_options(&protocols, &benchmarks, &cfg, None, Some(2), Some(&store))
-        .expect("forked pass");
+    let second = run_matrix(&protocols, &benchmarks, &cfg, opts).expect("forked pass");
     for ((c, f), s) in cold.iter().zip(&first).zip(&second) {
         assert_eq!(fingerprint(c), fingerprint(f), "populating pass differs from cold");
         assert_eq!(fingerprint(c), fingerprint(s), "restored pass differs from cold");
@@ -145,6 +142,32 @@ fn observer_runs_stay_cold_and_identical() {
 }
 
 #[test]
+fn observer_configs_refuse_plain_images() {
+    // The snapshot key leaves observer flags out, so a plain image
+    // matches an observer config's key. Resuming it would report
+    // observers that missed the warm-up (a wrong breakdown, a truncated
+    // trace): restore must fail closed instead.
+    let cfg = SystemConfig::smoke();
+    let (kind, b) = (ProtocolKind::DiCo, Benchmark::Apache);
+    let mut sim = CmpSimulator::new(kind, b, &cfg);
+    assert!(sim.warm_up().expect("warm-up"));
+    let image = sim.save_snapshot(snapshot_key(kind, b, &cfg));
+    for (what, observed) in [
+        ("tracing", cfg.clone().with_tracing()),
+        ("attribution", cfg.clone().with_attribution()),
+        ("invariant checking", cfg.clone().with_invariant_checks()),
+    ] {
+        match CmpSimulator::restore_snapshot(kind, b, &observed, &image) {
+            Err(e @ SimError::Snapshot(_)) => assert_eq!(e.code(), "E-SNAPSHOT", "{what}"),
+            Err(other) => panic!("{what}: expected E-SNAPSHOT, got {other}"),
+            Ok(_) => panic!("{what}: a plain image resumed an observer run"),
+        }
+    }
+    CmpSimulator::restore_snapshot(kind, b, &cfg.with_interval(64), &image)
+        .expect("sampling runs share plain images");
+}
+
+#[test]
 fn chaos_sweep_with_store_matches_plain_sweep() {
     let cfg = SystemConfig::smoke();
     let plans = vec![
@@ -153,18 +176,11 @@ fn chaos_sweep_with_store_matches_plain_sweep() {
     ];
     let protocols = [ProtocolKind::Directory, ProtocolKind::DiCoArin];
     let benchmarks = [Benchmark::Radix, Benchmark::Apache];
-    let plain =
-        chaos_sweep_with_options(&protocols, &benchmarks, &plans, &cfg, None, Some(2), None);
+    let two = RunOptions { threads: Some(2), ..RunOptions::default() };
+    let plain = chaos_sweep(&protocols, &benchmarks, &plans, &cfg, two);
     let store = SnapshotStore::in_memory();
-    let stored = chaos_sweep_with_options(
-        &protocols,
-        &benchmarks,
-        &plans,
-        &cfg,
-        None,
-        Some(2),
-        Some(&store),
-    );
+    let stored =
+        chaos_sweep(&protocols, &benchmarks, &plans, &cfg, RunOptions { store: Some(&store), ..two });
     assert!(plain.passed(), "baseline chaos sweep must pass");
     assert!(stored.passed(), "store-backed chaos sweep must pass");
     assert_eq!(plain.to_json(), stored.to_json(), "store must not change any chaos verdict");

@@ -2,10 +2,10 @@
 //!
 //! One coherence simulation is inherently sequential (events are causally
 //! ordered), but the evaluation runs dozens of independent simulations
-//! (protocol × workload × placement). `par_map` fans those out over host
-//! cores with plain `std::thread::scope` — no work stealing is needed
-//! because tasks are few and long, and a simple atomic cursor balances
-//! unequal run times.
+//! (protocol × workload × placement). `par_map_with_threads` fans those
+//! out over host cores with plain `std::thread::scope` — no work stealing
+//! is needed because tasks are few and long, and a simple atomic cursor
+//! balances unequal run times.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,22 +41,10 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Applies `f` to every element of `items` in parallel and returns the
-/// results in input order. `f` must be `Sync` (it is shared by reference
-/// across worker threads).
-///
-/// Worker count defaults to `std::thread::available_parallelism`, capped by
-/// the number of items.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_with_threads(items, num_threads(), f)
-}
-
-/// As [`par_map`], with an explicit worker count (≥ 1).
+/// Applies `f` to every element of `items` on `threads` workers (≥ 1,
+/// capped by the number of items) and returns the results in input
+/// order. `f` must be `Sync` (it is shared by reference across worker
+/// threads).
 ///
 /// A panic inside `f` no longer poisons the whole map: every other item
 /// still completes, and the first panic is re-raised only after all
@@ -159,7 +147,7 @@ mod tests {
     #[test]
     fn maps_in_order() {
         let input: Vec<u64> = (0..100).collect();
-        let out = par_map(&input, |&x| x * x);
+        let out = par_map_with_threads(&input, num_threads(), |&x| x * x);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i * i) as u64);
         }
@@ -168,7 +156,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let input: Vec<u32> = vec![];
-        let out: Vec<u32> = par_map(&input, |&x| x);
+        let out: Vec<u32> = par_map_with_threads(&input, 4, |&x| x);
         assert!(out.is_empty());
     }
 

@@ -9,7 +9,7 @@
 //! ```
 
 use cmpsim::report::{pct_delta, table};
-use cmpsim::{run_matrix, Benchmark, ProtocolKind, SystemConfig};
+use cmpsim::{run_matrix, Benchmark, ProtocolKind, RunOptions, SystemConfig};
 use cmpsim_power::leakage_per_tile;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let benchmarks = [Benchmark::Apache, Benchmark::Radix];
 
     println!("4 VMs x 16 cores, memory deduplication on, {refs} refs/core\n");
-    let results = run_matrix(&protocols, &benchmarks, &cfg).expect("simulation failed");
+    let results = run_matrix(&protocols, &benchmarks, &cfg, RunOptions::default()).expect("simulation failed");
 
     for (bi, b) in benchmarks.iter().enumerate() {
         let base = &results[bi * protocols.len()];

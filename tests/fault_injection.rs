@@ -13,8 +13,8 @@
 
 use cmpsim::chaos::{chaos_sweep, run_differential, CellOutcome, DiffOutcome};
 use cmpsim::{
-    run_benchmark, Benchmark, FaultKind, FaultPlan, ProtocolKind, ReplayArtifact, SimError,
-    SystemConfig,
+    run_benchmark, Benchmark, FaultKind, FaultPlan, ProtocolKind, ReplayArtifact, RunOptions,
+    SimError, SystemConfig,
 };
 use proptest::prelude::*;
 
@@ -32,6 +32,7 @@ fn all_32_cells_recover_and_match_golden() {
         &Benchmark::all(),
         &[FaultPlan::recoverable(7)],
         &SystemConfig::smoke(),
+        RunOptions::default(),
     );
     assert_eq!(report.cells.len(), 32);
     assert!(report.passed(), "violations: {:#?}", report.violations());

@@ -2,7 +2,9 @@
 //! simulator (cores + NoC + memory controllers + VMs + deduplication)
 //! to completion on several workloads, deterministically.
 
-use cmpsim::{run_benchmark, run_matrix, Benchmark, Placement, ProtocolKind, SystemConfig};
+use cmpsim::{
+    run_benchmark, run_matrix, Benchmark, Placement, ProtocolKind, RunOptions, SystemConfig,
+};
 
 #[test]
 fn all_protocols_complete_all_benchmarks_small() {
@@ -48,7 +50,7 @@ fn matrix_matches_individual_runs() {
     let cfg = SystemConfig::smoke();
     let protocols = [ProtocolKind::Directory, ProtocolKind::DiCoArin];
     let benchmarks = [Benchmark::Radix];
-    let matrix = run_matrix(&protocols, &benchmarks, &cfg).expect("matrix");
+    let matrix = run_matrix(&protocols, &benchmarks, &cfg, RunOptions::default()).expect("matrix");
     for (i, &kind) in protocols.iter().enumerate() {
         let solo = run_benchmark(kind, Benchmark::Radix, &cfg).expect("run");
         assert_eq!(matrix[i].cycles, solo.cycles, "{kind:?}");

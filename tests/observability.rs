@@ -4,27 +4,68 @@
 //! byte-identity guarantees the exports rely on.
 
 use cmpsim::replay::Value;
-use cmpsim::{run_benchmark, Benchmark, ProtocolKind, SystemConfig};
+use cmpsim::{run_benchmark, run_matrix, Benchmark, ProtocolKind, RunOptions, SystemConfig};
 
 fn obs_config() -> SystemConfig {
     SystemConfig::small().with_tracing().with_interval(1_000)
 }
 
-/// Tracing and sampling are observation-only: the simulated outcome is
-/// bit-identical with them on or off.
+type Observe = fn(SystemConfig) -> SystemConfig;
+
+/// Runs the protocol × {apache, radix} matrix on `small` plainly and
+/// under each named observer configuration, and asserts that each
+/// observer is observation-only — the simulated outcome is
+/// bit-identical to the plain run's — and that each observer's payload
+/// is present exactly when it is on. Each configuration runs as one
+/// matrix, so its cells use every host core.
+fn assert_observation_only(observers: &[(&str, Observe)]) {
+    let base = SystemConfig::small();
+    let benchmarks = [Benchmark::Apache, Benchmark::Radix];
+    let matrix = |cfg: &SystemConfig| {
+        run_matrix(&ProtocolKind::all(), &benchmarks, cfg, RunOptions::default()).expect("run")
+    };
+    let plain = matrix(&base);
+    assert!(plain.iter().all(|p| p.trace.is_none() && p.breakdown.is_none()));
+    assert!(plain.iter().all(|p| p.timeseries.is_none()));
+    for &(name, on) in observers {
+        let cfg = on(base.clone());
+        for (p, seen) in plain.iter().zip(matrix(&cfg)) {
+            let what = format!("{:?}/{:?} with {name}", p.protocol, p.benchmark);
+            assert_eq!(p.cycles, seen.cycles, "{what}");
+            assert_eq!(p.measured_refs, seen.measured_refs, "{what}");
+            assert_eq!(p.noc_stats.messages.get(), seen.noc_stats.messages.get(), "{what}");
+            assert_eq!(
+                p.noc_stats.routing_events.get(),
+                seen.noc_stats.routing_events.get(),
+                "{what}"
+            );
+            assert_eq!(p.arch, seen.arch, "{what}");
+            assert_eq!(seen.trace.is_some(), cfg.tracing, "{what}");
+            assert_eq!(seen.breakdown.is_some(), cfg.attribution, "{what}");
+            assert_eq!(seen.timeseries.is_some(), cfg.sample_interval.is_some(), "{what}");
+        }
+    }
+}
+
+/// Tracing, interval sampling and invariant checking are
+/// observation-only, alone and together with attribution, on every
+/// protocol.
 #[test]
 fn observability_does_not_change_timing() {
-    for kind in ProtocolKind::all() {
-        let plain = run_benchmark(kind, Benchmark::Apache, &SystemConfig::small()).expect("run");
-        let observed = run_benchmark(kind, Benchmark::Apache, &obs_config()).expect("run");
-        assert_eq!(plain.cycles, observed.cycles, "{kind:?}");
-        assert_eq!(plain.measured_refs, observed.measured_refs, "{kind:?}");
-        assert_eq!(
-            plain.noc_stats.routing_events.get(),
-            observed.noc_stats.routing_events.get(),
-            "{kind:?}"
-        );
-    }
+    assert_observation_only(&[
+        ("tracing", SystemConfig::with_tracing),
+        ("interval", |c| c.with_interval(1_000)),
+        ("checker", SystemConfig::with_invariant_checks),
+        ("all", |c| {
+            c.with_tracing().with_attribution().with_interval(1_000).with_invariant_checks()
+        }),
+    ]);
+}
+
+/// Attribution alone is observation-only on every protocol.
+#[test]
+fn attribution_does_not_change_timing_on_any_protocol() {
+    assert_observation_only(&[("attribution", SystemConfig::with_attribution)]);
 }
 
 /// Every post-warm-up link traversal the NoC charges is seen by the
@@ -175,26 +216,6 @@ fn metrics_json_shape() {
     let hists = v.field("histograms").expect("histograms section");
     let lat = hists.field("proto.miss_latency").expect("latency histogram");
     assert!(lat.field("count").unwrap().as_u64().unwrap() > 0);
-}
-
-/// Attribution is observation-only on every protocol: the simulated
-/// outcome is bit-identical with it on or off.
-#[test]
-fn attribution_does_not_change_timing_on_any_protocol() {
-    let cfg = SystemConfig::small().with_attribution();
-    for kind in ProtocolKind::all() {
-        let plain = run_benchmark(kind, Benchmark::Radix, &SystemConfig::small()).expect("run");
-        let attr = run_benchmark(kind, Benchmark::Radix, &cfg).expect("run");
-        assert_eq!(plain.cycles, attr.cycles, "{kind:?}");
-        assert_eq!(plain.measured_refs, attr.measured_refs, "{kind:?}");
-        assert_eq!(
-            plain.noc_stats.messages.get(),
-            attr.noc_stats.messages.get(),
-            "{kind:?}"
-        );
-        assert!(plain.breakdown.is_none());
-        assert!(attr.breakdown.is_some());
-    }
 }
 
 /// Two identical seeded runs export byte-identical breakdown JSON and

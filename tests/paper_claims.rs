@@ -2,7 +2,7 @@
 //! ones exactly, the simulation-based ones as shapes (who wins, which
 //! direction) on a reduced-budget paper-configuration run.
 
-use cmpsim::{run_matrix, Benchmark, ProtocolKind, SystemConfig};
+use cmpsim::{run_matrix, Benchmark, ProtocolKind, RunOptions, SystemConfig};
 use cmpsim_power::{leakage_per_tile, overhead_percent};
 
 /// Abstract: "our protocols achieve a 59–64% reduction in directory
@@ -36,7 +36,8 @@ fn claim_static_power_reduction() {
 #[test]
 fn claim_dynamic_power_shape_apache() {
     let cfg = SystemConfig::paper().with_refs(6_000);
-    let r = run_matrix(&ProtocolKind::all(), &[Benchmark::Apache], &cfg).expect("run");
+    let r = run_matrix(&ProtocolKind::all(), &[Benchmark::Apache], &cfg, RunOptions::default())
+        .expect("run");
     let dir = &r[0];
     let dico = &r[1];
     let prov = &r[2];
@@ -62,6 +63,7 @@ fn claim_shortened_misses() {
         &[ProtocolKind::Directory, ProtocolKind::DiCoProviders],
         &[Benchmark::Apache],
         &cfg,
+        RunOptions::default(),
     )
     .expect("run");
     assert!(
@@ -81,6 +83,7 @@ fn claim_miss_latency_reduction() {
         &[ProtocolKind::Directory, ProtocolKind::DiCo, ProtocolKind::DiCoArin],
         &[Benchmark::Apache],
         &cfg,
+        RunOptions::default(),
     )
     .expect("run");
     assert!(
