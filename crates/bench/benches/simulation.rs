@@ -1,6 +1,6 @@
 //! Criterion benches for whole-chip simulation throughput: one reduced
 //! apache run per protocol on the 64-tile paper configuration. These are
-//! the heavyweight benches (seconds each); the figure binaries reuse the
+//! the heavyweight benches (seconds each); `cmpsim-cli figures` reuses the
 //! same machinery at larger budgets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,114 +1,3 @@
-//! Shared helpers for the report binaries: each `src/bin/*.rs` target
-//! regenerates one table or figure of the paper (see DESIGN.md's
-//! experiment index). The binaries print plain-text tables comparing the
-//! paper's numbers with the measured ones; EXPERIMENTS.md records a
-//! captured run.
-
-use cmpsim::{env, RunResult, SystemConfig};
-
-/// Unwraps a `cmpsim::env` lookup for the report binaries: a malformed
-/// variable aborts with exit code 2 instead of silently running a long
-/// report under default settings.
-fn env_or_die<T>(r: Result<Option<T>, env::EnvError>) -> Option<T> {
-    r.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Reference budget for report runs; override with the first CLI
-/// argument or the `CMPSIM_REFS` environment variable.
-pub fn refs_from_args() -> u64 {
-    if let Some(arg) = std::env::args().nth(1) {
-        if let Ok(n) = arg.parse() {
-            return n;
-        }
-        eprintln!("error: bad refs argument {arg:?} (want an integer)");
-        std::process::exit(2);
-    }
-    env_or_die(env::parsed(env::REFS, "an integer")).unwrap_or(60_000)
-}
-
-/// The standard report configuration (paper chip + CLI reference
-/// budget + the observability environment knobs).
-pub fn report_config() -> SystemConfig {
-    obs_from_env(SystemConfig::paper().with_refs(refs_from_args()))
-}
-
-/// Applies the observability environment knobs:
-/// `CMPSIM_INTERVAL=<cycles>` turns on interval time-series sampling,
-/// `CMPSIM_TRACE_OUT=<file>` turns on coherence-transaction tracing,
-/// `CMPSIM_BREAKDOWN_OUT=<file>` (or `CMPSIM_ATTR=1`) turns on
-/// critical-path & energy attribution. Runs made with the returned
-/// config should pass through [`write_observability`] so the requested
-/// files actually land.
-pub fn obs_from_env(mut cfg: SystemConfig) -> SystemConfig {
-    if let Some(n) = env_or_die(env::parsed(env::INTERVAL, "a cycle count (integer >= 1)")) {
-        cfg = cfg.with_interval(n);
-    }
-    if env::flag(env::TRACE_OUT) {
-        cfg = cfg.with_tracing();
-    }
-    if env::flag(env::ATTR) || env::flag(env::BREAKDOWN_OUT) {
-        cfg = cfg.with_attribution();
-    }
-    cfg
-}
-
-/// Writes the environment-requested observability artifacts of one run:
-/// the Chrome trace to `CMPSIM_TRACE_OUT` and the interval series next
-/// to it (`<trace>.series.csv`) or to `CMPSIM_SERIES_OUT`. `tag`
-/// distinguishes runs within one report (protocol/benchmark cell);
-/// it is inserted before the file extension.
-pub fn write_observability(r: &RunResult, tag: &str) {
-    let suffixed = |path: &str| match path.rsplit_once('.') {
-        Some((stem, ext)) if !tag.is_empty() => format!("{stem}-{tag}.{ext}"),
-        _ if !tag.is_empty() => format!("{path}-{tag}"),
-        _ => path.to_string(),
-    };
-    if let (Some(path), Some(t)) = (env::string(env::TRACE_OUT), r.trace.as_ref()) {
-        let path = suffixed(&path);
-        let label = format!("{} on {}", r.protocol.name(), r.benchmark.name());
-        if let Err(e) = std::fs::write(&path, r.stamp_artifact(t.to_chrome_json(&label))) {
-            eprintln!("warning: cannot write trace to {path}: {e}");
-        } else {
-            eprintln!("trace written to {path}");
-        }
-    }
-    if let Some(ts) = &r.timeseries {
-        if let Some(path) = env::string(env::SERIES_OUT) {
-            let path = suffixed(&path);
-            let body =
-                if path.ends_with(".csv") { ts.to_csv() } else { r.stamp_artifact(ts.to_json()) };
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("warning: cannot write time-series to {path}: {e}");
-            } else {
-                eprintln!("time-series written to {path}");
-            }
-        }
-    }
-    if r.breakdown.is_some() {
-        if let Some(path) = env::string(env::BREAKDOWN_OUT) {
-            let path = suffixed(&path);
-            let results = std::slice::from_ref(r);
-            let body = if path.ends_with(".csv") {
-                cmpsim::report::breakdown_csv(results)
-            } else {
-                cmpsim::report::breakdown_json(results)
-            };
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("warning: cannot write breakdown to {path}: {e}");
-            } else {
-                eprintln!("breakdown written to {path}");
-            }
-        }
-    }
-}
-
-/// Formats a normalized series as percentages of the first element.
-pub fn vs_base(results: &[&RunResult], f: impl Fn(&RunResult) -> f64) -> Vec<f64> {
-    let base = f(results[0]);
-    results.iter().map(|r| f(r) / base).collect()
-}
-
-pub mod figures;
+//! Criterion benches of the simulator (`benches/`). The paper's tables,
+//! figures and studies are regenerated by `cmpsim-cli tables`,
+//! `cmpsim-cli figures` and `cmpsim-cli study`.

@@ -1,4 +1,5 @@
-//! Command-line front end for the simulator.
+//! Command-line front end for the simulator, and the one entry point
+//! for regenerating the paper's tables, figures and studies.
 //!
 //! ```text
 //! cmpsim-cli run  [--protocol P] [--benchmark B] [--refs N] [--alt] [--seed S]
@@ -17,7 +18,17 @@
 //! cmpsim-cli compare --baseline cur.json base.json [--threshold F] [--rebaseline]
 //!                                               # structural run diff / CI
 //!                                               # regression gate (nonzero exit)
-//! cmpsim-cli tables                             # Tables V, VI, VII (analytic)
+//! cmpsim-cli tables [5|6|7]                     # Tables V, VI, VII (analytic;
+//!                                               # all three by default)
+//! cmpsim-cli figures [7|8a|8b|9a|9b|all|csv] [--refs N] [report flags]
+//!                                               # Figures 7-9 from one 32-cell
+//!                                               # sweep (default all, 60000 refs)
+//! cmpsim-cli study <alt|area|density|ablation|single-app|hops> [--refs N]
+//!                  [report flags]               # side studies: "-alt" placement
+//!                                               # (60000 refs), area count,
+//!                                               # VM density, prediction/hint
+//!                                               # ablation, single application
+//!                                               # (20000 refs), §V-D hop counts
 //! cmpsim-cli replay <artifact.json> [--check] [--snapshot-dir D]
 //!                                               # re-run a crash dump (resumes
 //!                                               # from the warmed checkpoint
@@ -73,21 +84,27 @@
 //! --progress-out <file>   live sweep telemetry as NDJSON (run/stats/matrix/report/chaos)
 //! ```
 //!
+//! The report flags of `figures` and `study` are `--interval`, `--attr`,
+//! `--trace-out`, `--series-out`, `--breakdown-out` and `--metrics-out`.
+//!
 //! Every deterministic JSON artifact (metrics, time-series, trace,
 //! breakdown, crash dump) embeds a `manifest` object: a content-hashed
 //! `run_id` over (config, protocol, benchmark, seed, fault plan, schema
 //! versions) plus the tool version, so any two artifacts can be traced
 //! to — and compared against — the exact run that produced them.
 //!
-//! `matrix` writes one file per cell, suffixing the protocol name
-//! before the extension (the breakdown artifact is one combined file).
+//! Commands that run several cells write one file per cell, inserting
+//! a tag into the file name before its extension: the protocol name for
+//! `matrix` (`m.json` -> `m-dico.json`), `{protocol}-{benchmark}` for
+//! `figures` and `study` (plus the study's variant, e.g. `-alt`). The
+//! breakdown artifact is one combined file per matrix.
 //! Every simulating command prints a host self-profile line (wall-clock
 //! spans + simulated-cycles/s throughput) to **stderr**, keeping stdout
 //! and every artifact deterministic.
 //!
 //! Fault injection: `--faults recoverable[@SEED]` or `--faults
 //! chaos[@SEED]` (or the `CMPSIM_FAULTS` environment variable) arms a
-//! deterministic fault plan on any simulating command. `chaos` sweeps N
+//! deterministic fault plan on any run-family command. `chaos` sweeps N
 //! seeded plans across the protocol x benchmark matrix, verifies every
 //! recovered cell bit-identical (in architectural state) against its
 //! fault-free golden twin, and exits nonzero on any divergence, panic,
@@ -97,6 +114,11 @@
 //! Benchmarks: apache | jbb | radix | lu | volrend | tomcatv |
 //! mixed-com | mixed-sci.
 //!
+//! Every command parses its arguments through one table-driven parser:
+//! an option the command does not accept, a missing or malformed value,
+//! or a zero `--refs`/`--threads`/`--plans` count exits 2 with a
+//! one-line `error:`; simulation failures exit 1.
+//!
 //! A failing `run`/`matrix` writes a JSON replay artifact (path printed
 //! with the error); `replay` re-runs it deterministically and reports
 //! whether the original failure reproduced at the same cycle.
@@ -104,213 +126,422 @@
 //! replay, often turning an end-state deadlock into the first broken
 //! invariant.
 
+use cmpsim::chaos::{chaos_sweep, CellOutcome};
+use cmpsim::report::figures::Sweep;
 use cmpsim::report::{
     breakdown_csv, breakdown_energy_table, breakdown_json, breakdown_latency_table,
-    markdown_chaos_section, markdown_report, table,
+    markdown_chaos_section, markdown_report, studies, table, Runner,
 };
-use cmpsim::chaos::{chaos_sweep, CellOutcome};
 use cmpsim::snapshot::key_hex;
 use cmpsim::vmstat::{heatmap_csv, heatmap_json, vmstat_json, vmstat_tables};
 use cmpsim::{
-    run_matrix, snapshot_eligible, snapshot_key, Benchmark, CmpSimulator, FaultPlan, MissClass,
-    Placement, ProtocolKind, ReplayArtifact, RunOptions, RunResult, SimError, SnapshotStore,
-    SystemConfig,
+    run_matrix, snapshot_eligible, snapshot_key, Benchmark, CmpSimulator, CompareOptions,
+    FaultPlan, Injection, MissClass, Placement, ProtocolKind, ReplayArtifact, RunOptions,
+    RunResult, SimError, SnapshotStore, SweepOptions, SystemConfig,
 };
-use cmpsim_power::{leakage_per_tile, overhead_percent};
 use std::path::Path;
+use std::str::FromStr;
 
-fn parse_protocol(s: &str) -> Option<ProtocolKind> {
-    match s.to_ascii_lowercase().as_str() {
-        "directory" | "dir" => Some(ProtocolKind::Directory),
-        "dico" => Some(ProtocolKind::DiCo),
-        "providers" | "dico-providers" => Some(ProtocolKind::DiCoProviders),
-        "arin" | "dico-arin" => Some(ProtocolKind::DiCoArin),
-        _ => None,
+/// Every option the CLI understands. Which commands accept which is
+/// data ([`Command::flags`]); what each one sets is [`Options::set`].
+/// Variants sharing a name (`Protocol`/`Protocols`, `Seed`/`PlanSeed`,
+/// `PlanCount`/`PlanList`) mean different things to different commands.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Flag {
+    // The run family's chip, workload and observers.
+    Protocol, Benchmark, Refs, Seed, Alt, MaxEvents, Check, Faults, Attr, Interval,
+    TraceOut, SeriesOut, MetricsOut, BreakdownOut, VmstatOut, HeatmapOut, ManifestOut,
+    HostProfileOut, ProgressOut, Out, AllBenchmarks, Threads, SnapshotDir,
+    // Soaks: `chaos` and `sweep`.
+    Small, Paper, PlanCount, PlanSeed, Mode, JsonOut, ReportOut,
+    Protocols, Benchmarks, Seeds, PlanList, Resume, OutDir, Journal, DeadlineMs, Retries,
+    BackoffMs, Inject,
+    // `compare`.
+    Baseline, Rebaseline, AllowImproved, Threshold, Tol,
+}
+
+impl Flag {
+    /// The spellings of the flag on the command line.
+    fn names(self) -> &'static [&'static str] {
+        use Flag::*;
+        match self {
+            Protocol | Protocols => &["--protocol", "-p"],
+            Benchmark | Benchmarks => &["--benchmark", "-b"],
+            Refs => &["--refs", "-n"],
+            Seed | PlanSeed => &["--seed", "-s"],
+            Seeds => &["--seeds"],
+            Alt => &["--alt"],
+            Small => &["--small"],
+            Paper => &["--paper"],
+            MaxEvents => &["--max-events"],
+            Check => &["--check"],
+            Faults => &["--faults"],
+            Attr => &["--attr"],
+            Interval => &["--interval"],
+            TraceOut => &["--trace-out"],
+            SeriesOut => &["--series-out"],
+            MetricsOut => &["--metrics-out"],
+            BreakdownOut => &["--breakdown-out"],
+            VmstatOut => &["--vmstat-out"],
+            HeatmapOut => &["--heatmap-out"],
+            ManifestOut => &["--manifest-out"],
+            HostProfileOut => &["--host-profile-out"],
+            ProgressOut => &["--progress-out"],
+            Out => &["--out"],
+            AllBenchmarks => &["--all-benchmarks"],
+            Threads => &["--threads"],
+            SnapshotDir => &["--snapshot-dir"],
+            PlanCount | PlanList => &["--plans"],
+            Mode => &["--mode"],
+            JsonOut => &["--json-out"],
+            ReportOut => &["--report-out"],
+            Resume => &["--resume"],
+            OutDir => &["--out-dir"],
+            Journal => &["--journal"],
+            DeadlineMs => &["--deadline-ms"],
+            Retries => &["--retries"],
+            BackoffMs => &["--backoff-ms"],
+            Inject => &["--inject"],
+            Baseline => &["--baseline"],
+            Rebaseline => &["--rebaseline"],
+            AllowImproved => &["--allow-improved"],
+            Threshold => &["--threshold"],
+            Tol => &["--tol"],
+        }
+    }
+
+    /// Whether the flag is a switch rather than taking a value.
+    fn is_switch(self) -> bool {
+        use Flag::*;
+        matches!(
+            self,
+            Alt | Small | Paper | Check | Attr | AllBenchmarks | Baseline | Rebaseline | AllowImproved
+        )
     }
 }
 
-fn parse_benchmark(s: &str) -> Option<Benchmark> {
-    match s.to_ascii_lowercase().as_str() {
-        "apache" => Some(Benchmark::Apache),
-        "jbb" => Some(Benchmark::Jbb),
-        "radix" => Some(Benchmark::Radix),
-        "lu" => Some(Benchmark::Lu),
-        "volrend" => Some(Benchmark::Volrend),
-        "tomcatv" => Some(Benchmark::Tomcatv),
-        "mixed-com" => Some(Benchmark::MixedCom),
-        "mixed-sci" => Some(Benchmark::MixedSci),
-        _ => None,
-    }
+/// The run family's options (`run`, `stats`, `matrix`, `breakdown`,
+/// `vmstat`, `report`).
+const RUN_FLAGS: &[Flag] = {
+    use Flag::*;
+    &[
+        Protocol, Benchmark, Refs, Seed, Alt, MaxEvents, Check, Faults, Attr, Interval, TraceOut,
+        SeriesOut, MetricsOut, BreakdownOut, VmstatOut, HeatmapOut, ManifestOut, HostProfileOut,
+        ProgressOut, Out, AllBenchmarks, Threads, SnapshotDir,
+    ]
+};
+
+/// The paper reports' options (`figures`, `study`).
+const REPORT_FLAGS: &[Flag] = {
+    use Flag::*;
+    &[Refs, Interval, Attr, TraceOut, SeriesOut, BreakdownOut, MetricsOut]
+};
+
+const CHAOS_FLAGS: &[Flag] = {
+    use Flag::*;
+    &[
+        PlanCount, Mode, PlanSeed, Refs, Paper, Small, Alt, Protocol, Benchmark, ProgressOut,
+        JsonOut, ReportOut, Threads, SnapshotDir,
+    ]
+};
+
+const SWEEP_FLAGS: &[Flag] = {
+    use Flag::*;
+    &[
+        Resume, Protocols, Benchmarks, Seeds, PlanList, Refs, Paper, Small, Alt, OutDir, Journal,
+        DeadlineMs, Retries, BackoffMs, Inject, Threads, SnapshotDir, ReportOut,
+    ]
+};
+
+const COMPARE_FLAGS: &[Flag] = {
+    use Flag::*;
+    &[Baseline, Rebaseline, AllowImproved, Threshold, Tol, Out]
+};
+
+/// One subcommand: what it accepts and its defaults.
+struct Command {
+    name: &'static str,
+    /// Options the command accepts; any other is rejected.
+    flags: &'static [Flag],
+    /// Inclusive range of positional arguments.
+    args: (usize, usize),
+    /// Default `--refs` (`None`: no default, or chosen per selector).
+    refs: Option<u64>,
+    /// Whether the command simulates the 16-tile `small` chip unless
+    /// `--paper` is given.
+    small: bool,
+    run: fn(Options),
 }
 
+const fn command(name: &'static str, flags: &'static [Flag], run: fn(Options)) -> Command {
+    Command { name, flags, args: (0, 0), refs: None, small: false, run }
+}
+
+const COMMANDS: &[Command] = &[
+    Command { refs: Some(20_000), ..command("run", RUN_FLAGS, cmd_run) },
+    Command { refs: Some(20_000), ..command("stats", RUN_FLAGS, cmd_stats) },
+    Command { refs: Some(20_000), ..command("matrix", RUN_FLAGS, cmd_matrix) },
+    Command { refs: Some(20_000), ..command("breakdown", RUN_FLAGS, cmd_breakdown) },
+    Command { refs: Some(20_000), ..command("vmstat", RUN_FLAGS, cmd_vmstat) },
+    Command { refs: Some(20_000), ..command("report", RUN_FLAGS, cmd_report) },
+    Command { args: (2, 2), ..command("compare", COMPARE_FLAGS, cmd_compare) },
+    Command { args: (0, 1), ..command("tables", &[], cmd_tables) },
+    Command { args: (0, 1), refs: Some(60_000), ..command("figures", REPORT_FLAGS, cmd_figures) },
+    Command { args: (1, 1), ..command("study", REPORT_FLAGS, cmd_study) },
+    Command { args: (1, 1), ..command("replay", &[Flag::Check, Flag::SnapshotDir], cmd_replay) },
+    Command { refs: Some(800), small: true, ..command("sweep", SWEEP_FLAGS, cmd_sweep) },
+    Command { refs: Some(800), small: true, ..command("chaos", CHAOS_FLAGS, cmd_chaos) },
+    command("list", &[], cmd_list),
+];
+
+/// Everything a command line can set. Fields a command's flags cannot
+/// reach keep their defaults.
+#[derive(Default)]
 struct Options {
-    protocol: ProtocolKind,
-    benchmark: Benchmark,
-    refs: u64,
-    seed: u64,
+    /// Positional arguments.
+    args: Vec<String>,
+    /// The flags given, in order.
+    given: Vec<Flag>,
+    protocols: Vec<ProtocolKind>,
+    benchmarks: Vec<Benchmark>,
+    refs: Option<u64>,
+    /// Simulation seed override (run family).
+    seed: Option<u64>,
+    /// Base seed of the chaos fault plans.
+    plan_seed: u64,
+    seeds: Vec<u64>,
+    small: bool,
     alt: bool,
     max_events: Option<u64>,
     check: bool,
-    trace_out: Option<String>,
+    faults: Option<FaultPlan>,
+    attr: bool,
     interval: Option<u64>,
+    trace_out: Option<String>,
     series_out: Option<String>,
     metrics_out: Option<String>,
-    attr: bool,
     breakdown_out: Option<String>,
     vmstat_out: Option<String>,
     heatmap_out: Option<String>,
-    faults: Option<FaultPlan>,
     manifest_out: Option<String>,
     host_profile_out: Option<String>,
     progress_out: Option<String>,
     out: Option<String>,
+    json_out: Option<String>,
+    report_out: Option<String>,
     all_benchmarks: bool,
     threads: Option<usize>,
     snapshot_dir: Option<String>,
+    plan_count: u64,
+    plans: Vec<Option<FaultPlan>>,
+    mode: &'static str,
+    resume: Option<String>,
+    journal: Option<String>,
+    sweep: SweepOptions,
+    baseline: bool,
+    rebaseline: bool,
+    threshold: f64,
+    compare: CompareOptions,
 }
 
-/// Worker-thread default from `CMPSIM_THREADS` (`None` when unset;
-/// `--threads` overrides it).
-fn env_threads() -> Result<Option<usize>, String> {
-    cmpsim::env::positive(cmpsim::env::THREADS).map_err(|e| e.to_string())
-}
-
-fn parse_threads(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("bad thread count {v} (want an integer >= 1)")),
+fn protocol(s: &str) -> Result<ProtocolKind, String> {
+    match s.to_ascii_lowercase().as_str() {
+        "directory" | "dir" => Ok(ProtocolKind::Directory),
+        "dico" => Ok(ProtocolKind::DiCo),
+        "providers" | "dico-providers" => Ok(ProtocolKind::DiCoProviders),
+        "arin" | "dico-arin" => Ok(ProtocolKind::DiCoArin),
+        _ => Err(format!("unknown protocol {s}")),
     }
+}
+
+fn benchmark(s: &str) -> Result<Benchmark, String> {
+    match s.to_ascii_lowercase().as_str() {
+        "apache" => Ok(Benchmark::Apache),
+        "jbb" => Ok(Benchmark::Jbb),
+        "radix" => Ok(Benchmark::Radix),
+        "lu" => Ok(Benchmark::Lu),
+        "volrend" => Ok(Benchmark::Volrend),
+        "tomcatv" => Ok(Benchmark::Tomcatv),
+        "mixed-com" => Ok(Benchmark::MixedCom),
+        "mixed-sci" => Ok(Benchmark::MixedSci),
+        _ => Err(format!("unknown benchmark {s}")),
+    }
+}
+
+fn num<T: FromStr>(v: &str, what: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {what} {v}"))
+}
+
+fn positive(v: &str, what: &str) -> Result<u64, String> {
+    match v.parse::<u64>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("bad {what} {v} (want an integer >= 1)")),
+    }
+}
+
+/// `list` for every comma-separated item of `v`.
+fn each<T>(
+    v: &str,
+    list: &mut Vec<T>,
+    item: impl Fn(&str) -> Result<T, String>,
+) -> Result<(), String> {
+    for s in v.split(',') {
+        list.push(item(s)?);
+    }
+    Ok(())
+}
+
+impl Options {
+    /// The one argument parser: `args` against `cmd`'s flag table.
+    fn parse(cmd: &Command, args: &[String]) -> Result<Self, String> {
+        let mut o = Options {
+            refs: cmd.refs,
+            small: cmd.small,
+            plan_count: 8,
+            plan_seed: 0xC4A05,
+            mode: "both",
+            threshold: 0.20,
+            ..Options::default()
+        };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if !a.starts_with('-') || a.len() == 1 {
+                o.args.push(a.clone());
+                continue;
+            }
+            let flag = *cmd
+                .flags
+                .iter()
+                .find(|f| f.names().contains(&a.as_str()))
+                .ok_or_else(|| format!("{} does not take option {a}", cmd.name))?;
+            let value = if flag.is_switch() {
+                ""
+            } else {
+                it.next().ok_or_else(|| format!("{a} needs a value"))?
+            };
+            o.set(flag, value)?;
+            o.given.push(flag);
+        }
+        let (min, max) = cmd.args;
+        if let Some(extra) = o.args.get(max) {
+            return Err(format!("unexpected argument {extra}"));
+        }
+        if o.args.len() < min {
+            return Err(format!("{} needs {min} argument(s), got {}", cmd.name, o.args.len()));
+        }
+        // Environment defaults apply only where the flag does; the flag wins.
+        if o.threads.is_none() && cmd.flags.contains(&Flag::Threads) {
+            let env = cmpsim::env::positive(cmpsim::env::THREADS).map_err(|e| e.to_string())?;
+            o.threads = env;
+        }
+        if o.faults.is_none() && cmd.flags.contains(&Flag::Faults) {
+            o.faults = FaultPlan::from_env()?;
+        }
+        Ok(o)
+    }
+
+    fn set(&mut self, flag: Flag, v: &str) -> Result<(), String> {
+        use Flag::*;
+        let path = || Some(v.to_string());
+        match flag {
+            Protocol => self.protocols = vec![protocol(v)?],
+            Protocols => each(v, &mut self.protocols, protocol)?,
+            Benchmark => self.benchmarks = vec![benchmark(v)?],
+            Benchmarks => each(v, &mut self.benchmarks, benchmark)?,
+            Refs => self.refs = Some(positive(v, "refs")?),
+            Seed => self.seed = Some(num(v, "seed")?),
+            PlanSeed => self.plan_seed = num(v, "seed")?,
+            Seeds => each(v, &mut self.seeds, |s| num(s, "seed"))?,
+            Alt => self.alt = true,
+            Small => self.small = true,
+            Paper => self.small = false,
+            MaxEvents => self.max_events = Some(num(v, "event budget")?),
+            Check => self.check = true,
+            Faults => self.faults = Some(FaultPlan::parse(v)?),
+            Attr => self.attr = true,
+            Interval => self.interval = Some(num(v, "interval")?),
+            TraceOut => self.trace_out = path(),
+            SeriesOut => self.series_out = path(),
+            MetricsOut => self.metrics_out = path(),
+            BreakdownOut => self.breakdown_out = path(),
+            VmstatOut => self.vmstat_out = path(),
+            HeatmapOut => self.heatmap_out = path(),
+            ManifestOut => self.manifest_out = path(),
+            HostProfileOut => self.host_profile_out = path(),
+            ProgressOut => self.progress_out = path(),
+            Out => self.out = path(),
+            AllBenchmarks => self.all_benchmarks = true,
+            Threads => self.threads = Some(positive(v, "thread count")? as usize),
+            SnapshotDir => self.snapshot_dir = path(),
+            PlanCount => self.plan_count = positive(v, "plan count")?,
+            PlanList => each(v, &mut self.plans, |s| match s {
+                "none" => Ok(None),
+                spec => FaultPlan::parse(spec).map(Some),
+            })?,
+            Mode => {
+                self.mode = ["recoverable", "chaos", "both"]
+                    .into_iter()
+                    .find(|m| *m == v)
+                    .ok_or_else(|| format!("unknown chaos mode {v} (recoverable|chaos|both)"))?
+            }
+            JsonOut => self.json_out = path(),
+            ReportOut => self.report_out = path(),
+            Resume => self.resume = path(),
+            OutDir => self.sweep.out_dir = v.into(),
+            Journal => self.journal = path(),
+            DeadlineMs => self.sweep.deadline_ms = Some(num(v, "deadline")?),
+            Retries => self.sweep.retries = num(v, "retry count")?,
+            BackoffMs => self.sweep.backoff_ms = num(v, "backoff")?,
+            Inject => self.sweep.injections.push(Injection::parse(v)?),
+            Baseline => self.baseline = true,
+            Rebaseline => self.rebaseline = true,
+            AllowImproved => self.compare.allow_improved = true,
+            Threshold => self.threshold = num(v, "threshold")?,
+            Tol => self.compare.tolerance = num(v, "tolerance")?,
+        }
+        Ok(())
+    }
+
+    /// The run family's single benchmark.
+    fn benchmark(&self) -> Benchmark {
+        self.benchmarks.first().copied().unwrap_or(Benchmark::Apache)
+    }
+}
+
+/// `given`, or every item of `all` when nothing was given.
+fn or_all<T: Copy>(given: &[T], all: &[T]) -> Vec<T> {
+    if given.is_empty() {
+        all.to_vec()
+    } else {
+        given.to_vec()
+    }
+}
+
+/// A bad command line: one `error:` line, exit 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 /// Opens the disk-backed snapshot store when `--snapshot-dir` was
 /// given. An unusable directory is fatal: the user asked for reuse.
 fn snapshot_store(dir: Option<&str>) -> Option<SnapshotStore> {
-    dir.map(|d| {
-        SnapshotStore::with_dir(d).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    })
+    dir.map(|d| SnapshotStore::with_dir(d).unwrap_or_else(|e| usage_error(e)))
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut o = Options {
-        protocol: ProtocolKind::DiCoArin,
-        benchmark: Benchmark::Apache,
-        refs: 20_000,
-        seed: 0xC0FFEE,
-        alt: false,
-        max_events: None,
-        check: false,
-        trace_out: None,
-        interval: None,
-        series_out: None,
-        metrics_out: None,
-        attr: false,
-        breakdown_out: None,
-        vmstat_out: None,
-        heatmap_out: None,
-        faults: None,
-        manifest_out: None,
-        host_profile_out: None,
-        progress_out: None,
-        out: None,
-        all_benchmarks: false,
-        threads: env_threads()?,
-        snapshot_dir: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--protocol" | "-p" => {
-                let v = it.next().ok_or("--protocol needs a value")?;
-                o.protocol = parse_protocol(v).ok_or_else(|| format!("unknown protocol {v}"))?;
-            }
-            "--benchmark" | "-b" => {
-                let v = it.next().ok_or("--benchmark needs a value")?;
-                o.benchmark =
-                    parse_benchmark(v).ok_or_else(|| format!("unknown benchmark {v}"))?;
-            }
-            "--refs" | "-n" => {
-                let v = it.next().ok_or("--refs needs a value")?;
-                o.refs = v.parse().map_err(|_| format!("bad refs {v}"))?;
-            }
-            "--seed" | "-s" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                o.seed = v.parse().map_err(|_| format!("bad seed {v}"))?;
-            }
-            "--alt" => o.alt = true,
-            "--max-events" => {
-                let v = it.next().ok_or("--max-events needs a value")?;
-                o.max_events = Some(v.parse().map_err(|_| format!("bad event budget {v}"))?);
-            }
-            "--check" => o.check = true,
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a file path")?;
-                o.trace_out = Some(v.clone());
-            }
-            "--interval" => {
-                let v = it.next().ok_or("--interval needs a cycle count")?;
-                o.interval = Some(v.parse().map_err(|_| format!("bad interval {v}"))?);
-            }
-            "--series-out" => {
-                let v = it.next().ok_or("--series-out needs a file path")?;
-                o.series_out = Some(v.clone());
-            }
-            "--metrics-out" => {
-                let v = it.next().ok_or("--metrics-out needs a file path")?;
-                o.metrics_out = Some(v.clone());
-            }
-            "--attr" => o.attr = true,
-            "--faults" => {
-                let v = it.next().ok_or("--faults needs a spec (recoverable[@SEED] | chaos[@SEED])")?;
-                o.faults = Some(FaultPlan::parse(v)?);
-            }
-            "--breakdown-out" => {
-                let v = it.next().ok_or("--breakdown-out needs a file path")?;
-                o.breakdown_out = Some(v.clone());
-            }
-            "--vmstat-out" => {
-                let v = it.next().ok_or("--vmstat-out needs a file path")?;
-                o.vmstat_out = Some(v.clone());
-            }
-            "--heatmap-out" => {
-                let v = it.next().ok_or("--heatmap-out needs a file path")?;
-                o.heatmap_out = Some(v.clone());
-            }
-            "--manifest-out" => {
-                let v = it.next().ok_or("--manifest-out needs a file path")?;
-                o.manifest_out = Some(v.clone());
-            }
-            "--host-profile-out" => {
-                let v = it.next().ok_or("--host-profile-out needs a file path")?;
-                o.host_profile_out = Some(v.clone());
-            }
-            "--progress-out" => {
-                let v = it.next().ok_or("--progress-out needs a file path")?;
-                o.progress_out = Some(v.clone());
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a file path")?;
-                o.out = Some(v.clone());
-            }
-            "--all-benchmarks" => o.all_benchmarks = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a count")?;
-                o.threads = Some(parse_threads(v)?);
-            }
-            "--snapshot-dir" => {
-                let v = it.next().ok_or("--snapshot-dir needs a directory path")?;
-                o.snapshot_dir = Some(v.clone());
-            }
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    Ok(o)
-}
-
+/// The one `SystemConfig` builder: the command's chip at its reference
+/// budget, with every option applied (see [`observe`]).
 fn config(o: &Options) -> SystemConfig {
-    let mut cfg = SystemConfig::paper().with_refs(o.refs).with_seed(o.seed);
+    let base = if o.small { SystemConfig::small() } else { SystemConfig::paper() };
+    observe(o, base.with_refs(o.refs.expect("simulating commands default --refs")))
+}
+
+/// Applies the options to `cfg`, a command's base chip or one of a
+/// paper report's configurations.
+fn observe(o: &Options, mut cfg: SystemConfig) -> SystemConfig {
+    if let Some(seed) = o.seed {
+        cfg = cfg.with_seed(seed);
+    }
     if o.alt {
         cfg = cfg.with_placement(Placement::Alternative);
     }
@@ -329,22 +560,16 @@ fn config(o: &Options) -> SystemConfig {
     if o.attr || o.breakdown_out.is_some() || o.vmstat_out.is_some() {
         cfg = cfg.with_attribution();
     }
-    // The CLI flag wins over the CMPSIM_FAULTS environment variable.
-    let plan = match &o.faults {
-        Some(p) => Some(p.clone()),
-        None => FaultPlan::from_env().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-    };
-    cfg.with_fault_plan(plan)
+    cfg.with_fault_plan(o.faults.clone())
 }
 
-/// Inserts `tag` before the extension: `out.json` -> `out-dico.json`.
+/// Inserts `tag` into the file name, before its extension:
+/// `out.d/m.json` -> `out.d/m-dico.json`, `./m` -> `./m-dico`.
 fn suffixed(path: &str, tag: &str) -> String {
-    match path.rsplit_once('.') {
-        Some((stem, ext)) => format!("{stem}-{tag}.{ext}"),
-        None => format!("{path}-{tag}"),
+    let (dir, file) = path.split_at(path.rfind(std::path::is_separator).map_or(0, |i| i + 1));
+    match file.rsplit_once('.') {
+        Some((stem, ext)) if !stem.is_empty() => format!("{dir}{stem}-{tag}.{ext}"),
+        _ => format!("{path}-{tag}"),
     }
 }
 
@@ -357,7 +582,8 @@ fn write_file(path: &str, contents: &str, what: &str) {
 }
 
 /// Writes the per-run observability artifacts the flags asked for.
-/// `tag` distinguishes matrix cells (None for single runs).
+/// `tag` distinguishes the cells of a multi-cell command (None for
+/// single runs).
 fn write_outputs(o: &Options, r: &RunResult, tag: Option<&str>) {
     let name = |p: &str| tag.map_or_else(|| p.to_string(), |t| suffixed(p, t));
     if let Some(p) = &o.trace_out {
@@ -376,11 +602,8 @@ fn write_outputs(o: &Options, r: &RunResult, tag: Option<&str>) {
         println!("time-series: {} samples of {} cycles", ts.samples.len(), ts.interval);
         if let Some(p) = &o.series_out {
             let p = name(p);
-            let body = if p.ends_with(".csv") {
-                ts.to_csv()
-            } else {
-                r.stamp_artifact(ts.to_json())
-            };
+            let body =
+                if p.ends_with(".csv") { ts.to_csv() } else { r.stamp_artifact(ts.to_json()) };
             write_file(&p, &body, "time-series");
         }
     }
@@ -453,13 +676,23 @@ fn run_one(o: &Options, label: &str) -> RunResult {
     let sink = o.progress_out.as_deref().map(|p| progress_sink(label, 1, Some(p)));
     let store = snapshot_store(o.snapshot_dir.as_deref());
     let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress: sink.as_ref() };
+    let protocol = o.protocols.first().copied().unwrap_or(ProtocolKind::DiCoArin);
     let mut results =
-        run_matrix(&[o.protocol], &[o.benchmark], &config(o), opts).unwrap_or_else(|e| bail(e));
+        run_matrix(&[protocol], &[o.benchmark()], &config(o), opts).unwrap_or_else(|e| bail(e));
     results.pop().expect("one cell")
 }
 
-fn cmd_run(o: &Options) {
-    let r = run_one(o, "run");
+/// The per-result artifacts of `run`/`stats`.
+fn write_single(o: &Options, r: &RunResult) {
+    if let Some(p) = &o.breakdown_out {
+        write_breakdown(p, std::slice::from_ref(r));
+    }
+    write_tenant_outputs(o, std::slice::from_ref(r));
+    write_outputs(o, r, None);
+}
+
+fn cmd_run(o: Options) {
+    let r = run_one(&o, "run");
     println!("{} on {}{}", r.protocol.name(), r.benchmark.name(), r.placement.suffix());
     println!("  cycles            {:>12}", r.cycles);
     println!("  throughput        {:>12.4} refs/cycle", r.throughput());
@@ -478,32 +711,25 @@ fn cmd_run(o: &Options) {
         println!("    {:<18} {:>6.1}%", class.label(), 100.0 * r.miss_class_frac(class));
     }
     print_breakdown_summary(&r);
-    if let Some(p) = &o.breakdown_out {
-        write_breakdown(p, std::slice::from_ref(&r));
-    }
-    write_tenant_outputs(o, std::slice::from_ref(&r));
-    write_outputs(o, &r, None);
+    write_single(&o, &r);
 }
 
 /// `stats`: one run, then the full metrics registry, one line per
 /// metric (hierarchical names, sorted).
-fn cmd_stats(o: &Options) {
-    let r = run_one(o, "stats");
+fn cmd_stats(o: Options) {
+    let r = run_one(&o, "stats");
+    let cfg = config(&o);
     println!(
         "{} on {}{} ({} refs/core, seed {})",
         r.protocol.name(),
         r.benchmark.name(),
         r.placement.suffix(),
-        o.refs,
-        o.seed
+        cfg.refs_per_core,
+        cfg.seed
     );
     println!();
     print!("{}", r.metrics().dump());
-    if let Some(p) = &o.breakdown_out {
-        write_breakdown(p, std::slice::from_ref(&r));
-    }
-    write_tenant_outputs(o, std::slice::from_ref(&r));
-    write_outputs(o, &r, None);
+    write_single(&o, &r);
 }
 
 /// Builds the live-telemetry sink for a sweep (`--progress-out` NDJSON
@@ -515,13 +741,13 @@ fn progress_sink(label: &str, total: usize, path: Option<&str>) -> cmpsim::Progr
     })
 }
 
-fn cmd_matrix(o: &Options) {
-    let cfg = config(o);
+fn cmd_matrix(o: Options) {
+    let cfg = config(&o);
     let protocols = ProtocolKind::all();
     let sink = progress_sink("matrix", protocols.len(), o.progress_out.as_deref());
     let store = snapshot_store(o.snapshot_dir.as_deref());
     let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress: Some(&sink) };
-    let results = run_matrix(&protocols, &[o.benchmark], &cfg, opts).unwrap_or_else(|e| bail(e));
+    let results = run_matrix(&protocols, &[o.benchmark()], &cfg, opts).unwrap_or_else(|e| bail(e));
     let base = &results[0];
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -536,7 +762,12 @@ fn cmd_matrix(o: &Options) {
             ]
         })
         .collect();
-    println!("{}{} at {} refs/core:", o.benchmark.name(), cfg.placement.suffix(), cfg.refs_per_core);
+    println!(
+        "{}{} at {} refs/core:",
+        o.benchmark().name(),
+        cfg.placement.suffix(),
+        cfg.refs_per_core
+    );
     println!(
         "{}",
         table(
@@ -547,21 +778,21 @@ fn cmd_matrix(o: &Options) {
     if let Some(p) = &o.breakdown_out {
         write_breakdown(p, &results);
     }
-    write_tenant_outputs(o, &results);
+    write_tenant_outputs(&o, &results);
     for r in &results {
         let tag = r.protocol.name().to_lowercase();
-        write_outputs(o, r, Some(&tag));
+        write_outputs(&o, r, Some(&tag));
     }
 }
 
-/// All four protocols on `o.benchmark` with attribution on, after the
+/// All four protocols on the benchmark with attribution on, after the
 /// `view` header line that `breakdown` and `vmstat` print.
 fn attributed_matrix(o: &Options, view: &str) -> Vec<RunResult> {
     let cfg = config(o).with_attribution();
     let opts = RunOptions { threads: o.threads, ..RunOptions::default() };
     let results =
-        run_matrix(&ProtocolKind::all(), &[o.benchmark], &cfg, opts).unwrap_or_else(|e| bail(e));
-    let (b, suffix) = (o.benchmark.name(), cfg.placement.suffix());
+        run_matrix(&ProtocolKind::all(), &[o.benchmark()], &cfg, opts).unwrap_or_else(|e| bail(e));
+    let (b, suffix) = (o.benchmark().name(), cfg.placement.suffix());
     println!("{view}: {b}{suffix} at {} refs/core, seed {}", cfg.refs_per_core, cfg.seed);
     println!();
     results
@@ -577,8 +808,8 @@ fn print_throughput(results: &[RunResult]) {
 /// `breakdown`: runs all four protocols with attribution on and prints
 /// the paper's Figure 7 (miss latency per critical-path phase) and
 /// Figure 8 (dynamic energy per structure) breakdowns.
-fn cmd_breakdown(o: &Options) {
-    let results = attributed_matrix(o, "critical-path & energy attribution");
+fn cmd_breakdown(o: Options) {
+    let results = attributed_matrix(&o, "critical-path & energy attribution");
     println!("miss latency by phase (avg cycles per miss, Fig. 7 style):");
     println!("{}", breakdown_latency_table(&results));
     println!("attributed dynamic energy by structure (uJ, Fig. 8 style):");
@@ -607,10 +838,10 @@ fn cmd_breakdown(o: &Options) {
 /// interference matrix, and ASCII mesh heatmaps of the per-tile
 /// counters. `--vmstat-out`/`--heatmap-out` export the same data as
 /// manifest-stamped JSON/CSV artifacts.
-fn cmd_vmstat(o: &Options) {
-    let results = attributed_matrix(o, "tenant observability");
+fn cmd_vmstat(o: Options) {
+    let results = attributed_matrix(&o, "tenant observability");
     print!("{}", vmstat_tables(&results));
-    write_tenant_outputs(o, &results);
+    write_tenant_outputs(&o, &results);
     print_throughput(&results);
 }
 
@@ -619,10 +850,10 @@ fn cmd_vmstat(o: &Options) {
 /// summaries and fault counts. Attribution is always enabled so the
 /// breakdown sections are populated. Byte-identical across reruns of
 /// the same configuration (`--out` or stdout).
-fn cmd_report(o: &Options) {
-    let cfg = config(o).with_attribution();
+fn cmd_report(o: Options) {
+    let cfg = config(&o).with_attribution();
     let benchmarks: Vec<Benchmark> =
-        if o.all_benchmarks { Benchmark::all().to_vec() } else { vec![o.benchmark] };
+        if o.all_benchmarks { Benchmark::all().to_vec() } else { vec![o.benchmark()] };
     let protocols = ProtocolKind::all();
     let sink =
         progress_sink("report", protocols.len() * benchmarks.len(), o.progress_out.as_deref());
@@ -641,78 +872,37 @@ fn cmd_report(o: &Options) {
 /// the host-throughput regression gate. Exits nonzero when the
 /// comparison fails, writing a machine-readable JSON diff with
 /// `--out`.
-fn cmd_compare(args: &[String]) {
-    let bad = |e: String| -> ! {
-        eprintln!("error: {e}");
-        eprintln!(
-            "usage: cmpsim-cli compare A.json B.json [--tol F] [--allow-improved] [--out diff.json]"
-        );
-        eprintln!(
-            "       cmpsim-cli compare --baseline current.json baseline.json [--threshold F] [--rebaseline] [--out diff.json]"
-        );
-        std::process::exit(2);
-    };
-    let mut paths: Vec<String> = Vec::new();
-    let mut baseline_mode = false;
-    let mut rebaseline = false;
-    let mut threshold = 0.20f64;
-    let mut opts = cmpsim::CompareOptions::default();
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline_mode = true,
-            "--rebaseline" => rebaseline = true,
-            "--allow-improved" => opts.allow_improved = true,
-            "--threshold" => {
-                let v = it.next().unwrap_or_else(|| bad("--threshold needs a value".into()));
-                threshold = v.parse().unwrap_or_else(|_| bad(format!("bad threshold {v}")));
-            }
-            "--tol" => {
-                let v = it.next().unwrap_or_else(|| bad("--tol needs a value".into()));
-                opts.tolerance = v.parse().unwrap_or_else(|_| bad(format!("bad tolerance {v}")));
-            }
-            "--out" => {
-                let v = it.next().unwrap_or_else(|| bad("--out needs a file path".into()));
-                out = Some(v.clone());
-            }
-            other if !other.starts_with('-') => paths.push(other.to_string()),
-            other => bad(format!("unknown compare option {other}")),
-        }
-    }
-    if paths.len() != 2 {
-        bad(format!("compare needs exactly two paths, got {}", paths.len()));
-    }
-
-    if baseline_mode {
+fn cmd_compare(o: Options) {
+    let (a, b) = (&o.args[0], &o.args[1]);
+    if o.baseline {
         let read = |p: &str| -> cmpsim::replay::Value {
             let text = std::fs::read_to_string(p)
-                .unwrap_or_else(|e| bad(format!("cannot read {p}: {e}")));
-            cmpsim::replay::Value::parse(&text).unwrap_or_else(|e| bad(format!("{p}: {e}")))
+                .unwrap_or_else(|e| usage_error(format!("cannot read {p}: {e}")));
+            cmpsim::replay::Value::parse(&text).unwrap_or_else(|e| usage_error(format!("{p}: {e}")))
         };
-        let current = read(&paths[0]);
-        let baseline = read(&paths[1]);
-        if rebaseline {
-            let text = cmpsim::compare::rebaseline(&current, &baseline)
-                .unwrap_or_else(|e| bad(e));
-            std::fs::write(&paths[1], &text)
-                .unwrap_or_else(|e| bad(format!("cannot write {}: {e}", paths[1])));
-            println!("rebaselined into {}", paths[1]);
+        let current = read(a);
+        let baseline = read(b);
+        if o.rebaseline {
+            let text =
+                cmpsim::compare::rebaseline(&current, &baseline).unwrap_or_else(|e| usage_error(e));
+            std::fs::write(b, &text)
+                .unwrap_or_else(|e| usage_error(format!("cannot write {b}: {e}")));
+            println!("rebaselined into {b}");
             return;
         }
-        let report = cmpsim::compare::compare_baseline(&current, &baseline, threshold)
-            .unwrap_or_else(|e| bad(e));
+        let report = cmpsim::compare::compare_baseline(&current, &baseline, o.threshold)
+            .unwrap_or_else(|e| usage_error(e));
         for line in &report.lines {
             println!("{line}");
         }
-        if let Some(p) = &out {
-            write_file(p, &report.to_json(&paths[0], &paths[1], threshold), "compare diff");
+        if let Some(p) = &o.out {
+            write_file(p, &report.to_json(a, b, o.threshold), "compare diff");
         }
         if !report.passed() {
             eprintln!(
                 "\n{} benchmark(s) regressed more than {:.0}%:",
                 report.failures.len(),
-                threshold * 100.0
+                o.threshold * 100.0
             );
             for f in &report.failures {
                 eprintln!("  {f}");
@@ -723,47 +913,107 @@ fn cmd_compare(args: &[String]) {
         return;
     }
 
-    let report =
-        cmpsim::compare::compare_paths(Path::new(&paths[0]), Path::new(&paths[1]), &opts)
-            .unwrap_or_else(|e| bad(e));
+    let report = cmpsim::compare::compare_paths(Path::new(a), Path::new(b), &o.compare)
+        .unwrap_or_else(|e| usage_error(e));
     for line in report.lines() {
         println!("{line}");
     }
-    if let Some(p) = &out {
-        write_file(p, &report.to_json(&opts), "compare diff");
+    if let Some(p) = &o.out {
+        write_file(p, &report.to_json(&o.compare), "compare diff");
     }
-    if !report.passed(&opts) {
+    if !report.passed(&o.compare) {
         std::process::exit(1);
     }
 }
 
-fn cmd_tables() {
-    println!("== Table V/VII: storage overhead (64 cores) ==\n");
-    let areas = [2u64, 4, 8, 16, 32, 64];
-    let mut rows = Vec::new();
-    for kind in ProtocolKind::all() {
-        let mut row = vec![kind.name().to_string()];
-        row.extend(areas.iter().map(|&a| format!("{:.1}%", overhead_percent(kind, 64, a))));
-        rows.push(row);
-    }
-    let mut header = vec!["protocol".to_string()];
-    header.extend(areas.iter().map(|a| format!("{a} areas")));
-    let refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    println!("{}", table(&refs, &rows));
+/// `tables [5|6|7]`: the analytic Tables V, VI and VII (all three by
+/// default).
+fn cmd_tables(o: Options) {
+    let out = match o.args.first().map(String::as_str) {
+        None => studies::table5() + &studies::table6() + &studies::table7(),
+        Some("5") => studies::table5(),
+        Some("6") => studies::table6(),
+        Some("7") => studies::table7(),
+        Some(other) => usage_error(format!("unknown table {other} (5|6|7)")),
+    };
+    print!("{out}");
+}
 
-    println!("== Table VI: leakage per tile (4 areas) ==\n");
-    let rows: Vec<Vec<String>> = ProtocolKind::all()
-        .iter()
-        .map(|&k| {
-            let l = leakage_per_tile(k, 64, 4);
-            vec![
-                k.name().to_string(),
-                format!("{:.0} mW", l.total_mw),
-                format!("{:.0} mW", l.tag_mw),
+/// Runs a paper report (`figures`, `study`): each of its matrices goes
+/// through the executor with the report flags applied, writing each
+/// cell's artifacts tagged `{protocol}-{benchmark}[-{variant}]` and one
+/// breakdown per matrix.
+fn run_report<T>(o: &Options, report: impl FnOnce(&mut Runner) -> Result<T, SimError>) -> T {
+    let mut run = |protocols: &[ProtocolKind], benchmarks: &[Benchmark], cfg, variant: &str| {
+        let results = run_matrix(protocols, benchmarks, &observe(o, cfg), RunOptions::default())?;
+        let variant_of =
+            |name: String| if variant.is_empty() { name } else { suffixed(&name, variant) };
+        for r in &results {
+            let tag = format!("{}-{}", r.protocol.name().to_lowercase(), r.benchmark.name());
+            write_outputs(o, r, Some(&variant_of(tag)));
+        }
+        if let Some(p) = &o.breakdown_out {
+            write_breakdown(&variant_of(p.clone()), &results);
+        }
+        Ok(results)
+    };
+    report(&mut run).unwrap_or_else(|e| bail(e))
+}
+
+/// `figures [7|8a|8b|9a|9b|all|csv]`: the paper's Figures 7-9 (and the
+/// §V-D summaries, or the raw CSV) from one full sweep.
+fn cmd_figures(o: Options) {
+    let figure: fn(&Sweep) -> String = match o.args.first().map_or("all", String::as_str) {
+        "7" => Sweep::figure7,
+        "8a" => Sweep::figure8a,
+        "8b" => Sweep::figure8b,
+        "9a" => Sweep::figure9a,
+        "9b" => Sweep::figure9b,
+        "csv" => Sweep::to_csv,
+        "all" => |s| {
+            [
+                s.figure7(),
+                s.figure8a(),
+                s.figure8b(),
+                s.figure9a(),
+                s.figure9b(),
+                s.hop_summary(),
+                s.latency_summary(),
             ]
-        })
-        .collect();
-    println!("{}", table(&["protocol", "total", "tags"], &rows));
+            .map(|f| f + "\n")
+            .concat()
+        },
+        other => usage_error(format!("unknown figure {other} (7|8a|8b|9a|9b|all|csv)")),
+    };
+    let cfg = config(&o);
+    eprintln!(
+        "running {} benchmarks x 4 protocols at {} refs/core ...",
+        Benchmark::all().len(),
+        cfg.refs_per_core
+    );
+    let sweep = run_report(&o, |run| Sweep::run(&cfg, run));
+    print!("{}", figure(&sweep));
+}
+
+/// A simulated study and its default `--refs`.
+type Study = (fn(u64, &mut Runner) -> Result<String, SimError>, u64);
+
+/// `study <name>`: one of the paper's side studies.
+fn cmd_study(o: Options) {
+    let (study, refs): Study = match o.args[0].as_str() {
+        "hops" if o.given.is_empty() => return print!("{}", studies::hops()),
+        "hops" => usage_error("study hops is analytic and takes no options"),
+        "alt" => (studies::alt_placement, 60_000),
+        "area" => (studies::area_sweep, 20_000),
+        "density" => (studies::density_study, 20_000),
+        "ablation" => (studies::ablation, 20_000),
+        "single-app" => (studies::single_app, 20_000),
+        other => usage_error(format!(
+            "unknown study {other} (alt|area|density|ablation|single-app|hops)"
+        )),
+    };
+    let out = run_report(&o, |run| study(o.refs.unwrap_or(refs), run));
+    print!("{out}");
 }
 
 /// Tries to resume a replay from a warmed checkpoint on disk instead
@@ -784,8 +1034,7 @@ fn replay_checkpoint(dir: &str, art: &ReplayArtifact) -> Option<CmpSimulator> {
     let key = snapshot_key(art.protocol, art.benchmark, &art.config);
     match store.get(key) {
         Ok(Some(image)) => {
-            match CmpSimulator::restore_snapshot(art.protocol, art.benchmark, &art.config, &image)
-            {
+            match CmpSimulator::restore_snapshot(art.protocol, art.benchmark, &art.config, &image) {
                 Ok(sim) => {
                     println!(
                         "resuming from checkpoint {} in {dir} (warm-up skipped)",
@@ -807,11 +1056,8 @@ fn replay_checkpoint(dir: &str, art: &ReplayArtifact) -> Option<CmpSimulator> {
     }
 }
 
-fn cmd_replay(path: &str, check: bool, snapshot_dir: Option<&str>) {
-    let art = ReplayArtifact::load(Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+fn cmd_replay(o: Options) {
+    let art = ReplayArtifact::load(Path::new(&o.args[0])).unwrap_or_else(|e| usage_error(e));
     println!(
         "replaying {} on {} (seed {}): original failure {} at cycle {}",
         art.protocol.name(),
@@ -822,7 +1068,12 @@ fn cmd_replay(path: &str, check: bool, snapshot_dir: Option<&str>) {
     );
     // `--check` changes the simulation (the checker observes every
     // event), so a checked replay always runs cold from cycle zero.
-    let warmed = if check { None } else { snapshot_dir.and_then(|d| replay_checkpoint(d, &art)) };
+    let check = o.check;
+    let warmed = if check {
+        None
+    } else {
+        o.snapshot_dir.as_deref().and_then(|d| replay_checkpoint(d, &art))
+    };
     let outcome = match warmed {
         Some(sim) => sim.resume(),
         None => {
@@ -869,96 +1120,13 @@ fn cmd_replay(path: &str, check: bool, snapshot_dir: Option<&str>) {
 
 /// `chaos`: seeded fault-injection soak across the protocol x
 /// benchmark matrix with differential golden verification.
-fn cmd_chaos(args: &[String]) {
-    let mut plans_n: u64 = 8;
-    let mut mode = "both".to_string();
-    let mut seed: u64 = 0xC4A05;
-    let mut refs: u64 = 800;
-    let mut small = true;
-    let mut alt = false;
-    let mut protocol: Option<ProtocolKind> = None;
-    let mut benchmark: Option<Benchmark> = None;
-    let mut progress_out: Option<String> = None;
-    let mut json_out: Option<String> = None;
-    let mut report_out: Option<String> = None;
-    let mut snapshot_dir: Option<String> = None;
-    let mut it = args.iter();
-    let bad = |e: String| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    };
-    let mut threads = env_threads().unwrap_or_else(|e| bad(e));
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--plans" => {
-                let v = it.next().unwrap_or_else(|| bad("--plans needs a count".into()));
-                plans_n = v.parse().unwrap_or_else(|_| bad(format!("bad plan count {v}")));
-            }
-            "--mode" => {
-                let v = it.next().unwrap_or_else(|| bad("--mode needs a value".into()));
-                match v.as_str() {
-                    "recoverable" | "chaos" | "both" => mode = v.clone(),
-                    other => bad(format!("unknown chaos mode {other} (recoverable|chaos|both)")),
-                }
-            }
-            "--seed" | "-s" => {
-                let v = it.next().unwrap_or_else(|| bad("--seed needs a value".into()));
-                seed = v.parse().unwrap_or_else(|_| bad(format!("bad seed {v}")));
-            }
-            "--refs" | "-n" => {
-                let v = it.next().unwrap_or_else(|| bad("--refs needs a value".into()));
-                refs = v.parse().unwrap_or_else(|_| bad(format!("bad refs {v}")));
-            }
-            "--paper" => small = false,
-            "--small" => small = true,
-            "--alt" => alt = true,
-            "--protocol" | "-p" => {
-                let v = it.next().unwrap_or_else(|| bad("--protocol needs a value".into()));
-                protocol =
-                    Some(parse_protocol(v).unwrap_or_else(|| bad(format!("unknown protocol {v}"))));
-            }
-            "--benchmark" | "-b" => {
-                let v = it.next().unwrap_or_else(|| bad("--benchmark needs a value".into()));
-                benchmark = Some(
-                    parse_benchmark(v).unwrap_or_else(|| bad(format!("unknown benchmark {v}"))),
-                );
-            }
-            "--progress-out" => {
-                let v = it.next().unwrap_or_else(|| bad("--progress-out needs a file path".into()));
-                progress_out = Some(v.clone());
-            }
-            "--json-out" => {
-                let v = it.next().unwrap_or_else(|| bad("--json-out needs a file path".into()));
-                json_out = Some(v.clone());
-            }
-            "--report-out" => {
-                let v = it.next().unwrap_or_else(|| bad("--report-out needs a file path".into()));
-                report_out = Some(v.clone());
-            }
-            "--threads" => {
-                let v = it.next().unwrap_or_else(|| bad("--threads needs a count".into()));
-                threads = Some(parse_threads(v).unwrap_or_else(|e| bad(e)));
-            }
-            "--snapshot-dir" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| bad("--snapshot-dir needs a directory path".into()));
-                snapshot_dir = Some(v.clone());
-            }
-            other => bad(format!("unknown chaos option {other}")),
-        }
-    }
-    let mut cfg = if small { SystemConfig::small() } else { SystemConfig::paper() };
-    cfg = cfg.with_refs(refs);
-    if alt {
-        cfg = cfg.with_placement(Placement::Alternative);
-    }
-    let protocols: Vec<ProtocolKind> =
-        protocol.map_or_else(|| ProtocolKind::all().to_vec(), |p| vec![p]);
-    let benchmarks: Vec<Benchmark> =
-        benchmark.map_or_else(|| Benchmark::all().to_vec(), |b| vec![b]);
-    let plans: Vec<FaultPlan> = (0..plans_n)
-        .map(|i| match mode.as_str() {
+fn cmd_chaos(o: Options) {
+    let cfg = config(&o);
+    let protocols = or_all(&o.protocols, &ProtocolKind::all());
+    let benchmarks = or_all(&o.benchmarks, &Benchmark::all());
+    let seed = o.plan_seed;
+    let plans: Vec<FaultPlan> = (0..o.plan_count)
+        .map(|i| match o.mode {
             "recoverable" => FaultPlan::recoverable(seed + i),
             "chaos" => FaultPlan::chaos(seed + i),
             _ if i % 2 == 0 => FaultPlan::recoverable(seed + i),
@@ -977,22 +1145,21 @@ fn cmd_chaos(args: &[String]) {
     let sink = progress_sink(
         "chaos",
         plans.len() * protocols.len() * benchmarks.len(),
-        progress_out.as_deref(),
+        o.progress_out.as_deref(),
     );
-    let store = snapshot_store(snapshot_dir.as_deref());
-    let opts = RunOptions { threads, store: store.as_ref(), progress: Some(&sink) };
+    let store = snapshot_store(o.snapshot_dir.as_deref());
+    let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress: Some(&sink) };
     let report = chaos_sweep(&protocols, &benchmarks, &plans, &cfg, opts);
-    if let Some(p) = &json_out {
+    if let Some(p) = &o.json_out {
         write_file(p, &report.to_json(), "chaos report");
     }
-    if let Some(p) = &report_out {
+    if let Some(p) = &o.report_out {
         write_file(p, &markdown_chaos_section(&report), "chaos markdown");
     }
 
     let mut rows = Vec::new();
     for plan in &plans {
-        let cells: Vec<_> =
-            report.cells.iter().filter(|c| c.plan == *plan).collect();
+        let cells: Vec<_> = report.cells.iter().filter(|c| c.plan == *plan).collect();
         let recovered =
             cells.iter().filter(|c| matches!(c.outcome, CellOutcome::Recovered { .. })).count();
         let faulted =
@@ -1001,7 +1168,11 @@ fn cmd_chaos(args: &[String]) {
         let (mut fired, mut retries, mut timeouts, mut overhead) = (0u64, 0u64, 0u64, 0u64);
         for c in &cells {
             if let CellOutcome::Recovered {
-                faults_fired, retries: r, timeouts: t, cycles, effective_cycles,
+                faults_fired,
+                retries: r,
+                timeouts: t,
+                cycles,
+                effective_cycles,
             } = c.outcome
             {
                 fired += faults_fired;
@@ -1024,8 +1195,16 @@ fn cmd_chaos(args: &[String]) {
     println!(
         "{}",
         table(
-            &["plan", "recovered", "faulted", "violations", "faults", "retries", "timeouts",
-              "overhead cy"],
+            &[
+                "plan",
+                "recovered",
+                "faulted",
+                "violations",
+                "faults",
+                "retries",
+                "timeouts",
+                "overhead cy"
+            ],
             &rows
         )
     );
@@ -1071,140 +1250,29 @@ fn cmd_chaos(args: &[String]) {
 /// cell (catch_unwind + per-cell deadline), bounded retry with backoff
 /// for transient failures, immediate quarantine for deterministic ones,
 /// and an NDJSON journal that makes the whole run crash-resumable.
-fn cmd_sweep(args: &[String]) {
-    let bad = |e: String| -> ! {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    };
-    let mut resume: Option<String> = None;
-    let mut protocols: Vec<ProtocolKind> = Vec::new();
-    let mut benchmarks: Vec<Benchmark> = Vec::new();
-    let mut seeds: Vec<u64> = Vec::new();
-    let mut plans: Vec<Option<FaultPlan>> = Vec::new();
-    let mut refs: u64 = 800;
-    let mut small = true;
-    let mut alt = false;
-    let mut opts = cmpsim::SweepOptions::default();
-    let mut journal: Option<String> = None;
-    let mut report_out: Option<String> = None;
-    opts.threads = env_threads().unwrap_or_else(|e| bad(e));
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--resume" => {
-                let v = it.next().unwrap_or_else(|| bad("--resume needs a journal path".into()));
-                resume = Some(v.clone());
-            }
-            "--protocol" | "-p" => {
-                let v = it.next().unwrap_or_else(|| bad("--protocol needs a value".into()));
-                for s in v.split(',') {
-                    protocols.push(
-                        parse_protocol(s).unwrap_or_else(|| bad(format!("unknown protocol {s}"))),
-                    );
-                }
-            }
-            "--benchmark" | "-b" => {
-                let v = it.next().unwrap_or_else(|| bad("--benchmark needs a value".into()));
-                for s in v.split(',') {
-                    benchmarks.push(
-                        parse_benchmark(s).unwrap_or_else(|| bad(format!("unknown benchmark {s}"))),
-                    );
-                }
-            }
-            "--seeds" => {
-                let v = it.next().unwrap_or_else(|| bad("--seeds needs a comma list".into()));
-                for s in v.split(',') {
-                    seeds.push(s.parse().unwrap_or_else(|_| bad(format!("bad seed {s}"))));
-                }
-            }
-            "--plans" => {
-                let v = it.next().unwrap_or_else(|| bad("--plans needs a comma list".into()));
-                for s in v.split(',') {
-                    if s == "none" {
-                        plans.push(None);
-                    } else {
-                        plans.push(Some(FaultPlan::parse(s).unwrap_or_else(|e| bad(e))));
-                    }
-                }
-            }
-            "--refs" | "-n" => {
-                let v = it.next().unwrap_or_else(|| bad("--refs needs a value".into()));
-                refs = v.parse().unwrap_or_else(|_| bad(format!("bad refs {v}")));
-            }
-            "--paper" => small = false,
-            "--small" => small = true,
-            "--alt" => alt = true,
-            "--out-dir" => {
-                let v = it.next().unwrap_or_else(|| bad("--out-dir needs a directory".into()));
-                opts.out_dir = v.into();
-            }
-            "--journal" => {
-                let v = it.next().unwrap_or_else(|| bad("--journal needs a file path".into()));
-                journal = Some(v.clone());
-            }
-            "--deadline-ms" => {
-                let v = it.next().unwrap_or_else(|| bad("--deadline-ms needs a value".into()));
-                opts.deadline_ms =
-                    Some(v.parse().unwrap_or_else(|_| bad(format!("bad deadline {v}"))));
-            }
-            "--retries" => {
-                let v = it.next().unwrap_or_else(|| bad("--retries needs a count".into()));
-                opts.retries = v.parse().unwrap_or_else(|_| bad(format!("bad retry count {v}")));
-            }
-            "--backoff-ms" => {
-                let v = it.next().unwrap_or_else(|| bad("--backoff-ms needs a value".into()));
-                opts.backoff_ms = v.parse().unwrap_or_else(|_| bad(format!("bad backoff {v}")));
-            }
-            "--inject" => {
-                let v = it.next().unwrap_or_else(|| bad("--inject needs kind@cell".into()));
-                opts.injections.push(cmpsim::Injection::parse(v).unwrap_or_else(|e| bad(e)));
-            }
-            "--threads" => {
-                let v = it.next().unwrap_or_else(|| bad("--threads needs a count".into()));
-                opts.threads = Some(parse_threads(v).unwrap_or_else(|e| bad(e)));
-            }
-            "--snapshot-dir" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| bad("--snapshot-dir needs a directory path".into()));
-                opts.snapshot_dir = Some(v.into());
-            }
-            "--report-out" => {
-                let v = it.next().unwrap_or_else(|| bad("--report-out needs a file path".into()));
-                report_out = Some(v.clone());
-            }
-            other => bad(format!("unknown sweep option {other}")),
-        }
-    }
-
-    let outcome = match resume {
+fn cmd_sweep(o: Options) {
+    let outcome = match &o.resume {
         Some(journal) => {
             eprintln!("resuming sweep from {journal}");
-            cmpsim::resume_sweep(Path::new(&journal), opts.threads).unwrap_or_else(|e| bad(e))
+            cmpsim::resume_sweep(Path::new(journal), o.threads).unwrap_or_else(|e| usage_error(e))
         }
         None => {
-            let mut base = if small { SystemConfig::small() } else { SystemConfig::paper() };
-            base = base.with_refs(refs);
-            if alt {
-                base = base.with_placement(Placement::Alternative);
-            }
             let spec = cmpsim::SweepSpec {
-                protocols: if protocols.is_empty() {
-                    ProtocolKind::all().to_vec()
-                } else {
-                    protocols
-                },
-                benchmarks: if benchmarks.is_empty() {
-                    Benchmark::all().to_vec()
-                } else {
-                    benchmarks
-                },
-                seeds,
-                plans,
-                base,
+                protocols: or_all(&o.protocols, &ProtocolKind::all()),
+                benchmarks: or_all(&o.benchmarks, &Benchmark::all()),
+                seeds: o.seeds.clone(),
+                plans: o.plans.clone(),
+                base: config(&o),
             };
-            opts.journal =
-                journal.map_or_else(|| opts.out_dir.join("sweep.ndjson"), Into::into);
+            let opts = SweepOptions {
+                threads: o.threads,
+                snapshot_dir: o.snapshot_dir.as_ref().map(Into::into),
+                journal: o
+                    .journal
+                    .as_ref()
+                    .map_or_else(|| o.sweep.out_dir.join("sweep.ndjson"), Into::into),
+                ..o.sweep.clone()
+            };
             eprintln!(
                 "sweep: {} protocols x {} benchmarks x {} seeds x {} plans, journal {}",
                 spec.protocols.len(),
@@ -1213,12 +1281,12 @@ fn cmd_sweep(args: &[String]) {
                 spec.plans.len().max(1),
                 opts.journal.display()
             );
-            cmpsim::run_sweep(&spec, &opts).unwrap_or_else(|e| bad(e))
+            cmpsim::run_sweep(&spec, &opts).unwrap_or_else(|e| usage_error(e))
         }
     };
 
     let md = outcome.report_markdown();
-    match &report_out {
+    match &o.report_out {
         Some(p) => write_file(p, &md, "sweep report"),
         None => print!("{md}"),
     }
@@ -1236,7 +1304,7 @@ fn cmd_sweep(args: &[String]) {
     eprintln!("sweep complete: all {} cells done", outcome.cells.len());
 }
 
-fn cmd_list() {
+fn cmd_list(_: Options) {
     println!("protocols:  directory | dico | providers | arin");
     println!("benchmarks: apache | jbb | radix | lu | volrend | tomcatv | mixed-com | mixed-sci");
     println!("fault modes: recoverable[@SEED] | chaos[@SEED]  (--faults / CMPSIM_FAULTS)");
@@ -1244,75 +1312,32 @@ fn cmd_list() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match args.split_first() {
-        Some((c, r)) => (c.as_str(), r),
-        None => {
-            eprintln!(
-                "usage: cmpsim-cli <run|stats|matrix|breakdown|vmstat|report|compare|tables|replay|sweep|chaos|list> [options]"
-            );
-            std::process::exit(2);
-        }
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    let Some((name, rest)) = args.split_first() else {
+        usage_error(format!("usage: cmpsim-cli <{}> [options]", names.join("|")))
     };
-    match cmd {
-        "tables" => cmd_tables(),
-        "list" => cmd_list(),
-        "sweep" => cmd_sweep(rest),
-        "chaos" => cmd_chaos(rest),
-        "compare" => cmd_compare(rest),
-        "replay" => {
-            let mut file = None;
-            let mut check = false;
-            let mut snapshot_dir: Option<String> = None;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--check" => check = true,
-                    "--snapshot-dir" => match it.next() {
-                        Some(v) => snapshot_dir = Some(v.clone()),
-                        None => {
-                            eprintln!("--snapshot-dir needs a directory path");
-                            std::process::exit(2);
-                        }
-                    },
-                    other if file.is_none() && !other.starts_with('-') => {
-                        file = Some(other.to_string())
-                    }
-                    other => {
-                        eprintln!("unknown replay option {other}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            match file {
-                Some(f) => cmd_replay(&f, check, snapshot_dir.as_deref()),
-                None => {
-                    eprintln!(
-                        "usage: cmpsim-cli replay <artifact.json> [--check] [--snapshot-dir D]"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-        "run" | "matrix" | "stats" | "breakdown" | "report" | "vmstat" => match parse_options(rest)
-        {
-            Ok(o) => match cmd {
-                "run" => cmd_run(&o),
-                "stats" => cmd_stats(&o),
-                "breakdown" => cmd_breakdown(&o),
-                "report" => cmd_report(&o),
-                "vmstat" => cmd_vmstat(&o),
-                _ => cmd_matrix(&o),
-            },
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        },
-        other => {
-            eprintln!(
-                "unknown command {other}; try run, stats, matrix, breakdown, vmstat, report, compare, tables, replay, sweep, chaos, list"
-            );
-            std::process::exit(2);
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        usage_error(format!("unknown command {name}; try {}", names.join(", ")))
+    };
+    let o = Options::parse(cmd, rest).unwrap_or_else(|e| usage_error(e));
+    (cmd.run)(o);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::suffixed;
+
+    #[test]
+    fn tags_go_into_the_file_name_only() {
+        for (path, want) in [
+            ("m", "m-dico"),
+            ("m.json", "m-dico.json"),
+            ("./m", "./m-dico"),
+            ("out.d/m", "out.d/m-dico"),
+            ("out.d/m.json", "out.d/m-dico.json"),
+            (".hidden", ".hidden-dico"),
+        ] {
+            assert_eq!(suffixed(path, "dico"), want, "{path}");
         }
     }
 }

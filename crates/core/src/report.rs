@@ -1,6 +1,7 @@
-//! Plain-text report formatting shared by the benchmark binaries and
-//! examples: aligned tables and normalized series, in the style of the
-//! paper's figures.
+//! Plain-text report formatting shared by the CLI and the examples:
+//! aligned tables and normalized series, in the style of the paper's
+//! figures. [`figures`] and [`studies`] regenerate the paper's tables,
+//! figures and side studies (`cmpsim-cli tables|figures|study`).
 //!
 //! The `breakdown_*` builders render the per-transaction attribution
 //! of a protocol sweep ([`RunResult::breakdown`]) in the style of the
@@ -8,12 +9,31 @@
 //! phases) and Figure 8 (dynamic energy decomposed per structure),
 //! as aligned text, deterministic JSON, and CSV.
 
+use crate::config::SystemConfig;
+use crate::error::SimError;
 use crate::replay::Value;
 use crate::result::RunResult;
 use cmpsim_engine::phase::Phase;
 use cmpsim_engine::EventCounts;
-use cmpsim_protocols::MissClass;
+use cmpsim_protocols::{MissClass, ProtocolKind};
+use cmpsim_workloads::Benchmark;
 use std::fmt::Write as _;
+
+pub mod figures;
+pub mod studies;
+
+/// How the paper reports run their simulations: one `protocols x
+/// benchmarks` matrix under a configuration, results row-major as
+/// [`crate::run_matrix`] returns them. The `&str` names the report's
+/// variant of the configuration (empty for the paper's own), so a
+/// caller that writes per-cell artifacts can keep variants apart.
+pub type Runner<'a> = dyn FnMut(
+        &[ProtocolKind],
+        &[Benchmark],
+        SystemConfig,
+        &str,
+    ) -> Result<Vec<RunResult>, SimError>
+    + 'a;
 
 /// Formats a table with a header row and aligned columns.
 pub fn table(header: &[&str], rows: &[Vec<String>]) -> String {

@@ -1,11 +1,13 @@
-//! Shared simulation sweep + formatting for the Figure 7/8/9 report
-//! binaries. One full (benchmark x protocol) matrix feeds every figure;
-//! the `all_figures` binary prints them all from a single sweep.
+//! Figures 7, 8a, 8b, 9a and 9b, the §V-D hop and latency summaries
+//! and the raw CSV export, all from one (benchmark x protocol) sweep
+//! (`cmpsim-cli figures`).
 
-use cmpsim::report::table;
-use cmpsim::{
-    run_matrix, Benchmark, MissClass, ProtocolKind, RunOptions, RunResult, SystemConfig,
-};
+use super::{table, Runner};
+use crate::config::SystemConfig;
+use crate::error::SimError;
+use crate::result::RunResult;
+use cmpsim_protocols::{MissClass, ProtocolKind};
+use cmpsim_workloads::Benchmark;
 
 /// All results for the standard sweep, row-major `benchmarks x protocols`.
 pub struct Sweep {
@@ -18,19 +20,12 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Runs the full paper matrix, writing any environment-requested
-    /// observability artifacts per cell (see
-    /// [`crate::write_observability`]).
-    pub fn run(cfg: &SystemConfig) -> Self {
+    /// Runs the full paper matrix under `cfg` through `run`.
+    pub fn run(cfg: &SystemConfig, run: &mut Runner) -> Result<Self, SimError> {
         let benchmarks = Benchmark::all().to_vec();
         let protocols = ProtocolKind::all().to_vec();
-        let results = run_matrix(&protocols, &benchmarks, cfg, RunOptions::default())
-            .expect("simulation failed");
-        for r in &results {
-            let tag = format!("{}-{}", r.protocol.name().to_lowercase(), r.benchmark.name());
-            crate::write_observability(r, &tag);
-        }
-        Self { benchmarks, protocols, results }
+        let results = run(&protocols, &benchmarks, cfg.clone(), "")?;
+        Ok(Self { benchmarks, protocols, results })
     }
 
     /// Result for `(benchmark row, protocol column)`.
@@ -195,7 +190,7 @@ impl Sweep {
         for (bi, b) in self.benchmarks.iter().enumerate() {
             for (pi, p) in self.protocols.iter().enumerate() {
                 let r = self.at(bi, pi);
-                use cmpsim::MissClass as M;
+                use MissClass as M;
                 out += &format!(
                     "{},{},{},{},{:.6},{:.6e},{:.4},{:.4},{:.1},{:.1},{:.1},{:.3},{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}
 ",

@@ -20,18 +20,6 @@ use std::str::FromStr;
 pub const THREADS: &str = "CMPSIM_THREADS";
 /// `CMPSIM_FAULTS` — fault-injection plan (`recoverable[@seed]` / `chaos[@seed]`).
 pub const FAULTS: &str = "CMPSIM_FAULTS";
-/// `CMPSIM_REFS` — per-core reference budget for the report binaries.
-pub const REFS: &str = "CMPSIM_REFS";
-/// `CMPSIM_INTERVAL` — interval time-series sampling period, in cycles.
-pub const INTERVAL: &str = "CMPSIM_INTERVAL";
-/// `CMPSIM_ATTR` — any value enables critical-path/energy attribution.
-pub const ATTR: &str = "CMPSIM_ATTR";
-/// `CMPSIM_TRACE_OUT` — Chrome-trace output path (enables tracing).
-pub const TRACE_OUT: &str = "CMPSIM_TRACE_OUT";
-/// `CMPSIM_SERIES_OUT` — interval time-series output path.
-pub const SERIES_OUT: &str = "CMPSIM_SERIES_OUT";
-/// `CMPSIM_BREAKDOWN_OUT` — attribution breakdown output path.
-pub const BREAKDOWN_OUT: &str = "CMPSIM_BREAKDOWN_OUT";
 /// `CMPSIM_DUMP_DIR` — directory crash/replay artifacts are written to.
 pub const DUMP_DIR: &str = "CMPSIM_DUMP_DIR";
 /// `CMPSIM_TRACE` — any value enables the tail debug log near a stall.
@@ -73,7 +61,7 @@ pub fn string(var: &'static str) -> Option<String> {
 }
 
 /// True when the variable is set to anything at all (presence flag —
-/// `CMPSIM_ATTR=0` still counts, matching the historical behaviour).
+/// `CMPSIM_TRACE=0` still counts, matching the historical behaviour).
 pub fn flag(var: &'static str) -> bool {
     std::env::var_os(var).is_some()
 }

@@ -13,7 +13,7 @@ use cmpsim::{run_matrix, Benchmark, ProtocolKind, RunOptions, SystemConfig};
 use cmpsim_power::leakage_per_tile;
 
 fn main() {
-    let refs = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20_000);
+    let refs = cmpsim_suite::refs_arg(20_000);
     let cfg = SystemConfig::paper().with_refs(refs);
     let protocols = ProtocolKind::all();
     let benchmarks = [Benchmark::Apache, Benchmark::Radix];

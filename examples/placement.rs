@@ -12,7 +12,7 @@ use cmpsim::report::table;
 use cmpsim::{run_benchmark, Benchmark, Placement, ProtocolKind, SystemConfig};
 
 fn main() {
-    let refs = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20_000);
+    let refs = cmpsim_suite::refs_arg(20_000);
     let base = SystemConfig::paper().with_refs(refs);
 
     println!("apache4x16p, matched vs alternative placement ({refs} refs/core)\n");

@@ -8,7 +8,7 @@
 use cmpsim::{run_benchmark, Benchmark, MissClass, ProtocolKind, SystemConfig};
 
 fn main() {
-    let refs = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(10_000);
+    let refs = cmpsim_suite::refs_arg(10_000);
     // The paper's chip: 8x8 tiles, 4 areas, 4 VMs of 16 cores each,
     // memory deduplication on.
     let cfg = SystemConfig::paper().with_refs(refs);
