@@ -15,7 +15,6 @@
 //!                                               # deterministic Markdown matrix
 //!                                               # report (run ledger + tables)
 //! cmpsim-cli compare A.json B.json [--tol F] [--allow-improved] [--out diff.json]
-//! cmpsim-cli compare --baseline cur.json base.json [--threshold F] [--rebaseline]
 //!                                               # structural run diff / CI
 //!                                               # regression gate (nonzero exit)
 //! cmpsim-cli tables [5|6|7]                     # Tables V, VI, VII (analytic;
@@ -157,7 +156,7 @@ enum Flag {
     Protocols, Benchmarks, Seeds, PlanList, Resume, OutDir, Journal, DeadlineMs, Retries,
     BackoffMs, Inject,
     // `compare`.
-    Baseline, Rebaseline, AllowImproved, Threshold, Tol,
+    AllowImproved, Tol,
 }
 
 impl Flag {
@@ -202,10 +201,7 @@ impl Flag {
             Retries => &["--retries"],
             BackoffMs => &["--backoff-ms"],
             Inject => &["--inject"],
-            Baseline => &["--baseline"],
-            Rebaseline => &["--rebaseline"],
             AllowImproved => &["--allow-improved"],
-            Threshold => &["--threshold"],
             Tol => &["--tol"],
         }
     }
@@ -213,10 +209,7 @@ impl Flag {
     /// Whether the flag is a switch rather than taking a value.
     fn is_switch(self) -> bool {
         use Flag::*;
-        matches!(
-            self,
-            Alt | Small | Paper | Check | Attr | AllBenchmarks | Baseline | Rebaseline | AllowImproved
-        )
+        matches!(self, Alt | Small | Paper | Check | Attr | AllBenchmarks | AllowImproved)
     }
 }
 
@@ -255,7 +248,7 @@ const SWEEP_FLAGS: &[Flag] = {
 
 const COMPARE_FLAGS: &[Flag] = {
     use Flag::*;
-    &[Baseline, Rebaseline, AllowImproved, Threshold, Tol, Out]
+    &[AllowImproved, Tol, Out]
 };
 
 /// One subcommand: what it accepts and its defaults.
@@ -338,9 +331,6 @@ struct Options {
     resume: Option<String>,
     journal: Option<String>,
     sweep: SweepOptions,
-    baseline: bool,
-    rebaseline: bool,
-    threshold: f64,
     compare: CompareOptions,
 }
 
@@ -400,7 +390,6 @@ impl Options {
             plan_count: 8,
             plan_seed: 0xC4A05,
             mode: "both",
-            threshold: 0.20,
             ..Options::default()
         };
         let mut it = args.iter();
@@ -493,10 +482,7 @@ impl Options {
             Retries => self.sweep.retries = num(v, "retry count")?,
             BackoffMs => self.sweep.backoff_ms = num(v, "backoff")?,
             Inject => self.sweep.injections.push(Injection::parse(v)?),
-            Baseline => self.baseline = true,
-            Rebaseline => self.rebaseline = true,
             AllowImproved => self.compare.allow_improved = true,
-            Threshold => self.threshold = num(v, "threshold")?,
             Tol => self.compare.tolerance = num(v, "tolerance")?,
         }
         Ok(())
@@ -868,51 +854,11 @@ fn cmd_report(o: Options) {
     print_throughput(&results);
 }
 
-/// `compare`: structural diff of two runs/matrices, or (`--baseline`)
-/// the host-throughput regression gate. Exits nonzero when the
-/// comparison fails, writing a machine-readable JSON diff with
+/// `compare`: structural diff of two runs/matrices. Exits nonzero when
+/// the comparison fails, writing a machine-readable JSON diff with
 /// `--out`.
 fn cmd_compare(o: Options) {
     let (a, b) = (&o.args[0], &o.args[1]);
-    if o.baseline {
-        let read = |p: &str| -> cmpsim::replay::Value {
-            let text = std::fs::read_to_string(p)
-                .unwrap_or_else(|e| usage_error(format!("cannot read {p}: {e}")));
-            cmpsim::replay::Value::parse(&text).unwrap_or_else(|e| usage_error(format!("{p}: {e}")))
-        };
-        let current = read(a);
-        let baseline = read(b);
-        if o.rebaseline {
-            let text =
-                cmpsim::compare::rebaseline(&current, &baseline).unwrap_or_else(|e| usage_error(e));
-            std::fs::write(b, &text)
-                .unwrap_or_else(|e| usage_error(format!("cannot write {b}: {e}")));
-            println!("rebaselined into {b}");
-            return;
-        }
-        let report = cmpsim::compare::compare_baseline(&current, &baseline, o.threshold)
-            .unwrap_or_else(|e| usage_error(e));
-        for line in &report.lines {
-            println!("{line}");
-        }
-        if let Some(p) = &o.out {
-            write_file(p, &report.to_json(a, b, o.threshold), "compare diff");
-        }
-        if !report.passed() {
-            eprintln!(
-                "\n{} benchmark(s) regressed more than {:.0}%:",
-                report.failures.len(),
-                o.threshold * 100.0
-            );
-            for f in &report.failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("\nall benchmarks within threshold");
-        return;
-    }
-
     let report = cmpsim::compare::compare_paths(Path::new(a), Path::new(b), &o.compare)
         .unwrap_or_else(|e| usage_error(e));
     for line in report.lines() {

@@ -15,11 +15,6 @@
 //! in any metric are flagged as a **determinism violation**: same
 //! inputs must give same outputs, so this is never a performance
 //! regression but a bug (or a corrupted artifact).
-//!
-//! The `baseline` mode compares host-side events/s from the
-//! criterion-shim artifact against a checked-in baseline with a
-//! regression threshold, because wall clock — unlike everything above —
-//! is legitimately noisy.
 
 use crate::manifest::manifest_of;
 use crate::replay::Value;
@@ -431,177 +426,6 @@ fn json_names(dir: &std::path::Path) -> Result<std::collections::BTreeSet<String
     Ok(names)
 }
 
-/// Outcome of a `--baseline` (host-throughput) check.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineReport {
-    /// One `OK`/`FAIL` line per benchmark id.
-    pub lines: Vec<String>,
-    /// Failure descriptions (empty = within threshold).
-    pub failures: Vec<String>,
-    /// Diff entries mirroring the failures for the JSON document.
-    pub diffs: Vec<MetricDiff>,
-}
-
-impl BaselineReport {
-    /// Whether every id stayed within the threshold.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// JSON diff document for the baseline mode.
-    pub fn to_json(&self, current: &str, baseline: &str, threshold: f64) -> String {
-        let mut diffs = Vec::new();
-        for d in &self.diffs {
-            let mut j = Value::object();
-            j.set("file", Value::Null);
-            j.set("metric", Value::string(&d.metric));
-            j.set("a", d.a.as_ref().map_or(Value::Null, |s| Value::Num(s.clone())));
-            j.set("b", d.b.as_ref().map_or(Value::Null, |s| Value::Num(s.clone())));
-            j.set("delta_pct", d.delta_pct.map_or(Value::Null, Value::float));
-            j.set("verdict", Value::string(d.verdict.name()));
-            diffs.push(j);
-        }
-        let mut summary = Value::object();
-        summary.set("compared", Value::uint(self.lines.len() as u64));
-        summary.set("identical", Value::uint((self.lines.len() - self.diffs.len()) as u64));
-        summary.set("improved", Value::uint(0));
-        summary.set("regressed", Value::uint(self.diffs.len() as u64));
-        summary.set("changed", Value::uint(0));
-        summary.set("missing", Value::uint(0));
-        let mut j = Value::object();
-        j.set("schema", Value::string(COMPARE_SCHEMA));
-        j.set("mode", Value::string("baseline"));
-        j.set("a", Value::string(baseline));
-        j.set("b", Value::string(current));
-        j.set("passed", Value::boolean(self.passed()));
-        j.set("determinism_violation", Value::boolean(false));
-        j.set("threshold", Value::float(threshold));
-        j.set("summary", summary);
-        j.set("diffs", Value::Arr(diffs));
-        let mut out = String::new();
-        j.render_to(&mut out);
-        out.push('\n');
-        out
-    }
-}
-
-/// Host-throughput regression gate: events/s per benchmark id from
-/// `events / (min_ns / 1e9)`, failing any id more than
-/// `threshold` below the baseline. Wall-clock throughput is the one
-/// legitimately noisy quantity in the pipeline, hence the generous
-/// default threshold (0.20) instead of exact matching.
-pub fn compare_baseline(
-    current: &Value,
-    baseline: &Value,
-    threshold: f64,
-) -> Result<BaselineReport, String> {
-    // The bench artifact carries only timings; the deterministic event
-    // counts live in the baseline, so `events` is required there and
-    // ignored on the current side.
-    let results = |doc: &Value, what: &str, want_events: bool| -> Result<Vec<(String, f64, f64)>, String> {
-        let Value::Arr(items) = doc.field("results")? else {
-            return Err(format!("{what}: \"results\" is not an array"));
-        };
-        items
-            .iter()
-            .map(|r| {
-                Ok((
-                    r.field("id")?.as_str()?.to_string(),
-                    if want_events { r.field("events")?.as_f64()? } else { 0.0 },
-                    r.field("min_ns")?.as_f64()?,
-                ))
-            })
-            .collect()
-    };
-    let cur: std::collections::BTreeMap<String, f64> = results(current, "current", false)?
-        .into_iter()
-        .map(|(id, _, ns)| (id, ns))
-        .collect();
-
-    let mut report = BaselineReport::default();
-    for (id, base_events, base_ns) in results(baseline, "baseline", true)? {
-        let Some(&cur_ns) = cur.get(&id) else {
-            report.failures.push(format!("{id}: missing from current artifact"));
-            report.diffs.push(MetricDiff {
-                file: None,
-                metric: id.clone(),
-                a: Some(format!("{base_ns}")),
-                b: None,
-                delta_pct: None,
-                verdict: Verdict::MissingB,
-            });
-            report.lines.push(format!("FAIL {id:45} missing from current artifact"));
-            continue;
-        };
-        let base_eps = base_events / (base_ns / 1e9);
-        let cur_eps = base_events / (cur_ns / 1e9);
-        let delta = cur_eps / base_eps - 1.0;
-        let status = if delta < -threshold { "FAIL" } else { "OK" };
-        report.lines.push(format!(
-            "{status:4} {id:45} baseline {base_eps:>12.0} ev/s   current {cur_eps:>12.0} ev/s   ({:+.1}%)",
-            delta * 100.0
-        ));
-        if delta < -threshold {
-            report.failures.push(format!(
-                "{id}: {cur_eps:.0} events/s is {:.1}% below baseline {base_eps:.0}",
-                -delta * 100.0
-            ));
-            report.diffs.push(MetricDiff {
-                file: None,
-                metric: format!("{id}.events_per_sec"),
-                a: Some(format!("{base_eps:.0}")),
-                b: Some(format!("{cur_eps:.0}")),
-                delta_pct: Some(delta * 100.0),
-                verdict: Verdict::Regressed,
-            });
-        }
-    }
-    Ok(report)
-}
-
-/// `--rebaseline`: rewrites the baseline document's `min_ns` fields
-/// from the current artifact, returning the new baseline text.
-pub fn rebaseline(current: &Value, baseline: &Value) -> Result<String, String> {
-    let mut out = baseline.clone();
-    let cur_ns: std::collections::BTreeMap<String, String> = match current.field("results")? {
-        Value::Arr(items) => items
-            .iter()
-            .map(|r| {
-                let id = r.field("id")?.as_str()?.to_string();
-                let ns = match r.field("min_ns")? {
-                    Value::Num(raw) => raw.clone(),
-                    other => return Err(format!("min_ns is not a number: {other:?}")),
-                };
-                Ok((id, ns))
-            })
-            .collect::<Result<_, String>>()?,
-        _ => return Err("current: \"results\" is not an array".to_string()),
-    };
-    let Value::Obj(fields) = &mut out else {
-        return Err("baseline: not an object".to_string());
-    };
-    let Some((_, Value::Arr(items))) = fields.iter_mut().find(|(k, _)| k == "results") else {
-        return Err("baseline: missing \"results\" array".to_string());
-    };
-    for item in items.iter_mut() {
-        let id = item.field("id")?.as_str()?.to_string();
-        let Some(ns) = cur_ns.get(&id) else {
-            return Err(format!("rebaseline: id {id:?} missing from current artifact"));
-        };
-        let Value::Obj(entry) = item else {
-            return Err("baseline: result entry is not an object".to_string());
-        };
-        match entry.iter_mut().find(|(k, _)| k == "min_ns") {
-            Some((_, v)) => *v = Value::Num(ns.clone()),
-            None => entry.push(("min_ns".to_string(), Value::Num(ns.clone()))),
-        }
-    }
-    let mut text = String::new();
-    out.render_to(&mut text);
-    text.push('\n');
-    Ok(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,43 +521,5 @@ mod tests {
         let r = run_compare(&a, &b, &opts);
         assert!(r.determinism_violation);
         assert!(!r.passed(&opts));
-    }
-
-    #[test]
-    fn baseline_mode_matches_python_semantics() {
-        let doc = |min_ns: u64| {
-            let mut entry = Value::object();
-            entry.set("id", Value::string("event_loop/dico/apache"));
-            entry.set("events", Value::uint(1_000_000));
-            entry.set("min_ns", Value::uint(min_ns));
-            let mut d = Value::object();
-            d.set("results", Value::Arr(vec![entry]));
-            d
-        };
-        // 30% slower than baseline → fails the default 20% threshold.
-        let r = compare_baseline(&doc(1_300_000_000), &doc(1_000_000_000), 0.20).unwrap();
-        assert!(!r.passed());
-        assert_eq!(r.diffs[0].verdict, Verdict::Regressed);
-        // 10% slower → passes.
-        let r = compare_baseline(&doc(1_100_000_000), &doc(1_000_000_000), 0.20).unwrap();
-        assert!(r.passed(), "{:?}", r.failures);
-        assert!(r.lines[0].starts_with("OK"));
-    }
-
-    #[test]
-    fn rebaseline_rewrites_min_ns() {
-        let doc = |min_ns: u64| {
-            let mut entry = Value::object();
-            entry.set("id", Value::string("event_loop/dico/apache"));
-            entry.set("events", Value::uint(1_000_000));
-            entry.set("min_ns", Value::uint(min_ns));
-            let mut d = Value::object();
-            d.set("results", Value::Arr(vec![entry]));
-            d
-        };
-        let text = rebaseline(&doc(42), &doc(7)).unwrap();
-        let v = Value::parse(&text).unwrap();
-        let Value::Arr(items) = v.field("results").unwrap() else { panic!() };
-        assert_eq!(items[0].field("min_ns").unwrap().as_u64().unwrap(), 42);
     }
 }

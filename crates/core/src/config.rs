@@ -211,13 +211,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with a host wall-clock deadline, in milliseconds
-    /// (`None` removes it). See [`SystemConfig::wall_deadline_ms`].
-    pub fn with_wall_deadline_ms(mut self, ms: Option<u64>) -> Self {
-        self.wall_deadline_ms = ms;
-        self
-    }
-
     /// The effective event budget (explicit, or derived from the
     /// reference budget).
     pub fn event_budget(&self) -> u64 {

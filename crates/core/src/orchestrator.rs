@@ -764,11 +764,15 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
     };
     let protocols = str_list("protocols")?
         .iter()
-        .map(|n| protocol_from_name(n))
+        .map(|n| {
+            ProtocolKind::from_name(n).ok_or_else(|| format!("unknown protocol {n:?} in journal"))
+        })
         .collect::<Result<Vec<_>, _>>()?;
     let benchmarks = str_list("benchmarks")?
         .iter()
-        .map(|n| benchmark_from_name(n))
+        .map(|n| {
+            Benchmark::from_name(n).ok_or_else(|| format!("unknown benchmark {n:?} in journal"))
+        })
         .collect::<Result<Vec<_>, _>>()?;
     let seeds = match start.field("seeds")? {
         Value::Arr(items) => items.iter().map(|v| v.as_u64()).collect::<Result<Vec<_>, _>>()?,
@@ -874,20 +878,6 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
 fn narrow<T: TryFrom<u64>>(v: &Value, field: &str) -> Result<T, String> {
     let n = v.as_u64()?;
     T::try_from(n).map_err(|_| format!("journal field {field:?} is out of range ({n})"))
-}
-
-fn protocol_from_name(name: &str) -> Result<ProtocolKind, String> {
-    ProtocolKind::all()
-        .into_iter()
-        .find(|p| p.name() == name)
-        .ok_or_else(|| format!("unknown protocol {name:?} in journal"))
-}
-
-fn benchmark_from_name(name: &str) -> Result<Benchmark, String> {
-    Benchmark::all()
-        .into_iter()
-        .find(|b| b.name() == name)
-        .ok_or_else(|| format!("unknown benchmark {name:?} in journal"))
 }
 
 /// The sweep body shared by fresh runs and resumes: dispatches every

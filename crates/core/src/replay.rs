@@ -138,30 +138,22 @@ impl ReplayArtifact {
                 "unsupported artifact schema {schema} (this build reads 1..={SCHEMA_VERSION})"
             ));
         }
+        let name = v.field("protocol")?.as_str()?;
+        let protocol =
+            ProtocolKind::from_name(name).ok_or_else(|| format!("unknown protocol {name:?}"))?;
+        let name = v.field("benchmark")?.as_str()?;
+        let benchmark =
+            Benchmark::from_name(name).ok_or_else(|| format!("unknown benchmark {name:?}"))?;
         Ok(Self {
             schema,
-            protocol: protocol_from_name(v.field("protocol")?.as_str()?)?,
-            benchmark: benchmark_from_name(v.field("benchmark")?.as_str()?)?,
+            protocol,
+            benchmark,
             error_kind: v.field("error")?.as_str()?.to_string(),
             failing_cycle: v.field("failing_cycle")?.as_u64()?,
             events: v.field("events")?.as_u64()?,
             config: config_from_json(v.field("config")?)?,
         })
     }
-}
-
-fn protocol_from_name(name: &str) -> Result<ProtocolKind, String> {
-    ProtocolKind::all()
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown protocol {name:?}"))
-}
-
-fn benchmark_from_name(name: &str) -> Result<Benchmark, String> {
-    Benchmark::all()
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown benchmark {name:?}"))
 }
 
 fn geometry_to_json(g: &Geometry) -> Value {

@@ -26,9 +26,6 @@ pub const DUMP_DIR: &str = "CMPSIM_DUMP_DIR";
 pub const TRACE: &str = "CMPSIM_TRACE";
 /// `CMPSIM_TRACE_BLOCK` — block address whose messages are debug-logged.
 pub const TRACE_BLOCK: &str = "CMPSIM_TRACE_BLOCK";
-/// `CMPSIM_BENCH_DIR` — criterion-shim artifact directory (read by the
-/// standalone `criterion` shim crate, listed here for completeness).
-pub const BENCH_DIR: &str = "CMPSIM_BENCH_DIR";
 
 /// A malformed environment-variable value. Carries the variable name,
 /// the offending value and what was expected, so every consumer reports

@@ -111,6 +111,12 @@ impl ProtocolKind {
             ProtocolKind::DiCoArin => "DiCo-Arin",
         }
     }
+
+    /// The protocol whose [`name`](Self::name) matches `name`, ignoring
+    /// ASCII case.
+    pub fn from_name(name: &str) -> Option<ProtocolKind> {
+        ProtocolKind::all().into_iter().find(|k| k.name().eq_ignore_ascii_case(name))
+    }
 }
 
 /// Cache access latencies (paper Table III).
@@ -1613,6 +1619,15 @@ mod tests {
         let mut w = SnapWriter::new();
         v.save(&mut w);
         w.into_bytes()
+    }
+
+    #[test]
+    fn protocol_from_name_round_trips() {
+        for k in ProtocolKind::all() {
+            assert_eq!(ProtocolKind::from_name(k.name()), Some(k));
+            assert_eq!(ProtocolKind::from_name(&k.name().to_lowercase()), Some(k));
+        }
+        assert_eq!(ProtocolKind::from_name("arin"), None);
     }
 
     /// The hot path moves these by value on every event; a field that

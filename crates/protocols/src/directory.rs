@@ -724,7 +724,8 @@ impl Directory {
         }
     }
 
-    fn home_handle_unblock(&mut self, ctx: &mut Ctx, home: Tile, block: Block, src: Tile, became_owner: bool) {
+    fn home_handle_unblock(&mut self, ctx: &mut Ctx, msg: &Msg, became_owner: bool) -> Result<(), ProtoError> {
+        let (home, block, src) = (msg.dst.tile(), msg.block, msg.src.tile());
         self.dir_update(home, block, |sharers, owner| {
             if became_owner {
                 *owner = Some(src);
@@ -741,7 +742,7 @@ impl Directory {
                 *wb_applied |= became_owner;
                 *wb_applied && bounced.is_none()
             }
-            other => panic!("Unblock without transaction: {other:?}"),
+            _ => return Err(ProtoError::unexpected(ProtocolKind::Directory, msg)),
         };
         if release {
             self.tx[home].remove(&block);
@@ -749,6 +750,7 @@ impl Directory {
                 ctx.replay(m);
             }
         }
+        Ok(())
     }
 }
 
@@ -855,8 +857,8 @@ impl CoherenceProtocol for Directory {
                 self.stats.l2_tag.inc();
                 self.apply_wb(ctx, home, msg.block, msg.src.tile(), dirty, version, sharers);
             }
-            (Node::L2(home), MsgKind::Unblock { became_owner }) => {
-                self.home_handle_unblock(ctx, home, msg.block, msg.src.tile(), became_owner);
+            (Node::L2(_), MsgKind::Unblock { became_owner }) => {
+                self.home_handle_unblock(ctx, &msg, became_owner)?
             }
             (Node::L2(home), MsgKind::Ack) => {
                 if let Some(HomeTx::Evict { acks_left, .. }) = self.tx[home].get_mut(&msg.block) {

@@ -249,6 +249,12 @@ impl Benchmark {
         }
     }
 
+    /// The configuration whose [`name`](Self::name) matches `name`,
+    /// ignoring ASCII case.
+    pub fn from_name(name: &str) -> Option<Benchmark> {
+        Benchmark::all().into_iter().find(|b| b.name().eq_ignore_ascii_case(name))
+    }
+
     /// The profile run by `vm` (of `num_vms`).
     pub fn profile_for_vm(&self, vm: usize, num_vms: usize) -> &'static WorkloadProfile {
         match self {
@@ -278,11 +284,6 @@ impl Benchmark {
             _ => Metric::ExecTime,
         }
     }
-
-    /// Whether the paper classifies this workload as L2-power-dominated.
-    pub fn l2_dominated(&self) -> bool {
-        matches!(self, Benchmark::Apache | Benchmark::Jbb | Benchmark::MixedCom)
-    }
 }
 
 #[cfg(test)]
@@ -297,6 +298,15 @@ mod tests {
         (&LU, 0.3271),
         (&TOMCATV, 0.3682),
     ];
+
+    #[test]
+    fn from_name_round_trips() {
+        for b in Benchmark::all() {
+            assert_eq!(Benchmark::from_name(b.name()), Some(b));
+            assert_eq!(Benchmark::from_name(&b.name().to_lowercase()), Some(b));
+        }
+        assert_eq!(Benchmark::from_name("radix"), None);
+    }
 
     #[test]
     fn dedup_savings_match_table_iv() {
