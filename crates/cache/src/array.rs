@@ -25,12 +25,6 @@ use std::collections::BTreeMap;
 use crate::geometry::Geometry;
 use cmpsim_engine::{Snap, SnapError, SnapReader, SnapWriter};
 
-/// Largest `sets × ways` a snapshot may declare. Far above any modelled
-/// structure (the paper's L2 bank has 16 Ki entries); it stops a corrupt
-/// geometry from reserving an absurd amount of memory before decoding
-/// fails.
-const MAX_LOADED_ENTRIES: usize = 1 << 24;
-
 /// One resident line: `(block, LRU stamp, payload slot)`. A tuple of
 /// integers, so that an array of them can be allocated zeroed.
 type Way = (u64, u64, u32);
@@ -354,11 +348,7 @@ impl<T: Snap> Snap for SetAssoc<T> {
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let geom = Geometry::load(r)?;
-        let sane = geom.sets.is_power_of_two()
-            && geom.ways >= 1
-            && geom.index_shift < u64::BITS
-            && geom.sets.checked_mul(geom.ways).is_some_and(|n| n <= MAX_LOADED_ENTRIES);
-        if !sane {
+        if !geom.in_range() {
             return Err(SnapError::Corrupt("cache geometry out of range"));
         }
         if r.len_prefix("SetAssoc", 8)? != geom.sets {

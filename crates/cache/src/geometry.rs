@@ -17,6 +17,11 @@ pub struct Geometry {
     pub index_shift: u32,
 }
 
+/// Largest `sets × ways` an outside input may declare. Far above any
+/// modelled structure (the paper's L2 bank has 16 Ki entries); it stops
+/// a corrupt geometry from reserving an absurd amount of memory.
+const MAX_ENTRIES: usize = 1 << 24;
+
 impl Geometry {
     /// Builds a geometry, checking the power-of-two constraint.
     pub fn new(sets: usize, ways: usize) -> Self {
@@ -42,6 +47,18 @@ impl Geometry {
     pub fn from_capacity(bytes: usize, block_bytes: usize, ways: usize) -> Self {
         let entries = bytes / block_bytes;
         Self::from_entries(entries, ways)
+    }
+
+    /// True when an array can be built at this geometry and restored
+    /// from a snapshot: power-of-two sets, at least one way, an index
+    /// shift below 64 and at most 2^24 entries. Geometry read from
+    /// outside input (a snapshot image, a replay artifact) is checked
+    /// with this before anything is allocated.
+    pub fn in_range(&self) -> bool {
+        self.sets.is_power_of_two()
+            && self.ways >= 1
+            && self.index_shift < u64::BITS
+            && self.sets.checked_mul(self.ways).is_some_and(|n| n <= MAX_ENTRIES)
     }
 
     /// Total entries.

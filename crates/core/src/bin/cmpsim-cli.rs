@@ -69,8 +69,7 @@
 //! --heatmap-out <file>    write per-tile/per-link spatial counters
 //!                         (.csv -> long-format CSV, else JSON grids)
 //! --threads <n>           worker threads for sweeps (default: one per host
-//!                         core; the CMPSIM_THREADS environment variable sets
-//!                         the default)
+//!                         core)
 //! --snapshot-dir <dir>    cache warmed-state checkpoints: the first run of a
 //!                         configuration snapshots at the warm-up boundary,
 //!                         every later run sharing its key forks from the
@@ -102,12 +101,12 @@
 //! and every artifact deterministic.
 //!
 //! Fault injection: `--faults recoverable[@SEED]` or `--faults
-//! chaos[@SEED]` (or the `CMPSIM_FAULTS` environment variable) arms a
-//! deterministic fault plan on any run-family command. `chaos` sweeps N
-//! seeded plans across the protocol x benchmark matrix, verifies every
-//! recovered cell bit-identical (in architectural state) against its
-//! fault-free golden twin, and exits nonzero on any divergence, panic,
-//! or typed error lacking a replay artifact.
+//! chaos[@SEED]` arms a deterministic fault plan on any run-family
+//! command. `chaos` sweeps N seeded plans across the protocol x
+//! benchmark matrix, verifies every recovered cell bit-identical (in
+//! architectural state) against its fault-free golden twin, and exits
+//! nonzero on any divergence, panic, or typed error lacking a replay
+//! artifact.
 //!
 //! Protocols: directory | dico | providers | arin.
 //! Benchmarks: apache | jbb | radix | lu | volrend | tomcatv |
@@ -417,14 +416,6 @@ impl Options {
         }
         if o.args.len() < min {
             return Err(format!("{} needs {min} argument(s), got {}", cmd.name, o.args.len()));
-        }
-        // Environment defaults apply only where the flag does; the flag wins.
-        if o.threads.is_none() && cmd.flags.contains(&Flag::Threads) {
-            let env = cmpsim::env::positive(cmpsim::env::THREADS).map_err(|e| e.to_string())?;
-            o.threads = env;
-        }
-        if o.faults.is_none() && cmd.flags.contains(&Flag::Faults) {
-            o.faults = FaultPlan::from_env()?;
         }
         Ok(o)
     }
@@ -1253,7 +1244,7 @@ fn cmd_sweep(o: Options) {
 fn cmd_list(_: Options) {
     println!("protocols:  directory | dico | providers | arin");
     println!("benchmarks: apache | jbb | radix | lu | volrend | tomcatv | mixed-com | mixed-sci");
-    println!("fault modes: recoverable[@SEED] | chaos[@SEED]  (--faults / CMPSIM_FAULTS)");
+    println!("fault modes: recoverable[@SEED] | chaos[@SEED]  (--faults)");
 }
 
 fn main() {

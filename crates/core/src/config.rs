@@ -2,7 +2,7 @@
 
 use cmpsim_engine::FaultPlan;
 use cmpsim_noc::NocConfig;
-use cmpsim_protocols::common::ChipSpec;
+use cmpsim_protocols::common::{ChipSpec, MAX_AREAS};
 use cmpsim_virt::Placement;
 
 /// Everything a simulation run needs besides the protocol and workload.
@@ -48,10 +48,6 @@ pub struct SystemConfig {
     /// ring buffer, exportable as Chrome trace-event JSON. Observability
     /// only: the simulated timing is identical with or without it.
     pub tracing: bool,
-    /// Capacity of the trace ring buffer (events). When full, the
-    /// oldest events are dropped (and counted), keeping memory bounded
-    /// on long runs while preserving the tail.
-    pub trace_capacity: usize,
     /// Interval time-series sampling: every `N` cycles of the measured
     /// (post-warm-up) window, snapshot link utilization, cache
     /// occupancy, directory/owner-cache hit rates and dynamic+static
@@ -100,7 +96,6 @@ impl SystemConfig {
             stall_window: 1_000_000,
             check_invariants: false,
             tracing: false,
-            trace_capacity: 65_536,
             sample_interval: None,
             attribution: false,
             fault_plan: None,
@@ -126,7 +121,6 @@ impl SystemConfig {
             stall_window: 1_000_000,
             check_invariants: false,
             tracing: false,
-            trace_capacity: 65_536,
             sample_interval: None,
             attribution: false,
             fault_plan: None,
@@ -182,14 +176,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with a different trace ring-buffer capacity
-    /// (implies tracing).
-    pub fn with_trace_capacity(mut self, events: usize) -> Self {
-        self.tracing = true;
-        self.trace_capacity = events.max(1);
-        self
-    }
-
     /// Returns a copy with interval time-series sampling every `cycles`
     /// cycles of the measured window.
     pub fn with_interval(mut self, cycles: u64) -> Self {
@@ -240,6 +226,52 @@ impl SystemConfig {
     /// Controller that owns `block`.
     pub fn mem_ctrl_of(&self, block: u64) -> usize {
         (block % self.mem_controllers as u64) as usize
+    }
+
+    /// Refuses, naming the field, a configuration the simulator's
+    /// constructors would assert on. Every preset passes; configs read
+    /// from outside input (replay artifacts, sweep journals) are checked
+    /// with this before anything is built from them.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let (a, noc) = (&self.chip.areas, &self.noc);
+        let tiles = a.cols.checked_mul(a.rows).unwrap_or(0);
+        if tiles == 0 || tiles >= u8::MAX as usize {
+            return Err(format!(
+                "config.chip.areas: a {}x{} chip (want 1..=254 tiles)",
+                a.cols, a.rows
+            ));
+        }
+        let tiled = a.area_cols > 0
+            && a.area_rows > 0
+            && a.cols.is_multiple_of(a.area_cols)
+            && a.rows.is_multiple_of(a.area_rows);
+        if !tiled || a.num_areas() > MAX_AREAS {
+            return Err(format!(
+                "config.chip.areas: {}x{} areas do not tile the {}x{} chip (at most {MAX_AREAS})",
+                a.area_cols, a.area_rows, a.cols, a.rows
+            ));
+        }
+        if noc.cols.checked_mul(noc.rows) != Some(tiles) {
+            return Err(format!(
+                "config.noc: a {}x{} mesh does not match the chip's {tiles} tiles",
+                noc.cols, noc.rows
+            ));
+        }
+        if self.num_vms != 1 && self.num_vms != a.num_areas() {
+            let areas = a.num_areas();
+            return Err(format!("config.num_vms: {} (want 1 or {areas} VMs)", self.num_vms));
+        }
+        if !(1..=tiles).contains(&self.mem_controllers) {
+            let n = self.mem_controllers;
+            return Err(format!("config.mem_controllers: {n} (want 1..={tiles})"));
+        }
+        let c = &self.chip;
+        for (name, g) in [("l1", c.l1), ("l2", c.l2), ("aux", c.aux), ("aux_home", c.aux_home)] {
+            if !g.in_range() {
+                return Err(format!("config.chip.{name}: geometry out of range ({g:?})"));
+            }
+        }
+        Ok(())
     }
 }
 

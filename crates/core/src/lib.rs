@@ -104,7 +104,7 @@ pub use vmstat::{ascii_heatmap, heatmap_csv, heatmap_json, vmstat_json, vmstat_t
 
 // Re-export the registry types so downstream binaries need not depend
 // on cmpsim-engine directly.
-pub use cmpsim_engine::{env, FaultKind, FaultPlan, FaultStats, MetricSource, MetricsRegistry};
+pub use cmpsim_engine::{FaultKind, FaultPlan, FaultStats, MetricSource, MetricsRegistry};
 
 // Re-export the pieces callers need to drive experiments.
 pub use cmpsim_protocols::{MissClass, ProtocolKind};

@@ -140,7 +140,7 @@ impl Observers {
         let tiles = vm_of.len();
         Self {
             checker: cfg.check_invariants.then(StepChecker::new),
-            tracer: cfg.tracing.then(|| TxTracer::new(tiles, cfg.trace_capacity)),
+            tracer: cfg.tracing.then(|| TxTracer::new(tiles)),
             attr: cfg.attribution.then(|| TxAttribution::with_vms(vm_of, cfg.num_vms)),
             sampler: None,
             energy_model: None,

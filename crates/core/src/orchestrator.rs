@@ -1257,6 +1257,17 @@ mod tests {
     }
 
     #[test]
+    fn journal_with_an_unbuildable_config_fails_closed() {
+        let mut start = String::new();
+        start_event(&tiny_spec(), &SweepOptions::default(), &tiny_spec().expand())
+            .render_compact_to(&mut start);
+        assert!(start.contains("\"mem_controllers\":4,"), "{start}");
+        let tampered = start.replace("\"mem_controllers\":4,", "\"mem_controllers\":0,");
+        let err = parse_journal(&tampered).err().expect("zero controllers must fail");
+        assert!(err.contains("mem_controllers"), "{err}");
+    }
+
+    #[test]
     fn backoff_grows_and_caps() {
         let cell = &tiny_spec().expand()[0];
         let b1 = backoff_ms(100, cell, 1);

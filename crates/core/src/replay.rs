@@ -83,10 +83,12 @@ impl ReplayArtifact {
         )
     }
 
-    /// Directory artifacts are written to: `$CMPSIM_DUMP_DIR` if set,
-    /// otherwise the system temp directory.
+    /// Directory artifacts are written to: `$CMPSIM_DUMP_DIR` if set and
+    /// non-empty, otherwise the system temp directory. This is the one
+    /// environment variable the workspace reads.
     pub fn dump_dir() -> PathBuf {
-        cmpsim_engine::env::string(cmpsim_engine::env::DUMP_DIR)
+        std::env::var_os("CMPSIM_DUMP_DIR")
+            .filter(|dir| !dir.is_empty())
             .map(PathBuf::from)
             .unwrap_or_else(std::env::temp_dir)
     }
@@ -299,7 +301,7 @@ pub(crate) fn config_from_json(v: &Value) -> Result<SystemConfig, String> {
         Err(_) | Ok(Value::Null) => None,
         Ok(f) => Some(fault_plan_from_json(f)?),
     };
-    Ok(SystemConfig {
+    let config = SystemConfig {
         chip: ChipSpec {
             areas: AreaMap {
                 cols: areas.field("cols")?.as_u64()? as usize,
@@ -351,14 +353,15 @@ pub(crate) fn config_from_json(v: &Value) -> Result<SystemConfig, String> {
         // not serialized (the schema stays at v1); replays run with them
         // off and the CLI can re-enable them explicitly.
         tracing: false,
-        trace_capacity: 65_536,
         sample_interval: None,
         attribution: false,
         fault_plan,
         // Host-side like the observability knobs: replays run without a
         // wall deadline (a timeout would not reproduce anyway).
         wall_deadline_ms: None,
-    })
+    };
+    config.check()?;
+    Ok(config)
 }
 
 /// Minimal JSON value tree. Numbers keep their raw token so `u64`
@@ -539,9 +542,10 @@ impl Value {
         }
     }
 
-    /// Parses one JSON document (trailing garbage is an error).
+    /// Parses one JSON document (trailing garbage is an error). Arrays
+    /// and objects nest at most 128 levels deep.
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -569,10 +573,18 @@ fn render_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. Far above
+/// anything the workspace writes (crash dumps, goldens and baselines are
+/// 3–4 levels deep); it stops a hostile document from overflowing the
+/// recursive parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Recursive-descent JSON parser over raw bytes.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -617,8 +629,18 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
@@ -864,6 +886,65 @@ mod tests {
         assert!(ReplayArtifact::from_json("{\"schema\": 1").is_err());
         assert!(ReplayArtifact::from_json("not json at all").is_err());
         assert!(ReplayArtifact::from_json("{}").is_err());
+    }
+
+    /// `sample()`'s JSON with the first `from` after `anchor` turned
+    /// into `to`.
+    fn tampered(anchor: &str, from: &str, to: &str) -> String {
+        let json = sample().to_json();
+        let at = json.find(anchor).expect("anchor") + anchor.len();
+        let (head, tail) = json.split_at(at);
+        assert!(tail.contains(from), "{from} after {anchor}");
+        format!("{head}{}", tail.replacen(from, to, 1))
+    }
+
+    #[test]
+    fn configs_the_simulator_would_assert_on_are_refused() {
+        for (json, field) in [
+            (tampered("\"noc\": {", "\"cols\": 4", "\"cols\": 3"), "config.noc"),
+            (tampered("", "\"mem_controllers\": 4", "\"mem_controllers\": 0"), "mem_controllers"),
+            (tampered("", "\"num_vms\": 4", "\"num_vms\": 0"), "num_vms"),
+            (tampered("\"areas\": {", "\"area_cols\": 2", "\"area_cols\": 3"), "areas"),
+            (tampered("\"l2\": {", "\"sets\": 16", "\"sets\": 12"), "config.chip.l2"),
+        ] {
+            let err = ReplayArtifact::from_json(&json).expect_err("tampered config must fail");
+            assert!(err.contains(field), "{field}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_preset_and_area_count_round_trips() {
+        let areas = |n| SystemConfig {
+            chip: ChipSpec::paper_with_areas(n),
+            num_vms: n,
+            ..SystemConfig::paper()
+        };
+        for cfg in [
+            SystemConfig::paper(),
+            SystemConfig::small(),
+            SystemConfig::smoke(),
+            areas(2),
+            areas(8),
+            areas(16),
+        ] {
+            let mut json = String::new();
+            config_to_json(&cfg).render_to(&mut json);
+            let back = config_from_json(&Value::parse(&json).unwrap()).expect("round trip");
+            let mut again = String::new();
+            config_to_json(&back).render_to(&mut again);
+            assert_eq!(json, again);
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(Value::parse(&nested(200_000)).is_err());
+        let objects = format!("{}{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Value::parse(&objects).is_err());
     }
 
     #[test]

@@ -141,7 +141,6 @@ fn payload_class(kind: &MsgKind) -> bool {
 }
 
 /// Retransmission state for one tile's open miss.
-#[derive(Clone)]
 struct RetryInfo {
     block: Block,
     msg: Msg,
@@ -157,7 +156,6 @@ cmpsim_engine::impl_snap!(RetryInfo { block, msg, attempts, generation });
 /// when [`SystemConfig::fault_plan`] is set; with it `None` every hook
 /// below is a single branch and the simulation is bit-identical to a
 /// build without fault injection.
-#[derive(Clone)]
 struct FaultState {
     engine: FaultEngine,
     /// Per-tile open tracked request: block and its sequence number.
@@ -211,7 +209,6 @@ cmpsim_engine::impl_snap!(FaultState {
 /// message never lands before an earlier one on the same pair. A flat
 /// `2·tiles × 2·tiles` table indexed by endpoint (`L1(t)` is `t`,
 /// `L2(t)` is `tiles + t`), so the per-message probe is one indexed load.
-#[derive(Clone)]
 struct FifoFloors {
     tiles: usize,
     floors: Vec<Cycle>,
@@ -307,7 +304,6 @@ fn arch_fold(digest: u64, vm: usize, region: Region, index: u64, off: u64, versi
     mix(mix(mix(mix(mix(digest, vm as u64), region as u64), index), off), version)
 }
 
-#[derive(Clone)]
 struct Core {
     stream: CoreStream,
     vm: usize,
@@ -334,10 +330,6 @@ pub struct CmpSimulator {
     /// Reusable dispatch context: one `Ctx` serves every event, so the
     /// hot path constructs no buffers (see [`Ctx::reset`]).
     ctx_pool: Ctx,
-    /// Block filter from `CMPSIM_TRACE_BLOCK`, parsed once at build
-    /// time (an env lookup per delivered message would dominate the
-    /// event loop).
-    trace_block: Option<u64>,
     /// Host wall-clock deadline (from `cfg.wall_deadline_ms`), armed at
     /// the start of each public run entry point. Host-side only: never
     /// snapshotted, never part of deterministic results.
@@ -410,10 +402,6 @@ impl CmpSimulator {
             rng,
             fifo: FifoFloors::new(tiles),
             ctx_pool: Ctx::default(),
-            trace_block: cmpsim_engine::env::parsed_or_warn(
-                cmpsim_engine::env::TRACE_BLOCK,
-                "a block address (u64)",
-            ),
             wall: None,
             ctrl_free: vec![0; cfg.mem_controllers],
             warmed_up: false,
@@ -961,7 +949,7 @@ impl CmpSimulator {
 
     /// Builds the interval sampler and its energy model at the warm-up
     /// boundary (`now` = the cycle the window closed). Also called when
-    /// a snapshot is restored or forked: the snapshot is captured at
+    /// a snapshot is restored: the snapshot is captured at
     /// exactly this boundary — stats freshly reset, zero samples taken
     /// — so rebuilding here reproduces the cold-run sampler state
     /// bit-for-bit, and a sampling run can share snapshots with a
@@ -1032,8 +1020,8 @@ impl CmpSimulator {
     }
 
     /// (Re-)arms the host wall-clock deadline from the configuration.
-    /// Called at each public run entry point so a forked or restored
-    /// simulator gets a fresh budget, not the parent's leftovers.
+    /// Called at each public run entry point so a restored simulator
+    /// gets a fresh budget, not the parent's leftovers.
     fn arm_deadline(&mut self) {
         self.wall = self.cfg.wall_deadline_ms.map(WallDeadline::new);
     }
@@ -1095,9 +1083,6 @@ impl CmpSimulator {
                         self.maybe_sample(now);
                         continue;
                     }
-                    if self.trace_block == Some(msg.block) {
-                        cmpsim_engine::debug_log::trace(now, format_args!("{msg:?}"));
-                    }
                     let mut ctx = std::mem::take(&mut self.ctx_pool);
                     ctx.reset(now);
                     let cache_base = self.obs.cache_base(self.proto.stats());
@@ -1154,8 +1139,7 @@ impl CmpSimulator {
     /// point. Returns `true` when the boundary was reached, `false`
     /// when the queue drained first (a run whose warm-up window covers
     /// every reference). Call at most once, on a newly built simulator;
-    /// follow with [`Self::save_snapshot`], [`Self::fork`], or
-    /// [`Self::resume`].
+    /// follow with [`Self::save_snapshot`] or [`Self::resume`].
     pub fn warm_up(&mut self) -> Result<bool, SimError> {
         self.arm_deadline();
         self.seed_initial_events();
@@ -1164,7 +1148,7 @@ impl CmpSimulator {
 
     /// Completes a simulation from its current state: a warmed
     /// simulator ([`Self::warm_up`]), a restored snapshot
-    /// ([`Self::restore_snapshot`]), or a fork ([`Self::fork`]).
+    /// ([`Self::restore_snapshot`]).
     pub fn resume(mut self) -> Result<RunResult, SimError> {
         self.arm_deadline();
         self.run_measure(HostProfiler::new())
@@ -1401,45 +1385,6 @@ impl CmpSimulator {
         sim.tile_misses = Snap::load(r)?;
         sim.tile_refs_base = Snap::load(r)?;
         Ok(sim)
-    }
-
-    /// Cheap in-memory fork: duplicates the full machine state so many
-    /// measurement legs can branch from one warmed simulator without
-    /// serialising anything. Only valid on [`snapshot_eligible`]
-    /// simulators, and meant to be taken at the warm-up boundary — the
-    /// fork's interval sampler is rebuilt there, exactly like a
-    /// snapshot restore.
-    pub fn fork(&self) -> Self {
-        assert!(snapshot_eligible(&self.cfg), "snapshots need an observer-free simulator");
-        let mut f = Self {
-            cfg: self.cfg.clone(),
-            proto: self.proto.clone(),
-            mesh: self.mesh.clone(),
-            queue: self.queue.clone(),
-            cores: self.cores.clone(),
-            memory: self.memory.clone(),
-            benchmark: self.benchmark,
-            rng: self.rng.clone(),
-            fifo: self.fifo.clone(),
-            ctx_pool: Ctx::default(),
-            trace_block: self.trace_block,
-            wall: None,
-            ctrl_free: self.ctrl_free.clone(),
-            warmed_up: self.warmed_up,
-            measure_start: self.measure_start,
-            refs_at_reset: self.refs_at_reset,
-            events: self.events,
-            last_progress: self.last_progress,
-            refs_total: self.refs_total,
-            obs: Observers::new(&self.cfg, self.cores.iter().map(|c| c.vm).collect()),
-            faults: self.faults.clone(),
-            tile_misses: self.tile_misses.clone(),
-            tile_refs_base: self.tile_refs_base.clone(),
-        };
-        if f.warmed_up {
-            f.build_sampler(f.measure_start);
-        }
-        f
     }
 }
 

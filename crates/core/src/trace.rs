@@ -17,6 +17,11 @@
 use cmpsim_engine::{trace::format_event, Cycle, TraceEvent, TraceRing};
 use cmpsim_protocols::common::{Block, Tile};
 
+/// Capacity of the trace ring, in events. When full, the oldest events
+/// are dropped (and counted), keeping memory bounded on long runs while
+/// preserving the tail.
+pub const TRACE_CAPACITY: usize = 65_536;
+
 /// One open (issued, not yet completed) transaction.
 #[derive(Debug, Clone)]
 struct OpenTx {
@@ -50,10 +55,10 @@ pub struct TxTracer {
 
 impl TxTracer {
     /// Creates a tracer for a `tiles`-tile chip with a ring of
-    /// `capacity` events.
-    pub fn new(tiles: usize, capacity: usize) -> Self {
+    /// [`TRACE_CAPACITY`] events.
+    pub fn new(tiles: usize) -> Self {
         Self {
-            ring: TraceRing::new(capacity),
+            ring: TraceRing::new(TRACE_CAPACITY),
             next_id: 1,
             open: vec![None; tiles],
             tx_hops: 0,
@@ -207,7 +212,7 @@ mod tests {
 
     #[test]
     fn issue_message_complete_lifecycle() {
-        let mut t = TxTracer::new(4, 64);
+        let mut t = TxTracer::new(4);
         let id = t.on_issue(10, 2, 0x40, false);
         assert_eq!(id, 1);
         t.on_message(Some(2), 10, 15, "GetS", "msg", 0x40, 2, 0, 3);
@@ -229,7 +234,7 @@ mod tests {
 
     #[test]
     fn background_traffic_lands_on_track_zero() {
-        let mut t = TxTracer::new(2, 16);
+        let mut t = TxTracer::new(2);
         t.on_message(None, 5, 9, "WbData", "msg", 0x80, 1, 0, 2);
         let log = t.finish();
         assert_eq!(log.untracked_hops, 2);
@@ -239,7 +244,7 @@ mod tests {
 
     #[test]
     fn reset_keeps_open_transactions() {
-        let mut t = TxTracer::new(2, 16);
+        let mut t = TxTracer::new(2);
         t.on_issue(1, 0, 0x40, false);
         t.on_message(Some(0), 1, 4, "GetS", "msg", 0x40, 0, 1, 2);
         t.reset();
@@ -256,7 +261,7 @@ mod tests {
 
     #[test]
     fn tail_lines_render() {
-        let mut t = TxTracer::new(2, 16);
+        let mut t = TxTracer::new(2);
         t.on_issue(1, 0, 0x40, true);
         t.on_message(Some(0), 1, 4, "GetX", "msg", 0x40, 0, 1, 2);
         let lines = t.tail_lines(4);

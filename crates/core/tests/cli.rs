@@ -121,3 +121,79 @@ fn per_cell_artifacts_tag_the_file_name_only() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A scratch directory unique to this process and `tag`.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cmpsim-cli-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Asserts `out` is a usage failure: exit 2 and exactly one `error:`
+/// line on stderr.
+fn assert_fails_closed(out: &Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert!(stderr.starts_with("error: ") && stderr.lines().count() == 1, "{what}: {stderr}");
+}
+
+#[test]
+fn the_environment_is_not_a_run_input() {
+    let args = ["run", "-p", "dico", "-b", "radix", "-n", "300"];
+    let bin = env!("CARGO_BIN_EXE_cmpsim-cli");
+    let retired = ["CMPSIM_FAULTS", "CMPSIM_THREADS", "CMPSIM_TRACE", "CMPSIM_TRACE_BLOCK"];
+    let mut clean = Command::new(bin);
+    clean.args(args);
+    for var in retired {
+        clean.env_remove(var);
+    }
+    let clean = clean.output().expect("cmpsim-cli runs");
+    let exported = Command::new(bin)
+        .args(args)
+        .envs(retired.into_iter().zip(["recoverable@7", "0", "1", "64"]))
+        .output()
+        .expect("cmpsim-cli runs");
+    for out in [&clean, &exported] {
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    assert_eq!(String::from_utf8_lossy(&clean.stdout), String::from_utf8_lossy(&exported.stdout));
+}
+
+#[test]
+fn replay_refuses_a_config_the_simulator_cannot_build() {
+    use cmpsim::{Benchmark, ProtocolKind, ReplayArtifact, SystemConfig};
+    let dir = scratch("tampered");
+    let art = ReplayArtifact::new(
+        ProtocolKind::DiCo,
+        Benchmark::Radix,
+        "stalled",
+        1_000,
+        2_000,
+        &SystemConfig::paper(),
+    );
+    let path = art.save(Some(&dir)).unwrap();
+    let json = std::fs::read_to_string(&path).unwrap();
+    let noc = json.find("\"noc\": {").unwrap();
+    let (head, tail) = json.split_at(noc);
+    for tampered in [
+        format!("{head}{}", tail.replacen("\"cols\": 8", "\"cols\": 7", 1)),
+        json.replacen("\"mem_controllers\": 8", "\"mem_controllers\": 0", 1),
+        json.replacen("\"num_vms\": 4", "\"num_vms\": 0", 1),
+    ] {
+        assert_ne!(tampered, json);
+        std::fs::write(&path, &tampered).unwrap();
+        assert_fails_closed(&cli(&["replay", path.to_str().unwrap()]), &tampered);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_json_is_an_input_error() {
+    let dir = scratch("deep");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, format!("{}{}", "[".repeat(200_000), "]".repeat(200_000))).unwrap();
+    let p = path.to_str().unwrap();
+    assert_fails_closed(&cli(&["replay", p]), "replay");
+    assert_fails_closed(&cli(&["compare", p, p]), "compare");
+    let _ = std::fs::remove_dir_all(&dir);
+}

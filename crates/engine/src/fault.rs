@@ -218,18 +218,6 @@ impl FaultPlan {
         }
     }
 
-    /// Reads `CMPSIM_FAULTS` (same syntax as [`FaultPlan::parse`]);
-    /// `None` when unset or empty. An unparsable value is an error so
-    /// typos do not silently disable injection.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        match crate::env::string(crate::env::FAULTS) {
-            Some(v) => Self::parse(v.trim())
-                .map(Some)
-                .map_err(|detail| format!("bad {} value {v:?}: {detail}", crate::env::FAULTS)),
-            None => Ok(None),
-        }
-    }
-
     /// Spec string that round-trips through [`FaultPlan::parse`] for
     /// the two presets (`mode@seed`).
     pub fn spec(&self) -> String {

@@ -32,9 +32,6 @@
 //!   high-water mark and the simulated-cycles/sec throughput summary
 //!   (stderr or side-channel JSON only; never part of deterministic
 //!   artifacts).
-//! * [`debug_log`] — the shared sink behind the ad-hoc block-trace
-//!   prints: one consistent `[cycle] message` line shape, capturable
-//!   in tests instead of hard-wired to stderr.
 //! * [`snap`] — the dependency-free binary codec behind deterministic
 //!   full-state snapshots (little-endian fixed layouts, sorted hash
 //!   containers, typed decode errors — a corrupt snapshot fails closed).
@@ -42,8 +39,6 @@
 //!   used to run independent simulations (protocol × workload sweeps) on
 //!   all host cores; a panicking item is isolated per slot instead of
 //!   poisoning the whole map.
-//! * [`env`] — unified typed parsing of the `CMPSIM_*` environment
-//!   variables (malformed values error instead of vanishing).
 //! * [`deadline`] — coarse cooperative wall-clock deadlines layered on
 //!   the watchdog for sweep-cell timeouts.
 //!
@@ -52,8 +47,6 @@
 //! applied across the parameter sweep, not inside one run.
 
 pub mod deadline;
-pub mod debug_log;
-pub mod env;
 pub mod event;
 pub mod fault;
 pub mod fxmap;
@@ -67,7 +60,6 @@ pub mod stats;
 pub mod trace;
 
 pub use deadline::WallDeadline;
-pub use env::EnvError;
 pub use event::{Cycle, EventQueue};
 pub use fault::{FaultDecision, FaultEngine, FaultKind, FaultPlan, FaultStats};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

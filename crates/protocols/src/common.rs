@@ -1100,9 +1100,6 @@ pub trait CoherenceProtocol {
     fn occupancy(&self) -> Occupancy {
         Occupancy::default()
     }
-    /// Deep copy of the whole protocol state, for in-memory snapshot
-    /// forking.
-    fn clone_box(&self) -> Box<dyn CoherenceProtocol>;
     /// Serializes every mutable field (caches, MSHRs, ordering-point
     /// transactions, statistics). The immutable [`ChipSpec`] is identity,
     /// not state: the restorer rebuilds the protocol from the same config
@@ -1114,12 +1111,6 @@ pub trait CoherenceProtocol {
         &mut self,
         r: &mut cmpsim_engine::SnapReader<'_>,
     ) -> Result<(), cmpsim_engine::SnapError>;
-}
-
-impl Clone for Box<dyn CoherenceProtocol> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 // ------------------------------------------------------------- snapshots

@@ -1845,10 +1845,6 @@ impl<P: AreaPolicy> CoherenceProtocol for DiCoCore<P> {
             && self.bounce_hold.iter().all(|b| b.values().all(|q| q.is_empty()))
     }
 
-    fn clone_box(&self) -> Box<dyn CoherenceProtocol> {
-        Box::new(self.clone())
-    }
-
     crate::common::snap_state_methods!(
         stats,
         authority,

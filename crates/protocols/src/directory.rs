@@ -934,10 +934,6 @@ impl CoherenceProtocol for Directory {
             && self.tx.iter().all(|t| t.is_empty())
     }
 
-    fn clone_box(&self) -> Box<dyn CoherenceProtocol> {
-        Box::new(self.clone())
-    }
-
     crate::common::snap_state_methods!(
         stats,
         authority,

@@ -187,13 +187,6 @@ impl<P: CoherenceProtocol> Harness<P> {
         for t in 0..self.proto.spec().tiles() {
             self.queue.push(t0, Ev::Retry(t));
         }
-        // Debug knobs, read once per run (a malformed value warns once
-        // instead of once per delivered message).
-        let trace_tail = cmpsim_engine::env::flag(cmpsim_engine::env::TRACE);
-        let trace_block: Option<u64> = cmpsim_engine::env::parsed_or_warn(
-            cmpsim_engine::env::TRACE_BLOCK,
-            "a block address (u64)",
-        );
         while let Some((now, ev)) = self.queue.pop() {
             self.events_processed += 1;
             assert!(
@@ -209,14 +202,6 @@ impl<P: CoherenceProtocol> Harness<P> {
             );
             match ev {
                 Ev::Deliver(msg) => {
-                    if trace_tail && self.events_processed > max_events.saturating_sub(200) {
-                        cmpsim_engine::debug_log::trace(now, format_args!("{msg:?}"));
-                    }
-                    if let Some(b) = trace_block {
-                        if msg.block == b {
-                            cmpsim_engine::debug_log::trace(now, format_args!("{msg:?}"));
-                        }
-                    }
                     let mut ctx = Ctx::at(now);
                     if let Err(e) = self.proto.handle(&mut ctx, msg) {
                         let history = self

@@ -93,7 +93,7 @@ fn trace_hops_reconcile_with_noc_counters() {
 /// never overflowed.
 #[test]
 fn trace_event_links_sum_to_hops() {
-    let cfg = SystemConfig::smoke().with_trace_capacity(1 << 20).with_interval(500);
+    let cfg = SystemConfig::smoke().with_tracing().with_interval(500);
     let r = run_benchmark(ProtocolKind::Directory, Benchmark::Radix, &cfg).expect("run");
     let t = r.trace.as_ref().expect("tracing enabled");
     assert_eq!(t.ring.dropped(), 0, "capacity too small for this budget");
