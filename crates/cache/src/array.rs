@@ -1,10 +1,10 @@
 //! Generic set-associative array with true-LRU replacement.
 //!
 //! The array is stored flat. Way `w` of set `s` is entry `s * ways + w`
-//! of one array of `(block, LRU stamp, payload slot)` triples, so a
-//! lookup, the stamp update of a hit and a victim search all read the
-//! same host cache lines. The array holds plain integers and is built
-//! with `vec![(0, 0, 0); n]`, which asks the allocator for zeroed
+//! of one array of 16-byte `(block, LRU stamp, payload slot)` triples,
+//! so a lookup, the stamp update of a hit and a victim search all read
+//! the same host cache lines. The array holds plain integers and is
+//! built with `vec![(0, 0, 0); n]`, which asks the allocator for zeroed
 //! memory; large zeroed blocks come from fresh pages, so the pages of
 //! sets nothing touches are never faulted in. A 64-tile chip's arrays
 //! cost address space, not memory, and building or dropping one is a
@@ -13,6 +13,14 @@
 //! that grows with the resident lines and reuses freed slots. The rare
 //! lines an [`SetAssoc::insert_filtered`] overshoot places beyond
 //! `ways` live in a small ordered side table.
+//!
+//! LRU stamps are `u32`. Every access takes the next value of a
+//! per-array clock, so live stamps are unique and only their order
+//! matters. When the clock would pass `u32::MAX`, the live stamps are
+//! renumbered `1..=resident` in their current order and the clock
+//! restarts above them: victim choice, iteration order and
+//! `insert_filtered` results are exactly those of unbounded stamps.
+//! Snapshot images still spell stamps and the clock as `u64`.
 //!
 //! In-set order is behaviourally significant (iteration order and the
 //! first-minimum victim tie-break), so each set keeps the order of a
@@ -25,9 +33,11 @@ use std::collections::BTreeMap;
 use crate::geometry::Geometry;
 use cmpsim_engine::{Snap, SnapError, SnapReader, SnapWriter};
 
-/// One resident line: `(block, LRU stamp, payload slot)`. A tuple of
-/// integers, so that an array of them can be allocated zeroed.
-type Way = (u64, u64, u32);
+/// One resident line: `(block, LRU stamp, payload slot)`, 16 bytes. A
+/// tuple of integers, so that an array of them can be allocated zeroed.
+/// Most of a warm cell's memory is the ways of the sets it touched, so
+/// the stamp is a renumbered `u32` (see the module docs), not a `u64`.
+type Way = (u64, u32, u32);
 
 /// A set-associative array. All structures of a tile (L1, L2 bank,
 /// directory cache, L1C$, L2C$) are instances of this with different
@@ -48,7 +58,7 @@ pub struct SetAssoc<T> {
     free: Vec<u32>,
     /// Resident lines across all sets.
     resident: usize,
-    clock: u64,
+    clock: u32,
 }
 
 impl<T> SetAssoc<T> {
@@ -86,9 +96,45 @@ impl<T> SetAssoc<T> {
         self.resident == 0
     }
 
-    fn bump(&mut self) -> u64 {
+    /// An array whose clock starts at `clock`, so tests can cross the
+    /// renumbering point in a few operations.
+    #[cfg(test)]
+    fn with_clock(geom: Geometry, clock: u32) -> Self {
+        Self { clock, ..Self::new(geom) }
+    }
+
+    fn bump(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            self.restart_clock();
+        }
         self.clock += 1;
         self.clock
+    }
+
+    /// Renumbers the live stamps so the clock can keep counting.
+    #[cold]
+    fn restart_clock(&mut self) {
+        let stamps: Vec<u64> = self.all_lines().map(|w| u64::from(w.1)).collect();
+        self.clock = self.renumber(&stamps);
+    }
+
+    /// Rewrites the live stamps as their dense ranks `1..` in stamp
+    /// order, keeping equal stamps equal, and returns the highest rank
+    /// (the new clock). `stamps` holds every live line's stamp in
+    /// [`Self::all_lines`] order.
+    fn renumber(&mut self, stamps: &[u64]) -> u32 {
+        let mut ranks = stamps.to_vec();
+        ranks.sort_unstable();
+        ranks.dedup();
+        let mut next = stamps.iter();
+        for set in 0..self.geom.sets {
+            for pos in 0..self.lens[set] as usize {
+                let stamp = next.next().expect("one stamp per live line");
+                let rank = ranks.binary_search(stamp).expect("stamp was ranked") + 1;
+                self.way_mut(set, pos).1 = u32::try_from(rank).expect("fewer lines than u32::MAX");
+            }
+        }
+        u32::try_from(ranks.len()).expect("fewer lines than u32::MAX")
     }
 
     /// The line at in-set position `pos` of `set`.
@@ -124,6 +170,11 @@ impl<T> SetAssoc<T> {
         flat.iter().chain(spilled)
     }
 
+    /// Every live line, set by set in in-set order.
+    fn all_lines(&self) -> impl Iterator<Item = &Way> {
+        (0..self.geom.sets).flat_map(move |set| self.lines(set))
+    }
+
     /// In-set position of `block` within `set`.
     #[inline]
     fn position(&self, set: usize, block: u64) -> Option<usize> {
@@ -134,7 +185,7 @@ impl<T> SetAssoc<T> {
     /// those `eligible` accepts. Ties go to the earliest position, and
     /// `eligible` sees every line in in-set order.
     fn lru_position(&self, set: usize, mut eligible: impl FnMut(u64) -> bool) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
+        let mut best: Option<(u32, usize)> = None;
         for (pos, &(block, lru, _)) in self.lines(set).enumerate() {
             if eligible(block) && best.is_none_or(|(oldest, _)| lru < oldest) {
                 best = Some((lru, pos));
@@ -144,7 +195,7 @@ impl<T> SetAssoc<T> {
     }
 
     /// Appends a line at the end of `set` (`Vec::push` order).
-    fn push(&mut self, set: usize, block: u64, lru: u64, data: T) {
+    fn push(&mut self, set: usize, block: u64, lru: u32, data: T) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(data);
@@ -316,8 +367,7 @@ impl<T> SetAssoc<T> {
     /// Iterates over all resident lines in deterministic (set, then
     /// insertion) order. Used by invariant checkers and tests only.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        (0..self.geom.sets)
-            .flat_map(move |set| self.lines(set).map(|&(block, _, slot)| (block, self.payload(slot))))
+        self.all_lines().map(|&(block, _, slot)| (block, self.payload(slot)))
     }
 
     /// Occupancy of the set that `block` maps to.
@@ -328,9 +378,10 @@ impl<T> SetAssoc<T> {
 
 // Images keep the encoding of the set-of-vectors layout this array
 // replaced: the geometry, a set count, then per set its lines in in-set
-// order as (block, payload, LRU stamp), then the stamp clock. The host
-// layout never reaches the bytes. Loading fails closed on anything the
-// array could not have produced itself.
+// order as (block, payload, LRU stamp), then the stamp clock, stamps and
+// clock as `u64`. The host layout never reaches the bytes. Loading fails
+// closed on anything the array could not have produced itself, and
+// renumbers the stamps of an image whose clock does not fit a `u32`.
 impl<T: Snap> Snap for SetAssoc<T> {
     fn save(&self, w: &mut SnapWriter) {
         self.geom.save(w);
@@ -340,10 +391,10 @@ impl<T: Snap> Snap for SetAssoc<T> {
             for &(block, lru, slot) in self.lines(set) {
                 block.save(w);
                 self.payload(slot).save(w);
-                lru.save(w);
+                u64::from(lru).save(w);
             }
         }
-        self.clock.save(w);
+        u64::from(self.clock).save(w);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -355,7 +406,9 @@ impl<T: Snap> Snap for SetAssoc<T> {
             return Err(SnapError::Corrupt("cache set count differs from its geometry"));
         }
         let mut a = Self::new(geom);
-        let mut newest = 0;
+        // The image's stamps in `all_lines` order; each line gets its
+        // stamp's low half until the clock says whether that is exact.
+        let mut stamps = Vec::new();
         for set in 0..geom.sets {
             for _ in 0..r.len_prefix("SetAssoc set", 16)? {
                 let block = u64::load(r)?;
@@ -367,14 +420,18 @@ impl<T: Snap> Snap for SetAssoc<T> {
                 if a.position(set, block).is_some() {
                     return Err(SnapError::Corrupt("duplicate block in a cache set"));
                 }
-                newest = newest.max(lru);
-                a.push(set, block, lru, data);
+                stamps.push(lru);
+                a.push(set, block, lru as u32, data);
             }
         }
-        a.clock = u64::load(r)?;
-        if newest > a.clock {
+        let clock = u64::load(r)?;
+        if stamps.iter().any(|&lru| lru > clock) {
             return Err(SnapError::Corrupt("cache LRU stamp ahead of its clock"));
         }
+        a.clock = match u32::try_from(clock) {
+            Ok(clock) => clock,
+            Err(_) => a.renumber(&stamps),
+        };
         Ok(a)
     }
 }
@@ -631,13 +688,13 @@ mod oracle {
     pub struct VecSetAssoc<T> {
         geom: Geometry,
         sets: Vec<Vec<Line<T>>>,
-        clock: u64,
+        pub clock: u64,
     }
 
     impl<T> VecSetAssoc<T> {
-        pub fn new(geom: Geometry) -> Self {
+        pub fn with_clock(geom: Geometry, clock: u64) -> Self {
             let sets = (0..geom.sets).map(|_| Vec::with_capacity(geom.ways)).collect();
-            Self { geom, sets, clock: 0 }
+            Self { geom, sets, clock }
         }
 
         pub fn len(&self) -> usize {
@@ -768,6 +825,67 @@ mod oracle_proptests {
         w.into_bytes()
     }
 
+    type Op = (u8, u64, u32, u32);
+
+    /// Runs `ops` on a flat array and on the vector-of-sets model, both
+    /// with their clocks at `clock`, and checks after every operation
+    /// that return values, per-set occupancy and iteration order agree.
+    /// Snapshot bytes are compared too while the stamps are still the
+    /// model's, i.e. unless the flat array has renumbered them.
+    fn run_against_model(
+        geom: Geometry,
+        clock: u32,
+        ops: Vec<Op>,
+    ) -> (SetAssoc<u32>, VecSetAssoc<u32>) {
+        let mut flat: SetAssoc<u32> = SetAssoc::with_clock(geom, clock);
+        let mut model: VecSetAssoc<u32> = VecSetAssoc::with_clock(geom, u64::from(clock));
+        for (op, block, val, protect) in ops {
+            // Bit `b % 32` of `protect` guards block `b` from eviction.
+            let can_evict = |b: u64| protect & (1 << (b % 32)) == 0;
+            match op {
+                0 if model.peek(block).is_none() => {
+                    prop_assert_eq!(flat.insert(block, val), model.insert(block, val));
+                }
+                1 if model.peek(block).is_none() => {
+                    prop_assert_eq!(
+                        flat.insert_filtered(block, val, can_evict),
+                        model.insert_filtered(block, val, can_evict)
+                    );
+                }
+                2 => {
+                    let got = flat.get_mut(block).map(|v| {
+                        *v += val;
+                        *v
+                    });
+                    let want = model.get_mut(block).map(|v| {
+                        *v += val;
+                        *v
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                3 => prop_assert_eq!(flat.peek(block), model.peek(block)),
+                4 => prop_assert_eq!(flat.remove(block), model.remove(block)),
+                _ => prop_assert_eq!(flat.victim_if_full(block), model.victim_if_full(block)),
+            }
+            prop_assert_eq!(flat.set_len(block), model.set_len(block));
+            prop_assert_eq!(flat.len(), model.len());
+            prop_assert!(flat.iter().eq(model.iter()), "iteration order diverged");
+            if u64::from(flat.clock) == model.clock {
+                prop_assert_eq!(image(|w| flat.save(w)), image(|w| model.save(w)));
+            }
+        }
+        (flat, model)
+    }
+
+    /// A snapshot of `flat` restores to the same state, and a clone (a
+    /// fork) carries it too.
+    fn round_trips(flat: &SetAssoc<u32>) {
+        let bytes = image(|w| flat.save(w));
+        let back = SetAssoc::<u32>::load(&mut SnapReader::new(&bytes)).expect("decode");
+        prop_assert_eq!(image(|w| back.save(w)), bytes.clone());
+        prop_assert_eq!(image(|w| flat.clone().save(w)), bytes);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -782,48 +900,34 @@ mod oracle_proptests {
             sets_log2 in 0u32..3,
             ops in prop::collection::vec((0u8..6, 0u64..24, 0u32..1000, 0u32..u32::MAX), 1..300),
         ) {
-            let geom = Geometry::new(1 << sets_log2, ways);
-            let mut flat: SetAssoc<u32> = SetAssoc::new(geom);
-            let mut model: VecSetAssoc<u32> = VecSetAssoc::new(geom);
-            for (op, block, val, protect) in ops {
-                // Bit `b % 32` of `protect` guards block `b` from eviction.
-                let can_evict = |b: u64| protect & (1 << (b % 32)) == 0;
-                match op {
-                    0 if model.peek(block).is_none() => {
-                        prop_assert_eq!(flat.insert(block, val), model.insert(block, val));
-                    }
-                    1 if model.peek(block).is_none() => {
-                        prop_assert_eq!(
-                            flat.insert_filtered(block, val, can_evict),
-                            model.insert_filtered(block, val, can_evict)
-                        );
-                    }
-                    2 => {
-                        let got = flat.get_mut(block).map(|v| {
-                            *v += val;
-                            *v
-                        });
-                        let want = model.get_mut(block).map(|v| {
-                            *v += val;
-                            *v
-                        });
-                        prop_assert_eq!(got, want);
-                    }
-                    3 => prop_assert_eq!(flat.peek(block), model.peek(block)),
-                    4 => prop_assert_eq!(flat.remove(block), model.remove(block)),
-                    _ => prop_assert_eq!(flat.victim_if_full(block), model.victim_if_full(block)),
-                }
-                prop_assert_eq!(flat.set_len(block), model.set_len(block));
-                prop_assert_eq!(flat.len(), model.len());
-                prop_assert!(flat.iter().eq(model.iter()), "iteration order diverged");
-                prop_assert_eq!(image(|w| flat.save(w)), image(|w| model.save(w)));
+            let (flat, _) = run_against_model(Geometry::new(1 << sets_log2, ways), 0, ops);
+            round_trips(&flat);
+        }
+
+        /// The same, starting with the clock a few accesses short of
+        /// `u32::MAX`: renumbering the stamps mid-run changes no return
+        /// value, occupancy or iteration order against the model's
+        /// unbounded `u64` stamps.
+        #[test]
+        fn renumbered_stamps_match_vector_of_sets(
+            ways in 2usize..5,
+            sets_log2 in 0u32..3,
+            headroom in 0u32..64,
+            ops in prop::collection::vec((0u8..6, 0u64..24, 0u32..1000, 0u32..u32::MAX), 1..300),
+        ) {
+            let (flat, model) =
+                run_against_model(Geometry::new(1 << sets_log2, ways), u32::MAX - headroom, ops);
+            if model.clock > u64::from(u32::MAX) {
+                // Renumbered: the clock restarted low, and the live
+                // stamps are still unique and behind it.
+                prop_assert!(u64::from(flat.clock) < model.clock);
+                let mut stamps: Vec<u32> = flat.all_lines().map(|w| w.1).collect();
+                stamps.sort_unstable();
+                stamps.dedup();
+                prop_assert_eq!(stamps.len(), flat.len());
+                prop_assert!(stamps.last().is_none_or(|&s| s <= flat.clock));
             }
-            // A snapshot of the flat array restores to the same state,
-            // and a clone (a fork) carries it too.
-            let bytes = image(|w| flat.save(w));
-            let back = SetAssoc::<u32>::load(&mut SnapReader::new(&bytes)).expect("decode");
-            prop_assert_eq!(image(|w| back.save(w)), bytes.clone());
-            prop_assert_eq!(image(|w| flat.clone().save(w)), bytes);
+            round_trips(&flat);
         }
     }
 }
@@ -846,10 +950,12 @@ mod snapshot_tests {
 
     // Byte offsets in `image()`: geometry (sets u64, ways u64, shift
     // u32), set count u64, then set 0's length and lines (block u64,
-    // payload u32, stamp u64), set 1's, and the clock.
+    // payload u32, stamp u64), set 1's, and the clock (u64).
     const SET_COUNT: usize = 20;
     const SET0_LINE0: usize = 36;
     const SET0_LINE1: usize = SET0_LINE0 + 20;
+    const SET1_LINE0: usize = SET0_LINE1 + 28;
+    const CLOCK: usize = SET1_LINE0 + 20;
 
     fn load(bytes: &[u8]) -> Result<SetAssoc<u32>, SnapError> {
         let mut r = SnapReader::new(bytes);
@@ -914,5 +1020,50 @@ mod snapshot_tests {
         let mut bad = image();
         put_u64(&mut bad, 8, 1 << 40); // absurd associativity
         expect_corrupt(&bad, "geometry");
+    }
+
+    /// An image whose clock does not fit a `u32` loads with its stamps
+    /// renumbered in order, so the LRU choices are the image's.
+    #[test]
+    fn clock_beyond_u32_renumbers_in_order() {
+        let mut big = image();
+        put_u64(&mut big, SET0_LINE0 + 12, (1 << 40) + 7); // block 0, newest
+        put_u64(&mut big, SET0_LINE1 + 12, (1 << 40) + 5); // block 2
+        put_u64(&mut big, SET1_LINE0 + 12, 1 << 33); // block 1, oldest
+        put_u64(&mut big, CLOCK, (1 << 40) + 9);
+        let mut a = load(&big).expect("an image with a u64 clock loads");
+        assert_eq!(a.victim_if_full(4).map(|(b, _)| *b), Some(2));
+
+        let mut w = SnapWriter::new();
+        a.save(&mut w);
+        let mut want = image();
+        put_u64(&mut want, SET0_LINE0 + 12, 3);
+        put_u64(&mut want, SET0_LINE1 + 12, 2);
+        put_u64(&mut want, SET1_LINE0 + 12, 1);
+        put_u64(&mut want, CLOCK, 3);
+        assert_eq!(w.into_bytes(), want);
+
+        // The next access stamps above every renumbered line.
+        assert!(a.touch(2));
+        assert_eq!(a.insert(4, 14), Some((0, 10)));
+    }
+
+    /// A clock of exactly `u32::MAX` still fits: the image re-saves
+    /// byte-identical.
+    #[test]
+    fn clock_at_u32_max_round_trips() {
+        let mut edge = image();
+        put_u64(&mut edge, SET0_LINE0 + 12, u64::from(u32::MAX));
+        put_u64(&mut edge, CLOCK, u64::from(u32::MAX));
+        let a = load(&edge).expect("edge image");
+        let mut w = SnapWriter::new();
+        a.save(&mut w);
+        assert_eq!(w.into_bytes(), edge);
+    }
+
+    /// The ways are 16 bytes: a `u64` block and `u32` stamp and slot.
+    #[test]
+    fn ways_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Way>(), 16);
     }
 }

@@ -7,7 +7,7 @@
 //! fixed-seed hash map; [`Mshr::iter`] sorts so whole-chip invariant
 //! checks stay address-ordered.
 
-use cmpsim_engine::FxHashMap;
+use cmpsim_engine::{FxHashMap, Snap, SnapError, SnapReader, SnapWriter};
 
 /// MSHR file with a capacity limit.
 #[derive(Debug, Clone)]
@@ -80,16 +80,35 @@ impl<E> Mshr<E> {
     }
 }
 
-impl<E: cmpsim_engine::Snap> cmpsim_engine::Snap for Mshr<E> {
-    fn save(&self, w: &mut cmpsim_engine::SnapWriter) {
+// Images hold the entries key-sorted, then the capacity. Loading fails
+// closed on a file the simulator could not have built or filled: zero
+// capacity, more entries than capacity, or blocks out of order or
+// repeated.
+impl<E: Snap> Snap for Mshr<E> {
+    fn save(&self, w: &mut SnapWriter) {
         self.entries.save(w);
         self.capacity.save(w);
     }
-    fn load(r: &mut cmpsim_engine::SnapReader<'_>) -> Result<Self, cmpsim_engine::SnapError> {
-        Ok(Self {
-            entries: cmpsim_engine::Snap::load(r)?,
-            capacity: cmpsim_engine::Snap::load(r)?,
-        })
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let n = r.len_prefix("Mshr", 8)?;
+        let mut entries = FxHashMap::default();
+        let mut last = None;
+        for _ in 0..n {
+            let block = u64::load(r)?;
+            if last.is_some_and(|prev| prev >= block) {
+                return Err(SnapError::Corrupt("MSHR blocks out of order or repeated"));
+            }
+            last = Some(block);
+            entries.insert(block, E::load(r)?);
+        }
+        let capacity = usize::load(r)?;
+        if capacity == 0 {
+            return Err(SnapError::Corrupt("MSHR file with no capacity"));
+        }
+        if entries.len() > capacity {
+            return Err(SnapError::Corrupt("MSHR file holds more entries than its capacity"));
+        }
+        Ok(Self { entries, capacity })
     }
 }
 
@@ -132,6 +151,66 @@ mod tests {
         let mut m: Mshr<()> = Mshr::new(1);
         m.alloc(1, ());
         m.alloc(2, ());
+    }
+
+    /// Image of an MSHR file of `capacity` holding `blocks` in the
+    /// given order, with payload `block as u8`.
+    fn image(blocks: &[u64], capacity: usize) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.len_prefix(blocks.len());
+        for &b in blocks {
+            b.save(&mut w);
+            (b as u8).save(&mut w);
+        }
+        capacity.save(&mut w);
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<Mshr<u8>, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let m = Mshr::load(&mut r)?;
+        r.finish()?;
+        Ok(m)
+    }
+
+    fn expect_corrupt(bytes: &[u8], why: &str) {
+        match load(bytes) {
+            Err(e @ SnapError::Corrupt(_)) => assert!(e.to_string().contains(why), "{e}"),
+            Err(e) => panic!("expected a corrupt-snapshot error naming {why:?}, got {e}"),
+            Ok(_) => panic!("a corrupt MSHR image was accepted ({why})"),
+        }
+    }
+
+    #[test]
+    fn snapshot_round_trips() {
+        let mut m: Mshr<u8> = Mshr::new(4);
+        for b in [9u64, 2, 5] {
+            m.alloc(b, b as u8);
+        }
+        let mut w = SnapWriter::new();
+        m.save(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, image(&[2, 5, 9], 4));
+        let back = load(&bytes).expect("pristine image");
+        let entries: Vec<(u64, u8)> = back.iter().map(|(b, e)| (*b, *e)).collect();
+        assert_eq!(entries, vec![(2, 2), (5, 5), (9, 9)]);
+        assert!(back.has_room());
+    }
+
+    #[test]
+    fn zero_capacity_is_refused() {
+        expect_corrupt(&image(&[], 0), "no capacity");
+    }
+
+    #[test]
+    fn more_entries_than_capacity_are_refused() {
+        expect_corrupt(&image(&[1, 2, 3], 2), "more entries than its capacity");
+    }
+
+    #[test]
+    fn unsorted_or_repeated_blocks_are_refused() {
+        expect_corrupt(&image(&[3, 1], 4), "out of order or repeated");
+        expect_corrupt(&image(&[3, 3], 4), "out of order or repeated");
     }
 
     #[test]

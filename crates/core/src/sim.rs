@@ -1375,6 +1375,9 @@ impl CmpSimulator {
         sim.rng = Snap::load(r)?;
         sim.fifo = FifoFloors::load(r, cfg.tiles())?;
         sim.ctrl_free = Snap::load(r)?;
+        if sim.ctrl_free.len() != cfg.mem_controllers {
+            return Err(SnapError::Corrupt("memory-controller count does not match configuration"));
+        }
         sim.warmed_up = Snap::load(r)?;
         sim.measure_start = Snap::load(r)?;
         sim.refs_at_reset = Snap::load(r)?;
@@ -1384,6 +1387,9 @@ impl CmpSimulator {
         sim.faults = Snap::load(r)?;
         sim.tile_misses = Snap::load(r)?;
         sim.tile_refs_base = Snap::load(r)?;
+        if sim.tile_misses.len() != cfg.tiles() || sim.tile_refs_base.len() != cfg.tiles() {
+            return Err(SnapError::Corrupt("per-tile counters do not match the tile count"));
+        }
         Ok(sim)
     }
 }
@@ -1753,11 +1759,20 @@ mod tests {
     /// `edit`, then re-seals the image with a matching payload digest,
     /// so only the section decoder can catch the damage.
     fn tamper(image: &[u8], section: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut edited = section.to_vec();
+        edit(&mut edited);
+        splice(image, section, &edited)
+    }
+
+    /// Replaces the payload section `section` with `with`, which may
+    /// differ in length, and re-seals the image like [`tamper`].
+    fn splice(image: &[u8], section: &[u8], with: &[u8]) -> Vec<u8> {
         let mut header = SnapWriter::new();
         snapshot::write_header(&mut header, 0);
         let at = image.windows(section.len()).position(|w| w == section).expect("section in image");
-        let mut out = image[..image.len() - 8].to_vec();
-        edit(&mut out[at..at + section.len()]);
+        let mut out = image[..at].to_vec();
+        out.extend_from_slice(with);
+        out.extend_from_slice(&image[at + section.len()..image.len() - 8]);
         let sum = crate::manifest::digest(&out[header.len()..]);
         out.extend_from_slice(&sum.to_le_bytes());
         out
@@ -1798,6 +1813,47 @@ mod tests {
         let next_ppn = (sim.memory.physical_pages() - 1).to_le_bytes();
         let bad = tamper(&image, &memory, |m| m[..8].copy_from_slice(&next_ppn));
         expect_e_snapshot(kind, b, &cfg, &bad, "corrupt snapshot");
+    }
+
+    /// Restoring a warm image of a simulator whose per-tile or
+    /// per-controller state was given one entry too many fails closed.
+    #[test]
+    fn restore_maps_miscounted_sim_vectors_to_e_snapshot() {
+        let cfg = SystemConfig::smoke();
+        let (kind, b) = (ProtocolKind::Directory, Benchmark::Radix);
+        let key = snapshot::snapshot_key(kind, b, &cfg);
+        let check = |grow: fn(&mut CmpSimulator), why: &str| {
+            let mut sim = CmpSimulator::new(kind, b, &cfg);
+            assert!(sim.warm_up().expect("warm-up"));
+            grow(&mut sim);
+            expect_e_snapshot(kind, b, &cfg, &sim.save_snapshot(key), why);
+        };
+        check(|s| s.ctrl_free.push(0), "memory-controller count");
+        check(|s| s.tile_misses.push(0), "per-tile counters");
+        check(|s| s.tile_refs_base.push(0), "per-tile counters");
+    }
+
+    /// A protocol section whose per-tile vectors were written for a
+    /// smaller chip fails closed instead of panicking on a tile index.
+    #[test]
+    fn restore_maps_miscounted_protocol_state_to_e_snapshot() {
+        let cfg = SystemConfig::smoke();
+        let smaller = ChipSpec::tiny();
+        assert!(smaller.tiles() < cfg.tiles());
+        for kind in ProtocolKind::all() {
+            let b = Benchmark::Radix;
+            let sim = CmpSimulator::new(kind, b, &cfg);
+            let image = sim.save_snapshot(snapshot::snapshot_key(kind, b, &cfg));
+            let state = |p: &dyn CoherenceProtocol| {
+                let mut w = SnapWriter::new();
+                p.save_state(&mut w);
+                w.into_bytes()
+            };
+            let ours = state(sim.proto.as_ref());
+            let theirs = state(build_protocol(kind, smaller.clone()).as_ref());
+            let bad = splice(&image, &ours, &theirs);
+            expect_e_snapshot(kind, b, &cfg, &bad, "one entry per tile");
+        }
     }
 
     #[test]

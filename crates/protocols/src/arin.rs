@@ -110,6 +110,10 @@ impl AreaPolicy for ArinPolicy {
         Self { bcast_blocked: vec![FxHashSet::default(); spec.tiles()] }
     }
 
+    fn per_tile_len(&self) -> Option<usize> {
+        Some(self.bcast_blocked.len())
+    }
+
     fn blocked(&self, tile: Tile, block: Block) -> bool {
         self.bcast_blocked[tile].contains(&block)
     }
@@ -534,6 +538,15 @@ mod tests {
 
     fn harness() -> Harness<Arin> {
         Harness::new(Arin::new(ChipSpec::small()))
+    }
+
+    #[test]
+    fn restore_refuses_per_tile_state_of_the_wrong_length() {
+        crate::common::assert_restore_checks_per_tile!(
+            Arin::new(ChipSpec::small());
+            l1, l1c, mshr, l1_queues, co_pending, co_ack_early, tombstones, l2, l2c, home_queues,
+            tx, bounce_hold, policy.bcast_blocked,
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use cmpsim_engine::metrics::{MetricSource, MetricsRegistry};
 use cmpsim_engine::stats::{Counter, Log2Hist, Running};
 use cmpsim_engine::{Cycle, FxHashMap, FxHashSet};
 use cmpsim_virt::AreaMap;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Tile index.
 pub type Tile = usize;
@@ -666,6 +666,16 @@ impl MissClass {
         ]
     }
 
+    /// All six categories, ordered by [`MissClass::label`].
+    const BY_LABEL: [MissClass; 6] = [
+        MissClass::Memory,
+        MissClass::PredictionFailed,
+        MissClass::PredictedOwnerHit,
+        MissClass::PredictedProviderHit,
+        MissClass::UnpredictedForwarded,
+        MissClass::UnpredictedHome,
+    ];
+
     /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -859,8 +869,9 @@ pub struct ProtoStats {
     pub miss_latency: Running,
     /// Miss latency distribution (log2 histogram, for percentiles).
     pub miss_latency_hist: Log2Hist,
-    /// Figure 9b: completed-miss classification.
-    pub miss_class: BTreeMap<&'static str, u64>,
+    /// Figure 9b: completed misses per class, indexed by [`MissClass`]
+    /// (see [`ProtoStats::class_count`]).
+    pub miss_class: [u64; 6],
 }
 
 impl ProtoStats {
@@ -871,7 +882,7 @@ impl ProtoStats {
     pub fn record_miss(&mut self, class: MissClass, latency: Cycle) {
         self.miss_latency.record(latency);
         self.miss_latency_hist.record(latency);
-        *self.miss_class.entry(class.label()).or_insert(0) += 1;
+        self.miss_class[class as usize] += 1;
         match class {
             MissClass::PredictedOwnerHit | MissClass::PredictedProviderHit => {
                 self.pred_lookups.inc();
@@ -884,7 +895,13 @@ impl ProtoStats {
 
     /// Count for one Figure-9b class.
     pub fn class_count(&self, class: MissClass) -> u64 {
-        self.miss_class.get(class.label()).copied().unwrap_or(0)
+        self.miss_class[class as usize]
+    }
+
+    /// The classes with at least one miss and their counts, in label
+    /// order (the order metrics and snapshot images list them in).
+    fn recorded_classes(&self) -> impl Iterator<Item = (MissClass, u64)> + '_ {
+        MissClass::BY_LABEL.into_iter().map(|c| (c, self.class_count(c))).filter(|&(_, n)| n > 0)
     }
 
     /// Prediction hit rate over the measured window (`None` when the
@@ -941,8 +958,8 @@ impl MetricSource for ProtoStats {
             reg.set_gauge(&format!("{prefix}.home_hit_rate"), r);
         }
         reg.merge_hist(&format!("{prefix}.miss_latency"), &self.miss_latency_hist);
-        for (class, n) in &self.miss_class {
-            reg.set_counter(&format!("{prefix}.miss_class.{class}"), *n);
+        for (class, n) in self.recorded_classes() {
+            reg.set_counter(&format!("{prefix}.miss_class.{}", class.label()), n);
         }
     }
 }
@@ -1391,12 +1408,12 @@ impl Snap for ProtoStats {
         self.dedup_drops.save(w);
         self.miss_latency.save(w);
         self.miss_latency_hist.save(w);
-        // miss_class keys are the static Figure-9b labels; serialize as
-        // strings and map back on load (BTreeMap iterates sorted, so the
-        // byte stream is deterministic).
-        w.len_prefix(self.miss_class.len());
-        for (label, n) in &self.miss_class {
-            label.to_string().save(w);
+        // Classes are spelled by their Figure-9b labels, nonzero ones
+        // only, in label order: the bytes of the label-keyed map this
+        // array replaced.
+        w.len_prefix(self.recorded_classes().count());
+        for (class, n) in self.recorded_classes() {
+            class.label().to_string().save(w);
             n.save(w);
         }
     }
@@ -1431,18 +1448,25 @@ impl Snap for ProtoStats {
             dedup_drops: Snap::load(r)?,
             miss_latency: Snap::load(r)?,
             miss_latency_hist: Snap::load(r)?,
-            miss_class: BTreeMap::new(),
+            miss_class: [0; 6],
         };
         let n = r.len_prefix("ProtoStats.miss_class", 1)?;
+        let mut last: Option<MissClass> = None;
         for _ in 0..n {
             let label = String::load(r)?;
             let count = u64::load(r)?;
-            let stat = MissClass::all()
-                .iter()
-                .map(|c| c.label())
-                .find(|l| *l == label)
+            let class = MissClass::all()
+                .into_iter()
+                .find(|c| c.label() == label)
                 .ok_or(SnapError::Corrupt("unknown miss-class label"))?;
-            s.miss_class.insert(stat, count);
+            if last.is_some_and(|prev| prev.label() >= class.label()) {
+                return Err(SnapError::Corrupt("miss-class labels out of order or repeated"));
+            }
+            if count == 0 {
+                return Err(SnapError::Corrupt("miss class recorded with no misses"));
+            }
+            last = Some(class);
+            s.miss_class[class as usize] = count;
         }
         Ok(s)
     }
@@ -1452,12 +1476,27 @@ cmpsim_engine::impl_snap!(BlockQueues { busy, pending });
 cmpsim_engine::impl_snap!(VersionAuthority { latest });
 cmpsim_engine::impl_snap!(MemoryImage { versions });
 
+/// State a protocol keeps with one entry per tile, checked against the
+/// chip when a snapshot is restored.
+pub(crate) trait PerTile {
+    /// Entries held, or `None` for state that is not kept per tile.
+    fn tile_entries(&self) -> Option<usize>;
+}
+
+impl<T> PerTile for Vec<T> {
+    fn tile_entries(&self) -> Option<usize> {
+        Some(self.len())
+    }
+}
+
 /// Expands to the [`CoherenceProtocol::save_state`] /
 /// [`CoherenceProtocol::load_state`] method pair over the listed fields
 /// (every mutable field, in declaration order; the immutable `ChipSpec`
 /// is identity and is supplied again by the restorer's constructor).
+/// The fields after `per_tile:` are indexed by tile: a restored one
+/// that does not hold one entry per tile fails closed.
 macro_rules! snap_state_methods {
-    ($($field:ident),+ $(,)?) => {
+    ($($field:ident),+ ; per_tile: $($tiled:ident),+ $(,)?) => {
         fn save_state(&self, w: &mut cmpsim_engine::SnapWriter) {
             $( cmpsim_engine::Snap::save(&self.$field, w); )+
         }
@@ -1467,11 +1506,45 @@ macro_rules! snap_state_methods {
             r: &mut cmpsim_engine::SnapReader<'_>,
         ) -> Result<(), cmpsim_engine::SnapError> {
             $( self.$field = cmpsim_engine::Snap::load(r)?; )+
+            let tiles = self.spec.tiles();
+            $(
+                if crate::common::PerTile::tile_entries(&self.$tiled).is_some_and(|n| n != tiles) {
+                    return Err(cmpsim_engine::SnapError::Corrupt(concat!(
+                        "per-tile `",
+                        stringify!($tiled),
+                        "` state does not have one entry per tile"
+                    )));
+                }
+            )+
             Ok(())
         }
     };
 }
 pub(crate) use snap_state_methods;
+
+/// Asserts that restoring state saved with any of the listed per-tile
+/// vectors one entry short fails closed as a corrupt snapshot.
+#[cfg(test)]
+macro_rules! assert_restore_checks_per_tile {
+    ($new:expr; $($($field:ident).+),+ $(,)?) => {$({
+        use crate::common::CoherenceProtocol as _;
+        let mut short = $new;
+        short.$($field).+.pop().expect("per-tile state is non-empty");
+        let mut w = cmpsim_engine::SnapWriter::new();
+        short.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let field = stringify!($($field).+);
+        match $new.load_state(&mut cmpsim_engine::SnapReader::new(&bytes)) {
+            Err(e @ cmpsim_engine::SnapError::Corrupt(_)) => {
+                assert!(e.to_string().contains("one entry per tile"), "{field}: {e}")
+            }
+            Err(e) => panic!("{field}: expected a corrupt-snapshot error, got {e}"),
+            Ok(()) => panic!("state with a short per-tile `{field}` was restored"),
+        }
+    })+};
+}
+#[cfg(test)]
+pub(crate) use assert_restore_checks_per_tile;
 
 /// Per-block busy flags with FIFO pending queues — the transaction
 /// serialization device used at every ordering point.
@@ -1773,6 +1846,109 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), 6);
+        assert!(MissClass::BY_LABEL.map(|c| c.label()).iter().eq(&labels));
+    }
+
+    /// `miss_class` indices follow `MissClass::all()`.
+    #[test]
+    fn miss_classes_index_in_report_order() {
+        for (i, c) in MissClass::all().into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+        }
+    }
+
+    /// Stats with misses recorded in a scrambled order.
+    fn stats_with_misses() -> ProtoStats {
+        let mut s = ProtoStats::default();
+        for (class, n) in [
+            (MissClass::UnpredictedHome, 3),
+            (MissClass::Memory, 5),
+            (MissClass::PredictedOwnerHit, 1),
+            (MissClass::UnpredictedForwarded, 2),
+        ] {
+            for _ in 0..n {
+                s.record_miss(class, 40);
+            }
+        }
+        s
+    }
+
+    fn stats_image(s: &ProtoStats) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        s.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// The miss-class section is byte-for-byte the label-keyed
+    /// `BTreeMap<&str, u64>` encoding: nonzero classes only, labels
+    /// sorted, each as a string then its count.
+    #[test]
+    fn miss_class_bytes_match_the_label_map_encoding() {
+        let s = stats_with_misses();
+        let mut old: std::collections::BTreeMap<&'static str, u64> = Default::default();
+        for c in MissClass::all() {
+            if s.class_count(c) > 0 {
+                old.insert(c.label(), s.class_count(c));
+            }
+        }
+        let mut w = SnapWriter::new();
+        w.len_prefix(old.len());
+        for (label, n) in &old {
+            label.to_string().save(&mut w);
+            n.save(&mut w);
+        }
+        let tail = w.into_bytes();
+        let image = stats_image(&s);
+        assert!(image.ends_with(&tail), "miss-class bytes moved");
+
+        let back = ProtoStats::load(&mut SnapReader::new(&image)).expect("decode");
+        assert_eq!(back.miss_class, s.miss_class);
+        assert_eq!(stats_image(&back), image);
+
+        let mut reg = MetricsRegistry::new();
+        s.publish("p", &mut reg);
+        let published: Vec<(String, u64)> = reg
+            .counters()
+            .filter(|(name, _)| name.contains(".miss_class."))
+            .map(|(name, n)| (name.to_string(), n))
+            .collect();
+        let want: Vec<(String, u64)> =
+            old.iter().map(|(label, n)| (format!("p.miss_class.{label}"), *n)).collect();
+        assert_eq!(published, want);
+    }
+
+    /// Loads an image of empty stats whose miss-class section (the last
+    /// field) lists `classes`.
+    fn load_with_classes(classes: &[(&str, u64)]) -> Result<ProtoStats, SnapError> {
+        let mut image = stats_image(&ProtoStats::default());
+        image.truncate(image.len() - 8); // the empty section's count
+        let mut w = SnapWriter::new();
+        w.len_prefix(classes.len());
+        for (label, n) in classes {
+            label.to_string().save(&mut w);
+            n.save(&mut w);
+        }
+        image.extend_from_slice(&w.into_bytes());
+        let mut r = SnapReader::new(&image);
+        let s = ProtoStats::load(&mut r)?;
+        r.finish()?;
+        Ok(s)
+    }
+
+    #[test]
+    fn miss_class_load_refuses_zero_repeated_or_unsorted_labels() {
+        assert!(load_with_classes(&[("memory", 5), ("unpred-home", 3)]).is_ok());
+        for (classes, why) in [
+            (&[("memory", 0)][..], "no misses"),
+            (&[("memory", 5), ("memory", 1)][..], "out of order or repeated"),
+            (&[("unpred-home", 3), ("memory", 5)][..], "out of order or repeated"),
+            (&[("hits", 1)][..], "unknown miss-class label"),
+        ] {
+            match load_with_classes(classes) {
+                Err(e @ SnapError::Corrupt(_)) => assert!(e.to_string().contains(why), "{e}"),
+                other => panic!("{classes:?}: expected a corrupt error for {why:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -136,6 +136,15 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_per_tile_state_of_the_wrong_length() {
+        crate::common::assert_restore_checks_per_tile!(
+            DiCo::new(ChipSpec::small());
+            l1, l1c, mshr, l1_queues, co_pending, co_ack_early, tombstones, l2, l2c, home_queues,
+            tx, bounce_hold,
+        );
+    }
+
+    #[test]
     fn first_read_owner_from_memory() {
         let mut h = harness();
         h.push_access(0, 100, false);

@@ -245,6 +245,12 @@ pub trait AreaPolicy: Sized + Clone + Snap + 'static {
         true
     }
 
+    /// Entries in the policy's own per-tile state (`None` when it keeps
+    /// none), checked against the chip when a snapshot is restored.
+    fn per_tile_len(&self) -> Option<usize> {
+        None
+    }
+
     /// Appends the policy's in-flight state at `tile` to a dump.
     fn pending_summary(&self, _tile: Tile, _out: &mut String) {}
 
@@ -313,6 +319,12 @@ pub trait AreaPolicy: Sized + Clone + Snap + 'static {
     /// Messages the shared core has no transition for.
     fn handle(_c: &mut DiCoCore<Self>, _ctx: &mut Ctx, msg: Msg) -> Result<(), ProtoError> {
         Err(ProtoError::unexpected(Self::KIND, &msg))
+    }
+}
+
+impl<P: AreaPolicy> PerTile for P {
+    fn tile_entries(&self) -> Option<usize> {
+        self.per_tile_len()
     }
 }
 
@@ -1862,7 +1874,9 @@ impl<P: AreaPolicy> CoherenceProtocol for DiCoCore<P> {
         tx,
         bounce_hold,
         pending_mem_writes,
-        policy,
+        policy;
+        per_tile: l1, l1c, mshr, l1_queues, co_pending, co_ack_early, tombstones, l2, l2c,
+            home_queues, tx, bounce_hold, policy,
     );
 
     fn occupancy(&self) -> Occupancy {

@@ -945,7 +945,8 @@ impl CoherenceProtocol for Directory {
         queues,
         tx,
         pending_evict_invs,
-        pending_mem_writes,
+        pending_mem_writes;
+        per_tile: l1, mshr, l2, dircache, queues, tx,
     );
 
     fn occupancy(&self) -> Occupancy {
@@ -1021,6 +1022,14 @@ mod tests {
 
     fn harness() -> Harness<Directory> {
         Harness::new(Directory::new(ChipSpec::small()))
+    }
+
+    #[test]
+    fn restore_refuses_per_tile_state_of_the_wrong_length() {
+        crate::common::assert_restore_checks_per_tile!(
+            Directory::new(ChipSpec::small());
+            l1, mshr, l2, dircache, queues, tx,
+        );
     }
 
     #[test]

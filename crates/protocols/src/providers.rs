@@ -70,6 +70,10 @@ impl AreaPolicy for ProvidersPolicy {
         Self { ptombstones: vec![Tombstones::default(); spec.tiles()] }
     }
 
+    fn per_tile_len(&self) -> Option<usize> {
+        Some(self.ptombstones.len())
+    }
+
     /// Table I: remote-area read at the owner.
     fn remote_read_at_owner(c: &mut Providers, ctx: &mut Ctx, tile: Tile, block: Block, req: ReqInfo) {
         let lat = c.spec.lat;
@@ -477,6 +481,15 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_per_tile_state_of_the_wrong_length() {
+        crate::common::assert_restore_checks_per_tile!(
+            Providers::new(ChipSpec::small());
+            l1, l1c, mshr, l1_queues, co_pending, co_ack_early, tombstones, l2, l2c, home_queues,
+            tx, bounce_hold, policy.ptombstones,
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "too many tiles for a one-byte ProPo")]
     fn refuses_chips_too_big_for_one_byte_propos() {
         Providers::new(ChipSpec {
@@ -537,7 +550,7 @@ mod tests {
         assert!(
             s.class_count(MissClass::UnpredictedForwarded) >= 1,
             "classes: {:?}",
-            s.miss_class
+            MissClass::all().map(|c| (c.label(), s.class_count(c)))
         );
     }
 
@@ -564,7 +577,7 @@ mod tests {
             h.proto.stats().class_count(MissClass::PredictedOwnerHit) >= 1
                 || h.proto.stats().class_count(MissClass::PredictedProviderHit) >= 1,
             "classes: {:?}",
-            h.proto.stats().miss_class
+            MissClass::all().map(|c| (c.label(), h.proto.stats().class_count(c)))
         );
     }
 

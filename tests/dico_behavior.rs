@@ -51,7 +51,7 @@ fn l1c_keeps_prediction_across_eviction() {
     assert!(
         h.proto.stats().class_count(MissClass::PredictedOwnerHit) >= 1,
         "classes: {:?}",
-        h.proto.stats().miss_class
+        MissClass::all().map(|c| (c.label(), h.proto.stats().class_count(c)))
     );
 }
 
@@ -73,7 +73,7 @@ fn invalidation_teaches_new_owner() {
     assert!(
         s.class_count(MissClass::PredictedOwnerHit) >= 1,
         "classes: {:?}",
-        s.miss_class
+        MissClass::all().map(|c| (c.label(), s.class_count(c)))
     );
 }
 
