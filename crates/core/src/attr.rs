@@ -167,19 +167,19 @@ fn transition(loc: Loc, e: &AttrEvent, requestor: Tile) -> Loc {
     }
 }
 
-/// The deterministic cursor sweep: charges `[issued, end)` across the
-/// phases. Returns the per-phase cycles (summing exactly to
-/// `end - issued`) and the final location. `on_span` observes each
-/// span's clamped in-span charge (for cross-VM stolen-cycle
-/// accounting); pass a no-op closure when only the phases matter.
+/// The deterministic cursor sweep over `events` in `(depart, arrival)`
+/// order: charges `[issued, end)` across the phases. Returns the
+/// per-phase cycles (summing exactly to `end - issued`) and the final
+/// location. `on_span` observes each span's clamped in-span charge (for
+/// cross-VM stolen-cycle accounting); pass a no-op closure when only the
+/// phases matter.
 fn sweep(
     issued: Cycle,
     requestor: Tile,
-    events: &mut [AttrEvent],
+    events: &[AttrEvent],
     end: Cycle,
     mut on_span: impl FnMut(&AttrEvent, u64),
 ) -> (PhaseCycles, Loc) {
-    events.sort_by_key(|e| (e.depart, e.arrival));
     let mut pc = PhaseCycles::default();
     let mut cur = issued;
     let mut loc = Loc::Requestor;
@@ -215,6 +215,8 @@ struct OpenAttr {
     write: bool,
     issued: Cycle,
     requestor: Tile,
+    /// Message spans in `(depart, arrival)` order, equal keys in the
+    /// order they were recorded.
     events: Vec<AttrEvent>,
     counts: EventCounts,
     /// The missed block is backed by a deduplicated (inter-VM shared)
@@ -326,6 +328,9 @@ pub struct TxAttribution {
     /// Energy-event counts of completed transactions by requestor tile
     /// (the spatial split of `tx_counts`, for energy heatmaps).
     tile_counts: Vec<EventCounts>,
+    /// Each tile's span buffer from its last completed transaction,
+    /// emptied, for its next miss to reuse.
+    spare_events: Vec<Vec<AttrEvent>>,
 }
 
 impl TxAttribution {
@@ -355,6 +360,7 @@ impl TxAttribution {
             vm: vec![VmBucket::default(); num_vms],
             matrix: vec![MatrixCell::default(); num_vms * num_vms],
             tile_counts: vec![EventCounts::default(); tiles],
+            spare_events: vec![Vec::new(); tiles],
             vm_of,
             num_vms,
         }
@@ -368,7 +374,7 @@ impl TxAttribution {
             write,
             issued: now,
             requestor: tile,
-            events: Vec::new(),
+            events: std::mem::take(&mut self.spare_events[tile]),
             counts: EventCounts::default(),
             dedup,
         });
@@ -398,13 +404,18 @@ impl TxAttribution {
         let tx = owner.and_then(|t| self.open[t].as_mut());
         let aggressor = match tx {
             Some(tx) => {
-                tx.events.push(AttrEvent {
+                // Spans are recorded nearly in depart order, so the scan
+                // for the insertion point is short.
+                let key = (depart, arrival);
+                let at = tx.events.iter().rposition(|e| (e.depart, e.arrival) <= key);
+                let span = AttrEvent {
                     depart,
                     arrival,
                     class,
                     dst_l1: matches!(dst, Node::L1(_)),
                     dst_tile: dst.tile(),
-                });
+                };
+                tx.events.insert(at.map_or(0, |i| i + 1), span);
                 tx.counts.merge(&noc);
                 tx.dedup |= dedup;
                 self.vm_of[tx.requestor]
@@ -471,7 +482,7 @@ impl TxAttribution {
         let vm_of = &self.vm_of;
         let matrix = &mut self.matrix;
         let mut stolen = 0u64;
-        let (phases, _) = sweep(tx.issued, tx.requestor, &mut tx.events, now, |e, cycles| {
+        let (phases, _) = sweep(tx.issued, tx.requestor, &tx.events, now, |e, cycles| {
             // Cross-VM critical-path theft: inv/forward/retry spans of
             // this (victim) transaction ending in another VM's tiles.
             let dst_vm = vm_of[e.dst_tile];
@@ -504,6 +515,8 @@ impl TxAttribution {
         } else {
             vm.intra_txs += 1;
         }
+        tx.events.clear();
+        self.spare_events[tile] = tx.events;
     }
 
     /// Warm-up reset: zeroes every aggregate (mirroring the proto/NoC
@@ -543,8 +556,7 @@ impl TxAttribution {
             .filter_map(|(tile, o)| o.as_ref().map(|tx| (tile, tx)))
             .take(n)
             .map(|(tile, tx)| {
-                let mut events = tx.events.clone();
-                let (phases, loc) = sweep(tx.issued, tx.requestor, &mut events, now, |_, _| {});
+                let (phases, loc) = sweep(tx.issued, tx.requestor, &tx.events, now, |_, _| {});
                 let parts: Vec<String> = phases
                     .iter()
                     .filter(|&(_, c)| c > 0)
@@ -738,6 +750,24 @@ mod tests {
         assert_eq!(classify(&MsgKind::OwnershipRecall, Node::L2(0)), MsgClass::Retry);
         assert_eq!(classify(&MsgKind::WbAck, Node::L2(0)), MsgClass::Control);
         assert_eq!(classify(&MsgKind::Ack, Node::L1(0)), MsgClass::Inv);
+    }
+
+    /// Spans recorded out of order are kept in `(depart, arrival)`
+    /// order, equal keys in the order they were recorded: the order the
+    /// sweep reads them in.
+    #[test]
+    fn spans_are_kept_in_sweep_order() {
+        use MsgClass::*;
+        let mut a = TxAttribution::new(2);
+        a.on_issue(0, 0, 0x40, false, false);
+        let spans = [(5, 9, Data), (3, 4, Request), (5, 9, Inv), (1, 2, Forward), (5, 7, Control)];
+        for (depart, arrival, class) in spans {
+            a.on_message(Some(0), depart, arrival, class, Node::L1(0), Node::L2(1), 1, 1, false);
+        }
+        let tx = a.open[0].as_ref().expect("open");
+        let got: Vec<_> = tx.events.iter().map(|e| (e.depart, e.arrival, e.class)).collect();
+        let want = [(1, 2, Forward), (3, 4, Request), (5, 7, Control), (5, 9, Data), (5, 9, Inv)];
+        assert_eq!(got, want);
     }
 
     /// A two-hop miss: request 10..20, home processes until 25, data

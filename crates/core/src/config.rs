@@ -2,7 +2,7 @@
 
 use cmpsim_engine::FaultPlan;
 use cmpsim_noc::NocConfig;
-use cmpsim_protocols::common::{ChipSpec, MAX_AREAS};
+use cmpsim_protocols::common::{ChipSpec, MAX_AREAS, MAX_TILES};
 use cmpsim_virt::Placement;
 
 /// Everything a simulation run needs besides the protocol and workload.
@@ -235,9 +235,9 @@ impl SystemConfig {
     pub(crate) fn check(&self) -> Result<(), String> {
         let (a, noc) = (&self.chip.areas, &self.noc);
         let tiles = a.cols.checked_mul(a.rows).unwrap_or(0);
-        if tiles == 0 || tiles >= u8::MAX as usize {
+        if tiles == 0 || tiles > MAX_TILES {
             return Err(format!(
-                "config.chip.areas: a {}x{} chip (want 1..=254 tiles)",
+                "config.chip.areas: a {}x{} chip (want 1..={MAX_TILES} tiles)",
                 a.cols, a.rows
             ));
         }

@@ -3,15 +3,17 @@
 //! its energy model, and the one block → open-transaction index the
 //! tracer and attribution share. The event loop calls it once per hook
 //! site, handing messages over as one small [`MsgEvent`] record; with
-//! every observer off, each site is a single branch.
+//! every observer off, each site is a single branch. Finding the
+//! transaction an event belongs to is O(1), and no per-event hook
+//! allocates once the span buffers have grown to their working size.
 
-use std::collections::BTreeMap;
-
-use cmpsim_engine::{Cycle, EventCounts};
+use cmpsim_engine::{Cycle, EventCounts, FxHashMap};
 use cmpsim_noc::Delivery;
 use cmpsim_power::EnergyModel;
 use cmpsim_protocols::checker::StepChecker;
-use cmpsim_protocols::common::{Block, BlockReason, MsgKind, Node, Tile};
+use cmpsim_protocols::common::{
+    bit, iter_bits, Block, BlockReason, MsgKind, Node, Tile, MAX_TILES,
+};
 use cmpsim_protocols::ProtoStats;
 use cmpsim_virt::mem::PageKind;
 use cmpsim_virt::MachineMemory;
@@ -111,6 +113,74 @@ fn is_dedup_block(memory: &MachineMemory, block: Block) -> bool {
     matches!(memory.kind_of_block(block), Some(PageKind::Deduplicated))
 }
 
+/// Which tile's open transaction owns the traffic on a block. A core
+/// has at most one outstanding miss, so a tile has at most one open
+/// transaction; several tiles may have one open on the same block, and
+/// the oldest of them (the lowest issue sequence number) owns every
+/// message on it.
+struct OpenIndex {
+    /// The block each tile's open transaction is on.
+    open: Vec<Option<Block>>,
+    /// The sequence number each tile's open transaction issued with.
+    seq: Vec<u64>,
+    /// The next issue sequence number.
+    next_seq: u64,
+    /// The tiles with a transaction open on each block, one bit per
+    /// tile (a chip has at most [`MAX_TILES`]).
+    by_block: FxHashMap<Block, u64>,
+}
+
+impl OpenIndex {
+    fn new(tiles: usize) -> Self {
+        assert!(tiles <= MAX_TILES, "the open-transaction index holds at most {MAX_TILES} tiles");
+        Self {
+            open: vec![None; tiles],
+            seq: vec![0; tiles],
+            next_seq: 0,
+            by_block: FxHashMap::default(),
+        }
+    }
+
+    /// Opens `tile`'s transaction on `block` as the newest one. A core
+    /// has one outstanding miss at a time; a leftover entry would mean a
+    /// completion was lost, so it is dropped defensively.
+    fn issue(&mut self, tile: Tile, block: Block) {
+        if let Some(stale) = self.open[tile].replace(block) {
+            self.unlink(stale, tile);
+        }
+        self.seq[tile] = self.next_seq;
+        self.next_seq += 1;
+        *self.by_block.entry(block).or_insert(0) |= bit(tile);
+    }
+
+    /// Closes `tile`'s open transaction, returning its block.
+    fn complete(&mut self, tile: Tile) -> Option<Block> {
+        let block = self.open[tile].take()?;
+        self.unlink(block, tile);
+        Some(block)
+    }
+
+    fn unlink(&mut self, block: Block, tile: Tile) {
+        if let Some(mask) = self.by_block.get_mut(&block) {
+            *mask &= !bit(tile);
+            if *mask == 0 {
+                self.by_block.remove(&block);
+            }
+        }
+    }
+
+    /// The tile whose transaction owns traffic on `block`: the only one
+    /// open on it, or else the oldest.
+    #[inline]
+    fn owner(&self, block: Block) -> Option<Tile> {
+        let mask = *self.by_block.get(&block)?;
+        if mask & (mask - 1) == 0 {
+            return Some(mask.trailing_zeros() as Tile);
+        }
+        iter_bits(mask).min_by_key(|&t| self.seq[t])
+    }
+}
+
 /// Every opt-in observer of one simulation. Observation-only: nothing
 /// here touches the event queue or the RNG, so simulated timing is
 /// bit-identical with any observer on or off.
@@ -127,11 +197,9 @@ pub(crate) struct Observers {
     pub(crate) sampler: Option<IntervalSampler>,
     /// Energy table for the sampler's cumulative snapshots.
     pub(crate) energy_model: Option<EnergyModel>,
-    /// The block each tile's open transaction is on.
-    open: Vec<Option<Block>>,
-    /// Tiles with an open transaction on a block, oldest first: the
-    /// oldest owns every message on the block.
-    by_block: BTreeMap<Block, Vec<Tile>>,
+    /// The block → open-transaction index the tracer and attribution
+    /// share.
+    index: OpenIndex,
 }
 
 impl Observers {
@@ -144,8 +212,7 @@ impl Observers {
             attr: cfg.attribution.then(|| TxAttribution::with_vms(vm_of, cfg.num_vms)),
             sampler: None,
             energy_model: None,
-            open: vec![None; tiles],
-            by_block: BTreeMap::new(),
+            index: OpenIndex::new(tiles),
         }
     }
 
@@ -156,12 +223,8 @@ impl Observers {
         self.tracer.is_some() || self.attr.is_some()
     }
 
-    /// The tile whose transaction owns traffic on `block`.
-    fn owner(&self, block: Block) -> Option<Tile> {
-        self.by_block.get(&block).and_then(|tiles| tiles.first().copied())
-    }
-
     /// An L1 miss issues at `now` on `tile`: opens its transaction.
+    #[inline]
     pub(crate) fn on_issue(
         &mut self,
         now: Cycle,
@@ -170,15 +233,24 @@ impl Observers {
         write: bool,
         memory: &MachineMemory,
     ) {
-        if !self.tracks_tx() {
-            return;
+        if self.tracks_tx() {
+            self.open_tx(now, tile, block, write, memory);
         }
-        // A core has one outstanding miss at a time; a leftover entry
-        // would mean a completion was lost. Drop it defensively.
-        if let Some(stale) = self.open[tile].replace(block) {
-            self.unlink(stale, tile);
-        }
-        self.by_block.entry(block).or_default().push(tile);
+    }
+
+    // The observers' work stays out of line (here and in `close_tx`), so
+    // the event loop compiles to the same code with every observer off
+    // whatever that work grows or shrinks to.
+    #[inline(never)]
+    fn open_tx(
+        &mut self,
+        now: Cycle,
+        tile: Tile,
+        block: Block,
+        write: bool,
+        memory: &MachineMemory,
+    ) {
+        self.index.issue(tile, block);
         if let Some(tr) = &mut self.tracer {
             tr.on_issue(now, tile, block, write);
         }
@@ -189,7 +261,7 @@ impl Observers {
 
     /// One network message. Callers check [`Self::tracks_tx`] first.
     pub(crate) fn on_message(&mut self, ev: MsgEvent, memory: &MachineMemory) {
-        let (owner, arrival, links) = (self.owner(ev.block), ev.noc.arrival, ev.noc.links);
+        let (owner, arrival, links) = (self.index.owner(ev.block), ev.noc.arrival, ev.noc.links);
         if let Some(tr) = &mut self.tracer {
             let (name, cat, src, dst) = (ev.name(), ev.category(), ev.src.tile(), ev.dst.tile());
             tr.on_message(owner, ev.depart, arrival, name, cat, ev.block, src, dst, links);
@@ -202,23 +274,23 @@ impl Observers {
     }
 
     /// The miss open on `tile` completes at `now`.
+    #[inline]
     pub(crate) fn on_completion(&mut self, now: Cycle, tile: Tile) {
-        let Some(block) = self.open[tile].take() else { return };
-        self.unlink(block, tile);
+        if self.tracks_tx() {
+            self.close_tx(now, tile);
+        }
+    }
+
+    #[inline(never)]
+    fn close_tx(&mut self, now: Cycle, tile: Tile) {
+        if self.index.complete(tile).is_none() {
+            return;
+        }
         if let Some(tr) = &mut self.tracer {
             tr.on_completion(now, tile);
         }
         if let Some(a) = &mut self.attr {
             a.on_completion(now, tile);
-        }
-    }
-
-    fn unlink(&mut self, block: Block, tile: Tile) {
-        if let Some(tiles) = self.by_block.get_mut(&block) {
-            tiles.retain(|&t| t != tile);
-            if tiles.is_empty() {
-                self.by_block.remove(&block);
-            }
         }
     }
 
@@ -237,11 +309,15 @@ impl Observers {
     }
 
     /// Charges the cache-counter movement since `base` to the
-    /// transaction open on `block` (or the untracked bucket).
+    /// transaction open on `block` (or the untracked bucket); a dispatch
+    /// that moved no counter charges nothing.
     pub(crate) fn on_cache_delta(&mut self, block: Block, base: [u64; 7], stats: &ProtoStats) {
-        let owner = self.owner(block);
-        let Some(a) = &mut self.attr else { return };
         let cur = cache_counts(stats);
+        if cur == base {
+            return;
+        }
+        let owner = self.index.owner(block);
+        let Some(a) = &mut self.attr else { return };
         let [l1_tag, l1_data, l2_tag, l2_data, dir, l1c, l2c] =
             std::array::from_fn(|i| cur[i] - base[i]);
         let delta =
@@ -288,6 +364,93 @@ impl Observers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The index as a list of open tiles per block in issue order: the
+    /// oracle [`OpenIndex`] must agree with.
+    struct OracleIndex {
+        open: Vec<Option<Block>>,
+        by_block: BTreeMap<Block, Vec<Tile>>,
+    }
+
+    impl OracleIndex {
+        fn issue(&mut self, tile: Tile, block: Block) {
+            if let Some(stale) = self.open[tile].replace(block) {
+                self.unlink(stale, tile);
+            }
+            self.by_block.entry(block).or_default().push(tile);
+        }
+
+        fn complete(&mut self, tile: Tile) -> Option<Block> {
+            let block = self.open[tile].take()?;
+            self.unlink(block, tile);
+            Some(block)
+        }
+
+        fn unlink(&mut self, block: Block, tile: Tile) {
+            let tiles = self.by_block.get_mut(&block).expect("open tile is linked");
+            tiles.retain(|&t| t != tile);
+            if tiles.is_empty() {
+                self.by_block.remove(&block);
+            }
+        }
+
+        fn owner(&self, block: Block) -> Option<Tile> {
+            self.by_block.get(&block).and_then(|tiles| tiles.first().copied())
+        }
+
+        /// The `k`-th open tile (modulo their count), if any is open.
+        fn nth_open(&self, k: usize) -> Option<Tile> {
+            let open: Vec<Tile> =
+                (0..self.open.len()).filter(|&t| self.open[t].is_some()).collect();
+            (!open.is_empty()).then(|| open[k % open.len()])
+        }
+    }
+
+    const BLOCKS: u64 = 4;
+
+    proptest! {
+        /// Over random issues (fresh, and stale re-issues on a tile
+        /// whose miss never completed) and completions on a 64-tile
+        /// chip, the index names the same owner for every block as the
+        /// issue-ordered oracle at every step, and is empty once every
+        /// transaction completes.
+        #[test]
+        fn index_matches_issue_ordered_oracle(
+            ops in prop::collection::vec((0u8..3, 0usize..64, 0u64..BLOCKS), 1..400),
+        ) {
+            let mut index = OpenIndex::new(64);
+            let mut oracle = OracleIndex { open: vec![None; 64], by_block: BTreeMap::new() };
+            for (op, tile, block) in ops {
+                match op {
+                    0 => {
+                        index.issue(tile, block);
+                        oracle.issue(tile, block);
+                    }
+                    1 => {
+                        if let Some(t) = oracle.nth_open(tile) {
+                            prop_assert_eq!(index.complete(t), oracle.complete(t));
+                        }
+                    }
+                    _ => {
+                        if let Some(t) = oracle.nth_open(tile) {
+                            index.issue(t, block);
+                            oracle.issue(t, block);
+                        }
+                    }
+                }
+                for b in 0..BLOCKS {
+                    prop_assert_eq!(index.owner(b), oracle.owner(b), "owner of block {}", b);
+                }
+            }
+            while let Some(t) = oracle.nth_open(0) {
+                prop_assert_eq!(index.complete(t), oracle.complete(t));
+            }
+            prop_assert!(index.by_block.is_empty());
+            prop_assert!(index.open.iter().all(Option::is_none));
+        }
+    }
 
     /// Messages on a block belong to its oldest open transaction, and
     /// pass to the next one when that completes.
@@ -303,7 +466,7 @@ mod tests {
         obs.on_completion(6, 2);
         obs.on_message(msg, &memory);
         obs.on_completion(9, 1);
-        assert!(obs.by_block.is_empty());
+        assert!(obs.index.by_block.is_empty());
         let ring = obs.finish(None).0.expect("tracing on").ring;
         let tids: Vec<u64> = ring.iter().filter(|e| e.cat == "mem").map(|e| e.tid).collect();
         assert_eq!(tids, vec![1, 2], "tile 2 issued first, then tile 1");

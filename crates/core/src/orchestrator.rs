@@ -1261,10 +1261,27 @@ mod tests {
         let mut start = String::new();
         start_event(&tiny_spec(), &SweepOptions::default(), &tiny_spec().expand())
             .render_compact_to(&mut start);
-        assert!(start.contains("\"mem_controllers\":4,"), "{start}");
-        let tampered = start.replace("\"mem_controllers\":4,", "\"mem_controllers\":0,");
-        let err = parse_journal(&tampered).err().expect("zero controllers must fail");
-        assert!(err.contains("mem_controllers"), "{err}");
+        // Zero memory controllers, and a consistent 10x8 chip of four
+        // 5x4 areas: more tiles than the 64-bit sharing codes hold.
+        let chip_4x4 = [
+            "\"areas\":{\"cols\":4,\"rows\":4,\"area_cols\":2,\"area_rows\":2}",
+            "\"noc\":{\"cols\":4,\"rows\":4,",
+        ];
+        let chip_10x8 = [
+            "\"areas\":{\"cols\":10,\"rows\":8,\"area_cols\":5,\"area_rows\":4}",
+            "\"noc\":{\"cols\":10,\"rows\":8,",
+        ];
+        for (edits, want) in [
+            (vec![("\"mem_controllers\":4,", "\"mem_controllers\":0,")], "mem_controllers"),
+            (chip_4x4.into_iter().zip(chip_10x8).collect(), "a 10x8 chip (want 1..=64 tiles)"),
+        ] {
+            let tampered = edits.iter().fold(start.clone(), |text, &(from, to)| {
+                assert!(text.contains(from), "{from} in {text}");
+                text.replacen(from, to, 1)
+            });
+            let err = parse_journal(&tampered).err().expect("an unbuildable config must fail");
+            assert!(err.contains(want), "{want}: {err}");
+        }
     }
 
     #[test]

@@ -888,14 +888,19 @@ mod tests {
         assert!(ReplayArtifact::from_json("{}").is_err());
     }
 
-    /// `sample()`'s JSON with the first `from` after `anchor` turned
-    /// into `to`.
+    /// `sample()`'s JSON with, edit by edit, the first `from` after
+    /// `anchor` turned into `to`.
+    fn tampered_all(edits: &[(&str, &str, &str)]) -> String {
+        edits.iter().fold(sample().to_json(), |json, &(anchor, from, to)| {
+            let at = json.find(anchor).expect("anchor") + anchor.len();
+            let (head, tail) = json.split_at(at);
+            assert!(tail.contains(from), "{from} after {anchor}");
+            format!("{head}{}", tail.replacen(from, to, 1))
+        })
+    }
+
     fn tampered(anchor: &str, from: &str, to: &str) -> String {
-        let json = sample().to_json();
-        let at = json.find(anchor).expect("anchor") + anchor.len();
-        let (head, tail) = json.split_at(at);
-        assert!(tail.contains(from), "{from} after {anchor}");
-        format!("{head}{}", tail.replacen(from, to, 1))
+        tampered_all(&[(anchor, from, to)])
     }
 
     #[test]
@@ -906,6 +911,19 @@ mod tests {
             (tampered("", "\"num_vms\": 4", "\"num_vms\": 0"), "num_vms"),
             (tampered("\"areas\": {", "\"area_cols\": 2", "\"area_cols\": 3"), "areas"),
             (tampered("\"l2\": {", "\"sets\": 16", "\"sets\": 12"), "config.chip.l2"),
+            // A consistent 10x8 chip of four 5x4 areas: more tiles than
+            // the 64-bit sharing codes hold.
+            (
+                tampered_all(&[
+                    ("\"areas\": {", "\"cols\": 4", "\"cols\": 10"),
+                    ("\"areas\": {", "\"rows\": 4", "\"rows\": 8"),
+                    ("\"areas\": {", "\"area_cols\": 2", "\"area_cols\": 5"),
+                    ("\"areas\": {", "\"area_rows\": 2", "\"area_rows\": 4"),
+                    ("\"noc\": {", "\"cols\": 4", "\"cols\": 10"),
+                    ("\"noc\": {", "\"rows\": 4", "\"rows\": 8"),
+                ]),
+                "config.chip.areas: a 10x8 chip (want 1..=64 tiles)",
+            ),
         ] {
             let err = ReplayArtifact::from_json(&json).expect_err("tampered config must fail");
             assert!(err.contains(field), "{field}: {err}");

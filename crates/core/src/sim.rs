@@ -21,6 +21,7 @@ use cmpsim_protocols::arin::Arin;
 use cmpsim_protocols::checker::StepChecker;
 use cmpsim_protocols::common::{
     AccessOutcome, Block, ChipSpec, CoherenceProtocol, Ctx, Msg, MsgKind, Node, ProtoError, Tile,
+    MAX_TILES,
 };
 use cmpsim_protocols::dico::DiCo;
 use cmpsim_protocols::directory::Directory;
@@ -363,6 +364,7 @@ impl CmpSimulator {
     /// Builds a simulator for one protocol/benchmark/config triple.
     pub fn new(kind: ProtocolKind, benchmark: Benchmark, cfg: &SystemConfig) -> Self {
         let tiles = cfg.tiles();
+        assert!(tiles <= MAX_TILES, "a {tiles}-tile chip exceeds the {MAX_TILES}-bit sharing codes");
         assert_eq!(
             cfg.noc.cols * cfg.noc.rows,
             tiles,

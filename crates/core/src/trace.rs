@@ -108,15 +108,10 @@ impl TxTracer {
         self.ring.push(TraceEvent {
             ts: depart,
             dur: arrival.saturating_sub(depart),
-            name: name.to_string(),
+            name,
             cat,
             tid,
-            args: vec![
-                ("block", block),
-                ("src", src as u64),
-                ("dst", dst as u64),
-                ("links", links),
-            ],
+            args: [("block", block), ("src", src as u64), ("dst", dst as u64), ("links", links)],
         });
     }
 
@@ -130,10 +125,10 @@ impl TxTracer {
         self.ring.push(TraceEvent {
             ts: tx.issued,
             dur: now.saturating_sub(tx.issued),
-            name: if tx.write { "store-miss".to_string() } else { "load-miss".to_string() },
+            name: if tx.write { "store-miss" } else { "load-miss" },
             cat: "tx",
             tid: tx.id,
-            args: vec![
+            args: [
                 ("block", tx.block),
                 ("tile", tile as u64),
                 ("hops", tx.hops),

@@ -15,22 +15,23 @@ use crate::event::Cycle;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// One trace span: `[ts, ts+dur)` on track `tid`, with a small set of
-/// numeric arguments shown by the viewer on click.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One trace span: `[ts, ts+dur)` on track `tid`, with four numeric
+/// arguments shown by the viewer on click. Every field is inline, so
+/// recording an event allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Start cycle.
     pub ts: Cycle,
     /// Duration in cycles (0 renders as an instant-like sliver).
     pub dur: Cycle,
     /// Event name (e.g. message kind or `GetX`).
-    pub name: String,
+    pub name: &'static str,
     /// Category string used by trace viewers for filtering.
     pub cat: &'static str,
     /// Track id — here: the transaction id (0 = untracked traffic).
     pub tid: u64,
     /// `key: value` arguments (block address, src/dst tile, hop count).
-    pub args: Vec<(&'static str, u64)>,
+    pub args: [(&'static str, u64); 4],
 }
 
 /// Fixed-capacity drop-oldest ring of trace events.
@@ -141,14 +142,14 @@ pub fn format_event(ev: &TraceEvent) -> String {
 mod tests {
     use super::*;
 
-    fn ev(ts: u64, name: &str) -> TraceEvent {
+    fn ev(ts: u64, name: &'static str) -> TraceEvent {
         TraceEvent {
             ts,
             dur: 2,
-            name: name.to_string(),
+            name,
             cat: "msg",
             tid: 1,
-            args: vec![("block", 7)],
+            args: [("block", 7), ("src", 1), ("dst", 2), ("links", 3)],
         }
     }
 
@@ -160,7 +161,7 @@ mod tests {
         r.push(ev(3, "c"));
         assert_eq!(r.len(), 2);
         assert_eq!(r.dropped(), 1);
-        let names: Vec<_> = r.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<_> = r.iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["b", "c"]);
     }
 
@@ -204,6 +205,6 @@ mod tests {
     #[test]
     fn format_event_line() {
         let line = format_event(&ev(5, "Fwd"));
-        assert_eq!(line, "[5+2] tx=1 Fwd block=7");
+        assert_eq!(line, "[5+2] tx=1 Fwd block=7 src=1 dst=2 links=3");
     }
 }

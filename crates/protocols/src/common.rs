@@ -1601,6 +1601,10 @@ impl BlockQueues {
     }
 }
 
+/// The most tiles a chip may have: sharing codes hold one bit per tile
+/// in a `u64`.
+pub const MAX_TILES: usize = 64;
+
 /// Bit mask for one tile in a sharing code.
 #[inline]
 pub fn bit(t: Tile) -> u64 {

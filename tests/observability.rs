@@ -245,3 +245,49 @@ fn disabled_by_default() {
     // The registry still works — it publishes from the result itself.
     assert!(!r.metrics().is_empty());
 }
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Every observer artifact of an `-alt` apache cell on each protocol,
+/// with tracing, attribution and interval sampling all on, is pinned
+/// byte for byte: a change to how the observer bus finds a message's
+/// transaction, pools its spans or records trace events must not change
+/// what any export says. A deliberate change to an export's content
+/// recaptures these digests.
+#[test]
+fn observer_artifacts_are_pinned() {
+    use cmpsim::report::{breakdown_csv, breakdown_json};
+    use cmpsim::{vmstat_tables, Placement};
+    let cfg = SystemConfig::small()
+        .with_placement(Placement::Alternative)
+        .with_tracing()
+        .with_attribution()
+        .with_interval(1_000);
+    let rs = run_matrix(&ProtocolKind::all(), &[Benchmark::Apache], &cfg, RunOptions::default())
+        .expect("run");
+    let per_cell = |f: &dyn Fn(&cmpsim::RunResult) -> String| -> String {
+        rs.iter().map(|r| format!("== {:?}\n{}", r.protocol, f(r))).collect()
+    };
+    let got = [
+        ("breakdown JSON", breakdown_json(&rs)),
+        ("breakdown CSV", breakdown_csv(&rs)),
+        ("vmstat text", vmstat_tables(&rs)),
+        ("interval CSV", per_cell(&|r| r.timeseries.as_ref().expect("sampling").to_csv())),
+        (
+            "Chrome trace",
+            per_cell(&|r| r.trace.as_ref().expect("tracing").to_chrome_json("cmpsim")),
+        ),
+    ]
+    .map(|(name, text)| (name, fnv1a64(text.as_bytes())));
+    let pinned = [
+        ("breakdown JSON", 0xfb42_812a_68c9_7f40u64),
+        ("breakdown CSV", 0x72af_9ec5_c50b_a983),
+        ("vmstat text", 0xdb30_d7c1_865c_4a7c),
+        ("interval CSV", 0xfda2_6ad9_320d_4210),
+        ("Chrome trace", 0x1683_94bf_6747_51d5),
+    ];
+    assert_eq!(got, pinned, "observer artifact digests (name, FNV-1a) changed");
+}
