@@ -42,14 +42,13 @@
 //!                                               # per-cell catch_unwind +
 //!                                               # deadline, retry w/ backoff,
 //!                                               # quarantine, crash-resumable
-//!                                               # NDJSON journal; exits nonzero
-//!                                               # when cells were lost (the
+//!                                               # NDJSON journal, and every
+//!                                               # planned cell judged against
+//!                                               # its fault-free golden twin;
+//!                                               # exits nonzero when cells
+//!                                               # were lost or diverged (the
 //!                                               # partial report still lists
-//!                                               # every failed cell + E-code)
-//! cmpsim-cli chaos [--plans N] [--mode M] [--seed S] [--refs N]
-//!                  [--small] [--alt] [-p P] [-b B] [--progress-out F]
-//!                  [--json-out F] [--report-out F] [--threads N]
-//!                  [--snapshot-dir D]           # seeded fault-injection soak
+//!                                               # every failed cell)
 //! cmpsim-cli list                               # protocols & benchmarks
 //! ```
 //!
@@ -79,7 +78,7 @@
 //! --manifest-out <file>   write the run manifest (run ledger entry) alone
 //! --host-profile-out <f>  write the host self-profile JSON (wall-clock,
 //!                         nondeterministic; keyed by manifest run_id)
-//! --progress-out <file>   live sweep telemetry as NDJSON (run/stats/matrix/report/chaos)
+//! --progress-out <file>   live sweep telemetry as NDJSON (run/stats/matrix/report)
 //! ```
 //!
 //! The report flags of `figures` and `study` are `--interval`, `--attr`,
@@ -102,11 +101,14 @@
 //!
 //! Fault injection: `--faults recoverable[@SEED]` or `--faults
 //! chaos[@SEED]` arms a deterministic fault plan on any run-family
-//! command. `chaos` sweeps N seeded plans across the protocol x
-//! benchmark matrix, verifies every recovered cell bit-identical (in
-//! architectural state) against its fault-free golden twin, and exits
-//! nonzero on any divergence, panic, or typed error lacking a replay
-//! artifact.
+//! command. `sweep --plans` fans plans across the protocol x benchmark
+//! matrix: a list such as `recoverable@1000,chaos@1001`, or a seed
+//! range `recoverable@1000..1008` (seeds 1000 to 1007). Each planned
+//! cell runs beside its fault-free golden twin and ends `done` (end
+//! state verified bit-identical to the twin's), `faulted` (a typed
+//! error with a replayable crash dump) or `diverged`; the sweep exits
+//! nonzero on any divergence, panic, golden failure, or typed error
+//! lacking a crash dump.
 //!
 //! Protocols: directory | dico | providers | arin.
 //! Benchmarks: apache | jbb | radix | lu | volrend | tomcatv |
@@ -114,8 +116,8 @@
 //!
 //! Every command parses its arguments through one table-driven parser:
 //! an option the command does not accept, a missing or malformed value,
-//! or a zero `--refs`/`--threads`/`--plans` count exits 2 with a
-//! one-line `error:`; simulation failures exit 1.
+//! a zero `--refs`/`--threads` count or an empty `--plans` range exits 2
+//! with a one-line `error:`; simulation failures exit 1.
 //!
 //! A failing `run`/`matrix` writes a JSON replay artifact (path printed
 //! with the error); `replay` re-runs it deterministically and reports
@@ -124,36 +126,34 @@
 //! replay, often turning an end-state deadlock into the first broken
 //! invariant.
 
-use cmpsim::chaos::{chaos_sweep, CellOutcome};
 use cmpsim::report::figures::Sweep;
 use cmpsim::report::{
     breakdown_csv, breakdown_energy_table, breakdown_json, breakdown_latency_table,
-    markdown_chaos_section, markdown_report, studies, table, Runner,
+    markdown_report, studies, table, Runner,
 };
 use cmpsim::snapshot::key_hex;
 use cmpsim::vmstat::{heatmap_csv, heatmap_json, vmstat_json, vmstat_tables};
 use cmpsim::{
-    run_matrix, snapshot_eligible, snapshot_key, Benchmark, CmpSimulator, CompareOptions,
-    FaultPlan, Injection, MissClass, Placement, ProtocolKind, ReplayArtifact, RunOptions,
-    RunResult, SimError, SnapshotStore, SweepOptions, SystemConfig,
+    parse_plans, run_matrix, snapshot_eligible, snapshot_key, Benchmark, CellState, CmpSimulator,
+    CompareOptions, FaultPlan, Injection, MissClass, Placement, ProtocolKind, ReplayArtifact,
+    RunOptions, RunResult, SimError, SnapshotStore, SweepOptions, SystemConfig,
 };
 use std::path::Path;
 use std::str::FromStr;
 
 /// Every option the CLI understands. Which commands accept which is
 /// data ([`Command::flags`]); what each one sets is [`Options::set`].
-/// Variants sharing a name (`Protocol`/`Protocols`, `Seed`/`PlanSeed`,
-/// `PlanCount`/`PlanList`) mean different things to different commands.
+/// Variants sharing a name (`Protocol`/`Protocols`) mean different
+/// things to different commands.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Flag {
     // The run family's chip, workload and observers.
     Protocol, Benchmark, Refs, Seed, Alt, MaxEvents, Check, Faults, Attr, Interval,
     TraceOut, SeriesOut, MetricsOut, BreakdownOut, VmstatOut, HeatmapOut, ManifestOut,
     HostProfileOut, ProgressOut, Out, AllBenchmarks, Threads, SnapshotDir,
-    // Soaks: `chaos` and `sweep`.
-    Small, Paper, PlanCount, PlanSeed, Mode, JsonOut, ReportOut,
-    Protocols, Benchmarks, Seeds, PlanList, Resume, OutDir, Journal, DeadlineMs, Retries,
-    BackoffMs, Inject,
+    // `sweep`.
+    Small, Paper, ReportOut, Protocols, Benchmarks, Seeds, Plans, Resume, OutDir, Journal,
+    DeadlineMs, Retries, BackoffMs, Inject,
     // `compare`.
     AllowImproved, Tol,
 }
@@ -166,7 +166,7 @@ impl Flag {
             Protocol | Protocols => &["--protocol", "-p"],
             Benchmark | Benchmarks => &["--benchmark", "-b"],
             Refs => &["--refs", "-n"],
-            Seed | PlanSeed => &["--seed", "-s"],
+            Seed => &["--seed", "-s"],
             Seeds => &["--seeds"],
             Alt => &["--alt"],
             Small => &["--small"],
@@ -189,9 +189,7 @@ impl Flag {
             AllBenchmarks => &["--all-benchmarks"],
             Threads => &["--threads"],
             SnapshotDir => &["--snapshot-dir"],
-            PlanCount | PlanList => &["--plans"],
-            Mode => &["--mode"],
-            JsonOut => &["--json-out"],
+            Plans => &["--plans"],
             ReportOut => &["--report-out"],
             Resume => &["--resume"],
             OutDir => &["--out-dir"],
@@ -229,18 +227,10 @@ const REPORT_FLAGS: &[Flag] = {
     &[Refs, Interval, Attr, TraceOut, SeriesOut, BreakdownOut, MetricsOut]
 };
 
-const CHAOS_FLAGS: &[Flag] = {
-    use Flag::*;
-    &[
-        PlanCount, Mode, PlanSeed, Refs, Paper, Small, Alt, Protocol, Benchmark, ProgressOut,
-        JsonOut, ReportOut, Threads, SnapshotDir,
-    ]
-};
-
 const SWEEP_FLAGS: &[Flag] = {
     use Flag::*;
     &[
-        Resume, Protocols, Benchmarks, Seeds, PlanList, Refs, Paper, Small, Alt, OutDir, Journal,
+        Resume, Protocols, Benchmarks, Seeds, Plans, Refs, Paper, Small, Alt, OutDir, Journal,
         DeadlineMs, Retries, BackoffMs, Inject, Threads, SnapshotDir, ReportOut,
     ]
 };
@@ -282,7 +272,6 @@ const COMMANDS: &[Command] = &[
     Command { args: (1, 1), ..command("study", REPORT_FLAGS, cmd_study) },
     Command { args: (1, 1), ..command("replay", &[Flag::Check, Flag::SnapshotDir], cmd_replay) },
     Command { refs: Some(800), small: true, ..command("sweep", SWEEP_FLAGS, cmd_sweep) },
-    Command { refs: Some(800), small: true, ..command("chaos", CHAOS_FLAGS, cmd_chaos) },
     command("list", &[], cmd_list),
 ];
 
@@ -299,8 +288,6 @@ struct Options {
     refs: Option<u64>,
     /// Simulation seed override (run family).
     seed: Option<u64>,
-    /// Base seed of the chaos fault plans.
-    plan_seed: u64,
     seeds: Vec<u64>,
     small: bool,
     alt: bool,
@@ -319,14 +306,11 @@ struct Options {
     host_profile_out: Option<String>,
     progress_out: Option<String>,
     out: Option<String>,
-    json_out: Option<String>,
     report_out: Option<String>,
     all_benchmarks: bool,
     threads: Option<usize>,
     snapshot_dir: Option<String>,
-    plan_count: u64,
     plans: Vec<Option<FaultPlan>>,
-    mode: &'static str,
     resume: Option<String>,
     journal: Option<String>,
     sweep: SweepOptions,
@@ -383,14 +367,7 @@ fn each<T>(
 impl Options {
     /// The one argument parser: `args` against `cmd`'s flag table.
     fn parse(cmd: &Command, args: &[String]) -> Result<Self, String> {
-        let mut o = Options {
-            refs: cmd.refs,
-            small: cmd.small,
-            plan_count: 8,
-            plan_seed: 0xC4A05,
-            mode: "both",
-            ..Options::default()
-        };
+        let mut o = Options { refs: cmd.refs, small: cmd.small, ..Options::default() };
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if !a.starts_with('-') || a.len() == 1 {
@@ -430,7 +407,6 @@ impl Options {
             Benchmarks => each(v, &mut self.benchmarks, benchmark)?,
             Refs => self.refs = Some(positive(v, "refs")?),
             Seed => self.seed = Some(num(v, "seed")?),
-            PlanSeed => self.plan_seed = num(v, "seed")?,
             Seeds => each(v, &mut self.seeds, |s| num(s, "seed"))?,
             Alt => self.alt = true,
             Small => self.small = true,
@@ -453,18 +429,7 @@ impl Options {
             AllBenchmarks => self.all_benchmarks = true,
             Threads => self.threads = Some(positive(v, "thread count")? as usize),
             SnapshotDir => self.snapshot_dir = path(),
-            PlanCount => self.plan_count = positive(v, "plan count")?,
-            PlanList => each(v, &mut self.plans, |s| match s {
-                "none" => Ok(None),
-                spec => FaultPlan::parse(spec).map(Some),
-            })?,
-            Mode => {
-                self.mode = ["recoverable", "chaos", "both"]
-                    .into_iter()
-                    .find(|m| *m == v)
-                    .ok_or_else(|| format!("unknown chaos mode {v} (recoverable|chaos|both)"))?
-            }
-            JsonOut => self.json_out = path(),
+            Plans => self.plans.extend(parse_plans(v)?),
             ReportOut => self.report_out = path(),
             Resume => self.resume = path(),
             OutDir => self.sweep.out_dir = v.into(),
@@ -1055,134 +1020,6 @@ fn cmd_replay(o: Options) {
     }
 }
 
-/// `chaos`: seeded fault-injection soak across the protocol x
-/// benchmark matrix with differential golden verification.
-fn cmd_chaos(o: Options) {
-    let cfg = config(&o);
-    let protocols = or_all(&o.protocols, &ProtocolKind::all());
-    let benchmarks = or_all(&o.benchmarks, &Benchmark::all());
-    let seed = o.plan_seed;
-    let plans: Vec<FaultPlan> = (0..o.plan_count)
-        .map(|i| match o.mode {
-            "recoverable" => FaultPlan::recoverable(seed + i),
-            "chaos" => FaultPlan::chaos(seed + i),
-            _ if i % 2 == 0 => FaultPlan::recoverable(seed + i),
-            _ => FaultPlan::chaos(seed + i),
-        })
-        .collect();
-    println!(
-        "chaos soak: {} plans x {} protocols x {} benchmarks = {} cells ({} refs/core, base seed {:#x})",
-        plans.len(),
-        protocols.len(),
-        benchmarks.len(),
-        plans.len() * protocols.len() * benchmarks.len(),
-        cfg.refs_per_core,
-        seed
-    );
-    let sink = progress_sink(
-        "chaos",
-        plans.len() * protocols.len() * benchmarks.len(),
-        o.progress_out.as_deref(),
-    );
-    let store = snapshot_store(o.snapshot_dir.as_deref());
-    let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress: Some(&sink) };
-    let report = chaos_sweep(&protocols, &benchmarks, &plans, &cfg, opts);
-    if let Some(p) = &o.json_out {
-        write_file(p, &report.to_json(), "chaos report");
-    }
-    if let Some(p) = &o.report_out {
-        write_file(p, &markdown_chaos_section(&report), "chaos markdown");
-    }
-
-    let mut rows = Vec::new();
-    for plan in &plans {
-        let cells: Vec<_> = report.cells.iter().filter(|c| c.plan == *plan).collect();
-        let recovered =
-            cells.iter().filter(|c| matches!(c.outcome, CellOutcome::Recovered { .. })).count();
-        let faulted =
-            cells.iter().filter(|c| matches!(c.outcome, CellOutcome::Faulted { .. })).count();
-        let violations = cells.iter().filter(|c| !c.outcome.acceptable()).count();
-        let (mut fired, mut retries, mut timeouts, mut overhead) = (0u64, 0u64, 0u64, 0u64);
-        for c in &cells {
-            if let CellOutcome::Recovered {
-                faults_fired,
-                retries: r,
-                timeouts: t,
-                cycles,
-                effective_cycles,
-            } = c.outcome
-            {
-                fired += faults_fired;
-                retries += r;
-                timeouts += t;
-                overhead += cycles.saturating_sub(effective_cycles);
-            }
-        }
-        rows.push(vec![
-            plan.spec(),
-            format!("{recovered}/{}", cells.len()),
-            faulted.to_string(),
-            violations.to_string(),
-            fired.to_string(),
-            retries.to_string(),
-            timeouts.to_string(),
-            overhead.to_string(),
-        ]);
-    }
-    println!(
-        "{}",
-        table(
-            &[
-                "plan",
-                "recovered",
-                "faulted",
-                "violations",
-                "faults",
-                "retries",
-                "timeouts",
-                "overhead cy"
-            ],
-            &rows
-        )
-    );
-    for cell in report.cells.iter() {
-        if let CellOutcome::Faulted { code, label, artifact } = &cell.outcome {
-            println!(
-                "  faulted: {} on {} under {}: {label} ({code}), artifact {}",
-                cell.protocol.name(),
-                cell.benchmark.name(),
-                cell.plan.spec(),
-                artifact.as_deref().map_or("MISSING".into(), |p| p.display().to_string()),
-            );
-        }
-    }
-    for cell in report.violations() {
-        let detail = match &cell.outcome {
-            CellOutcome::Diverged { detail } => detail.clone(),
-            CellOutcome::Panicked { message } => message.clone(),
-            CellOutcome::GoldenFailed { message } => format!("golden failed: {message}"),
-            CellOutcome::Faulted { .. } => "typed error without replay artifact".into(),
-            CellOutcome::Recovered { .. } => unreachable!("recovered cells are acceptable"),
-        };
-        println!(
-            "  VIOLATION: {} on {} under {} [{}]: {detail}",
-            cell.protocol.name(),
-            cell.benchmark.name(),
-            cell.plan.spec(),
-            cell.outcome.status(),
-        );
-    }
-    println!(
-        "{} recovered+verified, {} typed errors, {} violations",
-        report.recovered(),
-        report.faulted(),
-        report.violations().len()
-    );
-    if !report.passed() {
-        std::process::exit(1);
-    }
-}
-
 /// `sweep`: resilient job-queue sweep — blast-radius containment per
 /// cell (catch_unwind + per-cell deadline), bounded retry with backoff
 /// for transient failures, immediate quarantine for deterministic ones,
@@ -1230,15 +1067,30 @@ fn cmd_sweep(o: Options) {
     if outcome.skipped > 0 {
         eprintln!("resume skipped {} already-terminal cells", outcome.skipped);
     }
-    if !outcome.ok() {
-        let failed = outcome.quarantined();
-        eprintln!("{} cell(s) quarantined:", failed.len());
-        for (c, e) in &failed {
-            eprintln!("  cell {} {} [{}]: {}", c.index, c.name(), e.code, e.message);
+    let failed = outcome.violations();
+    if !failed.is_empty() {
+        eprintln!("{} cell(s) failed:", failed.len());
+        for (c, s) in &failed {
+            let why = match s {
+                CellState::Diverged { golden, detail, .. } => {
+                    format!("diverged from golden cell {golden}: {detail}")
+                }
+                CellState::Faulted { error, .. } | CellState::Quarantined { error, .. } => {
+                    format!("[{}]: {}", error.code, error.message)
+                }
+                CellState::Done { .. } => continue,
+            };
+            eprintln!("  cell {} {} {why}", c.index, c.name());
         }
         std::process::exit(1);
     }
-    eprintln!("sweep complete: all {} cells done", outcome.cells.len());
+    match outcome.count("faulted") {
+        0 => eprintln!("sweep complete: all {} cells done", outcome.cells.len()),
+        n => eprintln!(
+            "sweep complete: {} cells done, {n} faulted with a crash dump",
+            outcome.count("done")
+        ),
+    }
 }
 
 fn cmd_list(_: Options) {

@@ -298,7 +298,7 @@ impl SimError {
     }
 
     /// Stable machine-readable error code, one per variant. Downstream
-    /// tooling (the chaos harness, CI scripts) matches on these instead
+    /// tooling (the sweep journal, CI scripts) matches on these instead
     /// of string-parsing `Display` output; codes never change once
     /// shipped, even as `#[non_exhaustive]` grows the enum.
     pub fn code(&self) -> &'static str {
@@ -313,15 +313,13 @@ impl SimError {
     }
 
     /// True when the failure is *transient* under the sweep retry
-    /// policy: it models interference external to the protocol (an
-    /// injected-fault retransmission budget exhausted, a host wall-clock
-    /// deadline missed on a loaded machine) rather than a deterministic
-    /// property of the cell's inputs. Watchdog stalls, invariant
-    /// violations, protocol faults and snapshot corruption are
-    /// reproducible defects — retrying them wastes the worker, so the
-    /// orchestrator quarantines those immediately.
+    /// policy: a host wall-clock deadline missed on a loaded machine,
+    /// which is not a property of the cell's inputs. Every other error
+    /// is reproducible — a seeded fault plan fires the same faults at
+    /// the same cycles on every attempt — so retrying it only wastes
+    /// the worker, and the orchestrator settles it immediately.
     pub fn is_transient(&self) -> bool {
-        matches!(self, SimError::Fault(_) | SimError::Timeout(_))
+        matches!(self, SimError::Timeout(_))
     }
 
     /// The active fault plan and fired-fault counts, when the failing

@@ -47,9 +47,10 @@
 //! deterministic NoC faults — delay spikes, duplicates, reordering,
 //! bounded drops, transient router outages — which the simulator
 //! recovers from with per-MSHR timeouts, capped-backoff retransmission
-//! and duplicate suppression. The [`chaos`] module verifies recovery
-//! differentially: a recovered run must end bit-identical (in
-//! architectural state) to its fault-free golden twin.
+//! and duplicate suppression. A [`run_sweep`] over fault plans verifies
+//! recovery differentially: every planned cell that completes must end
+//! bit-identical in architectural state ([`ArchState::divergence`]) to
+//! its fault-free golden twin.
 //!
 //! # Observability
 //!
@@ -62,7 +63,6 @@
 //! identical with them on or off.
 
 pub mod attr;
-pub mod chaos;
 pub mod compare;
 pub mod config;
 pub mod error;
@@ -80,17 +80,14 @@ pub mod trace;
 pub mod vmstat;
 
 pub use attr::{BreakdownLog, TxAttribution};
-pub use chaos::{
-    chaos_sweep, run_differential, CellOutcome, ChaosCell, ChaosReport, DiffOutcome,
-};
 pub use compare::{CompareOptions, CompareReport, MetricDiff, Verdict};
 pub use config::SystemConfig;
 pub use error::{FaultContext, SimError, StallReason, TimeoutReport};
 pub use interval::{IntervalSample, IntervalSampler, TimeSeries};
 pub use manifest::RunManifest;
 pub use orchestrator::{
-    parse_journal, resume_sweep, run_matrix, run_sweep, CellError, CellState, Injection,
-    RunOptions, SweepCell, SweepOptions, SweepOutcome, SweepSpec,
+    parse_journal, parse_plans, resume_sweep, run_matrix, run_sweep, CellError, CellState,
+    Injection, RunOptions, SweepCell, SweepOptions, SweepOutcome, SweepSpec,
 };
 pub use progress::ProgressSink;
 pub use replay::ReplayArtifact;

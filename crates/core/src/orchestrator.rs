@@ -4,27 +4,34 @@
 //! `run_cells`: it owns the worker pool, the per-cell `catch_unwind`
 //! and the live progress stream, and callers supply only a per-cell
 //! body. [`SweepSpec::expand`] is the only cell enumerator: [`run_matrix`]
-//! is a spec with no seeds and no plans, and
-//! [`chaos_sweep`](crate::chaos_sweep) expands one spec for its golden
-//! twins and one for its judged cells. [`run_sweep`] adds blast-radius
+//! is a spec with no seeds and no plans. [`run_sweep`] adds blast-radius
 //! containment per cell:
 //!
 //! * a [`SweepSpec`] expands into `(config, protocol, benchmark, seed,
 //!   fault_plan)` cells, each identified by its content-hash manifest
 //!   `run_id` (duplicate cells collapse through the run-id ledger and
 //!   pre-existing artifacts are reused, never recomputed);
+//! * a spec with fault plans also expands the fault-free plan, so every
+//!   planned cell has a *golden twin*: the same (protocol, benchmark,
+//!   seed) without faults. Golden cells run first; a planned cell that
+//!   completes is judged against its twin's architectural end state
+//!   ([`ArchState::divergence`]), read from the twin's metrics
+//!   artifact, so a resumed sweep judges without re-running the twin.
+//!   An equal cell is `done` (its artifact records the twin's cycles as
+//!   `sim.effective_cycles`), an unequal one `diverged`, and one that
+//!   ends in a typed error with a crash dump `faulted`;
 //! * a panic is a typed [`CellError`] (`E-PANIC`) for its cell, not a
 //!   dead sweep;
 //! * a per-cell wall-clock deadline ([`SweepOptions::deadline_ms`]) is
 //!   layered on the simulated-time watchdog via
 //!   [`SystemConfig::wall_deadline_ms`]; an overrunning cell aborts
 //!   with `E-TIMEOUT`;
-//! * *transient* failures ([`SimError::is_transient`]: `E-FAULT`,
-//!   `E-TIMEOUT`) are retried with exponential backoff plus
-//!   deterministic jitter, up to [`SweepOptions::retries`] times;
-//!   *deterministic* failures (stall, invariant violation, protocol
-//!   fault, snapshot corruption, panic) are quarantined immediately
-//!   with their crash dump attached;
+//! * *transient* failures ([`SimError::is_transient`]: `E-TIMEOUT`) are
+//!   retried with exponential backoff plus deterministic jitter, up to
+//!   [`SweepOptions::retries`] times; *deterministic* failures (stall,
+//!   invariant violation, protocol fault, unrecoverable injected fault,
+//!   snapshot corruption, panic) settle on their first attempt with
+//!   their crash dump attached;
 //! * every state transition appends one line to an NDJSON **sweep
 //!   journal** (`schemas/sweep.schema.json`). The journal's `start`
 //!   line embeds the full spec (canonical config JSON included), so
@@ -34,7 +41,7 @@
 //!   the replayed remainder produces byte-identical artifacts;
 //! * a sweep that loses cells degrades gracefully: the outcome still
 //!   carries the partial matrix with a "Failed cells" section naming
-//!   each quarantined cell and its E-code, and the CLI exits nonzero
+//!   each quarantined or diverged cell, and the CLI exits nonzero
 //!   without aborting the batch.
 
 use std::collections::HashMap;
@@ -45,7 +52,7 @@ use std::sync::Mutex;
 
 use cmpsim_engine::par::{num_threads, panic_message, par_map_with_threads, ItemPanic};
 use cmpsim_engine::rng::splitmix64;
-use cmpsim_engine::{FaultPlan, WallDeadline};
+use cmpsim_engine::{Cycle, FaultPlan, WallDeadline};
 use cmpsim_protocols::ProtocolKind;
 use cmpsim_workloads::Benchmark;
 
@@ -54,7 +61,7 @@ use crate::error::SimError;
 use crate::manifest::RunManifest;
 use crate::progress::ProgressSink;
 use crate::replay::{config_from_json, config_to_json, Value};
-use crate::result::RunResult;
+use crate::result::{ArchState, RunResult};
 use crate::sim::run_benchmark_with_store;
 use crate::snapshot::SnapshotStore;
 
@@ -64,6 +71,40 @@ pub const SWEEP_SCHEMA: &str = "cmpsim-sweep-v1";
 /// Error code for a cell whose worker panicked (no [`SimError`] variant
 /// exists for panics — they are bugs, quarantined immediately).
 pub const PANIC_CODE: &str = "E-PANIC";
+
+/// Error code for a planned cell whose golden twin did not finish, so
+/// there is nothing to judge it against.
+pub const GOLDEN_CODE: &str = "E-GOLDEN";
+
+/// Most plans one `mode@A..B` range may name.
+const MAX_RANGE: u64 = 4096;
+
+/// Parses a comma-separated plan list: `none` (fault-free),
+/// `recoverable[@SEED]`, `chaos[@SEED]`, or a seed range `MODE@A..B`
+/// naming the plans with seeds `A` up to but excluding `B`.
+pub fn parse_plans(list: &str) -> Result<Vec<Option<FaultPlan>>, String> {
+    let mut plans = Vec::new();
+    for item in list.split(',') {
+        let range = item.split_once('@').and_then(|(m, r)| Some((m, r.split_once("..")?)));
+        let Some((mode, (lo, hi))) = range else {
+            plans.push((item != "none").then(|| FaultPlan::parse(item)).transpose()?);
+            continue;
+        };
+        let bad = |why: &str| format!("bad plan range {item:?} ({why})");
+        let lo: u64 = lo.parse().map_err(|_| bad("want MODE@FIRST..END"))?;
+        let hi: u64 = hi.parse().map_err(|_| bad("want MODE@FIRST..END"))?;
+        if hi <= lo {
+            return Err(bad("empty: END must exceed FIRST"));
+        }
+        if hi - lo > MAX_RANGE {
+            return Err(bad(&format!("more than {MAX_RANGE} plans")));
+        }
+        for seed in lo..hi {
+            plans.push(Some(FaultPlan::parse(&format!("{mode}@{seed}"))?));
+        }
+    }
+    Ok(plans)
+}
 
 /// What to sweep: the cross product of protocols, benchmarks, seeds and
 /// fault plans over one base configuration.
@@ -76,7 +117,9 @@ pub struct SweepSpec {
     /// Seeds to run (empty means "the base config's seed").
     pub seeds: Vec<u64>,
     /// Fault plans to run (`None` = fault-free; empty means "the base
-    /// config's plan").
+    /// config's plan"). When any plan is set, the cells expand with
+    /// the fault-free plan first unless it is listed already: it gives
+    /// every planned cell its golden twin.
     pub plans: Vec<Option<FaultPlan>>,
     /// Everything else (chip, refs, watchdog knobs, ...).
     pub base: SystemConfig,
@@ -101,17 +144,22 @@ impl SweepSpec {
 
     /// Expands the spec into cells in deterministic (plan, seed,
     /// benchmark, protocol) row-major order, computing each cell's
-    /// manifest and marking duplicates (same `run_id`) as dedups of
-    /// their first occurrence.
+    /// manifest, marking duplicates (same `run_id`) as dedups of their
+    /// first occurrence, and pointing each planned cell at its golden
+    /// twin.
     pub fn expand(&self) -> Vec<SweepCell> {
         let seeds: &[u64] =
             if self.seeds.is_empty() { &[self.base.seed] } else { &self.seeds };
-        let base_plan = [self.base.fault_plan.clone()];
-        let plans: &[Option<FaultPlan>] =
-            if self.plans.is_empty() { &base_plan } else { &self.plans };
+        let mut plans = self.plans.clone();
+        if plans.iter().any(Option::is_some) && !plans.contains(&None) {
+            plans.insert(0, None);
+        }
+        if plans.is_empty() {
+            plans.push(self.base.fault_plan.clone());
+        }
         let mut cells = Vec::new();
         let mut first_by_run_id: HashMap<String, usize> = HashMap::new();
-        for plan in plans {
+        for plan in &plans {
             for &seed in seeds {
                 for &benchmark in &self.benchmarks {
                     for &protocol in &self.protocols {
@@ -134,8 +182,18 @@ impl SweepSpec {
                             cfg,
                             manifest,
                             dedup_of,
+                            golden: None,
                         });
                     }
+                }
+            }
+        }
+        if plans.contains(&None) {
+            for c in &mut cells {
+                if c.plan.is_some() {
+                    let twin = c.cfg.clone().with_fault_plan(None);
+                    let run_id = RunManifest::new(c.protocol, c.benchmark, &twin).run_id;
+                    c.golden = first_by_run_id.get(&run_id).copied();
                 }
             }
         }
@@ -164,6 +222,9 @@ pub struct SweepCell {
     /// When another cell with the same `run_id` precedes this one, its
     /// index: this cell never dispatches, it shares that artifact.
     pub dedup_of: Option<usize>,
+    /// For a planned cell of a spec with plans, the index of its golden
+    /// twin, the fault-free cell it is judged against.
+    pub golden: Option<usize>,
 }
 
 impl SweepCell {
@@ -286,8 +347,9 @@ pub enum Injection {
         /// Target cell index.
         cell: usize,
     },
-    /// The cell fails with a synthetic transient `E-FAULT` on its first
-    /// `failures` attempts, then runs normally (→ retried to success).
+    /// The cell fails with a synthetic transient `E-TIMEOUT` on its
+    /// first `failures` attempts, then runs normally (→ retried to
+    /// success).
     Flaky {
         /// Target cell index.
         cell: usize,
@@ -413,8 +475,9 @@ impl CellError {
 /// Terminal state of one cell after the sweep.
 #[derive(Debug, Clone)]
 pub enum CellState {
-    /// Artifact produced (or reused). `attempts` counts executions of
-    /// this cell itself (0 when deduped or cached).
+    /// Artifact produced (or reused); a planned cell's end state equals
+    /// its golden twin's. `attempts` counts executions of this cell
+    /// itself (0 when deduped or cached).
     Done {
         /// Attempts this cell consumed.
         attempts: u32,
@@ -424,6 +487,26 @@ pub enum CellState {
         cached: bool,
         /// The cell shares the artifact of this earlier identical cell.
         dedup_of: Option<usize>,
+    },
+    /// A planned cell ended in a typed error with a crash dump: its
+    /// plan's faults were unrecoverable, an outcome the contract allows.
+    Faulted {
+        /// Attempts this cell consumed.
+        attempts: u32,
+        /// The error; `artifact` is the crash dump.
+        error: CellError,
+    },
+    /// A planned cell completed, but its end state differs from its
+    /// golden twin's: silent corruption, always a violation.
+    Diverged {
+        /// Attempts this cell consumed.
+        attempts: u32,
+        /// Path of the divergent run's metrics artifact.
+        artifact: PathBuf,
+        /// Index of the golden twin.
+        golden: usize,
+        /// Every mismatched field ([`ArchState::divergence`]).
+        detail: String,
     },
     /// Quarantined with a typed error after `attempts` executions.
     Quarantined {
@@ -435,11 +518,55 @@ pub enum CellState {
 }
 
 impl CellState {
-    /// Short status word (`done` / `quarantined`).
+    /// Short status word, also the state's journal event.
     pub fn status(&self) -> &'static str {
         match self {
             CellState::Done { .. } => "done",
+            CellState::Faulted { .. } => "faulted",
+            CellState::Diverged { .. } => "diverged",
             CellState::Quarantined { .. } => "quarantined",
+        }
+    }
+
+    /// Whether the cell meets the sweep's contract: done, or faulted
+    /// with a replayable crash dump.
+    pub fn ok(&self) -> bool {
+        matches!(self, CellState::Done { .. } | CellState::Faulted { .. })
+    }
+
+    fn attempts(&self) -> u32 {
+        match self {
+            CellState::Done { attempts, .. }
+            | CellState::Faulted { attempts, .. }
+            | CellState::Diverged { attempts, .. }
+            | CellState::Quarantined { attempts, .. } => *attempts,
+        }
+    }
+
+    /// The file the state stands on (metrics artifact or crash dump);
+    /// a resume re-dispatches the cell when it is gone.
+    fn artifact(&self) -> Option<&Path> {
+        match self {
+            CellState::Done { artifact, .. } | CellState::Diverged { artifact, .. } => {
+                Some(artifact)
+            }
+            CellState::Faulted { error, .. } => error.artifact.as_deref(),
+            CellState::Quarantined { .. } => None,
+        }
+    }
+
+    /// The state a dedup of this cell, the primary at `primary`,
+    /// inherits.
+    fn inherited(&self, primary: usize) -> CellState {
+        match self.clone() {
+            CellState::Done { artifact, .. } => {
+                CellState::Done { attempts: 0, artifact, cached: false, dedup_of: Some(primary) }
+            }
+            CellState::Faulted { error, .. } => CellState::Faulted { attempts: 0, error },
+            CellState::Diverged { artifact, golden, detail, .. } => {
+                CellState::Diverged { attempts: 0, artifact, golden, detail }
+            }
+            CellState::Quarantined { error, .. } => CellState::Quarantined { attempts: 0, error },
         }
     }
 }
@@ -457,93 +584,103 @@ pub struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// True when every cell produced its artifact.
+    /// True when every cell is done or faulted.
     pub fn ok(&self) -> bool {
-        self.states.iter().all(|s| matches!(s, CellState::Done { .. }))
+        self.states.iter().all(CellState::ok)
     }
 
-    /// The quarantined cells, in order.
-    pub fn quarantined(&self) -> Vec<(&SweepCell, &CellError)> {
-        self.cells
-            .iter()
-            .zip(&self.states)
-            .filter_map(|(c, s)| match s {
-                CellState::Quarantined { error, .. } => Some((c, error)),
-                CellState::Done { .. } => None,
-            })
-            .collect()
+    /// The cells breaking the contract (quarantined or diverged), in
+    /// order.
+    pub fn violations(&self) -> Vec<(&SweepCell, &CellState)> {
+        self.cells.iter().zip(&self.states).filter(|(_, s)| !s.ok()).collect()
+    }
+
+    /// Number of cells whose [`CellState::status`] is `status`.
+    pub fn count(&self, status: &str) -> usize {
+        self.states.iter().filter(|s| s.status() == status).count()
     }
 
     /// Canonical `(index, status)` set for replay-equivalence checks:
-    /// quarantined cells carry their E-code.
+    /// faulted and quarantined cells carry their E-code.
     pub fn state_set(&self) -> Vec<(usize, String)> {
         self.cells
             .iter()
             .zip(&self.states)
             .map(|(c, s)| match s {
-                CellState::Done { .. } => (c.index, "done".to_string()),
-                CellState::Quarantined { error, .. } => {
-                    (c.index, format!("quarantined:{}", error.code))
+                CellState::Faulted { error, .. } | CellState::Quarantined { error, .. } => {
+                    (c.index, format!("{}:{}", s.status(), error.code))
                 }
+                _ => (c.index, s.status().to_string()),
             })
             .collect()
     }
 
     /// The partial matrix report: summary, per-cell table, and — when
     /// cells were lost — a "Failed cells" section naming each
-    /// quarantined cell and its E-code.
+    /// quarantined cell and its E-code and each diverged cell and its
+    /// mismatch.
     pub fn report_markdown(&self) -> String {
-        let done = self.states.iter().filter(|s| matches!(s, CellState::Done { .. })).count();
-        let failed = self.quarantined();
-        let mut md = String::from("# Sweep report\n\n");
+        let mut md =
+            format!("# Sweep report\n\n{} cells: {} done", self.cells.len(), self.count("done"));
+        for status in ["faulted", "diverged"] {
+            match self.count(status) {
+                0 => {}
+                n => md.push_str(&format!(", {n} {status}")),
+            }
+        }
         md.push_str(&format!(
-            "{} cells: {} done, {} quarantined{}\n\n",
-            self.cells.len(),
-            done,
-            failed.len(),
-            if failed.is_empty() { " — complete" } else { " — PARTIAL" },
+            ", {} quarantined{}\n\n",
+            self.count("quarantined"),
+            if self.ok() { " — complete" } else { " — PARTIAL" },
         ));
         md.push_str("| cell | name | run_id | status | attempts | detail |\n");
         md.push_str("|-----:|------|--------|--------|---------:|--------|\n");
         for (c, s) in self.cells.iter().zip(&self.states) {
-            let (status, attempts, detail) = match s {
-                CellState::Done { attempts, cached, dedup_of, .. } => (
-                    "done",
-                    *attempts,
-                    match (dedup_of, cached) {
-                        (Some(i), _) => format!("dedup of cell {i}"),
-                        (None, true) => "cached artifact".to_string(),
-                        (None, false) => String::new(),
-                    },
-                ),
-                CellState::Quarantined { attempts, error } => {
-                    ("quarantined", *attempts, error.code.clone())
+            let detail = match s {
+                CellState::Done { cached, dedup_of, .. } => match (dedup_of, cached) {
+                    (Some(i), _) => format!("dedup of cell {i}"),
+                    (None, true) => "cached artifact".to_string(),
+                    (None, false) => String::new(),
+                },
+                CellState::Faulted { error, .. } | CellState::Quarantined { error, .. } => {
+                    error.code.clone()
                 }
+                CellState::Diverged { golden, .. } => format!("golden cell {golden}"),
             };
             md.push_str(&format!(
                 "| {} | {} | `{}` | {} | {} | {} |\n",
                 c.index,
                 c.name(),
                 c.manifest.run_id,
-                status,
-                attempts,
+                s.status(),
+                s.attempts(),
                 detail
             ));
         }
+        let failed = self.violations();
         if !failed.is_empty() {
             md.push_str("\n## Failed cells\n\n");
-            for (c, e) in &failed {
+            for (c, s) in &failed {
+                let (what, path) = match s {
+                    CellState::Diverged { artifact, golden, detail, .. } => (
+                        format!("**diverged** from golden cell {golden} — {detail}"),
+                        Some(format!(" (metrics: `{}`)", artifact.display())),
+                    ),
+                    CellState::Faulted { error, .. } | CellState::Quarantined { error, .. } => (
+                        format!("**{}** — {}", error.code, error.message),
+                        error
+                            .artifact
+                            .as_ref()
+                            .map(|p| format!(" (crash dump: `{}`)", p.display())),
+                    ),
+                    CellState::Done { .. } => continue,
+                };
                 md.push_str(&format!(
-                    "- cell {} `{}` (run `{}`): **{}** — {}{}\n",
+                    "- cell {} `{}` (run `{}`): {what}{}\n",
                     c.index,
                     c.name(),
                     c.manifest.run_id,
-                    e.code,
-                    e.message,
-                    e.artifact
-                        .as_ref()
-                        .map(|p| format!(" (crash dump: `{}`)", p.display()))
-                        .unwrap_or_default(),
+                    path.unwrap_or_default(),
                 ));
             }
         }
@@ -705,13 +842,11 @@ pub fn resume_sweep(journal_path: &Path, threads: Option<usize>) -> Result<Sweep
             cells.len()
         ));
     }
-    // Trust `done` states only when the artifact is actually present;
-    // a missing file (deleted out-of-band) re-dispatches the cell.
+    // Trust a terminal state only when the file it stands on is
+    // actually present; a missing file (deleted out-of-band)
+    // re-dispatches the cell.
     let mut terminal = parsed.terminal;
-    terminal.retain(|&i, s| match s {
-        CellState::Done { artifact, .. } => artifact.is_file() && i < cells.len(),
-        CellState::Quarantined { .. } => i < cells.len(),
-    });
+    terminal.retain(|&i, s| i < cells.len() && s.artifact().is_none_or(Path::is_file));
     let journal = Journal::append(journal_path)?;
     let mut j = event("resume");
     j.set("skipped", Value::uint(terminal.len() as u64));
@@ -828,47 +963,34 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
         };
         let attempts =
             v.field("attempt").and_then(|a| a.as_u64()).unwrap_or(0) as u32;
-        match ev {
-            "done" => {
-                let artifact = v
-                    .field("artifact")
-                    .and_then(|a| a.as_str().map(PathBuf::from))
-                    .unwrap_or_default();
-                let cached =
-                    v.field("cached").and_then(|c| c.as_bool()).unwrap_or(false);
-                let dedup_of = v
-                    .field("dedup_of")
-                    .ok()
-                    .and_then(|d| d.as_u64().ok())
-                    .map(|d| d as usize);
-                terminal.insert(
-                    cell,
-                    CellState::Done { attempts, artifact, cached, dedup_of },
-                );
-            }
-            "quarantined" => {
-                let error = CellError {
-                    code: v
-                        .field("code")
-                        .and_then(|c| c.as_str().map(str::to_string))
-                        .unwrap_or_else(|_| "E-UNKNOWN".to_string()),
-                    message: v
-                        .field("error")
-                        .and_then(|m| m.as_str().map(str::to_string))
-                        .unwrap_or_default(),
-                    artifact: v
-                        .field("artifact")
-                        .ok()
-                        .and_then(|a| a.as_str().ok())
-                        .map(PathBuf::from),
-                    transient: false,
-                };
-                terminal.insert(cell, CellState::Quarantined { attempts, error });
-            }
+        let text = |name: &str| v.field(name).and_then(|x| x.as_str().map(str::to_string));
+        let artifact = text("artifact").map(PathBuf::from);
+        let error = || CellError {
+            code: text("code").unwrap_or_else(|_| "E-UNKNOWN".to_string()),
+            message: text("error").unwrap_or_default(),
+            artifact: artifact.clone().ok(),
+            transient: false,
+        };
+        let state = match ev {
+            "done" => CellState::Done {
+                attempts,
+                artifact: artifact.unwrap_or_default(),
+                cached: v.field("cached").and_then(|c| c.as_bool()).unwrap_or(false),
+                dedup_of: v.field("dedup_of").and_then(|d| d.as_u64()).ok().map(|d| d as usize),
+            },
+            "faulted" => CellState::Faulted { attempts, error: error() },
+            "diverged" => CellState::Diverged {
+                attempts,
+                artifact: artifact.unwrap_or_default(),
+                golden: v.field("golden").and_then(|g| g.as_u64()).unwrap_or(0) as usize,
+                detail: text("error").unwrap_or_default(),
+            },
+            "quarantined" => CellState::Quarantined { attempts, error: error() },
             // queued / running / retrying are non-terminal: a crash
             // mid-cell re-dispatches it.
-            _ => {}
-        }
+            _ => continue,
+        };
+        terminal.insert(cell, state);
     }
     Ok(JournalState { spec, options, cell_count, terminal })
 }
@@ -881,7 +1003,9 @@ fn narrow<T: TryFrom<u64>>(v: &Value, field: &str) -> Result<T, String> {
 }
 
 /// The sweep body shared by fresh runs and resumes: dispatches every
-/// unique unfinished cell through [`run_cells`], then resolves dedups.
+/// unique unfinished cell through [`run_cells`] in two waves — first
+/// the cells with no golden twin (the twins among them), then the
+/// planned cells judged against them — and resolves dedups.
 fn execute(
     cells: Vec<SweepCell>,
     terminal: HashMap<usize, CellState>,
@@ -901,34 +1025,39 @@ fn execute(
     }
 
     // Only primaries dispatch; dedups inherit their primary's outcome.
-    let primaries: Vec<&SweepCell> = cells
+    let (judged, plain): (Vec<&SweepCell>, Vec<&SweepCell>) = cells
         .iter()
         .filter(|c| c.dedup_of.is_none() && !terminal.contains_key(&c.index))
-        .collect();
+        .partition(|c| c.golden.is_some());
     let pool = RunOptions { threads: opts.threads, store: Some(&store), progress: None };
-    let body = |cell: &SweepCell| {
-        let state = run_cell(cell, opts, &store, journal);
-        journal_terminal(journal, cell, &state);
-        state
-    };
-    let results = run_cells(&primaries, pool, body, |s| (s.status(), 0, 0.0));
-    for (cell, r) in primaries.iter().zip(results) {
-        // A panic in the orchestration code itself (not the cell — those
-        // are caught in attempt_cell) still quarantines only its cell.
-        let state = r.unwrap_or_else(|p| {
-            let state = CellState::Quarantined {
-                attempts: 0,
-                error: CellError {
-                    code: PANIC_CODE.to_string(),
-                    message: p.message,
-                    artifact: None,
-                    transient: false,
-                },
-            };
+    for wave in [plain, judged] {
+        let settled = &states;
+        let body = |cell: &SweepCell| {
+            let golden = cell.golden.map(|g| golden_state(&cells[g], settled[g].as_ref()));
+            let state = run_cell(cell, golden, opts, &store, journal);
             journal_terminal(journal, cell, &state);
             state
-        });
-        states[cell.index] = Some(state);
+        };
+        let results = run_cells(&wave, pool, body, |s| (s.status(), 0, 0.0));
+        for (cell, r) in wave.iter().zip(results) {
+            // A panic in the orchestration code itself (not the cell —
+            // those are caught in attempt_cell) still quarantines only
+            // its cell.
+            let state = r.unwrap_or_else(|p| {
+                let state = CellState::Quarantined {
+                    attempts: 0,
+                    error: CellError {
+                        code: PANIC_CODE.to_string(),
+                        message: p.message,
+                        artifact: None,
+                        transient: false,
+                    },
+                };
+                journal_terminal(journal, cell, &state);
+                state
+            });
+            states[cell.index] = Some(state);
+        }
     }
 
     // Dedup cells inherit their primary's terminal state.
@@ -939,23 +1068,8 @@ fn execute(
         let Some(primary) = c.dedup_of else {
             return Err(format!("cell {} was never dispatched (orchestrator bug)", c.index));
         };
-        let state = match &states[primary] {
-            Some(CellState::Done { artifact, .. }) => CellState::Done {
-                attempts: 0,
-                artifact: artifact.clone(),
-                cached: false,
-                dedup_of: Some(primary),
-            },
-            Some(CellState::Quarantined { error, .. }) => CellState::Quarantined {
-                attempts: 0,
-                error: error.clone(),
-            },
-            None => {
-                return Err(format!(
-                    "cell {} dedups to cell {primary}, which never resolved",
-                    c.index
-                ))
-            }
+        let Some(state) = states[primary].as_ref().map(|s| s.inherited(primary)) else {
+            return Err(format!("cell {} dedups to cell {primary}, which never resolved", c.index));
         };
         journal_terminal(journal, c, &state);
         states[c.index] = Some(state);
@@ -965,62 +1079,98 @@ fn execute(
         states.into_iter().map(|s| s.expect("every cell resolved above")).collect();
     let outcome = SweepOutcome { cells, states, skipped };
     let mut fin = event("finish");
-    fin.set(
-        "completed",
-        Value::uint(
-            outcome.states.iter().filter(|s| matches!(s, CellState::Done { .. })).count() as u64,
-        ),
-    );
-    fin.set("quarantined", Value::uint(outcome.quarantined().len() as u64));
+    fin.set("completed", Value::uint(outcome.count("done") as u64));
+    fin.set("quarantined", Value::uint(outcome.count("quarantined") as u64));
     fin.set("ok", Value::boolean(outcome.ok()));
     journal.emit(fin);
     Ok(outcome)
 }
 
 fn journal_terminal(journal: &Journal, cell: &SweepCell, state: &CellState) {
+    let mut j = event(state.status());
+    j.set("cell", Value::uint(cell.index as u64));
+    j.set("attempt", Value::uint(state.attempts() as u64));
+    j.set("run_id", Value::string(&cell.manifest.run_id));
     match state {
-        CellState::Done { attempts, artifact, cached, dedup_of } => {
-            let mut j = event("done");
-            j.set("cell", Value::uint(cell.index as u64));
-            j.set("attempt", Value::uint(*attempts as u64));
-            j.set("run_id", Value::string(&cell.manifest.run_id));
+        CellState::Done { artifact, cached, dedup_of, .. } => {
             j.set("artifact", Value::string(&artifact.display().to_string()));
             j.set("cached", Value::boolean(*cached));
             j.set("dedup_of", dedup_of.map_or(Value::Null, |i| Value::uint(i as u64)));
-            journal.emit(j);
         }
-        CellState::Quarantined { attempts, error } => {
-            let mut j = event("quarantined");
-            j.set("cell", Value::uint(cell.index as u64));
-            j.set("attempt", Value::uint(*attempts as u64));
-            j.set("run_id", Value::string(&cell.manifest.run_id));
+        CellState::Diverged { artifact, golden, detail, .. } => {
+            j.set("artifact", Value::string(&artifact.display().to_string()));
+            j.set("golden", Value::uint(*golden as u64));
+            j.set("error", Value::string(detail));
+        }
+        CellState::Faulted { error, .. } | CellState::Quarantined { error, .. } => {
             j.set("code", Value::string(&error.code));
             j.set("error", Value::string(&error.message));
-            j.set(
-                "artifact",
-                error
-                    .artifact
-                    .as_ref()
-                    .map_or(Value::Null, |p| Value::string(&p.display().to_string())),
-            );
-            journal.emit(j);
+            j.set("artifact", opt_path(&error.artifact));
         }
     }
+    journal.emit(j);
+}
+
+/// What a planned cell is judged against: its golden `twin`'s end
+/// state and cycle count, read from the twin's metrics artifact.
+fn golden_state(
+    twin: &SweepCell,
+    state: Option<&CellState>,
+) -> Result<(ArchState, Cycle), CellError> {
+    let why = match state {
+        Some(CellState::Done { artifact, .. }) => {
+            if let Some(found) = artifact_state(artifact, &twin.manifest.run_id) {
+                return Ok(found);
+            }
+            format!("left no readable metrics artifact at {}", artifact.display())
+        }
+        Some(CellState::Quarantined { error, .. }) => format!("did not finish ({})", error.code),
+        _ => "did not finish".to_string(),
+    };
+    Err(CellError {
+        code: GOLDEN_CODE.to_string(),
+        message: format!("golden cell {} `{}` {why}", twin.index, twin.name()),
+        artifact: None,
+        transient: false,
+    })
 }
 
 /// Runs one primary cell to a terminal state: retry loop, deadline,
-/// injections, artifact write. Never panics (the cell body is caught).
+/// injections, artifact write, and — for a planned cell — the verdict
+/// against its `golden` twin. Never panics (the cell body is caught).
 fn run_cell(
     cell: &SweepCell,
+    golden: Option<Result<(ArchState, Cycle), CellError>>,
     opts: &SweepOptions,
     store: &SnapshotStore,
     journal: &Journal,
 ) -> CellState {
+    let golden = match golden.transpose() {
+        Ok(golden) => golden,
+        Err(error) => return CellState::Quarantined { attempts: 0, error },
+    };
     let artifact_path = opts.out_dir.join(cell.artifact_name());
+    // A completed cell is done unless its end state differs from its
+    // golden twin's.
+    let settle = |attempts: u32, cached: bool, arch: Option<ArchState>| {
+        let artifact = artifact_path.clone();
+        match (golden, cell.golden) {
+            (Some((twin, _)), Some(golden)) if arch != Some(twin) => CellState::Diverged {
+                attempts,
+                artifact,
+                golden,
+                detail: arch
+                    .and_then(|a| twin.divergence(&a))
+                    .unwrap_or_else(|| "no architectural end state".to_string()),
+            },
+            _ => CellState::Done { attempts, artifact, cached, dedup_of: None },
+        }
+    };
     // Run-id ledger dedupe across invocations: an artifact produced by
-    // a previous sweep for this exact run id is reused, not recomputed.
-    if artifact_is_valid(&artifact_path, &cell.manifest.run_id) {
-        return CellState::Done { attempts: 0, artifact: artifact_path, cached: true, dedup_of: None };
+    // a previous sweep for this exact run id is reused (and judged),
+    // not recomputed.
+    if let Some((arch, _)) = artifact_state(&artifact_path, &cell.manifest.run_id) {
+        return settle(0, true, Some(arch));
     }
 
     let injections: Vec<&Injection> =
@@ -1035,22 +1185,20 @@ fn run_cell(
         journal.emit(j);
 
         let error = match attempt_cell(cell, &injections, opts, store, attempt) {
-            Ok(body) => match write_artifact(&artifact_path, &body) {
-                Ok(()) => {
-                    return CellState::Done {
-                        attempts: attempt,
-                        artifact: artifact_path,
-                        cached: false,
-                        dedup_of: None,
-                    }
+            Ok(mut result) => {
+                if let Some((_, cycles)) = golden.filter(|(twin, _)| result.arch == Some(*twin)) {
+                    result.effective_cycles = Some(cycles);
                 }
-                Err(e) => CellError {
-                    code: "E-IO".to_string(),
-                    message: e,
-                    artifact: None,
-                    transient: false,
-                },
-            },
+                match write_artifact(&artifact_path, &result.metrics_json()) {
+                    Ok(()) => return settle(attempt, false, result.arch),
+                    Err(e) => CellError {
+                        code: "E-IO".to_string(),
+                        message: e,
+                        artifact: None,
+                        transient: false,
+                    },
+                }
+            }
             Err(e) => e,
         };
 
@@ -1065,6 +1213,11 @@ fn run_cell(
             journal.emit(j);
             std::thread::sleep(std::time::Duration::from_millis(backoff));
             continue;
+        }
+        // A plan's unrecoverable faults end in a typed error with a
+        // crash dump; that is an outcome, not a lost cell.
+        if cell.plan.is_some() && !error.transient && error.artifact.is_some() {
+            return CellState::Faulted { attempts: attempt, error };
         }
         return CellState::Quarantined { attempts: attempt, error };
     }
@@ -1091,7 +1244,7 @@ fn attempt_cell(
     opts: &SweepOptions,
     store: &SnapshotStore,
     attempt: u32,
-) -> Result<String, CellError> {
+) -> Result<RunResult, CellError> {
     // The cell-level clock starts before any injected hang so setup
     // time counts against the deadline too.
     let wall = opts.deadline_ms.map(WallDeadline::new);
@@ -1108,9 +1261,9 @@ fn attempt_cell(
             Injection::Flaky { failures, .. } => {
                 if attempt <= *failures {
                     return Err(CellError {
-                        code: "E-FAULT".to_string(),
+                        code: "E-TIMEOUT".to_string(),
                         message: format!(
-                            "injected transient fault (attempt {attempt} of {failures} failing)"
+                            "injected transient timeout (attempt {attempt} of {failures} failing)"
                         ),
                         artifact: None,
                         transient: true,
@@ -1153,7 +1306,7 @@ fn attempt_cell(
         run_benchmark_with_store(cell.protocol, cell.benchmark, &cfg, Some(store))
     }));
     match caught {
-        Ok(Ok(result)) => Ok(result.metrics_json()),
+        Ok(Ok(result)) => Ok(result),
         Ok(Err(e)) => Err(CellError::from_sim(&e)),
         Err(payload) => Err(CellError {
             code: PANIC_CODE.to_string(),
@@ -1164,12 +1317,15 @@ fn attempt_cell(
     }
 }
 
-/// True when `path` holds a parseable artifact stamped with `run_id`
-/// (the ledger-reuse check; anything else re-runs the cell).
-fn artifact_is_valid(path: &Path, run_id: &str) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else { return false };
-    let Ok(doc) = Value::parse(&text) else { return false };
-    crate::manifest::manifest_of(&doc).is_some_and(|m| m.run_id == run_id)
+/// The end state and cycle count recorded in the metrics artifact at
+/// `path`, when it parses, is stamped with `run_id` and carries every
+/// `arch.*` counter — the ledger-reuse check: anything else re-runs
+/// the cell.
+fn artifact_state(path: &Path, run_id: &str) -> Option<(ArchState, Cycle)> {
+    let doc = Value::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+    crate::manifest::manifest_of(&doc).filter(|m| m.run_id == run_id)?;
+    let cycles = doc.field("counters").ok()?.field("sim.cycles").ok()?.as_u64().ok()?;
+    Some((ArchState::from_metrics(&doc)?, cycles))
 }
 
 /// Atomic artifact write: temp file + rename, so a killed sweep never
@@ -1230,6 +1386,104 @@ mod tests {
         assert_eq!(cells.len(), 4);
         assert_eq!(cells[2].dedup_of, Some(0));
         assert_eq!(cells[3].dedup_of, Some(1));
+    }
+
+    #[test]
+    fn planned_specs_expand_golden_twins_first() {
+        let plans = vec![Some(FaultPlan::recoverable(1)), Some(FaultPlan::chaos(2))];
+        let cells = SweepSpec { plans, ..tiny_spec() }.expand();
+        assert_eq!(cells.len(), 12, "4 golden twins + 2 plans x 4");
+        for c in &cells {
+            match &c.plan {
+                None => assert_eq!((c.index < 4, c.golden), (true, None)),
+                Some(_) => {
+                    let twin = &cells[c.golden.expect("planned cells have a twin")];
+                    assert_eq!((twin.plan.as_ref(), twin.seed), (None, c.seed));
+                    assert_eq!((twin.protocol, twin.benchmark), (c.protocol, c.benchmark));
+                }
+            }
+        }
+        // A listed `none` keeps its place and is not doubled.
+        let plans = vec![Some(FaultPlan::recoverable(1)), None];
+        let cells = SweepSpec { plans, ..tiny_spec() }.expand();
+        assert_eq!(cells.len(), 8);
+        assert_eq!(cells[0].golden, Some(4));
+        // Fault-free specs have no twins.
+        assert!(tiny_spec().expand().iter().all(|c| c.golden.is_none()));
+    }
+
+    #[test]
+    fn plan_ranges_round_trip() {
+        let specs = |plans: &[Option<FaultPlan>]| -> String {
+            let spec = |p: &Option<FaultPlan>| p.as_ref().map_or("none".to_string(), |p| p.spec());
+            plans.iter().map(spec).collect::<Vec<_>>().join(",")
+        };
+        for (range, list) in [
+            ("recoverable@1000..1003", "recoverable@1000,recoverable@1001,recoverable@1002"),
+            ("chaos@7..8,none", "chaos@7,none"),
+            ("none,recoverable@1,chaos@2000..2002", "none,recoverable@1,chaos@2000,chaos@2001"),
+        ] {
+            let plans = parse_plans(range).unwrap();
+            assert_eq!(specs(&plans), list);
+            assert_eq!(parse_plans(list).unwrap(), plans);
+        }
+        for bad in [
+            "recoverable@5..5",
+            "recoverable@8..5",
+            "chaos@1..18446744073709551616",
+            "chaos@0..18446744073709551615",
+            "recoverable@..5",
+            "recoverable@5..",
+            "sometimes@1..3",
+            "",
+        ] {
+            assert!(parse_plans(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cmpsim-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn planned_sweep(tag: &str, spec: &SweepSpec) -> SweepOutcome {
+        let out_dir = temp_dir(tag);
+        let opts =
+            SweepOptions { journal: out_dir.join("sweep.ndjson"), out_dir, ..Default::default() };
+        run_sweep(spec, &opts).expect("sweep runs")
+    }
+
+    #[test]
+    fn planned_cell_recovers_and_verifies() {
+        let spec = SweepSpec {
+            plans: vec![Some(FaultPlan::recoverable(42))],
+            ..SweepSpec::matrix(&[ProtocolKind::DiCo], &[Benchmark::Apache], &SystemConfig::smoke())
+        };
+        let outcome = planned_sweep("verify", &spec);
+        let CellState::Done { artifact, .. } = &outcome.states[1] else {
+            panic!("expected verified recovery, got {:?}", outcome.states[1])
+        };
+        let doc = Value::parse(&std::fs::read_to_string(artifact).unwrap()).unwrap();
+        let counters = doc.field("counters").unwrap();
+        assert!(counters.field("sim.effective_cycles").is_ok());
+        assert!(counters.field("noc.faults_injected.total").is_ok());
+    }
+
+    #[test]
+    fn planned_sweep_smoke_passes() {
+        let spec = SweepSpec {
+            plans: vec![Some(FaultPlan::recoverable(1)), Some(FaultPlan::recoverable(2))],
+            ..SweepSpec::matrix(
+                &[ProtocolKind::Directory, ProtocolKind::DiCoArin],
+                &[Benchmark::Radix],
+                &SystemConfig::smoke(),
+            )
+        };
+        let outcome = planned_sweep("smoke", &spec);
+        assert_eq!(outcome.cells.len(), 6);
+        assert!(outcome.ok(), "violations: {:?}", outcome.violations());
+        assert_eq!(outcome.count("done"), 6);
     }
 
     #[test]

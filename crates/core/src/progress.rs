@@ -3,7 +3,7 @@
 //!
 //! A [`ProgressSink`] counts completed cells and emits one event per
 //! cell — an NDJSON line to an optional file (`--progress-out` on `run`,
-//! `stats`, `matrix`, `report` and `chaos`) and a human-readable line to
+//! `stats`, `matrix` and `report`) and a human-readable line to
 //! stderr — with cells done/total, the cell's events/s from the host
 //! self-profiler, and an ETA extrapolated from the elapsed wall clock.
 //! This is *host-side telemetry*: lines carry wall-clock timings, arrive

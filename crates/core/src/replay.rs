@@ -15,6 +15,7 @@
 //! without floating-point loss.
 
 use crate::config::SystemConfig;
+use crate::manifest::RunManifest;
 use cmpsim_cache::Geometry;
 use cmpsim_engine::{Cycle, FaultPlan};
 use cmpsim_noc::NocConfig;
@@ -72,14 +73,22 @@ impl ReplayArtifact {
         }
     }
 
-    /// Deterministic file name for this artifact.
+    /// The manifest of the failing run.
+    pub fn manifest(&self) -> RunManifest {
+        RunManifest::new(self.protocol, self.benchmark, &self.config)
+    }
+
+    /// Deterministic file name for this artifact. The manifest `run_id`
+    /// keys every input of the run, fault plan included, so two runs
+    /// that fail at the same cycle never overwrite each other's dump.
     pub fn file_name(&self) -> String {
         format!(
-            "cmpsim-crash-{}-{}-seed{}-cycle{}.json",
+            "cmpsim-crash-{}-{}-seed{}-cycle{}-{}.json",
             self.protocol.name().to_lowercase(),
             self.benchmark.name(),
             self.config.seed,
-            self.failing_cycle
+            self.failing_cycle,
+            self.manifest().run_id
         )
     }
 
@@ -120,11 +129,7 @@ impl ReplayArtifact {
         j.set("failing_cycle", Value::uint(self.failing_cycle));
         j.set("events", Value::uint(self.events));
         j.set("config", config_to_json(&self.config));
-        j.set(
-            "manifest",
-            crate::manifest::RunManifest::new(self.protocol, self.benchmark, &self.config)
-                .to_value(),
-        );
+        j.set("manifest", self.manifest().to_value());
         let mut out = String::new();
         j.render(&mut out, 0);
         out.push('\n');
@@ -987,9 +992,14 @@ mod tests {
         assert_eq!(
             a.file_name(),
             format!(
-                "cmpsim-crash-dico-arin-mixed-com-seed{}-cycle123456789012345.json",
-                0xDEAD_BEEF_CAFE_F00Du64
+                "cmpsim-crash-dico-arin-mixed-com-seed{}-cycle123456789012345-{}.json",
+                0xDEAD_BEEF_CAFE_F00Du64,
+                a.manifest().run_id
             )
         );
+        // Any other input (here the fault plan) names another file.
+        let mut b = sample();
+        b.config.fault_plan = Some(FaultPlan::chaos(1));
+        assert_ne!(a.file_name(), b.file_name());
     }
 }

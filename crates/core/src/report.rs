@@ -434,36 +434,6 @@ pub fn markdown_report(results: &[RunResult]) -> String {
     out
 }
 
-/// Markdown section summarizing a chaos sweep, appended to a matrix
-/// report by `cmpsim-cli chaos --report-out`.
-pub fn markdown_chaos_section(report: &crate::chaos::ChaosReport) -> String {
-    let mut out = String::from("## Chaos sweep\n\n");
-    let _ = writeln!(
-        out,
-        "- cells: {}, recovered: {}, faulted: {}, violations: {}",
-        report.cells.len(),
-        report.recovered(),
-        report.faulted(),
-        report.violations().len()
-    );
-    let _ = writeln!(out, "- verdict: {}\n", if report.passed() { "PASS" } else { "FAIL" });
-    let rows: Vec<Vec<String>> = report
-        .cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.plan.spec(),
-                c.protocol.name().to_string(),
-                c.benchmark.name().to_string(),
-                c.outcome.status().to_string(),
-                format!("`{}`", c.manifest.run_id),
-            ]
-        })
-        .collect();
-    out.push_str(&md_table(&["plan", "protocol", "benchmark", "status", "run_id"], &rows));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,6 +4,7 @@
 use crate::attr::BreakdownLog;
 use crate::error::FaultContext;
 use crate::interval::TimeSeries;
+use crate::replay::Value;
 use crate::trace::TraceLog;
 use cmpsim_engine::metrics::{MetricSource, MetricsRegistry};
 use cmpsim_engine::{Cycle, FaultKind, HostProfile};
@@ -12,7 +13,8 @@ use cmpsim_engine::{Cycle, FaultKind, HostProfile};
 /// keyed on logical (VM-relative) coordinates. Two runs over the same
 /// configuration whose injected faults were all *recovered* must
 /// compare equal here even though their cycle counts differ — the
-/// differential check behind the fault-injection harness.
+/// differential check ([`ArchState::divergence`]) behind every planned
+/// sweep cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchState {
     /// splitmix64-chained digest over every `(vm, region, page index,
@@ -28,6 +30,49 @@ pub struct ArchState {
     pub physical_pages: u64,
     /// References retired over the whole run (warm-up included).
     pub refs_done: u64,
+}
+
+impl ArchState {
+    /// The fields by name, as the `arch.*` metrics counters publish them.
+    fn fields(&self) -> [(&'static str, u64); 6] {
+        [
+            ("version_digest", self.version_digest),
+            ("versioned_blocks", self.versioned_blocks),
+            ("cow_faults", self.cow_faults),
+            ("logical_pages", self.logical_pages),
+            ("physical_pages", self.physical_pages),
+            ("refs_done", self.refs_done),
+        ]
+    }
+
+    /// Reads the state back from a metrics artifact's `arch.*`
+    /// counters; `None` when any is missing.
+    pub fn from_metrics(doc: &Value) -> Option<Self> {
+        let counters = doc.field("counters").ok()?;
+        let get = |name: &str| counters.field(&format!("arch.{name}")).ok()?.as_u64().ok();
+        Some(Self {
+            version_digest: get("version_digest")?,
+            versioned_blocks: get("versioned_blocks")?,
+            cow_faults: get("cow_faults")?,
+            logical_pages: get("logical_pages")?,
+            physical_pages: get("physical_pages")?,
+            refs_done: get("refs_done")?,
+        })
+    }
+
+    /// The differential check of fault recovery: compares a faulty
+    /// run's end state with its fault-free golden twin's (`self`).
+    /// `None` when they are equal, else every mismatched field.
+    pub fn divergence(&self, faulty: &ArchState) -> Option<String> {
+        let parts: Vec<String> = self
+            .fields()
+            .into_iter()
+            .zip(faulty.fields())
+            .filter(|((_, g), (_, f))| g != f)
+            .map(|((name, g), (_, f))| format!("{name}: golden={g} faulty={f}"))
+            .collect();
+        (!parts.is_empty()).then(|| parts.join("; "))
+    }
 }
 /// Spatial (per-tile, per-link) counters of the measured window — the
 /// raw grids behind the heatmap exports. Row-major tile order; links
@@ -106,10 +151,11 @@ pub struct RunResult {
     /// Fault plan and fired-fault counters, when the run executed under
     /// fault injection.
     pub faults: Option<FaultContext>,
-    /// Cycles of the fault-free golden twin, set by the differential
-    /// harness when this run executed under fault injection and its end
-    /// state was verified against the twin. `cycles - effective_cycles`
-    /// is the timing overhead the injected faults caused.
+    /// Cycles of the fault-free golden twin, set by the sweep when this
+    /// run executed under fault injection and its end state was
+    /// verified against the twin ([`ArchState::divergence`]).
+    /// `cycles - effective_cycles` is the timing overhead the injected
+    /// faults caused.
     pub effective_cycles: Option<Cycle>,
     /// Host-side self-profile (wall-clock; nondeterministic — kept out
     /// of every deterministic artifact, printed to stderr only).
@@ -200,6 +246,11 @@ impl RunResult {
                     &format!("noc.faults_injected.{}", kind.label()),
                     fc.fired.count(kind),
                 );
+            }
+        }
+        if let Some(arch) = &self.arch {
+            for (name, v) in arch.fields() {
+                reg.set_counter(&format!("arch.{name}"), v);
             }
         }
         if let Some(ec) = self.effective_cycles {
@@ -388,6 +439,32 @@ mod tests {
         assert!(vm.iter().all(|(_, v)| (*v - 900.0).abs() < 1e-9));
         // The legacy sim.vm_finish.* series stays published alongside.
         assert!(reg.gauges().any(|(n, _)| n == "sim.vm_finish.0"));
+    }
+
+    #[test]
+    fn arch_state_round_trips_through_metrics_and_diffs_by_field() {
+        let golden = ArchState {
+            version_digest: u64::MAX,
+            versioned_blocks: 2,
+            cow_faults: 3,
+            logical_pages: 4,
+            physical_pages: 5,
+            refs_done: 6,
+        };
+        let mut r = dummy();
+        r.arch = Some(golden);
+        let doc = Value::parse(&r.metrics().to_json()).unwrap();
+        assert_eq!(ArchState::from_metrics(&doc), Some(golden));
+        assert_eq!(
+            ArchState::from_metrics(&Value::parse(&dummy().metrics().to_json()).unwrap()),
+            None
+        );
+        assert_eq!(golden.divergence(&golden), None);
+        let faulty = ArchState { version_digest: 1, refs_done: 7, ..golden };
+        assert_eq!(
+            golden.divergence(&faulty).as_deref(),
+            Some("version_digest: golden=18446744073709551615 faulty=1; refs_done: golden=6 faulty=7")
+        );
     }
 
     #[test]

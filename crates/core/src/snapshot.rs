@@ -146,7 +146,7 @@ fn validate_header(bytes: &[u8]) -> Result<u64, SnapshotError> {
 }
 
 /// Keyed store of warm-state snapshot images, shared across the worker
-/// threads of a matrix or chaos sweep.
+/// threads of a matrix or a sweep.
 ///
 /// Always caches in memory; with [`SnapshotStore::with_dir`] images are
 /// additionally persisted as `snap-<key>.bin` files so later CLI

@@ -29,11 +29,11 @@ fn bad_command_lines_exit_2_with_an_error_line() {
         &["study", "alt", "--bogus"],
         &["replay", "a.json", "--bogus"],
         &["sweep", "--bogus"],
-        &["chaos", "--bogus"],
         &["list", "--bogus"],
         &["study", "hops", "-n", "5"],
         &["figures", "7", "--threads", "2"],
-        &["chaos", "--faults", "chaos@1"],
+        &["sweep", "--mode", "chaos"],
+        &["sweep", "--json-out", "chaos.json"],
         // A missing value.
         &["run", "-n"],
         &["stats", "-p"],
@@ -46,7 +46,7 @@ fn bad_command_lines_exit_2_with_an_error_line() {
         &["study", "area", "-n"],
         &["replay", "a.json", "--snapshot-dir"],
         &["sweep", "--seeds"],
-        &["chaos", "--plans"],
+        &["sweep", "--plans"],
         // A malformed value.
         &["run", "-n", "x"],
         &["run", "-n", "2O000"],
@@ -67,13 +67,12 @@ fn bad_command_lines_exit_2_with_an_error_line() {
         &["replay", "a.json", "b.json"],
         &["sweep", "--threads", "0"],
         &["sweep", "-p", "dico,foo"],
-        &["chaos", "--plans", "0"],
-        &["chaos", "--mode", "sometimes"],
-        &["chaos", "-p", "foo"],
+        &["sweep", "--plans", "sometimes@1"],
         // A missing argument or command.
         &["compare", "a.json"],
         &["replay"],
         &["study"],
+        &["chaos"],
         &["nope"],
         &[],
     ];
@@ -157,6 +156,20 @@ fn the_environment_is_not_a_run_input() {
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     }
     assert_eq!(String::from_utf8_lossy(&clean.stdout), String::from_utf8_lossy(&exported.stdout));
+}
+
+#[test]
+fn bad_plan_ranges_fail_closed() {
+    for range in [
+        "recoverable@5..5",
+        "recoverable@8..5",
+        "chaos@1..18446744073709551616",
+        "recoverable@..5",
+        "chaos@2000..",
+        "chaos@0..18446744073709551615",
+    ] {
+        assert_fails_closed(&cli(&["sweep", "--plans", range]), range);
+    }
 }
 
 #[test]

@@ -8,10 +8,12 @@
 
 use cmpsim::snapshot::snapshot_key;
 use cmpsim::{
-    chaos_sweep, run_benchmark, run_benchmark_with_store, run_matrix, Benchmark, CmpSimulator,
-    FaultPlan, ProtocolKind, RunOptions, RunResult, SimError, SnapshotStore, SystemConfig,
+    run_benchmark, run_benchmark_with_store, run_matrix, run_sweep, Benchmark, CmpSimulator,
+    FaultPlan, ProtocolKind, RunOptions, RunResult, SimError, SnapshotStore, SweepOptions,
+    SweepSpec, SystemConfig,
 };
 use proptest::prelude::*;
+use std::path::Path;
 
 /// Everything deterministic a run produces, rendered for comparison.
 /// Host-profile timings are the one legitimately nondeterministic part
@@ -150,26 +152,54 @@ fn observer_configs_refuse_plain_images() {
         .expect("sampling runs share plain images");
 }
 
+/// A planned sweep's report and artifacts are the same without a
+/// snapshot directory, while populating one, and when forking from it.
 #[test]
-fn chaos_sweep_with_store_matches_plain_sweep() {
-    let cfg = SystemConfig::smoke();
-    let plans = vec![
-        FaultPlan::parse("recoverable@7").expect("plan"),
-        FaultPlan::parse("chaos@11").expect("plan"),
-    ];
-    let protocols = [ProtocolKind::Directory, ProtocolKind::DiCoArin];
-    let benchmarks = [Benchmark::Radix, Benchmark::Apache];
-    let two = RunOptions { threads: Some(2), ..RunOptions::default() };
-    let plain = chaos_sweep(&protocols, &benchmarks, &plans, &cfg, two);
-    let store = SnapshotStore::in_memory();
-    let stored =
-        chaos_sweep(&protocols, &benchmarks, &plans, &cfg, RunOptions { store: Some(&store), ..two });
-    assert!(plain.passed(), "baseline chaos sweep must pass");
-    assert!(stored.passed(), "store-backed chaos sweep must pass");
-    assert_eq!(plain.to_json(), stored.to_json(), "store must not change any chaos verdict");
-    // Golden legs and the two per-plan legs all have distinct keys
+fn sweep_with_store_matches_plain_sweep() {
+    let root = std::env::temp_dir().join(format!("cmpsim-snap-sweep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let spec = SweepSpec {
+        plans: vec![
+            Some(FaultPlan::parse("recoverable@7").expect("plan")),
+            Some(FaultPlan::parse("chaos@11").expect("plan")),
+        ],
+        ..SweepSpec::matrix(
+            &[ProtocolKind::Directory, ProtocolKind::DiCoArin],
+            &[Benchmark::Radix, Benchmark::Apache],
+            &SystemConfig::smoke(),
+        )
+    };
+    let images = root.join("snapshots");
+    let run = |tag: &str, snapshot_dir: Option<&Path>| {
+        let out_dir = root.join(tag);
+        let opts = SweepOptions {
+            threads: Some(2),
+            journal: out_dir.join("sweep.ndjson"),
+            out_dir: out_dir.clone(),
+            snapshot_dir: snapshot_dir.map(Path::to_path_buf),
+            ..SweepOptions::default()
+        };
+        let outcome = run_sweep(&spec, &opts).expect("sweep runs");
+        assert!(outcome.ok(), "{tag}: {:#?}", outcome.violations());
+        let mut artifacts: Vec<_> = std::fs::read_dir(&out_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().ends_with(".metrics.json"))
+            .map(|p| (p.file_name().unwrap().to_owned(), std::fs::read(&p).unwrap()))
+            .collect();
+        artifacts.sort();
+        (outcome.report_markdown(), artifacts)
+    };
+    let plain = run("plain", None);
+    let populated = run("populate", Some(&images));
+    // Golden cells and the two per-plan cells all have distinct keys
     // (the fault plan shapes warm-up), so each populated its own image.
-    assert_eq!(store.cached(), protocols.len() * benchmarks.len() * (1 + plans.len()));
+    assert_eq!(std::fs::read_dir(&images).unwrap().count(), 2 * 2 * 3);
+    let forked = run("fork", Some(&images));
+    assert!(!plain.1.is_empty());
+    assert_eq!(plain, populated, "populating a store must not change a byte");
+    assert_eq!(plain, forked, "forking from a store must not change a byte");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -1,50 +1,76 @@
-//! Fault injection & chaos soak, end to end:
+//! Fault injection, end to end:
 //!
-//! * differential golden — every protocol x benchmark cell under a
-//!   recoverable fault plan ends in the bit-identical architectural
-//!   state as its fault-free twin;
+//! * differential golden — a `sweep` over fault plans runs every
+//!   protocol x benchmark cell beside its fault-free twin, and every
+//!   cell under a recoverable plan ends in the bit-identical
+//!   architectural state;
 //! * determinism — the same plan + seed re-runs identically;
 //! * unrecoverable plans abort into a typed `SimError::Fault` whose
 //!   crash dump embeds the plan and replays to the same failure;
 //! * property: *arbitrary* bounded fault plans never panic and always
-//!   resolve — verified recovery or a typed error;
+//!   resolve — verified recovery or a typed error with a crash dump;
 //! * fault injection off means zero observable change (no fault
 //!   metrics, no fault context).
 
-use cmpsim::chaos::{chaos_sweep, run_differential, CellOutcome, DiffOutcome};
+use cmpsim::replay::Value;
 use cmpsim::{
-    run_benchmark, Benchmark, FaultKind, FaultPlan, ProtocolKind, ReplayArtifact, RunOptions,
-    SimError, SystemConfig,
+    run_benchmark, run_sweep, Benchmark, CellState, FaultKind, FaultPlan, ProtocolKind,
+    ReplayArtifact, SimError, SweepOptions, SweepOutcome, SweepSpec, SystemConfig,
 };
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
 fn counter(reg: &cmpsim::MetricsRegistry, name: &str) -> Option<u64> {
     reg.counters().find(|(n, _)| *n == name).map(|(_, v)| v)
 }
 
+/// Sweeps `plans` over the smoke chip into a fresh directory named by
+/// `tag`.
+fn sweep(
+    tag: &str,
+    protocols: &[ProtocolKind],
+    benchmarks: &[Benchmark],
+    plans: Vec<FaultPlan>,
+) -> SweepOutcome {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("cmpsim-faults-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = SweepSpec {
+        plans: plans.into_iter().map(Some).collect(),
+        ..SweepSpec::matrix(protocols, benchmarks, &SystemConfig::smoke())
+    };
+    let opts = SweepOptions {
+        out_dir: dir.clone(),
+        journal: dir.join("sweep.ndjson"),
+        ..Default::default()
+    };
+    run_sweep(&spec, &opts).expect("sweep runs")
+}
+
+/// A counter of the metrics artifact at `path`.
+fn artifact_counter(path: &Path, name: &str) -> Option<u64> {
+    let doc = Value::parse(&std::fs::read_to_string(path).expect("artifact")).expect("JSON");
+    doc.field("counters").ok()?.field(name).ok()?.as_u64().ok()
+}
+
 /// The flagship differential check: one recoverable plan fanned across
-/// the full 4-protocol x 8-benchmark matrix. Every cell must recover
-/// and verify bit-identical against its fault-free golden run.
+/// the full 4-protocol x 8-benchmark matrix. Every planned cell must
+/// recover and verify bit-identical against its fault-free golden twin.
 #[test]
 fn all_32_cells_recover_and_match_golden() {
-    let report = chaos_sweep(
-        &ProtocolKind::all(),
-        &Benchmark::all(),
-        &[FaultPlan::recoverable(7)],
-        &SystemConfig::smoke(),
-        RunOptions::default(),
-    );
-    assert_eq!(report.cells.len(), 32);
-    assert!(report.passed(), "violations: {:#?}", report.violations());
-    assert_eq!(report.recovered(), 32, "not all cells recovered: {:#?}", report.violations());
-    let total_fired: u64 = report
-        .cells
-        .iter()
-        .map(|c| match c.outcome {
-            CellOutcome::Recovered { faults_fired, .. } => faults_fired,
-            _ => 0,
-        })
-        .sum();
+    let outcome =
+        sweep("all32", &ProtocolKind::all(), &Benchmark::all(), vec![FaultPlan::recoverable(7)]);
+    assert_eq!(outcome.cells.len(), 64, "32 golden twins + 32 planned cells");
+    assert!(outcome.ok(), "violations: {:#?}", outcome.violations());
+    let mut total_fired = 0;
+    for (c, s) in outcome.cells.iter().zip(&outcome.states) {
+        let CellState::Done { artifact, .. } = s else { panic!("{}: {s:?}", c.name()) };
+        if c.plan.is_some() {
+            assert!(c.golden.is_some(), "{} has no golden twin", c.name());
+            assert!(artifact_counter(artifact, "sim.effective_cycles").is_some(), "{}", c.name());
+            total_fired += artifact_counter(artifact, "noc.faults_injected.total").unwrap();
+        }
+    }
     assert!(total_fired > 0, "the plan injected nothing — the sweep proved nothing");
 }
 
@@ -63,29 +89,35 @@ fn same_plan_and_seed_reruns_identically() {
 }
 
 /// Recovery costs cycles but never architectural state: the recovered
-/// run reports the golden cycle count via `effective_cycles`, and the
-/// recovery counters surface in the metrics registry.
+/// cell's artifact reports its golden twin's cycle count as
+/// `sim.effective_cycles`, and the recovery counters surface in it.
 #[test]
 fn recovery_counters_and_effective_cycles_are_exported() {
-    let cfg = SystemConfig::smoke().with_fault_plan(Some(FaultPlan::recoverable(3)));
-    match run_differential(ProtocolKind::DiCo, Benchmark::Apache, &cfg) {
-        DiffOutcome::Verified(r) => {
-            let ec = r.effective_cycles.expect("differential sets effective_cycles");
-            assert!(ec <= r.cycles, "recovery cannot make the run faster");
-            let reg = r.metrics();
-            let fired = counter(&reg, "noc.faults_injected.total").expect("total exported");
-            assert_eq!(fired, r.faults.as_ref().unwrap().fired.total());
-            let by_kind: u64 = FaultKind::all()
-                .iter()
-                .filter_map(|k| counter(&reg, &format!("noc.faults_injected.{}", k.label())))
-                .sum();
-            assert_eq!(by_kind, fired, "per-kind counters must sum to the total");
-            assert!(counter(&reg, "proto.retries").is_some());
-            assert!(counter(&reg, "proto.timeouts").is_some());
-            assert_eq!(counter(&reg, "sim.effective_cycles"), Some(ec));
-        }
-        other => panic!("expected verified recovery, got {other:?}"),
-    }
+    let plan = FaultPlan::recoverable(3);
+    let outcome =
+        sweep("counters", &[ProtocolKind::DiCo], &[Benchmark::Apache], vec![plan.clone()]);
+    let [CellState::Done { artifact: golden, .. }, CellState::Done { artifact, .. }] =
+        &outcome.states[..]
+    else {
+        panic!("expected a done golden and a done planned cell: {:?}", outcome.states)
+    };
+    let get = |name: &str| artifact_counter(artifact, name);
+    let ec = get("sim.effective_cycles").expect("verified cells record effective_cycles");
+    assert_eq!(Some(ec), artifact_counter(golden, "sim.cycles"), "the twin's cycles");
+    let cycles = get("sim.cycles").unwrap();
+    assert!(ec <= cycles, "recovery cannot make the run faster");
+    assert_eq!(get("sim.fault_overhead_cycles"), Some(cycles - ec));
+    let fired = get("noc.faults_injected.total").expect("total exported");
+    let cfg = SystemConfig::smoke().with_fault_plan(Some(plan));
+    let direct = run_benchmark(ProtocolKind::DiCo, Benchmark::Apache, &cfg).expect("direct run");
+    assert_eq!(fired, direct.faults.as_ref().unwrap().fired.total());
+    let by_kind: u64 = FaultKind::all()
+        .iter()
+        .filter_map(|k| get(&format!("noc.faults_injected.{}", k.label())))
+        .sum();
+    assert_eq!(by_kind, fired, "per-kind counters must sum to the total");
+    assert!(get("proto.retries").is_some());
+    assert!(get("proto.timeouts").is_some());
 }
 
 /// With no fault plan there is no trace of the machinery at all: no
@@ -159,9 +191,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Chaos property: an arbitrary bounded fault plan never panics
-    /// and never diverges silently — every run either recovers and
-    /// verifies against golden, or returns a typed `SimError` within
-    /// the watchdog budget.
+    /// and never diverges silently — every planned cell either recovers
+    /// and verifies against its golden twin, or ends in a typed
+    /// `SimError` with a crash dump within the watchdog budget.
     #[test]
     fn arbitrary_plans_resolve_typed(
         (seed, chaos, delay_mill, drop_mill) in
@@ -177,19 +209,16 @@ proptest! {
         plan.retry_cap = retry_cap as u32;
         plan.outages = outages as u32;
         let protocol = ProtocolKind::all()[pidx];
-        let cfg = SystemConfig::smoke().with_fault_plan(Some(plan));
-        match run_differential(protocol, Benchmark::Radix, &cfg) {
-            DiffOutcome::Verified(r) => prop_assert!(r.effective_cycles.is_some()),
-            DiffOutcome::Faulted(e) => {
-                prop_assert!(e.code().starts_with("E-"), "untyped error {e}");
-                if let Some(p) = e.artifact() {
-                    let _ = std::fs::remove_file(p);
-                }
+        let outcome = sweep("arbitrary", &[protocol], &[Benchmark::Radix], vec![plan]);
+        prop_assert!(matches!(outcome.states[0], CellState::Done { .. }), "golden failed");
+        match &outcome.states[1] {
+            CellState::Done { artifact, .. } =>
+                prop_assert!(artifact_counter(artifact, "sim.effective_cycles").is_some()),
+            CellState::Faulted { error, .. } => {
+                prop_assert!(error.code.starts_with("E-"), "untyped error {}", error.message);
+                let _ = std::fs::remove_file(error.artifact.as_ref().unwrap());
             }
-            DiffOutcome::Diverged { detail, .. } =>
-                prop_assert!(false, "silent divergence: {detail}"),
-            DiffOutcome::Panicked { message } =>
-                prop_assert!(false, "panic escaped the simulator: {message}"),
+            other => prop_assert!(false, "silent divergence or lost cell: {other:?}"),
         }
     }
 }
