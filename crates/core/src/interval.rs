@@ -181,10 +181,10 @@ impl IntervalSampler {
         }
     }
 
-    /// True when `now` has reached the next boundary (caller should
-    /// take a snapshot and call [`Self::sample`]).
-    pub fn due(&self, now: Cycle) -> bool {
-        now >= self.next_boundary
+    /// The cycle the next sample is due at: once `now` reaches it, the
+    /// caller should take a snapshot and call [`Self::sample`].
+    pub fn next_boundary(&self) -> Cycle {
+        self.next_boundary
     }
 
     /// Closes the interval `[window_start, end)` against `cum` and
@@ -411,8 +411,7 @@ mod tests {
     #[test]
     fn samples_are_deltas() {
         let mut s = IntervalSampler::new(100, 1000, CumSnapshot::default(), 200.0, 4, 8);
-        assert!(!s.due(1099));
-        assert!(s.due(1100));
+        assert_eq!(s.next_boundary(), 1100);
         s.sample(1100, &cum(40, 80, vec![40; 8]), &Occupancy::default());
         s.sample(1200, &cum(100, 200, vec![100; 8]), &Occupancy::default());
         let ts = s.finish(1200, &cum(100, 200, vec![100; 8]), &Occupancy::default());

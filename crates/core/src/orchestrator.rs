@@ -44,11 +44,12 @@
 //!   each quarantined or diverged cell, and the CLI exits nonzero
 //!   without aborting the batch.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::Write;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 use cmpsim_engine::par::{num_threads, panic_message, par_map_with_threads, ItemPanic};
 use cmpsim_engine::rng::splitmix64;
@@ -285,6 +286,36 @@ pub(crate) fn run_heartbeat(r: &Result<RunResult, SimError>) -> Heartbeat {
     }
 }
 
+thread_local! {
+    /// True while this thread runs a cell body under [`run_cells`].
+    static IN_CELL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Installs, once per process, a panic hook that stays quiet while the
+/// panicking thread is inside a cell: [`run_cells`] catches that panic
+/// and records its message as the cell's `E-PANIC`, so the default
+/// hook's `panicked at` line and backtrace would only be noise. Every
+/// other panic goes to the hook that was installed before.
+fn quiet_cell_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if !IN_CELL.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+}
+
+/// Runs `body` with [`IN_CELL`] set, restoring the old value after.
+fn in_cell<R>(body: impl FnOnce() -> R) -> R {
+    let outer = IN_CELL.with(|c| c.replace(true));
+    let r = body();
+    IN_CELL.with(|c| c.set(outer));
+    r
+}
+
 /// The one cell executor: runs `body` on every cell on a bounded worker
 /// pool, each under `catch_unwind`, and reports each finished cell's
 /// `heartbeat` to `opts.progress`. Results come back in cell order; a
@@ -300,9 +331,10 @@ where
     R: Send,
 {
     let threads = opts.threads.unwrap_or_else(num_threads);
+    quiet_cell_panics();
     let results = par_map_with_threads(cells, threads, |c| {
         let cell = c.borrow();
-        let r = panic::catch_unwind(AssertUnwindSafe(|| body(cell)))
+        let r = in_cell(|| panic::catch_unwind(AssertUnwindSafe(|| body(cell))))
             .map_err(|p| ItemPanic { message: panic_message(p) });
         if let Some(sink) = opts.progress {
             let (status, events, rate) = r.as_ref().map_or((PANIC_CODE, 0, 0.0), &heartbeat);
@@ -842,6 +874,23 @@ pub fn resume_sweep(journal_path: &Path, threads: Option<usize>) -> Result<Sweep
             cells.len()
         ));
     }
+    // A plan the journal's `mode@seed` spec cannot carry (tuned rates,
+    // timeout or retry cap) re-expands to other run ids: the journaled
+    // states then belong to other cells, so nothing may be resumed.
+    for c in &cells {
+        match parsed.run_ids.get(&c.index) {
+            Some(queued) if *queued != c.manifest.run_id => {
+                return Err(format!(
+                    "journal cell {} ({}) was queued as run {queued} but its spec re-expands \
+                     to run {} — the journal cannot reproduce this sweep's plans",
+                    c.index,
+                    c.name(),
+                    c.manifest.run_id
+                ));
+            }
+            _ => {}
+        }
+    }
     // Trust a terminal state only when the file it stands on is
     // actually present; a missing file (deleted out-of-band)
     // re-dispatches the cell.
@@ -864,6 +913,8 @@ pub struct JournalState {
     pub cell_count: usize,
     /// Last journaled *terminal* state per cell index.
     pub terminal: HashMap<usize, CellState>,
+    /// Run id per cell index, from the `queued` lines.
+    pub run_ids: HashMap<usize, String>,
 }
 
 /// Parses a sweep journal. Unparsable lines (torn tail after `kill -9`)
@@ -948,6 +999,7 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
     let cell_count = narrow(start.field("cells")?, "cells")?;
 
     let mut terminal: HashMap<usize, CellState> = HashMap::new();
+    let mut run_ids: HashMap<usize, String> = HashMap::new();
     for line in lines {
         if line.trim().is_empty() {
             continue;
@@ -986,13 +1038,19 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
                 detail: text("error").unwrap_or_default(),
             },
             "quarantined" => CellState::Quarantined { attempts, error: error() },
-            // queued / running / retrying are non-terminal: a crash
-            // mid-cell re-dispatches it.
+            "queued" => {
+                if let Ok(run_id) = text("run_id") {
+                    run_ids.insert(cell, run_id);
+                }
+                continue;
+            }
+            // running / retrying are non-terminal: a crash mid-cell
+            // re-dispatches it.
             _ => continue,
         };
         terminal.insert(cell, state);
     }
-    Ok(JournalState { spec, options, cell_count, terminal })
+    Ok(JournalState { spec, options, cell_count, terminal, run_ids })
 }
 
 /// A journal integer that must fit `T`: an out-of-range value is a

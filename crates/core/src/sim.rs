@@ -42,7 +42,11 @@ pub fn build_protocol(kind: ProtocolKind, spec: ChipSpec) -> Box<dyn CoherencePr
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+/// One logical event of the loop. The event queue does not store it:
+/// it stores an 8-byte [`EvRef`], with a wake-up held inline and the
+/// other events parked in the [`SlottedQueue`]'s slab. `Ev` is what the
+/// loop dispatches and what snapshots and stall dumps list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// The core of a tile wants to make progress.
     CoreResume(Tile),
@@ -95,6 +99,114 @@ impl Snap for Ev {
             }
             tag => Err(SnapError::BadTag { what: "Ev", tag }),
         }
+    }
+}
+
+/// An event-queue entry's payload: 8 bytes, so an entry with its cycle
+/// is 16. Core wake-ups, about four in five events, carry their tile
+/// inline; a delivery or a request timeout names its slab slot.
+#[derive(Debug, Clone, Copy)]
+enum EvRef {
+    /// [`Ev::CoreResume`] of this tile.
+    Resume(u32),
+    /// The [`Ev`] parked in this slot of [`SlottedQueue::parked`].
+    Parked(u32),
+}
+
+/// The simulator's event queue: an [`EventQueue`] of 8-byte [`EvRef`]
+/// handles plus the slab their parked events live in. Pushes and pops
+/// keep `(cycle, push order)` order, exactly as an `EventQueue<Ev>`
+/// would, while moving 16 bytes per entry instead of 120.
+#[derive(Debug, Clone, Default)]
+struct SlottedQueue {
+    queue: EventQueue<EvRef>,
+    /// Parked deliveries and timeouts. A slot is freed when its event
+    /// pops and reused by the next park (`free` is a stack), so the
+    /// slab is never longer than the most events ever parked at once.
+    parked: Vec<Ev>,
+    free: Vec<u32>,
+}
+
+impl SlottedQueue {
+    fn with_capacity(cap: usize) -> Self {
+        Self { queue: EventQueue::with_capacity(cap), parked: Vec::new(), free: Vec::new() }
+    }
+
+    fn now(&self) -> Cycle {
+        self.queue.now()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    /// Schedules `ev` for cycle `at`.
+    #[inline]
+    fn push(&mut self, at: Cycle, ev: Ev) {
+        let handle = self.handle_of(ev);
+        self.queue.push(at, handle);
+    }
+
+    /// The handle `ev` is queued under, parking it unless it is a
+    /// wake-up.
+    #[inline]
+    fn handle_of(&mut self, ev: Ev) -> EvRef {
+        if let Ev::CoreResume(tile) = ev {
+            return EvRef::Resume(tile as u32);
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.parked[slot as usize] = ev;
+                slot
+            }
+            None => {
+                self.parked.push(ev);
+                (self.parked.len() - 1) as u32
+            }
+        };
+        EvRef::Parked(slot)
+    }
+
+    /// Removes and returns the earliest event, advancing the clock to
+    /// it. A parked event is copied out before its slot is freed.
+    #[inline]
+    fn pop(&mut self) -> Option<(Cycle, Ev)> {
+        let (at, handle) = self.queue.pop()?;
+        let ev = self.resolve(handle);
+        if let EvRef::Parked(slot) = handle {
+            self.free.push(slot);
+        }
+        Some((at, ev))
+    }
+
+    #[inline]
+    fn resolve(&self, handle: EvRef) -> Ev {
+        match handle {
+            EvRef::Resume(tile) => Ev::CoreResume(tile as Tile),
+            EvRef::Parked(slot) => self.parked[slot as usize],
+        }
+    }
+
+    /// Every pending event as `(due_cycle, event)`, in the queue's
+    /// internal order (see [`EventQueue::iter`]).
+    fn iter(&self) -> impl Iterator<Item = (Cycle, Ev)> + '_ {
+        self.queue.iter().map(|(at, &handle)| (at, self.resolve(handle)))
+    }
+
+    /// Every pending event in exact delivery order: the list an
+    /// `EventQueue<Ev>` would snapshot, so images keep their bytes.
+    fn snapshot_events(&self) -> Vec<(Cycle, Ev)> {
+        let handles = self.queue.snapshot_events();
+        handles.into_iter().map(|(at, handle)| (at, self.resolve(handle))).collect()
+    }
+
+    /// Rebuilds a queue from a [`Self::snapshot_events`] list, its
+    /// clock at `now`.
+    fn from_snapshot(now: Cycle, events: Vec<(Cycle, Ev)>) -> Self {
+        let mut q = Self::default();
+        let handles = events.into_iter().map(|(at, ev)| (at, q.handle_of(ev))).collect();
+        q.queue = EventQueue::from_snapshot(now, handles);
+        q
     }
 }
 
@@ -321,7 +433,7 @@ pub struct CmpSimulator {
     cfg: SystemConfig,
     proto: Box<dyn CoherenceProtocol>,
     mesh: Mesh,
-    queue: EventQueue<Ev>,
+    queue: SlottedQueue,
     cores: Vec<Core>,
     memory: MachineMemory,
     benchmark: Benchmark,
@@ -339,6 +451,9 @@ pub struct CmpSimulator {
     ctrl_free: Vec<Cycle>,
     /// Warm-up bookkeeping.
     warmed_up: bool,
+    /// `refs_total` at which the warm-up window closes (fixed by the
+    /// configuration, so computed once when the simulator is built).
+    warm_target: u64,
     measure_start: Cycle,
     refs_at_reset: u64,
     events: u64,
@@ -349,6 +464,9 @@ pub struct CmpSimulator {
     refs_total: u64,
     /// Every opt-in observer, behind one fan-out.
     obs: Observers,
+    /// The interval sampler's next boundary, mirrored here so the
+    /// per-event check is one compare (`Cycle::MAX` without a sampler).
+    sample_at: Cycle,
     /// Fault-injection engine and recovery bookkeeping (from
     /// `cfg.fault_plan`; `None` keeps every fault hook inert).
     faults: Option<FaultState>,
@@ -394,10 +512,11 @@ impl CmpSimulator {
             })
             .collect::<Vec<Core>>();
         let obs = Observers::new(cfg, cores.iter().map(|c| c.vm).collect());
+        let warm_target = (cfg.warmup_frac * (cfg.refs_per_core * tiles as u64) as f64) as u64;
         Self {
             proto: build_protocol(kind, cfg.chip.clone()),
             mesh: Mesh::new(cfg.noc),
-            queue: EventQueue::with_capacity(4 * tiles),
+            queue: SlottedQueue::with_capacity(4 * tiles),
             cores,
             memory: MachineMemory::new(cfg.num_vms),
             benchmark,
@@ -407,12 +526,14 @@ impl CmpSimulator {
             wall: None,
             ctrl_free: vec![0; cfg.mem_controllers],
             warmed_up: false,
+            warm_target,
             measure_start: 0,
             refs_at_reset: 0,
             events: 0,
             last_progress: 0,
             refs_total: 0,
             obs,
+            sample_at: Cycle::MAX,
             faults: cfg.fault_plan.clone().map(|p| FaultState::new(p, tiles)),
             tile_misses: vec![0; tiles],
             tile_refs_base: vec![0; tiles],
@@ -500,11 +621,13 @@ impl CmpSimulator {
         }
     }
 
-    /// Routes one Ctx worth of protocol output through the chip,
-    /// draining the (pooled) context's buffers in a fixed order:
-    /// sends, bcasts, replays, mem_ops, completions.
-    fn apply_ctx(&mut self, now: Cycle, ctx: &mut Ctx) {
-        for out in ctx.sends.drain(..) {
+    /// Routes the pooled context's protocol output through the chip, in
+    /// a fixed order: sends, bcasts, replays, mem_ops, completions. The
+    /// buffers are read by index in place and left for the next
+    /// [`Ctx::reset`] to clear.
+    fn apply_ctx(&mut self, now: Cycle) {
+        for i in 0..self.ctx_pool.sends.len() {
+            let out = self.ctx_pool.sends[i];
             let flits = self.flits(&out.msg.kind);
             let d = self.mesh.send(now + out.delay, out.msg.src.tile(), out.msg.dst.tile(), flits);
             if self.obs.tracks_tx() {
@@ -514,7 +637,8 @@ impl CmpSimulator {
             }
             self.deliver(d.arrival, out.msg);
         }
-        for b in ctx.bcasts.drain(..) {
+        for i in 0..self.ctx_pool.bcasts.len() {
+            let b = self.ctx_pool.bcasts[i];
             let flits = self.flits(&b.kind);
             let arrivals = self.mesh.broadcast(now + b.delay, b.src.tile(), flits);
             if self.obs.tracks_tx() {
@@ -541,14 +665,15 @@ impl CmpSimulator {
                 );
             }
         }
-        for m in ctx.replays.drain(..) {
+        for i in 0..self.ctx_pool.replays.len() {
             // Replays are the protocol re-enqueueing a message it chose
             // to defer: they never re-cross the network, so they take
             // no faults and carry no sequence number (a replayed
             // message must not be mistaken for a duplicate).
-            self.queue.push(now, Ev::Deliver(m, 0));
+            self.queue.push(now, Ev::Deliver(self.ctx_pool.replays[i], 0));
         }
-        for op in ctx.mem_ops.drain(..) {
+        for i in 0..self.ctx_pool.mem_ops.len() {
+            let op = self.ctx_pool.mem_ops[i];
             let ctrl = self.cfg.mem_ctrl_of(op.block);
             let ctrl_tile = self.cfg.mem_ctrl_tile(ctrl);
             let flits =
@@ -583,7 +708,8 @@ impl CmpSimulator {
                 );
             }
         }
-        for c in ctx.completions.drain(..) {
+        for i in 0..self.ctx_pool.completions.len() {
+            let c = self.ctx_pool.completions[i];
             if let Some(fs) = &mut self.faults {
                 // The miss is closed: timeouts armed for it go stale
                 // and its retransmission state is dropped (the seen-set
@@ -637,10 +763,9 @@ impl CmpSimulator {
         if let Some(chk) = &mut self.obs.checker {
             chk.record_access(now, tile, block, write);
         }
-        let mut ctx = std::mem::take(&mut self.ctx_pool);
-        ctx.reset(now);
+        self.ctx_pool.reset(now);
         let cache_base = self.obs.cache_base(self.proto.stats());
-        let outcome = match self.proto.core_access(&mut ctx, tile, block, write) {
+        let outcome = match self.proto.core_access(&mut self.ctx_pool, tile, block, write) {
             Ok(o) => o,
             Err(e) => return Err(self.protocol_fault(now, e)),
         };
@@ -659,7 +784,7 @@ impl CmpSimulator {
                 self.cores[tile].refs_done += 1;
                 self.refs_total += 1;
                 self.last_progress = now;
-                self.apply_ctx(now, &mut ctx);
+                self.apply_ctx(now);
                 self.queue.push(now + latency, Ev::CoreResume(tile));
             }
             AccessOutcome::Miss => {
@@ -667,20 +792,19 @@ impl CmpSimulator {
                 self.cores[tile].outstanding = true;
                 self.tile_misses[tile] += 1;
                 if self.faults.is_some() {
-                    self.fault_open_miss(now, tile, block, &ctx);
+                    self.fault_open_miss(now, tile, block);
                 }
-                self.apply_ctx(now, &mut ctx);
+                self.apply_ctx(now);
             }
             AccessOutcome::Blocked { reason } => {
                 // The 7-cycle retry below is a pre-issue wait: it is
                 // accounted chip-wide by reason, outside the per-miss
                 // reconciliation window (the miss has not opened yet).
                 self.obs.on_blocked(reason, 7, tile);
-                self.apply_ctx(now, &mut ctx);
+                self.apply_ctx(now);
                 self.queue.push(now + 7, Ev::CoreResume(tile));
             }
         }
-        self.ctx_pool = ctx;
         Ok(())
     }
 
@@ -689,8 +813,9 @@ impl CmpSimulator {
     /// transport-layer sequence number, and arms the MSHR timeout.
     /// Misses that send no first-hop request (served without leaving
     /// the tile) need no recovery and are skipped.
-    fn fault_open_miss(&mut self, now: Cycle, tile: Tile, block: Block, ctx: &Ctx) {
-        let Some(first_hop) = ctx
+    fn fault_open_miss(&mut self, now: Cycle, tile: Tile, block: Block) {
+        let Some(first_hop) = self
+            .ctx_pool
             .sends
             .iter()
             .map(|o| o.msg)
@@ -812,7 +937,7 @@ impl CmpSimulator {
             .queue
             .iter()
             .filter_map(|(due, ev)| match ev {
-                Ev::Deliver(msg, _) => Some(InFlightMsg { due, msg: *msg }),
+                Ev::Deliver(msg, _) => Some(InFlightMsg { due, msg }),
                 Ev::CoreResume(_) | Ev::ReqTimeout { .. } => None,
             })
             .collect();
@@ -926,27 +1051,29 @@ impl CmpSimulator {
         Ok(())
     }
 
+    /// Closes the warm-up window once enough references retired.
+    #[inline]
     fn maybe_finish_warmup(&mut self, now: Cycle) {
-        if self.warmed_up {
-            return;
+        if !self.warmed_up && self.refs_total >= self.warm_target {
+            self.finish_warmup(now);
         }
-        let total = self.refs_total;
-        let target = (self.cfg.warmup_frac
-            * (self.cfg.refs_per_core * self.cores.len() as u64) as f64) as u64;
-        if total >= target {
-            self.warmed_up = true;
-            self.measure_start = now;
-            self.refs_at_reset = total;
-            self.proto.reset_stats();
-            self.mesh.reset_stats();
-            self.obs.reset();
-            // Spatial counters cover the measurement window only.
-            self.tile_misses.iter_mut().for_each(|m| *m = 0);
-            for (base, c) in self.tile_refs_base.iter_mut().zip(&self.cores) {
-                *base = c.refs_done;
-            }
-            self.build_sampler(now);
+    }
+
+    /// Resets every statistic at the warm-up boundary `now`.
+    #[cold]
+    fn finish_warmup(&mut self, now: Cycle) {
+        self.warmed_up = true;
+        self.measure_start = now;
+        self.refs_at_reset = self.refs_total;
+        self.proto.reset_stats();
+        self.mesh.reset_stats();
+        self.obs.reset();
+        // Spatial counters cover the measurement window only.
+        self.tile_misses.iter_mut().for_each(|m| *m = 0);
+        for (base, c) in self.tile_refs_base.iter_mut().zip(&self.cores) {
+            *base = c.refs_done;
         }
+        self.build_sampler(now);
     }
 
     /// Builds the interval sampler and its energy model at the warm-up
@@ -967,14 +1094,16 @@ impl CmpSimulator {
             // ref counters were not — snapshot after the resets so
             // interval deltas cover the measurement window only.
             let base = self.cum_snapshot();
-            self.obs.sampler = Some(IntervalSampler::new(
+            let sampler = IntervalSampler::new(
                 interval,
                 now,
                 base,
                 leak.total_mw,
                 tiles,
                 self.mesh.directed_links(),
-            ));
+            );
+            self.sample_at = sampler.next_boundary();
+            self.obs.sampler = Some(sampler);
         }
     }
 
@@ -1006,18 +1135,20 @@ impl CmpSimulator {
     }
 
     /// Takes any interval samples due at `now`.
+    #[inline]
     fn maybe_sample(&mut self, now: Cycle) {
-        let due = match &self.obs.sampler {
-            Some(s) => s.due(now),
-            None => return,
-        };
-        if !due {
-            return;
+        if now >= self.sample_at {
+            self.take_samples(now);
         }
+    }
+
+    #[cold]
+    fn take_samples(&mut self, now: Cycle) {
         let cum = self.cum_snapshot();
         let occ = self.proto.occupancy();
         if let Some(s) = &mut self.obs.sampler {
             s.sample(now, &cum, &occ);
+            self.sample_at = s.next_boundary();
         }
     }
 
@@ -1085,10 +1216,9 @@ impl CmpSimulator {
                         self.maybe_sample(now);
                         continue;
                     }
-                    let mut ctx = std::mem::take(&mut self.ctx_pool);
-                    ctx.reset(now);
+                    self.ctx_pool.reset(now);
                     let cache_base = self.obs.cache_base(self.proto.stats());
-                    if let Err(e) = self.proto.handle(&mut ctx, msg) {
+                    if let Err(e) = self.proto.handle(&mut self.ctx_pool, msg) {
                         return Err(self.protocol_fault(now, e));
                     }
                     // Charge this dispatch's cache events before the
@@ -1096,8 +1226,7 @@ impl CmpSimulator {
                     if let Some(base) = cache_base {
                         self.obs.on_cache_delta(msg.block, base, self.proto.stats());
                     }
-                    self.apply_ctx(now, &mut ctx);
-                    self.ctx_pool = ctx;
+                    self.apply_ctx(now);
                     if let Some((tile, block)) =
                         self.faults.as_mut().and_then(|fs| fs.violation.take())
                     {
@@ -1356,7 +1485,14 @@ impl CmpSimulator {
         sim.mesh = Snap::load(r)?;
         let queue_now = r.u64()?;
         let events: Vec<(Cycle, Ev)> = Snap::load(r)?;
-        sim.queue = EventQueue::from_snapshot(queue_now, events);
+        let outside = |&(_, ev): &(Cycle, Ev)| match ev {
+            Ev::CoreResume(tile) | Ev::ReqTimeout { tile, .. } => tile >= cfg.tiles(),
+            Ev::Deliver(..) => false,
+        };
+        if events.iter().any(outside) {
+            return Err(SnapError::Corrupt("queued event names a tile outside the chip"));
+        }
+        sim.queue = SlottedQueue::from_snapshot(queue_now, events);
         let n = r.len_prefix("snapshot cores", 8)?;
         if n != sim.cores.len() {
             return Err(SnapError::Corrupt("core count does not match configuration"));
@@ -1694,6 +1830,76 @@ mod tests {
         assert!(b.vm.iter().any(|v| v.completed > 0), "some VM saw traffic");
     }
 
+    /// The loop pushes and pops one entry per event; a payload that
+    /// re-inflates the handle should fail here, not in a profile.
+    #[test]
+    fn queue_entries_stay_small() {
+        let entry = std::mem::size_of::<(Cycle, EvRef)>();
+        assert!(entry <= 16, "a queue entry is {entry} B");
+    }
+
+    /// A random event for the differential test below: wake-ups,
+    /// deliveries and timeouts, due near (inside the calendar wheel) or
+    /// far (in its overflow tier).
+    fn random_event(rng: &mut SimRng, now: Cycle) -> (Cycle, Ev) {
+        let tile = rng.gen_range(64) as Tile;
+        let ev = match rng.gen_range(3) {
+            0 => Ev::CoreResume(tile),
+            1 => {
+                let (block, dst) = (rng.gen_range(1 << 20), rng.gen_range(64) as Tile);
+                let msg = Msg { kind: MsgKind::MemData, block, src: Node::L2(tile), dst: Node::L1(dst) };
+                Ev::Deliver(msg, rng.gen_range(4))
+            }
+            _ => Ev::ReqTimeout { tile, generation: rng.gen_range(1000) },
+        };
+        let delta = if rng.gen_range(8) == 0 { 500 + rng.gen_range(4000) } else { rng.gen_range(64) };
+        (now + delta, ev)
+    }
+
+    /// The slotted queue pops exactly what a plain `EventQueue<Ev>`
+    /// pops, snapshots the same list (also after a snapshot round
+    /// trip), and never holds more parked slots than events were ever
+    /// parked at once.
+    #[test]
+    fn slotted_queue_matches_a_plain_event_queue() {
+        let mut rng = SimRng::new(23);
+        for round in 0..6 {
+            let mut oracle: EventQueue<Ev> = EventQueue::new();
+            let mut q = SlottedQueue::default();
+            let (mut parked, mut most_parked) = (0usize, 0usize);
+            // Push-heavy, balanced and pop-heavy phases grow and drain
+            // the queue, so freed slots are reused at every depth.
+            for step in 0..12_000 {
+                let push_odds = [3, 2, 1][step / 4_000];
+                if rng.gen_range(4) < push_odds {
+                    let (at, ev) = random_event(&mut rng, oracle.now());
+                    oracle.push(at, ev);
+                    q.push(at, ev);
+                    if !matches!(ev, Ev::CoreResume(_)) {
+                        parked += 1;
+                        most_parked = most_parked.max(parked);
+                    }
+                } else {
+                    let popped = q.pop();
+                    assert_eq!(popped, oracle.pop(), "round {round}, step {step}");
+                    if popped.is_some_and(|(_, ev)| !matches!(ev, Ev::CoreResume(_))) {
+                        parked -= 1;
+                    }
+                }
+                assert!(q.parked.len() <= most_parked, "round {round}, step {step}: slab outgrew its events");
+                if rng.gen_range(500) == 0 {
+                    let events = q.snapshot_events();
+                    assert_eq!(events, oracle.snapshot_events(), "round {round}, step {step}");
+                    q = SlottedQueue::from_snapshot(q.now(), events);
+                }
+            }
+            while let Some(popped) = oracle.pop() {
+                assert_eq!(q.pop(), Some(popped), "round {round}, drain");
+            }
+            assert!(q.pop().is_none() && q.is_empty());
+        }
+    }
+
     fn encode_fifo(fifo: &FifoFloors) -> Vec<u8> {
         let mut w = SnapWriter::new();
         fifo.save(&mut w);
@@ -1815,6 +2021,30 @@ mod tests {
         let next_ppn = (sim.memory.physical_pages() - 1).to_le_bytes();
         let bad = tamper(&image, &memory, |m| m[..8].copy_from_slice(&next_ppn));
         expect_e_snapshot(kind, b, &cfg, &bad, "corrupt snapshot");
+    }
+
+    /// A queued wake-up or timeout for a tile the chip lacks fails
+    /// closed instead of aliasing another tile's handle.
+    #[test]
+    fn restore_refuses_queued_events_outside_the_chip() {
+        let cfg = SystemConfig::smoke();
+        let (kind, b) = (ProtocolKind::Directory, Benchmark::Radix);
+        let mut sim = CmpSimulator::new(kind, b, &cfg);
+        assert!(sim.warm_up().expect("warm-up"));
+        let image = sim.save_snapshot(snapshot::snapshot_key(kind, b, &cfg));
+        let encode = |events: &Vec<(Cycle, Ev)>| {
+            let mut w = SnapWriter::new();
+            events.save(&mut w);
+            w.into_bytes()
+        };
+        let events = sim.queue.snapshot_events();
+        let tile = cfg.tiles() + (1 << 32);
+        for ev in [Ev::CoreResume(tile), Ev::ReqTimeout { tile, generation: 1 }] {
+            let mut bad = events.clone();
+            bad.push((sim.queue.now() + 1, ev));
+            let image = splice(&image, &encode(&events), &encode(&bad));
+            expect_e_snapshot(kind, b, &cfg, &image, "outside the chip");
+        }
     }
 
     /// Restoring a warm image of a simulator whose per-tile or

@@ -210,3 +210,23 @@ fn deeply_nested_json_is_an_input_error() {
     assert_fails_closed(&cli(&["compare", p, p]), "compare");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A panic inside a sweep cell is recorded as the cell's `E-PANIC`
+/// with its message, and the panic hook prints nothing for it.
+#[test]
+fn caught_cell_panics_stay_off_stderr() {
+    let dir = std::env::temp_dir().join(format!("cmpsim-cli-panic-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out_dir = dir.to_str().expect("utf-8 temp dir");
+    let mut args: Vec<&str> =
+        "sweep -p directory -b radix --refs 200 --inject panic@0 --out-dir".split(' ').collect();
+    args.push(out_dir);
+    let out = cli(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("[E-PANIC]: injected panic in cell 0"), "{stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    let journal = std::fs::read_to_string(dir.join("sweep.ndjson")).expect("journal");
+    assert!(journal.contains("\"error\":\"injected panic in cell 0\""), "{journal}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -6,8 +6,8 @@
 
 use cmpsim::replay::Value;
 use cmpsim::{
-    parse_journal, parse_plans, resume_sweep, run_sweep, Benchmark, CellState, Injection,
-    ProtocolKind, ReplayArtifact, SweepOptions, SweepSpec, SystemConfig,
+    parse_journal, parse_plans, resume_sweep, run_sweep, Benchmark, CellState, FaultPlan,
+    Injection, ProtocolKind, ReplayArtifact, SweepOptions, SweepSpec, SystemConfig,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -193,6 +193,27 @@ fn journal_round_trips_the_spec() {
         assert_eq!(a.name(), b.name());
     }
     assert_eq!(parsed.terminal.len(), 4, "all four cells journaled terminal");
+}
+
+/// A tuned plan does not survive the journal's `mode@seed` spec, so its
+/// cells re-expand with other run ids. Resuming must refuse, naming the
+/// first such cell, rather than skip them as terminal.
+#[test]
+fn resume_refuses_a_journal_whose_run_ids_drifted() {
+    let dir = temp_dir("drift");
+    let opts = options(&dir);
+    let mut plan = FaultPlan::recoverable(5);
+    plan.retry_cap = 3;
+    let spec = SweepSpec { plans: vec![Some(plan)], ..small_spec() };
+    let outcome = run_sweep(&spec, &opts).unwrap();
+    assert_eq!(outcome.cells.len(), 8);
+    assert!(outcome.ok(), "violations: {:?}", outcome.violations());
+    let Err(err) = resume_sweep(&opts.journal, Some(2)) else {
+        panic!("a journal whose run ids drifted was resumed");
+    };
+    let first = &outcome.cells[4];
+    assert!(first.dedup_of.is_none() && first.golden.is_some(), "cell 4 is the first planned cell");
+    assert!(err.contains("journal cell 4") && err.contains(&first.manifest.run_id), "{err}");
 }
 
 /// A quarantined cell's crash dump round-trips through

@@ -724,8 +724,10 @@ impl Ctx {
     }
 
     /// Re-arms a pooled context for the next dispatch at `now`, keeping
-    /// every buffer's capacity (the driver reuses one `Ctx` for all
-    /// dispatches so the hot path never allocates).
+    /// every buffer's capacity. The driver lends one `Ctx` in place to
+    /// every dispatch and reads its buffers without draining them, so
+    /// this is where the previous dispatch's output is cleared and the
+    /// hot path never allocates.
     pub fn reset(&mut self, now: Cycle) {
         self.now = now;
         self.sends.clear();
