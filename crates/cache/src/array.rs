@@ -1,18 +1,27 @@
 //! Generic set-associative array with true-LRU replacement.
 //!
-//! The array is stored flat. Way `w` of set `s` is entry `s * ways + w`
-//! of one array of 16-byte `(block, LRU stamp, payload slot)` triples,
-//! so a lookup, the stamp update of a hit and a victim search all read
-//! the same host cache lines. The array holds plain integers and is
-//! built with `vec![(0, 0, 0); n]`, which asks the allocator for zeroed
-//! memory; large zeroed blocks come from fresh pages, so the pages of
-//! sets nothing touches are never faulted in. A 64-tile chip's arrays
-//! cost address space, not memory, and building or dropping one is a
-//! handful of allocations rather than one per set. A per-set length
-//! says how many leading ways are live. Payloads live in a dense slab
-//! that grows with the resident lines and reuses freed slots. The rare
-//! lines an [`SetAssoc::insert_filtered`] overshoot places beyond
-//! `ways` live in a small ordered side table.
+//! Ways are 16-byte `(block, LRU stamp, payload slot)` triples kept in
+//! one arena of rows, `ways` ways to a row. A set gets its row on its
+//! first insert and keeps it, so way memory grows with the sets that
+//! ever held a line, not with the geometry. That matters for the L2
+//! banks: their set index comes from page-number bits, so the few
+//! lines a bank holds are spread over all of its sets, and a dense
+//! `sets × ways` array would fault in nearly every page of it.
+//! Each set has one 4-byte entry, `row << shift | n`: its row and the
+//! `n` live lines at the front of it, where `shift` leaves just enough
+//! low bits to count to `ways`. The entry is as small as the per-set
+//! length it replaced, because a lookup must now read it before it can
+//! load the ways, and the fewer host cache lines the entries take, the
+//! more often that first read hits. Row 0 is a placeholder that no line
+//! is ever written to: every set without a row of its own names it with
+//! a count of zero, so a lookup reads the entry and scans its row
+//! without asking whether the row exists. The entries are built with
+//! `vec![0; sets]`, which asks the allocator for zeroed memory, so the
+//! entries of sets nothing touches are never faulted in either.
+//! Payloads live in a dense slab that grows with the resident lines and
+//! reuses freed slots. The rare lines an
+//! [`SetAssoc::insert_filtered`] overshoot places beyond a full row
+//! live in a small ordered side table.
 //!
 //! LRU stamps are `u32`. Every access takes the next value of a
 //! per-array clock, so live stamps are unique and only their order
@@ -25,8 +34,8 @@
 //! In-set order is behaviourally significant (iteration order and the
 //! first-minimum victim tie-break), so each set keeps the order of a
 //! vector mutated only by `push` and `swap_remove`: in-set position
-//! `p < ways` is flat way `p`, and position `ways + i` is entry `i` of
-//! the set's overshoot list.
+//! `p < ways` is way `p` of the set's row, and position `ways + i` is
+//! entry `i` of the set's overshoot list.
 
 use std::collections::BTreeMap;
 
@@ -45,10 +54,12 @@ type Way = (u64, u32, u32);
 #[derive(Debug, Clone)]
 pub struct SetAssoc<T> {
     geom: Geometry,
-    /// Resident lines per set; above `ways` only during an overshoot.
-    lens: Vec<u32>,
-    /// `sets × ways` flat ways; only the first `lens[s]` of set `s` are
-    /// live.
+    /// Per set, `row << shift | n`: its row (0 until its first insert)
+    /// and the `n <= ways` live lines at the front of that row.
+    sets: Vec<u32>,
+    /// Low bits of a set entry that count its row's lines.
+    shift: u32,
+    /// Rows of `geom.ways` ways. Row 0 is the never-written placeholder.
     ways: Vec<Way>,
     /// Lines at in-set positions `>= ways`, by set.
     overshoot: BTreeMap<usize, Vec<Way>>,
@@ -66,8 +77,9 @@ impl<T> SetAssoc<T> {
     pub fn new(geom: Geometry) -> Self {
         Self {
             geom,
-            lens: vec![0; geom.sets],
-            ways: vec![(0, 0, 0); geom.entries()],
+            sets: vec![0; geom.sets],
+            shift: usize::BITS - geom.ways.leading_zeros(),
+            ways: vec![(0, 0, 0); geom.ways],
             overshoot: BTreeMap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -103,6 +115,12 @@ impl<T> SetAssoc<T> {
         Self { clock, ..Self::new(geom) }
     }
 
+    /// Rows handed out so far, not counting the placeholder.
+    #[cfg(test)]
+    fn rows(&self) -> usize {
+        self.ways.len() / self.geom.ways - 1
+    }
+
     fn bump(&mut self) -> u32 {
         if self.clock == u32::MAX {
             self.restart_clock();
@@ -128,7 +146,7 @@ impl<T> SetAssoc<T> {
         ranks.dedup();
         let mut next = stamps.iter();
         for set in 0..self.geom.sets {
-            for pos in 0..self.lens[set] as usize {
+            for pos in 0..self.len_of(set) {
                 let stamp = next.next().expect("one stamp per live line");
                 let rank = ranks.binary_search(stamp).expect("stamp was ranked") + 1;
                 self.way_mut(set, pos).1 = u32::try_from(rank).expect("fewer lines than u32::MAX");
@@ -137,12 +155,53 @@ impl<T> SetAssoc<T> {
         u32::try_from(ranks.len()).expect("fewer lines than u32::MAX")
     }
 
+    /// `set`'s row and the live lines in it.
+    #[inline]
+    fn entry(&self, set: usize) -> (usize, usize) {
+        let entry = self.sets[set];
+        ((entry >> self.shift) as usize, (entry & ((1 << self.shift) - 1)) as usize)
+    }
+
+    /// True when `set`'s row is full, as it is whenever the set
+    /// overshoots.
+    #[inline]
+    fn full(&self, set: usize) -> bool {
+        self.entry(set).1 == self.geom.ways
+    }
+
+    /// Index in `ways` of the first way of `set`'s row.
+    #[inline]
+    fn base(&self, set: usize) -> usize {
+        self.entry(set).0 * self.geom.ways
+    }
+
+    /// The lines of `set` beyond its row (empty unless it overshoots).
+    #[inline]
+    fn spilled(&self, set: usize) -> &[Way] {
+        if self.overshoot.is_empty() {
+            return &[];
+        }
+        self.overshoot.get(&set).map_or(&[], Vec::as_slice)
+    }
+
+    /// Resident lines of `set`: its row's, plus any overshoot (only a
+    /// full row overshoots).
+    #[inline]
+    fn len_of(&self, set: usize) -> usize {
+        let n = self.entry(set).1;
+        if n < self.geom.ways {
+            n
+        } else {
+            n + self.spilled(set).len()
+        }
+    }
+
     /// The line at in-set position `pos` of `set`.
     #[inline]
     fn way(&self, set: usize, pos: usize) -> &Way {
         let ways = self.geom.ways;
         if pos < ways {
-            &self.ways[set * ways + pos]
+            &self.ways[self.base(set) + pos]
         } else {
             &self.overshoot[&set][pos - ways]
         }
@@ -152,22 +211,22 @@ impl<T> SetAssoc<T> {
     fn way_mut(&mut self, set: usize, pos: usize) -> &mut Way {
         let ways = self.geom.ways;
         if pos < ways {
-            &mut self.ways[set * ways + pos]
+            let at = self.base(set) + pos;
+            &mut self.ways[at]
         } else {
             let spilled = self.overshoot.get_mut(&set).expect("overshooting set has a side list");
             &mut spilled[pos - ways]
         }
     }
 
-    /// The live lines of `set` in in-set order: its flat ways, then its
-    /// overshoot list.
+    /// The live lines of `set` in in-set order: the live ways of its
+    /// row, then its overshoot list.
     #[inline]
     fn lines(&self, set: usize) -> impl Iterator<Item = &Way> {
-        let ways = self.geom.ways;
-        let len = self.lens[set] as usize;
-        let flat = &self.ways[set * ways..set * ways + len.min(ways)];
-        let spilled = if len > ways { &self.overshoot[&set][..] } else { &[] };
-        flat.iter().chain(spilled)
+        let (row, n) = self.entry(set);
+        let base = row * self.geom.ways;
+        let spilled = if n == self.geom.ways { self.spilled(set) } else { &[] };
+        self.ways[base..base + n].iter().chain(spilled)
     }
 
     /// Every live line, set by set in in-set order.
@@ -178,7 +237,14 @@ impl<T> SetAssoc<T> {
     /// In-set position of `block` within `set`.
     #[inline]
     fn position(&self, set: usize, block: u64) -> Option<usize> {
-        self.lines(set).position(|w| w.0 == block)
+        let (row, n) = self.entry(set);
+        let base = row * self.geom.ways;
+        match self.ways[base..base + n].iter().position(|w| w.0 == block) {
+            None if n == self.geom.ways => {
+                self.spilled(set).iter().position(|w| w.0 == block).map(|i| n + i)
+            }
+            found => found,
+        }
     }
 
     /// In-set position of the least recently used line of `set` among
@@ -194,6 +260,14 @@ impl<T> SetAssoc<T> {
         best.map(|(_, pos)| pos)
     }
 
+    /// Gives the empty `set` the next row of the arena; returns the row.
+    fn grow(&mut self, set: usize) -> usize {
+        let row = self.ways.len() / self.geom.ways;
+        self.sets[set] = u32::try_from(row << self.shift).expect("a set entry can name every row");
+        self.ways.resize(self.ways.len() + self.geom.ways, (0, 0, 0));
+        row
+    }
+
     /// Appends a line at the end of `set` (`Vec::push` order).
     fn push(&mut self, set: usize, block: u64, lru: u32, data: T) {
         let slot = match self.free.pop() {
@@ -206,20 +280,22 @@ impl<T> SetAssoc<T> {
                 u32::try_from(self.slab.len() - 1).expect("payload slab exceeds u32 slots")
             }
         };
-        let pos = self.lens[set] as usize;
-        if pos < self.geom.ways {
-            *self.way_mut(set, pos) = (block, lru, slot);
+        let (row, n) = self.entry(set);
+        if n < self.geom.ways {
+            let row = if row == 0 { self.grow(set) } else { row };
+            self.ways[row * self.geom.ways + n] = (block, lru, slot);
+            self.sets[set] += 1;
         } else {
             self.overshoot.entry(set).or_default().push((block, lru, slot));
         }
-        self.lens[set] += 1;
         self.resident += 1;
     }
 
     /// Removes the line at in-set position `pos` of `set`, moving the
-    /// set's last line into its place (`Vec::swap_remove` order).
+    /// set's last line into its place (`Vec::swap_remove` order). The
+    /// set keeps its row.
     fn swap_remove(&mut self, set: usize, pos: usize) -> (u64, T) {
-        let last = self.lens[set] as usize - 1;
+        let last = self.len_of(set) - 1;
         let (block, _, slot) = *self.way(set, pos);
         if pos != last {
             *self.way_mut(set, pos) = *self.way(set, last);
@@ -230,8 +306,9 @@ impl<T> SetAssoc<T> {
             if spilled.is_empty() {
                 self.overshoot.remove(&set);
             }
+        } else {
+            self.sets[set] -= 1;
         }
-        self.lens[set] -= 1;
         self.resident -= 1;
         self.free.push(slot);
         (block, self.slab[slot as usize].take().expect("resident line has a payload"))
@@ -297,7 +374,7 @@ impl<T> SetAssoc<T> {
         let stamp = self.bump();
         let set = self.geom.index(block);
         assert!(self.position(set, block).is_none(), "insert of already-resident block {block:#x}");
-        let victim = if self.lens[set] as usize >= self.geom.ways {
+        let victim = if self.full(set) {
             let pos = self.lru_position(set, |_| true).expect("full set is non-empty");
             Some(self.swap_remove(set, pos))
         } else {
@@ -330,9 +407,9 @@ impl<T> SetAssoc<T> {
         assert!(self.position(set, block).is_none(), "insert of already-resident block {block:#x}");
         let mut victims = Vec::new();
         let mut overflowed = false;
-        // Evict until below associativity (repaying any earlier
-        // overshoot).
-        while self.lens[set] as usize >= self.geom.ways {
+        // Evict until below associativity. A row stays full while its
+        // set overshoots, so an earlier overshoot is repaid first.
+        while self.full(set) {
             match self.lru_position(set, &mut can_evict) {
                 Some(pos) => victims.push(self.swap_remove(set, pos)),
                 None => {
@@ -350,7 +427,7 @@ impl<T> SetAssoc<T> {
     /// the fill arrives.
     pub fn victim_if_full(&self, block: u64) -> Option<(&u64, &T)> {
         let set = self.geom.index(block);
-        if (self.lens[set] as usize) < self.geom.ways {
+        if !self.full(set) {
             return None;
         }
         let (victim, _, slot) = self.way(set, self.lru_position(set, |_| true)?);
@@ -372,7 +449,7 @@ impl<T> SetAssoc<T> {
 
     /// Occupancy of the set that `block` maps to.
     pub fn set_len(&self, block: u64) -> usize {
-        self.lens[self.geom.index(block)] as usize
+        self.len_of(self.geom.index(block))
     }
 }
 
@@ -387,7 +464,7 @@ impl<T: Snap> Snap for SetAssoc<T> {
         self.geom.save(w);
         w.len_prefix(self.geom.sets);
         for set in 0..self.geom.sets {
-            w.len_prefix(self.lens[set] as usize);
+            w.len_prefix(self.len_of(set));
             for &(block, lru, slot) in self.lines(set) {
                 block.save(w);
                 self.payload(slot).save(w);
@@ -553,6 +630,7 @@ mod tests {
         assert!(victims.is_empty());
         assert!(overflowed);
         assert_eq!(c.set_len(0), 3); // temporarily above 2 ways
+
         // The next insertion repays the debt (evicts down to 1, pushes 1).
         let (victims, overflowed) = c.insert_filtered(6, 4, |_| true);
         assert_eq!(victims.len(), 2);
@@ -560,15 +638,16 @@ mod tests {
         assert_eq!(c.set_len(0), 2);
     }
 
-    /// Building an array faults in none of its ways: the zeroed arrays
-    /// come from fresh pages, and only the pages of touched sets are
-    /// ever paid for.
+    /// Building an array faults in none of its set entries (the zeroed
+    /// entries come from fresh pages), and ways are paid for only for
+    /// the rows that sets are given.
     #[cfg(target_os = "linux")]
     #[test]
     fn untouched_sets_are_never_faulted_in() {
         fn rss_bytes() -> u64 {
             let statm = std::fs::read_to_string("/proc/self/statm").expect("statm");
-            let pages: u64 = statm.split_whitespace().nth(1).and_then(|p| p.parse().ok()).expect("rss");
+            let pages: u64 =
+                statm.split_whitespace().nth(1).and_then(|p| p.parse().ok()).expect("rss");
             pages * 4096
         }
         let before = rss_bytes();
@@ -819,7 +898,7 @@ mod oracle_proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn image(save: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+    pub(super) fn image(save: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
         let mut w = SnapWriter::new();
         save(&mut w);
         w.into_bytes()
@@ -929,6 +1008,357 @@ mod oracle_proptests {
             }
             round_trips(&flat);
         }
+    }
+}
+
+/// The dense layout the row arena replaced: way `w` of set `s` is entry
+/// `s * ways + w` of one `sets × ways` array, beside a length per set.
+/// Kept as the reference the row layout is diffed against, stamps,
+/// renumbering and snapshot bytes included.
+#[cfg(test)]
+mod dense {
+    use super::Way;
+    use crate::geometry::Geometry;
+    use cmpsim_engine::{Snap, SnapWriter};
+    use std::collections::BTreeMap;
+
+    #[derive(Debug)]
+    pub struct DenseSetAssoc<T> {
+        geom: Geometry,
+        lens: Vec<u32>,
+        ways: Vec<Way>,
+        overshoot: BTreeMap<usize, Vec<Way>>,
+        slab: Vec<Option<T>>,
+        free: Vec<u32>,
+        clock: u32,
+    }
+
+    impl<T> DenseSetAssoc<T> {
+        pub fn with_clock(geom: Geometry, clock: u32) -> Self {
+            Self {
+                geom,
+                lens: vec![0; geom.sets],
+                ways: vec![(0, 0, 0); geom.entries()],
+                overshoot: BTreeMap::new(),
+                slab: Vec::new(),
+                free: Vec::new(),
+                clock,
+            }
+        }
+
+        fn bump(&mut self) -> u32 {
+            if self.clock == u32::MAX {
+                self.renumber();
+            }
+            self.clock += 1;
+            self.clock
+        }
+
+        fn renumber(&mut self) {
+            let stamps: Vec<u32> =
+                (0..self.geom.sets).flat_map(|set| self.lines(set)).map(|w| w.1).collect();
+            let mut ranks = stamps.clone();
+            ranks.sort_unstable();
+            ranks.dedup();
+            let mut next = stamps.iter();
+            for set in 0..self.geom.sets {
+                for pos in 0..self.lens[set] as usize {
+                    let rank = ranks.binary_search(next.next().unwrap()).unwrap() + 1;
+                    self.way_mut(set, pos).1 = rank as u32;
+                }
+            }
+            self.clock = ranks.len() as u32;
+        }
+
+        fn way(&self, set: usize, pos: usize) -> &Way {
+            let ways = self.geom.ways;
+            if pos < ways {
+                &self.ways[set * ways + pos]
+            } else {
+                &self.overshoot[&set][pos - ways]
+            }
+        }
+
+        fn way_mut(&mut self, set: usize, pos: usize) -> &mut Way {
+            let ways = self.geom.ways;
+            if pos < ways {
+                &mut self.ways[set * ways + pos]
+            } else {
+                &mut self.overshoot.get_mut(&set).unwrap()[pos - ways]
+            }
+        }
+
+        fn lines(&self, set: usize) -> impl Iterator<Item = &Way> {
+            let ways = self.geom.ways;
+            let len = self.lens[set] as usize;
+            let flat = &self.ways[set * ways..set * ways + len.min(ways)];
+            let spilled = if len > ways { &self.overshoot[&set][..] } else { &[] };
+            flat.iter().chain(spilled)
+        }
+
+        fn position(&self, set: usize, block: u64) -> Option<usize> {
+            self.lines(set).position(|w| w.0 == block)
+        }
+
+        fn lru_position(&self, set: usize, mut eligible: impl FnMut(u64) -> bool) -> Option<usize> {
+            let mut best: Option<(u32, usize)> = None;
+            for (pos, &(block, lru, _)) in self.lines(set).enumerate() {
+                if eligible(block) && best.is_none_or(|(oldest, _)| lru < oldest) {
+                    best = Some((lru, pos));
+                }
+            }
+            best.map(|(_, pos)| pos)
+        }
+
+        fn push(&mut self, set: usize, block: u64, lru: u32, data: T) {
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.slab[slot as usize] = Some(data);
+                    slot
+                }
+                None => {
+                    self.slab.push(Some(data));
+                    self.slab.len() as u32 - 1
+                }
+            };
+            let pos = self.lens[set] as usize;
+            if pos < self.geom.ways {
+                *self.way_mut(set, pos) = (block, lru, slot);
+            } else {
+                self.overshoot.entry(set).or_default().push((block, lru, slot));
+            }
+            self.lens[set] += 1;
+        }
+
+        fn swap_remove(&mut self, set: usize, pos: usize) -> (u64, T) {
+            let last = self.lens[set] as usize - 1;
+            let (block, _, slot) = *self.way(set, pos);
+            if pos != last {
+                *self.way_mut(set, pos) = *self.way(set, last);
+            }
+            if last >= self.geom.ways {
+                let spilled = self.overshoot.get_mut(&set).unwrap();
+                spilled.pop();
+                if spilled.is_empty() {
+                    self.overshoot.remove(&set);
+                }
+            }
+            self.lens[set] -= 1;
+            self.free.push(slot);
+            (block, self.slab[slot as usize].take().unwrap())
+        }
+
+        pub fn len(&self) -> usize {
+            self.lens.iter().map(|&n| n as usize).sum()
+        }
+
+        pub fn peek(&self, block: u64) -> Option<&T> {
+            let set = self.geom.index(block);
+            let pos = self.position(set, block)?;
+            self.slab[self.way(set, pos).2 as usize].as_ref()
+        }
+
+        pub fn get_mut(&mut self, block: u64) -> Option<&mut T> {
+            let stamp = self.bump();
+            let set = self.geom.index(block);
+            let pos = self.position(set, block)?;
+            let way = self.way_mut(set, pos);
+            way.1 = stamp;
+            let slot = way.2 as usize;
+            self.slab[slot].as_mut()
+        }
+
+        pub fn touch(&mut self, block: u64) -> bool {
+            self.get_mut(block).is_some()
+        }
+
+        pub fn insert(&mut self, block: u64, data: T) -> Option<(u64, T)> {
+            let stamp = self.bump();
+            let set = self.geom.index(block);
+            let victim = if self.lens[set] as usize >= self.geom.ways {
+                let pos = self.lru_position(set, |_| true).unwrap();
+                Some(self.swap_remove(set, pos))
+            } else {
+                None
+            };
+            self.push(set, block, stamp, data);
+            victim
+        }
+
+        pub fn insert_filtered(
+            &mut self,
+            block: u64,
+            data: T,
+            mut can_evict: impl FnMut(u64) -> bool,
+        ) -> (Vec<(u64, T)>, bool) {
+            let stamp = self.bump();
+            let set = self.geom.index(block);
+            let mut victims = Vec::new();
+            let mut overflowed = false;
+            while self.lens[set] as usize >= self.geom.ways {
+                match self.lru_position(set, &mut can_evict) {
+                    Some(pos) => victims.push(self.swap_remove(set, pos)),
+                    None => {
+                        overflowed = true;
+                        break;
+                    }
+                }
+            }
+            self.push(set, block, stamp, data);
+            (victims, overflowed)
+        }
+
+        pub fn victim_if_full(&self, block: u64) -> Option<(&u64, &T)> {
+            let set = self.geom.index(block);
+            if (self.lens[set] as usize) < self.geom.ways {
+                return None;
+            }
+            let (victim, _, slot) = self.way(set, self.lru_position(set, |_| true)?);
+            Some((victim, self.slab[*slot as usize].as_ref().unwrap()))
+        }
+
+        pub fn remove(&mut self, block: u64) -> Option<T> {
+            let set = self.geom.index(block);
+            let pos = self.position(set, block)?;
+            Some(self.swap_remove(set, pos).1)
+        }
+
+        pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+            (0..self.geom.sets)
+                .flat_map(|set| self.lines(set))
+                .map(|&(block, _, slot)| (block, self.slab[slot as usize].as_ref().unwrap()))
+        }
+
+        pub fn set_len(&self, block: u64) -> usize {
+            self.lens[self.geom.index(block)] as usize
+        }
+    }
+
+    impl<T: Snap> DenseSetAssoc<T> {
+        pub fn save(&self, w: &mut SnapWriter) {
+            self.geom.save(w);
+            w.len_prefix(self.geom.sets);
+            for set in 0..self.geom.sets {
+                w.len_prefix(self.lens[set] as usize);
+                for &(block, lru, slot) in self.lines(set) {
+                    block.save(w);
+                    self.slab[slot as usize].as_ref().unwrap().save(w);
+                    u64::from(lru).save(w);
+                }
+            }
+            u64::from(self.clock).save(w);
+        }
+    }
+}
+
+#[cfg(test)]
+mod dense_proptests {
+    use super::dense::DenseSetAssoc;
+    use super::oracle_proptests::image;
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// Runs `ops` on the row arena and on the dense layout, both with
+    /// their clocks at `clock`, and checks after every operation that
+    /// return values, per-set occupancy, iteration order and snapshot
+    /// bytes agree, and that the arena has handed out exactly one row
+    /// per set that ever held a line.
+    fn run_against_dense(geom: Geometry, clock: u32, ops: Vec<(u8, u64, u32, u32)>) {
+        let mut rows: SetAssoc<u32> = SetAssoc::with_clock(geom, clock);
+        let mut dense: DenseSetAssoc<u32> = DenseSetAssoc::with_clock(geom, clock);
+        let mut filled = BTreeSet::new();
+        for (op, block, val, protect) in ops {
+            // Bit `b % 32` of `protect` guards block `b` from eviction.
+            let can_evict = |b: u64| protect & (1 << (b % 32)) == 0;
+            match op {
+                0 if dense.peek(block).is_none() => {
+                    filled.insert(geom.index(block));
+                    prop_assert_eq!(rows.insert(block, val), dense.insert(block, val));
+                }
+                1 if dense.peek(block).is_none() => {
+                    filled.insert(geom.index(block));
+                    prop_assert_eq!(
+                        rows.insert_filtered(block, val, can_evict),
+                        dense.insert_filtered(block, val, can_evict)
+                    );
+                }
+                2 => {
+                    let got = rows.get_mut(block).map(|v| {
+                        *v += val;
+                        *v
+                    });
+                    let want = dense.get_mut(block).map(|v| {
+                        *v += val;
+                        *v
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                3 => prop_assert_eq!(rows.touch(block), dense.touch(block)),
+                4 => prop_assert_eq!(rows.peek(block), dense.peek(block)),
+                5 => prop_assert_eq!(rows.remove(block), dense.remove(block)),
+                _ => prop_assert_eq!(rows.victim_if_full(block), dense.victim_if_full(block)),
+            }
+            prop_assert_eq!(rows.set_len(block), dense.set_len(block));
+            prop_assert_eq!(rows.len(), dense.len());
+            prop_assert!(rows.iter().eq(dense.iter()), "iteration order diverged");
+            prop_assert_eq!(image(|w| rows.save(w)), image(|w| dense.save(w)));
+            prop_assert_eq!(rows.rows(), filled.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The row arena is observationally identical to the dense
+        /// layout after every operation. Random protected sets force
+        /// `insert_filtered` overshoots and their repayment.
+        #[test]
+        fn rows_match_dense_layout(
+            ways in 1usize..5,
+            sets_log2 in 0u32..4,
+            ops in prop::collection::vec((0u8..7, 0u64..32, 0u32..1000, 0u32..u32::MAX), 1..300),
+        ) {
+            run_against_dense(Geometry::new(1 << sets_log2, ways), 0, ops);
+        }
+
+        /// The same, starting with the clock a few accesses short of
+        /// `u32::MAX`, so both layouts renumber their stamps mid-run.
+        #[test]
+        fn rows_match_dense_layout_across_renumbering(
+            ways in 1usize..5,
+            sets_log2 in 0u32..4,
+            headroom in 0u32..64,
+            ops in prop::collection::vec((0u8..7, 0u64..32, 0u32..1000, 0u32..u32::MAX), 1..300),
+        ) {
+            run_against_dense(Geometry::new(1 << sets_log2, ways), u32::MAX - headroom, ops);
+        }
+    }
+
+    /// On the paper's L2 bank (1 MiB, 8 ways, 2048 sets, indexed above
+    /// the 64-tile bank bits), lines in k distinct sets take k rows of 8
+    /// ways, not the bank's 16 Ki ways; more lines in a set that has its
+    /// row, and a set emptied and refilled, take none.
+    #[test]
+    fn paper_l2_bank_takes_one_row_per_filled_set() {
+        let geom = Geometry::from_capacity(1 << 20, 64, 8).with_shift(6);
+        let mut c: SetAssoc<u32> = SetAssoc::new(geom);
+        let k = 100u64;
+        // Blocks of home bank 3 in sets 0, 19, 38, ...
+        let block = |set: u64, nth: u64| 3 + 64 * (set * 19 % 2048 + 2048 * nth);
+        for set in 0..k {
+            c.insert(block(set, 0), set as u32);
+        }
+        assert_eq!(c.rows(), k as usize);
+        assert_eq!(c.ways.len(), (k as usize + 1) * geom.ways);
+        for set in 0..k {
+            c.insert(block(set, 1), 0);
+            assert_eq!(c.remove(block(set, 0)), Some(set as u32));
+            c.remove(block(set, 1));
+            c.insert(block(set, 2), 0);
+        }
+        assert_eq!(c.rows(), k as usize);
+        assert_eq!(c.len(), k as usize);
     }
 }
 

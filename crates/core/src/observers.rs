@@ -313,7 +313,9 @@ impl Observers {
     /// that moved no counter charges nothing.
     pub(crate) fn on_cache_delta(&mut self, block: Block, base: [u64; 7], stats: &ProtoStats) {
         let cur = cache_counts(stats);
-        if cur == base {
+        // An OR-fold of the element-wise XOR, not `cur == base`: array
+        // `==` compiles to a libc `bcmp` call on this per-dispatch path.
+        if cur.iter().zip(&base).fold(0, |moved, (c, b)| moved | (c ^ b)) == 0 {
             return;
         }
         let owner = self.index.owner(block);
