@@ -2,28 +2,28 @@
 //! for regenerating the paper's tables, figures and studies.
 //!
 //! ```text
-//! cmpsim-cli run  [--protocol P] [--benchmark B] [--refs N] [--alt] [--seed S]
-//!                 [--max-events N] [--check] [observability flags]
-//! cmpsim-cli stats [run options]                # run + full metrics registry dump
-//! cmpsim-cli matrix [--refs N] [--alt] [...]    # all protocols x one benchmark set
-//! cmpsim-cli breakdown [run options]            # Fig. 7/8-style latency & energy
-//!                                               # attribution, all four protocols
-//! cmpsim-cli vmstat [run options]               # per-VM tables, cross-VM
-//!                                               # interference matrix, ASCII mesh
-//!                                               # heatmaps, all four protocols
-//! cmpsim-cli report [run options] [--all-benchmarks] [--out report.md]
+//! cmpsim-cli run [-p P] [-b B] [--refs N] [--alt] [--seed S] [--max-events N]
+//!                [--check] [--faults SPEC] [observers] [--out-dir D]
+//!                [--snapshot-dir D]             # one protocol x benchmark cell
+//! cmpsim-cli matrix [-b B] [run options except -p] [--threads N]
+//!                                               # all four protocols, one benchmark
+//! cmpsim-cli report [-b B | --all-benchmarks] [matrix options except --attr]
 //!                                               # deterministic Markdown matrix
-//!                                               # report (run ledger + tables)
-//! cmpsim-cli compare A.json B.json [--tol F] [--allow-improved] [--out diff.json]
-//!                                               # structural run diff / CI
+//!                                               # report: run ledger, Tables V-VII
+//!                                               # style, Fig. 7/8 attribution,
+//!                                               # tenant breakdown, cross-VM
+//!                                               # interference, ASCII mesh heatmaps
+//! cmpsim-cli compare A B [--tol F] [--allow-improved] [--out diff.json]
+//!                                               # structural diff of two artifact
+//!                                               # files or directories / CI
 //!                                               # regression gate (nonzero exit)
 //! cmpsim-cli tables [5|6|7]                     # Tables V, VI, VII (analytic;
 //!                                               # all three by default)
-//! cmpsim-cli figures [7|8a|8b|9a|9b|all|csv] [--refs N] [report flags]
+//! cmpsim-cli figures [7|8a|8b|9a|9b|all|csv] [--refs N] [observers] [--out-dir D]
 //!                                               # Figures 7-9 from one 32-cell
 //!                                               # sweep (default all, 60000 refs)
 //! cmpsim-cli study <alt|area|density|ablation|single-app|hops> [--refs N]
-//!                  [report flags]               # side studies: "-alt" placement
+//!                  [observers] [--out-dir D]    # side studies: "-alt" placement
 //!                                               # (60000 refs), area count,
 //!                                               # VM density, prediction/hint
 //!                                               # ablation, single application
@@ -36,8 +36,8 @@
 //!                  [--refs N] [--small|--paper] [--alt] [--out-dir D]
 //!                  [--journal F] [--deadline-ms N] [--retries N]
 //!                  [--backoff-ms N] [--inject panic@I|hang@I|flaky@I[:N]]...
-//!                  [--threads N] [--snapshot-dir D] [--report-out F]
-//! cmpsim-cli sweep --resume <journal> [--threads N] [--report-out F]
+//!                  [--threads N] [--snapshot-dir D]
+//! cmpsim-cli sweep --resume <journal> [--threads N]
 //!                                               # resilient job-queue sweep:
 //!                                               # per-cell catch_unwind +
 //!                                               # deadline, retry w/ backoff,
@@ -52,56 +52,65 @@
 //! cmpsim-cli list                               # protocols & benchmarks
 //! ```
 //!
-//! Observability flags (run / stats / matrix / breakdown / vmstat):
+//! Observers (`run`, `matrix`, `report`, `figures`, `study`) are turned
+//! on by what they record, not by which file is wanted:
 //!
 //! ```text
-//! --trace-out <file>      record the coherence-transaction trace and
-//!                         write Chrome trace-event JSON (Perfetto-loadable)
+//! --trace                 record the coherence-transaction trace
 //! --interval <cycles>     sample an interval time-series every N cycles
-//! --series-out <file>     write the time-series (.csv -> CSV, else JSON)
-//! --metrics-out <file>    write the unified metrics registry as JSON
-//! --attr                  per-transaction critical-path & energy attribution
-//! --breakdown-out <file>  write the attribution breakdown
-//!                         (.csv -> CSV, else JSON; implies --attr)
-//! --vmstat-out <file>     write per-VM stats + the cross-VM interference
-//!                         matrix as JSON (implies --attr)
-//! --heatmap-out <file>    write per-tile/per-link spatial counters
-//!                         (.csv -> long-format CSV, else JSON grids)
+//! --attr                  per-transaction critical-path & energy
+//!                         attribution (always on for report)
+//! ```
+//!
+//! Host options, which never change a result:
+//!
+//! ```text
 //! --threads <n>           worker threads for sweeps (default: one per host
 //!                         core)
 //! --snapshot-dir <dir>    cache warmed-state checkpoints: the first run of a
 //!                         configuration snapshots at the warm-up boundary,
 //!                         every later run sharing its key forks from the
 //!                         image and skips warm-up entirely (results stay
-//!                         bit-identical; observer runs — --trace-out,
-//!                         --check, --attr — always run cold)
-//! --manifest-out <file>   write the run manifest (run ledger entry) alone
-//! --host-profile-out <f>  write the host self-profile JSON (wall-clock,
-//!                         nondeterministic; keyed by manifest run_id)
-//! --progress-out <file>   live sweep telemetry as NDJSON (run/stats/matrix/report)
+//!                         bit-identical; observer runs — --trace, --check,
+//!                         --attr — always run cold)
 //! ```
 //!
-//! The report flags of `figures` and `study` are `--interval`, `--attr`,
-//! `--trace-out`, `--series-out`, `--breakdown-out` and `--metrics-out`.
+//! `--out-dir D` writes every artifact into one flat directory under one
+//! naming rule. `T` is a cell's tag, `{protocol}-{benchmark}[-{variant}]`,
+//! and `-V` a study's variant of the configuration (e.g. `-alt`):
+//!
+//! ```text
+//! D/T.metrics.json            the metrics registry        every cell
+//! D/T.manifest.json           the run manifest (ledger)   every cell
+//! D/T.trace.json              Chrome trace-event JSON     --trace
+//! D/T.series.{json,csv}       the interval time-series    --interval
+//! D/breakdown[-V].{json,csv}  Fig. 7/8 attribution        attribution ran
+//! D/vmstat[-V].json           per-VM stats, interference  attribution ran
+//! D/heatmap[-V].{json,csv}    per-tile/per-link counters  every matrix
+//! D/report.md                 the Markdown report         report, sweep
+//! D/host/T.json               host self-profile           every cell
+//! D/host/progress.ndjson      live telemetry              run, matrix, report
+//! ```
+//!
+//! Files under `D/host/` are wall-clock measurements and differ between
+//! identical runs; `compare` reads only `D`'s own JSON files, so two runs
+//! of one command compare clean. A sweep's `D` holds its journal, one
+//! `{run_id}.metrics.json` per cell and `report.md`. Each file written
+//! is named on stderr, so stdout does not depend on `--out-dir` (but
+//! for `report`, whose Markdown goes to `D/report.md`).
 //!
 //! Every deterministic JSON artifact (metrics, time-series, trace,
 //! breakdown, crash dump) embeds a `manifest` object: a content-hashed
 //! `run_id` over (config, protocol, benchmark, seed, fault plan, schema
 //! versions) plus the tool version, so any two artifacts can be traced
 //! to — and compared against — the exact run that produced them.
-//!
-//! Commands that run several cells write one file per cell, inserting
-//! a tag into the file name before its extension: the protocol name for
-//! `matrix` (`m.json` -> `m-dico.json`), `{protocol}-{benchmark}` for
-//! `figures` and `study` (plus the study's variant, e.g. `-alt`). The
-//! breakdown artifact is one combined file per matrix.
 //! Every simulating command prints a host self-profile line (wall-clock
 //! spans + simulated-cycles/s throughput) to **stderr**, keeping stdout
 //! and every artifact deterministic.
 //!
 //! Fault injection: `--faults recoverable[@SEED]` or `--faults
-//! chaos[@SEED]` arms a deterministic fault plan on any run-family
-//! command. `sweep --plans` fans plans across the protocol x benchmark
+//! chaos[@SEED]` arms a deterministic fault plan on `run`, `matrix` and
+//! `report`. `sweep --plans` fans plans across the protocol x benchmark
 //! matrix: a list such as `recoverable@1000,chaos@1001`, or a seed
 //! range `recoverable@1000..1008` (seeds 1000 to 1007). Each planned
 //! cell runs beside its fault-free golden twin and ends `done` (end
@@ -115,7 +124,7 @@
 //! mixed-com | mixed-sci.
 //!
 //! Every command parses its arguments through one table-driven parser:
-//! an option the command does not accept, a missing or malformed value,
+//! an option the command does not read, a missing or malformed value,
 //! a zero `--refs`/`--threads` count or an empty `--plans` range exits 2
 //! with a one-line `error:`; simulation failures exit 1.
 //!
@@ -132,30 +141,30 @@ use cmpsim::report::{
     markdown_report, studies, table, Runner,
 };
 use cmpsim::snapshot::key_hex;
-use cmpsim::vmstat::{heatmap_csv, heatmap_json, vmstat_json, vmstat_tables};
+use cmpsim::vmstat::{heatmap_csv, heatmap_json, vmstat_json};
 use cmpsim::{
     parse_plans, run_matrix, snapshot_eligible, snapshot_key, Benchmark, CellState, CmpSimulator,
-    CompareOptions, FaultPlan, Injection, MissClass, Placement, ProtocolKind, ReplayArtifact,
-    RunOptions, RunResult, SimError, SnapshotStore, SweepOptions, SystemConfig,
+    CompareOptions, FaultPlan, Injection, MissClass, Placement, ProgressSink, ProtocolKind,
+    ReplayArtifact, RunOptions, RunResult, SimError, SnapshotStore, SweepOptions, SystemConfig,
 };
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 /// Every option the CLI understands. Which commands accept which is
 /// data ([`Command::flags`]); what each one sets is [`Options::set`].
 /// Variants sharing a name (`Protocol`/`Protocols`) mean different
 /// things to different commands.
+#[rustfmt::skip]
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Flag {
-    // The run family's chip, workload and observers.
-    Protocol, Benchmark, Refs, Seed, Alt, MaxEvents, Check, Faults, Attr, Interval,
-    TraceOut, SeriesOut, MetricsOut, BreakdownOut, VmstatOut, HeatmapOut, ManifestOut,
-    HostProfileOut, ProgressOut, Out, AllBenchmarks, Threads, SnapshotDir,
+    // The run family's chip, workload, observers and outputs.
+    Protocol, Benchmark, Refs, Seed, Alt, MaxEvents, Check, Faults, Attr, Interval, Trace,
+    OutDir, AllBenchmarks, Threads, SnapshotDir,
     // `sweep`.
-    Small, Paper, ReportOut, Protocols, Benchmarks, Seeds, Plans, Resume, OutDir, Journal,
-    DeadlineMs, Retries, BackoffMs, Inject,
+    Small, Paper, Protocols, Benchmarks, Seeds, Plans, Resume, Journal, DeadlineMs, Retries,
+    BackoffMs, Inject,
     // `compare`.
-    AllowImproved, Tol,
+    AllowImproved, Tol, Out,
 }
 
 impl Flag {
@@ -176,23 +185,13 @@ impl Flag {
             Faults => &["--faults"],
             Attr => &["--attr"],
             Interval => &["--interval"],
-            TraceOut => &["--trace-out"],
-            SeriesOut => &["--series-out"],
-            MetricsOut => &["--metrics-out"],
-            BreakdownOut => &["--breakdown-out"],
-            VmstatOut => &["--vmstat-out"],
-            HeatmapOut => &["--heatmap-out"],
-            ManifestOut => &["--manifest-out"],
-            HostProfileOut => &["--host-profile-out"],
-            ProgressOut => &["--progress-out"],
-            Out => &["--out"],
+            Trace => &["--trace"],
+            OutDir => &["--out-dir"],
             AllBenchmarks => &["--all-benchmarks"],
             Threads => &["--threads"],
             SnapshotDir => &["--snapshot-dir"],
             Plans => &["--plans"],
-            ReportOut => &["--report-out"],
             Resume => &["--resume"],
-            OutDir => &["--out-dir"],
             Journal => &["--journal"],
             DeadlineMs => &["--deadline-ms"],
             Retries => &["--retries"],
@@ -200,38 +199,59 @@ impl Flag {
             Inject => &["--inject"],
             AllowImproved => &["--allow-improved"],
             Tol => &["--tol"],
+            Out => &["--out"],
         }
     }
 
     /// Whether the flag is a switch rather than taking a value.
     fn is_switch(self) -> bool {
         use Flag::*;
-        matches!(self, Alt | Small | Paper | Check | Attr | AllBenchmarks | AllowImproved)
+        matches!(self, Alt | Small | Paper | Check | Attr | Trace | AllBenchmarks | AllowImproved)
     }
 }
 
-/// The run family's options (`run`, `stats`, `matrix`, `breakdown`,
-/// `vmstat`, `report`).
+/// `run`: one cell's chip, workload, observers and outputs.
+#[rustfmt::skip]
 const RUN_FLAGS: &[Flag] = {
     use Flag::*;
     &[
-        Protocol, Benchmark, Refs, Seed, Alt, MaxEvents, Check, Faults, Attr, Interval, TraceOut,
-        SeriesOut, MetricsOut, BreakdownOut, VmstatOut, HeatmapOut, ManifestOut, HostProfileOut,
-        ProgressOut, Out, AllBenchmarks, Threads, SnapshotDir,
+        Protocol, Benchmark, Refs, Seed, Alt, MaxEvents, Check, Faults, Attr, Interval, Trace,
+        OutDir, SnapshotDir,
     ]
 };
 
-/// The paper reports' options (`figures`, `study`).
-const REPORT_FLAGS: &[Flag] = {
+/// `matrix`: every protocol on one benchmark.
+#[rustfmt::skip]
+const MATRIX_FLAGS: &[Flag] = {
     use Flag::*;
-    &[Refs, Interval, Attr, TraceOut, SeriesOut, BreakdownOut, MetricsOut]
+    &[
+        Benchmark, Refs, Seed, Alt, MaxEvents, Check, Faults, Attr, Interval, Trace, OutDir,
+        Threads, SnapshotDir,
+    ]
 };
 
+/// `report`: attribution is always on.
+#[rustfmt::skip]
+const REPORT_FLAGS: &[Flag] = {
+    use Flag::*;
+    &[
+        Benchmark, AllBenchmarks, Refs, Seed, Alt, MaxEvents, Check, Faults, Interval, Trace,
+        OutDir, Threads, SnapshotDir,
+    ]
+};
+
+/// The paper reports (`figures`, `study`).
+const PAPER_FLAGS: &[Flag] = {
+    use Flag::*;
+    &[Refs, Interval, Attr, Trace, OutDir]
+};
+
+#[rustfmt::skip]
 const SWEEP_FLAGS: &[Flag] = {
     use Flag::*;
     &[
         Resume, Protocols, Benchmarks, Seeds, Plans, Refs, Paper, Small, Alt, OutDir, Journal,
-        DeadlineMs, Retries, BackoffMs, Inject, Threads, SnapshotDir, ReportOut,
+        DeadlineMs, Retries, BackoffMs, Inject, Threads, SnapshotDir,
     ]
 };
 
@@ -261,15 +281,12 @@ const fn command(name: &'static str, flags: &'static [Flag], run: fn(Options)) -
 
 const COMMANDS: &[Command] = &[
     Command { refs: Some(20_000), ..command("run", RUN_FLAGS, cmd_run) },
-    Command { refs: Some(20_000), ..command("stats", RUN_FLAGS, cmd_stats) },
-    Command { refs: Some(20_000), ..command("matrix", RUN_FLAGS, cmd_matrix) },
-    Command { refs: Some(20_000), ..command("breakdown", RUN_FLAGS, cmd_breakdown) },
-    Command { refs: Some(20_000), ..command("vmstat", RUN_FLAGS, cmd_vmstat) },
-    Command { refs: Some(20_000), ..command("report", RUN_FLAGS, cmd_report) },
+    Command { refs: Some(20_000), ..command("matrix", MATRIX_FLAGS, cmd_matrix) },
+    Command { refs: Some(20_000), ..command("report", REPORT_FLAGS, cmd_report) },
     Command { args: (2, 2), ..command("compare", COMPARE_FLAGS, cmd_compare) },
     Command { args: (0, 1), ..command("tables", &[], cmd_tables) },
-    Command { args: (0, 1), refs: Some(60_000), ..command("figures", REPORT_FLAGS, cmd_figures) },
-    Command { args: (1, 1), ..command("study", REPORT_FLAGS, cmd_study) },
+    Command { args: (0, 1), refs: Some(60_000), ..command("figures", PAPER_FLAGS, cmd_figures) },
+    Command { args: (1, 1), ..command("study", PAPER_FLAGS, cmd_study) },
     Command { args: (1, 1), ..command("replay", &[Flag::Check, Flag::SnapshotDir], cmd_replay) },
     Command { refs: Some(800), small: true, ..command("sweep", SWEEP_FLAGS, cmd_sweep) },
     command("list", &[], cmd_list),
@@ -296,17 +313,9 @@ struct Options {
     faults: Option<FaultPlan>,
     attr: bool,
     interval: Option<u64>,
-    trace_out: Option<String>,
-    series_out: Option<String>,
-    metrics_out: Option<String>,
-    breakdown_out: Option<String>,
-    vmstat_out: Option<String>,
-    heatmap_out: Option<String>,
-    manifest_out: Option<String>,
-    host_profile_out: Option<String>,
-    progress_out: Option<String>,
+    trace: bool,
+    out_dir: Option<PathBuf>,
     out: Option<String>,
-    report_out: Option<String>,
     all_benchmarks: bool,
     threads: Option<usize>,
     snapshot_dir: Option<String>,
@@ -316,7 +325,6 @@ struct Options {
     sweep: SweepOptions,
     compare: CompareOptions,
 }
-
 fn protocol(s: &str) -> Result<ProtocolKind, String> {
     match s.to_ascii_lowercase().as_str() {
         "directory" | "dir" => Ok(ProtocolKind::Directory),
@@ -416,23 +424,13 @@ impl Options {
             Faults => self.faults = Some(FaultPlan::parse(v)?),
             Attr => self.attr = true,
             Interval => self.interval = Some(num(v, "interval")?),
-            TraceOut => self.trace_out = path(),
-            SeriesOut => self.series_out = path(),
-            MetricsOut => self.metrics_out = path(),
-            BreakdownOut => self.breakdown_out = path(),
-            VmstatOut => self.vmstat_out = path(),
-            HeatmapOut => self.heatmap_out = path(),
-            ManifestOut => self.manifest_out = path(),
-            HostProfileOut => self.host_profile_out = path(),
-            ProgressOut => self.progress_out = path(),
-            Out => self.out = path(),
+            Trace => self.trace = true,
+            OutDir => self.out_dir = Some(v.into()),
             AllBenchmarks => self.all_benchmarks = true,
             Threads => self.threads = Some(positive(v, "thread count")? as usize),
             SnapshotDir => self.snapshot_dir = path(),
             Plans => self.plans.extend(parse_plans(v)?),
-            ReportOut => self.report_out = path(),
             Resume => self.resume = path(),
-            OutDir => self.sweep.out_dir = v.into(),
             Journal => self.journal = path(),
             DeadlineMs => self.sweep.deadline_ms = Some(num(v, "deadline")?),
             Retries => self.sweep.retries = num(v, "retry count")?,
@@ -440,6 +438,7 @@ impl Options {
             Inject => self.sweep.injections.push(Injection::parse(v)?),
             AllowImproved => self.compare.allow_improved = true,
             Tol => self.compare.tolerance = num(v, "tolerance")?,
+            Out => self.out = path(),
         }
         Ok(())
     }
@@ -493,115 +492,16 @@ fn observe(o: &Options, mut cfg: SystemConfig) -> SystemConfig {
     if o.check {
         cfg = cfg.with_invariant_checks();
     }
-    if o.trace_out.is_some() {
+    if o.trace {
         cfg = cfg.with_tracing();
     }
     if let Some(n) = o.interval {
         cfg = cfg.with_interval(n);
     }
-    if o.attr || o.breakdown_out.is_some() || o.vmstat_out.is_some() {
+    if o.attr {
         cfg = cfg.with_attribution();
     }
     cfg.with_fault_plan(o.faults.clone())
-}
-
-/// Inserts `tag` into the file name, before its extension:
-/// `out.d/m.json` -> `out.d/m-dico.json`, `./m` -> `./m-dico`.
-fn suffixed(path: &str, tag: &str) -> String {
-    let (dir, file) = path.split_at(path.rfind(std::path::is_separator).map_or(0, |i| i + 1));
-    match file.rsplit_once('.') {
-        Some((stem, ext)) if !stem.is_empty() => format!("{dir}{stem}-{tag}.{ext}"),
-        _ => format!("{path}-{tag}"),
-    }
-}
-
-fn write_file(path: &str, contents: &str, what: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("error: cannot write {what} to {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("{what}: {path}");
-}
-
-/// Writes the per-run observability artifacts the flags asked for.
-/// `tag` distinguishes the cells of a multi-cell command (None for
-/// single runs).
-fn write_outputs(o: &Options, r: &RunResult, tag: Option<&str>) {
-    let name = |p: &str| tag.map_or_else(|| p.to_string(), |t| suffixed(p, t));
-    if let Some(p) = &o.trace_out {
-        let t = r.trace.as_ref().expect("tracing enabled by --trace-out");
-        let label = format!("{} on {}", r.protocol.name(), r.benchmark.name());
-        println!(
-            "trace: {} transactions, {} events buffered ({} dropped), {} hops attributed",
-            t.completed_txs,
-            t.ring.len(),
-            t.ring.dropped(),
-            t.tx_hops
-        );
-        write_file(&name(p), &r.stamp_artifact(t.to_chrome_json(&label)), "trace");
-    }
-    if let Some(ts) = &r.timeseries {
-        println!("time-series: {} samples of {} cycles", ts.samples.len(), ts.interval);
-        if let Some(p) = &o.series_out {
-            let p = name(p);
-            let body =
-                if p.ends_with(".csv") { ts.to_csv() } else { r.stamp_artifact(ts.to_json()) };
-            write_file(&p, &body, "time-series");
-        }
-    }
-    if let Some(p) = &o.metrics_out {
-        write_file(&name(p), &r.metrics_json(), "metrics");
-    }
-    if let Some(p) = &o.manifest_out {
-        let m = r.manifest.as_ref().expect("simulator-produced results carry a manifest");
-        write_file(&name(p), &m.to_json(), "manifest");
-    }
-    // The host self-profile is wall-clock (nondeterministic), so it
-    // goes to stderr only — stdout and every artifact stay
-    // deterministic and byte-comparable. `--host-profile-out` is the
-    // side-channel export: its own file, keyed by the manifest run_id.
-    if let Some(p) = &o.host_profile_out {
-        let run_id = r.manifest.as_ref().map(|m| m.run_id.as_str());
-        if let Err(e) = std::fs::write(name(p), r.host.to_json(run_id)) {
-            eprintln!("error: cannot write host profile to {p}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("host profile: {}", name(p));
-    }
-    eprintln!("{}: {}", r.protocol.name(), r.host.throughput_line());
-}
-
-/// Writes the combined breakdown artifact (CSV or JSON by extension).
-fn write_breakdown(path: &str, results: &[RunResult]) {
-    let body =
-        if path.ends_with(".csv") { breakdown_csv(results) } else { breakdown_json(results) };
-    write_file(path, &body, "breakdown");
-}
-
-/// Writes the sweep-level tenant/spatial artifacts the flags asked
-/// for (one combined file each, like the breakdown artifact): per-VM
-/// statistics as JSON, the spatial heatmap as CSV or JSON by extension.
-fn write_tenant_outputs(o: &Options, results: &[RunResult]) {
-    if let Some(p) = &o.vmstat_out {
-        write_file(p, &vmstat_json(results), "vmstat");
-    }
-    if let Some(p) = &o.heatmap_out {
-        let body = if p.ends_with(".csv") { heatmap_csv(results) } else { heatmap_json(results) };
-        write_file(p, &body, "heatmap");
-    }
-}
-
-/// Prints the Fig. 7/8-style attribution summary for one result on
-/// stdout (used by `run`/`stats` when `--attr` is on).
-fn print_breakdown_summary(r: &RunResult) {
-    let Some(b) = &r.breakdown else { return };
-    println!(
-        "  attribution: {} misses, {} reconciled exactly, {} still open",
-        b.completed, b.reconciled, b.open_txs
-    );
-    let slice = std::slice::from_ref(r);
-    println!("{}", breakdown_latency_table(slice));
-    println!("{}", breakdown_energy_table(slice));
 }
 
 /// Prints a simulation failure and exits (the replay artifact path is
@@ -611,30 +511,116 @@ fn bail(e: SimError) -> ! {
     std::process::exit(1);
 }
 
-/// `run`/`stats`: one cell through the executor. A single run is a
-/// one-cell sweep as far as telemetry goes; the sink is only built when
-/// asked, so the default stderr output is unchanged.
-fn run_one(o: &Options, label: &str) -> RunResult {
-    let sink = o.progress_out.as_deref().map(|p| progress_sink(label, 1, Some(p)));
-    let store = snapshot_store(o.snapshot_dir.as_deref());
-    let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress: sink.as_ref() };
-    let protocol = o.protocols.first().copied().unwrap_or(ProtocolKind::DiCoArin);
-    let mut results =
-        run_matrix(&[protocol], &[o.benchmark()], &config(o), opts).unwrap_or_else(|e| bail(e));
-    results.pop().expect("one cell")
+/// An output that cannot be written: one `error:` line, exit 1.
+fn write_failed(what: &str, path: &Path, e: std::io::Error) -> ! {
+    eprintln!("error: cannot write {what} to {}: {e}", path.display());
+    std::process::exit(1);
 }
 
-/// The per-result artifacts of `run`/`stats`.
-fn write_single(o: &Options, r: &RunResult) {
-    if let Some(p) = &o.breakdown_out {
-        write_breakdown(p, std::slice::from_ref(r));
+/// Writes one output and names it on stderr, so stdout is the same
+/// with or without `--out-dir`.
+fn write_file(path: &Path, contents: &str, what: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| write_failed(what, path, e));
+    eprintln!("{what}: {}", path.display());
+}
+
+/// `D/host` under `--out-dir D`, created (with `D`) on first use.
+fn host_dir(dir: &Path) -> PathBuf {
+    let host = dir.join("host");
+    std::fs::create_dir_all(&host).unwrap_or_else(|e| write_failed("artifacts", &host, e));
+    host
+}
+
+/// The live telemetry of a run-family command: a heartbeat line per
+/// cell on stderr, and `D/host/progress.ndjson` under `--out-dir D`.
+fn progress_sink(o: &Options, label: &str, total: usize) -> ProgressSink {
+    let path = o.out_dir.as_deref().map(|d| host_dir(d).join("progress.ndjson"));
+    let path = path.as_deref().map(|p| p.to_str().expect("--out-dir is UTF-8"));
+    ProgressSink::new(label, total, path, true).unwrap_or_else(|e| {
+        eprintln!("error: cannot open progress stream: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Runs `protocols x benchmarks` under `cfg` through the executor, with
+/// the command's snapshot store and worker count.
+fn simulate(
+    o: &Options,
+    protocols: &[ProtocolKind],
+    benchmarks: &[Benchmark],
+    cfg: &SystemConfig,
+    progress: Option<&ProgressSink>,
+) -> Vec<RunResult> {
+    let store = snapshot_store(o.snapshot_dir.as_deref());
+    let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress };
+    run_matrix(protocols, benchmarks, cfg, opts).unwrap_or_else(|e| bail(e))
+}
+
+/// Prints each cell's observer summaries on stdout.
+fn print_observed(results: &[RunResult]) {
+    for r in results {
+        if let Some(t) = &r.trace {
+            println!(
+                "trace: {} transactions, {} events buffered ({} dropped), {} hops attributed",
+                t.completed_txs,
+                t.ring.len(),
+                t.ring.dropped(),
+                t.tx_hops
+            );
+        }
+        if let Some(ts) = &r.timeseries {
+            println!("time-series: {} samples of {} cycles", ts.samples.len(), ts.interval);
+        }
     }
-    write_tenant_outputs(o, std::slice::from_ref(r));
-    write_outputs(o, r, None);
+}
+
+/// Prints each cell's host self-profile line on stderr and, under
+/// `--out-dir`, writes every artifact of one matrix by the naming rule
+/// in the module docs. `variant` is a paper report's name for its
+/// variant of the configuration (empty for the paper's own).
+fn write_artifacts(o: &Options, results: &[RunResult], variant: &str) {
+    for r in results {
+        eprintln!("{}: {}", r.protocol.name(), r.host.throughput_line());
+    }
+    let Some(dir) = o.out_dir.as_deref() else { return };
+    let host = host_dir(dir);
+    let v = if variant.is_empty() { String::new() } else { format!("-{variant}") };
+    let file = |stem: &str, ext: &str| dir.join(format!("{stem}{v}.{ext}"));
+    for r in results {
+        let cell = format!("{}-{}", r.protocol.name().to_lowercase(), r.benchmark.name());
+        let m = r.manifest.as_ref().expect("simulator-produced results carry a manifest");
+        write_file(&file(&cell, "metrics.json"), &r.metrics_json(), "metrics");
+        write_file(&file(&cell, "manifest.json"), &m.to_json(), "manifest");
+        if let Some(t) = &r.trace {
+            let label = format!("{} on {}", r.protocol.name(), r.benchmark.name());
+            let body = r.stamp_artifact(t.to_chrome_json(&label));
+            write_file(&file(&cell, "trace.json"), &body, "trace");
+        }
+        if let Some(ts) = &r.timeseries {
+            let body = r.stamp_artifact(ts.to_json());
+            write_file(&file(&cell, "series.json"), &body, "time-series");
+            write_file(&file(&cell, "series.csv"), &ts.to_csv(), "time-series");
+        }
+        let profile = host.join(format!("{cell}{v}.json"));
+        write_file(&profile, &r.host.to_json(Some(&m.run_id)), "host profile");
+    }
+    if results.iter().any(|r| r.breakdown.is_some()) {
+        write_file(&file("breakdown", "json"), &breakdown_json(results), "breakdown");
+        write_file(&file("breakdown", "csv"), &breakdown_csv(results), "breakdown");
+        write_file(&file("vmstat", "json"), &vmstat_json(results), "vmstat");
+    }
+    write_file(&file("heatmap", "json"), &heatmap_json(results), "heatmap");
+    write_file(&file("heatmap", "csv"), &heatmap_csv(results), "heatmap");
 }
 
 fn cmd_run(o: Options) {
-    let r = run_one(&o, "run");
+    // A single run is a one-cell sweep as far as telemetry goes; its
+    // heartbeat is only built under `--out-dir`, so the default stderr
+    // output stays one line.
+    let sink = o.out_dir.is_some().then(|| progress_sink(&o, "run", 1));
+    let protocol = o.protocols.first().copied().unwrap_or(ProtocolKind::DiCoArin);
+    let results = simulate(&o, &[protocol], &[o.benchmark()], &config(&o), sink.as_ref());
+    let r = &results[0];
     println!("{} on {}{}", r.protocol.name(), r.benchmark.name(), r.placement.suffix());
     println!("  cycles            {:>12}", r.cycles);
     println!("  throughput        {:>12.4} refs/cycle", r.throughput());
@@ -652,44 +638,23 @@ fn cmd_run(o: Options) {
     for class in MissClass::all() {
         println!("    {:<18} {:>6.1}%", class.label(), 100.0 * r.miss_class_frac(class));
     }
-    print_breakdown_summary(&r);
-    write_single(&o, &r);
-}
-
-/// `stats`: one run, then the full metrics registry, one line per
-/// metric (hierarchical names, sorted).
-fn cmd_stats(o: Options) {
-    let r = run_one(&o, "stats");
-    let cfg = config(&o);
-    println!(
-        "{} on {}{} ({} refs/core, seed {})",
-        r.protocol.name(),
-        r.benchmark.name(),
-        r.placement.suffix(),
-        cfg.refs_per_core,
-        cfg.seed
-    );
-    println!();
-    print!("{}", r.metrics().dump());
-    write_single(&o, &r);
-}
-
-/// Builds the live-telemetry sink for a sweep (`--progress-out` NDJSON
-/// plus a human heartbeat line per cell on stderr).
-fn progress_sink(label: &str, total: usize, path: Option<&str>) -> cmpsim::ProgressSink {
-    cmpsim::ProgressSink::new(label, total, path, true).unwrap_or_else(|e| {
-        eprintln!("error: cannot open progress stream: {e}");
-        std::process::exit(1);
-    })
+    if let Some(b) = &r.breakdown {
+        println!(
+            "  attribution: {} misses, {} reconciled exactly, {} still open",
+            b.completed, b.reconciled, b.open_txs
+        );
+        println!("{}", breakdown_latency_table(&results));
+        println!("{}", breakdown_energy_table(&results));
+    }
+    print_observed(&results);
+    write_artifacts(&o, &results, "");
 }
 
 fn cmd_matrix(o: Options) {
     let cfg = config(&o);
     let protocols = ProtocolKind::all();
-    let sink = progress_sink("matrix", protocols.len(), o.progress_out.as_deref());
-    let store = snapshot_store(o.snapshot_dir.as_deref());
-    let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress: Some(&sink) };
-    let results = run_matrix(&protocols, &[o.benchmark()], &cfg, opts).unwrap_or_else(|e| bail(e));
+    let sink = progress_sink(&o, "matrix", protocols.len());
+    let results = simulate(&o, &protocols, &[o.benchmark()], &cfg, Some(&sink));
     let base = &results[0];
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -717,97 +682,31 @@ fn cmd_matrix(o: Options) {
             &rows
         )
     );
-    if let Some(p) = &o.breakdown_out {
-        write_breakdown(p, &results);
-    }
-    write_tenant_outputs(&o, &results);
-    for r in &results {
-        let tag = r.protocol.name().to_lowercase();
-        write_outputs(&o, r, Some(&tag));
-    }
-}
-
-/// All four protocols on the benchmark with attribution on, after the
-/// `view` header line that `breakdown` and `vmstat` print.
-fn attributed_matrix(o: &Options, view: &str) -> Vec<RunResult> {
-    let cfg = config(o).with_attribution();
-    let opts = RunOptions { threads: o.threads, ..RunOptions::default() };
-    let results =
-        run_matrix(&ProtocolKind::all(), &[o.benchmark()], &cfg, opts).unwrap_or_else(|e| bail(e));
-    let (b, suffix) = (o.benchmark().name(), cfg.placement.suffix());
-    println!("{view}: {b}{suffix} at {} refs/core, seed {}", cfg.refs_per_core, cfg.seed);
-    println!();
-    results
-}
-
-/// The host self-profile line of each result, on stderr.
-fn print_throughput(results: &[RunResult]) {
-    for r in results {
-        eprintln!("{}: {}", r.protocol.name(), r.host.throughput_line());
-    }
-}
-
-/// `breakdown`: runs all four protocols with attribution on and prints
-/// the paper's Figure 7 (miss latency per critical-path phase) and
-/// Figure 8 (dynamic energy per structure) breakdowns.
-fn cmd_breakdown(o: Options) {
-    let results = attributed_matrix(&o, "critical-path & energy attribution");
-    println!("miss latency by phase (avg cycles per miss, Fig. 7 style):");
-    println!("{}", breakdown_latency_table(&results));
-    println!("attributed dynamic energy by structure (uJ, Fig. 8 style):");
-    println!("{}", breakdown_energy_table(&results));
-    for r in &results {
-        let b = r.breakdown.as_ref().expect("attribution enabled");
-        let model = r.energy_model();
-        let tiled = r.counts_nj(&model, &b.total_counts());
-        println!(
-            "{:<10} {} misses, {} reconciled exactly; attributed {:.1} uJ of {:.1} uJ aggregate",
-            r.protocol.name(),
-            b.completed,
-            b.reconciled,
-            tiled / 1000.0,
-            r.total_dynamic_nj() / 1000.0,
-        );
-    }
-    if let Some(p) = &o.breakdown_out {
-        write_breakdown(p, &results);
-    }
-    print_throughput(&results);
-}
-
-/// `vmstat`: runs all four protocols with attribution on and prints
-/// the tenant view — per-VM latency/energy tables, the cross-VM
-/// interference matrix, and ASCII mesh heatmaps of the per-tile
-/// counters. `--vmstat-out`/`--heatmap-out` export the same data as
-/// manifest-stamped JSON/CSV artifacts.
-fn cmd_vmstat(o: Options) {
-    let results = attributed_matrix(&o, "tenant observability");
-    print!("{}", vmstat_tables(&results));
-    write_tenant_outputs(&o, &results);
-    print_throughput(&results);
+    print_observed(&results);
+    write_artifacts(&o, &results, "");
 }
 
 /// `report`: one deterministic Markdown report over a matrix run — the
-/// run ledger, the paper-style tables, Fig. 7/8 breakdowns, interval
-/// summaries and fault counts. Attribution is always enabled so the
-/// breakdown sections are populated. Byte-identical across reruns of
-/// the same configuration (`--out` or stdout).
+/// run ledger, the paper-style tables, Fig. 7/8 breakdowns, the tenant
+/// view, interval summaries and fault counts. Attribution is always
+/// enabled so the breakdown sections are populated. Byte-identical
+/// across reruns of the same configuration (stdout, or `D/report.md`).
 fn cmd_report(o: Options) {
+    if o.all_benchmarks && !o.benchmarks.is_empty() {
+        usage_error("report takes --benchmark or --all-benchmarks, not both");
+    }
     let cfg = config(&o).with_attribution();
     let benchmarks: Vec<Benchmark> =
         if o.all_benchmarks { Benchmark::all().to_vec() } else { vec![o.benchmark()] };
     let protocols = ProtocolKind::all();
-    let sink =
-        progress_sink("report", protocols.len() * benchmarks.len(), o.progress_out.as_deref());
-    let store = snapshot_store(o.snapshot_dir.as_deref());
-    let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress: Some(&sink) };
-    let results = run_matrix(&protocols, &benchmarks, &cfg, opts).unwrap_or_else(|e| bail(e));
+    let sink = progress_sink(&o, "report", protocols.len() * benchmarks.len());
+    let results = simulate(&o, &protocols, &benchmarks, &cfg, Some(&sink));
     let md = markdown_report(&results);
-    match &o.out {
-        Some(p) => write_file(p, &md, "report"),
+    match &o.out_dir {
+        Some(d) => write_file(&d.join("report.md"), &md, "report"),
         None => print!("{md}"),
     }
-    print_throughput(&results);
+    write_artifacts(&o, &results, "");
 }
 
 /// `compare`: structural diff of two runs/matrices. Exits nonzero when
@@ -821,7 +720,7 @@ fn cmd_compare(o: Options) {
         println!("{line}");
     }
     if let Some(p) = &o.out {
-        write_file(p, &report.to_json(&o.compare), "compare diff");
+        write_file(Path::new(p), &report.to_json(&o.compare), "compare diff");
     }
     if !report.passed(&o.compare) {
         std::process::exit(1);
@@ -842,21 +741,13 @@ fn cmd_tables(o: Options) {
 }
 
 /// Runs a paper report (`figures`, `study`): each of its matrices goes
-/// through the executor with the report flags applied, writing each
-/// cell's artifacts tagged `{protocol}-{benchmark}[-{variant}]` and one
-/// breakdown per matrix.
+/// through the executor with the observer options applied, and its
+/// artifacts go into `--out-dir` under the matrix's variant.
 fn run_report<T>(o: &Options, report: impl FnOnce(&mut Runner) -> Result<T, SimError>) -> T {
     let mut run = |protocols: &[ProtocolKind], benchmarks: &[Benchmark], cfg, variant: &str| {
         let results = run_matrix(protocols, benchmarks, &observe(o, cfg), RunOptions::default())?;
-        let variant_of =
-            |name: String| if variant.is_empty() { name } else { suffixed(&name, variant) };
-        for r in &results {
-            let tag = format!("{}-{}", r.protocol.name().to_lowercase(), r.benchmark.name());
-            write_outputs(o, r, Some(&variant_of(tag)));
-        }
-        if let Some(p) = &o.breakdown_out {
-            write_breakdown(&variant_of(p.clone()), &results);
-        }
+        print_observed(&results);
+        write_artifacts(o, &results, variant);
         Ok(results)
     };
     report(&mut run).unwrap_or_else(|e| bail(e))
@@ -1027,6 +918,12 @@ fn cmd_replay(o: Options) {
 fn cmd_sweep(o: Options) {
     let outcome = match &o.resume {
         Some(journal) => {
+            if let Some(f) = o.given.iter().find(|f| !matches!(f, Flag::Resume | Flag::Threads)) {
+                usage_error(format!(
+                    "sweep --resume takes no {} (the journal holds it)",
+                    f.names()[0]
+                ));
+            }
             eprintln!("resuming sweep from {journal}");
             cmpsim::resume_sweep(Path::new(journal), o.threads).unwrap_or_else(|e| usage_error(e))
         }
@@ -1038,13 +935,15 @@ fn cmd_sweep(o: Options) {
                 plans: o.plans.clone(),
                 base: config(&o),
             };
+            let out_dir = o.out_dir.clone().unwrap_or_else(|| o.sweep.out_dir.clone());
             let opts = SweepOptions {
                 threads: o.threads,
                 snapshot_dir: o.snapshot_dir.as_ref().map(Into::into),
                 journal: o
                     .journal
                     .as_ref()
-                    .map_or_else(|| o.sweep.out_dir.join("sweep.ndjson"), Into::into),
+                    .map_or_else(|| out_dir.join("sweep.ndjson"), Into::into),
+                out_dir,
                 ..o.sweep.clone()
             };
             eprintln!(
@@ -1059,11 +958,7 @@ fn cmd_sweep(o: Options) {
         }
     };
 
-    let md = outcome.report_markdown();
-    match &o.report_out {
-        Some(p) => write_file(p, &md, "sweep report"),
-        None => print!("{md}"),
-    }
+    write_file(&outcome.out_dir.join("report.md"), &outcome.report_markdown(), "sweep report");
     if outcome.skipped > 0 {
         eprintln!("resume skipped {} already-terminal cells", outcome.skipped);
     }
@@ -1110,23 +1005,4 @@ fn main() {
     };
     let o = Options::parse(cmd, rest).unwrap_or_else(|e| usage_error(e));
     (cmd.run)(o);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::suffixed;
-
-    #[test]
-    fn tags_go_into_the_file_name_only() {
-        for (path, want) in [
-            ("m", "m-dico"),
-            ("m.json", "m-dico.json"),
-            ("./m", "./m-dico"),
-            ("out.d/m", "out.d/m-dico"),
-            ("out.d/m.json", "out.d/m-dico.json"),
-            (".hidden", ".hidden-dico"),
-        ] {
-            assert_eq!(suffixed(path, "dico"), want, "{path}");
-        }
-    }
 }

@@ -353,7 +353,10 @@ pub fn compare_docs(
 }
 
 /// Compares two artifact files or two directories of artifact files
-/// (matrix runs; files are paired by name).
+/// (matrix runs; files are paired by name). Only a directory's own
+/// `.json` files are read, not its subdirectories, so the wall-clock
+/// files that `cmpsim-cli --out-dir D` keeps in `D/host/` never fail a
+/// comparison of two runs.
 pub fn compare_paths(
     a: &std::path::Path,
     b: &std::path::Path,

@@ -154,7 +154,7 @@ impl RunManifest {
         j
     }
 
-    /// Standalone manifest JSON document (for `--manifest-out`).
+    /// Standalone manifest JSON document (`D/T.manifest.json`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         self.to_value().render_to(&mut out);

@@ -33,7 +33,7 @@
 //!   snapshot corruption, panic) settle on their first attempt with
 //!   their crash dump attached;
 //! * every state transition appends one line to an NDJSON **sweep
-//!   journal** (`schemas/sweep.schema.json`). The journal's `start`
+//!   journal** (`schemas/run.schema.json#sweep`). The journal's `start`
 //!   line embeds the full spec (canonical config JSON included), so
 //!   [`resume_sweep`] after a `kill -9` needs nothing but the journal:
 //!   completed cells are skipped, in-flight ones re-dispatched, and —
@@ -613,6 +613,8 @@ pub struct SweepOutcome {
     /// Cells this invocation skipped because the journal already showed
     /// them terminal (resume only).
     pub skipped: usize,
+    /// The directory the cells' artifacts went to.
+    pub out_dir: PathBuf,
 }
 
 impl SweepOutcome {
@@ -1135,7 +1137,7 @@ fn execute(
 
     let states: Vec<CellState> =
         states.into_iter().map(|s| s.expect("every cell resolved above")).collect();
-    let outcome = SweepOutcome { cells, states, skipped };
+    let outcome = SweepOutcome { cells, states, skipped, out_dir: opts.out_dir.clone() };
     let mut fin = event("finish");
     fin.set("completed", Value::uint(outcome.count("done") as u64));
     fin.set("quarantined", Value::uint(outcome.count("quarantined") as u64));

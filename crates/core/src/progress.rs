@@ -2,9 +2,9 @@
 //! executor ([`RunOptions::progress`](crate::RunOptions::progress)).
 //!
 //! A [`ProgressSink`] counts completed cells and emits one event per
-//! cell — an NDJSON line to an optional file (`--progress-out` on `run`,
-//! `stats`, `matrix` and `report`) and a human-readable line to
-//! stderr — with cells done/total, the cell's events/s from the host
+//! cell — an NDJSON line to an optional file (`cmpsim-cli`'s
+//! `D/host/progress.ndjson` under `--out-dir D`) and a human-readable
+//! line to stderr — with cells done/total, the cell's events/s from the host
 //! self-profiler, and an ETA extrapolated from the elapsed wall clock.
 //! This is *host-side telemetry*: lines carry wall-clock timings, arrive
 //! in completion order and are explicitly nondeterministic. They never

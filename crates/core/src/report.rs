@@ -147,6 +147,26 @@ pub fn breakdown_energy_table(results: &[RunResult]) -> String {
     table(&header, &rows)
 }
 
+/// One line per attributed result: misses reconciled exactly, and the
+/// attributed dynamic energy against the aggregate it must tile.
+fn reconciliation(results: &[RunResult]) -> String {
+    let mut out = String::new();
+    for r in results {
+        let Some(b) = &r.breakdown else { continue };
+        let tiled = r.counts_nj(&r.energy_model(), &b.total_counts());
+        let _ = writeln!(
+            out,
+            "{:<10} {} misses, {} reconciled exactly; attributed {:.1} uJ of {:.1} uJ aggregate",
+            r.protocol.name(),
+            b.completed,
+            b.reconciled,
+            tiled / 1000.0,
+            r.total_dynamic_nj() / 1000.0,
+        );
+    }
+    out
+}
+
 /// Renders one event-count bucket as a JSON object (categories + total,
 /// nJ).
 fn bucket_json(r: &RunResult, c: &EventCounts) -> Value {
@@ -164,7 +184,7 @@ fn bucket_json(r: &RunResult, c: &EventCounts) -> Value {
 }
 
 /// Renders a breakdown sweep as a deterministic JSON document
-/// (validated by `schemas/breakdown.schema.json`). Results without a
+/// (validated by `schemas/run.schema.json#breakdown`). Results without a
 /// breakdown are skipped.
 pub fn breakdown_json(results: &[RunResult]) -> String {
     let mut doc = Value::object();
@@ -264,7 +284,10 @@ pub fn md_table(header: &[&str], rows: &[Vec<String>]) -> String {
 /// One deterministic Markdown report over a matrix run: the run
 /// ledger (per-cell manifests), the paper's throughput/energy table
 /// per benchmark, miss-class mix, Fig. 7/8 breakdowns plus the tenant
-/// (per-VM / cross-VM interference) breakdown when attribution ran,
+/// (per-VM / cross-VM interference) breakdown when attribution ran —
+/// the latter closing with a text block of each protocol's
+/// reconciliation line and [`crate::vmstat::vmstat_tables`] (per-VM
+/// tables, interference matrices, ASCII mesh heatmaps),
 /// interval-series summaries when sampling ran, and fault-recovery
 /// counts when the matrix ran under fault injection.
 ///
@@ -378,6 +401,11 @@ pub fn markdown_report(results: &[RunResult]) -> String {
             out.push_str(&breakdown_energy_table(&attributed));
             out.push_str("```\n\n");
             out.push_str(&crate::vmstat::tenant_section(rs));
+            out.push_str("```text\n");
+            out.push_str(&reconciliation(&attributed));
+            out.push('\n');
+            out.push_str(&crate::vmstat::vmstat_tables(&attributed));
+            out.push_str("```\n\n");
         }
 
         if rs.iter().any(|r| r.timeseries.is_some()) {

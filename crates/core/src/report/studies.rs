@@ -221,17 +221,25 @@ pub fn alt_placement(refs: u64, run: &mut Runner) -> Result<String, SimError> {
 pub fn area_sweep(refs: u64, run: &mut Runner) -> Result<String, SimError> {
     let mut out =
         format!("== Area-count ablation (apache, {refs} refs/core, 1 VM per area) ==\n\n");
+    // One matrix per area count, so each variant's per-matrix
+    // artifacts cover both protocols.
+    let kinds = [ProtocolKind::DiCoProviders, ProtocolKind::DiCoArin];
+    let mut by_areas = Vec::new();
+    for n in [2usize, 4, 8, 16] {
+        let results = run(&kinds, &[Benchmark::Apache], areas(n, refs), &format!("{n}areas"))?;
+        by_areas.push((n, results));
+    }
     let mut rows = Vec::new();
-    for kind in [ProtocolKind::DiCoProviders, ProtocolKind::DiCoArin] {
-        for n in [2usize, 4, 8, 16] {
-            let r = one(run, kind, areas(n, refs), &format!("{n}areas"))?;
+    for (k, &kind) in kinds.iter().enumerate() {
+        for (n, results) in &by_areas {
+            let r = &results[k];
             rows.push(vec![
                 kind.name().to_string(),
                 n.to_string(),
                 format!("{:.4}", r.throughput()),
                 format!("{:.1} uJ", r.total_dynamic_uj()),
                 format!("{:.2}", r.avg_links_per_message()),
-                format!("{:.1}%", overhead_percent(kind, 64, n as u64)),
+                format!("{:.1}%", overhead_percent(kind, 64, *n as u64)),
             ]);
         }
     }

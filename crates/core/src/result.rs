@@ -212,8 +212,8 @@ impl RunResult {
     }
 
     /// Publishes every measured quantity into one hierarchically named
-    /// [`MetricsRegistry`] — the unified export surface behind
-    /// `cmpsim-cli stats` and `--metrics-out`.
+    /// [`MetricsRegistry`] — the unified export surface behind the
+    /// `D/T.metrics.json` files of `cmpsim-cli ... --out-dir D`.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         reg.set_counter("sim.cycles", self.cycles);

@@ -5,9 +5,9 @@
 //! layer ([`crate::attr`]) and the simulator's spatial counters
 //! ([`crate::result::SpatialLog`]) — nothing affects simulated timing.
 //! The JSON artifacts are deterministic, manifest-stamped, and
-//! validated by `schemas/vmstat.schema.json` /
-//! `schemas/heatmap.schema.json`; the text renderers back
-//! `cmpsim-cli vmstat` and the "Tenant breakdown" report section.
+//! validated by the `vmstat` and `heatmap` definitions of
+//! `schemas/run.schema.json`; the text renderers back the "Tenant
+//! breakdown" section of `cmpsim-cli report`.
 
 use crate::attr::{BreakdownLog, MatrixCell};
 use crate::replay::Value;
@@ -46,8 +46,8 @@ fn cell_json(aggressor: usize, victim: usize, c: &MatrixCell) -> Value {
 }
 
 /// Renders a per-VM statistics sweep as a deterministic JSON document
-/// (validated by `schemas/vmstat.schema.json`). Results without a
-/// breakdown are skipped — `vmstat` needs attribution enabled.
+/// (validated by `schemas/run.schema.json#vmstat`). Results without a
+/// breakdown are skipped — the export needs attribution enabled.
 pub fn vmstat_json(results: &[RunResult]) -> String {
     let mut doc = Value::object();
     doc.set("schema", Value::string(VMSTAT_SCHEMA));
@@ -117,7 +117,7 @@ pub fn vmstat_json(results: &[RunResult]) -> String {
 
 /// Renders the spatial counters of a sweep as a deterministic,
 /// heatmap-ready JSON document (validated by
-/// `schemas/heatmap.schema.json`). Results without spatial counters
+/// `schemas/run.schema.json#heatmap`). Results without spatial counters
 /// (hand-assembled) are skipped.
 pub fn heatmap_json(results: &[RunResult]) -> String {
     let mut doc = Value::object();
@@ -239,9 +239,9 @@ fn matrix_table(b: &BreakdownLog) -> String {
     table(&header_refs, &rows)
 }
 
-/// Plain-text per-VM tables and interference matrices for a sweep —
-/// the body of `cmpsim-cli vmstat`. Results without a breakdown are
-/// skipped.
+/// Plain-text per-VM tables, interference matrices and ASCII mesh
+/// heatmaps for a sweep, closing the report's "Tenant breakdown"
+/// section. Results without a breakdown are skipped.
 pub fn vmstat_tables(results: &[RunResult]) -> String {
     let mut out = String::new();
     for (r, b) in results.iter().filter_map(|r| r.breakdown.as_ref().map(|b| (r, b))) {
@@ -285,7 +285,7 @@ pub fn vmstat_tables(results: &[RunResult]) -> String {
         }
     }
     if out.is_empty() {
-        out.push_str("No attribution data. Rerun with attribution enabled (vmstat does this \
+        out.push_str("No attribution data. Rerun with attribution enabled (report does this \
                       by default).\n");
     }
     out

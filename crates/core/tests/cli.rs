@@ -1,6 +1,7 @@
 //! Drives the `cmpsim-cli` binary: every subcommand fails closed on a
-//! bad command line, and the paper's analytic reports match their
-//! checked-in captures byte for byte.
+//! bad command line, `--out-dir` holds every artifact under one naming
+//! rule, and the paper's analytic reports match their checked-in
+//! captures byte for byte.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -18,10 +19,7 @@ fn bad_command_lines_exit_2_with_an_error_line() {
     let cases: &[&[&str]] = &[
         // An option the command does not take.
         &["run", "--bogus"],
-        &["stats", "--bogus"],
         &["matrix", "--bogus"],
-        &["breakdown", "--bogus"],
-        &["vmstat", "--bogus"],
         &["report", "--bogus"],
         &["compare", "a.json", "b.json", "--bogus"],
         &["tables", "--bogus"],
@@ -34,13 +32,41 @@ fn bad_command_lines_exit_2_with_an_error_line() {
         &["figures", "7", "--threads", "2"],
         &["sweep", "--mode", "chaos"],
         &["sweep", "--json-out", "chaos.json"],
+        // An option the command would accept and then ignore.
+        &["run", "--threads", "2"],
+        &["run", "--out", "o.md", "--all-benchmarks"],
+        &["matrix", "--out", "o.md", "--all-benchmarks"],
+        &["matrix", "-p", "dico"],
+        &["report", "-p", "dico"],
+        &["report", "--attr"],
+        &["report", "-b", "lu", "--all-benchmarks"],
+        &["sweep", "--resume", "j.ndjson", "--plans", "chaos@1"],
+        &["sweep", "--resume", "j.ndjson", "--out-dir", "d"],
+        &[
+            "report",
+            "-b",
+            "radix",
+            "--trace-out",
+            "t.json",
+            "--metrics-out",
+            "m.json",
+            "--manifest-out",
+            "x.json",
+            "--heatmap-out",
+            "h.json",
+        ],
+        // Retired commands and per-artifact output flags.
+        &["stats"],
+        &["breakdown", "--metrics-out", "m.json", "--vmstat-out", "v.json", "--progress-out", "p"],
+        &["vmstat", "--breakdown-out", "b.json", "--series-out", "s.json"],
+        &["report", "--out", "r.md"],
+        &["sweep", "--report-out", "r.md"],
         // A missing value.
         &["run", "-n"],
-        &["stats", "-p"],
-        &["matrix", "--metrics-out"],
-        &["breakdown", "-b"],
-        &["vmstat", "--seed"],
-        &["report", "--out"],
+        &["run", "-p"],
+        &["matrix", "--out-dir"],
+        &["report", "-b"],
+        &["report", "--seed"],
         &["compare", "a.json", "b.json", "--tol"],
         &["figures", "-n"],
         &["study", "area", "-n"],
@@ -51,13 +77,12 @@ fn bad_command_lines_exit_2_with_an_error_line() {
         &["run", "-n", "x"],
         &["run", "-n", "2O000"],
         &["run", "-n", "0"],
-        &["run", "--threads", "0"],
         &["run", "-p", "foo"],
-        &["stats", "-b", "foo"],
+        &["run", "-b", "foo"],
         &["matrix", "--threads", "0"],
-        &["breakdown", "--faults", "sometimes"],
-        &["vmstat", "-n", "x"],
-        &["report", "-p", "foo"],
+        &["matrix", "--faults", "sometimes"],
+        &["report", "-n", "x"],
+        &["report", "-b", "foo"],
         &["compare", "a.json", "b.json", "--tol", "x"],
         &["tables", "8"],
         &["figures", "10"],
@@ -76,11 +101,26 @@ fn bad_command_lines_exit_2_with_an_error_line() {
         &["nope"],
         &[],
     ];
-    for args in cases {
+    let retired = [
+        "--trace-out",
+        "--series-out",
+        "--metrics-out",
+        "--breakdown-out",
+        "--vmstat-out",
+        "--heatmap-out",
+        "--manifest-out",
+        "--host-profile-out",
+        "--progress-out",
+    ];
+    let mut lines: Vec<Vec<&str>> = cases.iter().map(|c| c.to_vec()).collect();
+    for cmd in [&["run"][..], &["matrix"], &["report"], &["figures", "7"], &["study", "alt"]] {
+        for flag in retired {
+            lines.push([cmd, &[flag, "f.json"]].concat());
+        }
+    }
+    for args in &lines {
         let out = cli(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert_fails_closed(&out, &format!("{args:?}"));
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
     }
 }
@@ -108,19 +148,6 @@ fn hop_study_matches_its_capture() {
     assert_eq!(String::from_utf8_lossy(&out.stdout), want);
 }
 
-#[test]
-fn per_cell_artifacts_tag_the_file_name_only() {
-    let dir = std::env::temp_dir().join(format!("cmpsim-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(dir.join("out.d")).unwrap();
-    let m = dir.join("out.d/m");
-    let out = cli(&["matrix", "-b", "radix", "-n", "200", "--metrics-out", m.to_str().unwrap()]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    for p in ["directory", "dico", "dico-providers", "dico-arin"] {
-        assert!(dir.join(format!("out.d/m-{p}")).is_file(), "missing m-{p}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A scratch directory unique to this process and `tag`.
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cmpsim-cli-{tag}-{}", std::process::id()));
@@ -134,6 +161,98 @@ fn assert_fails_closed(out: &Output, what: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
     assert!(stderr.starts_with("error: ") && stderr.lines().count() == 1, "{what}: {stderr}");
+}
+
+/// Every file under `dir`, relative to it, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("out dir exists") {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
+        if path.is_dir() {
+            files.extend(listing(&path).into_iter().map(|f| format!("{name}/{f}")));
+        } else {
+            files.push(name);
+        }
+    }
+    files.sort();
+    files
+}
+
+/// The files a command writes: per cell `T.{kind}` for each of
+/// `cell_kinds` and a host profile, plus `matrix_files`.
+fn artifact_set(protocols: &[&str], cell_kinds: &[&str], matrix_files: &[&str]) -> Vec<String> {
+    let mut want: Vec<String> = matrix_files.iter().map(|f| f.to_string()).collect();
+    want.push("host/progress.ndjson".into());
+    for p in protocols {
+        let tag = format!("{p}-radix4x16p");
+        want.extend(cell_kinds.iter().map(|k| format!("{tag}.{k}")));
+        want.push(format!("host/{tag}.json"));
+    }
+    want.sort();
+    want
+}
+
+#[test]
+fn out_dir_holds_every_artifact_under_one_naming_rule() {
+    let dir = scratch("out-dir");
+    let sub = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let all = ["directory", "dico", "dico-providers", "dico-arin"];
+    let cell = ["manifest.json", "metrics.json"];
+    let heatmap = ["heatmap.csv", "heatmap.json"];
+    let attributed =
+        ["breakdown.csv", "breakdown.json", "heatmap.csv", "heatmap.json", "vmstat.json"];
+    let observed = ["manifest.json", "metrics.json", "series.csv", "series.json", "trace.json"];
+    let cases: [(Vec<&str>, Vec<String>); 3] = [
+        (vec!["run", "-p", "dico"], artifact_set(&["dico"], &cell, &heatmap)),
+        (
+            vec!["matrix", "--attr", "--interval", "500", "--trace"],
+            artifact_set(&all, &observed, &attributed),
+        ),
+        (vec!["report"], artifact_set(&all, &cell, &[&attributed[..], &["report.md"]].concat())),
+    ];
+    for (args, want) in cases {
+        let out_dir = sub(args[0]);
+        let out = cli(&[&args[..], &["-b", "radix", "-n", "200", "--out-dir", &out_dir]].concat());
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(listing(Path::new(&out_dir)), want, "{args:?}");
+    }
+    let md = std::fs::read_to_string(dir.join("report/report.md")).unwrap();
+    assert!(md.starts_with("# cmpsim matrix report") && md.contains("```text\n"), "{md}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two runs of one command compare clean (their host profiles differ,
+/// but `compare` does not read `D/host/`), and a drifted metric fails
+/// the gate naming its file and metric.
+#[test]
+fn compare_gates_two_out_dirs() {
+    let dir = scratch("compare");
+    let (a, b) = (dir.join("a"), dir.join("b"));
+    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
+    for d in [a, b] {
+        let out = cli(&["matrix", "-b", "radix", "-n", "200", "--out-dir", d]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let clean = cli(&["compare", a, b]);
+    assert_eq!(clean.status.code(), Some(0), "{}", String::from_utf8_lossy(&clean.stdout));
+
+    let file = "dico-radix4x16p.metrics.json";
+    let path = Path::new(b).join(file);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let key = "\"sim.cycles\": ";
+    let at = text.find(key).expect("sim.cycles counter") + key.len();
+    let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let bumped = text[at..end].parse::<u64>().unwrap() + 1000;
+    std::fs::write(&path, format!("{}{bumped}{}", &text[..at], &text[end..])).unwrap();
+    let diff = dir.join("diff.json");
+    let drifted = cli(&["compare", a, b, "--out", diff.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&drifted.stdout);
+    assert_eq!(drifted.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains(&format!("{file}: counters.sim.cycles")), "{stdout}");
+    let diff = std::fs::read_to_string(diff).unwrap();
+    assert!(diff.contains(file) && diff.contains("counters.sim.cycles"), "{diff}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

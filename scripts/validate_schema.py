@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Validate a JSON document against one of the schemas in schemas/.
+"""Validate a JSON document against one artifact of schemas/run.schema.json.
 
 Standard library only (no jsonschema dependency): implements the small
-draft-07 subset those schemas use — type, enum, required, properties,
+draft-07 subset the schema uses — type, enum, required, properties,
 additionalProperties, items, minItems, maxItems, minimum, maximum, and
 document-local $ref ("#/definitions/...").
 
 Usage:
-    scripts/validate_schema.py schemas/metrics.schema.json metrics.json ...
-    scripts/validate_schema.py --ndjson schemas/progress.schema.json run.ndjson
+    scripts/validate_schema.py schemas/run.schema.json#metrics D/*.metrics.json
+    scripts/validate_schema.py --ndjson schemas/run.schema.json#progress D/host/progress.ndjson
 
-With --ndjson each input file is a newline-delimited JSON stream (the
-`--progress-out` telemetry) and every non-empty line is validated as
-one document against the schema.
+`FILE#name` validates against the file's `definitions/name` entry, one
+per artifact: metrics, manifest, trace, series, breakdown, vmstat,
+heatmap, progress, compare, crashdump, sweep. With --ndjson each input
+file is a newline-delimited JSON stream (progress telemetry, sweep
+journals) and every non-empty line is validated as one document.
 
 Exits 0 if every document validates, 1 with the first few errors
-otherwise.
+otherwise, and 2 on a bad command line.
 """
 
 import json
@@ -115,8 +117,14 @@ def main(argv):
     if len(args) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    with open(args[0], encoding="utf-8") as f:
-        schema = json.load(f)
+    schema_path, _, name = args[0].partition("#")
+    with open(schema_path, encoding="utf-8") as f:
+        definitions = json.load(f)["definitions"]
+    if name not in definitions:
+        print(f"{args[0]}: name an artifact: {schema_path}#<{'|'.join(definitions)}>",
+              file=sys.stderr)
+        return 2
+    schema = {**definitions[name], "definitions": definitions}
     failed = False
     for doc_path in args[1:]:
         path_errors = []

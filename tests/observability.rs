@@ -219,7 +219,7 @@ fn metrics_json_shape() {
 }
 
 /// Two identical seeded runs export byte-identical breakdown JSON and
-/// CSV — the golden-file property the `breakdown` command and CI's
+/// CSV — the golden-file property the `--out-dir` artifacts and CI's
 /// double-run `cmp` check rely on.
 #[test]
 fn breakdown_exports_are_byte_identical_across_runs() {
