@@ -591,18 +591,14 @@ fn write_artifacts(o: &Options, results: &[RunResult], variant: &str) {
         let m = r.manifest.as_ref().expect("simulator-produced results carry a manifest");
         write_file(&file(&cell, "metrics.json"), &r.metrics_json(), "metrics");
         write_file(&file(&cell, "manifest.json"), &m.to_json(), "manifest");
-        if let Some(t) = &r.trace {
-            let label = format!("{} on {}", r.protocol.name(), r.benchmark.name());
-            let body = r.stamp_artifact(t.to_chrome_json(&label));
+        if let Some(body) = r.trace_json() {
             write_file(&file(&cell, "trace.json"), &body, "trace");
         }
-        if let Some(ts) = &r.timeseries {
-            let body = r.stamp_artifact(ts.to_json());
+        if let (Some(body), Some(ts)) = (r.series_json(), &r.timeseries) {
             write_file(&file(&cell, "series.json"), &body, "time-series");
             write_file(&file(&cell, "series.csv"), &ts.to_csv(), "time-series");
         }
-        let profile = host.join(format!("{cell}{v}.json"));
-        write_file(&profile, &r.host.to_json(Some(&m.run_id)), "host profile");
+        write_file(&host.join(format!("{cell}{v}.json")), &r.host_json(), "host profile");
     }
     if results.iter().any(|r| r.breakdown.is_some()) {
         write_file(&file("breakdown", "json"), &breakdown_json(results), "breakdown");

@@ -11,13 +11,13 @@
 //! `regressed` or `changed` — from a small direction table (cycles and
 //! energy are lower-better, throughput and hit rates higher-better).
 //!
-//! Two manifest-stamped artifacts with the *same* `run_id` that differ
+//! Two manifest-led artifacts with the *same* `run_id` that differ
 //! in any metric are flagged as a **determinism violation**: same
 //! inputs must give same outputs, so this is never a performance
 //! regression but a bug (or a corrupted artifact).
 
+use crate::json::Value;
 use crate::manifest::manifest_of;
-use crate::replay::Value;
 
 /// Schema tag of the JSON diff document.
 pub const COMPARE_SCHEMA: &str = "cmpsim-compare-v1";
@@ -150,10 +150,7 @@ impl CompareReport {
         j.set("determinism_violation", Value::boolean(self.determinism_violation));
         j.set("summary", summary);
         j.set("diffs", Value::Arr(diffs));
-        let mut out = String::new();
-        j.render_to(&mut out);
-        out.push('\n');
-        out
+        j.to_document()
     }
 
     /// Human summary lines for stdout.
@@ -228,13 +225,12 @@ fn flatten(v: &Value, prefix: &str, top: bool, out: &mut Vec<(String, String, bo
                 flatten(val, &format!("{prefix}[{i}]"), false, out);
             }
         }
-        Value::Num(raw) => {
-            let is_float = raw.contains(['.', 'e', 'E']);
-            out.push((prefix.to_string(), raw.clone(), is_float));
+        leaf => {
+            let mut token = String::new();
+            leaf.render_compact_to(&mut token);
+            let is_float = matches!(leaf, Value::Num(raw) if raw.contains(['.', 'e', 'E']));
+            out.push((prefix.to_string(), token, is_float));
         }
-        Value::Str(s) => out.push((prefix.to_string(), format!("\"{s}\""), false)),
-        Value::Bool(b) => out.push((prefix.to_string(), b.to_string(), false)),
-        Value::Null => out.push((prefix.to_string(), "null".to_string(), false)),
     }
 }
 
@@ -513,13 +509,12 @@ mod tests {
             cmpsim_workloads::Benchmark::Apache,
             &SystemConfig::smoke(),
         );
-        let render = |doc: &Value| {
-            let mut s = String::new();
-            doc.render_to(&mut s);
-            m.stamp(&s).unwrap()
+        let stamped = |mut doc: Value| {
+            doc.set("manifest", m.to_value());
+            doc
         };
-        let a = Value::parse(&render(&metrics_doc(500, 0.25))).unwrap();
-        let b = Value::parse(&render(&metrics_doc(999, 0.25))).unwrap();
+        let a = stamped(metrics_doc(500, 0.25));
+        let b = stamped(metrics_doc(999, 0.25));
         let opts = CompareOptions::default();
         let r = run_compare(&a, &b, &opts);
         assert!(r.determinism_violation);

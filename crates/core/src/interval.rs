@@ -14,7 +14,7 @@
 //! event past `end`. The slop is bounded by a single event and the
 //! series stays deterministic.
 
-use crate::replay::Value;
+use crate::json::Value;
 use cmpsim_engine::phase::{Phase, PHASES};
 use cmpsim_engine::Cycle;
 use cmpsim_protocols::Occupancy;
@@ -333,8 +333,9 @@ impl TimeSeries {
         out
     }
 
-    /// Renders the series as a JSON document.
-    pub fn to_json(&self) -> String {
+    /// The series as a JSON document body (`interval`, then one object
+    /// per sample).
+    pub fn to_value(&self) -> Value {
         let mut j = Value::object();
         j.set("interval", Value::uint(self.interval));
         let rows = self
@@ -374,10 +375,7 @@ impl TimeSeries {
             })
             .collect();
         j.set("samples", Value::Arr(rows));
-        let mut out = String::new();
-        j.render_to(&mut out);
-        out.push('\n');
-        out
+        j
     }
 }
 
@@ -494,8 +492,7 @@ mod tests {
         assert!(header.starts_with("start,end,cycles,refs"));
         let row = lines.next().unwrap();
         assert_eq!(row.split(',').count(), header.split(',').count());
-        let json = ts.to_json();
-        let v = Value::parse(&json).expect("valid json");
+        let v = Value::parse(&ts.to_value().to_document()).expect("valid json");
         assert_eq!(v.field("interval").unwrap().as_u64().unwrap(), 10);
         match v.field("samples").unwrap() {
             Value::Arr(rows) => assert_eq!(rows.len(), 1),

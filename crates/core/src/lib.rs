@@ -61,12 +61,18 @@
 //! ([`SystemConfig::with_interval`], exported as CSV/JSON via
 //! [`interval`]). Both are observation-only: simulated timing is
 //! identical with them on or off.
+//!
+//! Every JSON artifact — metrics, traces, series, matrix views, host
+//! profiles, progress and sweep journals, compare diffs, crash dumps —
+//! is built as a [`json::Value`] and rendered once by [`json`], the
+//! workspace's one JSON codec; `cmpsim-engine` writes no JSON.
 
 pub mod attr;
 pub mod compare;
 pub mod config;
 pub mod error;
 pub mod interval;
+pub mod json;
 pub mod manifest;
 mod observers;
 pub mod orchestrator;

@@ -21,7 +21,8 @@
 //! `run_id` → skip the cell.
 
 use crate::config::SystemConfig;
-use crate::replay::{config_to_json, Value};
+use crate::json::Value;
+use crate::replay::config_to_json;
 use cmpsim_engine::rng::splitmix64;
 use cmpsim_protocols::ProtocolKind;
 use cmpsim_workloads::Benchmark;
@@ -156,10 +157,7 @@ impl RunManifest {
 
     /// Standalone manifest JSON document (`D/T.manifest.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.to_value().render_to(&mut out);
-        out.push('\n');
-        out
+        self.to_value().to_document()
     }
 
     /// Reads a manifest back from an artifact's `"manifest"` field.
@@ -183,30 +181,6 @@ impl RunManifest {
                 other => Some(other.as_str()?.to_string()),
             },
         })
-    }
-
-    /// Stamps this manifest into an existing JSON artifact: parses the
-    /// document, inserts `"manifest"` as the *first* object field and
-    /// re-renders. The rest of the document round-trips byte-exactly
-    /// (the JSON tree keeps raw number tokens and field order), so
-    /// stamping preserves determinism: same artifact + same manifest →
-    /// same stamped bytes.
-    pub fn stamp(&self, body: &str) -> Result<String, String> {
-        let had_newline = body.ends_with('\n');
-        let mut doc = Value::parse(body)?;
-        match &mut doc {
-            Value::Obj(fields) => {
-                fields.retain(|(k, _)| k != "manifest");
-                fields.insert(0, ("manifest".to_string(), self.to_value()));
-            }
-            _ => return Err("cannot stamp a manifest into a non-object artifact".to_string()),
-        }
-        let mut out = String::new();
-        doc.render_to(&mut out);
-        if had_newline {
-            out.push('\n');
-        }
-        Ok(out)
     }
 }
 
@@ -259,20 +233,5 @@ mod tests {
             &base().with_tracing().with_interval(500).with_attribution(),
         );
         assert_eq!(plain.run_id, traced.run_id);
-    }
-
-    #[test]
-    fn stamp_round_trips_and_leads_document() {
-        let m = RunManifest::new(ProtocolKind::DiCo, Benchmark::Apache, &base());
-        let body = "{\n  \"counters\": {\n    \"sim.cycles\": 42\n  }\n}\n";
-        let stamped = m.stamp(body).unwrap();
-        assert!(stamped.starts_with("{\n  \"manifest\": {"), "{stamped}");
-        assert!(stamped.ends_with('\n'));
-        let doc = Value::parse(&stamped).unwrap();
-        let got = manifest_of(&doc).expect("embedded manifest parses");
-        assert_eq!(got.run_id, m.run_id);
-        assert_eq!(doc.field("counters").unwrap().field("sim.cycles").unwrap().as_u64().unwrap(), 42);
-        // Stamping is idempotent: re-stamping replaces, not duplicates.
-        assert_eq!(m.stamp(&stamped).unwrap(), stamped);
     }
 }

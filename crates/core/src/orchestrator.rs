@@ -59,9 +59,10 @@ use cmpsim_workloads::Benchmark;
 
 use crate::config::SystemConfig;
 use crate::error::SimError;
+use crate::json::Value;
 use crate::manifest::RunManifest;
 use crate::progress::ProgressSink;
-use crate::replay::{config_from_json, config_to_json, Value};
+use crate::replay::{config_from_json, config_to_json};
 use crate::result::{ArchState, RunResult};
 use crate::sim::run_benchmark_with_store;
 use crate::snapshot::SnapshotStore;

@@ -18,6 +18,7 @@
 //! {"schema":"cmpsim-progress-v1","event":"finish","done":32,"total":32,...}
 //! ```
 
+use crate::json::Value;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -58,10 +59,9 @@ impl ProgressSink {
             done: AtomicUsize::new(0),
             started: Instant::now(),
         };
-        sink.write_line(&format!(
-            "{{\"schema\":\"{PROGRESS_SCHEMA}\",\"event\":\"start\",\"label\":\"{}\",\"total\":{}}}",
-            sink.label, sink.total
-        ));
+        let mut start = sink.event("start");
+        start.set("total", Value::uint(total as u64));
+        sink.write_line(&start);
         Ok(sink)
     }
 
@@ -78,10 +78,16 @@ impl ProgressSink {
         } else {
             0
         };
-        self.write_line(&format!(
-            "{{\"schema\":\"{PROGRESS_SCHEMA}\",\"event\":\"cell\",\"label\":\"{}\",\"done\":{done},\"total\":{},\"cell\":\"{cell}\",\"status\":\"{status}\",\"events\":{events},\"events_per_sec\":{events_per_sec:.1},\"elapsed_ms\":{elapsed_ms},\"eta_ms\":{eta_ms}}}",
-            self.label, self.total
-        ));
+        let mut line = self.event("cell");
+        line.set("done", Value::uint(done as u64));
+        line.set("total", Value::uint(self.total as u64));
+        line.set("cell", Value::string(cell));
+        line.set("status", Value::string(status));
+        line.set("events", Value::uint(events));
+        line.set("events_per_sec", Value::Num(format!("{events_per_sec:.1}")));
+        line.set("elapsed_ms", Value::uint(elapsed_ms));
+        line.set("eta_ms", Value::uint(eta_ms));
+        self.write_line(&line);
         if self.stderr {
             let rate = if events_per_sec > 0.0 {
                 format!(", {:.2} Mev/s", events_per_sec / 1e6)
@@ -99,19 +105,29 @@ impl ProgressSink {
 
     /// Emits the final summary event. Called once after the sweep.
     pub fn finish(&self) {
-        let done = self.done.load(Ordering::Relaxed);
-        self.write_line(&format!(
-            "{{\"schema\":\"{PROGRESS_SCHEMA}\",\"event\":\"finish\",\"label\":\"{}\",\"done\":{done},\"total\":{},\"elapsed_ms\":{}}}",
-            self.label,
-            self.total,
-            self.started.elapsed().as_millis() as u64
-        ));
+        let mut line = self.event("finish");
+        line.set("done", Value::uint(self.done.load(Ordering::Relaxed) as u64));
+        line.set("total", Value::uint(self.total as u64));
+        line.set("elapsed_ms", Value::uint(self.started.elapsed().as_millis() as u64));
+        self.write_line(&line);
     }
 
-    fn write_line(&self, line: &str) {
+    /// A line's leading fields: schema, event kind and sweep label.
+    fn event(&self, kind: &str) -> Value {
+        let mut line = Value::object();
+        line.set("schema", Value::string(PROGRESS_SCHEMA));
+        line.set("event", Value::string(kind));
+        line.set("label", Value::string(&self.label));
+        line
+    }
+
+    fn write_line(&self, line: &Value) {
         if let Some(out) = &self.out {
+            let mut text = String::new();
+            line.render_compact_to(&mut text);
+            text.push('\n');
             let mut f = out.lock().unwrap();
-            let _ = writeln!(f, "{line}");
+            let _ = f.write_all(text.as_bytes());
             let _ = f.flush();
         }
     }
@@ -120,7 +136,6 @@ impl ProgressSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::Value;
 
     #[test]
     fn ndjson_stream_counts_cells_and_parses() {
@@ -148,6 +163,31 @@ mod tests {
         let cell = Value::parse(lines[1]).unwrap();
         assert_eq!(cell.field("total").unwrap().as_u64().unwrap(), 2);
         assert!(cell.field("eta_ms").unwrap().as_u64().is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn quotes_and_backslashes_are_escaped() {
+        let dir = std::env::temp_dir().join(format!("cmpsim-progress-esc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("progress.ndjson");
+        let label = r#"say "hi" \ bye"#;
+        let cell = r#"plan:"x"\DiCo/apache"#;
+        let sink = ProgressSink::new(label, 1, Some(path.to_str().unwrap()), false).unwrap();
+        sink.cell_done(cell, r#"o"k\"#, 10, 1.0);
+        sink.finish();
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<Value> = text
+            .lines()
+            .map(|line| Value::parse(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+            .collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        for v in &lines {
+            assert_eq!(v.field("label").unwrap().as_str().unwrap(), label);
+        }
+        assert_eq!(lines[1].field("cell").unwrap().as_str().unwrap(), cell);
+        assert_eq!(lines[1].field("status").unwrap().as_str().unwrap(), r#"o"k\"#);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

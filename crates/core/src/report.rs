@@ -11,7 +11,7 @@
 
 use crate::config::SystemConfig;
 use crate::error::SimError;
-use crate::replay::Value;
+use crate::json::Value;
 use crate::result::RunResult;
 use cmpsim_engine::phase::Phase;
 use cmpsim_engine::EventCounts;
@@ -187,23 +187,12 @@ fn bucket_json(r: &RunResult, c: &EventCounts) -> Value {
 /// (validated by `schemas/run.schema.json#breakdown`). Results without a
 /// breakdown are skipped.
 pub fn breakdown_json(results: &[RunResult]) -> String {
-    let mut doc = Value::object();
-    doc.set("schema", Value::string("cmpsim-breakdown-v1"));
-    if let Some(r) = results.first() {
-        doc.set("benchmark", Value::string(r.benchmark.name()));
-    }
-    // Provenance: one manifest per contributing run, in table order.
-    let manifests: Vec<Value> =
-        results.iter().filter_map(|r| r.manifest.as_ref().map(|m| m.to_value())).collect();
-    if !manifests.is_empty() {
-        doc.set("manifests", Value::Arr(manifests));
-    }
+    let mut doc = matrix_doc("cmpsim-breakdown-v1", results);
     let protos = results
         .iter()
         .filter_map(|r| r.breakdown.as_ref().map(|b| (r, b)))
         .map(|(r, b)| {
-            let mut p = Value::object();
-            p.set("protocol", Value::string(r.protocol.name()));
+            let mut p = cell_entry(r);
             p.set("completed", Value::uint(b.completed));
             p.set("reconciled", Value::uint(b.reconciled));
             p.set("open_txs", Value::uint(b.open_txs));
@@ -236,10 +225,35 @@ pub fn breakdown_json(results: &[RunResult]) -> String {
         })
         .collect();
     doc.set("protocols", Value::Arr(protos));
-    let mut out = String::new();
-    doc.render_to(&mut out);
-    out.push('\n');
-    out
+    doc.to_document()
+}
+
+/// The envelope of a matrix view (breakdown, vmstat, heatmap): its
+/// schema tag, the benchmark when every result shares one, and the
+/// provenance — one manifest per contributing run, in table order.
+pub(crate) fn matrix_doc(schema: &str, results: &[RunResult]) -> Value {
+    let mut doc = Value::object();
+    doc.set("schema", Value::string(schema));
+    if let Some(first) = results.first() {
+        if results.iter().all(|r| r.benchmark == first.benchmark) {
+            doc.set("benchmark", Value::string(first.benchmark.name()));
+        }
+    }
+    let manifests: Vec<Value> =
+        results.iter().filter_map(|r| r.manifest.as_ref().map(|m| m.to_value())).collect();
+    if !manifests.is_empty() {
+        doc.set("manifests", Value::Arr(manifests));
+    }
+    doc
+}
+
+/// A matrix view's per-cell entry, opened by the cell's protocol and
+/// benchmark.
+pub(crate) fn cell_entry(r: &RunResult) -> Value {
+    let mut j = Value::object();
+    j.set("protocol", Value::string(r.protocol.name()));
+    j.set("benchmark", Value::string(r.benchmark.name()));
+    j
 }
 
 /// Renders a breakdown sweep as CSV: one row per protocol, phase

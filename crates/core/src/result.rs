@@ -4,7 +4,7 @@
 use crate::attr::BreakdownLog;
 use crate::error::FaultContext;
 use crate::interval::TimeSeries;
-use crate::replay::Value;
+use crate::json::Value;
 use crate::trace::TraceLog;
 use cmpsim_engine::metrics::{MetricSource, MetricsRegistry};
 use cmpsim_engine::{Cycle, FaultKind, HostProfile};
@@ -279,25 +279,54 @@ impl RunResult {
         model.counts_cache_energy(c).total() + model.counts_network_energy(c).total()
     }
 
-    /// The registry rendered as deterministic JSON, with the run's
-    /// provenance manifest stamped in as the leading `"manifest"` field
-    /// when the result carries one.
+    /// `D/T.metrics.json`: the registry as deterministic JSON, led by
+    /// the run's provenance manifest.
     pub fn metrics_json(&self) -> String {
-        let body = self.metrics().to_json();
-        match &self.manifest {
-            Some(m) => m.stamp(&body).unwrap_or(body),
-            None => body,
-        }
+        self.artifact(metrics_value(&self.metrics()))
     }
 
-    /// Stamps the run's manifest into any JSON artifact derived from
-    /// this result (trace, time-series, ...). Pass-through when the
-    /// result has no manifest.
-    pub fn stamp_artifact(&self, body: String) -> String {
-        match &self.manifest {
-            Some(m) => m.stamp(&body).unwrap_or(body),
-            None => body,
+    /// `D/T.trace.json`: the Chrome trace-event document of a traced
+    /// run, its process labelled `<protocol> on <benchmark>`.
+    pub fn trace_json(&self) -> Option<String> {
+        let label = format!("{} on {}", self.protocol.name(), self.benchmark.name());
+        self.trace.as_ref().map(|t| self.artifact(t.to_value(&label)))
+    }
+
+    /// `D/T.series.json`: the interval time series of a sampled run.
+    pub fn series_json(&self) -> Option<String> {
+        self.timeseries.as_ref().map(|ts| self.artifact(ts.to_value()))
+    }
+
+    /// `D/host/T.json`: the host self-profile (wall clock, RSS), keyed
+    /// to the deterministic artifacts by the manifest's `run_id` only.
+    pub fn host_json(&self) -> String {
+        let h = &self.host;
+        let mut j = Value::object();
+        j.set("schema", Value::string("cmpsim-hostprofile-v1"));
+        j.set("run_id", self.manifest.as_ref().map_or(Value::Null, |m| Value::string(&m.run_id)));
+        j.set("events", Value::uint(h.events));
+        j.set("cycles", Value::uint(h.cycles));
+        j.set("total_ns", Value::uint(h.total_ns()));
+        j.set("events_per_sec", Value::Num(format!("{:.3}", h.events_per_sec())));
+        j.set("cycles_per_sec", Value::Num(format!("{:.3}", h.cycles_per_sec())));
+        j.set("peak_rss_bytes", Value::uint(h.peak_rss_bytes));
+        let spans = h.spans.iter().map(|&(name, ns)| {
+            let mut s = Value::object();
+            s.set("name", Value::string(name));
+            s.set("ns", Value::uint(ns));
+            s
+        });
+        j.set("spans", Value::Arr(spans.collect()));
+        j.to_document()
+    }
+
+    /// Renders `doc` as an artifact file, with the run's manifest (when
+    /// it has one) inserted as the leading `"manifest"` field.
+    fn artifact(&self, mut doc: Value) -> String {
+        if let (Some(m), Value::Obj(fields)) = (&self.manifest, &mut doc) {
+            fields.insert(0, ("manifest".to_string(), m.to_value()));
         }
+        doc.to_document()
     }
 
     /// References per cycle across the whole chip (the throughput
@@ -379,6 +408,41 @@ impl RunResult {
     }
 }
 
+/// The registry as the `T.metrics.json` body: counters and gauges as
+/// flat name→value objects, each histogram as a summary object with its
+/// non-empty `[bucket, count]` pairs, all in name order.
+fn metrics_value(reg: &MetricsRegistry) -> Value {
+    let opt = |v: Option<u64>| v.map_or(Value::Null, Value::uint);
+    let mut counters = Value::object();
+    for (name, v) in reg.counters() {
+        counters.set(name, Value::uint(v));
+    }
+    let mut gauges = Value::object();
+    for (name, v) in reg.gauges() {
+        gauges.set(name, Value::decimal(v));
+    }
+    let mut hists = Value::object();
+    for (name, h) in reg.hists() {
+        let s = h.summary();
+        let mut j = Value::object();
+        j.set("count", Value::uint(s.count()));
+        j.set("sum", Value::uint(s.sum()));
+        j.set("min", opt(s.min()));
+        j.set("max", opt(s.max()));
+        j.set("mean", Value::decimal(s.mean()));
+        j.set("p50", Value::uint(h.percentile(50.0)));
+        j.set("p99", Value::uint(h.percentile(99.0)));
+        let pair = |(i, c): (usize, u64)| Value::Arr(vec![Value::uint(i as u64), Value::uint(c)]);
+        j.set("buckets", Value::Arr(h.nonzero_buckets().map(pair).collect()));
+        hists.set(name, j);
+    }
+    let mut doc = Value::object();
+    doc.set("counters", counters);
+    doc.set("gauges", gauges);
+    doc.set("histograms", hists);
+    doc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,18 +517,28 @@ mod tests {
         };
         let mut r = dummy();
         r.arch = Some(golden);
-        let doc = Value::parse(&r.metrics().to_json()).unwrap();
+        let doc = Value::parse(&r.metrics_json()).unwrap();
         assert_eq!(ArchState::from_metrics(&doc), Some(golden));
-        assert_eq!(
-            ArchState::from_metrics(&Value::parse(&dummy().metrics().to_json()).unwrap()),
-            None
-        );
+        assert_eq!(ArchState::from_metrics(&Value::parse(&dummy().metrics_json()).unwrap()), None);
         assert_eq!(golden.divergence(&golden), None);
         let faulty = ArchState { version_digest: 1, refs_done: 7, ..golden };
         assert_eq!(
             golden.divergence(&faulty).as_deref(),
             Some("version_digest: golden=18446744073709551615 faulty=1; refs_done: golden=6 faulty=7")
         );
+    }
+
+    #[test]
+    fn host_profile_lists_spans_and_run_id() {
+        let mut r = dummy();
+        r.host.spans = vec![("event_loop", 750), ("finalize", 250)];
+        let doc = Value::parse(&r.host_json()).unwrap();
+        assert_eq!(doc.field("schema").unwrap().as_str().unwrap(), "cmpsim-hostprofile-v1");
+        assert_eq!(doc.field("run_id").unwrap(), &Value::Null);
+        assert_eq!(doc.field("total_ns").unwrap().as_u64().unwrap(), 1000);
+        let Value::Arr(spans) = doc.field("spans").unwrap() else { panic!("spans") };
+        assert_eq!(spans[1].field("name").unwrap().as_str().unwrap(), "finalize");
+        assert_eq!(spans[1].field("ns").unwrap().as_u64().unwrap(), 250);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! simulation queue, never touches the RNG, and the simulated timing is
 //! bit-identical with it on or off.
 
+use crate::json::Value;
 use cmpsim_engine::{trace::format_event, Cycle, TraceEvent, TraceRing};
 use cmpsim_protocols::common::{Block, Tile};
 
@@ -194,10 +195,41 @@ impl TraceLog {
         self.tx_hops + self.untracked_hops
     }
 
-    /// Renders the trace as Chrome trace-event JSON (Perfetto /
-    /// `chrome://tracing` loadable).
-    pub fn to_chrome_json(&self, process_name: &str) -> String {
-        self.ring.to_chrome_json(process_name)
+    /// The trace as a Chrome trace-event document (Perfetto /
+    /// `chrome://tracing` loadable): a `process_name` metadata record,
+    /// then one `"X"` complete event per buffered span in ring order,
+    /// all on `pid` 0, and the ring's drop count under `otherData`.
+    pub fn to_value(&self, process_name: &str) -> Value {
+        let mut meta = Value::object();
+        meta.set("ph", Value::string("M"));
+        meta.set("pid", Value::uint(0));
+        meta.set("name", Value::string("process_name"));
+        let mut label = Value::object();
+        label.set("name", Value::string(process_name));
+        meta.set("args", label);
+        let spans = self.ring.iter().map(|ev| {
+            let mut j = Value::object();
+            j.set("ph", Value::string("X"));
+            j.set("pid", Value::uint(0));
+            j.set("tid", Value::uint(ev.tid));
+            j.set("ts", Value::uint(ev.ts));
+            j.set("dur", Value::uint(ev.dur));
+            j.set("cat", Value::string(ev.cat));
+            j.set("name", Value::string(ev.name));
+            let mut args = Value::object();
+            for &(k, v) in &ev.args {
+                args.set(k, Value::uint(v));
+            }
+            j.set("args", args);
+            j
+        });
+        let mut other = Value::object();
+        other.set("droppedEvents", Value::uint(self.ring.dropped()));
+        let mut doc = Value::object();
+        doc.set("displayTimeUnit", Value::string("ms"));
+        doc.set("traceEvents", Value::Arr(std::iter::once(meta).chain(spans).collect()));
+        doc.set("otherData", other);
+        doc
     }
 }
 
@@ -252,6 +284,26 @@ mod tests {
         // ...but the straddling transaction still completes.
         assert_eq!(log.completed_txs, 1);
         assert_eq!(log.open_txs, 0);
+    }
+
+    #[test]
+    fn chrome_document_shape() {
+        let mut t = TxTracer::new(4);
+        t.on_message(None, 10, 12, "Get\"S", "msg", 7, 1, 2, 3);
+        let doc = t.finish().to_value("a \\ b");
+        let text = doc.to_document();
+        assert_eq!(Value::parse(&text).unwrap(), doc);
+        let events = match doc.field("traceEvents").unwrap() {
+            Value::Arr(items) => items,
+            other => panic!("traceEvents not an array: {other:?}"),
+        };
+        let label = events[0].field("args").unwrap().field("name").unwrap();
+        assert_eq!(label.as_str().unwrap(), "a \\ b");
+        assert_eq!(events[1].field("name").unwrap().as_str().unwrap(), "Get\"S");
+        assert_eq!(events[1].field("ts").unwrap().as_u64().unwrap(), 10);
+        assert_eq!(events[1].field("dur").unwrap().as_u64().unwrap(), 2);
+        let dropped = doc.field("otherData").unwrap().field("droppedEvents").unwrap();
+        assert_eq!(dropped.as_u64().unwrap(), 0);
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! Everything here renders data already collected by the attribution
 //! layer ([`crate::attr`]) and the simulator's spatial counters
 //! ([`crate::result::SpatialLog`]) — nothing affects simulated timing.
-//! The JSON artifacts are deterministic, manifest-stamped, and
-//! validated by the `vmstat` and `heatmap` definitions of
+//! The JSON artifacts are deterministic, carry one manifest per cell
+//! (the envelope is [`crate::report`]'s, shared with the breakdown
+//! view), and are validated by the `vmstat` and `heatmap` definitions of
 //! `schemas/run.schema.json`; the text renderers back the "Tenant
 //! breakdown" section of `cmpsim-cli report`.
 
 use crate::attr::{BreakdownLog, MatrixCell};
-use crate::replay::Value;
-use crate::report::{md_table, table};
+use crate::json::Value;
+use crate::report::{cell_entry, matrix_doc, md_table, table};
 use crate::result::RunResult;
 use cmpsim_engine::phase::Phase;
 use std::fmt::Write as _;
@@ -49,23 +50,13 @@ fn cell_json(aggressor: usize, victim: usize, c: &MatrixCell) -> Value {
 /// (validated by `schemas/run.schema.json#vmstat`). Results without a
 /// breakdown are skipped — the export needs attribution enabled.
 pub fn vmstat_json(results: &[RunResult]) -> String {
-    let mut doc = Value::object();
-    doc.set("schema", Value::string(VMSTAT_SCHEMA));
-    if let Some(r) = results.first() {
-        doc.set("benchmark", Value::string(r.benchmark.name()));
-    }
-    let manifests: Vec<Value> =
-        results.iter().filter_map(|r| r.manifest.as_ref().map(|m| m.to_value())).collect();
-    if !manifests.is_empty() {
-        doc.set("manifests", Value::Arr(manifests));
-    }
+    let mut doc = matrix_doc(VMSTAT_SCHEMA, results);
     let protos = results
         .iter()
         .filter_map(|r| r.breakdown.as_ref().map(|b| (r, b)))
         .map(|(r, b)| {
             let model = r.energy_model();
-            let mut p = Value::object();
-            p.set("protocol", Value::string(r.protocol.name()));
+            let mut p = cell_entry(r);
             p.set("num_vms", Value::uint(b.num_vms as u64));
             let vms = b
                 .vm
@@ -109,10 +100,7 @@ pub fn vmstat_json(results: &[RunResult]) -> String {
         })
         .collect();
     doc.set("protocols", Value::Arr(protos));
-    let mut out = String::new();
-    doc.render_to(&mut out);
-    out.push('\n');
-    out
+    doc.to_document()
 }
 
 /// Renders the spatial counters of a sweep as a deterministic,
@@ -120,23 +108,13 @@ pub fn vmstat_json(results: &[RunResult]) -> String {
 /// `schemas/run.schema.json#heatmap`). Results without spatial counters
 /// (hand-assembled) are skipped.
 pub fn heatmap_json(results: &[RunResult]) -> String {
-    let mut doc = Value::object();
-    doc.set("schema", Value::string(HEATMAP_SCHEMA));
-    if let Some(r) = results.first() {
-        doc.set("benchmark", Value::string(r.benchmark.name()));
-    }
-    let manifests: Vec<Value> =
-        results.iter().filter_map(|r| r.manifest.as_ref().map(|m| m.to_value())).collect();
-    if !manifests.is_empty() {
-        doc.set("manifests", Value::Arr(manifests));
-    }
+    let mut doc = matrix_doc(HEATMAP_SCHEMA, results);
     let uints = |xs: &[u64]| Value::Arr(xs.iter().map(|&x| Value::uint(x)).collect());
     let grids = results
         .iter()
         .filter_map(|r| r.spatial.as_ref().map(|s| (r, s)))
         .map(|(r, s)| {
-            let mut g = Value::object();
-            g.set("protocol", Value::string(r.protocol.name()));
+            let mut g = cell_entry(r);
             g.set("rows", Value::uint(s.rows));
             g.set("cols", Value::uint(s.cols));
             g.set("tile_misses", uints(&s.tile_misses));
@@ -153,10 +131,7 @@ pub fn heatmap_json(results: &[RunResult]) -> String {
         })
         .collect();
     doc.set("grids", Value::Arr(grids));
-    let mut out = String::new();
-    doc.render_to(&mut out);
-    out.push('\n');
-    out
+    doc.to_document()
 }
 
 /// Renders the spatial counters as long-format CSV, one row per tile

@@ -16,22 +16,25 @@
 //!   histograms used for every measurement reported by the benchmark
 //!   harness.
 //! * [`metrics`] — a hierarchically named registry over the [`stats`]
-//!   primitives: zero-cost handles for hot-path updates, a
-//!   [`metrics::MetricSource`] publish trait for components with typed
-//!   stat structs, and deterministic text/JSON export.
+//!   primitives, filled through the [`metrics::MetricSource`] publish
+//!   trait by components with typed stat structs and read back in name
+//!   order.
 //! * [`fault`] — seeded, fully deterministic fault-injection plans and
 //!   the per-delivery decision engine behind the chaos-testing harness
 //!   (delay spikes, reordering, duplicates, bounded drops, router
 //!   outages), on a standalone RNG stream so faults-off runs are
 //!   bit-identical.
-//! * [`trace`] — a bounded drop-oldest ring of trace events with Chrome
-//!   trace-event (Perfetto-loadable) JSON export.
+//! * [`trace`] — a bounded drop-oldest ring of trace events (`cmpsim`
+//!   exports it as Perfetto-loadable Chrome trace-event JSON).
 //! * [`phase`] — the critical-path phase taxonomy and per-transaction
 //!   cycle/energy-event accumulators used by the attribution profiler.
 //! * [`profile`] — host-side scoped wall-clock timers, the peak-RSS
 //!   high-water mark and the simulated-cycles/sec throughput summary
-//!   (stderr or side-channel JSON only; never part of deterministic
-//!   artifacts).
+//!   (stderr or the host-side `D/host/` files only; never part of
+//!   deterministic artifacts).
+//!
+//! The crate writes no JSON: every artifact is built and rendered by
+//! `cmpsim`'s one codec (`cmpsim::json`) from the iterators here.
 //! * [`snap`] — the dependency-free binary codec behind deterministic
 //!   full-state snapshots (little-endian fixed layouts, sorted hash
 //!   containers, typed decode errors — a corrupt snapshot fails closed).

@@ -5,55 +5,27 @@
 //! scalar gauges, and power-of-two histograms. This module adds the
 //! *naming* layer on top: a [`MetricsRegistry`] maps dotted names
 //! (`noc.messages`, `proto.miss_latency`, `energy.cache.l1_tag`) to
-//! slots, renders a deterministic human-readable dump, and exports a
-//! byte-stable JSON document.
+//! values and hands them back in name order.
 //!
-//! Two usage styles coexist:
-//!
-//! * **Hot path** — register once, keep the returned [`CounterId`] /
-//!   [`GaugeId`] / [`HistId`] handle, and update through it. A handle is
-//!   a plain index; updates are a bounds-checked array write with no
-//!   hashing, string work, or allocation.
-//! * **Publish** — components that already accumulate into typed stat
-//!   structs (which stay the allocation-free accumulators) implement
-//!   [`MetricSource`] and copy their finished numbers into the registry
-//!   at reporting time under a caller-chosen prefix.
+//! Components accumulate into their own typed stat structs (the
+//! allocation-free hot-path accumulators), implement [`MetricSource`]
+//! and copy their finished numbers into the registry at reporting time
+//! under a caller-chosen prefix. The registry renders nothing itself:
+//! `cmpsim` builds the `T.metrics.json` document from its iterators.
 
 use crate::stats::Log2Hist;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-/// Handle to a registered counter (a plain index — `Copy`, zero-cost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(usize);
-
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Counter(usize),
-    Gauge(usize),
-    Hist(usize),
-}
 
 /// A named collection of counters, gauges, and histograms.
 ///
-/// Names are dotted paths; registering the same name twice returns the
-/// same slot (and panics if the metric kind differs — one name, one
-/// shape). All iteration and export orders are by name, so output is
-/// deterministic regardless of registration order.
+/// Names are dotted paths; one name holds one shape (writing a name as
+/// a second kind panics). All iteration orders are by name, so output
+/// is deterministic regardless of publication order.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    hists: Vec<(String, Log2Hist)>,
-    by_name: BTreeMap<String, Slot>,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    hists: BTreeMap<String, Log2Hist>,
 }
 
 impl MetricsRegistry {
@@ -62,228 +34,59 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Registers (or looks up) the counter `name`.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        match self.by_name.get(name) {
-            Some(Slot::Counter(i)) => CounterId(*i),
-            Some(_) => panic!("metric `{name}` already registered with a different kind"),
-            None => {
-                let i = self.counters.len();
-                self.counters.push((name.to_string(), 0));
-                self.by_name.insert(name.to_string(), Slot::Counter(i));
-                CounterId(i)
-            }
-        }
+    /// Panics when `name` is held by a kind other than `kind` (the
+    /// index of its map: counters, gauges, histograms).
+    fn claim(&self, name: &str, kind: usize) {
+        let held = [
+            self.counters.contains_key(name),
+            self.gauges.contains_key(name),
+            self.hists.contains_key(name),
+        ];
+        let clash = held.iter().enumerate().any(|(k, &h)| h && k != kind);
+        assert!(!clash, "metric `{name}` already registered with a different kind");
     }
 
-    /// Registers (or looks up) the gauge `name`.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        match self.by_name.get(name) {
-            Some(Slot::Gauge(i)) => GaugeId(*i),
-            Some(_) => panic!("metric `{name}` already registered with a different kind"),
-            None => {
-                let i = self.gauges.len();
-                self.gauges.push((name.to_string(), 0.0));
-                self.by_name.insert(name.to_string(), Slot::Gauge(i));
-                GaugeId(i)
-            }
-        }
-    }
-
-    /// Registers (or looks up) the histogram `name`.
-    pub fn hist(&mut self, name: &str) -> HistId {
-        match self.by_name.get(name) {
-            Some(Slot::Hist(i)) => HistId(*i),
-            Some(_) => panic!("metric `{name}` already registered with a different kind"),
-            None => {
-                let i = self.hists.len();
-                self.hists.push((name.to_string(), Log2Hist::new()));
-                self.by_name.insert(name.to_string(), Slot::Hist(i));
-                HistId(i)
-            }
-        }
-    }
-
-    /// Increments counter `id` by one.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-
-    /// Adds `n` to counter `id` (saturating).
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        let v = &mut self.counters[id.0].1;
-        *v = v.saturating_add(n);
-    }
-
-    /// Current value of counter `id`.
-    #[inline]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
-    /// Sets gauge `id` to `v`.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0].1 = v;
-    }
-
-    /// Current value of gauge `id`.
-    #[inline]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
-    /// Records `v` into histogram `id`.
-    #[inline]
-    pub fn record(&mut self, id: HistId, v: u64) {
-        self.hists[id.0].1.record(v);
-    }
-
-    /// Publish-style write: sets counter `name` to the absolute value
-    /// `v` (registering it if needed).
+    /// Sets counter `name` to the absolute value `v`.
     pub fn set_counter(&mut self, name: &str, v: u64) {
-        let id = self.counter(name);
-        self.counters[id.0].1 = v;
+        self.claim(name, 0);
+        self.counters.insert(name.to_string(), v);
     }
 
-    /// Publish-style write: sets gauge `name` to `v`.
+    /// Sets gauge `name` to `v`.
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        let id = self.gauge(name);
-        self.gauges[id.0].1 = v;
+        self.claim(name, 1);
+        self.gauges.insert(name.to_string(), v);
     }
 
-    /// Publish-style write: merges `h` into histogram `name`.
+    /// Merges `h` into histogram `name`.
     pub fn merge_hist(&mut self, name: &str, h: &Log2Hist) {
-        let id = self.hist(name);
-        self.hists[id.0].1.merge(h);
+        self.claim(name, 2);
+        self.hists.entry(name.to_string()).or_default().merge(h);
     }
 
     /// Number of registered metrics across all kinds.
     pub fn len(&self) -> usize {
-        self.by_name.len()
+        self.counters.len() + self.gauges.len() + self.hists.len()
     }
 
     /// True when nothing has been registered.
     pub fn is_empty(&self) -> bool {
-        self.by_name.is_empty()
+        self.len() == 0
     }
 
     /// Counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.by_name.iter().filter_map(|(n, s)| match s {
-            Slot::Counter(i) => Some((n.as_str(), self.counters[*i].1)),
-            _ => None,
-        })
+        self.counters.iter().map(|(n, &v)| (n.as_str(), v))
     }
 
     /// Gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        self.by_name.iter().filter_map(|(n, s)| match s {
-            Slot::Gauge(i) => Some((n.as_str(), self.gauges[*i].1)),
-            _ => None,
-        })
+        self.gauges.iter().map(|(n, &v)| (n.as_str(), v))
     }
 
     /// Histograms in name order.
     pub fn hists(&self) -> impl Iterator<Item = (&str, &Log2Hist)> + '_ {
-        self.by_name.iter().filter_map(|(n, s)| match s {
-            Slot::Hist(i) => Some((n.as_str(), &self.hists[*i].1)),
-            _ => None,
-        })
-    }
-
-    /// Human-readable dump: one metric per line, sorted by name, with a
-    /// blank line between top-level prefixes.
-    pub fn dump(&self) -> String {
-        let width = self.by_name.keys().map(|n| n.len()).max().unwrap_or(0).max(8);
-        let mut out = String::new();
-        let mut last_root = None::<&str>;
-        for (name, slot) in &self.by_name {
-            let root = name.split('.').next().unwrap_or(name);
-            if let Some(prev) = last_root {
-                if prev != root {
-                    out.push('\n');
-                }
-            }
-            last_root = Some(root);
-            match slot {
-                Slot::Counter(i) => {
-                    let _ = writeln!(out, "{name:<width$}  {}", self.counters[*i].1);
-                }
-                Slot::Gauge(i) => {
-                    let _ = writeln!(out, "{name:<width$}  {}", fmt_f64(self.gauges[*i].1));
-                }
-                Slot::Hist(i) => {
-                    let h = &self.hists[*i].1;
-                    let s = h.summary();
-                    let _ = writeln!(
-                        out,
-                        "{name:<width$}  n={} mean={} min={} max={} p50={} p99={}",
-                        s.count(),
-                        fmt_f64(s.mean()),
-                        s.min().map_or("-".into(), |v| v.to_string()),
-                        s.max().map_or("-".into(), |v| v.to_string()),
-                        h.percentile(50.0),
-                        h.percentile(99.0),
-                    );
-                }
-            }
-        }
-        out
-    }
-
-    /// Deterministic JSON export. Counters and gauges become flat
-    /// name→value objects; each histogram becomes a summary object with
-    /// its non-empty `[bucket, count]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (n, v) in self.counters() {
-            push_sep(&mut out, &mut first, 4);
-            let _ = write!(out, "\"{}\": {}", escape(n), v);
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"gauges\": {");
-        first = true;
-        for (n, v) in self.gauges() {
-            push_sep(&mut out, &mut first, 4);
-            let _ = write!(out, "\"{}\": {}", escape(n), fmt_f64(v));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"histograms\": {");
-        first = true;
-        for (n, h) in self.hists() {
-            push_sep(&mut out, &mut first, 4);
-            let s = h.summary();
-            let _ = write!(
-                out,
-                "\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"mean\": {}, \"p50\": {}, \"p99\": {}, \"buckets\": [",
-                escape(n),
-                s.count(),
-                s.sum(),
-                s.min().map_or("null".into(), |v| v.to_string()),
-                s.max().map_or("null".into(), |v| v.to_string()),
-                fmt_f64(s.mean()),
-                h.percentile(50.0),
-                h.percentile(99.0),
-            );
-            let mut bfirst = true;
-            for (i, c) in h.nonzero_buckets() {
-                if !bfirst {
-                    out.push_str(", ");
-                }
-                bfirst = false;
-                let _ = write!(out, "[{i}, {c}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str(if first { "}\n" } else { "\n  }\n" });
-        out.push('}');
-        out.push('\n');
-        out
+        self.hists.iter().map(|(n, h)| (n.as_str(), h))
     }
 }
 
@@ -295,58 +98,16 @@ pub trait MetricSource {
     fn publish(&self, prefix: &str, reg: &mut MetricsRegistry);
 }
 
-/// Formats an `f64` deterministically for JSON (`null` if non-finite).
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn push_sep(out: &mut String, first: &mut bool, indent: usize) {
-    if *first {
-        out.push('\n');
-    } else {
-        out.push_str(",\n");
-    }
-    *first = false;
-    for _ in 0..indent {
-        out.push(' ');
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn handles_are_stable_and_cheap() {
-        let mut r = MetricsRegistry::new();
-        let a = r.counter("sim.events");
-        let b = r.counter("sim.events");
-        assert_eq!(a, b);
-        r.inc(a);
-        r.add(b, 4);
-        assert_eq!(r.counter_value(a), 5);
-        let g = r.gauge("sim.ipc");
-        r.set(g, 0.5);
-        assert_eq!(r.gauge_value(g), 0.5);
-        let h = r.hist("sim.latency");
-        r.record(h, 100);
-        assert_eq!(r.len(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "different kind")]
     fn kind_clash_panics() {
         let mut r = MetricsRegistry::new();
-        r.counter("x");
-        r.gauge("x");
+        r.set_counter("x", 1);
+        r.set_gauge("x", 1.0);
     }
 
     #[test]
@@ -362,42 +123,19 @@ mod tests {
         assert_eq!(r.counters().collect::<Vec<_>>(), vec![("noc.messages", 43)]);
         let (_, lat) = r.hists().next().unwrap();
         assert_eq!(lat.summary().count(), 2);
+        assert_eq!(r.len(), 3);
     }
 
     #[test]
-    fn json_is_sorted_and_stable() {
-        let build = || {
-            let mut r = MetricsRegistry::new();
-            r.set_counter("b.two", 2);
-            r.set_counter("a.one", 1);
-            r.set_gauge("c.g", 1.5);
-            let mut h = Log2Hist::new();
-            h.record(3);
-            r.merge_hist("d.h", &h);
-            r.to_json()
-        };
-        let j1 = build();
-        let j2 = build();
-        assert_eq!(j1, j2);
-        assert!(j1.find("a.one").unwrap() < j1.find("b.two").unwrap());
-        assert!(j1.contains("\"buckets\": [[1, 1]]"));
-    }
-
-    #[test]
-    fn dump_groups_by_prefix() {
+    fn iteration_is_by_name() {
         let mut r = MetricsRegistry::new();
-        r.set_counter("noc.messages", 7);
-        r.set_counter("proto.misses", 3);
-        let d = r.dump();
-        assert!(d.contains("noc.messages"));
-        assert!(d.contains("\n\n"), "blank line between prefixes");
-    }
-
-    #[test]
-    fn empty_registry_exports() {
-        let r = MetricsRegistry::new();
         assert!(r.is_empty());
-        let j = r.to_json();
-        assert!(j.contains("\"counters\": {}"));
+        r.set_counter("b.two", 2);
+        r.set_counter("a.one", 1);
+        r.set_gauge("d.g", 1.5);
+        r.set_gauge("c.g", 0.5);
+        let names: Vec<_> =
+            r.counters().map(|(n, _)| n).chain(r.gauges().map(|(n, _)| n)).collect();
+        assert_eq!(names, ["a.one", "b.two", "c.g", "d.g"]);
     }
 }

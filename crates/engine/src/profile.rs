@@ -6,8 +6,8 @@
 //! nondeterministic wall-clock durations and must never leak into
 //! simulation artifacts (metrics JSON, time-series, breakdown reports),
 //! which are required to be byte-identical across identical runs. The
-//! CLI prints profiles to stderr only; [`HostProfile::to_json`] is a
-//! separate host-side export that carries the run's manifest id so the
+//! CLI prints profiles to stderr and, under `--out-dir D`, writes each
+//! to its own `D/host/` file carrying the run's manifest id, so the
 //! nondeterministic data can be joined back to the deterministic
 //! artifacts without contaminating them.
 
@@ -73,33 +73,6 @@ impl HostProfile {
             line.push_str(&format!(", peak RSS {:.1} MiB", self.peak_rss_bytes as f64 / (1024.0 * 1024.0)));
         }
         line
-    }
-
-    /// Per-span JSON export of the host profile. This is *host-side*
-    /// data (wall clock, RSS): it is written to its own file, never
-    /// embedded in deterministic artifacts. `run_id` is the manifest id
-    /// of the deterministic run this profile belongs to, so tooling can
-    /// join the two without mixing them.
-    pub fn to_json(&self, run_id: Option<&str>) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\n  \"schema\": \"cmpsim-hostprofile-v1\",\n");
-        match run_id {
-            Some(id) => out.push_str(&format!("  \"run_id\": \"{id}\",\n")),
-            None => out.push_str("  \"run_id\": null,\n"),
-        }
-        out.push_str(&format!("  \"events\": {},\n", self.events));
-        out.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        out.push_str(&format!("  \"total_ns\": {},\n", self.total_ns()));
-        out.push_str(&format!("  \"events_per_sec\": {:.3},\n", self.events_per_sec()));
-        out.push_str(&format!("  \"cycles_per_sec\": {:.3},\n", self.cycles_per_sec()));
-        out.push_str(&format!("  \"peak_rss_bytes\": {},\n", self.peak_rss_bytes));
-        out.push_str("  \"spans\": [\n");
-        for (i, &(name, ns)) in self.spans.iter().enumerate() {
-            let sep = if i + 1 == self.spans.len() { "" } else { "," };
-            out.push_str(&format!("    {{\"name\": \"{name}\", \"ns\": {ns}}}{sep}\n"));
-        }
-        out.push_str("  ]\n}");
-        out
     }
 
     /// Per-subsystem lines (span name, milliseconds, share of total).
@@ -214,20 +187,6 @@ mod tests {
             assert!(prof.peak_rss_bytes > 0, "VmHWM should be readable on Linux");
             assert!(prof.throughput_line().contains("peak RSS"));
         }
-    }
-
-    #[test]
-    fn json_export_lists_spans_and_run_id() {
-        let mut p = HostProfiler::new();
-        p.record("event_loop", 750);
-        p.record("finalize", 250);
-        let prof = p.finish(10, 1000);
-        let j = prof.to_json(Some("deadbeef01234567"));
-        assert!(j.contains("\"schema\": \"cmpsim-hostprofile-v1\""), "{j}");
-        assert!(j.contains("\"run_id\": \"deadbeef01234567\""), "{j}");
-        assert!(j.contains("{\"name\": \"event_loop\", \"ns\": 750},"), "{j}");
-        assert!(j.contains("{\"name\": \"finalize\", \"ns\": 250}\n"), "{j}");
-        assert!(prof.to_json(None).contains("\"run_id\": null"));
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Bounded event tracing with Chrome trace-event export.
+//! Bounded event tracing.
 //!
 //! [`TraceRing`] is a fixed-capacity ring buffer of [`TraceEvent`]s:
 //! when full, the oldest event is dropped (and counted), so tracing a
 //! long run costs bounded memory and the *tail* — the part that matters
 //! when diagnosing a stall — is always retained.
 //!
-//! [`TraceRing::to_chrome_json`] renders the buffer in the Chrome
-//! trace-event format (the `traceEvents` array of `"X"` complete
-//! events), which Perfetto and `chrome://tracing` load directly.
-//! Timestamps are simulated cycles reported in the format's
-//! microsecond field — 1 cycle displays as 1 µs.
+//! `cmpsim` renders the buffer in the Chrome trace-event format (the
+//! `traceEvents` array of `"X"` complete events), which Perfetto and
+//! `chrome://tracing` load directly. Timestamps are simulated cycles
+//! reported in the format's microsecond field — 1 cycle displays as
+//! 1 µs.
 
 use crate::event::Cycle;
 use std::collections::VecDeque;
@@ -88,45 +88,6 @@ impl TraceRing {
         self.buf.clear();
         self.dropped = 0;
     }
-
-    /// Renders the buffer as a Chrome trace-event JSON document.
-    ///
-    /// All events share `pid` 0; the process is labelled with a
-    /// metadata event so viewers show `process_name` instead of a bare
-    /// number. Output is deterministic: events appear in buffer order.
-    pub fn to_chrome_json(&self, process_name: &str) -> String {
-        let mut out = String::from("{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
-        let _ = write!(
-            out,
-            "{{\"ph\": \"M\", \"pid\": 0, \"name\": \"process_name\", \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            process_name.replace('\\', "\\\\").replace('"', "\\\"")
-        );
-        for ev in &self.buf {
-            out.push_str(",\n");
-            let _ = write!(
-                out,
-                "{{\"ph\": \"X\", \"pid\": 0, \"tid\": {}, \"ts\": {}, \"dur\": {}, \
-                 \"cat\": \"{}\", \"name\": \"{}\", \"args\": {{",
-                ev.tid,
-                ev.ts,
-                ev.dur,
-                ev.cat,
-                ev.name.replace('\\', "\\\\").replace('"', "\\\"")
-            );
-            let mut first = true;
-            for (k, v) in &ev.args {
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                let _ = write!(out, "\"{k}\": {v}");
-            }
-            out.push_str("}}");
-        }
-        let _ = write!(out, "\n],\n\"otherData\": {{\"droppedEvents\": {}}}}}\n", self.dropped);
-        out
-    }
 }
 
 /// One-line rendering of an event for text dumps (`[ts+dur] name ...`).
@@ -173,22 +134,6 @@ mod tests {
         }
         let tail: Vec<_> = r.tail(2).map(|e| e.ts).collect();
         assert_eq!(tail, vec![3, 4]);
-    }
-
-    #[test]
-    fn chrome_json_shape() {
-        let mut r = TraceRing::new(4);
-        r.push(ev(10, "GetS"));
-        let j = r.to_chrome_json("cmpsim");
-        assert!(j.contains("\"traceEvents\""));
-        assert!(j.contains("\"ph\": \"X\""));
-        assert!(j.contains("\"ts\": 10"));
-        assert!(j.contains("\"dur\": 2"));
-        assert!(j.contains("\"block\": 7"));
-        assert!(j.contains("\"droppedEvents\": 0"));
-        // Balanced braces/brackets (cheap well-formedness check).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 
     #[test]

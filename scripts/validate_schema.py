@@ -12,7 +12,7 @@ Usage:
 
 `FILE#name` validates against the file's `definitions/name` entry, one
 per artifact: metrics, manifest, trace, series, breakdown, vmstat,
-heatmap, progress, compare, crashdump, sweep. With --ndjson each input
+heatmap, progress, hostprofile, compare, crashdump, sweep. With --ndjson each input
 file is a newline-delimited JSON stream (progress telemetry, sweep
 journals) and every non-empty line is validated as one document.
 

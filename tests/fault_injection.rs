@@ -85,7 +85,7 @@ fn same_plan_and_seed_reruns_identically() {
     assert_eq!(a.arch, b.arch);
     let (fa, fb) = (a.faults.as_ref().expect("plan active"), b.faults.as_ref().expect("plan"));
     assert_eq!(fa.fired, fb.fired);
-    assert_eq!(a.metrics().dump(), b.metrics().dump());
+    assert_eq!(a.metrics_json(), b.metrics_json());
 }
 
 /// Recovery costs cycles but never architectural state: the recovered

@@ -123,13 +123,10 @@ fn exports_are_byte_identical_across_runs() {
     let a = run_benchmark(ProtocolKind::DiCo, Benchmark::Apache, &cfg).expect("run");
     let b = run_benchmark(ProtocolKind::DiCo, Benchmark::Apache, &cfg).expect("run");
     assert_eq!(a.metrics_json(), b.metrics_json());
-    assert_eq!(
-        a.trace.as_ref().unwrap().to_chrome_json("golden"),
-        b.trace.as_ref().unwrap().to_chrome_json("golden")
-    );
+    assert_eq!(a.trace_json().unwrap(), b.trace_json().unwrap());
     let (sa, sb) = (a.timeseries.as_ref().unwrap(), b.timeseries.as_ref().unwrap());
     assert_eq!(sa.to_csv(), sb.to_csv());
-    assert_eq!(sa.to_json(), sb.to_json());
+    assert_eq!(a.series_json().unwrap(), b.series_json().unwrap());
 }
 
 /// The trace export is well-formed Chrome trace-event JSON our own
@@ -137,8 +134,7 @@ fn exports_are_byte_identical_across_runs() {
 #[test]
 fn chrome_trace_parses() {
     let r = run_benchmark(ProtocolKind::DiCoArin, Benchmark::Radix, &obs_config()).expect("run");
-    let json = r.trace.as_ref().unwrap().to_chrome_json("cmpsim");
-    let v = Value::parse(&json).expect("valid JSON");
+    let v = Value::parse(&r.trace_json().unwrap()).expect("valid JSON");
     let events = match v.field("traceEvents").expect("traceEvents") {
         Value::Arr(items) => items,
         other => panic!("traceEvents not an array: {other:?}"),
@@ -276,18 +272,19 @@ fn observer_artifacts_are_pinned() {
         ("breakdown CSV", breakdown_csv(&rs)),
         ("vmstat text", vmstat_tables(&rs)),
         ("interval CSV", per_cell(&|r| r.timeseries.as_ref().expect("sampling").to_csv())),
-        (
-            "Chrome trace",
-            per_cell(&|r| r.trace.as_ref().expect("tracing").to_chrome_json("cmpsim")),
-        ),
+        ("Chrome trace", per_cell(&|r| r.trace_json().expect("tracing"))),
+        ("metrics JSON", per_cell(&|r| r.metrics_json())),
+        ("series JSON", per_cell(&|r| r.series_json().expect("sampling"))),
     ]
     .map(|(name, text)| (name, fnv1a64(text.as_bytes())));
     let pinned = [
-        ("breakdown JSON", 0xfb42_812a_68c9_7f40u64),
+        ("breakdown JSON", 0x872d_eaba_3aee_e088u64),
         ("breakdown CSV", 0x72af_9ec5_c50b_a983),
         ("vmstat text", 0xdb30_d7c1_865c_4a7c),
         ("interval CSV", 0xfda2_6ad9_320d_4210),
-        ("Chrome trace", 0x1683_94bf_6747_51d5),
+        ("Chrome trace", 0xf8b4_f23f_fe29_1161),
+        ("metrics JSON", 0x1bf5_96af_f80c_00d4),
+        ("series JSON", 0xf916_5b40_789c_0926),
     ];
     assert_eq!(got, pinned, "observer artifact digests (name, FNV-1a) changed");
 }

@@ -6,6 +6,7 @@
 //! and schema-shaped.
 
 use cmpsim::replay::Value;
+use cmpsim::report::breakdown_json;
 use cmpsim::vmstat::{heatmap_csv, heatmap_json, vmstat_json};
 use cmpsim::{run_benchmark, Benchmark, ProtocolKind, RunResult, SystemConfig};
 use cmpsim_engine::phase::Phase;
@@ -158,6 +159,35 @@ fn tenant_artifacts_are_deterministic_and_stamped() {
     );
     let doc = Value::parse(&ah).expect("heatmap parses");
     assert_eq!(doc.field("schema").unwrap().as_str().unwrap(), "cmpsim-heatmap-v1");
+}
+
+/// A matrix view over several benchmarks names each entry's benchmark,
+/// and names one at the top level only when every entry shares it.
+#[test]
+fn matrix_views_name_each_cells_benchmark() {
+    let cfg = cfg();
+    let rs: Vec<RunResult> = [Benchmark::Apache, Benchmark::Radix]
+        .into_iter()
+        .map(|b| run_benchmark(ProtocolKind::DiCo, b, &cfg).expect("run"))
+        .collect();
+    for (json, key) in [
+        (breakdown_json(&rs), "protocols"),
+        (vmstat_json(&rs), "protocols"),
+        (heatmap_json(&rs), "grids"),
+    ] {
+        let doc = Value::parse(&json).expect("parses");
+        assert!(doc.field("benchmark").is_err(), "two benchmarks share no top-level name");
+        let Value::Arr(entries) = doc.field(key).unwrap() else { panic!("{key} missing") };
+        let named: Vec<&str> =
+            entries.iter().map(|e| e.field("benchmark").unwrap().as_str().unwrap()).collect();
+        let want: Vec<&str> = rs.iter().map(|r| r.benchmark.name()).collect();
+        assert_eq!(named, want, "{key}");
+        let Value::Obj(fields) = &entries[0] else { panic!("entry is not an object") };
+        let order: Vec<&str> = fields.iter().take(2).map(|(k, _)| k.as_str()).collect();
+        assert_eq!(order, ["protocol", "benchmark"]);
+    }
+    let one = Value::parse(&heatmap_json(&rs[..1])).unwrap();
+    assert_eq!(one.field("benchmark").unwrap().as_str().unwrap(), rs[0].benchmark.name());
 }
 
 /// The per-VM finish gauges published under the `vm.` namespace match
