@@ -34,10 +34,10 @@
 //!                                               # when one is on disk)
 //! cmpsim-cli sweep [-p P[,P..]] [-b B[,B..]] [--seeds S,S..] [--plans SPEC,..]
 //!                  [--refs N] [--small|--paper] [--alt] [--out-dir D]
-//!                  [--journal F] [--deadline-ms N] [--retries N]
-//!                  [--backoff-ms N] [--inject panic@I|hang@I|flaky@I[:N]]...
+//!                  [--deadline-ms N] [--retries N] [--backoff-ms N]
+//!                  [--inject panic@I|hang@I|flaky@I[:N]]...
 //!                  [--threads N] [--snapshot-dir D]
-//! cmpsim-cli sweep --resume <journal> [--threads N]
+//! cmpsim-cli sweep --resume <D/sweep.ndjson> [--threads N]
 //!                                               # resilient job-queue sweep:
 //!                                               # per-cell catch_unwind +
 //!                                               # deadline, retry w/ backoff,
@@ -88,16 +88,20 @@
 //! D/vmstat[-V].json           per-VM stats, interference  attribution ran
 //! D/heatmap[-V].{json,csv}    per-tile/per-link counters  every matrix
 //! D/report.md                 the Markdown report         report, sweep
+//! D/crash/*.json              replay artifacts            a failing cell
 //! D/host/T.json               host self-profile           every cell
 //! D/host/progress.ndjson      live telemetry              run, matrix, report
 //! ```
 //!
 //! Files under `D/host/` are wall-clock measurements and differ between
 //! identical runs; `compare` reads only `D`'s own JSON files, so two runs
-//! of one command compare clean. A sweep's `D` holds its journal, one
-//! `{run_id}.metrics.json` per cell and `report.md`. Each file written
-//! is named on stderr, so stdout does not depend on `--out-dir` (but
-//! for `report`, whose Markdown goes to `D/report.md`).
+//! of one command compare clean. A sweep's `D` (default `sweep-out`)
+//! holds its journal `sweep.ndjson`, one `{run_id}.metrics.json` per
+//! cell, `crash/` and `report.md`; the journal names its files relative
+//! to `D`, so a moved `D` resumes in place. Without `--out-dir`, crash
+//! dumps go to the system temp directory. Each file written is named on
+//! stderr, so stdout does not depend on `--out-dir` (but for `report`,
+//! whose Markdown goes to `D/report.md`).
 //!
 //! Every deterministic JSON artifact (metrics, time-series, trace,
 //! breakdown, crash dump) embeds a `manifest` object: a content-hashed
@@ -128,8 +132,8 @@
 //! a zero `--refs`/`--threads` count or an empty `--plans` range exits 2
 //! with a one-line `error:`; simulation failures exit 1.
 //!
-//! A failing `run`/`matrix` writes a JSON replay artifact (path printed
-//! with the error); `replay` re-runs it deterministically and reports
+//! A failing cell writes a JSON replay artifact (path printed with the
+//! error); `replay` re-runs it deterministically and reports
 //! whether the original failure reproduced at the same cycle.
 //! `--check` force-enables the coherence invariant checker during the
 //! replay, often turning an end-state deadlock into the first broken
@@ -161,8 +165,8 @@ enum Flag {
     Protocol, Benchmark, Refs, Seed, Alt, MaxEvents, Check, Faults, Attr, Interval, Trace,
     OutDir, AllBenchmarks, Threads, SnapshotDir,
     // `sweep`.
-    Small, Paper, Protocols, Benchmarks, Seeds, Plans, Resume, Journal, DeadlineMs, Retries,
-    BackoffMs, Inject,
+    Small, Paper, Protocols, Benchmarks, Seeds, Plans, Resume, DeadlineMs, Retries, BackoffMs,
+    Inject,
     // `compare`.
     AllowImproved, Tol, Out,
 }
@@ -192,7 +196,6 @@ impl Flag {
             SnapshotDir => &["--snapshot-dir"],
             Plans => &["--plans"],
             Resume => &["--resume"],
-            Journal => &["--journal"],
             DeadlineMs => &["--deadline-ms"],
             Retries => &["--retries"],
             BackoffMs => &["--backoff-ms"],
@@ -250,8 +253,8 @@ const PAPER_FLAGS: &[Flag] = {
 const SWEEP_FLAGS: &[Flag] = {
     use Flag::*;
     &[
-        Resume, Protocols, Benchmarks, Seeds, Plans, Refs, Paper, Small, Alt, OutDir, Journal,
-        DeadlineMs, Retries, BackoffMs, Inject, Threads, SnapshotDir,
+        Resume, Protocols, Benchmarks, Seeds, Plans, Refs, Paper, Small, Alt, OutDir, DeadlineMs,
+        Retries, BackoffMs, Inject, Threads, SnapshotDir,
     ]
 };
 
@@ -321,7 +324,6 @@ struct Options {
     snapshot_dir: Option<String>,
     plans: Vec<Option<FaultPlan>>,
     resume: Option<String>,
-    journal: Option<String>,
     sweep: SweepOptions,
     compare: CompareOptions,
 }
@@ -431,7 +433,6 @@ impl Options {
             SnapshotDir => self.snapshot_dir = path(),
             Plans => self.plans.extend(parse_plans(v)?),
             Resume => self.resume = path(),
-            Journal => self.journal = path(),
             DeadlineMs => self.sweep.deadline_ms = Some(num(v, "deadline")?),
             Retries => self.sweep.retries = num(v, "retry count")?,
             BackoffMs => self.sweep.backoff_ms = num(v, "backoff")?,
@@ -542,8 +543,13 @@ fn progress_sink(o: &Options, label: &str, total: usize) -> ProgressSink {
     })
 }
 
+/// `D/crash` under `--out-dir D`, where a failing cell's crash dump goes.
+fn crash_dir(o: &Options) -> Option<PathBuf> {
+    o.out_dir.as_ref().map(|d| d.join("crash"))
+}
+
 /// Runs `protocols x benchmarks` under `cfg` through the executor, with
-/// the command's snapshot store and worker count.
+/// the command's snapshot store, worker count and crash-dump directory.
 fn simulate(
     o: &Options,
     protocols: &[ProtocolKind],
@@ -552,7 +558,13 @@ fn simulate(
     progress: Option<&ProgressSink>,
 ) -> Vec<RunResult> {
     let store = snapshot_store(o.snapshot_dir.as_deref());
-    let opts = RunOptions { threads: o.threads, store: store.as_ref(), progress };
+    let crash_dir = crash_dir(o);
+    let opts = RunOptions {
+        threads: o.threads,
+        store: store.as_ref(),
+        progress,
+        crash_dir: crash_dir.as_deref(),
+    };
     run_matrix(protocols, benchmarks, cfg, opts).unwrap_or_else(|e| bail(e))
 }
 
@@ -740,8 +752,10 @@ fn cmd_tables(o: Options) {
 /// through the executor with the observer options applied, and its
 /// artifacts go into `--out-dir` under the matrix's variant.
 fn run_report<T>(o: &Options, report: impl FnOnce(&mut Runner) -> Result<T, SimError>) -> T {
+    let crash_dir = crash_dir(o);
+    let opts = RunOptions { crash_dir: crash_dir.as_deref(), ..RunOptions::default() };
     let mut run = |protocols: &[ProtocolKind], benchmarks: &[Benchmark], cfg, variant: &str| {
-        let results = run_matrix(protocols, benchmarks, &observe(o, cfg), RunOptions::default())?;
+        let results = run_matrix(protocols, benchmarks, &observe(o, cfg), opts)?;
         print_observed(&results);
         write_artifacts(o, &results, variant);
         Ok(results)
@@ -920,7 +934,6 @@ fn cmd_sweep(o: Options) {
                     f.names()[0]
                 ));
             }
-            eprintln!("resuming sweep from {journal}");
             cmpsim::resume_sweep(Path::new(journal), o.threads).unwrap_or_else(|e| usage_error(e))
         }
         None => {
@@ -931,25 +944,12 @@ fn cmd_sweep(o: Options) {
                 plans: o.plans.clone(),
                 base: config(&o),
             };
-            let out_dir = o.out_dir.clone().unwrap_or_else(|| o.sweep.out_dir.clone());
             let opts = SweepOptions {
                 threads: o.threads,
                 snapshot_dir: o.snapshot_dir.as_ref().map(Into::into),
-                journal: o
-                    .journal
-                    .as_ref()
-                    .map_or_else(|| out_dir.join("sweep.ndjson"), Into::into),
-                out_dir,
+                out_dir: o.out_dir.clone().unwrap_or_else(|| o.sweep.out_dir.clone()),
                 ..o.sweep.clone()
             };
-            eprintln!(
-                "sweep: {} protocols x {} benchmarks x {} seeds x {} plans, journal {}",
-                spec.protocols.len(),
-                spec.benchmarks.len(),
-                spec.seeds.len().max(1),
-                spec.plans.len().max(1),
-                opts.journal.display()
-            );
             cmpsim::run_sweep(&spec, &opts).unwrap_or_else(|e| usage_error(e))
         }
     };

@@ -32,13 +32,18 @@
 //!   invariant violation, protocol fault, unrecoverable injected fault,
 //!   snapshot corruption, panic) settle on their first attempt with
 //!   their crash dump attached;
-//! * every state transition appends one line to an NDJSON **sweep
-//!   journal** (`schemas/run.schema.json#sweep`). The journal's `start`
-//!   line embeds the full spec (canonical config JSON included), so
-//!   [`resume_sweep`] after a `kill -9` needs nothing but the journal:
-//!   completed cells are skipped, in-flight ones re-dispatched, and —
-//!   because every cell is a pure function of its manifest inputs —
-//!   the replayed remainder produces byte-identical artifacts;
+//! * everything a sweep writes lives in its directory `D`
+//!   ([`SweepOptions::out_dir`]): one `{run_id}.metrics.json` per cell,
+//!   crash dumps under `D/crash/`, and the NDJSON **sweep journal**
+//!   `D/sweep.ndjson` (`schemas/run.schema.json#sweep`), whose artifact
+//!   paths are relative to `D`, so a moved `D` resumes in place;
+//! * every state transition appends one line to the journal. Its
+//!   `start` line embeds the full spec (canonical config JSON
+//!   included), so [`resume_sweep`] after a `kill -9` needs nothing but
+//!   the journal: completed cells are skipped, in-flight ones
+//!   re-dispatched, and — because every cell is a pure function of its
+//!   manifest inputs — the replayed remainder produces byte-identical
+//!   artifacts;
 //! * a sweep that loses cells degrades gracefully: the outcome still
 //!   carries the partial matrix with a "Failed cells" section naming
 //!   each quarantined or diverged cell, and the CLI exits nonzero
@@ -150,8 +155,7 @@ impl SweepSpec {
     /// first occurrence, and pointing each planned cell at its golden
     /// twin.
     pub fn expand(&self) -> Vec<SweepCell> {
-        let seeds: &[u64] =
-            if self.seeds.is_empty() { &[self.base.seed] } else { &self.seeds };
+        let seeds: &[u64] = if self.seeds.is_empty() { &[self.base.seed] } else { &self.seeds };
         let mut plans = self.plans.clone();
         if plans.iter().any(Option::is_some) && !plans.contains(&None) {
             plans.insert(0, None);
@@ -165,11 +169,7 @@ impl SweepSpec {
             for &seed in seeds {
                 for &benchmark in &self.benchmarks {
                     for &protocol in &self.protocols {
-                        let cfg = self
-                            .base
-                            .clone()
-                            .with_seed(seed)
-                            .with_fault_plan(plan.clone());
+                        let cfg = self.base.clone().with_seed(seed).with_fault_plan(plan.clone());
                         let manifest = RunManifest::new(protocol, benchmark, &cfg);
                         let index = cells.len();
                         let dedup_of =
@@ -246,11 +246,6 @@ impl SweepCell {
         format!("{}.metrics.json", self.manifest.run_id)
     }
 
-    /// Runs the cell once on the calling thread.
-    pub fn run(&self, store: Option<&SnapshotStore>) -> Result<RunResult, SimError> {
-        run_benchmark_with_store(self.protocol, self.benchmark, &self.cfg, store)
-    }
-
     /// The cell's name in the live progress stream: `protocol/benchmark`,
     /// prefixed with `plan:` when it runs under a fault plan.
     fn progress_name(&self) -> String {
@@ -273,6 +268,9 @@ pub struct RunOptions<'a> {
     /// Live telemetry: one line per finished cell in completion order,
     /// then a `finish` line.
     pub progress: Option<&'a ProgressSink>,
+    /// Directory a failing cell's crash dump goes to (`None` = the
+    /// system temp directory).
+    pub crash_dir: Option<&'a Path>,
 }
 
 /// What a finished cell reports to the progress stream: a short status
@@ -360,8 +358,11 @@ pub fn run_matrix(
     opts: RunOptions<'_>,
 ) -> Result<Vec<RunResult>, SimError> {
     let cells = SweepSpec::matrix(protocols, benchmarks, cfg).expand();
+    let run = |c: &SweepCell| {
+        run_benchmark_with_store(c.protocol, c.benchmark, &c.cfg, opts.store, opts.crash_dir)
+    };
     let results: Result<Vec<_>, ItemPanic> =
-        run_cells(&cells, opts, |c| c.run(opts.store), run_heartbeat).into_iter().collect();
+        run_cells(&cells, opts, run, run_heartbeat).into_iter().collect();
     results.unwrap_or_else(|p| panic::panic_any(p.message)).into_iter().collect()
 }
 
@@ -400,12 +401,8 @@ impl Injection {
             .ok_or_else(|| format!("bad injection {spec:?} (want kind@cell)"))?;
         let bad = |what: &str| format!("bad injection {spec:?} ({what})");
         match kind {
-            "panic" => Ok(Injection::Panic {
-                cell: rest.parse().map_err(|_| bad("cell index"))?,
-            }),
-            "hang" => Ok(Injection::Hang {
-                cell: rest.parse().map_err(|_| bad("cell index"))?,
-            }),
+            "panic" => Ok(Injection::Panic { cell: rest.parse().map_err(|_| bad("cell index"))? }),
+            "hang" => Ok(Injection::Hang { cell: rest.parse().map_err(|_| bad("cell index"))? }),
             "flaky" => {
                 let (cell, failures) = match rest.split_once(':') {
                     Some((c, n)) => (
@@ -442,10 +439,9 @@ impl Injection {
 pub struct SweepOptions {
     /// Worker-pool size (`None` = one per host core).
     pub threads: Option<usize>,
-    /// Directory cell artifacts are written into (created if missing).
+    /// The sweep's directory `D` (created if missing): its journal,
+    /// metrics artifacts and, under `D/crash/`, crash dumps.
     pub out_dir: PathBuf,
-    /// Path of the NDJSON sweep journal.
-    pub journal: PathBuf,
     /// Per-cell wall-clock deadline in milliseconds (`None` = no
     /// deadline; only the simulated-time watchdog applies).
     pub deadline_ms: Option<u64>,
@@ -468,7 +464,6 @@ impl Default for SweepOptions {
         Self {
             threads: None,
             out_dir: PathBuf::from("sweep-out"),
-            journal: PathBuf::from("sweep-out/sweep.ndjson"),
             deadline_ms: None,
             retries: 2,
             backoff_ms: 100,
@@ -699,14 +694,14 @@ impl SweepOutcome {
                 let (what, path) = match s {
                     CellState::Diverged { artifact, golden, detail, .. } => (
                         format!("**diverged** from golden cell {golden} — {detail}"),
-                        Some(format!(" (metrics: `{}`)", artifact.display())),
+                        Some(format!(" (metrics: `{}`)", relative(artifact, &self.out_dir))),
                     ),
                     CellState::Faulted { error, .. } | CellState::Quarantined { error, .. } => (
                         format!("**{}** — {}", error.code, error.message),
                         error
                             .artifact
                             .as_ref()
-                            .map(|p| format!(" (crash dump: `{}`)", p.display())),
+                            .map(|p| format!(" (crash dump: `{}`)", relative(p, &self.out_dir))),
                     ),
                     CellState::Done { .. } => continue,
                 };
@@ -723,28 +718,31 @@ impl SweepOutcome {
     }
 }
 
+/// `path` relative to the sweep directory `dir` when it lies inside it,
+/// as journals and reports name it.
+fn relative<'p>(path: &'p Path, dir: &Path) -> std::path::Display<'p> {
+    path.strip_prefix(dir).unwrap_or(path).display()
+}
+
 /// Append-only NDJSON journal with per-line flush, shared by the worker
 /// pool behind a mutex. Lines are self-describing (`schema` + `event`)
 /// so a torn trailing line from a `kill -9` is detectable and ignorable
-/// on resume.
+/// on resume. Artifact paths are written relative to `dir`, the sweep's
+/// directory.
 struct Journal {
     file: Mutex<std::fs::File>,
+    dir: PathBuf,
 }
 
 impl Journal {
-    fn create(path: &Path) -> Result<Self, String> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("cannot create {}: {e}", parent.display()))?;
-            }
-        }
-        let file = std::fs::File::create(path)
+    fn create(dir: &Path) -> Result<Self, String> {
+        let path = dir.join("sweep.ndjson");
+        let file = std::fs::File::create(&path)
             .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
-        Ok(Self { file: Mutex::new(file) })
+        Ok(Self { file: Mutex::new(file), dir: dir.to_path_buf() })
     }
 
-    fn append(path: &Path) -> Result<Self, String> {
+    fn append(path: &Path, dir: &Path) -> Result<Self, String> {
         // Terminate a torn trailing line (kill -9 mid-write) before
         // appending, so the first new event starts on its own line.
         let torn = std::fs::read(path)
@@ -757,7 +755,12 @@ impl Journal {
         if torn {
             let _ = file.write_all(b"\n");
         }
-        Ok(Self { file: Mutex::new(file) })
+        Ok(Self { file: Mutex::new(file), dir: dir.to_path_buf() })
+    }
+
+    /// `path` as a journal string, relative to the sweep directory.
+    fn path(&self, path: &Path) -> Value {
+        Value::string(&relative(path, &self.dir).to_string())
     }
 
     fn emit(&self, v: Value) {
@@ -777,13 +780,6 @@ fn event(kind: &str) -> Value {
     j.set("schema", Value::string(SWEEP_SCHEMA));
     j.set("event", Value::string(kind));
     j
-}
-
-fn opt_path(p: &Option<PathBuf>) -> Value {
-    match p {
-        Some(p) => Value::string(&p.display().to_string()),
-        None => Value::Null,
-    }
 }
 
 fn start_event(spec: &SweepSpec, opts: &SweepOptions, cells: &[SweepCell]) -> Value {
@@ -815,14 +811,11 @@ fn start_event(spec: &SweepSpec, opts: &SweepOptions, cells: &[SweepCell]) -> Va
                 .collect(),
         ),
     );
-    j.set("out_dir", Value::string(&opts.out_dir.display().to_string()));
-    j.set(
-        "deadline_ms",
-        opts.deadline_ms.map_or(Value::Null, Value::uint),
-    );
+    j.set("deadline_ms", opts.deadline_ms.map_or(Value::Null, Value::uint));
     j.set("retries", Value::uint(opts.retries as u64));
     j.set("backoff_ms", Value::uint(opts.backoff_ms));
-    j.set("snapshot_dir", opt_path(&opts.snapshot_dir));
+    let snapshot_dir = opts.snapshot_dir.as_ref().map(|d| Value::string(&d.display().to_string()));
+    j.set("snapshot_dir", snapshot_dir.unwrap_or(Value::Null));
     j.set(
         "injections",
         Value::Arr(opts.injections.iter().map(|i| Value::string(&i.spec())).collect()),
@@ -840,9 +833,13 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
     if cells.is_empty() {
         return Err("sweep expands to zero cells".to_string());
     }
+    let n = cells.len();
+    if let Some(i) = opts.injections.iter().find(|i| i.cell() >= n) {
+        return Err(format!("injection {} names no cell of this {n}-cell sweep", i.spec()));
+    }
     std::fs::create_dir_all(&opts.out_dir)
         .map_err(|e| format!("cannot create {}: {e}", opts.out_dir.display()))?;
-    let journal = Journal::create(&opts.journal)?;
+    let journal = Journal::create(&opts.out_dir)?;
     journal.emit(start_event(spec, opts, &cells));
     for c in &cells {
         let mut j = event("queued");
@@ -858,14 +855,16 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
 /// Resumes a sweep from its journal after a crash or kill: cells whose
 /// terminal state (with an existing artifact) is already journaled are
 /// skipped; queued and in-flight cells are re-dispatched. New events
-/// append to the same journal. `threads` overrides the worker-pool
-/// size (a host-side knob; everything else comes from the journal).
+/// append to the same journal. The journal's directory (`.` when the
+/// path names none) is the sweep's directory `D`, wherever it has been
+/// moved. `threads` overrides the worker-pool size (a host-side knob;
+/// everything else comes from the journal).
 pub fn resume_sweep(journal_path: &Path, threads: Option<usize>) -> Result<SweepOutcome, String> {
     let text = std::fs::read_to_string(journal_path)
         .map_err(|e| format!("cannot read journal {}: {e}", journal_path.display()))?;
-    let parsed = parse_journal(&text)?;
+    let dir = journal_path.parent().filter(|d| !d.as_os_str().is_empty());
+    let parsed = parse_journal(&text, dir.unwrap_or(Path::new(".")))?;
     let mut opts = parsed.options;
-    opts.journal = journal_path.to_path_buf();
     if threads.is_some() {
         opts.threads = threads;
     }
@@ -899,7 +898,7 @@ pub fn resume_sweep(journal_path: &Path, threads: Option<usize>) -> Result<Sweep
     // re-dispatches the cell.
     let mut terminal = parsed.terminal;
     terminal.retain(|&i, s| i < cells.len() && s.artifact().is_none_or(Path::is_file));
-    let journal = Journal::append(journal_path)?;
+    let journal = Journal::append(journal_path, &opts.out_dir)?;
     let mut j = event("resume");
     j.set("skipped", Value::uint(terminal.len() as u64));
     journal.emit(j);
@@ -920,9 +919,12 @@ pub struct JournalState {
     pub run_ids: HashMap<usize, String>,
 }
 
-/// Parses a sweep journal. Unparsable lines (torn tail after `kill -9`)
-/// are skipped; only the `start` line is mandatory.
-pub fn parse_journal(text: &str) -> Result<JournalState, String> {
+/// Parses a sweep journal kept in the sweep directory `dir`: `dir` is
+/// the options' `out_dir`, and each journaled artifact path resolves
+/// against it (an absolute one stays as it is). Unparsable lines (torn
+/// tail after `kill -9`) are skipped; only the `start` line is
+/// mandatory.
+pub fn parse_journal(text: &str, dir: &Path) -> Result<JournalState, String> {
     let mut lines = text.lines();
     let start = loop {
         let line = lines.next().ok_or("journal has no start event")?;
@@ -945,9 +947,7 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
     let base = config_from_json(start.field("config")?)?;
     let str_list = |field: &str| -> Result<Vec<String>, String> {
         match start.field(field)? {
-            Value::Arr(items) => {
-                items.iter().map(|v| Ok(v.as_str()?.to_string())).collect()
-            }
+            Value::Arr(items) => items.iter().map(|v| Ok(v.as_str()?.to_string())).collect(),
             _ => Err(format!("journal field {field:?} is not an array")),
         }
     };
@@ -985,8 +985,7 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
         .collect::<Result<Vec<_>, _>>()?;
     let options = SweepOptions {
         threads: None,
-        out_dir: PathBuf::from(start.field("out_dir")?.as_str()?),
-        journal: PathBuf::new(), // caller fills in
+        out_dir: dir.to_path_buf(),
         deadline_ms: match start.field("deadline_ms")? {
             Value::Null => None,
             other => Some(other.as_u64()?),
@@ -1016,10 +1015,9 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
         ) else {
             continue;
         };
-        let attempts =
-            v.field("attempt").and_then(|a| a.as_u64()).unwrap_or(0) as u32;
+        let attempts = v.field("attempt").and_then(|a| a.as_u64()).unwrap_or(0) as u32;
         let text = |name: &str| v.field(name).and_then(|x| x.as_str().map(str::to_string));
-        let artifact = text("artifact").map(PathBuf::from);
+        let artifact = text("artifact").map(|p| dir.join(p));
         let error = || CellError {
             code: text("code").unwrap_or_else(|_| "E-UNKNOWN".to_string()),
             message: text("error").unwrap_or_default(),
@@ -1073,8 +1071,6 @@ fn execute(
     opts: &SweepOptions,
     journal: &Journal,
 ) -> Result<SweepOutcome, String> {
-    std::fs::create_dir_all(&opts.out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", opts.out_dir.display()))?;
     let store = match &opts.snapshot_dir {
         Some(dir) => SnapshotStore::with_dir(dir).map_err(|e| e.to_string())?,
         None => SnapshotStore::in_memory(),
@@ -1090,7 +1086,7 @@ fn execute(
         .iter()
         .filter(|c| c.dedup_of.is_none() && !terminal.contains_key(&c.index))
         .partition(|c| c.golden.is_some());
-    let pool = RunOptions { threads: opts.threads, store: Some(&store), progress: None };
+    let pool = RunOptions { threads: opts.threads, store: Some(&store), ..RunOptions::default() };
     for wave in [plain, judged] {
         let settled = &states;
         let body = |cell: &SweepCell| {
@@ -1154,19 +1150,19 @@ fn journal_terminal(journal: &Journal, cell: &SweepCell, state: &CellState) {
     j.set("run_id", Value::string(&cell.manifest.run_id));
     match state {
         CellState::Done { artifact, cached, dedup_of, .. } => {
-            j.set("artifact", Value::string(&artifact.display().to_string()));
+            j.set("artifact", journal.path(artifact));
             j.set("cached", Value::boolean(*cached));
             j.set("dedup_of", dedup_of.map_or(Value::Null, |i| Value::uint(i as u64)));
         }
         CellState::Diverged { artifact, golden, detail, .. } => {
-            j.set("artifact", Value::string(&artifact.display().to_string()));
+            j.set("artifact", journal.path(artifact));
             j.set("golden", Value::uint(*golden as u64));
             j.set("error", Value::string(detail));
         }
         CellState::Faulted { error, .. } | CellState::Quarantined { error, .. } => {
             j.set("code", Value::string(&error.code));
             j.set("error", Value::string(&error.message));
-            j.set("artifact", opt_path(&error.artifact));
+            j.set("artifact", error.artifact.as_deref().map_or(Value::Null, |p| journal.path(p)));
         }
     }
     journal.emit(j);
@@ -1364,7 +1360,8 @@ fn attempt_cell(
         if panics {
             panic!("injected panic in cell {}", cell.index);
         }
-        run_benchmark_with_store(cell.protocol, cell.benchmark, &cfg, Some(store))
+        let crash_dir = opts.out_dir.join("crash");
+        run_benchmark_with_store(cell.protocol, cell.benchmark, &cfg, Some(store), Some(&crash_dir))
     }));
     match caught {
         Ok(Ok(result)) => Ok(result),
@@ -1509,9 +1506,7 @@ mod tests {
     }
 
     fn planned_sweep(tag: &str, spec: &SweepSpec) -> SweepOutcome {
-        let out_dir = temp_dir(tag);
-        let opts =
-            SweepOptions { journal: out_dir.join("sweep.ndjson"), out_dir, ..Default::default() };
+        let opts = SweepOptions { out_dir: temp_dir(tag), ..Default::default() };
         run_sweep(spec, &opts).expect("sweep runs")
     }
 
@@ -1563,11 +1558,12 @@ mod tests {
         let cells = tiny_spec().expand();
         let mut start = String::new();
         start_event(&tiny_spec(), &opts, &cells).render_compact_to(&mut start);
-        assert_eq!(parse_journal(&start).expect("pristine start line").options.retries, 2);
+        let dir = Path::new("d");
+        assert_eq!(parse_journal(&start, dir).expect("pristine start line").options.retries, 2);
         // 2^32 would truncate to a retry budget of 0.
         assert!(start.contains("\"retries\":2,"), "{start}");
         let tampered = start.replace("\"retries\":2,", "\"retries\":4294967296,");
-        let err = parse_journal(&tampered).err().expect("out-of-range retries must fail");
+        let err = parse_journal(&tampered, dir).err().expect("out-of-range retries must fail");
         assert!(err.contains("retries") && err.contains("out of range"), "{err}");
     }
 
@@ -1594,7 +1590,9 @@ mod tests {
                 assert!(text.contains(from), "{from} in {text}");
                 text.replacen(from, to, 1)
             });
-            let err = parse_journal(&tampered).err().expect("an unbuildable config must fail");
+            let err = parse_journal(&tampered, Path::new("d"))
+                .err()
+                .expect("an unbuildable config must fail");
             assert!(err.contains(want), "{want}: {err}");
         }
     }

@@ -3,7 +3,10 @@
 //! When a run fails (watchdog stall, invariant violation, protocol
 //! fault), [`crate::run_benchmark`] serializes everything needed to
 //! reproduce it — protocol, benchmark, seed, the failing cycle and the
-//! full [`SystemConfig`] — into a small JSON file. Because the event
+//! full [`SystemConfig`] — into a small JSON file in the directory its
+//! caller names: `D/crash/` for a CLI command with `--out-dir D` (a
+//! sweep's `D` included), the system temp directory otherwise. Nothing
+//! outside the command line picks that directory. Because the event
 //! queue is insertion-stable, a simulation is a pure function of its
 //! configuration, so `cmpsim-cli replay <file>` re-runs the exact same
 //! failure, optionally with the invariant checker force-enabled to
@@ -91,21 +94,10 @@ impl ReplayArtifact {
         )
     }
 
-    /// Directory artifacts are written to: `$CMPSIM_DUMP_DIR` if set and
-    /// non-empty, otherwise the system temp directory. This is the one
-    /// environment variable the workspace reads.
-    pub fn dump_dir() -> PathBuf {
-        std::env::var_os("CMPSIM_DUMP_DIR")
-            .filter(|dir| !dir.is_empty())
-            .map(PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir)
-    }
-
-    /// Writes the artifact into `dir` (or [`Self::dump_dir`] when
-    /// `None`) and returns the path.
-    pub fn save(&self, dir: Option<&Path>) -> std::io::Result<PathBuf> {
-        let dir = dir.map(Path::to_path_buf).unwrap_or_else(Self::dump_dir);
-        std::fs::create_dir_all(&dir)?;
+    /// Writes the artifact into `dir` (created if missing) and returns
+    /// the path.
+    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(self.file_name());
         std::fs::write(&path, self.to_json())?;
         Ok(path)

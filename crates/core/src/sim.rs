@@ -31,6 +31,7 @@ use cmpsim_virt::mem::{LogicalPage, Region, BLOCKS_PER_PAGE};
 use cmpsim_virt::MachineMemory;
 use cmpsim_workloads::{Benchmark, CoreStream};
 use std::collections::BTreeMap;
+use std::path::Path;
 
 /// Builds a protocol instance for `spec`.
 pub fn build_protocol(kind: ProtocolKind, spec: ChipSpec) -> Box<dyn CoherenceProtocol> {
@@ -247,10 +248,7 @@ fn initial_req_of(msg: &Msg) -> Option<Tile> {
 /// state corruption outside this transport-layer fault model. They
 /// still receive delays, duplicates and outage holds.
 fn payload_class(kind: &MsgKind) -> bool {
-    matches!(
-        kind,
-        MsgKind::Req(_) | MsgKind::Data(_) | MsgKind::MemData | MsgKind::Hint { .. }
-    )
+    matches!(kind, MsgKind::Req(_) | MsgKind::Data(_) | MsgKind::MemData | MsgKind::Hint { .. })
 }
 
 /// Retransmission state for one tile's open miss.
@@ -307,14 +305,7 @@ impl FaultState {
     }
 }
 
-cmpsim_engine::impl_snap!(FaultState {
-    engine,
-    open_reqs,
-    retry,
-    seen,
-    generation,
-    violation,
-});
+cmpsim_engine::impl_snap!(FaultState { engine, open_reqs, retry, seen, generation, violation });
 
 /// Point-to-point FIFO delivery floors: the latest delivery cycle
 /// scheduled on each (source, destination) endpoint pair. Wormhole
@@ -482,12 +473,11 @@ impl CmpSimulator {
     /// Builds a simulator for one protocol/benchmark/config triple.
     pub fn new(kind: ProtocolKind, benchmark: Benchmark, cfg: &SystemConfig) -> Self {
         let tiles = cfg.tiles();
-        assert!(tiles <= MAX_TILES, "a {tiles}-tile chip exceeds the {MAX_TILES}-bit sharing codes");
-        assert_eq!(
-            cfg.noc.cols * cfg.noc.rows,
-            tiles,
-            "NoC dimensions must match the chip"
+        assert!(
+            tiles <= MAX_TILES,
+            "a {tiles}-tile chip exceeds the {MAX_TILES}-bit sharing codes"
         );
+        assert_eq!(cfg.noc.cols * cfg.noc.rows, tiles, "NoC dimensions must match the chip");
         let mut rng = SimRng::new(cfg.seed);
         let areas = &cfg.chip.areas;
         let cores = (0..tiles)
@@ -597,8 +587,9 @@ impl CmpSimulator {
         // Recoverable drops need a retransmission path (tracked initial
         // request) or no architectural effect (hint); chaos mode widens
         // to any payload-class message, whose loss wedges detectably.
-        let droppable =
-            seq != 0 || matches!(msg.kind, MsgKind::Hint { .. }) || (fs.engine.plan().chaos && payload);
+        let droppable = seq != 0
+            || matches!(msg.kind, MsgKind::Hint { .. })
+            || (fs.engine.plan().chaos && payload);
         match fs.engine.decide(droppable, payload) {
             FaultDecision::Drop => {}
             FaultDecision::Reorder => {
@@ -653,7 +644,10 @@ impl CmpSimulator {
                 if Some(t) == b.exclude {
                     continue;
                 }
-                self.deliver(at, Msg { kind: b.kind, block: b.block, src: b.src, dst: Node::L1(t) });
+                self.deliver(
+                    at,
+                    Msg { kind: b.kind, block: b.block, src: b.src, dst: Node::L1(t) },
+                );
             }
             // The source's own L1 may also be a destination (e.g. the
             // home bank broadcasting to its co-located L1).
@@ -689,8 +683,7 @@ impl CmpSimulator {
             self.ctrl_free[ctrl] = start + self.cfg.mem_service;
             if !op.is_write {
                 let ready = start + self.cfg.mem_latency + self.rng.jitter(self.cfg.mem_jitter);
-                let back =
-                    self.mesh.send(ready, ctrl_tile, op.home, self.cfg.noc.data_flits);
+                let back = self.mesh.send(ready, ctrl_tile, op.home, self.cfg.noc.data_flits);
                 if self.obs.tracks_tx() {
                     let (home, ctrl) = (Node::L2(op.home), Node::L2(ctrl_tile));
                     let flits = self.cfg.noc.data_flits;
@@ -1208,8 +1201,8 @@ impl CmpSimulator {
                     // was already delivered (injected duplicate, or a
                     // retransmit whose original arrived) is absorbed
                     // here, before the protocol can observe it.
-                    let duplicate = seq != 0
-                        && self.faults.as_mut().is_some_and(|fs| !fs.seen.insert(seq));
+                    let duplicate =
+                        seq != 0 && self.faults.as_mut().is_some_and(|fs| !fs.seen.insert(seq));
                     if duplicate {
                         self.proto.stats_mut().dedup_drops.inc();
                         self.maybe_finish_warmup(now);
@@ -1307,8 +1300,7 @@ impl CmpSimulator {
         }
 
         let finalize_start = std::time::Instant::now();
-        let last_finish =
-            self.cores.iter().map(|c| c.finished_at.unwrap_or(0)).max().unwrap_or(0);
+        let last_finish = self.cores.iter().map(|c| c.finished_at.unwrap_or(0)).max().unwrap_or(0);
         let avg_finish = self.cores.iter().map(|c| c.finished_at.unwrap_or(0) as f64).sum::<f64>()
             / tiles as f64;
         let total_refs: u64 = self.cores.iter().map(|c| c.refs_done).sum();
@@ -1578,7 +1570,7 @@ fn run_via_store(
 
 /// Runs one protocol on one benchmark. On failure, a replay artifact
 /// (protocol + benchmark + seed + full config, see [`ReplayArtifact`])
-/// is written to [`ReplayArtifact::dump_dir`] and its path attached to
+/// is written to the system temp directory and its path attached to
 /// the returned [`SimError`], so `cmpsim-cli replay <file>` can re-run
 /// the failure deterministically.
 pub fn run_benchmark(
@@ -1586,18 +1578,21 @@ pub fn run_benchmark(
     benchmark: Benchmark,
     cfg: &SystemConfig,
 ) -> Result<RunResult, SimError> {
-    run_benchmark_with_store(kind, benchmark, cfg, None)
+    run_benchmark_with_store(kind, benchmark, cfg, None, None)
 }
 
-/// [`run_benchmark`] with an optional [`SnapshotStore`]: eligible runs
-/// (see [`snapshot_eligible`]) restore their warm-up phase from the
-/// store when a matching image exists and contribute one when none
-/// does. Ineligible runs execute cold, unchanged.
+/// [`run_benchmark`] with an optional [`SnapshotStore`] and crash-dump
+/// directory. Eligible runs (see [`snapshot_eligible`]) restore their
+/// warm-up phase from the store when a matching image exists and
+/// contribute one when none does; ineligible runs execute cold,
+/// unchanged. A failing run's replay artifact goes to `crash_dir`, or
+/// to the system temp directory when it is `None`.
 pub fn run_benchmark_with_store(
     kind: ProtocolKind,
     benchmark: Benchmark,
     cfg: &SystemConfig,
     store: Option<&SnapshotStore>,
+    crash_dir: Option<&Path>,
 ) -> Result<RunResult, SimError> {
     let result = match store.filter(|_| snapshot_eligible(cfg)) {
         Some(store) => run_via_store(kind, benchmark, cfg, store),
@@ -1618,7 +1613,8 @@ pub fn run_benchmark_with_store(
             e.events(),
             cfg,
         );
-        if let Ok(path) = artifact.save(None) {
+        let dir = crash_dir.map_or_else(std::env::temp_dir, Path::to_path_buf);
+        if let Ok(path) = artifact.save(&dir) {
             e.set_artifact(path);
         }
         e
@@ -1679,9 +1675,8 @@ mod tests {
 
     #[test]
     fn arch_digest_matches_reference_on_copy_on_written_pages() {
-        let cfg = SystemConfig::smoke()
-            .with_refs(2000)
-            .with_fault_plan(Some(FaultPlan::recoverable(7)));
+        let cfg =
+            SystemConfig::smoke().with_refs(2000).with_fault_plan(Some(FaultPlan::recoverable(7)));
         let (reference, sim) = run_with_reference(ProtocolKind::DiCo, Benchmark::Apache, &cfg);
         // Precondition: some version lives on a dedup page this run
         // copied on write (a Dedup-region mapping now backed privately).
@@ -1847,12 +1842,14 @@ mod tests {
             0 => Ev::CoreResume(tile),
             1 => {
                 let (block, dst) = (rng.gen_range(1 << 20), rng.gen_range(64) as Tile);
-                let msg = Msg { kind: MsgKind::MemData, block, src: Node::L2(tile), dst: Node::L1(dst) };
+                let msg =
+                    Msg { kind: MsgKind::MemData, block, src: Node::L2(tile), dst: Node::L1(dst) };
                 Ev::Deliver(msg, rng.gen_range(4))
             }
             _ => Ev::ReqTimeout { tile, generation: rng.gen_range(1000) },
         };
-        let delta = if rng.gen_range(8) == 0 { 500 + rng.gen_range(4000) } else { rng.gen_range(64) };
+        let delta =
+            if rng.gen_range(8) == 0 { 500 + rng.gen_range(4000) } else { rng.gen_range(64) };
         (now + delta, ev)
     }
 
@@ -1886,7 +1883,10 @@ mod tests {
                         parked -= 1;
                     }
                 }
-                assert!(q.parked.len() <= most_parked, "round {round}, step {step}: slab outgrew its events");
+                assert!(
+                    q.parked.len() <= most_parked,
+                    "round {round}, step {step}: slab outgrew its events"
+                );
                 if rng.gen_range(500) == 0 {
                     let events = q.snapshot_events();
                     assert_eq!(events, oracle.snapshot_events(), "round {round}, step {step}");
@@ -1927,7 +1927,13 @@ mod tests {
         let mut fifo = FifoFloors::new(tiles);
         let mut rng = SimRng::new(5);
         for _ in 0..40 {
-            let node = |x: u64| if x & 1 == 0 { Node::L1(x as usize / 2) } else { Node::L2(x as usize / 2) };
+            let node = |x: u64| {
+                if x & 1 == 0 {
+                    Node::L1(x as usize / 2)
+                } else {
+                    Node::L2(x as usize / 2)
+                }
+            };
             let (src, dst) = (node(rng.gen_range(8)), node(rng.gen_range(8)));
             let at = 1 + rng.gen_range(1000);
             let floor = map.entry((src, dst)).or_insert(0);
@@ -1987,7 +1993,13 @@ mod tests {
     }
 
     /// Restores `image` and asserts it fails as `E-SNAPSHOT` naming `why`.
-    fn expect_e_snapshot(kind: ProtocolKind, b: Benchmark, cfg: &SystemConfig, image: &[u8], why: &str) {
+    fn expect_e_snapshot(
+        kind: ProtocolKind,
+        b: Benchmark,
+        cfg: &SystemConfig,
+        image: &[u8],
+        why: &str,
+    ) {
         match CmpSimulator::restore_snapshot(kind, b, cfg, image) {
             Err(e @ SimError::Snapshot(_)) => {
                 assert_eq!(e.code(), "E-SNAPSHOT");

@@ -42,6 +42,7 @@ fn bad_command_lines_exit_2_with_an_error_line() {
         &["report", "-b", "lu", "--all-benchmarks"],
         &["sweep", "--resume", "j.ndjson", "--plans", "chaos@1"],
         &["sweep", "--resume", "j.ndjson", "--out-dir", "d"],
+        &["sweep", "--resume", "no/such/sweep.ndjson"],
         &[
             "report",
             "-b",
@@ -255,26 +256,89 @@ fn compare_gates_two_out_dirs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failing `run`: the watchdog trips long before 300 refs finish.
+const FAILING_RUN: [&str; 9] =
+    ["run", "-p", "dico", "-b", "radix", "-n", "300", "--max-events", "100"];
+
 #[test]
 fn the_environment_is_not_a_run_input() {
     let args = ["run", "-p", "dico", "-b", "radix", "-n", "300"];
     let bin = env!("CARGO_BIN_EXE_cmpsim-cli");
-    let retired = ["CMPSIM_FAULTS", "CMPSIM_THREADS", "CMPSIM_TRACE", "CMPSIM_TRACE_BLOCK"];
+    let dir = scratch("env");
+    let (dumps, tmp) = (dir.join("dumps"), dir.join("tmp"));
+    std::fs::create_dir_all(&dumps).unwrap();
+    let retired = [
+        "CMPSIM_FAULTS",
+        "CMPSIM_THREADS",
+        "CMPSIM_TRACE",
+        "CMPSIM_TRACE_BLOCK",
+        "CMPSIM_DUMP_DIR",
+    ];
+    let values = ["recoverable@7", "0", "1", "64", dumps.to_str().unwrap()];
     let mut clean = Command::new(bin);
     clean.args(args);
     for var in retired {
         clean.env_remove(var);
     }
     let clean = clean.output().expect("cmpsim-cli runs");
-    let exported = Command::new(bin)
-        .args(args)
-        .envs(retired.into_iter().zip(["recoverable@7", "0", "1", "64"]))
-        .output()
-        .expect("cmpsim-cli runs");
+    let exported =
+        Command::new(bin).args(args).envs(retired.into_iter().zip(values)).output().unwrap();
     for out in [&clean, &exported] {
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     }
     assert_eq!(String::from_utf8_lossy(&clean.stdout), String::from_utf8_lossy(&exported.stdout));
+    let failed = Command::new(bin)
+        .args(FAILING_RUN)
+        .envs(retired.into_iter().zip(values))
+        .env("TMPDIR", &tmp)
+        .output()
+        .unwrap();
+    assert_eq!(failed.status.code(), Some(1), "{}", String::from_utf8_lossy(&failed.stderr));
+    assert_eq!(listing(&dumps), Vec::<String>::new(), "CMPSIM_DUMP_DIR was read");
+    assert_eq!(listing(&tmp).len(), 1, "the dump goes to the temp directory");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failing cell's crash dump goes to `D/crash/` under `--out-dir D`,
+/// and to the system temp directory without it; it replays from there.
+#[test]
+fn crash_dumps_go_to_the_out_dir_or_the_temp_dir() {
+    let dir = scratch("crash");
+    let (out_dir, tmp) = (dir.join("out"), dir.join("tmp"));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let run = |extra: &[&str]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_cmpsim-cli"));
+        cmd.args(FAILING_RUN).args(extra).env("TMPDIR", &tmp).output().unwrap()
+    };
+    let failed = run(&["--out-dir", out_dir.to_str().unwrap()]);
+    assert_eq!(failed.status.code(), Some(1), "{}", String::from_utf8_lossy(&failed.stderr));
+    let dumps = listing(&out_dir.join("crash"));
+    assert_eq!(dumps.len(), 1, "{dumps:?}");
+    assert!(listing(&tmp).is_empty(), "{:?}", listing(&tmp));
+    let dump = out_dir.join("crash").join(&dumps[0]);
+    let replay = cli(&["replay", dump.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&replay.stdout);
+    assert!(replay.status.success() && stdout.contains("\nreproduced: "), "{stdout}");
+
+    let failed = run(&[]);
+    assert_eq!(failed.status.code(), Some(1), "{}", String::from_utf8_lossy(&failed.stderr));
+    assert_eq!(listing(&tmp), dumps, "the same dump, in the temp directory");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An injection naming a cell the sweep does not have is a bad command
+/// line, not a silently untested containment path.
+#[test]
+fn injections_outside_the_sweep_fail_closed() {
+    let dir = scratch("inject");
+    let out_dir = dir.join("out");
+    for inject in ["panic@99", "hang@1", "flaky@5:2"] {
+        let args = ["sweep", "-p", "dico", "-b", "radix", "-n", "200", "--inject", inject];
+        let out = cli(&[&args[..], &["--out-dir", out_dir.to_str().unwrap()]].concat());
+        assert_fails_closed(&out, inject);
+        assert!(!out_dir.exists(), "{inject}: a rejected sweep wrote {}", out_dir.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -303,7 +367,7 @@ fn replay_refuses_a_config_the_simulator_cannot_build() {
         2_000,
         &SystemConfig::paper(),
     );
-    let path = art.save(Some(&dir)).unwrap();
+    let path = art.save(&dir).unwrap();
     let json = std::fs::read_to_string(&path).unwrap();
     let noc = json.find("\"noc\": {").unwrap();
     let (head, tail) = json.split_at(noc);

@@ -35,7 +35,6 @@ fn options(dir: &Path) -> SweepOptions {
     SweepOptions {
         threads: Some(2),
         out_dir: dir.to_path_buf(),
-        journal: dir.join("sweep.ndjson"),
         backoff_ms: 5,
         ..SweepOptions::default()
     }
@@ -92,7 +91,7 @@ fn acceptance_panic_hang_flaky() {
     assert!(report.contains("E-TIMEOUT"), "{report}");
     assert!(report.contains("PARTIAL"), "{report}");
 
-    let journal = std::fs::read_to_string(&opts.journal).unwrap();
+    let journal = std::fs::read_to_string(dir.join("sweep.ndjson")).unwrap();
     assert!(journal.contains("\"event\":\"retrying\""), "{journal}");
     assert!(journal.contains("\"code\":\"E-PANIC\""), "{journal}");
     assert!(journal.contains("\"code\":\"E-TIMEOUT\""), "{journal}");
@@ -164,8 +163,7 @@ fn artifacts_without_arch_state_are_recomputed() {
     let first = run_sweep(&small_spec(), &opts).unwrap();
     let CellState::Done { artifact, .. } = &first.states[0] else { panic!("{first:?}") };
     let full = std::fs::read_to_string(artifact).unwrap();
-    let stripped: String =
-        full.split_inclusive('\n').filter(|l| !l.contains("\"arch.")).collect();
+    let stripped: String = full.split_inclusive('\n').filter(|l| !l.contains("\"arch.")).collect();
     assert_eq!(full.lines().count() - stripped.lines().count(), 6, "six arch.* counters");
     std::fs::write(artifact, stripped).unwrap();
     let second = run_sweep(&small_spec(), &opts).unwrap();
@@ -184,8 +182,8 @@ fn journal_round_trips_the_spec() {
     let dir = temp_dir("roundtrip");
     let opts = options(&dir);
     let outcome = run_sweep(&small_spec(), &opts).unwrap();
-    let text = std::fs::read_to_string(&opts.journal).unwrap();
-    let parsed = parse_journal(&text).unwrap();
+    let text = std::fs::read_to_string(dir.join("sweep.ndjson")).unwrap();
+    let parsed = parse_journal(&text, &dir).unwrap();
     let cells = parsed.spec.expand();
     assert_eq!(cells.len(), outcome.cells.len());
     for (a, b) in cells.iter().zip(&outcome.cells) {
@@ -208,7 +206,7 @@ fn resume_refuses_a_journal_whose_run_ids_drifted() {
     let outcome = run_sweep(&spec, &opts).unwrap();
     assert_eq!(outcome.cells.len(), 8);
     assert!(outcome.ok(), "violations: {:?}", outcome.violations());
-    let Err(err) = resume_sweep(&opts.journal, Some(2)) else {
+    let Err(err) = resume_sweep(&dir.join("sweep.ndjson"), Some(2)) else {
         panic!("a journal whose run ids drifted was resumed");
     };
     let first = &outcome.cells[4];
@@ -216,9 +214,11 @@ fn resume_refuses_a_journal_whose_run_ids_drifted() {
     assert!(err.contains("journal cell 4") && err.contains(&first.manifest.run_id), "{err}");
 }
 
-/// A quarantined cell's crash dump round-trips through
-/// `cmpsim-cli replay`: the replay reproduces the original failure
-/// (same kind, same cycle) and exits zero. Fixed seed, deterministic.
+/// A quarantined cell's crash dump lies under `D/crash/`, its journal
+/// line names it `crash/<file>`, it loads back byte for byte, and it
+/// round-trips through `cmpsim-cli replay`: the replay reproduces the
+/// original failure (same kind, same cycle) and exits zero. Fixed seed,
+/// deterministic.
 #[test]
 fn quarantined_crash_dump_replays() {
     let dir = temp_dir("replay");
@@ -236,6 +236,14 @@ fn quarantined_crash_dump_replays() {
     assert_eq!(err.code, "E-STALL");
     assert!(!err.transient, "watchdog stalls quarantine immediately");
     let artifact = err.artifact.as_ref().expect("stalls write a replay artifact");
+    let file = artifact.file_name().unwrap().to_str().unwrap();
+    assert_eq!(*artifact, dir.join("crash").join(file));
+    let journal = std::fs::read_to_string(dir.join("sweep.ndjson")).unwrap();
+    assert!(journal.contains(&format!("\"artifact\":\"crash/{file}\"")), "{journal}");
+    let report = outcome.report_markdown();
+    assert!(report.contains(&format!("(crash dump: `crash/{file}`)")), "{report}");
+    let text = std::fs::read_to_string(artifact).unwrap();
+    assert_eq!(ReplayArtifact::load(artifact).unwrap().to_json(), text);
 
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_cmpsim-cli"))
         .arg("replay")
@@ -275,7 +283,7 @@ fn reference() -> &'static Reference {
             .collect();
         Reference {
             dir: dir.clone(),
-            journal: std::fs::read_to_string(&opts.journal).unwrap(),
+            journal: std::fs::read_to_string(dir.join("sweep.ndjson")).unwrap(),
             states: outcome.state_set(),
             artifacts,
         }
@@ -356,7 +364,7 @@ fn every_outcome_class_is_produced() {
     let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
     std::fs::write(golden, format!("{}12345{}", &text[..at], &text[end..])).unwrap();
     std::fs::remove_file(judged).unwrap();
-    let resumed = resume_sweep(&opts.journal, Some(2)).unwrap();
+    let resumed = resume_sweep(&dir.join("sweep.ndjson"), Some(2)).unwrap();
     match &resumed.states[1] {
         CellState::Diverged { golden: 0, detail, artifact, .. } => {
             assert!(detail.starts_with("version_digest: golden=12345 faulty="), "{detail}");
@@ -366,7 +374,7 @@ fn every_outcome_class_is_produced() {
     }
     assert_eq!(resumed.skipped, 3);
     assert!(resumed.report_markdown().contains("**diverged** from golden cell 0"));
-    let journal = std::fs::read_to_string(&opts.journal).unwrap();
+    let journal = std::fs::read_to_string(dir.join("sweep.ndjson")).unwrap();
     assert!(journal.contains("\"event\":\"diverged\",\"cell\":1,"), "{journal}");
 }
 
@@ -387,7 +395,7 @@ fn deterministic_faults_are_not_retried() {
             other => panic!("expected a faulted cell, got {other:?}"),
         }
     }
-    let journal = std::fs::read_to_string(&opts.journal).unwrap();
+    let journal = std::fs::read_to_string(dir.join("sweep.ndjson")).unwrap();
     assert!(!journal.contains("\"event\":\"retrying\""), "{journal}");
 }
 
@@ -425,11 +433,11 @@ fn killed_planned_sweep_resumes_byte_identical() {
         .filter_map(|i| Some((i, std::fs::read(artifact(i)).ok()?)))
         .collect();
     assert!(bytes.len() > reference.cells.len() / 2);
-    let journal = std::fs::read_to_string(&opts.journal).unwrap();
+    let journal = std::fs::read_to_string(dir.join("sweep.ndjson")).unwrap();
     let lines: Vec<&str> = journal.split_inclusive('\n').collect();
     for cut in 1..lines.len() {
         let kept = lines[..cut].concat();
-        let terminal = parse_journal(&kept).unwrap().terminal;
+        let terminal = parse_journal(&kept, &dir).unwrap().terminal;
         for i in (0..reference.cells.len()).filter(|i| !terminal.contains_key(i)) {
             let _ = std::fs::remove_file(artifact(i));
         }
@@ -441,4 +449,26 @@ fn killed_planned_sweep_resumes_byte_identical() {
             assert_eq!(&std::fs::read(artifact(i)).unwrap(), want, "cell {i}, cut at line {cut}");
         }
     }
+}
+
+/// A sweep directory moved after the fact resumes where it now is: the
+/// journal names its files relative to it, so every finished cell is
+/// skipped and nothing is written back to the old location.
+#[test]
+fn a_moved_sweep_directory_resumes_in_place() {
+    let from = temp_dir("move-from");
+    let to = temp_dir("move-to");
+    std::fs::remove_dir(&to).unwrap();
+    let first = run_sweep(&arin_radix("chaos@2006"), &options(&from)).unwrap();
+    assert_eq!(first.state_set(), [(0, "done".into()), (1, "faulted:E-FAULT".into())]);
+    std::fs::rename(&from, &to).unwrap();
+
+    let resumed = resume_sweep(&to.join("sweep.ndjson"), Some(2)).unwrap();
+    assert_eq!(resumed.skipped, resumed.cells.len());
+    assert_eq!(resumed.out_dir, to);
+    assert_eq!(resumed.state_set(), first.state_set());
+    assert!(!from.exists(), "resume recreated {}", from.display());
+    let journal = std::fs::read_to_string(to.join("sweep.ndjson")).unwrap();
+    let old = from.to_str().unwrap();
+    assert!(journal.lines().all(|l| !l.contains(old)), "{journal}");
 }

@@ -43,8 +43,7 @@ fn full_matrix_restore_is_bit_identical_to_cold_runs() {
             let mut sim = CmpSimulator::new(kind, b, &cfg);
             assert!(sim.warm_up().expect("warm-up"), "{kind:?}/{b:?} must reach the boundary");
             let image = sim.save_snapshot(key);
-            let restored =
-                CmpSimulator::restore_snapshot(kind, b, &cfg, &image).expect("restore");
+            let restored = CmpSimulator::restore_snapshot(kind, b, &cfg, &image).expect("restore");
             let resumed = restored.resume().expect("resumed run");
             assert_eq!(
                 fingerprint(&cold),
@@ -67,7 +66,7 @@ fn store_driven_matrix_matches_cold_matrix() {
     let benchmarks = Benchmark::all();
     let cold = run_matrix(&protocols, &benchmarks, &cfg, RunOptions::default()).expect("cold");
     let store = SnapshotStore::in_memory();
-    let opts = RunOptions { threads: Some(2), store: Some(&store), progress: None };
+    let opts = RunOptions { threads: Some(2), store: Some(&store), ..RunOptions::default() };
     // First pass populates the store (every cell is a miss), second
     // pass restores every cell from it.
     let first = run_matrix(&protocols, &benchmarks, &cfg, opts).expect("populating pass");
@@ -103,10 +102,11 @@ fn sampling_runs_can_share_snapshots_with_plain_runs() {
     let cold = run_benchmark(ProtocolKind::DiCo, Benchmark::Lu, &sampled).expect("cold sampled");
     let store = SnapshotStore::in_memory();
     // Populate with the plain config, then run the sampled config hot.
-    run_benchmark_with_store(ProtocolKind::DiCo, Benchmark::Lu, &base, Some(&store))
+    run_benchmark_with_store(ProtocolKind::DiCo, Benchmark::Lu, &base, Some(&store), None)
         .expect("plain populate");
-    let hot = run_benchmark_with_store(ProtocolKind::DiCo, Benchmark::Lu, &sampled, Some(&store))
-        .expect("sampled restore");
+    let hot =
+        run_benchmark_with_store(ProtocolKind::DiCo, Benchmark::Lu, &sampled, Some(&store), None)
+            .expect("sampled restore");
     assert_eq!(fingerprint(&cold), fingerprint(&hot));
     let (c, h) = (cold.timeseries.expect("cold series"), hot.timeseries.expect("hot series"));
     assert_eq!(c.to_csv(), h.to_csv(), "restored run's time-series must match the cold run's");
@@ -119,8 +119,9 @@ fn observer_runs_stay_cold_and_identical() {
     // identical to plain cold runs.
     let cfg = SystemConfig::smoke().with_attribution();
     let store = SnapshotStore::in_memory();
-    let a = run_benchmark_with_store(ProtocolKind::DiCo, Benchmark::Radix, &cfg, Some(&store))
-        .expect("attributed run");
+    let a =
+        run_benchmark_with_store(ProtocolKind::DiCo, Benchmark::Radix, &cfg, Some(&store), None)
+            .expect("attributed run");
     assert_eq!(store.cached(), 0, "ineligible runs must not populate the store");
     let b = run_benchmark(ProtocolKind::DiCo, Benchmark::Radix, &cfg).expect("plain attributed");
     assert_eq!(fingerprint(&a), fingerprint(&b));
@@ -174,7 +175,6 @@ fn sweep_with_store_matches_plain_sweep() {
         let out_dir = root.join(tag);
         let opts = SweepOptions {
             threads: Some(2),
-            journal: out_dir.join("sweep.ndjson"),
             out_dir: out_dir.clone(),
             snapshot_dir: snapshot_dir.map(Path::to_path_buf),
             ..SweepOptions::default()
@@ -211,8 +211,8 @@ fn malformed_images_are_typed_errors_never_panics() {
     assert!(sim.warm_up().expect("warm-up"));
     let image = sim.save_snapshot(key);
 
-    let expect_snapshot_err = |bytes: &[u8], what: &str| {
-        match CmpSimulator::restore_snapshot(kind, b, &cfg, bytes) {
+    let expect_snapshot_err =
+        |bytes: &[u8], what: &str| match CmpSimulator::restore_snapshot(kind, b, &cfg, bytes) {
             Err(SimError::Snapshot(e)) => {
                 assert_eq!(
                     SimError::Snapshot(e.clone()).code(),
@@ -222,8 +222,7 @@ fn malformed_images_are_typed_errors_never_panics() {
             }
             Err(other) => panic!("{what}: expected SimError::Snapshot, got {other}"),
             Ok(_) => panic!("{what}: malformed image was accepted"),
-        }
-    };
+        };
 
     // Truncations at every interesting boundary.
     expect_snapshot_err(&[], "empty image");
@@ -324,6 +323,11 @@ fn warm_snapshot_bytes_are_pinned() {
         assert!(sim.warm_up().expect("warm-up"), "{kind:?} must reach the boundary");
         let image = sim.save_snapshot(snapshot_key(kind, b, &cfg));
         let got = fnv1a64(&image);
-        assert_eq!(got, want, "{kind:?}/apache warm image digest {got:#018x} (len {})", image.len());
+        assert_eq!(
+            got,
+            want,
+            "{kind:?}/apache warm image digest {got:#018x} (len {})",
+            image.len()
+        );
     }
 }

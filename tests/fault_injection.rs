@@ -39,11 +39,7 @@ fn sweep(
         plans: plans.into_iter().map(Some).collect(),
         ..SweepSpec::matrix(protocols, benchmarks, &SystemConfig::smoke())
     };
-    let opts = SweepOptions {
-        out_dir: dir.clone(),
-        journal: dir.join("sweep.ndjson"),
-        ..Default::default()
-    };
+    let opts = SweepOptions { out_dir: dir.clone(), ..Default::default() };
     run_sweep(&spec, &opts).expect("sweep runs")
 }
 

@@ -4,10 +4,9 @@
 //! re-run deterministically to the identical failing cycle.
 
 use cmpsim::{
-    run_benchmark, Benchmark, CmpSimulator, ProtocolKind, ReplayArtifact, SimError, SystemConfig,
-    StallReason,
+    run_benchmark, Benchmark, CmpSimulator, ProtocolKind, ReplayArtifact, SimError, StallReason,
+    SystemConfig,
 };
-use std::path::Path;
 
 /// A config whose event budget is far too small to finish: the watchdog
 /// must trip mid-flight, while messages are still queued.
@@ -24,10 +23,7 @@ fn starved_run_stalls_with_structured_dump() {
     };
     assert_eq!(report.reason, StallReason::EventBudget { budget: 100 });
     assert_eq!(report.events, 101, "watchdog must trip on the first event over budget");
-    assert!(
-        !report.in_flight.is_empty(),
-        "a chip aborted mid-flight must have queued messages"
-    );
+    assert!(!report.in_flight.is_empty(), "a chip aborted mid-flight must have queued messages");
     assert!(
         report.in_flight.windows(2).all(|w| w[0].due <= w[1].due),
         "in-flight dump must be ordered by due cycle"
@@ -94,7 +90,7 @@ fn replay_artifact_survives_an_explicit_save_load_cycle() {
         &cfg,
     );
     let dir = std::env::temp_dir().join("cmpsim-watchdog-test");
-    let path = art.save(Some(Path::new(&dir))).expect("save");
+    let path = art.save(&dir).expect("save");
     let loaded = ReplayArtifact::load(&path).expect("load");
     assert_eq!(loaded.failing_cycle, err.failing_cycle());
     assert_eq!(loaded.config.refs_per_core, cfg.refs_per_core);
@@ -125,8 +121,8 @@ fn healthy_runs_are_untouched_by_the_watchdog() {
     // Defaults: derived event budget and a one-million-cycle window.
     let cfg = SystemConfig::smoke();
     for kind in ProtocolKind::all() {
-        let r = run_benchmark(kind, Benchmark::Radix, &cfg)
-            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        let r =
+            run_benchmark(kind, Benchmark::Radix, &cfg).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert!(r.measured_refs > 0);
     }
 }
