@@ -187,7 +187,10 @@ impl CompareReport {
 /// = higher is better, `None` = no preferred direction.
 fn lower_is_better(metric: &str) -> Option<bool> {
     // Strip the artifact section (counters./gauges.) if present.
-    let name = metric.strip_prefix("counters.").or_else(|| metric.strip_prefix("gauges.")).unwrap_or(metric);
+    let name = metric
+        .strip_prefix("counters.")
+        .or_else(|| metric.strip_prefix("gauges."))
+        .unwrap_or(metric);
     if name == "sim.cycles"
         || name == "sim.avg_finish"
         || name == "sim.fault_overhead_cycles"
@@ -234,7 +237,13 @@ fn flatten(v: &Value, prefix: &str, top: bool, out: &mut Vec<(String, String, bo
     }
 }
 
-fn judge(metric: &str, a: &str, b: &str, float_class: bool, opts: &CompareOptions) -> (Verdict, Option<f64>) {
+fn judge(
+    metric: &str,
+    a: &str,
+    b: &str,
+    float_class: bool,
+    opts: &CompareOptions,
+) -> (Verdict, Option<f64>) {
     if a == b {
         return (Verdict::Identical, Some(0.0));
     }
@@ -292,8 +301,7 @@ pub fn compare_docs(
         report.compared += 1;
         match index_b.get(path.as_str()) {
             Some(&(tok_b, float_b)) => {
-                let (verdict, delta_pct) =
-                    judge(path, tok_a, tok_b, *float_a || float_b, opts);
+                let (verdict, delta_pct) = judge(path, tok_a, tok_b, *float_a || float_b, opts);
                 if verdict == Verdict::Identical {
                     // Byte-equal or within tolerance: counted, not listed.
                     report.identical += 1;

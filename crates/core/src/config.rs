@@ -200,8 +200,7 @@ impl SystemConfig {
     /// The effective event budget (explicit, or derived from the
     /// reference budget).
     pub fn event_budget(&self) -> u64 {
-        self.max_events
-            .unwrap_or(self.refs_per_core * self.tiles() as u64 * 600 + 5_000_000)
+        self.max_events.unwrap_or(self.refs_per_core * self.tiles() as u64 * 600 + 5_000_000)
     }
 
     /// Tiles in the configuration.

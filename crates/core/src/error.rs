@@ -27,12 +27,7 @@ pub struct FaultContext {
 
 impl fmt::Display for FaultContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fault plan {} ({} faults fired:",
-            self.plan.spec(),
-            self.fired.total()
-        )?;
+        write!(f, "fault plan {} ({} faults fired:", self.plan.spec(), self.fired.total())?;
         for kind in FaultKind::all() {
             write!(f, " {}={}", kind.label(), self.fired.count(kind))?;
         }
@@ -329,9 +324,7 @@ impl SimError {
             SimError::Stalled(r) => r.fault.as_ref(),
             SimError::Fault(r) => Some(&r.fault),
             SimError::Timeout(r) => r.fault.as_ref(),
-            SimError::InvariantViolation(_) | SimError::Protocol(_) | SimError::Snapshot(_) => {
-                None
-            }
+            SimError::InvariantViolation(_) | SimError::Protocol(_) | SimError::Snapshot(_) => None,
         }
     }
 

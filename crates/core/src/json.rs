@@ -272,10 +272,7 @@ impl Parser<'_> {
 
     fn peek(&mut self) -> Result<u8, String> {
         self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
+        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".to_string())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -397,11 +394,7 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or("unterminated escape")?;
+                    let esc = self.bytes.get(self.pos).copied().ok_or("unterminated escape")?;
                     self.pos += 1;
                     match esc {
                         b'"' => s.push('"'),

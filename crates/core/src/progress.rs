@@ -142,8 +142,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cmpsim-progress-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("progress.ndjson");
-        let sink =
-            ProgressSink::new("matrix", 2, Some(path.to_str().unwrap()), false).unwrap();
+        let sink = ProgressSink::new("matrix", 2, Some(path.to_str().unwrap()), false).unwrap();
         sink.cell_done("DiCo/apache4x16p", "ok", 1000, 2.5e6);
         sink.cell_done("Directory/apache4x16p", "ok", 900, 2.0e6);
         sink.finish();

@@ -27,12 +27,7 @@ pub mod studies;
 /// [`crate::run_matrix`] returns them. The `&str` names the report's
 /// variant of the configuration (empty for the paper's own), so a
 /// caller that writes per-cell artifacts can keep variants apart.
-pub type Runner<'a> = dyn FnMut(
-        &[ProtocolKind],
-        &[Benchmark],
-        SystemConfig,
-        &str,
-    ) -> Result<Vec<RunResult>, SimError>
+pub type Runner<'a> = dyn FnMut(&[ProtocolKind], &[Benchmark], SystemConfig, &str) -> Result<Vec<RunResult>, SimError>
     + 'a;
 
 /// Formats a table with a header row and aligned columns.
@@ -123,8 +118,17 @@ pub fn breakdown_latency_table(results: &[RunResult]) -> String {
 /// dynamic energy of the run.
 pub fn breakdown_energy_table(results: &[RunResult]) -> String {
     let header = [
-        "protocol", "l1_tag", "l1_data", "l2_tag", "l2_data", "aux", "routing", "links",
-        "tx total", "background", "total",
+        "protocol",
+        "l1_tag",
+        "l1_data",
+        "l2_tag",
+        "l2_data",
+        "aux",
+        "routing",
+        "links",
+        "tx total",
+        "background",
+        "total",
     ];
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -268,7 +272,14 @@ pub fn breakdown_csv(results: &[RunResult]) -> String {
     out.push('\n');
     for (r, b) in results.iter().filter_map(|r| r.breakdown.as_ref().map(|b| (r, b))) {
         let model = r.energy_model();
-        let _ = write!(out, "{},{},{},{}", r.protocol.name(), b.completed, b.reconciled, b.latency_cycles);
+        let _ = write!(
+            out,
+            "{},{},{},{}",
+            r.protocol.name(),
+            b.completed,
+            b.reconciled,
+            b.latency_cycles
+        );
         for &p in &Phase::all() {
             let _ = write!(out, ",{}", b.phase_cycles.get(p));
         }
@@ -428,11 +439,8 @@ pub fn markdown_report(results: &[RunResult]) -> String {
                 .iter()
                 .filter_map(|r| r.timeseries.as_ref().map(|ts| (r, ts)))
                 .map(|(r, ts)| {
-                    let max_util = ts
-                        .samples
-                        .iter()
-                        .map(|s| s.link_util_max)
-                        .fold(0.0f64, f64::max);
+                    let max_util =
+                        ts.samples.iter().map(|s| s.link_util_max).fold(0.0f64, f64::max);
                     vec![
                         r.protocol.name().to_string(),
                         ts.samples.len().to_string(),
@@ -484,10 +492,7 @@ mod tests {
     fn table_aligns() {
         let t = table(
             &["name", "value"],
-            &[
-                vec!["a".into(), "1".into()],
-                vec!["longer".into(), "22".into()],
-            ],
+            &[vec!["a".into(), "1".into()], vec!["longer".into(), "22".into()]],
         );
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);

@@ -133,8 +133,9 @@ impl Sweep {
 
     /// Figure 9a — performance normalized to the directory.
     pub fn figure9a(&self) -> String {
-        let mut out =
-            String::from("== Figure 9a: performance, normalized to directory (bigger is better) ==\n\n");
+        let mut out = String::from(
+            "== Figure 9a: performance, normalized to directory (bigger is better) ==\n\n",
+        );
         let mut rows = Vec::new();
         for (bi, b) in self.benchmarks.iter().enumerate() {
             let base = self.at(bi, 0).performance();
@@ -152,9 +153,8 @@ impl Sweep {
 
     /// Figure 9b — L1 miss classification (per protocol, per benchmark).
     pub fn figure9b(&self) -> String {
-        let mut out = String::from(
-            "== Figure 9b: L1 misses by resolution class (fractions) ==\n\n",
-        );
+        let mut out =
+            String::from("== Figure 9b: L1 misses by resolution class (fractions) ==\n\n");
         for (bi, b) in self.benchmarks.iter().enumerate() {
             out += &format!("{}\n", b.name());
             let mut rows = Vec::new();
@@ -236,9 +236,8 @@ impl Sweep {
 
     /// §V-D miss-latency statistics (avg | p95 cycles).
     pub fn latency_summary(&self) -> String {
-        let mut out = String::from(
-            "== Average (p95) L1-miss latency in cycles (paper §V-D) ==\n\n",
-        );
+        let mut out =
+            String::from("== Average (p95) L1-miss latency in cycles (paper §V-D) ==\n\n");
         let mut rows = Vec::new();
         for (bi, b) in self.benchmarks.iter().enumerate() {
             let mut row = vec![b.name().to_string()];

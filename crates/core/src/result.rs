@@ -261,10 +261,7 @@ impl RunResult {
             b.publish("attr", &mut reg);
             let model = self.energy_model();
             reg.set_gauge("attr.energy.tx_nj", self.counts_nj(&model, &b.tx_counts));
-            reg.set_gauge(
-                "attr.energy.untracked_nj",
-                self.counts_nj(&model, &b.untracked_counts),
-            );
+            reg.set_gauge("attr.energy.untracked_nj", self.counts_nj(&model, &b.untracked_counts));
         }
         reg
     }
@@ -370,10 +367,7 @@ impl RunResult {
 
     /// Figure 9b: fraction of completed misses in `class`.
     pub fn miss_class_frac(&self, class: MissClass) -> f64 {
-        let total: u64 = MissClass::all()
-            .iter()
-            .map(|c| self.proto_stats.class_count(*c))
-            .sum();
+        let total: u64 = MissClass::all().iter().map(|c| self.proto_stats.class_count(*c)).sum();
         self.proto_stats.class_count(class) as f64 / total.max(1) as f64
     }
 
@@ -487,8 +481,7 @@ mod tests {
     #[test]
     fn miss_class_fractions_sum_to_one() {
         let r = dummy();
-        let total: f64 =
-            MissClass::all().iter().map(|c| r.miss_class_frac(*c)).sum();
+        let total: f64 = MissClass::all().iter().map(|c| r.miss_class_frac(*c)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 

@@ -195,11 +195,10 @@ impl SnapshotStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(SnapshotError::at(&path, format!("read: {e}"))),
         };
-        let embedded =
-            validate_header(&bytes).map_err(|mut e| {
-                e.path = Some(path.clone());
-                e
-            })?;
+        let embedded = validate_header(&bytes).map_err(|mut e| {
+            e.path = Some(path.clone());
+            e
+        })?;
         if embedded != key {
             return Err(SnapshotError::at(
                 &path,

@@ -58,38 +58,37 @@ pub fn vmstat_json(results: &[RunResult]) -> String {
             let model = r.energy_model();
             let mut p = cell_entry(r);
             p.set("num_vms", Value::uint(b.num_vms as u64));
-            let vms = b
-                .vm
-                .iter()
-                .enumerate()
-                .map(|(i, vm)| {
-                    let mut v = Value::object();
-                    v.set("vm", Value::uint(i as u64));
-                    v.set(
-                        "finish_cycles",
-                        Value::float(r.vm_finish.get(i).copied().unwrap_or(0.0)),
-                    );
-                    v.set("completed", Value::uint(vm.completed));
-                    v.set("latency_cycles", Value::uint(vm.latency_cycles));
-                    v.set(
-                        "avg_miss_latency",
-                        Value::float(vm.latency_cycles as f64 / vm.completed.max(1) as f64),
-                    );
-                    v.set("mshr_wait_cycles", Value::uint(vm.mshr_wait_cycles));
-                    v.set("retry_wait_cycles", Value::uint(vm.retry_wait_cycles));
-                    v.set("intra_txs", Value::uint(vm.intra_txs));
-                    v.set("cross_txs", Value::uint(vm.cross_txs));
-                    v.set("stolen_cycles", Value::uint(vm.stolen_cycles));
-                    v.set("open_txs", Value::uint(vm.open_txs));
-                    v.set("attributed_nj", Value::float(r.counts_nj(&model, &vm.counts)));
-                    let mut ph = Value::object();
-                    for p in Phase::all() {
-                        ph.set(p.key(), Value::uint(vm.phase_cycles.get(p)));
-                    }
-                    v.set("phase_cycles", ph);
-                    v
-                })
-                .collect();
+            let vms =
+                b.vm.iter()
+                    .enumerate()
+                    .map(|(i, vm)| {
+                        let mut v = Value::object();
+                        v.set("vm", Value::uint(i as u64));
+                        v.set(
+                            "finish_cycles",
+                            Value::float(r.vm_finish.get(i).copied().unwrap_or(0.0)),
+                        );
+                        v.set("completed", Value::uint(vm.completed));
+                        v.set("latency_cycles", Value::uint(vm.latency_cycles));
+                        v.set(
+                            "avg_miss_latency",
+                            Value::float(vm.latency_cycles as f64 / vm.completed.max(1) as f64),
+                        );
+                        v.set("mshr_wait_cycles", Value::uint(vm.mshr_wait_cycles));
+                        v.set("retry_wait_cycles", Value::uint(vm.retry_wait_cycles));
+                        v.set("intra_txs", Value::uint(vm.intra_txs));
+                        v.set("cross_txs", Value::uint(vm.cross_txs));
+                        v.set("stolen_cycles", Value::uint(vm.stolen_cycles));
+                        v.set("open_txs", Value::uint(vm.open_txs));
+                        v.set("attributed_nj", Value::float(r.counts_nj(&model, &vm.counts)));
+                        let mut ph = Value::object();
+                        for p in Phase::all() {
+                            ph.set(p.key(), Value::uint(vm.phase_cycles.get(p)));
+                        }
+                        v.set("phase_cycles", ph);
+                        v
+                    })
+                    .collect();
             p.set("vms", Value::Arr(vms));
             let matrix = (0..b.num_vms)
                 .flat_map(|a| (0..b.num_vms).map(move |v| (a, v)))
@@ -121,10 +120,7 @@ pub fn heatmap_json(results: &[RunResult]) -> String {
             g.set("tile_refs", uints(&s.tile_refs));
             g.set("tile_flits", uints(&per_tile_links(&s.link_flits)));
             g.set("tile_stall", uints(&per_tile_links(&s.link_contention)));
-            g.set(
-                "tile_vm",
-                Value::Arr(s.vm_of.iter().map(|&v| Value::uint(v as u64)).collect()),
-            );
+            g.set("tile_vm", Value::Arr(s.vm_of.iter().map(|&v| Value::uint(v as u64)).collect()));
             g.set("link_flits", uints(&s.link_flits));
             g.set("link_stall", uints(&s.link_contention));
             g
@@ -222,23 +218,22 @@ pub fn vmstat_tables(results: &[RunResult]) -> String {
     for (r, b) in results.iter().filter_map(|r| r.breakdown.as_ref().map(|b| (r, b))) {
         let model = r.energy_model();
         let _ = writeln!(out, "== {} / {} ==\n", r.protocol.name(), r.benchmark.name());
-        let rows: Vec<Vec<String>> = b
-            .vm
-            .iter()
-            .enumerate()
-            .map(|(i, vm)| {
-                vec![
-                    format!("vm{i}"),
-                    format!("{:.0}", r.vm_finish.get(i).copied().unwrap_or(0.0)),
-                    vm.completed.to_string(),
-                    format!("{:.1}", vm.latency_cycles as f64 / vm.completed.max(1) as f64),
-                    vm.intra_txs.to_string(),
-                    vm.cross_txs.to_string(),
-                    vm.stolen_cycles.to_string(),
-                    format!("{:.1}", r.counts_nj(&model, &vm.counts) / 1000.0),
-                ]
-            })
-            .collect();
+        let rows: Vec<Vec<String>> =
+            b.vm.iter()
+                .enumerate()
+                .map(|(i, vm)| {
+                    vec![
+                        format!("vm{i}"),
+                        format!("{:.0}", r.vm_finish.get(i).copied().unwrap_or(0.0)),
+                        vm.completed.to_string(),
+                        format!("{:.1}", vm.latency_cycles as f64 / vm.completed.max(1) as f64),
+                        vm.intra_txs.to_string(),
+                        vm.cross_txs.to_string(),
+                        vm.stolen_cycles.to_string(),
+                        format!("{:.1}", r.counts_nj(&model, &vm.counts) / 1000.0),
+                    ]
+                })
+                .collect();
         out.push_str(&table(
             &["vm", "finish", "misses", "avg lat", "intra", "cross", "stolen cyc", "energy uJ"],
             &rows,
@@ -260,8 +255,10 @@ pub fn vmstat_tables(results: &[RunResult]) -> String {
         }
     }
     if out.is_empty() {
-        out.push_str("No attribution data. Rerun with attribution enabled (report does this \
-                      by default).\n");
+        out.push_str(
+            "No attribution data. Rerun with attribution enabled (report does this \
+                      by default).\n",
+        );
     }
     out
 }
@@ -275,8 +272,7 @@ pub fn tenant_section(rs: &[&RunResult]) -> String {
         .filter_map(|r| r.breakdown.as_ref().map(|b| (r, b)))
         .flat_map(|(r, b)| {
             let model = r.energy_model();
-            b.vm
-                .iter()
+            b.vm.iter()
                 .enumerate()
                 .map(|(i, vm)| {
                     vec![
@@ -375,8 +371,7 @@ mod tests {
         assert_eq!(matrix.len(), n * n);
         // Per-VM completed counts tile the chip total.
         let b = r.breakdown.as_ref().unwrap();
-        let sum: u64 =
-            vms.iter().map(|v| v.field("completed").unwrap().as_u64().unwrap()).sum();
+        let sum: u64 = vms.iter().map(|v| v.field("completed").unwrap().as_u64().unwrap()).sum();
         assert_eq!(sum, b.completed);
     }
 
@@ -410,7 +405,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("  ")); // zero cell is blank
         assert!(lines[1].ends_with("@@")); // max cell is darkest
-        // A nonzero cell never renders blank.
+                                           // A nonzero cell never renders blank.
         assert!(!lines[0].ends_with(' '));
         // Zero-max grids render all blank.
         assert_eq!(ascii_heatmap(1, 2, &[0, 0]), "    \n");

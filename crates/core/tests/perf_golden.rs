@@ -55,11 +55,7 @@ fn full_matrix_matches_pre_overhaul_golden_values() {
             r.noc_stats.messages.get(),
             r.noc_stats.flit_link_traversals.get(),
         );
-        assert_eq!(
-            got,
-            (cycles, refs, messages, flit_links),
-            "golden mismatch for {p:?}/{b:?}"
-        );
+        assert_eq!(got, (cycles, refs, messages, flit_links), "golden mismatch for {p:?}/{b:?}");
     }
 }
 
@@ -73,8 +69,5 @@ fn back_to_back_runs_are_bit_identical() {
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.measured_refs, b.measured_refs);
     assert_eq!(a.noc_stats.messages.get(), b.noc_stats.messages.get());
-    assert_eq!(
-        a.noc_stats.flit_link_traversals.get(),
-        b.noc_stats.flit_link_traversals.get()
-    );
+    assert_eq!(a.noc_stats.flit_link_traversals.get(), b.noc_stats.flit_link_traversals.get());
 }

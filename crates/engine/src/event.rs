@@ -471,9 +471,9 @@ mod tests {
             let action = rng.next_u64() % 100;
             if pending == 0 || action < 55 {
                 let delta = match rng.next_u64() % 10 {
-                    0 => rng.next_u64() % 100_000, // far-future (overflow tier)
+                    0 => rng.next_u64() % 100_000,  // far-future (overflow tier)
                     1..=3 => rng.next_u64() % 2000, // just past the window
-                    _ => rng.next_u64() % 200,     // Table III band
+                    _ => rng.next_u64() % 200,      // Table III band
                 };
                 // Both queues share one clock by construction: their pop
                 // streams are asserted identical below.

@@ -70,7 +70,10 @@ impl HostProfile {
             self.cycles_per_sec() / 1e6,
         );
         if self.peak_rss_bytes > 0 {
-            line.push_str(&format!(", peak RSS {:.1} MiB", self.peak_rss_bytes as f64 / (1024.0 * 1024.0)));
+            line.push_str(&format!(
+                ", peak RSS {:.1} MiB",
+                self.peak_rss_bytes as f64 / (1024.0 * 1024.0)
+            ));
         }
         line
     }
@@ -135,9 +138,9 @@ pub fn peak_rss_bytes() -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
-                l.split_whitespace().nth(1).and_then(|kb| kb.parse::<u64>().ok())
-            })
+            s.lines()
+                .find(|l| l.starts_with("VmHWM:"))
+                .and_then(|l| l.split_whitespace().nth(1).and_then(|kb| kb.parse::<u64>().ok()))
         })
         .map_or(0, |kb| kb * 1024)
 }

@@ -30,12 +30,8 @@ impl SimRng {
     /// independent, well-mixed stream (seeded through splitmix64).
     pub fn new(seed: u64) -> Self {
         let mut sm = seed;
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        let s =
+            [splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm)];
         Self { s }
     }
 
@@ -43,12 +39,8 @@ impl SimRng {
     /// streams do not alias even when consumed at different rates.
     pub fn fork(&mut self, salt: u64) -> SimRng {
         let mut sm = self.next_u64() ^ salt.wrapping_mul(0xA24B_AED4_963E_E407);
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        let s =
+            [splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm)];
         SimRng { s }
     }
 
@@ -56,10 +48,7 @@ impl SimRng {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
-        let result = s[0]
-            .wrapping_add(s[3])
-            .rotate_left(23)
-            .wrapping_add(s[0]);
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];

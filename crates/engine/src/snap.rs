@@ -218,7 +218,11 @@ impl<'a> SnapReader<'a> {
 
     /// Reads a `u64` element count and sanity-checks it against the
     /// remaining input (each element needs at least `min_elem_bytes`).
-    pub fn len_prefix(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, SnapError> {
+    pub fn len_prefix(
+        &mut self,
+        what: &'static str,
+        min_elem_bytes: usize,
+    ) -> Result<usize, SnapError> {
         let n = self.u64()?;
         let need = n.saturating_mul(min_elem_bytes.max(1) as u64);
         if need > self.remaining() as u64 {

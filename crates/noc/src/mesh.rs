@@ -437,7 +437,7 @@ mod tests {
         assert!(m.passes_through(0, 63, 63));
         assert!(!m.passes_through(0, 63, 8)); // column 0 below the row
         assert!(!m.passes_through(0, 63, 56)); // opposite corner
-        // Local delivery only involves its own router.
+                                               // Local delivery only involves its own router.
         assert!(m.passes_through(5, 5, 5));
         assert!(!m.passes_through(5, 5, 6));
     }

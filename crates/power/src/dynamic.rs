@@ -117,15 +117,9 @@ impl EnergyModel {
         // Tag accesses read the tag entry plus any embedded coherence
         // info of the same array level.
         let l1_tag_bits = find(&v, "L1 tags").map(|s| s.bits()).unwrap_or(0)
-            + v.iter()
-                .filter(|s| s.name == "L1 dir. inf.")
-                .map(|s| s.bits())
-                .sum::<u64>();
+            + v.iter().filter(|s| s.name == "L1 dir. inf.").map(|s| s.bits()).sum::<u64>();
         let l2_tag_bits = find(&v, "L2 tags").map(|s| s.bits()).unwrap_or(0)
-            + v.iter()
-                .filter(|s| s.name == "L2 dir. inf.")
-                .map(|s| s.bits())
-                .sum::<u64>();
+            + v.iter().filter(|s| s.name == "L2 dir. inf.").map(|s| s.bits()).sum::<u64>();
         let e_l1_data = e(find(&v, "L1 data").unwrap().bits() as f64);
         Self {
             e_l1_tag: e(l1_tag_bits as f64),
@@ -174,9 +168,7 @@ impl EnergyModel {
             l1_data: self.e_l1_data * c.l1_data as f64,
             l2_tag: self.e_l2_tag * c.l2_tag as f64,
             l2_data: self.e_l2_data * c.l2_data as f64,
-            aux: self.e_dir * c.dir as f64
-                + self.e_l1c * c.l1c as f64
-                + self.e_l2c * c.l2c as f64,
+            aux: self.e_dir * c.dir as f64 + self.e_l1c * c.l1c as f64 + self.e_l2c * c.l2c as f64,
         }
     }
 

@@ -99,10 +99,30 @@ const L2C_TAG: u64 = 17;
 /// The data + tag structures common to every protocol.
 fn base_structures(g: &ChipGeometry) -> Vec<Structure> {
     vec![
-        Structure { name: "L1 data", entry_bits: BLOCK_BITS, entries: g.l1_entries, class: StructureClass::Data },
-        Structure { name: "L1 tags", entry_bits: L1_TAG, entries: g.l1_entries, class: StructureClass::Tag },
-        Structure { name: "L2 data", entry_bits: BLOCK_BITS, entries: g.l2_entries, class: StructureClass::Data },
-        Structure { name: "L2 tags", entry_bits: L2_TAG, entries: g.l2_entries, class: StructureClass::Tag },
+        Structure {
+            name: "L1 data",
+            entry_bits: BLOCK_BITS,
+            entries: g.l1_entries,
+            class: StructureClass::Data,
+        },
+        Structure {
+            name: "L1 tags",
+            entry_bits: L1_TAG,
+            entries: g.l1_entries,
+            class: StructureClass::Tag,
+        },
+        Structure {
+            name: "L2 data",
+            entry_bits: BLOCK_BITS,
+            entries: g.l2_entries,
+            class: StructureClass::Data,
+        },
+        Structure {
+            name: "L2 tags",
+            entry_bits: L2_TAG,
+            entries: g.l2_entries,
+            class: StructureClass::Tag,
+        },
     ]
 }
 

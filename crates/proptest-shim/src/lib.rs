@@ -116,10 +116,10 @@ pub mod strategy {
             }
         };
     }
-    tuple_strategy!(A/a);
-    tuple_strategy!(A/a, B/b);
-    tuple_strategy!(A/a, B/b, C/c);
-    tuple_strategy!(A/a, B/b, C/c, D/d);
+    tuple_strategy!(A / a);
+    tuple_strategy!(A / a, B / b);
+    tuple_strategy!(A / a, B / b, C / c);
+    tuple_strategy!(A / a, B / b, C / c, D / d);
 }
 
 /// Collection strategies (`prop::collection::vec`).

@@ -155,7 +155,12 @@ impl AreaPolicy for ArinPolicy {
         );
         ctx.send(
             Msg {
-                kind: MsgKind::SbaTransition { dirty, version, former: tile, reader: req.requestor },
+                kind: MsgKind::SbaTransition {
+                    dirty,
+                    version,
+                    former: tile,
+                    reader: req.requestor,
+                },
                 block,
                 src: Node::L1(tile),
                 dst: Node::L2(home),
@@ -211,7 +216,9 @@ impl AreaPolicy for ArinPolicy {
     fn serve_home_owned(c: &mut Arin, ctx: &mut Ctx, home: Tile, msg: Msg, req: ReqInfo) {
         match c.l2[home].peek(msg.block).expect("home-owned entry").code.clone() {
             L2Role::Sba { propos } => serve_sba(c, ctx, home, msg, req, propos),
-            L2Role::Owner { sharers, area } => serve_as_l2_owner(c, ctx, home, msg, req, sharers, area),
+            L2Role::Owner { sharers, area } => {
+                serve_as_l2_owner(c, ctx, home, msg, req, sharers, area)
+            }
         }
     }
 
@@ -267,8 +274,10 @@ impl AreaPolicy for ArinPolicy {
         match *role {
             L2Role::Sba { .. } => None,
             L2Role::Owner { sharers, area } => Some(
-                area.map(|a| area_tiles(&c.spec, a, sharers).into_iter().fold(0, |b, t| b | bit(t)))
-                    .unwrap_or(0),
+                area.map(|a| {
+                    area_tiles(&c.spec, a, sharers).into_iter().fold(0, |b, t| b | bit(t))
+                })
+                .unwrap_or(0),
             ),
         }
     }
@@ -279,7 +288,8 @@ impl AreaPolicy for ArinPolicy {
             (Node::L1(_), MsgKind::BcastAck) => c.l1_ack(ctx, &msg, -1, 0, "invalidation ack")?,
             (Node::L1(tile), MsgKind::InvSilent) => {
                 c.stats.l1_tag.inc();
-                if !matches!(c.l1[tile].peek(block).map(|l| &l.state), Some(L1State::Owner { .. })) {
+                if !matches!(c.l1[tile].peek(block).map(|l| &l.state), Some(L1State::Owner { .. }))
+                {
                     c.l1[tile].remove(block);
                     if let Some(e) = c.mshr[tile].get_mut(block) {
                         if !e.write {
@@ -288,7 +298,9 @@ impl AreaPolicy for ArinPolicy {
                     }
                 }
             }
-            (Node::L1(tile), MsgKind::BcastInv { reply_to }) => bcast_inv(c, ctx, tile, block, reply_to),
+            (Node::L1(tile), MsgKind::BcastInv { reply_to }) => {
+                bcast_inv(c, ctx, tile, block, reply_to)
+            }
             (Node::L1(tile), MsgKind::BcastUnblock) => {
                 // Step 3: unblock and replay anything that queued
                 // meanwhile. The replay must not wait for a local MSHR:
@@ -499,7 +511,8 @@ fn serve_as_l2_owner(
         return;
     }
     // Write: invalidate the (single-area) sharers, grant ownership.
-    let others = if area == Some(req_area) { sharers & !c.sharer_bit(req.requestor) } else { sharers };
+    let others =
+        if area == Some(req_area) { sharers & !c.sharer_bit(req.requestor) } else { sharers };
     let targets: Vec<Tile> = match area {
         Some(a) => area_tiles(&c.spec, a, others),
         None => Vec::new(),
@@ -552,10 +565,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "too many tiles for a one-byte ProPo")]
     fn refuses_chips_too_big_for_one_byte_propos() {
-        Arin::new(ChipSpec {
-            areas: cmpsim_virt::AreaMap::new(16, 16, 16),
-            ..ChipSpec::small()
-        });
+        Arin::new(ChipSpec { areas: cmpsim_virt::AreaMap::new(16, 16, 16), ..ChipSpec::small() });
     }
 
     #[test]

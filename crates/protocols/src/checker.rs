@@ -112,12 +112,8 @@ pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
     let mut errors = Vec::new();
 
     for block in snap.all_blocks() {
-        let copies: Vec<(Tile, &CopyView)> = snap
-            .l1
-            .iter()
-            .enumerate()
-            .filter_map(|(t, m)| m.get(&block).map(|c| (t, c)))
-            .collect();
+        let copies: Vec<(Tile, &CopyView)> =
+            snap.l1.iter().enumerate().filter_map(|(t, m)| m.get(&block).map(|c| (t, c))).collect();
         let authority = snap.authority.get(&block).copied().unwrap_or(0);
         let l2 = snap.l2.get(&block).copied().unwrap_or_default();
 
@@ -152,9 +148,8 @@ pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
                 ));
             }
         }
-        let dirty_owner = copies
-            .iter()
-            .any(|(_, c)| matches!(c.state, CopyState::Owner { dirty: true, .. }));
+        let dirty_owner =
+            copies.iter().any(|(_, c)| matches!(c.state, CopyState::Owner { dirty: true, .. }));
         if l2.has_data && !dirty_owner && l2.version != authority {
             errors.push(format!(
                 "block {block:#x}: L2 holds version {} but authority is {authority}",
@@ -176,8 +171,8 @@ pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
 
         // 5. Durability: someone must hold the latest version.
         let mem_version = snap.memory.get(&block).copied().unwrap_or(0);
-        let cached_current =
-            copies.iter().any(|(_, c)| c.version == authority) || (l2.has_data && l2.version == authority);
+        let cached_current = copies.iter().any(|(_, c)| c.version == authority)
+            || (l2.has_data && l2.version == authority);
         if !cached_current && mem_version != authority {
             errors.push(format!(
                 "block {block:#x}: latest version {authority} lost (memory has {mem_version})"
@@ -516,7 +511,10 @@ mod tests {
         fn quiescent_owner_pointer_must_be_accurate() {
             let chk = StepChecker::new();
             let mut s = snap2();
-            s.l2.insert(1, L2View { has_data: false, version: 0, dirty: false, owner_in_l1: Some(1) });
+            s.l2.insert(
+                1,
+                L2View { has_data: false, version: 0, dirty: false, owner_in_l1: Some(1) },
+            );
             let errs = chk.check_step(&req_msg(0), &s, true).unwrap_err();
             assert!(errs.iter().any(|e| e.contains("points at owner tile 1")));
             s.l1[1].insert(

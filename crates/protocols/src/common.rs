@@ -988,9 +988,7 @@ pub struct Occupancy {
 /// Sums resident lines and total capacity over per-tile cache arrays
 /// (helper for [`CoherenceProtocol::occupancy`] implementations).
 pub fn occupancy_of<T>(arrays: &[cmpsim_cache::SetAssoc<T>]) -> (u64, u64) {
-    arrays
-        .iter()
-        .fold((0, 0), |(l, c), a| (l + a.len() as u64, c + a.capacity() as u64))
+    arrays.iter().fold((0, 0), |(l, c), a| (l + a.len() as u64, c + a.capacity() as u64))
 }
 
 impl Occupancy {
@@ -1048,7 +1046,12 @@ impl ProtoError {
     /// The standard "this controller has no transition for this message"
     /// fault.
     pub fn unexpected(protocol: ProtocolKind, msg: &Msg) -> Self {
-        Self::new(protocol, msg.dst, msg.block, format!("unexpected message {:?} from {:?}", msg.kind, msg.src))
+        Self::new(
+            protocol,
+            msg.dst,
+            msg.block,
+            format!("unexpected message {:?} from {:?}", msg.kind, msg.src),
+        )
     }
 }
 

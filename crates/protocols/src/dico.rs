@@ -75,7 +75,10 @@ impl AreaPolicy for DiCoPolicy {
                 c.stats.invalidations.inc();
                 ctx.send(
                     Msg {
-                        kind: MsgKind::Inv { reply_to: Node::L1(req.requestor), version: e.version },
+                        kind: MsgKind::Inv {
+                            reply_to: Node::L1(req.requestor),
+                            version: e.version,
+                        },
                         block,
                         src: Node::L2(home),
                         dst: Node::L1(t),
@@ -250,8 +253,7 @@ mod tests {
         h.push_access(0, 256, false);
         h.run_checked(8000);
         let snap = h.proto.snapshot();
-        let t1_owner =
-            matches!(snap.l1[1].get(&0).map(|c| c.state), Some(CopyState::Owner { .. }));
+        let t1_owner = matches!(snap.l1[1].get(&0).map(|c| c.state), Some(CopyState::Owner { .. }));
         let home_owner = snap.l2.get(&0).map(|v| v.has_data).unwrap_or(false);
         assert!(t1_owner || home_owner, "ownership lost on eviction");
     }

@@ -854,7 +854,8 @@ impl<P: AreaPolicy> DiCoCore<P> {
                 let hint = e.fill_from.map(|n| n.tile()).filter(|&t| t != tile);
                 L1State::Sharer { hint }
             };
-            let line = L1Line { state, sharers: 0, propos: P::Propos::default(), version: fill.version };
+            let line =
+                L1Line { state, sharers: 0, propos: P::Propos::default(), version: fill.version };
             self.install_l1(ctx, tile, block, line);
             self.stats.l1_data_write.inc();
         }
@@ -990,10 +991,8 @@ impl<P: AreaPolicy> DiCoCore<P> {
         // owner pointer: send it home as a bounce (the home holds it
         // until the in-flight ownership update lands).
         if req.requestor == tile {
-            let is_owner = matches!(
-                self.l1[tile].peek(block).map(|l| &l.state),
-                Some(L1State::Owner { .. })
-            );
+            let is_owner =
+                matches!(self.l1[tile].peek(block).map(|l| &l.state), Some(L1State::Owner { .. }));
             if self.mshr[tile].contains(block) {
                 if is_owner {
                     self.self_serve(ctx, tile, block);
@@ -1141,7 +1140,13 @@ impl<P: AreaPolicy> DiCoCore<P> {
         );
         // Invalidations from the old owner (it knows the sharers).
         self.send_sharer_invs(ctx, tile, block, invs, Node::L1(req.requestor), line.version);
-        self.send_provider_invs(ctx, Node::L1(tile), block, &propos.to_msg(), Node::L1(req.requestor));
+        self.send_provider_invs(
+            ctx,
+            Node::L1(tile),
+            block,
+            &propos.to_msg(),
+            Node::L1(req.requestor),
+        );
         // Register the new owner with the home.
         ctx.send(
             Msg {
@@ -1214,8 +1219,12 @@ impl<P: AreaPolicy> DiCoCore<P> {
         // the MSHR when it returns (self-serve). Transfers never touch
         // MSHRs, so a request can never be satisfied twice.
         if !self.l1[tile].contains(block) && self.mshr[tile].contains(block) {
-            let line =
-                L1Line { state: L1State::Owner { exclusive, dirty }, sharers: mine, propos, version };
+            let line = L1Line {
+                state: L1State::Owner { exclusive, dirty },
+                sharers: mine,
+                propos,
+                version,
+            };
             self.install_l1(ctx, tile, block, line);
             if P::HINT_ON_TRANSFER_TO_MISS {
                 self.send_hints(ctx, tile, block, mine);
@@ -1307,7 +1316,8 @@ impl<P: AreaPolicy> DiCoCore<P> {
         self.stats.l1_tag.inc();
         let lat = self.spec.lat;
         let home = self.home(block);
-        let recall = Msg { kind: MsgKind::OwnershipRecall, block, src: Node::L2(home), dst: Node::L1(tile) };
+        let recall =
+            Msg { kind: MsgKind::OwnershipRecall, block, src: Node::L2(home), dst: Node::L1(tile) };
         let is_owner =
             matches!(self.l1[tile].peek(block).map(|l| &l.state), Some(L1State::Owner { .. }));
         if !is_owner {
@@ -1321,7 +1331,12 @@ impl<P: AreaPolicy> DiCoCore<P> {
                 }
             }
             ctx.send(
-                Msg { kind: MsgKind::RecallFailed, block, src: Node::L1(tile), dst: Node::L2(home) },
+                Msg {
+                    kind: MsgKind::RecallFailed,
+                    block,
+                    src: Node::L1(tile),
+                    dst: Node::L2(home),
+                },
                 lat.l1_tag,
             );
             return;
@@ -1424,8 +1439,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
             return;
         }
         let hq = &self.home_queues[home];
-        let (victims, _overflow) =
-            self.l2c[home].insert_filtered(block, owner, |b| !hq.is_busy(b));
+        let (victims, _overflow) = self.l2c[home].insert_filtered(block, owner, |b| !hq.is_busy(b));
         for (vb, vo) in victims {
             // Recall the victim's ownership into the home (paper §IV-A1).
             self.home_queues[home].set_busy(vb);
@@ -1445,8 +1459,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
     fn l2_insert(&mut self, ctx: &mut Ctx, home: Tile, block: Block, entry: L2Entry<P::Home>) {
         self.stats.l2_data_write.inc();
         let hq = &self.home_queues[home];
-        let (victims, _overflow) =
-            self.l2[home].insert_filtered(block, entry, |b| !hq.is_busy(b));
+        let (victims, _overflow) = self.l2[home].insert_filtered(block, entry, |b| !hq.is_busy(b));
         for (vb, ve) in victims {
             self.stats.l2_evictions.inc();
             P::evict_home_owned(self, ctx, home, vb, ve);
@@ -1475,7 +1488,8 @@ impl<P: AreaPolicy> DiCoCore<P> {
         version: u64,
     ) {
         self.home_queues[home].set_busy(block);
-        self.tx[home].insert(block, HomeTx::Evict { acks_left, provider_acks_left, dirty, version });
+        self.tx[home]
+            .insert(block, HomeTx::Evict { acks_left, provider_acks_left, dirty, version });
     }
 
     /// An acknowledgement of a home eviction's invalidations.
@@ -1580,7 +1594,8 @@ impl<P: AreaPolicy> DiCoCore<P> {
 
     fn home_handle_memdata(&mut self, ctx: &mut Ctx, msg: &Msg) -> Result<(), ProtoError> {
         let (home, block) = (msg.dst.tile(), msg.block);
-        let Some(HomeTx::MemFetch { req: Msg { kind: MsgKind::Req(req), .. } }) = self.tx[home].remove(&block)
+        let Some(HomeTx::MemFetch { req: Msg { kind: MsgKind::Req(req), .. } }) =
+            self.tx[home].remove(&block)
         else {
             return Err(ProtoError::unexpected(P::KIND, msg));
         };
@@ -1631,8 +1646,12 @@ impl<P: AreaPolicy> DiCoCore<P> {
     ) {
         self.stats.l2c_access.inc();
         let lat = self.spec.lat;
-        let ack =
-            Msg { kind: MsgKind::ChangeOwnerAck, block, src: Node::L2(home), dst: Node::L1(new_owner) };
+        let ack = Msg {
+            kind: MsgKind::ChangeOwnerAck,
+            block,
+            src: Node::L2(home),
+            dst: Node::L1(new_owner),
+        };
         if let Some(HomeTx::Recall) = self.tx[home].get(&block) {
             // The ownership moved while we were recalling it: ack the new
             // owner and chase it with another recall.
@@ -1779,7 +1798,10 @@ impl<P: AreaPolicy> CoherenceProtocol for DiCoCore<P> {
             (Node::L1(tile), MsgKind::Inv { reply_to, version }) => {
                 self.l1_handle_inv(ctx, tile, block, reply_to, version);
             }
-            (Node::L1(tile), MsgKind::OwnershipTransfer { sharers, propos, dirty, version, .. }) => {
+            (
+                Node::L1(tile),
+                MsgKind::OwnershipTransfer { sharers, propos, dirty, version, .. },
+            ) => {
                 self.l1_handle_transfer(ctx, tile, block, sharers, propos, dirty, version);
             }
             (Node::L1(tile), MsgKind::OwnershipRecall) => self.l1_handle_recall(ctx, tile, block),
@@ -1904,7 +1926,8 @@ impl<P: AreaPolicy> CoherenceProtocol for DiCoCore<P> {
                 );
             }
             if !self.l1_queues[t].idle() {
-                out += &format!("tile {t} l1_queue busy: {} blocks\n", self.l1_queues[t].busy_count());
+                out +=
+                    &format!("tile {t} l1_queue busy: {} blocks\n", self.l1_queues[t].busy_count());
             }
             let mut co: Vec<Block> = self.co_pending[t].iter().copied().collect();
             co.sort_unstable();
@@ -1918,14 +1941,14 @@ impl<P: AreaPolicy> CoherenceProtocol for DiCoCore<P> {
                     self.l1_queues[t].is_busy(b)
                 );
             }
-            let mut txs: Vec<(Block, &HomeTx)> =
-                self.tx[t].iter().map(|(b, x)| (*b, x)).collect();
+            let mut txs: Vec<(Block, &HomeTx)> = self.tx[t].iter().map(|(b, x)| (*b, x)).collect();
             txs.sort_unstable_by_key(|&(b, _)| b);
             for (b, tx) in txs {
                 out += &format!("home {t} tx block {b:#x}: {tx:?}\n");
             }
             if !self.home_queues[t].idle() {
-                out += &format!("home {t} queue busy: {} blocks\n", self.home_queues[t].busy_count());
+                out +=
+                    &format!("home {t} queue busy: {} blocks\n", self.home_queues[t].busy_count());
             }
             let mut holds: Vec<(Block, usize)> = self.bounce_hold[t]
                 .iter()
@@ -1956,7 +1979,12 @@ impl<P: AreaPolicy> CoherenceProtocol for DiCoCore<P> {
             for (block, e) in bank.iter() {
                 snap.l2.insert(
                     block,
-                    L2View { has_data: true, version: e.version, dirty: e.dirty, owner_in_l1: None },
+                    L2View {
+                        has_data: true,
+                        version: e.version,
+                        dirty: e.dirty,
+                        owner_in_l1: None,
+                    },
                 );
             }
             for (block, &o) in self.l2c[home].iter() {

@@ -151,9 +151,7 @@ impl cmpsim_engine::Snap for HomeTx {
                 bounced: Snap::load(r)?,
             },
             3 => HomeTx::Evict { acks_left: Snap::load(r)?, wb_pending: Snap::load(r)? },
-            tag => {
-                return Err(cmpsim_engine::SnapError::BadTag { what: "directory::HomeTx", tag })
-            }
+            tag => return Err(cmpsim_engine::SnapError::BadTag { what: "directory::HomeTx", tag }),
         })
     }
 }
@@ -186,10 +184,7 @@ impl Directory {
     /// entries) across all banks.
     #[doc(hidden)]
     pub fn occupancy(&self) -> (usize, usize) {
-        (
-            self.l2.iter().map(|b| b.len()).sum(),
-            self.dircache.iter().map(|b| b.len()).sum(),
-        )
+        (self.l2.iter().map(|b| b.len()).sum(), self.dircache.iter().map(|b| b.len()).sum())
     }
 
     // ---------------------------------------------------------- L1 side
@@ -266,8 +261,7 @@ impl Directory {
             *existing = line;
             return;
         }
-        let (victims, _overflow) =
-            self.l1[tile].insert_filtered(block, line, |_| true);
+        let (victims, _overflow) = self.l1[tile].insert_filtered(block, line, |_| true);
         for (vb, vline) in victims {
             self.evict_l1_line(ctx, tile, vb, vline);
         }
@@ -302,8 +296,10 @@ impl Directory {
     fn l1_handle_forwarded(&mut self, ctx: &mut Ctx, tile: Tile, msg: Msg, req: ReqInfo) {
         self.stats.l1_tag.inc();
         let lat = self.spec.lat;
-        let can_serve =
-            matches!(self.l1[tile].peek(msg.block).map(|l| l.state), Some(L1State::Exclusive) | Some(L1State::Modified));
+        let can_serve = matches!(
+            self.l1[tile].peek(msg.block).map(|l| l.state),
+            Some(L1State::Exclusive) | Some(L1State::Modified)
+        );
         if !can_serve {
             // Bounce: we are no longer the owner (eviction in flight).
             ctx.send(
@@ -407,7 +403,12 @@ impl Directory {
         self.dircache[home].peek(block).map(|d| (d.sharers, d.owner))
     }
 
-    fn dir_update(&mut self, home: Tile, block: Block, f: impl FnOnce(&mut u64, &mut Option<Tile>)) {
+    fn dir_update(
+        &mut self,
+        home: Tile,
+        block: Block,
+        f: impl FnOnce(&mut u64, &mut Option<Tile>),
+    ) {
         self.stats.dir_access.inc();
         if let Some(e) = self.l2[home].peek_mut(block) {
             f(&mut e.sharers, &mut e.owner);
@@ -451,10 +452,8 @@ impl Directory {
             return;
         }
         self.queues[home].set_busy(block);
-        self.tx[home].insert(
-            block,
-            HomeTx::Evict { acks_left: n, wb_pending: dirent.owner.is_some() },
-        );
+        self.tx[home]
+            .insert(block, HomeTx::Evict { acks_left: n, wb_pending: dirent.owner.is_some() });
         self.pending_evict_invs.push((home, block, targets));
     }
 
@@ -488,14 +487,19 @@ impl Directory {
             self.pending_mem_writes.push((home, block));
         }
         if entry.sharers != 0 || entry.owner.is_some() {
-            self.dircache_insert(home, block, DirEntry { sharers: entry.sharers, owner: entry.owner });
+            self.dircache_insert(
+                home,
+                block,
+                DirEntry { sharers: entry.sharers, owner: entry.owner },
+            );
         }
     }
 
     fn l2_insert(&mut self, home: Tile, block: Block, entry: L2Entry) {
         self.stats.l2_data_write.inc();
         let queues = &self.queues[home];
-        let (victims, _overflow) = self.l2[home].insert_filtered(block, entry, |b| !queues.is_busy(b));
+        let (victims, _overflow) =
+            self.l2[home].insert_filtered(block, entry, |b| !queues.is_busy(b));
         for (vb, ve) in victims {
             self.handle_l2_victim(home, vb, ve);
         }
@@ -511,7 +515,14 @@ impl Directory {
 
     /// Serves a request for which the home can answer right now (owner is
     /// not an L1, data present or fetched). Sets the `Served` transaction.
-    fn serve_from_home(&mut self, ctx: &mut Ctx, home: Tile, msg: Msg, req: ReqInfo, supplier: Supplier) {
+    fn serve_from_home(
+        &mut self,
+        ctx: &mut Ctx,
+        home: Tile,
+        msg: Msg,
+        req: ReqInfo,
+        supplier: Supplier,
+    ) {
         let block = msg.block;
         let entry = self.l2[home].get_mut(block).expect("serve requires data");
         let (version, dirty, sharers) = (entry.version, entry.dirty, entry.sharers);
@@ -683,8 +694,7 @@ impl Directory {
                 self.stats.l2_data_write.inc();
             } else {
                 let prior = self.dircache[home].remove(block);
-                let (sharers, owner) =
-                    prior.map(|d| (d.sharers, d.owner)).unwrap_or((0, None));
+                let (sharers, owner) = prior.map(|d| (d.sharers, d.owner)).unwrap_or((0, None));
                 self.l2_insert(home, block, L2Entry { dirty: true, version, sharers, owner });
             }
         }
@@ -724,7 +734,12 @@ impl Directory {
         }
     }
 
-    fn home_handle_unblock(&mut self, ctx: &mut Ctx, msg: &Msg, became_owner: bool) -> Result<(), ProtoError> {
+    fn home_handle_unblock(
+        &mut self,
+        ctx: &mut Ctx,
+        msg: &Msg,
+        became_owner: bool,
+    ) -> Result<(), ProtoError> {
         let (home, block, src) = (msg.dst.tile(), msg.block, msg.src.tile());
         self.dir_update(home, block, |sharers, owner| {
             if became_owner {
@@ -791,9 +806,9 @@ impl CoherenceProtocol for Directory {
         let lat = self.spec.lat;
         let hit = match self.l1[tile].get_mut(block) {
             Some(line) => match (line.state, write) {
-                (L1State::Shared, false)
-                | (L1State::Exclusive, false)
-                | (L1State::Modified, _) => true,
+                (L1State::Shared, false) | (L1State::Exclusive, false) | (L1State::Modified, _) => {
+                    true
+                }
                 (L1State::Exclusive, true) => {
                     line.state = L1State::Modified;
                     line.version = 0; // placeholder, set below
@@ -833,9 +848,17 @@ impl CoherenceProtocol for Directory {
                         match self.tx[home].get_mut(&msg.block) {
                             Some(HomeTx::Forwarded { wb_applied, bounced, .. }) => {
                                 if *wb_applied {
-                                    let m = Msg { kind: MsgKind::Req(ReqInfo { forwarder: None, ..req }), ..msg };
+                                    let m = Msg {
+                                        kind: MsgKind::Req(ReqInfo { forwarder: None, ..req }),
+                                        ..msg
+                                    };
                                     self.tx[home].remove(&msg.block);
-                                    self.home_dispatch(ctx, home, m, ReqInfo { forwarder: None, ..req });
+                                    self.home_dispatch(
+                                        ctx,
+                                        home,
+                                        m,
+                                        ReqInfo { forwarder: None, ..req },
+                                    );
                                 } else {
                                     *bounced = Some(Msg {
                                         kind: MsgKind::Req(ReqInfo { forwarder: None, ..req }),
@@ -869,7 +892,10 @@ impl CoherenceProtocol for Directory {
                         ProtocolKind::Directory,
                         msg.dst,
                         msg.block,
-                        format!("stray eviction ack at home (no Evict transaction; from {:?})", msg.src),
+                        format!(
+                            "stray eviction ack at home (no Evict transaction; from {:?})",
+                            msg.src
+                        ),
                     ));
                 }
             }
@@ -883,7 +909,10 @@ impl CoherenceProtocol for Directory {
                         ProtocolKind::Directory,
                         msg.dst,
                         msg.block,
-                        format!("data fill without MSHR entry ({:?} from {:?})", d.supplier, msg.src),
+                        format!(
+                            "data fill without MSHR entry ({:?} from {:?})",
+                            d.supplier, msg.src
+                        ),
                     ));
                 };
                 e.have_data = true;
@@ -972,7 +1001,12 @@ impl CoherenceProtocol for Directory {
             for (block, e) in bank.iter() {
                 snap.l2.insert(
                     block,
-                    L2View { has_data: true, version: e.version, dirty: e.dirty, owner_in_l1: e.owner },
+                    L2View {
+                        has_data: true,
+                        version: e.version,
+                        dirty: e.dirty,
+                        owner_in_l1: e.owner,
+                    },
                 );
             }
         }

@@ -9,9 +9,7 @@
 //! tests shuffle delivery latencies to prove it.
 
 use crate::checker::{self, StepChecker};
-use crate::common::{
-    AccessOutcome, Block, CoherenceProtocol, Ctx, Msg, MsgKind, Node, Tile,
-};
+use crate::common::{AccessOutcome, Block, CoherenceProtocol, Ctx, Msg, MsgKind, Node, Tile};
 use cmpsim_engine::{Cycle, EventQueue, SimRng};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -245,7 +243,11 @@ impl<P: CoherenceProtocol> Harness<P> {
                 self.proto.pending_summary()
             );
         }
-        assert!(self.proto.quiescent(), "protocol not quiescent after drain\n{}", self.proto.pending_summary());
+        assert!(
+            self.proto.quiescent(),
+            "protocol not quiescent after drain\n{}",
+            self.proto.pending_summary()
+        );
     }
 
     /// Runs and then checks every coherence invariant.

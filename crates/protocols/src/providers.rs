@@ -75,7 +75,13 @@ impl AreaPolicy for ProvidersPolicy {
     }
 
     /// Table I: remote-area read at the owner.
-    fn remote_read_at_owner(c: &mut Providers, ctx: &mut Ctx, tile: Tile, block: Block, req: ReqInfo) {
+    fn remote_read_at_owner(
+        c: &mut Providers,
+        ctx: &mut Ctx,
+        tile: Tile,
+        block: Block,
+        req: ReqInfo,
+    ) {
         let lat = c.spec.lat;
         let req_area = c.area_of(req.requestor);
         let provider = c.l1[tile].peek(block).expect("owner line").propos.get(req_area);
@@ -98,7 +104,12 @@ impl AreaPolicy for ProvidersPolicy {
                 // silently so no untracked copy survives.
                 if let Some(p) = provider {
                     ctx.send(
-                        Msg { kind: MsgKind::InvSilent, block, src: Node::L1(tile), dst: Node::L1(p) },
+                        Msg {
+                            kind: MsgKind::InvSilent,
+                            block,
+                            src: Node::L1(tile),
+                            dst: Node::L1(p),
+                        },
                         lat.l1_tag,
                     );
                 }
@@ -145,7 +156,13 @@ impl AreaPolicy for ProvidersPolicy {
 
     /// Table II: providership (+ sharing code) moves to a sharer of the
     /// area; with none left, the owner learns there is no provider.
-    fn evict_provider(c: &mut Providers, ctx: &mut Ctx, tile: Tile, block: Block, line: L1Line<Propos>) {
+    fn evict_provider(
+        c: &mut Providers,
+        ctx: &mut Ctx,
+        tile: Tile,
+        block: Block,
+        line: L1Line<Propos>,
+    ) {
         c.stats.l1_repl_transactions.inc();
         let my_area = c.area_of(tile);
         if line.sharers != 0 {
@@ -155,7 +172,11 @@ impl AreaPolicy for ProvidersPolicy {
             c.policy.ptombstones[tile].set(block, target);
             ctx.send(
                 Msg {
-                    kind: MsgKind::ProvidershipTransfer { sharers: rest, remaining: rest, former: tile },
+                    kind: MsgKind::ProvidershipTransfer {
+                        sharers: rest,
+                        remaining: rest,
+                        former: tile,
+                    },
                     block,
                     src: Node::L1(tile),
                     dst: Node::L1(target),
@@ -206,7 +227,12 @@ impl AreaPolicy for ProvidersPolicy {
                     // at the displaced provider.
                     c.l2[home].peek_mut(block).expect("home-owned entry").code.set(req_area, None);
                     ctx.send(
-                        Msg { kind: MsgKind::InvSilent, block, src: Node::L2(home), dst: Node::L1(p) },
+                        Msg {
+                            kind: MsgKind::InvSilent,
+                            block,
+                            src: Node::L2(home),
+                            dst: Node::L1(p),
+                        },
                         lat.l2_tag,
                     );
                 }
@@ -239,7 +265,13 @@ impl AreaPolicy for ProvidersPolicy {
 
     /// Evicting a home-owned entry invalidates through the providers
     /// (the home acts as owner and requestor at once, paper §IV-A).
-    fn evict_home_owned(c: &mut Providers, ctx: &mut Ctx, home: Tile, block: Block, e: L2Entry<Propos>) {
+    fn evict_home_owned(
+        c: &mut Providers,
+        ctx: &mut Ctx,
+        home: Tile,
+        block: Block,
+        e: L2Entry<Propos>,
+    ) {
         let n = e.code.count();
         if n == 0 {
             c.evict_home_quiet(home, block, e.dirty, e.version);
@@ -299,7 +331,12 @@ fn inv_silent(c: &mut Providers, ctx: &mut Ctx, tile: Tile, block: Block) {
                 for i in iter_bits(sharers) {
                     let t = c.sharer_tile(tile, i);
                     ctx.send(
-                        Msg { kind: MsgKind::InvSilent, block, src: Node::L1(tile), dst: Node::L1(t) },
+                        Msg {
+                            kind: MsgKind::InvSilent,
+                            block,
+                            src: Node::L1(tile),
+                            dst: Node::L1(t),
+                        },
                         c.spec.lat.l1_tag,
                     );
                 }
@@ -328,7 +365,12 @@ fn inv_provider(c: &mut Providers, ctx: &mut Ctx, tile: Tile, block: Block, repl
         let n = line.sharers.count_ones();
         c.send_sharer_invs(ctx, tile, block, line.sharers, reply_to, line.version);
         ctx.send(
-            Msg { kind: MsgKind::AckCount { sharers: n }, block, src: Node::L1(tile), dst: reply_to },
+            Msg {
+                kind: MsgKind::AckCount { sharers: n },
+                block,
+                src: Node::L1(tile),
+                dst: reply_to,
+            },
             lat.l1_tag,
         );
         if let Node::L1(new_owner) = reply_to {
@@ -341,7 +383,12 @@ fn inv_provider(c: &mut Providers, ctx: &mut Ctx, tile: Tile, block: Block, repl
     // genuinely has no tracked sharers.
     if let Some(next) = c.policy.ptombstones[tile].get(block) {
         ctx.send(
-            Msg { kind: MsgKind::InvProvider { reply_to }, block, src: Node::L1(tile), dst: Node::L1(next) },
+            Msg {
+                kind: MsgKind::InvProvider { reply_to },
+                block,
+                src: Node::L1(tile),
+                dst: Node::L1(next),
+            },
             lat.l1_tag,
         );
         return;
@@ -401,7 +448,11 @@ fn providership_transfer(
         c.policy.ptombstones[tile].set(block, target);
         ctx.send(
             Msg {
-                kind: MsgKind::ProvidershipTransfer { sharers: mine, remaining: mine & !(1 << local), former },
+                kind: MsgKind::ProvidershipTransfer {
+                    sharers: mine,
+                    remaining: mine & !(1 << local),
+                    former,
+                },
                 block,
                 src: Node::L1(tile),
                 dst: Node::L1(target),
@@ -428,7 +479,12 @@ fn apply_provider_update(propos: &mut Propos, ctx: &mut Ctx, msg: Msg, src: Node
         MsgKind::ChangeProvider { area, new_provider } => {
             propos.set(area as usize, Some(new_provider));
             ctx.send(
-                Msg { kind: MsgKind::ChangeProviderAck, block: msg.block, src, dst: Node::L1(new_provider) },
+                Msg {
+                    kind: MsgKind::ChangeProviderAck,
+                    block: msg.block,
+                    src,
+                    dst: Node::L1(new_provider),
+                },
                 delay,
             );
         }

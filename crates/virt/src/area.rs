@@ -26,7 +26,10 @@ impl AreaMap {
     /// slot aspect ratio is as square as possible (e.g. 8x8 mesh, 4 areas
     /// -> 2x2 grid of 4x4-tile areas, as in the paper).
     pub fn new(cols: usize, rows: usize, num_areas: usize) -> Self {
-        assert!(num_areas >= 1 && (cols * rows).is_multiple_of(num_areas), "areas must tile the chip");
+        assert!(
+            num_areas >= 1 && (cols * rows).is_multiple_of(num_areas),
+            "areas must tile the chip"
+        );
         // Choose the grid factorization gx*gy == num_areas whose areas are
         // most square, requiring gx | cols and gy | rows.
         let mut best: Option<(usize, usize)> = None;
@@ -40,10 +43,7 @@ impl AreaMap {
             }
             let (ac, ar) = (cols / gx, rows / gy);
             let score = (ac as i64 - ar as i64).abs();
-            if best.is_none()
-                || score
-                    < (best.unwrap().0 as i64 - best.unwrap().1 as i64).abs()
-            {
+            if best.is_none() || score < (best.unwrap().0 as i64 - best.unwrap().1 as i64).abs() {
                 best = Some((ac, ar));
             }
         }

@@ -447,8 +447,7 @@ mod tests {
     fn kind_of_block_reports_dedup() {
         let mut m = MachineMemory::new(1);
         let d = m.translate(LogicalPage { vm: 0, region: Region::Dedup, index: 0 }, 0, false);
-        let p =
-            m.translate(LogicalPage { vm: 0, region: Region::CorePrivate, index: 0 }, 0, false);
+        let p = m.translate(LogicalPage { vm: 0, region: Region::CorePrivate, index: 0 }, 0, false);
         assert_eq!(m.kind_of_block(d), Some(PageKind::Deduplicated));
         assert_eq!(m.kind_of_block(p), Some(PageKind::Private));
         assert_eq!(m.kind_of_block(1 << 40), None);
@@ -554,7 +553,14 @@ mod tests {
         assert_eq!(m.physical_pages(), 3);
         assert_eq!(m.kind_of_block(2 * BLOCKS_PER_PAGE), Some(PageKind::Deduplicated));
         let all: Vec<_> = m.mappings().collect();
-        assert_eq!(all, vec![(0, Region::CorePrivate, 0, 0), (0, Region::Dedup, 4, 2), (1, Region::VmShared, 7, 1)]);
+        assert_eq!(
+            all,
+            vec![
+                (0, Region::CorePrivate, 0, 0),
+                (0, Region::Dedup, 4, 2),
+                (1, Region::VmShared, 7, 1)
+            ]
+        );
         assert_eq!(encode(&m), bytes);
     }
 

@@ -48,9 +48,7 @@ impl Placement {
 
     /// All tiles of `vm`, ascending.
     pub fn tiles_of_vm(&self, areas: &AreaMap, num_vms: usize, vm: usize) -> Vec<usize> {
-        (0..areas.tiles())
-            .filter(|&t| self.vm_of_tile(areas, num_vms, t) == vm)
-            .collect()
+        (0..areas.tiles()).filter(|&t| self.vm_of_tile(areas, num_vms, t) == vm).collect()
     }
 
     /// Suffix used by the evaluation reports ("" or "-alt").

@@ -271,9 +271,7 @@ impl Benchmark {
                     &JBB
                 }
             }
-            Benchmark::MixedSci => {
-                [&RADIX, &LU, &VOLREND, &TOMCATV][vm % 4]
-            }
+            Benchmark::MixedSci => [&RADIX, &LU, &VOLREND, &TOMCATV][vm % 4],
         }
     }
 
@@ -291,13 +289,8 @@ mod tests {
     use super::*;
 
     /// Paper Table IV, "Memory saved by deduplication".
-    const TABLE_IV: [(&WorkloadProfile, f64); 5] = [
-        (&APACHE, 0.2172),
-        (&JBB, 0.2388),
-        (&RADIX, 0.2418),
-        (&LU, 0.3271),
-        (&TOMCATV, 0.3682),
-    ];
+    const TABLE_IV: [(&WorkloadProfile, f64); 5] =
+        [(&APACHE, 0.2172), (&JBB, 0.2388), (&RADIX, 0.2418), (&LU, 0.3271), (&TOMCATV, 0.3682)];
 
     #[test]
     fn from_name_round_trips() {
@@ -312,11 +305,7 @@ mod tests {
     fn dedup_savings_match_table_iv() {
         for (p, want) in TABLE_IV {
             let got = p.dedup_savings(16, 4);
-            assert!(
-                (got - want).abs() < 0.01,
-                "{}: savings {got:.4} vs paper {want:.4}",
-                p.name
-            );
+            assert!((got - want).abs() < 0.01, "{}: savings {got:.4} vs paper {want:.4}", p.name);
         }
     }
 

@@ -247,10 +247,8 @@ mod tests {
                 assert!(a.page_index < RADIX.private_pages_per_core);
             }
             if b.region == Region::CorePrivate {
-                assert!(
-                    (5 * RADIX.private_pages_per_core..6 * RADIX.private_pages_per_core)
-                        .contains(&b.page_index)
-                );
+                assert!((5 * RADIX.private_pages_per_core..6 * RADIX.private_pages_per_core)
+                    .contains(&b.page_index));
             }
         }
     }

@@ -19,7 +19,8 @@ fn main() {
     let benchmarks = [Benchmark::Apache, Benchmark::Radix];
 
     println!("4 VMs x 16 cores, memory deduplication on, {refs} refs/core\n");
-    let results = run_matrix(&protocols, &benchmarks, &cfg, RunOptions::default()).expect("simulation failed");
+    let results = run_matrix(&protocols, &benchmarks, &cfg, RunOptions::default())
+        .expect("simulation failed");
 
     for (bi, b) in benchmarks.iter().enumerate() {
         let base = &results[bi * protocols.len()];
@@ -43,7 +44,14 @@ fn main() {
         println!(
             "{}",
             table(
-                &["protocol", "perf vs dir", "dyn energy vs dir", "leakage/tile", "links/msg", "bcasts"],
+                &[
+                    "protocol",
+                    "perf vs dir",
+                    "dyn energy vs dir",
+                    "leakage/tile",
+                    "links/msg",
+                    "bcasts"
+                ],
                 &rows
             )
         );

@@ -34,11 +34,7 @@ fn main() {
                 matched.proto_stats.broadcast_invs.get(),
                 alt.proto_stats.broadcast_invs.get()
             ),
-            format!(
-                "{:.2} -> {:.2}",
-                matched.avg_links_per_message(),
-                alt.avg_links_per_message()
-            ),
+            format!("{:.2} -> {:.2}", matched.avg_links_per_message(), alt.avg_links_per_message()),
         ]);
     }
     println!(

@@ -14,8 +14,8 @@ fn main() {
     let cfg = SystemConfig::paper().with_refs(refs);
 
     println!("simulating apache4x16p under DiCo-Arin ({refs} refs/core)...\n");
-    let r = run_benchmark(ProtocolKind::DiCoArin, Benchmark::Apache, &cfg)
-        .expect("simulation failed");
+    let r =
+        run_benchmark(ProtocolKind::DiCoArin, Benchmark::Apache, &cfg).expect("simulation failed");
 
     println!("protocol           : {}", r.protocol.name());
     println!("benchmark          : {}", r.benchmark.name());

@@ -116,26 +116,14 @@ fn attribution_reconciles_on_every_protocol() {
         let tc = b.total_counts();
         let ps = &r.proto_stats;
         assert_eq!(tc.l1_tag, ps.l1_tag.get(), "{kind:?}: l1 tag");
-        assert_eq!(
-            tc.l1_data,
-            ps.l1_data_read.get() + ps.l1_data_write.get(),
-            "{kind:?}: l1 data"
-        );
+        assert_eq!(tc.l1_data, ps.l1_data_read.get() + ps.l1_data_write.get(), "{kind:?}: l1 data");
         assert_eq!(tc.l2_tag, ps.l2_tag.get(), "{kind:?}: l2 tag");
-        assert_eq!(
-            tc.l2_data,
-            ps.l2_data_read.get() + ps.l2_data_write.get(),
-            "{kind:?}: l2 data"
-        );
+        assert_eq!(tc.l2_data, ps.l2_data_read.get() + ps.l2_data_write.get(), "{kind:?}: l2 data");
         assert_eq!(tc.dir, ps.dir_access.get(), "{kind:?}: directory");
         assert_eq!(tc.l1c, ps.l1c_access.get(), "{kind:?}: L1 coherence aux");
         assert_eq!(tc.l2c, ps.l2c_access.get(), "{kind:?}: L2 coherence aux");
         assert_eq!(tc.routing, r.noc_stats.routing_events.get(), "{kind:?}: routing");
-        assert_eq!(
-            tc.flit_links,
-            r.noc_stats.flit_link_traversals.get(),
-            "{kind:?}: flit-links"
-        );
+        assert_eq!(tc.flit_links, r.noc_stats.flit_link_traversals.get(), "{kind:?}: flit-links");
 
         // Energy follows the counts: pricing the attributed buckets with
         // the run's own model reproduces the aggregate dynamic energy.

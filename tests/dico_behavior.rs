@@ -92,10 +92,7 @@ fn upgrade_in_place_keeps_ownership() {
     let mem_reads_before = h.proto.stats().mem_reads.get();
     h.push_access(0, B, true);
     h.run_checked(9_000);
-    assert!(matches!(
-        state(&h, 0),
-        Some(CopyState::Owner { exclusive: true, dirty: true })
-    ));
+    assert!(matches!(state(&h, 0), Some(CopyState::Owner { exclusive: true, dirty: true })));
     for t in [1usize, 2, 3] {
         assert!(state(&h, t).is_none(), "tile {t} must be invalidated");
     }
@@ -132,9 +129,8 @@ fn replacement_chain_preserves_sharing_code() {
     h.push_access(0, B + 24, false);
     h.run_checked(9_000);
     // One of the sharers is now the owner.
-    let owners: Vec<usize> = (0..16)
-        .filter(|&t| matches!(state(&h, t), Some(CopyState::Owner { .. })))
-        .collect();
+    let owners: Vec<usize> =
+        (0..16).filter(|&t| matches!(state(&h, t), Some(CopyState::Owner { .. }))).collect();
     assert_eq!(owners.len(), 1, "owners: {owners:?}");
     // A third-party write must reach every remaining copy.
     h.push_access(8, B, true);
@@ -154,10 +150,7 @@ fn single_copy_in_the_chip() {
     h.push_access(0, B, false);
     h.run_checked(2_000);
     let snap = h.proto.snapshot();
-    assert!(matches!(
-        snap.l1[0].get(&B).unwrap().state,
-        CopyState::Owner { exclusive: true, .. }
-    ));
+    assert!(matches!(snap.l1[0].get(&B).unwrap().state, CopyState::Owner { exclusive: true, .. }));
     let l2 = snap.l2.get(&B).expect("L2C$ records the owner");
     assert!(!l2.has_data, "DiCo must not duplicate the data at the home");
     assert_eq!(l2.owner_in_l1, Some(0));

@@ -50,9 +50,8 @@ fn home_serializes_concurrent_writers() {
     let snap = h.proto.snapshot();
     assert_eq!(*snap.authority.get(&B).unwrap(), 2);
     // Exactly one owner survives.
-    let owners: Vec<usize> = (0..16)
-        .filter(|&t| matches!(state(&h, t), Some(CopyState::Owner { .. })))
-        .collect();
+    let owners: Vec<usize> =
+        (0..16).filter(|&t| matches!(state(&h, t), Some(CopyState::Owner { .. }))).collect();
     assert_eq!(owners.len(), 1);
 }
 

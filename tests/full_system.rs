@@ -15,11 +15,7 @@ fn all_protocols_complete_all_benchmarks_small() {
                 .unwrap_or_else(|e| panic!("{kind:?}/{}: {e}", bench.name()));
             assert!(r.measured_refs > 0, "{kind:?}/{}", bench.name());
             assert!(r.cycles > 0);
-            assert!(
-                r.proto_stats.l1_hits.get() > 0,
-                "{kind:?}/{} produced no hits",
-                bench.name()
-            );
+            assert!(r.proto_stats.l1_hits.get() > 0, "{kind:?}/{} produced no hits", bench.name());
         }
     }
 }
@@ -70,8 +66,8 @@ fn energy_accounting_is_consistent() {
     // route = 4 flits relation.
     assert!(n.routing > 0.0 && n.links > 0.0);
     let ratio = n.links / n.routing;
-    let flits_per_hop = r.noc_stats.flit_link_traversals.get() as f64
-        / r.noc_stats.routing_events.get() as f64;
+    let flits_per_hop =
+        r.noc_stats.flit_link_traversals.get() as f64 / r.noc_stats.routing_events.get() as f64;
     assert!((ratio - flits_per_hop / 4.0).abs() < 1e-6);
 }
 
@@ -81,10 +77,7 @@ fn arin_broadcasts_appear_under_l2_pressure() {
     // replacements -> broadcast invalidations in DiCo-Arin.
     let cfg = SystemConfig::small().with_refs(3_000);
     let arin = run_benchmark(ProtocolKind::DiCoArin, Benchmark::Jbb, &cfg).expect("run");
-    assert!(
-        arin.proto_stats.broadcast_invs.get() > 0,
-        "JBB under DiCo-Arin should broadcast"
-    );
+    assert!(arin.proto_stats.broadcast_invs.get() > 0, "JBB under DiCo-Arin should broadcast");
     // ...and the other protocols never broadcast.
     for kind in [ProtocolKind::Directory, ProtocolKind::DiCo, ProtocolKind::DiCoProviders] {
         let r = run_benchmark(kind, Benchmark::Jbb, &cfg).expect("run");

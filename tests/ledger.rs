@@ -61,11 +61,8 @@ fn matrix_cells_share_config_digest_with_distinct_run_ids() {
 
 fn compare_metrics(a: &str, b: &str) -> CompareReport {
     let opts = CompareOptions::default();
-    let mut report = CompareReport {
-        a_label: "a".into(),
-        b_label: "b".into(),
-        ..Default::default()
-    };
+    let mut report =
+        CompareReport { a_label: "a".into(), b_label: "b".into(), ..Default::default() };
     compare_docs(&Value::parse(a).unwrap(), &Value::parse(b).unwrap(), None, &opts, &mut report);
     report
 }
@@ -134,8 +131,11 @@ fn markdown_report_is_deterministic_and_lists_run_ids() {
     assert!(md.starts_with("# cmpsim matrix report"));
     assert!(md.contains("## Run ledger"));
     for r in &a {
-        assert!(md.contains(&r.manifest.as_ref().unwrap().run_id), "{} run id listed",
-            r.protocol.name());
+        assert!(
+            md.contains(&r.manifest.as_ref().unwrap().run_id),
+            "{} run id listed",
+            r.protocol.name()
+        );
     }
     assert!(md.contains("Fig. 7"), "latency breakdown section present");
     assert!(md.contains("Interval series"), "interval summary present");

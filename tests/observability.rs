@@ -234,8 +234,8 @@ fn breakdown_exports_are_byte_identical_across_runs() {
 /// Without the opt-ins, runs carry no observability payloads.
 #[test]
 fn disabled_by_default() {
-    let r = run_benchmark(ProtocolKind::DiCo, Benchmark::Radix, &SystemConfig::smoke())
-        .expect("run");
+    let r =
+        run_benchmark(ProtocolKind::DiCo, Benchmark::Radix, &SystemConfig::smoke()).expect("run");
     assert!(r.trace.is_none());
     assert!(r.timeseries.is_none());
     // The registry still works — it publishes from the result itself.

@@ -32,10 +32,7 @@ fn run<P: CoherenceProtocol>(proto: P, script: &Script, jitter_seed: u64) -> BTr
 }
 
 fn script_strategy(max_ops: usize, blocks: u64) -> impl Strategy<Value = Script> {
-    prop::collection::vec(
-        (0usize..16, 0u64..blocks, prop::bool::weighted(0.4)),
-        1..max_ops,
-    )
+    prop::collection::vec((0usize..16, 0u64..blocks, prop::bool::weighted(0.4)), 1..max_ops)
 }
 
 proptest! {

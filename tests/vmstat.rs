@@ -25,11 +25,7 @@ fn check_cell(r: &RunResult) {
     // Per-VM buckets tile every chip-wide attribution aggregate
     // bit-for-bit.
     assert_eq!(b.vm.len(), b.num_vms, "{what}: one bucket per VM");
-    assert_eq!(
-        b.vm.iter().map(|v| v.completed).sum::<u64>(),
-        b.completed,
-        "{what}: completed"
-    );
+    assert_eq!(b.vm.iter().map(|v| v.completed).sum::<u64>(), b.completed, "{what}: completed");
     assert_eq!(
         b.vm.iter().map(|v| v.latency_cycles).sum::<u64>(),
         b.latency_cycles,
@@ -65,11 +61,7 @@ fn check_cell(r: &RunResult) {
     }
     assert_eq!(tile_sum, b.tx_counts, "{what}: per-tile counts");
     for (i, v) in b.vm.iter().enumerate() {
-        assert_eq!(
-            v.intra_txs + v.cross_txs,
-            v.completed,
-            "{what}: vm{i} intra/cross partition"
-        );
+        assert_eq!(v.intra_txs + v.cross_txs, v.completed, "{what}: vm{i} intra/cross partition");
     }
 
     // The interference matrix is consistent with the per-VM buckets
@@ -198,10 +190,7 @@ fn vm_finish_metrics_alias() {
     let reg = r.metrics();
     for (i, v) in r.vm_finish.iter().enumerate() {
         let lookup = |name: &str| {
-            reg.gauges()
-                .find(|(n, _)| *n == name)
-                .unwrap_or_else(|| panic!("{name} missing"))
-                .1
+            reg.gauges().find(|(n, _)| *n == name).unwrap_or_else(|| panic!("{name} missing")).1
         };
         assert_eq!(lookup(&format!("vm.{i}.finish_cycles")), *v);
         assert_eq!(lookup(&format!("sim.vm_finish.{i}")), *v);
