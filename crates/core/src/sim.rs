@@ -957,19 +957,17 @@ impl CmpSimulator {
         }
         let mut ranked: Vec<(Block, usize)> = traffic.into_iter().collect();
         ranked.sort_by_key(|&(block, n)| (std::cmp::Reverse(n), block));
-        let snap = self.proto.snapshot();
         let (trace_tail, phase_lines) = self.obs.stall_context(now);
         let hot_blocks = ranked
             .into_iter()
             .take(4)
             .map(|(block, queued)| {
-                let mut views = Vec::new();
-                for (t, l1) in snap.l1.iter().enumerate() {
-                    if let Some(c) = l1.get(&block) {
-                        views.push(format!("L1 tile {t}: {:?} (version {})", c.state, c.version));
-                    }
-                }
-                if let Some(v) = snap.l2.get(&block) {
+                let view = self.proto.block_view(block);
+                let mut views: Vec<String> = view
+                    .held()
+                    .map(|(t, c)| format!("L1 tile {t}: {:?} (version {})", c.state, c.version))
+                    .collect();
+                if let Some(v) = view.l2 {
                     views.push(format!(
                         "home L2: has_data={}, dirty={}, owner_in_l1={:?}, version={}",
                         v.has_data, v.dirty, v.owner_in_l1, v.version
@@ -1019,18 +1017,10 @@ impl CmpSimulator {
 
     /// Runs the per-message invariant checks after `msg` was handled.
     fn check_invariants(&mut self, now: Cycle, msg: &Msg) -> Result<(), SimError> {
-        if let Some(chk) = &mut self.obs.checker {
-            chk.record_message(now, msg);
-        } else {
+        let Some(chk) = &mut self.obs.checker else {
             return Ok(());
-        }
-        let snap = self.proto.snapshot();
-        // True quiescence needs an empty event queue too: fire-and-forget
-        // traffic (hints, acks, writebacks) is not tracked by the
-        // protocol's pending state.
-        let quiescent = self.queue.is_empty() && self.proto.quiescent();
-        let chk = self.obs.checker.as_ref().expect("checked above");
-        if let Err(violations) = chk.check_step(msg, &snap, quiescent) {
+        };
+        if let Err(violations) = chk.after_message(now, msg, &*self.proto, self.queue.is_empty()) {
             return Err(SimError::InvariantViolation(Box::new(InvariantReport {
                 cycle: now,
                 events: self.events,
@@ -1626,17 +1616,16 @@ mod tests {
     use super::*;
     use cmpsim_virt::mem::PageKind;
 
-    /// The architectural digest as first written: probe all 64 blocks
-    /// of every mapped page in a whole-chip protocol snapshot. Kept as
-    /// the oracle for [`CmpSimulator::arch_state`].
+    /// The architectural digest as first written: probe the authority
+    /// for all 64 blocks of every mapped page, one block at a time. Kept
+    /// as the oracle for [`CmpSimulator::arch_state`].
     fn reference_arch_state(sim: &CmpSimulator) -> ArchState {
-        let snap = sim.proto.snapshot();
         let mut digest = ARCH_DIGEST_SEED;
         let mut versioned_blocks = 0u64;
         for (vm, region, index, ppn) in sim.memory.mappings() {
             for off in 0..BLOCKS_PER_PAGE {
                 let block = ppn * BLOCKS_PER_PAGE + off;
-                let version = snap.authority.get(&block).copied().unwrap_or(0);
+                let version = sim.proto.authority().latest(block);
                 if version == 0 {
                     continue;
                 }

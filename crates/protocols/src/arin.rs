@@ -575,9 +575,9 @@ mod tests {
         h.run_checked(1000);
         h.push_access(1, 100, false); // same area: plain sharer
         h.run_checked(2000);
-        let snap = h.proto.snapshot();
-        assert!(matches!(snap.l1[1].get(&100).unwrap().state, CopyState::Shared));
-        assert!(matches!(snap.l1[0].get(&100).unwrap().state, CopyState::Owner { .. }));
+        let view = h.proto.block_view(100);
+        assert!(matches!(view.copies[1].unwrap().state, CopyState::Shared));
+        assert!(matches!(view.copies[0].unwrap().state, CopyState::Owner { .. }));
     }
 
     #[test]
@@ -587,12 +587,12 @@ mod tests {
         h.run_checked(1000);
         h.push_access(2, 100, false); // area 1 read -> SBA
         h.run_checked(2000);
-        let snap = h.proto.snapshot();
+        let view = h.proto.block_view(100);
         // Both the former owner and the reader are providers now.
-        assert!(matches!(snap.l1[0].get(&100).unwrap().state, CopyState::Provider));
-        assert!(matches!(snap.l1[2].get(&100).unwrap().state, CopyState::Provider));
+        assert!(matches!(view.copies[0].unwrap().state, CopyState::Provider));
+        assert!(matches!(view.copies[2].unwrap().state, CopyState::Provider));
         // The data parked at the home L2.
-        assert!(snap.l2.get(&100).map(|v| v.has_data).unwrap_or(false));
+        assert!(view.l2.map(|v| v.has_data).unwrap_or(false));
     }
 
     #[test]
@@ -606,10 +606,10 @@ mod tests {
             h.push_access(t, 100, false);
         }
         h.run_checked(8000);
-        let snap = h.proto.snapshot();
+        let view = h.proto.block_view(100);
         for t in [2usize, 3, 8, 10, 13] {
             assert!(
-                matches!(snap.l1[t].get(&100).unwrap().state, CopyState::Provider),
+                matches!(view.copies[t].unwrap().state, CopyState::Provider),
                 "tile {t} should be a provider"
             );
         }
@@ -625,22 +625,22 @@ mod tests {
         h.run_checked(4000);
         h.push_access(10, 100, true); // write -> three-way broadcast
         h.run_checked(10_000);
-        let snap = h.proto.snapshot();
+        let view = h.proto.block_view(100);
         for t in [0usize, 2, 8] {
-            assert!(!snap.l1[t].contains_key(&100), "tile {t} survived the broadcast");
+            assert!(view.copies[t].is_none(), "tile {t} survived the broadcast");
         }
         assert!(matches!(
-            snap.l1[10].get(&100).unwrap().state,
+            view.copies[10].unwrap().state,
             CopyState::Owner { exclusive: true, dirty: true }
         ));
-        assert_eq!(*snap.authority.get(&100).unwrap(), 2);
+        assert_eq!(h.proto.authority().latest(100), 2);
         assert!(h.proto.stats().broadcast_invs.get() >= 1);
         // And the block is area-confined again: a same-area read is a
         // plain DiCo 2-hop serve.
         h.push_access(11, 100, false);
         h.run_checked(12_000);
-        let snap = h.proto.snapshot();
-        assert!(matches!(snap.l1[11].get(&100).unwrap().state, CopyState::Shared));
+        let view = h.proto.block_view(100);
+        assert!(matches!(view.copies[11].unwrap().state, CopyState::Shared));
     }
 
     #[test]
@@ -652,8 +652,8 @@ mod tests {
         h.run_checked(2000);
         h.push_access(3, 100, false); // area 1: unpredicted -> home knows provider
         h.run_checked(3000);
-        let snap = h.proto.snapshot();
-        assert!(matches!(snap.l1[3].get(&100).unwrap().state, CopyState::Provider));
+        let view = h.proto.block_view(100);
+        assert!(matches!(view.copies[3].unwrap().state, CopyState::Provider));
     }
 
     #[test]
@@ -663,7 +663,7 @@ mod tests {
             h.push_access([0, 2, 8, 10][i % 4], 64, true);
         }
         h.run_checked(80_000);
-        assert_eq!(*h.proto.snapshot().authority.get(&64).unwrap(), 12);
+        assert_eq!(h.proto.authority().latest(64), 12);
     }
 
     #[test]
@@ -677,10 +677,10 @@ mod tests {
         h.run_checked(6000);
         h.push_access(0, 100, true); // broadcast write back to area 0
         h.run_checked(12_000);
-        let snap = h.proto.snapshot();
-        assert_eq!(*snap.authority.get(&100).unwrap(), 2);
-        assert!(!snap.l1[10].contains_key(&100));
-        assert!(!snap.l1[11].contains_key(&100));
+        let view = h.proto.block_view(100);
+        assert_eq!(h.proto.authority().latest(100), 2);
+        assert!(view.copies[10].is_none());
+        assert!(view.copies[11].is_none());
     }
 
     #[test]

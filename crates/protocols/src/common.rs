@@ -991,6 +991,12 @@ pub fn occupancy_of<T>(arrays: &[cmpsim_cache::SetAssoc<T>]) -> (u64, u64) {
     arrays.iter().fold((0, 0), |(l, c), a| (l + a.len() as u64, c + a.capacity() as u64))
 }
 
+/// Every block in the per-tile cache `arrays` (helper for
+/// [`CoherenceProtocol::blocks`] implementations).
+pub fn blocks_in<T>(arrays: &[cmpsim_cache::SetAssoc<T>]) -> impl Iterator<Item = Block> + '_ {
+    arrays.iter().flat_map(|a| a.iter().map(|(block, _)| block))
+}
+
 impl Occupancy {
     fn frac(lines: u64, cap: u64) -> f64 {
         if cap == 0 {
@@ -1105,10 +1111,15 @@ pub trait CoherenceProtocol {
     /// True when no transaction is in flight anywhere in the chip
     /// (used by tests to know when invariants must hold exactly).
     fn quiescent(&self) -> bool;
-    /// Whole-chip snapshot for the invariant checker.
-    fn snapshot(&self) -> crate::checker::ChipSnapshot;
+    /// The invariant checker's view of `block`: each tile's L1 copy,
+    /// the home bank's entry, its versions and its recorded sharers.
+    fn block_view(&self, block: Block) -> crate::checker::BlockView;
+    /// Every block that an L1, an L2 bank, an L2C$/directory cache or
+    /// the authority holds, ascending: the blocks the whole-chip check
+    /// walks.
+    fn blocks(&self) -> Vec<Block>;
     /// The write-serialization authority: every block's latest
-    /// committed version. Cheaper than [`Self::snapshot`] when only
+    /// committed version. Cheaper than [`Self::block_view`] when only
     /// versions are needed (the simulator's architectural digest).
     fn authority(&self) -> &VersionAuthority;
     /// Human-readable dump of in-flight transaction state, used by the
@@ -1653,10 +1664,18 @@ impl VersionAuthority {
         self.latest.get(&block).copied().unwrap_or(0)
     }
 
-    /// Iterates `(block, version)` pairs, in unspecified order (the
-    /// snapshot sinks are keyed maps, so order never matters).
+    /// Iterates `(block, version)` pairs, in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&Block, &u64)> {
         self.latest.iter()
+    }
+
+    /// Every committed block together with the `held` ones, distinct
+    /// and ascending (see [`CoherenceProtocol::blocks`]).
+    pub fn with_held(&self, held: impl Iterator<Item = Block>) -> Vec<Block> {
+        let mut blocks: Vec<Block> = self.latest.keys().copied().chain(held).collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        blocks
     }
 }
 

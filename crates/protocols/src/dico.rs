@@ -152,9 +152,9 @@ mod tests {
         let mut h = harness();
         h.push_access(0, 100, false);
         h.run_checked(1000);
-        let snap = h.proto.snapshot();
+        let view = h.proto.block_view(100);
         assert!(matches!(
-            snap.l1[0].get(&100).unwrap().state,
+            view.copies[0].unwrap().state,
             CopyState::Owner { exclusive: true, dirty: false }
         ));
         assert_eq!(h.proto.stats().class_count(MissClass::Memory), 1);
@@ -167,8 +167,8 @@ mod tests {
         h.run_checked(1000);
         h.push_access(1, 100, false);
         h.run_checked(2000);
-        let snap = h.proto.snapshot();
-        assert!(matches!(snap.l1[1].get(&100).unwrap().state, CopyState::Shared));
+        let view = h.proto.block_view(100);
+        assert!(matches!(view.copies[1].unwrap().state, CopyState::Shared));
         // No prediction available -> through the home -> forwarded.
         assert_eq!(h.proto.stats().class_count(MissClass::UnpredictedForwarded), 1);
     }
@@ -184,12 +184,9 @@ mod tests {
         h.push_access(1, 100, true);
         h.run_checked(3000);
         assert_eq!(h.proto.stats().class_count(MissClass::PredictedOwnerHit), 1);
-        let snap = h.proto.snapshot();
-        assert!(matches!(
-            snap.l1[1].get(&100).unwrap().state,
-            CopyState::Owner { dirty: true, .. }
-        ));
-        assert!(!snap.l1[0].contains_key(&100), "old owner invalidated itself");
+        let view = h.proto.block_view(100);
+        assert!(matches!(view.copies[1].unwrap().state, CopyState::Owner { dirty: true, .. }));
+        assert!(view.copies[0].is_none(), "old owner invalidated itself");
     }
 
     #[test]
@@ -203,14 +200,14 @@ mod tests {
         // Tile 0 is owner with sharers {1, 2}; writes again in place.
         h.push_access(0, 100, true);
         h.run_checked(4000);
-        let snap = h.proto.snapshot();
-        assert!(!snap.l1[1].contains_key(&100));
-        assert!(!snap.l1[2].contains_key(&100));
+        let view = h.proto.block_view(100);
+        assert!(view.copies[1].is_none());
+        assert!(view.copies[2].is_none());
         assert!(matches!(
-            snap.l1[0].get(&100).unwrap().state,
+            view.copies[0].unwrap().state,
             CopyState::Owner { exclusive: true, dirty: true }
         ));
-        assert_eq!(*snap.authority.get(&100).unwrap(), 2);
+        assert_eq!(h.proto.authority().latest(100), 2);
     }
 
     #[test]
@@ -222,12 +219,12 @@ mod tests {
         h.run_checked(2000);
         h.push_access(1, 100, true);
         h.run_checked(3000);
-        let snap = h.proto.snapshot();
+        let view = h.proto.block_view(100);
         assert!(matches!(
-            snap.l1[1].get(&100).unwrap().state,
+            view.copies[1].unwrap().state,
             CopyState::Owner { exclusive: true, dirty: true }
         ));
-        assert_eq!(*snap.authority.get(&100).unwrap(), 2);
+        assert_eq!(h.proto.authority().latest(100), 2);
     }
 
     #[test]
@@ -237,7 +234,7 @@ mod tests {
             h.push_access(i % 3, 64, true);
         }
         h.run_checked(40_000);
-        assert_eq!(*h.proto.snapshot().authority.get(&64).unwrap(), 12);
+        assert_eq!(h.proto.authority().latest(64), 12);
     }
 
     #[test]
@@ -252,9 +249,9 @@ mod tests {
         h.push_access(0, 128, false);
         h.push_access(0, 256, false);
         h.run_checked(8000);
-        let snap = h.proto.snapshot();
-        let t1_owner = matches!(snap.l1[1].get(&0).map(|c| c.state), Some(CopyState::Owner { .. }));
-        let home_owner = snap.l2.get(&0).map(|v| v.has_data).unwrap_or(false);
+        let view = h.proto.block_view(0);
+        let t1_owner = matches!(view.copies[1].map(|c| c.state), Some(CopyState::Owner { .. }));
+        let home_owner = view.l2.map(|v| v.has_data).unwrap_or(false);
         assert!(t1_owner || home_owner, "ownership lost on eviction");
     }
 
@@ -289,9 +286,8 @@ mod tests {
             random_stress(&mut h, 0xb000 + seed, 30, 16, 0.4);
             // The shared core can represent providers; plain DiCo must
             // never create one.
-            let snap = h.proto.snapshot();
-            for (t, l1) in snap.l1.iter().enumerate() {
-                for (block, copy) in l1 {
+            for block in h.proto.blocks() {
+                for (t, copy) in h.proto.block_view(block).held() {
                     assert_ne!(copy.state, CopyState::Provider, "tile {t} block {block:#x}");
                 }
             }

@@ -23,7 +23,7 @@
 //! Every hook is resolved statically: each protocol is a monomorphized
 //! `DiCoCore<P>`, with no dynamic dispatch on the per-message path.
 
-use crate::checker::{ChipSnapshot, CopyState, CopyView, L2View};
+use crate::checker::{BlockView, CopyState, CopyView, L2View};
 use crate::common::*;
 use cmpsim_cache::{Mshr, SetAssoc};
 use cmpsim_engine::{Cycle, FxHashMap, FxHashSet, Snap, SnapError, SnapReader, SnapWriter};
@@ -1963,81 +1963,59 @@ impl<P: AreaPolicy> CoherenceProtocol for DiCoCore<P> {
         out
     }
 
-    fn snapshot(&self) -> ChipSnapshot {
-        let mut snap = ChipSnapshot::new(self.spec.tiles());
-        for (t, l1) in self.l1.iter().enumerate() {
-            for (block, line) in l1.iter() {
-                let state = match line.state {
-                    L1State::Sharer { .. } => CopyState::Shared,
-                    L1State::Provider => CopyState::Provider,
-                    L1State::Owner { exclusive, dirty } => CopyState::Owner { exclusive, dirty },
-                };
-                snap.l1[t].insert(block, CopyView { state, version: line.version });
-            }
-        }
-        for (home, bank) in self.l2.iter().enumerate() {
-            for (block, e) in bank.iter() {
-                snap.l2.insert(
-                    block,
-                    L2View {
-                        has_data: true,
-                        version: e.version,
-                        dirty: e.dirty,
-                        owner_in_l1: None,
-                    },
-                );
-            }
-            for (block, &o) in self.l2c[home].iter() {
-                snap.l2.entry(block).or_insert(L2View {
-                    has_data: false,
-                    version: 0,
-                    dirty: false,
-                    owner_in_l1: Some(o),
-                });
-            }
-        }
-        for (b, v) in self.authority.iter() {
-            snap.authority.insert(*b, *v);
-            snap.memory.insert(*b, self.mem.version(*b));
-        }
+    fn block_view(&self, block: Block) -> BlockView {
+        let mut view = BlockView::new(self.spec.tiles());
         // Coverage: every copy must appear in the sharing code of its
         // supplier — the owner (plus its ProPos) or a sharer-tracking
-        // provider, each reporting itself — or of the home entry. Blocks
-        // tracked by broadcast are omitted.
-        let mut untracked = Vec::new();
-        for bank in &self.l2 {
-            for (block, e) in bank.iter() {
-                match P::home_recorded(self, &e.code) {
-                    Some(bits) => *snap.recorded.entry(block).or_insert(0) |= bits,
-                    None => untracked.push(block),
-                }
-            }
-        }
+        // provider, each reporting itself — or of the home entry. A home
+        // entry tracked by broadcast leaves the block unrecorded.
+        let mut recorded = None;
         for (t, l1) in self.l1.iter().enumerate() {
-            for (block, line) in l1.iter() {
-                let supplier = match line.state {
-                    L1State::Owner { .. } => true,
-                    L1State::Provider => P::PROVIDERS_TRACK_SHARERS,
-                    L1State::Sharer { .. } => false,
-                };
-                if !supplier {
-                    continue;
+            let Some(line) = l1.peek(block) else { continue };
+            let (state, supplier) = match line.state {
+                L1State::Sharer { .. } => (CopyState::Shared, false),
+                L1State::Provider => (CopyState::Provider, P::PROVIDERS_TRACK_SHARERS),
+                L1State::Owner { exclusive, dirty } => {
+                    (CopyState::Owner { exclusive, dirty }, true)
                 }
+            };
+            view.copies[t] = Some(CopyView { state, version: line.version });
+            if supplier {
                 let mut bits = bit(t);
                 for i in iter_bits(line.sharers) {
                     bits |= bit(self.sharer_tile(t, i));
                 }
-                if let L1State::Owner { .. } = line.state {
+                if let CopyState::Owner { .. } = state {
                     for p in line.propos.to_msg().iter() {
                         bits |= bit(p);
                     }
                 }
-                *snap.recorded.entry(block).or_insert(0) |= bits;
+                recorded = Some(recorded.unwrap_or(0) | bits);
             }
         }
-        for b in untracked {
-            snap.recorded.remove(&b);
-        }
-        snap
+        let home = self.home(block);
+        view.l2 = match self.l2[home].peek(block) {
+            Some(e) => {
+                recorded = P::home_recorded(self, &e.code).map(|bits| recorded.unwrap_or(0) | bits);
+                Some(L2View {
+                    has_data: true,
+                    version: e.version,
+                    dirty: e.dirty,
+                    owner_in_l1: None,
+                })
+            }
+            None => self.l2c[home]
+                .peek(block)
+                .map(|&o| L2View { owner_in_l1: Some(o), ..L2View::default() }),
+        };
+        view.recorded = recorded;
+        view.authority = self.authority.latest(block);
+        view.memory = self.mem.version(block);
+        view
+    }
+
+    fn blocks(&self) -> Vec<Block> {
+        self.authority
+            .with_held(blocks_in(&self.l1).chain(blocks_in(&self.l2)).chain(blocks_in(&self.l2c)))
     }
 }

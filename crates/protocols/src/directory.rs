@@ -13,7 +13,7 @@
 //! comparisons — gives the directory its characteristic 3-hop
 //! requestor → home → owner → requestor misses.
 
-use crate::checker::{ChipSnapshot, CopyState, CopyView, L2View};
+use crate::checker::{BlockView, CopyState, CopyView, L2View};
 use crate::common::*;
 use cmpsim_cache::{Mshr, SetAssoc};
 use cmpsim_engine::{Cycle, FxHashMap};
@@ -985,67 +985,47 @@ impl CoherenceProtocol for Directory {
         Occupancy { l1_lines, l1_capacity, l2_lines, l2_capacity, aux_lines, aux_capacity }
     }
 
-    fn snapshot(&self) -> ChipSnapshot {
-        let mut snap = ChipSnapshot::new(self.spec.tiles());
-        for (t, l1) in self.l1.iter().enumerate() {
-            for (block, line) in l1.iter() {
+    fn block_view(&self, block: Block) -> BlockView {
+        let mut view = BlockView::new(self.spec.tiles());
+        for (copy, l1) in view.copies.iter_mut().zip(&self.l1) {
+            *copy = l1.peek(block).map(|line| {
                 let state = match line.state {
                     L1State::Shared => CopyState::Shared,
                     L1State::Exclusive => CopyState::Owner { exclusive: true, dirty: false },
                     L1State::Modified => CopyState::Owner { exclusive: true, dirty: true },
                 };
-                snap.l1[t].insert(block, CopyView { state, version: line.version });
-            }
+                CopyView { state, version: line.version }
+            });
         }
-        for bank in &self.l2 {
-            for (block, e) in bank.iter() {
-                snap.l2.insert(
-                    block,
-                    L2View {
-                        has_data: true,
-                        version: e.version,
-                        dirty: e.dirty,
-                        owner_in_l1: e.owner,
-                    },
-                );
-            }
-        }
-        for bank in &self.dircache {
-            for (block, d) in bank.iter() {
-                snap.l2.entry(block).or_insert(L2View {
-                    has_data: false,
-                    version: 0,
-                    dirty: false,
-                    owner_in_l1: d.owner,
-                });
-            }
-        }
-        for (b, v) in self.authority.iter() {
-            snap.authority.insert(*b, *v);
-        }
-        for (b, _) in self.authority.iter() {
-            snap.memory.insert(*b, self.mem.version(*b));
-        }
+        let home = self.home(block);
+        let entry = self.l2[home].peek(block);
+        let dir = self.dircache[home].peek(block);
+        view.l2 = match (entry, dir) {
+            (Some(e), _) => Some(L2View {
+                has_data: true,
+                version: e.version,
+                dirty: e.dirty,
+                owner_in_l1: e.owner,
+            }),
+            (None, Some(d)) => Some(L2View { owner_in_l1: d.owner, ..L2View::default() }),
+            (None, None) => None,
+        };
         // Coverage: the directory's full map must name every copy.
-        for bank in &self.l2 {
-            for (block, e) in bank.iter() {
-                let mut bits = e.sharers;
-                if let Some(o) = e.owner {
-                    bits |= bit(o);
-                }
-                snap.recorded.insert(block, bits);
-            }
-        }
-        for bank in &self.dircache {
-            for (block, d) in bank.iter() {
-                let mut bits = d.sharers;
-                if let Some(o) = d.owner {
-                    bits |= bit(o);
-                }
-                snap.recorded.entry(block).and_modify(|v| *v |= bits).or_insert(bits);
-            }
-        }
-        snap
+        let code = |sharers: u64, owner: Option<Tile>| sharers | owner.map_or(0, bit);
+        view.recorded =
+            [entry.map(|e| code(e.sharers, e.owner)), dir.map(|d| code(d.sharers, d.owner))]
+                .into_iter()
+                .flatten()
+                .reduce(|a, b| a | b);
+        view.authority = self.authority.latest(block);
+        view.memory = self.mem.version(block);
+        view
+    }
+
+    fn blocks(&self) -> Vec<Block> {
+        self.authority.with_held(
+            blocks_in(&self.l1).chain(blocks_in(&self.l2)).chain(blocks_in(&self.dircache)),
+        )
     }
 }
 
@@ -1109,12 +1089,12 @@ mod tests {
         h.push_access(3, 100, true);
         h.run_checked(4000);
         // After the write, only tile 3 has a copy.
-        let snap = h.proto.snapshot();
+        let view = h.proto.block_view(100);
         for t in 0..3 {
-            assert!(!snap.l1[t].contains_key(&100), "tile {t} kept a stale copy");
+            assert!(view.copies[t].is_none(), "tile {t} kept a stale copy");
         }
         assert!(matches!(
-            snap.l1[3].get(&100).unwrap().state,
+            view.copies[3].unwrap().state,
             CopyState::Owner { exclusive: true, dirty: true }
         ));
         assert!(h.proto.stats().invalidations.get() >= 1);
@@ -1127,12 +1107,12 @@ mod tests {
         h.run_checked(1000);
         h.push_access(1, 100, false);
         h.run_checked(2000);
-        let snap = h.proto.snapshot();
-        let v = *snap.authority.get(&100).unwrap();
+        let view = h.proto.block_view(100);
+        let v = h.proto.authority().latest(100);
         assert_eq!(v, 1);
-        assert_eq!(snap.l1[1].get(&100).unwrap().version, v);
+        assert_eq!(view.copies[1].unwrap().version, v);
         // Former owner downgraded to shared.
-        assert!(matches!(snap.l1[0].get(&100).unwrap().state, CopyState::Shared));
+        assert!(matches!(view.copies[0].unwrap().state, CopyState::Shared));
     }
 
     #[test]
@@ -1142,8 +1122,7 @@ mod tests {
             h.push_access(i % 2, 64, true);
         }
         h.run_checked(20_000);
-        let snap = h.proto.snapshot();
-        assert_eq!(*snap.authority.get(&64).unwrap(), 10);
+        assert_eq!(h.proto.authority().latest(64), 10);
     }
 
     #[test]

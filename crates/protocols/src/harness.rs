@@ -68,8 +68,9 @@ impl<P: CoherenceProtocol> Harness<P> {
     /// Turns on the per-message invariant checker: SWMR and the
     /// forwarding bound are validated after every handled message, and
     /// the full quiescent checks whenever the chip drains. Slows the run
-    /// down (a whole-chip snapshot per message) but pins down *when* an
-    /// invariant first breaks instead of discovering it at the end.
+    /// down (a view of the touched block per message) but pins down
+    /// *when* an invariant first breaks instead of discovering it at the
+    /// end.
     pub fn enable_invariant_checker(&mut self) {
         self.checker = Some(StepChecker::new());
     }
@@ -211,13 +212,9 @@ impl<P: CoherenceProtocol> Harness<P> {
                     }
                     self.apply_ctx(now, ctx);
                     if let Some(chk) = &mut self.checker {
-                        chk.record_message(now, &msg);
-                        let snap = self.proto.snapshot();
-                        // True quiescence needs an empty event queue too:
-                        // fire-and-forget traffic (hints, acks, writebacks)
-                        // is not tracked by the protocol's pending state.
-                        let quiescent = self.queue.is_empty() && self.proto.quiescent();
-                        if let Err(errors) = chk.check_step(&msg, &snap, quiescent) {
+                        let verdict =
+                            chk.after_message(now, &msg, &self.proto, self.queue.is_empty());
+                        if let Err(errors) = verdict {
                             panic!(
                                 "invariant violation at cycle {now} after {:?} -> {:?}: {:?}\n{}\nhistory of block {:#x}:\n{}",
                                 msg.src,
@@ -253,8 +250,7 @@ impl<P: CoherenceProtocol> Harness<P> {
     /// Runs and then checks every coherence invariant.
     pub fn run_checked(&mut self, max_events: u64) {
         self.run(max_events);
-        let snap = self.proto.snapshot();
-        if let Err(errors) = checker::check(&snap) {
+        if let Err(errors) = checker::check_chip(&self.proto) {
             panic!(
                 "coherence invariants violated ({} errors):\n{}",
                 errors.len(),

@@ -573,8 +573,8 @@ mod tests {
         h.run_checked(1000);
         h.push_access(1, 100, false); // same area read
         h.run_checked(2000);
-        let snap = h.proto.snapshot();
-        assert!(matches!(snap.l1[1].get(&100).unwrap().state, CopyState::Shared));
+        let view = h.proto.block_view(100);
+        assert!(matches!(view.copies[1].unwrap().state, CopyState::Shared));
     }
 
     #[test]
@@ -584,8 +584,8 @@ mod tests {
         h.run_checked(1000);
         h.push_access(2, 100, false); // area 1 reads -> becomes provider
         h.run_checked(2000);
-        let snap = h.proto.snapshot();
-        assert!(matches!(snap.l1[2].get(&100).unwrap().state, CopyState::Provider));
+        let view = h.proto.block_view(100);
+        assert!(matches!(view.copies[2].unwrap().state, CopyState::Provider));
     }
 
     #[test]
@@ -597,8 +597,8 @@ mod tests {
         h.run_checked(2000);
         h.push_access(3, 100, false); // same area as tile 2
         h.run_checked(3000);
-        let snap = h.proto.snapshot();
-        assert!(matches!(snap.l1[3].get(&100).unwrap().state, CopyState::Shared));
+        let view = h.proto.block_view(100);
+        assert!(matches!(view.copies[3].unwrap().state, CopyState::Shared));
         // Tile 3 had no prediction: its request went through the home,
         // which forwarded to the owner, which forwarded to the provider —
         // the data still came from the provider L1.
@@ -648,15 +648,15 @@ mod tests {
         h.run_checked(8000);
         h.push_access(5, 100, true); // write from area 0
         h.run_checked(10_000);
-        let snap = h.proto.snapshot();
+        let view = h.proto.block_view(100);
         for t in [0usize, 1, 2, 3, 8, 10] {
-            assert!(!snap.l1[t].contains_key(&100), "tile {t} kept a stale copy");
+            assert!(view.copies[t].is_none(), "tile {t} kept a stale copy");
         }
         assert!(matches!(
-            snap.l1[5].get(&100).unwrap().state,
+            view.copies[5].unwrap().state,
             CopyState::Owner { exclusive: true, dirty: true }
         ));
-        assert_eq!(*snap.authority.get(&100).unwrap(), 2);
+        assert_eq!(h.proto.authority().latest(100), 2);
     }
 
     #[test]
@@ -670,11 +670,11 @@ mod tests {
         h.run_checked(3000);
         h.push_access(2, 100, true); // the provider writes
         h.run_checked(6000);
-        let snap = h.proto.snapshot();
-        assert!(!snap.l1[3].contains_key(&100), "tile 3 must be invalidated by tile 2");
-        assert!(!snap.l1[0].contains_key(&100));
+        let view = h.proto.block_view(100);
+        assert!(view.copies[3].is_none(), "tile 3 must be invalidated by tile 2");
+        assert!(view.copies[0].is_none());
         assert!(matches!(
-            snap.l1[2].get(&100).unwrap().state,
+            view.copies[2].unwrap().state,
             CopyState::Owner { exclusive: true, dirty: true }
         ));
     }
@@ -686,7 +686,7 @@ mod tests {
             h.push_access([0, 2, 8, 10][i % 4], 64, true);
         }
         h.run_checked(60_000);
-        assert_eq!(*h.proto.snapshot().authority.get(&64).unwrap(), 12);
+        assert_eq!(h.proto.authority().latest(64), 12);
     }
 
     #[test]

@@ -16,7 +16,7 @@ fn harness() -> Harness<Arin> {
 const B: u64 = 100;
 
 fn state(h: &Harness<Arin>, tile: usize) -> Option<CopyState> {
-    h.proto.snapshot().l1[tile].get(&B).map(|c| c.state)
+    h.proto.block_view(B).copies[tile].map(|c| c.state)
 }
 
 /// §III-B: "as long as the copies of a block are confined to one area,
@@ -30,11 +30,11 @@ fn area_confined_no_home_copy() {
     h.push_access(1, B, false);
     h.push_access(4, B, false);
     h.run_checked(5_000);
-    let snap = h.proto.snapshot();
-    assert!(matches!(snap.l1[0].get(&B).unwrap().state, CopyState::Owner { .. }));
-    assert!(matches!(snap.l1[1].get(&B).unwrap().state, CopyState::Shared));
+    let view = h.proto.block_view(B);
+    assert!(matches!(view.copies[0].unwrap().state, CopyState::Owner { .. }));
+    assert!(matches!(view.copies[1].unwrap().state, CopyState::Shared));
     // Data lives at the owner, not the home (DiCo keeps one copy).
-    assert!(!snap.l2.get(&B).map(|v| v.has_data).unwrap_or(false));
+    assert!(!view.l2.map(|v| v.has_data).unwrap_or(false));
 }
 
 /// §III-B: "as soon as a read request coming from a remote area reaches
@@ -48,10 +48,10 @@ fn sba_transition_parks_data_at_home() {
     h.run_checked(2_000);
     h.push_access(2, B, false); // remote-area read
     h.run_checked(4_000);
-    let snap = h.proto.snapshot();
-    assert!(matches!(snap.l1[0].get(&B).unwrap().state, CopyState::Provider));
-    assert!(matches!(snap.l1[2].get(&B).unwrap().state, CopyState::Provider));
-    let l2 = snap.l2.get(&B).expect("home entry");
+    let view = h.proto.block_view(B);
+    assert!(matches!(view.copies[0].unwrap().state, CopyState::Provider));
+    assert!(matches!(view.copies[2].unwrap().state, CopyState::Provider));
+    let l2 = view.l2.expect("home entry");
     assert!(l2.has_data, "SBA data must always be present in the home L2");
     assert!(l2.dirty, "the dissolved owner was dirty");
     assert_eq!(l2.version, 1);
@@ -93,20 +93,20 @@ fn three_way_invalidation_kills_every_copy() {
     h.run_checked(12_000);
     h.push_access(5, B, true);
     h.run_checked(20_000);
-    let snap = h.proto.snapshot();
+    let view = h.proto.block_view(B);
     for t in 0..16 {
         if t == 5 {
             continue;
         }
-        assert!(!snap.l1[t].contains_key(&B), "tile {t} survived the broadcast");
+        assert!(view.copies[t].is_none(), "tile {t} survived the broadcast");
     }
     assert!(matches!(
-        snap.l1[5].get(&B).unwrap().state,
+        view.copies[5].unwrap().state,
         CopyState::Owner { exclusive: true, dirty: true }
     ));
     // The home's stale SBA copy is gone; the L2C$ records the writer.
     assert_eq!(h.proto.stats().broadcast_invs.get(), 1);
-    assert_eq!(*snap.authority.get(&B).unwrap(), 2);
+    assert_eq!(h.proto.authority().latest(B), 2);
 }
 
 /// After the broadcast write, the block is area-confined again: a
@@ -211,10 +211,10 @@ fn blocked_caches_defer_requests() {
         h.push_access(t, B, false);
     }
     h.run_checked(40_000);
-    let snap = h.proto.snapshot();
+    let view = h.proto.block_view(B);
     // All reads completed after the write: they must see version 2.
     for t in [1usize, 3, 9, 11] {
-        if let Some(c) = snap.l1[t].get(&B) {
+        if let Some(c) = view.copies[t] {
             assert_eq!(c.version, 2, "tile {t} saw a stale version");
         }
     }

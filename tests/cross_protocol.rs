@@ -35,9 +35,8 @@ fn run<P: CoherenceProtocol>(proto: P, script: &[(usize, u64, bool)]) -> BTreeMa
         h.push_access(t, b, w);
     }
     h.run_checked(script.len() as u64 * 800 + 20_000);
-    let snap = h.proto.snapshot();
-    checker::check(&snap).expect("coherent at quiescence");
-    snap.authority
+    checker::check_chip(&h.proto).expect("coherent at quiescence");
+    h.proto.authority().iter().map(|(&block, &version)| (block, version)).collect()
 }
 
 #[test]

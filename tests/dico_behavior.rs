@@ -14,7 +14,7 @@ fn harness() -> Harness<DiCo> {
 const B: u64 = 100;
 
 fn state(h: &Harness<DiCo>, tile: usize) -> Option<CopyState> {
-    h.proto.snapshot().l1[tile].get(&B).map(|c| c.state)
+    h.proto.block_view(B).copies[tile].map(|c| c.state)
 }
 
 /// A sharer's line hint (the embedded GenPo) predicts the owner for its
@@ -97,7 +97,7 @@ fn upgrade_in_place_keeps_ownership() {
         assert!(state(&h, t).is_none(), "tile {t} must be invalidated");
     }
     assert_eq!(h.proto.stats().mem_reads.get(), mem_reads_before, "no data movement");
-    assert_eq!(*h.proto.snapshot().authority.get(&B).unwrap(), 2);
+    assert_eq!(h.proto.authority().latest(B), 2);
 }
 
 /// Exclusive-owner writes are silent (no traffic at all).
@@ -111,7 +111,7 @@ fn exclusive_write_is_a_pure_hit() {
     h.push_access(0, B, true);
     h.run_checked(3_000);
     assert_eq!(h.proto.stats().l1_misses.get(), msgs_before);
-    assert_eq!(*h.proto.snapshot().authority.get(&B).unwrap(), 3);
+    assert_eq!(h.proto.authority().latest(B), 3);
 }
 
 /// Owner replacement with sharers: the ownership (and the sharing code)
@@ -149,9 +149,9 @@ fn single_copy_in_the_chip() {
     let mut h = harness();
     h.push_access(0, B, false);
     h.run_checked(2_000);
-    let snap = h.proto.snapshot();
-    assert!(matches!(snap.l1[0].get(&B).unwrap().state, CopyState::Owner { exclusive: true, .. }));
-    let l2 = snap.l2.get(&B).expect("L2C$ records the owner");
+    let view = h.proto.block_view(B);
+    assert!(matches!(view.copies[0].unwrap().state, CopyState::Owner { exclusive: true, .. }));
+    let l2 = view.l2.expect("L2C$ records the owner");
     assert!(!l2.has_data, "DiCo must not duplicate the data at the home");
     assert_eq!(l2.owner_in_l1, Some(0));
 }
@@ -169,8 +169,7 @@ fn l2c_pressure_recalls_ownership_safely() {
     }
     h.run_checked(100_000);
     // Spot-check: every block's single write survived.
-    let snap = h.proto.snapshot();
     for &b in &blocks {
-        assert_eq!(snap.authority.get(&b).copied().unwrap_or(0), 1, "block {b}");
+        assert_eq!(h.proto.authority().latest(b), 1, "block {b}");
     }
 }

@@ -16,7 +16,7 @@ fn harness() -> Harness<Directory> {
 const B: u64 = 100;
 
 fn state(h: &Harness<Directory>, tile: usize) -> Option<CopyState> {
-    h.proto.snapshot().l1[tile].get(&B).map(|c| c.state)
+    h.proto.block_view(B).copies[tile].map(|c| c.state)
 }
 
 /// Blocks fetched from memory are installed in the L2 (and E-granted);
@@ -47,8 +47,7 @@ fn home_serializes_concurrent_writers() {
     h.push_access(4, B, true);
     h.push_access(5, B, true);
     h.run_checked(6_000);
-    let snap = h.proto.snapshot();
-    assert_eq!(*snap.authority.get(&B).unwrap(), 2);
+    assert_eq!(h.proto.authority().latest(B), 2);
     // Exactly one owner survives.
     let owners: Vec<usize> =
         (0..16).filter(|&t| matches!(state(&h, t), Some(CopyState::Owner { .. }))).collect();
@@ -71,9 +70,9 @@ fn write_collects_all_sharer_acks() {
     h.run_checked(10_000);
     // Four copies to invalidate (tiles 0-3).
     assert_eq!(h.proto.stats().invalidations.get(), inv_before + 4);
-    let snap = h.proto.snapshot();
+    let view = h.proto.block_view(B);
     for t in 0..4 {
-        assert!(!snap.l1[t].contains_key(&B));
+        assert!(view.copies[t].is_none());
     }
 }
 
@@ -89,7 +88,7 @@ fn exclusive_grant_enables_silent_upgrade() {
     h.run_checked(3_000);
     assert_eq!(h.proto.stats().l1_misses.get(), misses, "E->M must be a hit");
     assert!(matches!(state(&h, 0), Some(CopyState::Owner { exclusive: true, dirty: true })));
-    assert_eq!(*h.proto.snapshot().authority.get(&B).unwrap(), 1);
+    assert_eq!(h.proto.authority().latest(B), 1);
 }
 
 /// A dirty L1 owner supplies a reader through the home (3-hop path) and
@@ -102,11 +101,11 @@ fn dirty_owner_forward_path() {
     h.push_access(1, B, false);
     h.run_checked(5_000);
     assert_eq!(h.proto.stats().class_count(MissClass::UnpredictedForwarded), 1);
-    let snap = h.proto.snapshot();
+    let view = h.proto.block_view(B);
     // Both ex-owner and reader are sharers now; home data is current.
-    assert!(matches!(snap.l1[0].get(&B).unwrap().state, CopyState::Shared));
-    assert!(matches!(snap.l1[1].get(&B).unwrap().state, CopyState::Shared));
-    let l2 = snap.l2.get(&B).expect("home entry");
+    assert!(matches!(view.copies[0].unwrap().state, CopyState::Shared));
+    assert!(matches!(view.copies[1].unwrap().state, CopyState::Shared));
+    let l2 = view.l2.expect("home entry");
     assert!(l2.has_data);
     assert_eq!(l2.version, 1);
 }
@@ -128,7 +127,7 @@ fn stale_sharer_bits_are_harmless() {
     // block it no longer has).
     h.push_access(2, B, true);
     h.run_checked(13_000);
-    assert_eq!(*h.proto.snapshot().authority.get(&B).unwrap(), 1);
+    assert_eq!(h.proto.authority().latest(B), 1);
     assert!(matches!(state(&h, 2), Some(CopyState::Owner { dirty: true, .. })));
 }
 
@@ -160,7 +159,7 @@ fn directory_eviction_pressure_is_safe() {
         "directory-cache overflow must trigger a directory eviction"
     );
     // At least one owner lost its copy to the eviction.
-    let snap = h.proto.snapshot();
-    let alive = (1..=3).filter(|&t| snap.l1[t].contains_key(&b(t as u64 - 1))).count();
+    let alive =
+        (1..=3).filter(|&t| h.proto.block_view(b(t as u64 - 1)).copies[t].is_some()).count();
     assert!(alive < 3, "some owner must have been invalidated");
 }

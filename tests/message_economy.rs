@@ -96,9 +96,9 @@ fn providers_write_invalidation_fanout() {
     // Inv (tile 3) = 4 invalidation messages.
     assert_eq!(h.proto.stats().invalidations.get(), inv_before + 4);
     // And every copy is gone.
-    let snap = h.proto.snapshot();
+    let view = h.proto.block_view(B);
     for t in [0usize, 1, 2, 3, 8] {
-        assert!(!snap.l1[t].contains_key(&B), "tile {t}");
+        assert!(view.copies[t].is_none(), "tile {t}");
     }
 }
 

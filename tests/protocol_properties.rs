@@ -24,11 +24,10 @@ fn run<P: CoherenceProtocol>(proto: P, script: &Script, jitter_seed: u64) -> BTr
         h.push_access(t % 16, b, w);
     }
     h.run(script.len() as u64 * 1_000 + 50_000);
-    let snap = h.proto.snapshot();
-    if let Err(errors) = checker::check(&snap) {
+    if let Err(errors) = checker::check_chip(&h.proto) {
         panic!("invariants violated:\n{}", errors.join("\n"));
     }
-    snap.authority
+    h.proto.authority().iter().map(|(&block, &version)| (block, version)).collect()
 }
 
 fn script_strategy(max_ops: usize, blocks: u64) -> impl Strategy<Value = Script> {

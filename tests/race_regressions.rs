@@ -34,7 +34,7 @@ fn tombstone_cycles_terminate() {
         }
     }
     h.run_checked(400_000);
-    assert_eq!(*h.proto.snapshot().authority.get(&B).unwrap(), 45);
+    assert_eq!(h.proto.authority().latest(B), 45);
 }
 
 /// Race: the home forwards a request to a cache whose ownership data is
@@ -54,7 +54,7 @@ fn requests_park_at_owner_to_be() {
     h.push_access(8, B, true);
     h.push_access(9, B, false);
     h.run_checked(60_000);
-    assert_eq!(*h.proto.snapshot().authority.get(&B).unwrap(), 3);
+    assert_eq!(h.proto.authority().latest(B), 3);
 }
 
 /// Race: a read fill serialized *before* a write crosses the write's
@@ -75,10 +75,10 @@ fn stale_fills_are_not_installed() {
         }
         h.push_access(4, B, true);
         h.run_checked(80_000);
-        let snap = h.proto.snapshot();
-        let authority = *snap.authority.get(&B).unwrap();
+        let view = h.proto.block_view(B);
+        let authority = h.proto.authority().latest(B);
         for t in 0..16 {
-            if let Some(c) = snap.l1[t].get(&B) {
+            if let Some(c) = view.copies[t] {
                 assert_eq!(c.version, authority, "tile {t} kept a stale fill (seed {seed})");
             }
         }
@@ -104,9 +104,8 @@ fn early_recall_is_parked() {
     h.push_access(3, b(2), true);
     h.push_access(5, b(0), true); // keep block 0 moving at the same time
     h.run_checked(60_000);
-    let snap = h.proto.snapshot();
-    assert_eq!(*snap.authority.get(&b(0)).unwrap(), 2);
-    assert_eq!(*snap.authority.get(&b(2)).unwrap(), 1);
+    assert_eq!(h.proto.authority().latest(b(0)), 2);
+    assert_eq!(h.proto.authority().latest(b(2)), 1);
 }
 
 /// Race: a provider pointer is repaired while the displaced provider's
@@ -129,10 +128,10 @@ fn provider_repair_leaves_no_orphans() {
         // and afterwards only the writer remains.
         h.push_access(12, B, true);
         h.run_checked(60_000);
-        let snap = h.proto.snapshot();
+        let view = h.proto.block_view(B);
         for t in 0..16 {
             if t != 12 {
-                assert!(!snap.l1[t].contains_key(&B), "tile {t} survived (seed {seed})");
+                assert!(view.copies[t].is_none(), "tile {t} survived (seed {seed})");
             }
         }
     }
@@ -158,7 +157,7 @@ fn broadcast_unblock_releases_parked_requests() {
     h.push_access(14, B, true);
     h.push_access(3, B, false);
     h.run_checked(120_000);
-    assert_eq!(*h.proto.snapshot().authority.get(&B).unwrap(), 3);
+    assert_eq!(h.proto.authority().latest(B), 3);
 }
 
 /// Race: the directory's forwarded request crosses the owner's eviction
@@ -177,8 +176,8 @@ fn directory_forward_eviction_crossing() {
     h.push_access(1, B, false);
     h.push_access(0, B + 24, false);
     h.run_checked(60_000);
-    let snap = h.proto.snapshot();
-    assert_eq!(snap.l1[1].get(&B).expect("reader must be served").version, 1);
+    let view = h.proto.block_view(B);
+    assert_eq!(view.copies[1].expect("reader must be served").version, 1);
 }
 
 /// The whole mix under adversarial latency skew: tiny chip, huge

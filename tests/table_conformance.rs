@@ -18,7 +18,7 @@ const B: u64 = 100;
 
 /// Helper: state of `tile`'s copy of block `B`.
 fn state(h: &Harness<Providers>, tile: usize) -> Option<CopyState> {
-    h.proto.snapshot().l1[tile].get(&B).map(|c| c.state)
+    h.proto.block_view(B).copies[tile].map(|c| c.state)
 }
 
 // ------------------------------------------------------------- Table I
@@ -129,7 +129,7 @@ fn t1_write_owner() {
     for t in [0usize, 1, 2, 8] {
         assert!(state(&h, t).is_none(), "tile {t} must be invalidated");
     }
-    assert_eq!(*h.proto.snapshot().authority.get(&B).unwrap(), 2);
+    assert_eq!(h.proto.authority().latest(B), 2);
 }
 
 /// Write / L2 none: memory fetch, "requestor will become owner in
@@ -222,9 +222,9 @@ fn t2_owner_eviction_to_home() {
     h.push_access(0, B + 256, false);
     h.push_access(0, B + 512, false);
     h.run_checked(8_000);
-    let snap = h.proto.snapshot();
-    assert!(!snap.l1[0].contains_key(&B));
-    let l2 = snap.l2.get(&B).expect("home must hold the block");
+    let view = h.proto.block_view(B);
+    assert!(view.copies[0].is_none());
+    let l2 = view.l2.expect("home must hold the block");
     assert!(l2.has_data && l2.dirty);
     assert_eq!(l2.version, 1);
 }
