@@ -236,11 +236,9 @@ enum Event {
 /// One entry in the [`StepChecker`]'s event history; its `Display` is the
 /// line a violation report shows.
 #[derive(Debug, Clone, Copy)]
-pub struct HistoryEntry {
-    /// Cycle the event happened at.
-    pub cycle: Cycle,
-    /// Block concerned.
-    pub block: Block,
+struct HistoryEntry {
+    cycle: Cycle,
+    block: Block,
     event: Event,
 }
 

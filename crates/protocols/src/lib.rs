@@ -30,9 +30,10 @@
 //! All protocols speak the unified message vocabulary of [`common`] and
 //! are driven through [`common::Ctx`] by a host (the full simulator in
 //! the `cmpsim` crate, or the in-crate [`harness`] used for unit and
-//! stress tests). [`checker`] implements the whole-chip coherence
-//! invariants (SWMR, no stale values, directory conservativeness) that
-//! the test suite enforces at quiescence.
+//! stress tests). [`checker`] implements the coherence invariants (SWMR,
+//! no stale values, directory conservativeness) once per block, over
+//! each protocol's [`common::CoherenceProtocol::block_view`]; the test
+//! suite walks them over every block at quiescence.
 //!
 //! # Example: driving a protocol through the test harness
 //!

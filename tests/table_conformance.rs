@@ -229,6 +229,22 @@ fn t2_owner_eviction_to_home() {
     assert_eq!(l2.version, 1);
 }
 
+/// A clean owner's eviction leaves the block in its home L2 alone, never
+/// written: the whole-chip check must still reach it.
+#[test]
+fn clean_eviction_leaves_an_l2_only_block_in_the_walk() {
+    let mut h = harness();
+    h.push_access(0, B, false);
+    h.push_access(0, B + 256, false);
+    h.push_access(0, B + 512, false);
+    h.run_checked(8_000);
+    let view = h.proto.block_view(B);
+    assert!(view.held().next().is_none());
+    assert!(view.l2.expect("home must hold the block").has_data);
+    assert_eq!(h.proto.authority().latest(B), 0);
+    assert!(h.proto.blocks().contains(&B));
+}
+
 /// After an ownership hand-off, a write by a third core still
 /// invalidates every stale copy (the sharing code travelled with the
 /// ownership).
