@@ -440,6 +440,9 @@ mod tests {
         let mut v = view(0);
         v.l2 = Some(L2View { has_data: false, version: 0, dirty: false, owner_in_l1: Some(1) });
         assert_flags(&quiescent_errors(&v), "home points at owner tile 1");
+        // A sharer there is not the owner the home names.
+        v.copies[1] = copy(CopyState::Shared, 0);
+        assert_flags(&quiescent_errors(&v), "home points at owner tile 1");
         v.copies[1] = copy(OWNER_E, 0);
         assert!(quiescent_errors(&v).is_empty());
     }
