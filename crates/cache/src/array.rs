@@ -1,27 +1,39 @@
 //! Generic set-associative array with true-LRU replacement.
 //!
 //! Ways are 16-byte `(block, LRU stamp, payload slot)` triples kept in
-//! one arena of rows, `ways` ways to a row. A set gets its row on its
-//! first insert and keeps it, so way memory grows with the sets that
-//! ever held a line, not with the geometry. That matters for the L2
-//! banks: their set index comes from page-number bits, so the few
-//! lines a bank holds are spread over all of its sets, and a dense
-//! `sets × ways` array would fault in nearly every page of it.
-//! Each set has one 4-byte entry, `row << shift | n`: its row and the
-//! `n` live lines at the front of it, where `shift` leaves just enough
-//! low bits to count to `ways`. The entry is as small as the per-set
-//! length it replaced, because a lookup must now read it before it can
-//! load the ways, and the fewer host cache lines the entries take, the
-//! more often that first read hits. Row 0 is a placeholder that no line
-//! is ever written to: every set without a row of its own names it with
-//! a count of zero, so a lookup reads the entry and scans its row
-//! without asking whether the row exists. The entries are built with
-//! `vec![0; sets]`, which asks the allocator for zeroed memory, so the
-//! entries of sets nothing touches are never faulted in either.
-//! Payloads live in a dense slab that grows with the resident lines and
-//! reuses freed slots. The rare lines an
-//! [`SetAssoc::insert_filtered`] overshoot places beyond a full row
-//! live in a small ordered side table.
+//! chunks of 1, 2, 4, … up to `ways` ways. A set gets a one-way chunk
+//! on its first insert; an insert into a full chunk smaller than `ways`
+//! moves the set's lines, in in-set order, to a chunk of the next size
+//! and frees the old one. A set keeps its chunk when lines leave, so a
+//! set's chunk is sized to the most lines it has held, and way memory
+//! grows with the lines the sets have held, not with the geometry. That
+//! matters for the L2 banks: their set index comes from page-number
+//! bits, so the few lines a bank holds are spread over all of its sets,
+//! one or two to a set, and a dense `sets × ways` array (or a full row
+//! per set) would pay for ways that are never written.
+//!
+//! Chunks of one size form a class with an arena of its own: class `c`
+//! holds chunks of `(1 << c) >> 1` ways, so class 0 is the empty chunk
+//! that every set without ways names and whose arena stays empty, and
+//! the largest class rounds `ways` up to a power of two. Freed chunks go
+//! onto their class's free list and are reused before the arena grows.
+//! Each set has one 4-byte entry packing `(index, class, n)`: its
+//! chunk's index in its class's arena and the `n` live lines at the
+//! front of it (see `EntryBits`). A class holds at most one chunk per
+//! set, since a set passes through each class once, so the entry fits
+//! in 30 bits for every geometry [`Geometry::in_range`] accepts. The
+//! entry is as small as the per-set length it replaced, because a
+//! lookup must read it before it can load the ways, and the fewer host
+//! cache lines the entries take, the more often that first read hits. A
+//! lookup reads the entry and scans `n` ways from the chunk's first way
+//! without asking whether the set has a chunk: a set without one reads
+//! zero lines of class 0. The entries are built with `vec![0; sets]`,
+//! which asks the allocator for zeroed memory, so the entries of sets
+//! nothing touches are never faulted in either. Payloads live in a
+//! dense slab that grows with the resident lines and reuses freed
+//! slots. The slab and the class arenas grow by a quarter of their
+//! capacity at a time, not by doubling. The rare lines an [`SetAssoc::insert_filtered`] overshoot
+//! places beyond a full set live in a small ordered side table.
 //!
 //! LRU stamps are `u32`. Every access takes the next value of a
 //! per-array clock, so live stamps are unique and only their order
@@ -34,7 +46,7 @@
 //! In-set order is behaviourally significant (iteration order and the
 //! first-minimum victim tie-break), so each set keeps the order of a
 //! vector mutated only by `push` and `swap_remove`: in-set position
-//! `p < ways` is way `p` of the set's row, and position `ways + i` is
+//! `p < ways` is way `p` of the set's chunk, and position `ways + i` is
 //! entry `i` of the set's overshoot list.
 
 use std::collections::BTreeMap;
@@ -48,19 +60,78 @@ use cmpsim_engine::{Snap, SnapError, SnapReader, SnapWriter};
 /// the stamp is a renumbered `u32` (see the module docs), not a `u64`.
 type Way = (u64, u32, u32);
 
+/// How a set's 4-byte entry packs `(index, class, n)`, low bits first:
+/// `n`, the live lines of its chunk, in just enough bits to count to
+/// `ways`; `class`, in just enough bits for the largest class; and
+/// `index`, the chunk's index within its class, in the rest. The
+/// all-zero entry is a set without a chunk.
+#[derive(Debug, Clone, Copy)]
+struct EntryBits {
+    /// Low bits that count a chunk's live lines.
+    count: u32,
+    /// Bits above them that name the chunk's class.
+    class: u32,
+}
+
+impl EntryBits {
+    fn new(geom: Geometry) -> Self {
+        let bits = |x: usize| usize::BITS - x.leading_zeros();
+        Self { count: bits(geom.ways), class: bits(Self::top_class(geom)) }
+    }
+
+    /// The class whose chunks hold a full set: `ways` rounded up to a
+    /// power of two.
+    fn top_class(geom: Geometry) -> usize {
+        geom.ways.next_power_of_two().trailing_zeros() as usize + 1
+    }
+
+    /// The entry naming chunk `index` of `class`, with `n` live lines.
+    fn pack(self, index: usize, class: usize, n: usize) -> u32 {
+        u32::try_from((index << self.class | class) << self.count | n)
+            .expect("a set entry can name every chunk")
+    }
+
+    /// `(index, class, n)` of an entry.
+    #[inline]
+    fn unpack(self, entry: u32) -> (usize, usize, usize) {
+        let entry = entry as usize;
+        let n = entry & ((1 << self.count) - 1);
+        let class = (entry >> self.count) & ((1 << self.class) - 1);
+        (entry >> (self.count + self.class), class, n)
+    }
+}
+
+/// Makes room for `extra` more elements, growing `v` by a quarter of
+/// its capacity rather than doubling it. Chunk arenas and payload slabs
+/// grow as the lines arrive and stop where the cell's working set
+/// does, so a doubled buffer would leave up to half of its memory
+/// unused for the rest of the run.
+fn reserve_gently<E>(v: &mut Vec<E>, extra: usize) {
+    if v.capacity() - v.len() < extra {
+        v.reserve_exact(extra.max(v.capacity() / 4).max(4));
+    }
+}
+
+/// Ways between consecutive chunks of `class`: 0, 1, 2, 4, ….
+#[inline]
+fn stride(class: usize) -> usize {
+    (1 << class) >> 1
+}
+
 /// A set-associative array. All structures of a tile (L1, L2 bank,
 /// directory cache, L1C$, L2C$) are instances of this with different
 /// payloads and geometries.
 #[derive(Debug, Clone)]
 pub struct SetAssoc<T> {
     geom: Geometry,
-    /// Per set, `row << shift | n`: its row (0 until its first insert)
-    /// and the `n <= ways` live lines at the front of that row.
+    /// Per set, its packed `(index, class, n)` (see [`EntryBits`]).
     sets: Vec<u32>,
-    /// Low bits of a set entry that count its row's lines.
-    shift: u32,
-    /// Rows of `geom.ways` ways. Row 0 is the never-written placeholder.
-    ways: Vec<Way>,
+    bits: EntryBits,
+    /// Per class, the arena of its chunks, [`stride`] ways apart.
+    chunks: Vec<Vec<Way>>,
+    /// Per class, the indices of its free chunks, reused before the
+    /// class's arena grows.
+    spare: Vec<Vec<u32>>,
     /// Lines at in-set positions `>= ways`, by set.
     overshoot: BTreeMap<usize, Vec<Way>>,
     /// Payloads; `None` marks a free slot.
@@ -75,11 +146,13 @@ pub struct SetAssoc<T> {
 impl<T> SetAssoc<T> {
     /// Creates an empty array.
     pub fn new(geom: Geometry) -> Self {
+        let classes = EntryBits::top_class(geom) + 1;
         Self {
             geom,
             sets: vec![0; geom.sets],
-            shift: usize::BITS - geom.ways.leading_zeros(),
-            ways: vec![(0, 0, 0); geom.ways],
+            bits: EntryBits::new(geom),
+            chunks: vec![Vec::new(); classes],
+            spare: vec![Vec::new(); classes],
             overshoot: BTreeMap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -113,12 +186,6 @@ impl<T> SetAssoc<T> {
     #[cfg(test)]
     fn with_clock(geom: Geometry, clock: u32) -> Self {
         Self { clock, ..Self::new(geom) }
-    }
-
-    /// Rows handed out so far, not counting the placeholder.
-    #[cfg(test)]
-    fn rows(&self) -> usize {
-        self.ways.len() / self.geom.ways - 1
     }
 
     fn bump(&mut self) -> u32 {
@@ -155,27 +222,22 @@ impl<T> SetAssoc<T> {
         u32::try_from(ranks.len()).expect("fewer lines than u32::MAX")
     }
 
-    /// `set`'s row and the live lines in it.
+    /// `set`'s chunk class, the arena index of the chunk's first way,
+    /// and the live lines at the front of the chunk.
     #[inline]
-    fn entry(&self, set: usize) -> (usize, usize) {
-        let entry = self.sets[set];
-        ((entry >> self.shift) as usize, (entry & ((1 << self.shift) - 1)) as usize)
+    fn chunk(&self, set: usize) -> (usize, usize, usize) {
+        let (index, class, n) = self.bits.unpack(self.sets[set]);
+        (class, (index << class) >> 1, n)
     }
 
-    /// True when `set`'s row is full, as it is whenever the set
-    /// overshoots.
+    /// True when `set`'s chunk holds `ways` lines, as it does whenever
+    /// the set overshoots.
     #[inline]
     fn full(&self, set: usize) -> bool {
-        self.entry(set).1 == self.geom.ways
+        self.chunk(set).2 == self.geom.ways
     }
 
-    /// Index in `ways` of the first way of `set`'s row.
-    #[inline]
-    fn base(&self, set: usize) -> usize {
-        self.entry(set).0 * self.geom.ways
-    }
-
-    /// The lines of `set` beyond its row (empty unless it overshoots).
+    /// The lines of `set` beyond its chunk (empty unless it overshoots).
     #[inline]
     fn spilled(&self, set: usize) -> &[Way] {
         if self.overshoot.is_empty() {
@@ -184,11 +246,11 @@ impl<T> SetAssoc<T> {
         self.overshoot.get(&set).map_or(&[], Vec::as_slice)
     }
 
-    /// Resident lines of `set`: its row's, plus any overshoot (only a
-    /// full row overshoots).
+    /// Resident lines of `set`: its chunk's, plus any overshoot (only a
+    /// full set overshoots).
     #[inline]
     fn len_of(&self, set: usize) -> usize {
-        let n = self.entry(set).1;
+        let n = self.chunk(set).2;
         if n < self.geom.ways {
             n
         } else {
@@ -201,7 +263,8 @@ impl<T> SetAssoc<T> {
     fn way(&self, set: usize, pos: usize) -> &Way {
         let ways = self.geom.ways;
         if pos < ways {
-            &self.ways[self.base(set) + pos]
+            let (class, base, _) = self.chunk(set);
+            &self.chunks[class][base + pos]
         } else {
             &self.overshoot[&set][pos - ways]
         }
@@ -211,8 +274,8 @@ impl<T> SetAssoc<T> {
     fn way_mut(&mut self, set: usize, pos: usize) -> &mut Way {
         let ways = self.geom.ways;
         if pos < ways {
-            let at = self.base(set) + pos;
-            &mut self.ways[at]
+            let (class, base, _) = self.chunk(set);
+            &mut self.chunks[class][base + pos]
         } else {
             let spilled = self.overshoot.get_mut(&set).expect("overshooting set has a side list");
             &mut spilled[pos - ways]
@@ -220,13 +283,12 @@ impl<T> SetAssoc<T> {
     }
 
     /// The live lines of `set` in in-set order: the live ways of its
-    /// row, then its overshoot list.
+    /// chunk, then its overshoot list.
     #[inline]
     fn lines(&self, set: usize) -> impl Iterator<Item = &Way> {
-        let (row, n) = self.entry(set);
-        let base = row * self.geom.ways;
+        let (class, base, n) = self.chunk(set);
         let spilled = if n == self.geom.ways { self.spilled(set) } else { &[] };
-        self.ways[base..base + n].iter().chain(spilled)
+        self.chunks[class][base..base + n].iter().chain(spilled)
     }
 
     /// Every live line, set by set in in-set order.
@@ -237,9 +299,8 @@ impl<T> SetAssoc<T> {
     /// In-set position of `block` within `set`.
     #[inline]
     fn position(&self, set: usize, block: u64) -> Option<usize> {
-        let (row, n) = self.entry(set);
-        let base = row * self.geom.ways;
-        match self.ways[base..base + n].iter().position(|w| w.0 == block) {
+        let (class, base, n) = self.chunk(set);
+        match self.chunks[class][base..base + n].iter().position(|w| w.0 == block) {
             None if n == self.geom.ways => {
                 self.spilled(set).iter().position(|w| w.0 == block).map(|i| n + i)
             }
@@ -260,12 +321,29 @@ impl<T> SetAssoc<T> {
         best.map(|(_, pos)| pos)
     }
 
-    /// Gives the empty `set` the next row of the arena; returns the row.
-    fn grow(&mut self, set: usize) -> usize {
-        let row = self.ways.len() / self.geom.ways;
-        self.sets[set] = u32::try_from(row << self.shift).expect("a set entry can name every row");
-        self.ways.resize(self.ways.len() + self.geom.ways, (0, 0, 0));
-        row
+    /// Moves the `n` lines of `set`, whose chunk of `class` at `base` is
+    /// full, to a chunk of the next class (a free one if there is one),
+    /// and frees the old chunk. Returns the new class and chunk base.
+    fn grow(&mut self, set: usize, class: usize, base: usize, n: usize) -> (usize, usize) {
+        let next = class + 1;
+        let width = stride(next);
+        let index = match self.spare[next].pop() {
+            Some(index) => index as usize,
+            None => {
+                let arena = &mut self.chunks[next];
+                reserve_gently(arena, width);
+                arena.resize(arena.len() + width, (0, 0, 0));
+                arena.len() / width - 1
+            }
+        };
+        let (lower, upper) = self.chunks.split_at_mut(next);
+        upper[0][index * width..][..n].copy_from_slice(&lower[class][base..base + n]);
+        if class > 0 {
+            // Chunk indices are below `sets`, so they fit the entry.
+            self.spare[class].push((base / stride(class)) as u32);
+        }
+        self.sets[set] = self.bits.pack(index, next, n);
+        (next, index * width)
     }
 
     /// Appends a line at the end of `set` (`Vec::push` order).
@@ -276,14 +354,16 @@ impl<T> SetAssoc<T> {
                 slot
             }
             None => {
+                reserve_gently(&mut self.slab, 1);
                 self.slab.push(Some(data));
                 u32::try_from(self.slab.len() - 1).expect("payload slab exceeds u32 slots")
             }
         };
-        let (row, n) = self.entry(set);
+        let (class, base, n) = self.chunk(set);
         if n < self.geom.ways {
-            let row = if row == 0 { self.grow(set) } else { row };
-            self.ways[row * self.geom.ways + n] = (block, lru, slot);
+            let (class, base) =
+                if n == stride(class) { self.grow(set, class, base, n) } else { (class, base) };
+            self.chunks[class][base + n] = (block, lru, slot);
             self.sets[set] += 1;
         } else {
             self.overshoot.entry(set).or_default().push((block, lru, slot));
@@ -293,7 +373,7 @@ impl<T> SetAssoc<T> {
 
     /// Removes the line at in-set position `pos` of `set`, moving the
     /// set's last line into its place (`Vec::swap_remove` order). The
-    /// set keeps its row.
+    /// set keeps its chunk.
     fn swap_remove(&mut self, set: usize, pos: usize) -> (u64, T) {
         let last = self.len_of(set) - 1;
         let (block, _, slot) = *self.way(set, pos);
@@ -407,7 +487,7 @@ impl<T> SetAssoc<T> {
         assert!(self.position(set, block).is_none(), "insert of already-resident block {block:#x}");
         let mut victims = Vec::new();
         let mut overflowed = false;
-        // Evict until below associativity. A row stays full while its
+        // Evict until below associativity. A chunk stays full while its
         // set overshoots, so an earlier overshoot is repaid first.
         while self.full(set) {
             match self.lru_position(set, &mut can_evict) {
@@ -640,7 +720,7 @@ mod tests {
 
     /// Building an array faults in none of its set entries (the zeroed
     /// entries come from fresh pages), and ways are paid for only for
-    /// the rows that sets are given.
+    /// the chunks that sets are given.
     #[cfg(target_os = "linux")]
     #[test]
     fn untouched_sets_are_never_faulted_in() {
@@ -956,11 +1036,13 @@ mod oracle_proptests {
         (flat, model)
     }
 
-    /// A snapshot of `flat` restores to the same state, and a clone (a
-    /// fork) carries it too.
+    /// A snapshot of `flat` restores to the same state, with each set
+    /// in the smallest chunk that holds its lines, and a clone (a fork)
+    /// carries it too.
     fn round_trips(flat: &SetAssoc<u32>) {
         let bytes = image(|w| flat.save(w));
         let back = SetAssoc::<u32>::load(&mut SnapReader::new(&bytes)).expect("decode");
+        super::dense_proptests::check_chunks(&back, |set| back.len_of(set));
         prop_assert_eq!(image(|w| back.save(w)), bytes.clone());
         prop_assert_eq!(image(|w| flat.clone().save(w)), bytes);
     }
@@ -1011,9 +1093,9 @@ mod oracle_proptests {
     }
 }
 
-/// The dense layout the row arena replaced: way `w` of set `s` is entry
+/// The dense layout the chunks replaced: way `w` of set `s` is entry
 /// `s * ways + w` of one `sets × ways` array, beside a length per set.
-/// Kept as the reference the row layout is diffed against, stamps,
+/// Kept as the reference the chunked layout is diffed against, stamps,
 /// renumbering and snapshot bytes included.
 #[cfg(test)]
 mod dense {
@@ -1257,34 +1339,66 @@ mod dense_proptests {
     use super::oracle_proptests::image;
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
 
-    /// Runs `ops` on the row arena and on the dense layout, both with
-    /// their clocks at `clock`, and checks after every operation that
-    /// return values, per-set occupancy, iteration order and snapshot
-    /// bytes agree, and that the arena has handed out exactly one row
-    /// per set that ever held a line.
+    /// The smallest class whose chunks hold `held` lines of a set of
+    /// `ways` ways.
+    fn class_for(held: usize, ways: usize) -> usize {
+        if held == 0 {
+            0
+        } else {
+            held.min(ways).next_power_of_two().trailing_zeros() as usize + 1
+        }
+    }
+
+    /// Checks that each set's chunk is of the smallest class holding the
+    /// `held(set)` lines, and that every chunk of every class's arena is
+    /// named by exactly one set or is on its class's free list.
+    pub(super) fn check_chunks<T>(a: &SetAssoc<T>, held: impl Fn(usize) -> usize) {
+        let ways = a.geom.ways;
+        let mut owners: Vec<Vec<u32>> = a.chunks.iter().map(|_| Vec::new()).collect();
+        for set in 0..a.geom.sets {
+            let (index, class, _) = a.bits.unpack(a.sets[set]);
+            prop_assert_eq!(class, class_for(held(set), ways), "class of set {}", set);
+            prop_assert!(class > 0 || index == 0, "set {} names a chunk of class 0", set);
+            if class > 0 {
+                owners[class].push(index as u32);
+            }
+        }
+        prop_assert!(a.chunks[0].is_empty() && a.spare[0].is_empty(), "class 0 has ways");
+        for (class, (arena, spare)) in a.chunks.iter().zip(&a.spare).enumerate().skip(1) {
+            prop_assert_eq!(arena.len() % stride(class), 0);
+            let mut named = std::mem::take(&mut owners[class]);
+            named.extend(spare);
+            named.sort_unstable();
+            let all: Vec<u32> = (0..(arena.len() / stride(class)) as u32).collect();
+            prop_assert_eq!(named, all, "chunks of class {} lost or shared", class);
+        }
+    }
+
+    /// Runs `ops` on the chunked array and on the dense layout, both
+    /// with their clocks at `clock`, and checks after every operation
+    /// that return values, per-set occupancy, iteration order and
+    /// snapshot bytes agree, and that the chunks are sized to the most
+    /// lines each set has held and all accounted for.
     fn run_against_dense(geom: Geometry, clock: u32, ops: Vec<(u8, u64, u32, u32)>) {
-        let mut rows: SetAssoc<u32> = SetAssoc::with_clock(geom, clock);
+        let mut chunked: SetAssoc<u32> = SetAssoc::with_clock(geom, clock);
         let mut dense: DenseSetAssoc<u32> = DenseSetAssoc::with_clock(geom, clock);
-        let mut filled = BTreeSet::new();
+        let mut held = vec![0; geom.sets];
         for (op, block, val, protect) in ops {
             // Bit `b % 32` of `protect` guards block `b` from eviction.
             let can_evict = |b: u64| protect & (1 << (b % 32)) == 0;
             match op {
                 0 if dense.peek(block).is_none() => {
-                    filled.insert(geom.index(block));
-                    prop_assert_eq!(rows.insert(block, val), dense.insert(block, val));
+                    prop_assert_eq!(chunked.insert(block, val), dense.insert(block, val));
                 }
                 1 if dense.peek(block).is_none() => {
-                    filled.insert(geom.index(block));
                     prop_assert_eq!(
-                        rows.insert_filtered(block, val, can_evict),
+                        chunked.insert_filtered(block, val, can_evict),
                         dense.insert_filtered(block, val, can_evict)
                     );
                 }
                 2 => {
-                    let got = rows.get_mut(block).map(|v| {
+                    let got = chunked.get_mut(block).map(|v| {
                         *v += val;
                         *v
                     });
@@ -1294,30 +1408,32 @@ mod dense_proptests {
                     });
                     prop_assert_eq!(got, want);
                 }
-                3 => prop_assert_eq!(rows.touch(block), dense.touch(block)),
-                4 => prop_assert_eq!(rows.peek(block), dense.peek(block)),
-                5 => prop_assert_eq!(rows.remove(block), dense.remove(block)),
-                _ => prop_assert_eq!(rows.victim_if_full(block), dense.victim_if_full(block)),
+                3 => prop_assert_eq!(chunked.touch(block), dense.touch(block)),
+                4 => prop_assert_eq!(chunked.peek(block), dense.peek(block)),
+                5 => prop_assert_eq!(chunked.remove(block), dense.remove(block)),
+                _ => prop_assert_eq!(chunked.victim_if_full(block), dense.victim_if_full(block)),
             }
-            prop_assert_eq!(rows.set_len(block), dense.set_len(block));
-            prop_assert_eq!(rows.len(), dense.len());
-            prop_assert!(rows.iter().eq(dense.iter()), "iteration order diverged");
-            prop_assert_eq!(image(|w| rows.save(w)), image(|w| dense.save(w)));
-            prop_assert_eq!(rows.rows(), filled.len());
+            let set = geom.index(block);
+            held[set] = held[set].max(chunked.set_len(block));
+            prop_assert_eq!(chunked.set_len(block), dense.set_len(block));
+            prop_assert_eq!(chunked.len(), dense.len());
+            prop_assert!(chunked.iter().eq(dense.iter()), "iteration order diverged");
+            prop_assert_eq!(image(|w| chunked.save(w)), image(|w| dense.save(w)));
+            check_chunks(&chunked, |set| held[set]);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// The row arena is observationally identical to the dense
+        /// The chunked array is observationally identical to the dense
         /// layout after every operation. Random protected sets force
         /// `insert_filtered` overshoots and their repayment.
         #[test]
-        fn rows_match_dense_layout(
-            ways in 1usize..5,
+        fn chunks_match_dense_layout(
+            ways in 1usize..10,
             sets_log2 in 0u32..4,
-            ops in prop::collection::vec((0u8..7, 0u64..32, 0u32..1000, 0u32..u32::MAX), 1..300),
+            ops in prop::collection::vec((0u8..7, 0u64..48, 0u32..1000, 0u32..u32::MAX), 1..300),
         ) {
             run_against_dense(Geometry::new(1 << sets_log2, ways), 0, ops);
         }
@@ -1325,40 +1441,87 @@ mod dense_proptests {
         /// The same, starting with the clock a few accesses short of
         /// `u32::MAX`, so both layouts renumber their stamps mid-run.
         #[test]
-        fn rows_match_dense_layout_across_renumbering(
-            ways in 1usize..5,
+        fn chunks_match_dense_layout_across_renumbering(
+            ways in 1usize..10,
             sets_log2 in 0u32..4,
             headroom in 0u32..64,
-            ops in prop::collection::vec((0u8..7, 0u64..32, 0u32..1000, 0u32..u32::MAX), 1..300),
+            ops in prop::collection::vec((0u8..7, 0u64..48, 0u32..1000, 0u32..u32::MAX), 1..300),
         ) {
             run_against_dense(Geometry::new(1 << sets_log2, ways), u32::MAX - headroom, ops);
         }
     }
 
     /// On the paper's L2 bank (1 MiB, 8 ways, 2048 sets, indexed above
-    /// the 64-tile bank bits), lines in k distinct sets take k rows of 8
-    /// ways, not the bank's 16 Ki ways; more lines in a set that has its
-    /// row, and a set emptied and refilled, take none.
+    /// the 64-tile bank bits), lines in k distinct sets take k one-way
+    /// chunks, not k rows of 8 ways; a set that reaches 3 lines sits in
+    /// a 4-way chunk; the chunks it left are reused by the next sets to
+    /// grow into their classes; and a set emptied and refilled keeps
+    /// its chunk.
     #[test]
-    fn paper_l2_bank_takes_one_row_per_filled_set() {
+    fn paper_l2_bank_sizes_chunks_to_the_lines_held() {
         let geom = Geometry::from_capacity(1 << 20, 64, 8).with_shift(6);
         let mut c: SetAssoc<u32> = SetAssoc::new(geom);
         let k = 100u64;
         // Blocks of home bank 3 in sets 0, 19, 38, ...
         let block = |set: u64, nth: u64| 3 + 64 * (set * 19 % 2048 + 2048 * nth);
+        let class = |c: &SetAssoc<u32>, set: u64| c.chunk(geom.index(block(set, 0))).0;
+        let arena_ways = |c: &SetAssoc<u32>| c.chunks.iter().map(Vec::len).sum::<usize>();
         for set in 0..k {
             c.insert(block(set, 0), set as u32);
         }
-        assert_eq!(c.rows(), k as usize);
-        assert_eq!(c.ways.len(), (k as usize + 1) * geom.ways);
-        for set in 0..k {
-            c.insert(block(set, 1), 0);
+        assert_eq!(arena_ways(&c), k as usize);
+        assert!((0..k).all(|set| class(&c, set) == 1));
+
+        // Set 0 grows to 3 lines: its one-way and two-way chunks are freed.
+        c.insert(block(0, 1), 0);
+        c.insert(block(0, 2), 0);
+        assert_eq!(class(&c, 0), 3);
+        assert_eq!(arena_ways(&c), k as usize + 2 + 4);
+        assert_eq!((c.spare[1].len(), c.spare[2].len()), (1, 1));
+
+        // Set 1 grows the same way into the freed two-way chunk; only
+        // its four-way chunk is new.
+        c.insert(block(1, 1), 0);
+        assert_eq!(arena_ways(&c), k as usize + 2 + 4);
+        c.insert(block(1, 2), 0);
+        assert_eq!(class(&c, 1), 3);
+        assert_eq!(arena_ways(&c), k as usize + 2 + 4 + 4);
+
+        // A new set takes the freed one-way chunk.
+        c.insert(block(k, 0), 0);
+        assert_eq!(arena_ways(&c), k as usize + 2 + 4 + 4);
+        assert_eq!(c.spare.iter().map(Vec::len).sum::<usize>(), 2);
+
+        // Emptying and refilling a set keeps its chunk.
+        let before = c.sets.clone();
+        for set in 2..k {
             assert_eq!(c.remove(block(set, 0)), Some(set as u32));
-            c.remove(block(set, 1));
-            c.insert(block(set, 2), 0);
+            c.insert(block(set, 3), 0);
         }
-        assert_eq!(c.rows(), k as usize);
-        assert_eq!(c.len(), k as usize);
+        assert_eq!(c.sets, before);
+        assert_eq!(arena_ways(&c), k as usize + 2 + 4 + 4);
+        assert_eq!(c.len(), k as usize + 1 + 4);
+    }
+
+    /// The entry packs the largest chunk index, the largest class and a
+    /// full count for the extreme geometries `in_range` accepts, without
+    /// building an array.
+    #[test]
+    fn entry_packs_the_extreme_geometries() {
+        for (sets, ways) in
+            [(1 << 24, 1), (1, 1 << 24), (1 << 21, 8), (1 << 22, 3), (1, (1 << 23) + 1)]
+        {
+            let geom = Geometry::new(sets, ways);
+            assert!(geom.in_range());
+            let bits = EntryBits::new(geom);
+            assert!(bits.count + bits.class + sets.trailing_zeros() <= 30, "{sets} x {ways}");
+            let top = EntryBits::top_class(geom);
+            assert!(stride(top) >= ways && stride(top - 1) < ways);
+            for (index, class, n) in [(sets - 1, top, ways), (sets - 1, 1, 0), (0, top, 1)] {
+                assert_eq!(bits.unpack(bits.pack(index, class, n)), (index, class, n));
+            }
+            assert_eq!(bits.unpack(0), (0, 0, 0));
+        }
     }
 }
 

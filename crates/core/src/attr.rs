@@ -15,9 +15,10 @@
 //!    `completion - issue` window the protocols record into
 //!    `miss_latency`).
 //! 2. **Energy**: attributed event counts (transactions + untracked +
-//!    still-open) sum integer-exactly to the aggregate [`ProtoStats`]
-//!    and NoC counters, so per-transaction energy computed from them
-//!    tiles bit-exactly into the aggregate dynamic energy.
+//!    still-open) sum integer-exactly to the aggregate
+//!    [`ProtoStats`](cmpsim_protocols::ProtoStats) and NoC counters, so
+//!    per-transaction energy computed from them tiles bit-exactly into
+//!    the aggregate dynamic energy.
 //!
 //! The latency decomposition is a deterministic cursor sweep over the
 //! transaction's recorded message spans, run at completion time: spans

@@ -11,7 +11,7 @@
 //! Almost every delta a coherence simulation schedules is one of the
 //! Table III latencies (link/switch/cache accesses, a few hundred cycles
 //! at most), so the queue is a calendar queue: a fixed wheel of
-//! [`WHEEL_SLOTS`] per-cycle FIFO buckets covering the near future, with
+//! `WHEEL_SLOTS` (512) per-cycle FIFO buckets covering the near future, with
 //! a binary-heap overflow tier for the rare far-future event (memory
 //! round-trips, think gaps). Pushes into the wheel are O(1); pops scan
 //! forward from the current cycle, which is O(gap) — and gaps are tiny

@@ -300,7 +300,7 @@ pub trait AreaPolicy: Sized + Clone + Snap + 'static {
     fn serve_home_owned(c: &mut DiCoCore<Self>, ctx: &mut Ctx, home: Tile, msg: Msg, req: ReqInfo);
 
     /// A home-owned entry was replaced: invalidate its copies (see
-    /// [`DiCoCore::evict_home_quiet`] and [`DiCoCore::evict_home_begin`]).
+    /// `DiCoCore::evict_home_quiet` and `DiCoCore::evict_home_begin`).
     fn evict_home_owned(
         c: &mut DiCoCore<Self>,
         ctx: &mut Ctx,

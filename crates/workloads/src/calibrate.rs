@@ -1,4 +1,4 @@
-//! Empirical calibration: measure what a [`CoreStream`](crate::CoreStream)
+//! Empirical calibration: measure what a [`CoreStream`]
 //! actually produces — region mix, write fraction, block-level reuse,
 //! footprint — so the profile knobs can be validated against the
 //! characteristics the paper reports (Table IV and the §V-C workload
