@@ -32,8 +32,9 @@
 //! nothing touches are never faulted in either. Payloads live in a
 //! dense slab that grows with the resident lines and reuses freed
 //! slots. The slab and the class arenas grow by a quarter of their
-//! capacity at a time, not by doubling. The rare lines an [`SetAssoc::insert_filtered`] overshoot
-//! places beyond a full set live in a small ordered side table.
+//! capacity at a time, not by doubling. The rare lines an
+//! [`SetAssoc::insert_filtered`] overshoot places beyond a full set
+//! live in a small ordered side table.
 //!
 //! LRU stamps are `u32`. Every access takes the next value of a
 //! per-array clock, so live stamps are unique and only their order
