@@ -12,8 +12,6 @@
 //! * [`Mshr`] — miss status holding registers with a capacity limit and a
 //!   deterministic (address-ordered) iteration order.
 //! * [`geometry`] — address slicing helpers shared by all arrays.
-//! * [`TileGrid`] — per-tile counter grids for the spatial/heatmap
-//!   observation layer.
 //!
 //! Addresses handled here are *block addresses* (byte address divided by
 //! the 64-byte block size); the virtualization crate performs page-level
@@ -22,9 +20,7 @@
 pub mod array;
 pub mod geometry;
 pub mod mshr;
-pub mod spatial;
 
 pub use array::SetAssoc;
 pub use geometry::Geometry;
 pub use mshr::Mshr;
-pub use spatial::TileGrid;

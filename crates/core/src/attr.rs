@@ -30,9 +30,9 @@
 //! span is the fill phase — which is what makes the sum exact by
 //! construction rather than by sampling.
 //!
-//! When VM identity is supplied ([`TxAttribution::with_vms`]), every
-//! charge above is *additionally* bucketed by the originating VM (the
-//! VM of the requestor core), and the same tiling holds per tenant:
+//! Every charge above is *additionally* bucketed by the originating VM
+//! (the VM of the requestor core; a chip without tenant identity has
+//! one VM), and the same tiling holds per tenant:
 //! summing any [`VmBucket`] field over all VMs reproduces the chip
 //! aggregate bit-for-bit, because each charge is the same integer add
 //! applied to exactly one VM bucket and to the chip total. On top of
@@ -49,7 +49,9 @@
 use cmpsim_engine::phase::{EventCounts, Phase, PhaseCycles, PHASES};
 use cmpsim_engine::stats::Log2Hist;
 use cmpsim_engine::Cycle;
-use cmpsim_protocols::common::{Block, BlockReason, MsgKind, Node, Tile};
+use cmpsim_protocols::common::{BlockReason, MsgKind, Node, Tile};
+
+use crate::observers::OpenTx;
 
 /// Critical-path classification of one network message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,15 +211,13 @@ fn sweep(
     (pc, loc)
 }
 
-/// One open (issued, not yet completed) transaction.
-#[derive(Debug, Clone)]
-struct OpenAttr {
-    block: Block,
-    write: bool,
-    issued: Cycle,
-    requestor: Tile,
+/// What attribution accumulates for one tile's open miss (the miss
+/// itself is the observer bus's [`OpenTx`] record).
+#[derive(Debug, Clone, Default)]
+struct TileTx {
     /// Message spans in `(depart, arrival)` order, equal keys in the
-    /// order they were recorded.
+    /// order they were recorded; the buffer is reused by the tile's
+    /// next miss.
     events: Vec<AttrEvent>,
     counts: EventCounts,
     /// The missed block is backed by a deduplicated (inter-VM shared)
@@ -289,14 +289,14 @@ impl MatrixCell {
     }
 }
 
-/// The per-transaction attribution tracker. Owned by the simulator;
+/// The per-transaction attribution tracker. Owned by the observer bus;
 /// only present when attribution is enabled, so the disabled hot path
 /// is a single `Option` test per hook.
 #[derive(Debug, Clone)]
-pub struct TxAttribution {
-    /// The open transaction of each tile (one outstanding miss per
+pub(crate) struct TxAttribution {
+    /// Each tile's open-miss accumulators (one outstanding miss per
     /// core, so tile indexes the open set exactly).
-    open: Vec<Option<OpenAttr>>,
+    tx: Vec<TileTx>,
     /// Per-phase per-transaction distributions (one sample per
     /// completed transaction per phase, zeros included, so every hist
     /// count equals `completed`).
@@ -329,26 +329,17 @@ pub struct TxAttribution {
     /// Energy-event counts of completed transactions by requestor tile
     /// (the spatial split of `tx_counts`, for energy heatmaps).
     tile_counts: Vec<EventCounts>,
-    /// Each tile's span buffer from its last completed transaction,
-    /// emptied, for its next miss to reuse.
-    spare_events: Vec<Vec<AttrEvent>>,
 }
 
 impl TxAttribution {
-    /// Creates a tracker for a `tiles`-tile chip without tenant
-    /// identity (everything lands in a single VM-0 bucket).
-    pub fn new(tiles: usize) -> Self {
-        Self::with_vms(vec![0; tiles], 1)
-    }
-
     /// Creates a tracker with tenant identity: `vm_of[tile]` is the VM
     /// the core on `tile` belongs to, each `< num_vms`.
-    pub fn with_vms(vm_of: Vec<usize>, num_vms: usize) -> Self {
+    pub(crate) fn with_vms(vm_of: Vec<usize>, num_vms: usize) -> Self {
         let tiles = vm_of.len();
         let num_vms = num_vms.max(1);
         debug_assert!(vm_of.iter().all(|&v| v < num_vms), "vm_of out of range");
         Self {
-            open: vec![None; tiles],
+            tx: vec![TileTx::default(); tiles],
             hists: (0..PHASES).map(|_| Log2Hist::new()).collect(),
             totals: PhaseCycles::default(),
             completed: 0,
@@ -361,35 +352,29 @@ impl TxAttribution {
             vm: vec![VmBucket::default(); num_vms],
             matrix: vec![MatrixCell::default(); num_vms * num_vms],
             tile_counts: vec![EventCounts::default(); tiles],
-            spare_events: vec![Vec::new(); tiles],
             vm_of,
             num_vms,
         }
     }
 
-    /// Opens a transaction for the L1 miss issuing at `now` on `tile`.
+    /// A miss opens on `tile`: its spans and counts start empty.
     /// `dedup` marks a miss on a deduplicated (inter-VM shared) block.
-    pub fn on_issue(&mut self, now: Cycle, tile: Tile, block: Block, write: bool, dedup: bool) {
-        self.open[tile] = Some(OpenAttr {
-            block,
-            write,
-            issued: now,
-            requestor: tile,
-            events: std::mem::take(&mut self.spare_events[tile]),
-            counts: EventCounts::default(),
-            dedup,
-        });
+    pub(crate) fn on_issue(&mut self, tile: Tile, dedup: bool) {
+        let tx = &mut self.tx[tile];
+        tx.events.clear();
+        tx.counts = EventCounts::default();
+        tx.dedup = dedup;
     }
 
-    /// Records one network message span owned by `owner`'s open
-    /// transaction (none: untracked traffic), charging its NoC energy
+    /// Records one network message span owned by the miss open on
+    /// tile `owner` (none: untracked traffic), charging its NoC energy
     /// events (`links` routings, `links * flits` flit-links) the same
     /// way the mesh counts them, plus one interference-matrix cell
     /// (aggressor = the VM of the owning transaction's requestor, or of
     /// `src`'s tile for untracked traffic; victim = the VM of `dst`'s
     /// tile). `dedup` marks traffic on an inter-VM shared block.
     #[allow(clippy::too_many_arguments)]
-    pub fn on_message(
+    pub(crate) fn on_message(
         &mut self,
         owner: Option<Tile>,
         depart: Cycle,
@@ -402,9 +387,9 @@ impl TxAttribution {
         dedup: bool,
     ) {
         let noc = EventCounts { routing: links, flit_links: links * flits, ..Default::default() };
-        let tx = owner.and_then(|t| self.open[t].as_mut());
-        let aggressor = match tx {
-            Some(tx) => {
+        let aggressor = match owner {
+            Some(requestor) => {
+                let tx = &mut self.tx[requestor];
                 // Spans are recorded nearly in depart order, so the scan
                 // for the insertion point is short.
                 let key = (depart, arrival);
@@ -419,7 +404,7 @@ impl TxAttribution {
                 tx.events.insert(at.map_or(0, |i| i + 1), span);
                 tx.counts.merge(&noc);
                 tx.dedup |= dedup;
-                self.vm_of[tx.requestor]
+                self.vm_of[requestor]
             }
             None => {
                 self.untracked_counts.merge(&noc);
@@ -442,13 +427,13 @@ impl TxAttribution {
     }
 
     /// Charges a cache-side energy-event delta (the counter movement of
-    /// one protocol dispatch) to `owner`'s open transaction.
-    pub fn on_cache_events(&mut self, owner: Option<Tile>, delta: EventCounts) {
+    /// one protocol dispatch) to the miss open on tile `owner`.
+    pub(crate) fn on_cache_events(&mut self, owner: Option<Tile>, delta: EventCounts) {
         if delta.is_zero() {
             return;
         }
-        if let Some(tx) = owner.and_then(|t| self.open[t].as_mut()) {
-            tx.counts.merge(&delta);
+        if let Some(t) = owner {
+            self.tx[t].counts.merge(&delta);
         } else {
             self.untracked_counts.merge(&delta);
         }
@@ -456,7 +441,7 @@ impl TxAttribution {
 
     /// Records a blocked (pre-issue) core retry of `cycles` cycles on
     /// `tile`'s core.
-    pub fn on_blocked(&mut self, reason: BlockReason, cycles: u64, tile: Tile) {
+    pub(crate) fn on_blocked(&mut self, reason: BlockReason, cycles: u64, tile: Tile) {
         let vm = &mut self.vm[self.vm_of[tile]];
         match reason {
             BlockReason::MshrConflict => {
@@ -470,20 +455,18 @@ impl TxAttribution {
         }
     }
 
-    /// Completes the transaction open on `tile` at `now`: runs the
+    /// Completes `open`, the miss open on `tile`, at `now`: runs the
     /// sweep and folds the result into the chip, VM, tile, and matrix
     /// aggregates.
-    pub fn on_completion(&mut self, now: Cycle, tile: Tile) {
-        let Some(mut tx) = self.open[tile].take() else {
-            return;
-        };
-        let latency = now.saturating_sub(tx.issued);
-        let req_vm = self.vm_of[tx.requestor];
+    pub(crate) fn on_completion(&mut self, now: Cycle, tile: Tile, open: &OpenTx) {
+        let tx = &self.tx[tile];
+        let latency = now.saturating_sub(open.issued);
+        let req_vm = self.vm_of[tile];
         let num_vms = self.num_vms;
         let vm_of = &self.vm_of;
         let matrix = &mut self.matrix;
         let mut stolen = 0u64;
-        let (phases, _) = sweep(tx.issued, tx.requestor, &tx.events, now, |e, cycles| {
+        let (phases, _) = sweep(open.issued, tile, &tx.events, now, |e, cycles| {
             // Cross-VM critical-path theft: inv/forward/retry spans of
             // this (victim) transaction ending in another VM's tiles.
             let dst_vm = vm_of[e.dst_tile];
@@ -504,7 +487,7 @@ impl TxAttribution {
             self.reconciled += 1;
         }
         self.tx_counts.merge(&tx.counts);
-        self.tile_counts[tx.requestor].merge(&tx.counts);
+        self.tile_counts[tile].merge(&tx.counts);
         let vm = &mut self.vm[req_vm];
         vm.completed += 1;
         vm.latency_cycles += latency;
@@ -516,16 +499,14 @@ impl TxAttribution {
         } else {
             vm.intra_txs += 1;
         }
-        tx.events.clear();
-        self.spare_events[tile] = tx.events;
     }
 
     /// Warm-up reset: zeroes every aggregate (mirroring the proto/NoC
-    /// stats resets) and the open transactions' energy counts, but
-    /// keeps their recorded spans — a straddling miss still reports its
+    /// stats resets) and the open misses' energy counts, but keeps
+    /// their recorded spans — a straddling miss still reports its
     /// full issue-to-completion decomposition, exactly matching the
     /// full latency the protocol records for it.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.hists = (0..PHASES).map(|_| Log2Hist::new()).collect();
         self.totals = PhaseCycles::default();
         self.completed = 0;
@@ -538,26 +519,26 @@ impl TxAttribution {
         self.vm = vec![VmBucket::default(); self.num_vms];
         self.matrix = vec![MatrixCell::default(); self.num_vms * self.num_vms];
         self.tile_counts = vec![EventCounts::default(); self.tile_counts.len()];
-        for tx in self.open.iter_mut().flatten() {
+        for tx in &mut self.tx {
             tx.counts = EventCounts::default();
         }
     }
 
     /// Completed-transaction phase totals so far (interval sampling).
-    pub fn phase_totals(&self) -> PhaseCycles {
+    pub(crate) fn phase_totals(&self) -> PhaseCycles {
         self.totals
     }
 
-    /// Renders up to `n` open transactions' phase timelines at `now`
+    /// Renders up to `n` of the `open` misses' phase timelines at `now`
     /// (for watchdog stall dumps): where each in-flight miss is stuck.
-    pub fn stall_lines(&self, now: Cycle, n: usize) -> Vec<String> {
-        self.open
-            .iter()
+    pub(crate) fn stall_lines(&self, now: Cycle, n: usize, open: &[Option<OpenTx>]) -> Vec<String> {
+        open.iter()
             .enumerate()
             .filter_map(|(tile, o)| o.as_ref().map(|tx| (tile, tx)))
             .take(n)
             .map(|(tile, tx)| {
-                let (phases, loc) = sweep(tx.issued, tx.requestor, &tx.events, now, |_, _| {});
+                let events = &self.tx[tile].events;
+                let (phases, loc) = sweep(tx.issued, tile, events, now, |_, _| {});
                 let parts: Vec<String> = phases
                     .iter()
                     .filter(|&(_, c)| c > 0)
@@ -576,17 +557,17 @@ impl TxAttribution {
             .collect()
     }
 
-    /// Finalizes into the exportable log. Counts of transactions still
-    /// open (none after a clean drain) land in `open_counts` so the
-    /// energy tiling stays integer-exact regardless.
-    pub fn finish(self) -> BreakdownLog {
+    /// Finalizes into the exportable log; `open` is each tile's miss
+    /// still open. Their counts (none after a clean drain) land in
+    /// `open_counts` so the energy tiling stays integer-exact regardless.
+    pub(crate) fn finish(self, open: &[Option<OpenTx>]) -> BreakdownLog {
         let mut open_counts = EventCounts::default();
         let mut open_txs = 0;
         let mut vm = self.vm;
-        for tx in self.open.iter().flatten() {
-            open_counts.merge(&tx.counts);
+        for (tile, _) in open.iter().enumerate().filter(|(_, o)| o.is_some()) {
+            open_counts.merge(&self.tx[tile].counts);
             open_txs += 1;
-            vm[self.vm_of[tx.requestor]].open_txs += 1;
+            vm[self.vm_of[tile]].open_txs += 1;
         }
         BreakdownLog {
             hists: self.hists,
@@ -727,7 +708,59 @@ impl BreakdownLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmpsim_protocols::common::ReqInfo;
+    use cmpsim_protocols::common::{Block, ReqInfo};
+    use std::ops::{Deref, DerefMut};
+
+    /// Attribution with the open-miss records the observer bus keeps
+    /// beside it: opening and closing a miss goes through both.
+    struct Bench {
+        attr: TxAttribution,
+        open: Vec<Option<OpenTx>>,
+        next_seq: u64,
+    }
+
+    impl Bench {
+        fn new(tiles: usize) -> Self {
+            Self::with_vms(vec![0; tiles], 1)
+        }
+
+        fn with_vms(vm_of: Vec<usize>, num_vms: usize) -> Self {
+            let open = vec![None; vm_of.len()];
+            Self { attr: TxAttribution::with_vms(vm_of, num_vms), open, next_seq: 0 }
+        }
+
+        fn on_issue(&mut self, now: Cycle, tile: Tile, block: Block, write: bool, dedup: bool) {
+            self.open[tile] = Some(OpenTx { block, write, issued: now, seq: self.next_seq });
+            self.next_seq += 1;
+            self.attr.on_issue(tile, dedup);
+        }
+
+        fn on_completion(&mut self, now: Cycle, tile: Tile) {
+            let tx = self.open[tile].take().expect("a miss is open on the tile");
+            self.attr.on_completion(now, tile, &tx);
+        }
+
+        fn stall_lines(&self, now: Cycle, n: usize) -> Vec<String> {
+            self.attr.stall_lines(now, n, &self.open)
+        }
+
+        fn finish(self) -> BreakdownLog {
+            self.attr.finish(&self.open)
+        }
+    }
+
+    impl Deref for Bench {
+        type Target = TxAttribution;
+        fn deref(&self) -> &TxAttribution {
+            &self.attr
+        }
+    }
+
+    impl DerefMut for Bench {
+        fn deref_mut(&mut self) -> &mut TxAttribution {
+            &mut self.attr
+        }
+    }
 
     fn req(requestor: Tile) -> MsgKind {
         MsgKind::Req(ReqInfo {
@@ -759,13 +792,13 @@ mod tests {
     #[test]
     fn spans_are_kept_in_sweep_order() {
         use MsgClass::*;
-        let mut a = TxAttribution::new(2);
+        let mut a = Bench::new(2);
         a.on_issue(0, 0, 0x40, false, false);
         let spans = [(5, 9, Data), (3, 4, Request), (5, 9, Inv), (1, 2, Forward), (5, 7, Control)];
         for (depart, arrival, class) in spans {
             a.on_message(Some(0), depart, arrival, class, Node::L1(0), Node::L2(1), 1, 1, false);
         }
-        let tx = a.open[0].as_ref().expect("open");
+        let tx = &a.tx[0];
         let got: Vec<_> = tx.events.iter().map(|e| (e.depart, e.arrival, e.class)).collect();
         let want = [(1, 2, Forward), (3, 4, Request), (5, 7, Control), (5, 9, Data), (5, 9, Inv)];
         assert_eq!(got, want);
@@ -775,7 +808,7 @@ mod tests {
     /// 25..40, completion at 43. Phases must tile [10, 43] exactly.
     #[test]
     fn sweep_tiles_simple_miss() {
-        let mut a = TxAttribution::new(4);
+        let mut a = Bench::new(4);
         a.on_issue(10, 1, 0x40, false, false);
         a.on_message(Some(1), 10, 20, MsgClass::Request, Node::L1(1), Node::L2(2), 3, 1, false);
         a.on_message(Some(1), 25, 40, MsgClass::Data, Node::L2(2), Node::L1(1), 3, 5, false);
@@ -798,7 +831,7 @@ mod tests {
     /// queueing + DRAM gap between them charges the memory phase.
     #[test]
     fn sweep_charges_memory_gap() {
-        let mut a = TxAttribution::new(4);
+        let mut a = Bench::new(4);
         a.on_issue(0, 0, 0x80, true, false);
         a.on_message(Some(0), 0, 10, MsgClass::Request, Node::L1(0), Node::L2(3), 2, 1, false);
         a.on_message(Some(0), 12, 20, MsgClass::MemRead, Node::L2(3), Node::L2(3), 4, 1, false);
@@ -820,7 +853,7 @@ mod tests {
     /// clamped; the sum still tiles exactly.
     #[test]
     fn sweep_clamps_to_completion() {
-        let mut a = TxAttribution::new(2);
+        let mut a = Bench::new(2);
         a.on_issue(100, 0, 0x10, false, false);
         a.on_message(Some(0), 100, 110, MsgClass::Request, Node::L1(0), Node::L2(1), 2, 1, false);
         a.on_message(Some(0), 110, 500, MsgClass::Inv, Node::L2(1), Node::L1(1), 2, 1, false);
@@ -833,7 +866,7 @@ mod tests {
 
     #[test]
     fn untracked_traffic_lands_in_background_bucket() {
-        let mut a = TxAttribution::new(2);
+        let mut a = Bench::new(2);
         a.on_message(None, 5, 9, MsgClass::Control, Node::L2(1), Node::L2(0), 2, 1, false);
         a.on_cache_events(None, EventCounts { l2_tag: 1, ..Default::default() });
         let log = a.finish();
@@ -845,7 +878,7 @@ mod tests {
 
     #[test]
     fn blocked_waits_split_by_reason() {
-        let mut a = TxAttribution::new(1);
+        let mut a = Bench::new(1);
         a.on_blocked(BlockReason::MshrConflict, 7, 0);
         a.on_blocked(BlockReason::MshrConflict, 7, 0);
         a.on_blocked(BlockReason::BusyBlock, 7, 0);
@@ -858,7 +891,7 @@ mod tests {
     /// decomposition survives) but zeroes its energy counts.
     #[test]
     fn reset_keeps_spans_zeroes_counts() {
-        let mut a = TxAttribution::new(2);
+        let mut a = Bench::new(2);
         a.on_issue(0, 0, 0x40, false, false);
         a.on_message(Some(0), 0, 10, MsgClass::Request, Node::L1(0), Node::L2(1), 3, 1, false);
         a.reset();
@@ -876,7 +909,7 @@ mod tests {
 
     #[test]
     fn hists_record_one_sample_per_phase_per_tx() {
-        let mut a = TxAttribution::new(2);
+        let mut a = Bench::new(2);
         a.on_issue(0, 0, 0x40, false, false);
         a.on_completion(8, 0);
         a.on_issue(10, 1, 0x80, true, false);
@@ -891,7 +924,7 @@ mod tests {
 
     #[test]
     fn stall_lines_show_current_phase() {
-        let mut a = TxAttribution::new(4);
+        let mut a = Bench::new(4);
         a.on_issue(10, 2, 0x40, true, false);
         a.on_message(Some(2), 10, 20, MsgClass::Request, Node::L1(2), Node::L2(3), 2, 1, false);
         a.on_message(Some(2), 22, 30, MsgClass::MemRead, Node::L2(3), Node::L2(3), 2, 1, false);
@@ -907,7 +940,7 @@ mod tests {
     /// cross-VM.
     #[test]
     fn vm_buckets_tile_chip_aggregates() {
-        let mut a = TxAttribution::with_vms(vec![0, 0, 1, 1], 2);
+        let mut a = Bench::with_vms(vec![0, 0, 1, 1], 2);
         // VM 0, tile 0: private-block miss.
         a.on_issue(0, 0, 0x40, false, false);
         a.on_message(Some(0), 0, 10, MsgClass::Request, Node::L1(0), Node::L2(1), 2, 1, false);
@@ -952,7 +985,7 @@ mod tests {
     /// in, as aggressor over the requestor VM.
     #[test]
     fn matrix_charges_aggressor_to_victim() {
-        let mut a = TxAttribution::with_vms(vec![0, 0, 1, 1], 2);
+        let mut a = Bench::with_vms(vec![0, 0, 1, 1], 2);
         a.on_issue(0, 0, 0xC0, true, true);
         a.on_message(Some(0), 0, 10, MsgClass::Request, Node::L1(0), Node::L2(1), 2, 1, true);
         // Invalidation into VM 1's tile 2: 10..30 on the critical path.
@@ -976,7 +1009,7 @@ mod tests {
         let matrix_routing: u64 = log.matrix.iter().map(|c| c.routing).sum();
         assert_eq!(matrix_routing, log.total_counts().routing);
         // Untracked traffic still lands in a cell (src tile's VM).
-        a = TxAttribution::with_vms(vec![0, 0, 1, 1], 2);
+        a = Bench::with_vms(vec![0, 0, 1, 1], 2);
         a.on_message(None, 5, 9, MsgClass::Control, Node::L2(2), Node::L2(0), 2, 1, false);
         let log = a.finish();
         assert_eq!(log.matrix_cell(1, 0).msgs, 1);
@@ -984,7 +1017,7 @@ mod tests {
 
     #[test]
     fn publish_exports_counters_and_hists() {
-        let mut a = TxAttribution::new(2);
+        let mut a = Bench::new(2);
         a.on_issue(0, 0, 0x40, false, false);
         a.on_message(Some(0), 0, 10, MsgClass::Request, Node::L1(0), Node::L2(1), 3, 1, false);
         a.on_completion(12, 0);

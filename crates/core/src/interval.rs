@@ -17,6 +17,7 @@
 use crate::json::Value;
 use cmpsim_engine::phase::{Phase, PHASES};
 use cmpsim_engine::Cycle;
+use cmpsim_power::Leakage;
 use cmpsim_protocols::Occupancy;
 use std::fmt::Write as _;
 
@@ -148,8 +149,8 @@ pub struct IntervalSampler {
     /// Next boundary a sample is due at.
     next_boundary: Cycle,
     prev: CumSnapshot,
-    /// Per-tile static power in mW (1 GHz: 1 mW = 1 pJ/cycle).
-    static_mw_per_tile: f64,
+    /// Per-tile static power, charged to every interval.
+    leakage: Leakage,
     tiles: u64,
     /// Physical directed links (mean-utilization denominator).
     links: usize,
@@ -164,7 +165,7 @@ impl IntervalSampler {
         interval: u64,
         start: Cycle,
         base: CumSnapshot,
-        static_mw_per_tile: f64,
+        leakage: Leakage,
         tiles: u64,
         links: usize,
     ) -> Self {
@@ -174,7 +175,7 @@ impl IntervalSampler {
             window_start: start,
             next_boundary: start + interval,
             prev: base,
-            static_mw_per_tile,
+            leakage,
             tiles,
             links: links.max(1),
             samples: Vec::new(),
@@ -230,7 +231,7 @@ impl IntervalSampler {
             home_hits: cum.home_hits - self.prev.home_hits,
             cache_nj: cum.cache_nj - self.prev.cache_nj,
             net_nj: cum.net_nj - self.prev.net_nj,
-            static_nj: self.static_mw_per_tile * self.tiles as f64 * dur as f64 * 1e-3,
+            static_nj: self.leakage.energy_nj(self.tiles, dur),
             phase: std::array::from_fn(|i| cum.phase[i] - self.prev.phase[i]),
             faults_injected: cum.faults_injected - self.prev.faults_injected,
             retries: cum.retries - self.prev.retries,
@@ -406,9 +407,14 @@ mod tests {
         }
     }
 
+    /// A tile leaking `total_mw`.
+    fn leak(total_mw: f64) -> Leakage {
+        Leakage { total_mw, tag_mw: 0.0 }
+    }
+
     #[test]
     fn samples_are_deltas() {
-        let mut s = IntervalSampler::new(100, 1000, CumSnapshot::default(), 200.0, 4, 8);
+        let mut s = IntervalSampler::new(100, 1000, CumSnapshot::default(), leak(200.0), 4, 8);
         assert_eq!(s.next_boundary(), 1100);
         s.sample(1100, &cum(40, 80, vec![40; 8]), &Occupancy::default());
         s.sample(1200, &cum(100, 200, vec![100; 8]), &Occupancy::default());
@@ -441,7 +447,7 @@ mod tests {
 
     #[test]
     fn final_partial_sample_covers_the_tail() {
-        let mut s = IntervalSampler::new(100, 0, CumSnapshot::default(), 0.0, 1, 4);
+        let mut s = IntervalSampler::new(100, 0, CumSnapshot::default(), leak(0.0), 1, 4);
         s.sample(100, &cum(10, 20, vec![5; 4]), &Occupancy::default());
         let ts = s.finish(130, &cum(16, 24, vec![8; 4]), &Occupancy::default());
         assert_eq!(ts.samples.len(), 2);
@@ -454,7 +460,7 @@ mod tests {
 
     #[test]
     fn series_integrates_to_totals() {
-        let mut s = IntervalSampler::new(50, 0, CumSnapshot::default(), 100.0, 2, 4);
+        let mut s = IntervalSampler::new(50, 0, CumSnapshot::default(), leak(100.0), 2, 4);
         for t in 1..=7 {
             s.sample(t * 50, &cum(t * 9, t * 13, vec![t; 4]), &Occupancy::default());
         }
@@ -470,7 +476,7 @@ mod tests {
 
     #[test]
     fn quiet_stretches_emit_empty_samples() {
-        let mut s = IntervalSampler::new(10, 0, CumSnapshot::default(), 0.0, 1, 4);
+        let mut s = IntervalSampler::new(10, 0, CumSnapshot::default(), leak(0.0), 1, 4);
         // One event at cycle 35 crosses three boundaries at once.
         s.sample(35, &cum(5, 5, vec![1; 4]), &Occupancy::default());
         let ts = s.finish(35, &cum(5, 5, vec![1; 4]), &Occupancy::default());
@@ -483,7 +489,7 @@ mod tests {
 
     #[test]
     fn csv_and_json_shape() {
-        let mut s = IntervalSampler::new(10, 0, CumSnapshot::default(), 0.0, 1, 4);
+        let mut s = IntervalSampler::new(10, 0, CumSnapshot::default(), leak(0.0), 1, 4);
         s.sample(5, &cum(2, 3, vec![1; 4]), &Occupancy::default());
         let ts = s.finish(10, &cum(5, 8, vec![2; 4]), &Occupancy::default());
         let csv = ts.to_csv();

@@ -85,7 +85,7 @@ pub mod snapshot;
 pub mod trace;
 pub mod vmstat;
 
-pub use attr::{BreakdownLog, TxAttribution};
+pub use attr::BreakdownLog;
 pub use compare::{CompareOptions, CompareReport, MetricDiff, Verdict};
 pub use config::SystemConfig;
 pub use error::{FaultContext, SimError, StallReason, TimeoutReport};
@@ -102,7 +102,7 @@ pub use sim::{
     build_protocol, run_benchmark, run_benchmark_with_store, snapshot_eligible, CmpSimulator,
 };
 pub use snapshot::{snapshot_key, SnapshotError, SnapshotStore, SNAPSHOT_VERSION};
-pub use trace::{TraceLog, TxTracer};
+pub use trace::TraceLog;
 pub use vmstat::{ascii_heatmap, heatmap_csv, heatmap_json, vmstat_json, vmstat_tables};
 
 // Re-export the registry types so downstream binaries need not depend

@@ -1,11 +1,13 @@
 //! The observer bus: [`Observers`] owns the transaction tracer, the
 //! attribution tracker, the invariant checker, the interval sampler with
-//! its energy model, and the one block → open-transaction index the
-//! tracer and attribution share. The event loop calls it once per hook
-//! site, handing messages over as one small [`MsgEvent`] record; with
-//! every observer off, each site is a single branch. Finding the
-//! transaction an event belongs to is O(1), and no per-event hook
-//! allocates once the span buffers have grown to their working size.
+//! its energy model, and each tile's open-miss record ([`OpenTx`]), the
+//! one copy of a miss's identity the tracer and attribution read. The
+//! event loop calls it once per hook site, handing messages over as one
+//! small [`MsgEvent`] record built only when an observer follows
+//! transactions; with every observer off, each site is a single branch.
+//! Finding the transaction an event belongs to is O(1), and no per-event
+//! hook allocates once the span buffers have grown to their working
+//! size.
 
 use cmpsim_engine::{Cycle, EventCounts, FxHashMap};
 use cmpsim_noc::Delivery;
@@ -113,17 +115,28 @@ fn is_dedup_block(memory: &MachineMemory, block: Block) -> bool {
     matches!(memory.kind_of_block(block), Some(PageKind::Deduplicated))
 }
 
-/// Which tile's open transaction owns the traffic on a block. A core
-/// has at most one outstanding miss, so a tile has at most one open
-/// transaction; several tiles may have one open on the same block, and
-/// the oldest of them (the lowest issue sequence number) owns every
-/// message on it.
+/// One tile's open (issued, not yet completed) L1 miss.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OpenTx {
+    /// The missed block.
+    pub(crate) block: Block,
+    /// A store miss.
+    pub(crate) write: bool,
+    /// The cycle the miss issued at.
+    pub(crate) issued: Cycle,
+    /// Issue order: the number of misses issued before this one.
+    pub(crate) seq: u64,
+}
+
+/// Each tile's open miss, and which of them owns the traffic on a
+/// block. A core has at most one outstanding miss, so a tile has at
+/// most one open transaction; several tiles may have one open on the
+/// same block, and the oldest of them (the lowest issue order) owns
+/// every message on it.
 struct OpenIndex {
-    /// The block each tile's open transaction is on.
-    open: Vec<Option<Block>>,
-    /// The sequence number each tile's open transaction issued with.
-    seq: Vec<u64>,
-    /// The next issue sequence number.
+    /// Each tile's open miss.
+    open: Vec<Option<OpenTx>>,
+    /// The next issue order.
     next_seq: u64,
     /// The tiles with a transaction open on each block, one bit per
     /// tile (a chip has at most [`MAX_TILES`]).
@@ -133,31 +146,27 @@ struct OpenIndex {
 impl OpenIndex {
     fn new(tiles: usize) -> Self {
         assert!(tiles <= MAX_TILES, "the open-transaction index holds at most {MAX_TILES} tiles");
-        Self {
-            open: vec![None; tiles],
-            seq: vec![0; tiles],
-            next_seq: 0,
-            by_block: FxHashMap::default(),
-        }
+        Self { open: vec![None; tiles], next_seq: 0, by_block: FxHashMap::default() }
     }
 
-    /// Opens `tile`'s transaction on `block` as the newest one. A core
-    /// has one outstanding miss at a time; a leftover entry would mean a
-    /// completion was lost, so it is dropped defensively.
-    fn issue(&mut self, tile: Tile, block: Block) {
-        if let Some(stale) = self.open[tile].replace(block) {
-            self.unlink(stale, tile);
-        }
-        self.seq[tile] = self.next_seq;
+    /// Opens `tile`'s miss on `block` at `now` as the newest one. A core
+    /// has one outstanding miss at a time; a leftover record would mean
+    /// a completion was lost, so it is dropped here, the one place a
+    /// stale miss is handled.
+    fn issue(&mut self, now: Cycle, tile: Tile, block: Block, write: bool) {
+        let tx = OpenTx { block, write, issued: now, seq: self.next_seq };
         self.next_seq += 1;
+        if let Some(stale) = self.open[tile].replace(tx) {
+            self.unlink(stale.block, tile);
+        }
         *self.by_block.entry(block).or_insert(0) |= bit(tile);
     }
 
-    /// Closes `tile`'s open transaction, returning its block.
-    fn complete(&mut self, tile: Tile) -> Option<Block> {
-        let block = self.open[tile].take()?;
-        self.unlink(block, tile);
-        Some(block)
+    /// Closes `tile`'s open miss, returning its record.
+    fn complete(&mut self, tile: Tile) -> Option<OpenTx> {
+        let tx = self.open[tile].take()?;
+        self.unlink(tx.block, tile);
+        Some(tx)
     }
 
     fn unlink(&mut self, block: Block, tile: Tile) {
@@ -169,15 +178,17 @@ impl OpenIndex {
         }
     }
 
-    /// The tile whose transaction owns traffic on `block`: the only one
-    /// open on it, or else the oldest.
+    /// The open miss that owns traffic on `block`, with its tile: the
+    /// only one open on it, or else the oldest.
     #[inline]
-    fn owner(&self, block: Block) -> Option<Tile> {
+    fn owner(&self, block: Block) -> Option<(Tile, &OpenTx)> {
         let mask = *self.by_block.get(&block)?;
-        if mask & (mask - 1) == 0 {
-            return Some(mask.trailing_zeros() as Tile);
-        }
-        iter_bits(mask).min_by_key(|&t| self.seq[t])
+        let tile = if mask & (mask - 1) == 0 {
+            mask.trailing_zeros() as Tile
+        } else {
+            iter_bits(mask).min_by_key(|&t| self.open[t].map_or(u64::MAX, |tx| tx.seq))?
+        };
+        Some((tile, self.open[tile].as_ref()?))
     }
 }
 
@@ -197,8 +208,7 @@ pub(crate) struct Observers {
     pub(crate) sampler: Option<IntervalSampler>,
     /// Energy table for the sampler's cumulative snapshots.
     pub(crate) energy_model: Option<EnergyModel>,
-    /// The block → open-transaction index the tracer and attribution
-    /// share.
+    /// Each tile's open miss, which the tracer and attribution read.
     index: OpenIndex,
 }
 
@@ -217,9 +227,9 @@ impl Observers {
     }
 
     /// True when an observer follows transactions (tracer or
-    /// attribution): the one branch at each message site.
+    /// attribution): the one branch at each hook site.
     #[inline]
-    pub(crate) fn tracks_tx(&self) -> bool {
+    fn tracks_tx(&self) -> bool {
         self.tracer.is_some() || self.attr.is_some()
     }
 
@@ -238,9 +248,9 @@ impl Observers {
         }
     }
 
-    // The observers' work stays out of line (here and in `close_tx`), so
-    // the event loop compiles to the same code with every observer off
-    // whatever that work grows or shrinks to.
+    // The observers' work stays out of line (here, in `record_message`
+    // and in `close_tx`), so the event loop compiles to the same code
+    // with every observer off whatever that work grows or shrinks to.
     #[inline(never)]
     fn open_tx(
         &mut self,
@@ -250,17 +260,26 @@ impl Observers {
         write: bool,
         memory: &MachineMemory,
     ) {
-        self.index.issue(tile, block);
+        self.index.issue(now, tile, block, write);
         if let Some(tr) = &mut self.tracer {
-            tr.on_issue(now, tile, block, write);
+            tr.on_issue(tile);
         }
         if let Some(a) = &mut self.attr {
-            a.on_issue(now, tile, block, write, is_dedup_block(memory, block));
+            a.on_issue(tile, is_dedup_block(memory, block));
         }
     }
 
-    /// One network message. Callers check [`Self::tracks_tx`] first.
-    pub(crate) fn on_message(&mut self, ev: MsgEvent, memory: &MachineMemory) {
+    /// One network message, described by `ev`, which is called only
+    /// when an observer follows transactions.
+    #[inline]
+    pub(crate) fn on_message(&mut self, memory: &MachineMemory, ev: impl FnOnce() -> MsgEvent) {
+        if self.tracks_tx() {
+            self.record_message(ev(), memory);
+        }
+    }
+
+    #[inline(never)]
+    fn record_message(&mut self, ev: MsgEvent, memory: &MachineMemory) {
         let (owner, arrival, links) = (self.index.owner(ev.block), ev.noc.arrival, ev.noc.links);
         if let Some(tr) = &mut self.tracer {
             let (name, cat, src, dst) = (ev.name(), ev.category(), ev.src.tile(), ev.dst.tile());
@@ -268,7 +287,7 @@ impl Observers {
         }
         if let Some(a) = &mut self.attr {
             let dedup = is_dedup_block(memory, ev.block);
-            let (class, src, dst) = (ev.class(), ev.src, ev.dst);
+            let (owner, class, src, dst) = (owner.map(|(t, _)| t), ev.class(), ev.src, ev.dst);
             a.on_message(owner, ev.depart, arrival, class, src, dst, links, ev.flits, dedup);
         }
     }
@@ -283,14 +302,14 @@ impl Observers {
 
     #[inline(never)]
     fn close_tx(&mut self, now: Cycle, tile: Tile) {
-        if self.index.complete(tile).is_none() {
+        let Some(tx) = self.index.complete(tile) else {
             return;
-        }
+        };
         if let Some(tr) = &mut self.tracer {
-            tr.on_completion(now, tile);
+            tr.on_completion(now, tile, &tx);
         }
         if let Some(a) = &mut self.attr {
-            a.on_completion(now, tile);
+            a.on_completion(now, tile, &tx);
         }
     }
 
@@ -318,7 +337,7 @@ impl Observers {
         if cur.iter().zip(&base).fold(0, |moved, (c, b)| moved | (c ^ b)) == 0 {
             return;
         }
-        let owner = self.index.owner(block);
+        let owner = self.index.owner(block).map(|(t, _)| t);
         let Some(a) = &mut self.attr else { return };
         let [l1_tag, l1_data, l2_tag, l2_data, dir, l1c, l2c] =
             std::array::from_fn(|i| cur[i] - base[i]);
@@ -344,7 +363,7 @@ impl Observers {
     pub(crate) fn stall_context(&self, now: Cycle) -> (Vec<String>, Vec<String>) {
         (
             self.tracer.as_ref().map(|t| t.tail_lines(16)).unwrap_or_default(),
-            self.attr.as_ref().map(|a| a.stall_lines(now, 8)).unwrap_or_default(),
+            self.attr.as_ref().map(|a| a.stall_lines(now, 8, &self.index.open)).unwrap_or_default(),
         )
     }
 
@@ -356,8 +375,8 @@ impl Observers {
     ) -> (Option<TraceLog>, Option<BreakdownLog>, Option<TimeSeries>) {
         let series = self.sampler.take().zip(series_end);
         (
-            self.tracer.take().map(TxTracer::finish),
-            self.attr.take().map(TxAttribution::finish),
+            self.tracer.take().map(|t| t.finish(&self.index.open)),
+            self.attr.take().map(|a| a.finish(&self.index.open)),
             series.map(|(s, (now, cum, occ))| s.finish(now, &cum, &occ)),
         )
     }
@@ -370,7 +389,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// The index as a list of open tiles per block in issue order: the
-    /// oracle [`OpenIndex`] must agree with.
+    /// oracle [`OpenIndex`]'s owners must agree with.
     struct OracleIndex {
         open: Vec<Option<Block>>,
         by_block: BTreeMap<Block, Vec<Tile>>,
@@ -424,30 +443,31 @@ mod tests {
         ) {
             let mut index = OpenIndex::new(64);
             let mut oracle = OracleIndex { open: vec![None; 64], by_block: BTreeMap::new() };
-            for (op, tile, block) in ops {
+            for (now, (op, tile, block)) in (0..).zip(ops) {
                 match op {
                     0 => {
-                        index.issue(tile, block);
+                        index.issue(now, tile, block, false);
                         oracle.issue(tile, block);
                     }
                     1 => {
                         if let Some(t) = oracle.nth_open(tile) {
-                            prop_assert_eq!(index.complete(t), oracle.complete(t));
+                            prop_assert_eq!(index.complete(t).map(|tx| tx.block), oracle.complete(t));
                         }
                     }
                     _ => {
                         if let Some(t) = oracle.nth_open(tile) {
-                            index.issue(t, block);
+                            index.issue(now, t, block, true);
                             oracle.issue(t, block);
                         }
                     }
                 }
                 for b in 0..BLOCKS {
-                    prop_assert_eq!(index.owner(b), oracle.owner(b), "owner of block {}", b);
+                    let owner = index.owner(b).map(|(t, _)| t);
+                    prop_assert_eq!(owner, oracle.owner(b), "owner of block {}", b);
                 }
             }
             while let Some(t) = oracle.nth_open(0) {
-                prop_assert_eq!(index.complete(t), oracle.complete(t));
+                prop_assert_eq!(index.complete(t).map(|tx| tx.block), oracle.complete(t));
             }
             prop_assert!(index.by_block.is_empty());
             prop_assert!(index.open.iter().all(Option::is_none));
@@ -464,9 +484,9 @@ mod tests {
         let msg = MsgEvent::new(Wire::MemRead, 0x40, Node::L2(0), Node::L2(1), 0, noc, 1);
         obs.on_issue(1, 2, 0x40, false, &memory);
         obs.on_issue(2, 1, 0x40, true, &memory);
-        obs.on_message(msg, &memory);
+        obs.on_message(&memory, || msg);
         obs.on_completion(6, 2);
-        obs.on_message(msg, &memory);
+        obs.on_message(&memory, || msg);
         obs.on_completion(9, 1);
         assert!(obs.index.by_block.is_empty());
         let ring = obs.finish(None).0.expect("tracing on").ring;

@@ -619,27 +619,25 @@ impl CmpSimulator {
     fn apply_ctx(&mut self, now: Cycle) {
         for i in 0..self.ctx_pool.sends.len() {
             let out = self.ctx_pool.sends[i];
-            let flits = self.flits(&out.msg.kind);
-            let d = self.mesh.send(now + out.delay, out.msg.src.tile(), out.msg.dst.tile(), flits);
-            if self.obs.tracks_tx() {
-                let (m, depart) = (out.msg, now + out.delay);
-                let ev = MsgEvent::new(Wire::Msg(m.kind), m.block, m.src, m.dst, depart, d, flits);
-                self.obs.on_message(ev, &self.memory);
-            }
-            self.deliver(d.arrival, out.msg);
+            let (m, depart) = (out.msg, now + out.delay);
+            let flits = self.flits(&m.kind);
+            let d = self.mesh.send(depart, m.src.tile(), m.dst.tile(), flits);
+            self.obs.on_message(&self.memory, || {
+                MsgEvent::new(Wire::Msg(m.kind), m.block, m.src, m.dst, depart, d, flits)
+            });
+            self.deliver(d.arrival, m);
         }
         for i in 0..self.ctx_pool.bcasts.len() {
             let b = self.ctx_pool.bcasts[i];
             let flits = self.flits(&b.kind);
-            let arrivals = self.mesh.broadcast(now + b.delay, b.src.tile(), flits);
-            if self.obs.tracks_tx() {
-                let arrival = arrivals.iter().map(|&(_, at)| at).max().unwrap_or(now + b.delay);
+            let depart = now + b.delay;
+            let arrivals = self.mesh.broadcast(depart, b.src.tile(), flits);
+            self.obs.on_message(&self.memory, || {
+                let arrival = arrivals.iter().map(|&(_, at)| at).max().unwrap_or(depart);
                 // The spanning-tree broadcast charges tiles - 1 links.
                 let d = Delivery { arrival, links: (self.cfg.tiles() - 1) as u64 };
-                let wire = Wire::Bcast(b.kind);
-                let ev = MsgEvent::new(wire, b.block, b.src, b.src, now + b.delay, d, flits);
-                self.obs.on_message(ev, &self.memory);
-            }
+                MsgEvent::new(Wire::Bcast(b.kind), b.block, b.src, b.src, depart, d, flits)
+            });
             for (t, at) in arrivals {
                 if Some(t) == b.exclude {
                     continue;
@@ -654,7 +652,7 @@ impl CmpSimulator {
             let src_tile = b.src.tile();
             if Some(src_tile) != b.exclude && matches!(b.src, Node::L2(_)) {
                 self.deliver(
-                    now + b.delay + 1,
+                    depart + 1,
                     Msg { kind: b.kind, block: b.block, src: b.src, dst: Node::L1(src_tile) },
                 );
             }
@@ -672,32 +670,25 @@ impl CmpSimulator {
             let ctrl_tile = self.cfg.mem_ctrl_tile(ctrl);
             let flits =
                 if op.is_write { self.cfg.noc.data_flits } else { self.cfg.noc.control_flits };
-            let d = self.mesh.send(now + op.delay, op.home, ctrl_tile, flits);
-            if self.obs.tracks_tx() {
+            let depart = now + op.delay;
+            let d = self.mesh.send(depart, op.home, ctrl_tile, flits);
+            let (home, ctrl_node) = (Node::L2(op.home), Node::L2(ctrl_tile));
+            self.obs.on_message(&self.memory, || {
                 let wire = if op.is_write { Wire::MemWrite } else { Wire::MemRead };
-                let (home, ctrl) = (Node::L2(op.home), Node::L2(ctrl_tile));
-                let ev = MsgEvent::new(wire, op.block, home, ctrl, now + op.delay, d, flits);
-                self.obs.on_message(ev, &self.memory);
-            }
+                MsgEvent::new(wire, op.block, home, ctrl_node, depart, d, flits)
+            });
             let start = d.arrival.max(self.ctrl_free[ctrl]);
             self.ctrl_free[ctrl] = start + self.cfg.mem_service;
             if !op.is_write {
                 let ready = start + self.cfg.mem_latency + self.rng.jitter(self.cfg.mem_jitter);
-                let back = self.mesh.send(ready, ctrl_tile, op.home, self.cfg.noc.data_flits);
-                if self.obs.tracks_tx() {
-                    let (home, ctrl) = (Node::L2(op.home), Node::L2(ctrl_tile));
-                    let flits = self.cfg.noc.data_flits;
-                    let ev = MsgEvent::new(Wire::MemData, op.block, ctrl, home, ready, back, flits);
-                    self.obs.on_message(ev, &self.memory);
-                }
+                let flits = self.cfg.noc.data_flits;
+                let back = self.mesh.send(ready, ctrl_tile, op.home, flits);
+                self.obs.on_message(&self.memory, || {
+                    MsgEvent::new(Wire::MemData, op.block, ctrl_node, home, ready, back, flits)
+                });
                 self.deliver(
                     back.arrival,
-                    Msg {
-                        kind: MsgKind::MemData,
-                        block: op.block,
-                        src: Node::L2(op.home),
-                        dst: Node::L2(op.home),
-                    },
+                    Msg { kind: MsgKind::MemData, block: op.block, src: home, dst: home },
                 );
             }
         }
@@ -924,11 +915,15 @@ impl CmpSimulator {
         }
     }
 
-    /// Builds the structured dump for a watchdog abort.
-    fn stall_error(&self, now: Cycle, reason: StallReason) -> SimError {
-        let mut in_flight: Vec<InFlightMsg> = self
-            .queue
-            .iter()
+    /// Builds the structured dump for a watchdog abort. `popped` is the
+    /// event the watchdog tripped on, already off the queue: it is listed
+    /// with what is still queued, so a livelock of one message bouncing
+    /// between two tiles shows that message and its block.
+    fn stall_error(&self, now: Cycle, reason: StallReason, popped: Option<Ev>) -> SimError {
+        let mut in_flight: Vec<InFlightMsg> = popped
+            .map(|ev| (now, ev))
+            .into_iter()
+            .chain(self.queue.iter())
             .filter_map(|(due, ev)| match ev {
                 Ev::Deliver(msg, _) => Some(InFlightMsg { due, msg }),
                 Ev::CoreResume(_) | Ev::ReqTimeout { .. } => None,
@@ -1077,14 +1072,8 @@ impl CmpSimulator {
             // ref counters were not — snapshot after the resets so
             // interval deltas cover the measurement window only.
             let base = self.cum_snapshot();
-            let sampler = IntervalSampler::new(
-                interval,
-                now,
-                base,
-                leak.total_mw,
-                tiles,
-                self.mesh.directed_links(),
-            );
+            let sampler =
+                IntervalSampler::new(interval, now, base, leak, tiles, self.mesh.directed_links());
             self.sample_at = sampler.next_boundary();
             self.obs.sampler = Some(sampler);
         }
@@ -1166,16 +1155,12 @@ impl CmpSimulator {
         while let Some((now, ev)) = self.queue.pop() {
             self.events += 1;
             if self.events > budget {
-                return Err(self.stall_error(now, StallReason::EventBudget { budget }));
+                return Err(self.stall_error(now, StallReason::EventBudget { budget }, Some(ev)));
             }
             if now.saturating_sub(self.last_progress) > stall_window {
-                return Err(self.stall_error(
-                    now,
-                    StallReason::NoProgress {
-                        window: stall_window,
-                        last_progress: self.last_progress,
-                    },
-                ));
+                let last_progress = self.last_progress;
+                let reason = StallReason::NoProgress { window: stall_window, last_progress };
+                return Err(self.stall_error(now, reason, Some(ev)));
             }
             // Host wall-clock deadline, layered on the simulated-time
             // watchdog above. The poll is a counter+mask in the common
@@ -1286,7 +1271,7 @@ impl CmpSimulator {
         let now = self.queue.now();
         let unfinished = self.cores.iter().any(|c| c.refs_done < self.cfg.refs_per_core);
         if unfinished || !self.proto.quiescent() {
-            return Err(self.stall_error(now, StallReason::IncompleteDrain));
+            return Err(self.stall_error(now, StallReason::IncompleteDrain, None));
         }
 
         let finalize_start = std::time::Instant::now();
@@ -1758,6 +1743,25 @@ mod tests {
             }
             other => panic!("expected Stalled, got {other}"),
         }
+    }
+
+    /// A livelock of one message: the watchdog trips on the delivery it
+    /// has just popped, so the dump must list that delivery (and rank
+    /// its block hot) even though the queue is now empty.
+    #[test]
+    fn stall_dump_lists_the_popped_delivery() {
+        let cfg = SystemConfig::smoke().with_stall_window(10);
+        let mut sim = CmpSimulator::new(ProtocolKind::DiCo, Benchmark::Radix, &cfg);
+        let msg = Msg { kind: MsgKind::Ack, block: 0xa17, src: Node::L1(1), dst: Node::L1(0) };
+        sim.queue.push(100, Ev::Deliver(msg, 0));
+        let Err(SimError::Stalled(r)) = sim.run_phase(false) else {
+            panic!("no progress for 100 cycles must stall");
+        };
+        assert!(matches!(r.reason, StallReason::NoProgress { window: 10, .. }));
+        assert_eq!(r.cycle, 100);
+        assert_eq!(r.in_flight.len(), 1, "the popped delivery is the one in flight");
+        assert_eq!((r.in_flight[0].due, r.in_flight[0].msg), (100, msg));
+        assert_eq!(r.hot_blocks.iter().map(|h| h.block).collect::<Vec<_>>(), vec![0xa17]);
     }
 
     #[test]

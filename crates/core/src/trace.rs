@@ -1,14 +1,15 @@
 //! Coherence-transaction tracing.
 //!
 //! When [`SystemConfig::tracing`](crate::SystemConfig) is on, the
-//! simulator tags every L1 miss with a transaction id and records its
-//! lifecycle — issue, the request reaching the ordering point
-//! (directory or owner lookup), forwards, data/ack responses, and
-//! completion — into a bounded [`TraceRing`]. Every network message is
-//! recorded as a span whose duration is its NoC delivery latency and
-//! whose `links` argument is the hop count the mesh charged for it, so
-//! the per-transaction hop totals reconcile exactly with the NoC's
-//! `routing_events` counter (a property the integration tests assert).
+//! simulator tags every L1 miss with a transaction id (one more than its
+//! issue order) and records its lifecycle — issue, the request reaching
+//! the ordering point (directory or owner lookup), forwards, data/ack
+//! responses, and completion — into a bounded [`TraceRing`]. Every
+//! network message is recorded as a span whose duration is its NoC
+//! delivery latency and whose `links` argument is the hop count the mesh
+//! charged for it, so the per-transaction hop totals reconcile exactly
+//! with the NoC's `routing_events` counter (a property the integration
+//! tests assert).
 //!
 //! Tracing is observation-only: it allocates no events in the
 //! simulation queue, never touches the RNG, and the simulated timing is
@@ -18,33 +19,30 @@ use crate::json::Value;
 use cmpsim_engine::{trace::format_event, Cycle, TraceEvent, TraceRing};
 use cmpsim_protocols::common::{Block, Tile};
 
+use crate::observers::OpenTx;
+
 /// Capacity of the trace ring, in events. When full, the oldest events
 /// are dropped (and counted), keeping memory bounded on long runs while
 /// preserving the tail.
 pub const TRACE_CAPACITY: usize = 65_536;
 
-/// One open (issued, not yet completed) transaction.
-#[derive(Debug, Clone)]
-struct OpenTx {
-    id: u64,
-    block: Block,
-    write: bool,
-    issued: Cycle,
+/// The messages and link traversals charged to one tile's open miss.
+#[derive(Debug, Clone, Copy, Default)]
+struct TxCounts {
     hops: u64,
     msgs: u64,
 }
 
-/// Assigns transaction ids to misses and records message spans into a
-/// bounded ring. Owned by the simulator; only present when tracing is
+/// Records message spans into a bounded ring, each on the track of the
+/// miss it belongs to. The misses themselves are the observer bus's
+/// [`OpenTx`] records: a miss's trace id is its issue order + 1 (0 is
+/// the track of untracked traffic). Only present when tracing is
 /// enabled, so the disabled hot path is a single `Option` test.
 #[derive(Debug, Clone)]
-pub struct TxTracer {
+pub(crate) struct TxTracer {
     ring: TraceRing,
-    /// Next transaction id (0 is reserved for untracked traffic).
-    next_id: u64,
-    /// The open transaction of each tile (a core has at most one
-    /// outstanding miss, so tile indexes the open set exactly).
-    open: Vec<Option<OpenTx>>,
+    /// What each tile's open miss has been charged so far.
+    counts: Vec<TxCounts>,
     /// Link traversals attributed to an open transaction.
     tx_hops: u64,
     /// Link traversals with no open transaction on their block
@@ -57,34 +55,29 @@ pub struct TxTracer {
 impl TxTracer {
     /// Creates a tracer for a `tiles`-tile chip with a ring of
     /// [`TRACE_CAPACITY`] events.
-    pub fn new(tiles: usize) -> Self {
+    pub(crate) fn new(tiles: usize) -> Self {
         Self {
             ring: TraceRing::new(TRACE_CAPACITY),
-            next_id: 1,
-            open: vec![None; tiles],
+            counts: vec![TxCounts::default(); tiles],
             tx_hops: 0,
             untracked_hops: 0,
             completed: 0,
         }
     }
 
-    /// Records an L1 miss issuing at `now` on `tile`: opens a new
-    /// transaction and returns its id.
-    pub fn on_issue(&mut self, now: Cycle, tile: Tile, block: Block, write: bool) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.open[tile] = Some(OpenTx { id, block, write, issued: now, hops: 0, msgs: 0 });
-        id
+    /// A miss opens on `tile`: its counts start from zero.
+    pub(crate) fn on_issue(&mut self, tile: Tile) {
+        self.counts[tile] = TxCounts::default();
     }
 
     /// Records one network message: a span `[depart, arrival)` on the
-    /// track of `owner`'s open transaction (the tile whose transaction
-    /// the message belongs to), charging its `links` hop count to that
-    /// transaction — or to the untracked bucket when there is none.
+    /// track of `owner`, the open miss (and its tile) the message
+    /// belongs to, charging its `links` hop count to that miss — or to
+    /// the untracked bucket when there is none.
     #[allow(clippy::too_many_arguments)]
-    pub fn on_message(
+    pub(crate) fn on_message(
         &mut self,
-        owner: Option<Tile>,
+        owner: Option<(Tile, &OpenTx)>,
         depart: Cycle,
         arrival: Cycle,
         name: &'static str,
@@ -94,12 +87,13 @@ impl TxTracer {
         dst: Tile,
         links: u64,
     ) {
-        let tid = match owner.and_then(|t| self.open[t].as_mut()) {
-            Some(tx) => {
-                tx.hops += links;
-                tx.msgs += 1;
+        let tid = match owner {
+            Some((tile, tx)) => {
+                let c = &mut self.counts[tile];
+                c.hops += links;
+                c.msgs += 1;
                 self.tx_hops += links;
-                tx.id
+                tx.seq + 1
             }
             None => {
                 self.untracked_hops += links;
@@ -116,59 +110,48 @@ impl TxTracer {
         });
     }
 
-    /// Records the completion at `now` of the transaction open on
+    /// Records the completion at `now` of `tx`, the miss open on
     /// `tile`, emitting its whole-lifecycle span.
-    pub fn on_completion(&mut self, now: Cycle, tile: Tile) {
-        let Some(tx) = self.open[tile].take() else {
-            return;
-        };
+    pub(crate) fn on_completion(&mut self, now: Cycle, tile: Tile, tx: &OpenTx) {
+        let c = self.counts[tile];
         self.completed += 1;
         self.ring.push(TraceEvent {
             ts: tx.issued,
             dur: now.saturating_sub(tx.issued),
             name: if tx.write { "store-miss" } else { "load-miss" },
             cat: "tx",
-            tid: tx.id,
-            args: [
-                ("block", tx.block),
-                ("tile", tile as u64),
-                ("hops", tx.hops),
-                ("msgs", tx.msgs),
-            ],
+            tid: tx.seq + 1,
+            args: [("block", tx.block), ("tile", tile as u64), ("hops", c.hops), ("msgs", c.msgs)],
         });
     }
 
     /// Warm-up reset: discards buffered events and zeroes the hop
-    /// accounting (mirroring the NoC stats reset), but keeps open
-    /// transactions so misses straddling the boundary still complete.
-    /// Their per-transaction accumulators restart too, so completed
-    /// spans only ever report post-warm-up hops and the span sum stays
-    /// reconcilable with `tx_hops`.
-    pub fn reset(&mut self) {
+    /// accounting (mirroring the NoC stats reset); open misses straddling
+    /// the boundary still complete. Their counts restart too, so
+    /// completed spans only ever report post-warm-up hops and the span
+    /// sum stays reconcilable with `tx_hops`.
+    pub(crate) fn reset(&mut self) {
         self.ring.clear();
         self.tx_hops = 0;
         self.untracked_hops = 0;
         self.completed = 0;
-        for tx in self.open.iter_mut().flatten() {
-            tx.hops = 0;
-            tx.msgs = 0;
-        }
+        self.counts.fill(TxCounts::default());
     }
 
     /// The last `n` events rendered as text lines (for stall dumps).
-    pub fn tail_lines(&self, n: usize) -> Vec<String> {
+    pub(crate) fn tail_lines(&self, n: usize) -> Vec<String> {
         self.ring.tail(n).map(format_event).collect()
     }
 
-    /// Finalizes the tracer into the exportable log.
-    pub fn finish(self) -> TraceLog {
-        let open = self.open.iter().filter(|o| o.is_some()).count() as u64;
+    /// Finalizes the tracer into the exportable log; `open` is each
+    /// tile's miss still open.
+    pub(crate) fn finish(self, open: &[Option<OpenTx>]) -> TraceLog {
         TraceLog {
             ring: self.ring,
             tx_hops: self.tx_hops,
             untracked_hops: self.untracked_hops,
             completed_txs: self.completed,
-            open_txs: open,
+            open_txs: open.iter().flatten().count() as u64,
         }
     }
 }
@@ -237,20 +220,27 @@ impl TraceLog {
 mod tests {
     use super::*;
 
+    /// The bus's record of a miss on `block` issued at `issued`, the
+    /// `seq`-th issued.
+    fn tx(block: Block, write: bool, issued: Cycle, seq: u64) -> OpenTx {
+        OpenTx { block, write, issued, seq }
+    }
+
     #[test]
     fn issue_message_complete_lifecycle() {
         let mut t = TxTracer::new(4);
-        let id = t.on_issue(10, 2, 0x40, false);
-        assert_eq!(id, 1);
-        t.on_message(Some(2), 10, 15, "GetS", "msg", 0x40, 2, 0, 3);
-        t.on_message(Some(2), 15, 22, "Data", "msg", 0x40, 0, 2, 3);
-        t.on_completion(22, 2);
-        let log = t.finish();
+        let miss = tx(0x40, false, 10, 0);
+        t.on_issue(2);
+        t.on_message(Some((2, &miss)), 10, 15, "GetS", "msg", 0x40, 2, 0, 3);
+        t.on_message(Some((2, &miss)), 15, 22, "Data", "msg", 0x40, 0, 2, 3);
+        t.on_completion(22, 2, &miss);
+        let log = t.finish(&[None; 4]);
         assert_eq!(log.completed_txs, 1);
         assert_eq!(log.open_txs, 0);
         assert_eq!(log.tx_hops, 6);
         assert_eq!(log.untracked_hops, 0);
         assert_eq!(log.ring.len(), 3);
+        assert!(log.ring.iter().all(|e| e.tid == 1), "trace id is the issue order + 1");
         let tx = log.ring.iter().last().unwrap();
         assert_eq!(tx.cat, "tx");
         assert_eq!(tx.ts, 10);
@@ -259,11 +249,28 @@ mod tests {
         assert!(tx.args.contains(&("msgs", 2)));
     }
 
+    /// A re-issue on a tile whose miss never completed starts its counts
+    /// from zero.
+    #[test]
+    fn issue_restarts_the_tiles_counts() {
+        let mut t = TxTracer::new(2);
+        let (stale, fresh) = (tx(0x40, false, 1, 0), tx(0x80, true, 5, 1));
+        t.on_issue(1);
+        t.on_message(Some((1, &stale)), 1, 4, "GetS", "msg", 0x40, 1, 0, 2);
+        t.on_issue(1);
+        t.on_message(Some((1, &fresh)), 5, 9, "GetX", "msg", 0x80, 1, 0, 3);
+        t.on_completion(9, 1, &fresh);
+        let span = *t.finish(&[None; 2]).ring.iter().last().unwrap();
+        assert_eq!(span.tid, 2);
+        assert!(span.args.contains(&("hops", 3)));
+        assert!(span.args.contains(&("msgs", 1)));
+    }
+
     #[test]
     fn background_traffic_lands_on_track_zero() {
         let mut t = TxTracer::new(2);
         t.on_message(None, 5, 9, "WbData", "msg", 0x80, 1, 0, 2);
-        let log = t.finish();
+        let log = t.finish(&[None; 2]);
         assert_eq!(log.untracked_hops, 2);
         assert_eq!(log.tx_hops, 0);
         assert_eq!(log.ring.iter().next().unwrap().tid, 0);
@@ -272,25 +279,26 @@ mod tests {
     #[test]
     fn reset_keeps_open_transactions() {
         let mut t = TxTracer::new(2);
-        t.on_issue(1, 0, 0x40, false);
-        t.on_message(Some(0), 1, 4, "GetS", "msg", 0x40, 0, 1, 2);
+        let miss = tx(0x40, false, 1, 0);
+        t.on_issue(0);
+        t.on_message(Some((0, &miss)), 1, 4, "GetS", "msg", 0x40, 0, 1, 2);
         t.reset();
         assert_eq!(t.tail_lines(8).len(), 0);
-        t.on_message(Some(0), 5, 8, "Data", "msg", 0x40, 1, 0, 2);
-        t.on_completion(8, 0);
-        let log = t.finish();
+        t.on_message(Some((0, &miss)), 5, 8, "Data", "msg", 0x40, 1, 0, 2);
+        t.on_completion(8, 0, &miss);
+        let log = t.finish(&[None, Some(tx(0x80, false, 6, 1))]);
         // Only the post-reset hops are counted...
         assert_eq!(log.tx_hops, 2);
         // ...but the straddling transaction still completes.
         assert_eq!(log.completed_txs, 1);
-        assert_eq!(log.open_txs, 0);
+        assert_eq!(log.open_txs, 1);
     }
 
     #[test]
     fn chrome_document_shape() {
         let mut t = TxTracer::new(4);
         t.on_message(None, 10, 12, "Get\"S", "msg", 7, 1, 2, 3);
-        let doc = t.finish().to_value("a \\ b");
+        let doc = t.finish(&[None; 4]).to_value("a \\ b");
         let text = doc.to_document();
         assert_eq!(Value::parse(&text).unwrap(), doc);
         let events = match doc.field("traceEvents").unwrap() {
@@ -309,8 +317,9 @@ mod tests {
     #[test]
     fn tail_lines_render() {
         let mut t = TxTracer::new(2);
-        t.on_issue(1, 0, 0x40, true);
-        t.on_message(Some(0), 1, 4, "GetX", "msg", 0x40, 0, 1, 2);
+        let miss = tx(0x40, true, 1, 0);
+        t.on_issue(0);
+        t.on_message(Some((0, &miss)), 1, 4, "GetX", "msg", 0x40, 0, 1, 2);
         let lines = t.tail_lines(4);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("GetX"), "{}", lines[0]);

@@ -26,35 +26,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0
     }
-
-    /// Merges another counter into this one (saturating).
-    #[inline]
-    pub fn merge(&mut self, other: &Counter) {
-        self.add(other.get());
-    }
-}
-
-/// Merges `src` into `dst` element-wise (saturating), growing `dst`
-/// with zeros when `src` is longer. Used for per-link / per-tile count
-/// grids.
-pub fn add_slices(dst: &mut Vec<u64>, src: &[u64]) {
-    if dst.len() < src.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = d.saturating_add(*s);
-    }
-}
-
-/// Merges the named fields of `$src` into `$dst` by calling each
-/// field's own `merge`. Works for any mix of [`Counter`], [`Running`],
-/// and [`Log2Hist`] fields, so stats blocks don't hand-write one line
-/// of `self.x.add(o.x.get())` per counter.
-#[macro_export]
-macro_rules! merge_fields {
-    ($dst:expr, $src:expr, $($field:ident),+ $(,)?) => {
-        $( $dst.$field.merge(&$src.$field); )+
-    };
 }
 
 /// Running mean/min/max over `u64` samples (e.g. miss latencies).
@@ -238,40 +209,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn counter_merge_and_slice_add() {
-        let mut a = Counter(3);
-        a.merge(&Counter(4));
-        assert_eq!(a.get(), 7);
-        let mut grid = vec![1, 2];
-        add_slices(&mut grid, &[10, 20, 30]);
-        assert_eq!(grid, vec![11, 22, 30]);
-        add_slices(&mut grid, &[]);
-        assert_eq!(grid, vec![11, 22, 30]);
-    }
-
-    #[test]
-    fn merge_fields_macro_covers_mixed_primitives() {
-        #[derive(Default)]
-        struct Block {
-            hits: Counter,
-            lat: Running,
-            hist: Log2Hist,
-        }
-        let mut a = Block::default();
-        a.hits.inc();
-        a.lat.record(4);
-        a.hist.record(8);
-        let mut b = Block::default();
-        b.hits.add(2);
-        b.lat.record(6);
-        b.hist.record(16);
-        crate::merge_fields!(a, b, hits, lat, hist);
-        assert_eq!(a.hits.get(), 3);
-        assert_eq!(a.lat.count(), 2);
-        assert_eq!(a.hist.summary().count(), 2);
     }
 
     #[test]

@@ -50,25 +50,6 @@ pub struct NocStats {
     pub broadcast_latency: Running,
 }
 
-impl NocStats {
-    /// Merges another stats block (used when aggregating runs).
-    pub fn merge(&mut self, o: &NocStats) {
-        cmpsim_engine::merge_fields!(
-            self,
-            o,
-            messages,
-            broadcasts,
-            local_deliveries,
-            routing_events,
-            flit_link_traversals,
-            contention_cycles,
-            links_per_message,
-            message_latency,
-            broadcast_latency,
-        );
-    }
-}
-
 impl MetricSource for NocStats {
     fn publish(&self, prefix: &str, reg: &mut MetricsRegistry) {
         let c = [
@@ -103,20 +84,6 @@ cmpsim_engine::impl_snap!(NocStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = NocStats::default();
-        a.messages.add(3);
-        a.links_per_message.record(4);
-        let mut b = NocStats::default();
-        b.messages.add(2);
-        b.links_per_message.record(8);
-        a.merge(&b);
-        assert_eq!(a.messages.get(), 5);
-        assert_eq!(a.links_per_message.count(), 2);
-        assert_eq!(a.links_per_message.max(), Some(8));
-    }
 
     #[test]
     fn publishes_into_registry() {

@@ -184,7 +184,9 @@ impl AreaPolicy for ProvidersPolicy {
                 c.spec.lat.l1_tag,
             );
         } else {
-            // No sharers left: tell the owner (via the home).
+            // No sharers left: tell the owner (via the home), and drop
+            // any note from an older hand-off so a chase cannot cycle.
+            c.policy.ptombstones[tile].remove(block);
             ctx.send(
                 Msg {
                     kind: MsgKind::NoProvider { area: my_area as u16, former: tile },
@@ -460,6 +462,7 @@ fn providership_transfer(
             lat.l1_tag,
         );
     } else {
+        c.policy.ptombstones[tile].remove(block);
         ctx.send(
             Msg {
                 kind: MsgKind::NoProvider { area: my_area as u16, former },

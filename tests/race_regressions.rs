@@ -198,3 +198,18 @@ fn adversarial_latency_mix() {
         run(Arin::new(ChipSpec::tiny()), 0x9d00 + seed);
     }
 }
+
+/// Race: a provider that gives up providership with nobody to pass it
+/// to kept its hand-off note from an older transfer, so two tiles'
+/// provider tombstones pointed at each other and an `InvProvider`
+/// bounced between them forever (a livelock with one message in
+/// flight). Giving up providership must clear the tile's note.
+#[test]
+fn provider_tombstones_cannot_cycle() {
+    let cfg = cmpsim::SystemConfig::small().with_refs(2000).with_seed(3);
+    let r =
+        cmpsim::run_benchmark(cmpsim::ProtocolKind::DiCoProviders, cmpsim::Benchmark::Apache, &cfg);
+    if let Err(e) = r {
+        panic!("DiCo-Providers/apache, seed 3, must finish: {e}");
+    }
+}
