@@ -119,6 +119,15 @@ fn stride(class: usize) -> usize {
     (1 << class) >> 1
 }
 
+/// Where a resident line sits, as [`SetAssoc::find`] returns it. It
+/// names the line only until the array next changes.
+#[derive(Debug, Clone, Copy)]
+pub struct LineAt {
+    set: usize,
+    pos: usize,
+    block: u64,
+}
+
 /// A set-associative array. All structures of a tile (L1, L2 bank,
 /// directory cache, L1C$, L2C$) are instances of this with different
 /// payloads and geometries.
@@ -416,6 +425,30 @@ impl<T> SetAssoc<T> {
         let pos = self.position(set, block)?;
         let slot = self.way(set, pos).2;
         Some(self.payload_mut(slot))
+    }
+
+    /// Lookup without touching LRU state, like [`Self::peek`], that
+    /// also says where the line sits, so that an access decided on its
+    /// payload can [`Self::touch_at`] it without a second scan.
+    #[inline]
+    pub fn find(&self, block: u64) -> Option<(LineAt, &T)> {
+        let set = self.geom.index(block);
+        let pos = self.position(set, block)?;
+        Some((LineAt { set, pos, block }, self.payload(self.way(set, pos).2)))
+    }
+
+    /// Refreshes the LRU position of the line `at` names, exactly as
+    /// [`Self::get_mut`] on its block would, and returns its payload.
+    /// `at` must come from [`Self::find`] with no change to the array
+    /// since.
+    #[inline]
+    pub fn touch_at(&mut self, at: LineAt) -> &mut T {
+        let stamp = self.bump();
+        let way = self.way_mut(at.set, at.pos);
+        debug_assert_eq!(way.0, at.block, "a stale line position");
+        way.1 = stamp;
+        let slot = way.2;
+        self.payload_mut(slot)
     }
 
     /// Stamps `block`'s line as the most recently used and returns its
@@ -1412,6 +1445,14 @@ mod dense_proptests {
                 3 => prop_assert_eq!(chunked.touch(block), dense.touch(block)),
                 4 => prop_assert_eq!(chunked.peek(block), dense.peek(block)),
                 5 => prop_assert_eq!(chunked.remove(block), dense.remove(block)),
+                6 => {
+                    let got = chunked.find(block).map(|(at, &v)| (at, v));
+                    prop_assert_eq!(got.map(|(_, v)| v), dense.peek(block).copied());
+                    if let Some((at, _)) = got {
+                        *chunked.touch_at(at) += val;
+                        *dense.get_mut(block).expect("found") += val;
+                    }
+                }
                 _ => prop_assert_eq!(chunked.victim_if_full(block), dense.victim_if_full(block)),
             }
             let set = geom.index(block);
@@ -1434,7 +1475,7 @@ mod dense_proptests {
         fn chunks_match_dense_layout(
             ways in 1usize..10,
             sets_log2 in 0u32..4,
-            ops in prop::collection::vec((0u8..7, 0u64..48, 0u32..1000, 0u32..u32::MAX), 1..300),
+            ops in prop::collection::vec((0u8..8, 0u64..48, 0u32..1000, 0u32..u32::MAX), 1..300),
         ) {
             run_against_dense(Geometry::new(1 << sets_log2, ways), 0, ops);
         }
@@ -1446,7 +1487,7 @@ mod dense_proptests {
             ways in 1usize..10,
             sets_log2 in 0u32..4,
             headroom in 0u32..64,
-            ops in prop::collection::vec((0u8..7, 0u64..48, 0u32..1000, 0u32..u32::MAX), 1..300),
+            ops in prop::collection::vec((0u8..8, 0u64..48, 0u32..1000, 0u32..u32::MAX), 1..300),
         ) {
             run_against_dense(Geometry::new(1 << sets_log2, ways), u32::MAX - headroom, ops);
         }

@@ -21,6 +21,6 @@ pub mod array;
 pub mod geometry;
 pub mod mshr;
 
-pub use array::SetAssoc;
+pub use array::{LineAt, SetAssoc};
 pub use geometry::Geometry;
 pub use mshr::Mshr;

@@ -8,6 +8,7 @@
 //! checks stay address-ordered.
 
 use cmpsim_engine::{FxHashMap, Snap, SnapError, SnapReader, SnapWriter};
+use std::collections::hash_map::Entry;
 
 /// MSHR file with a capacity limit.
 #[derive(Debug, Clone)]
@@ -46,9 +47,10 @@ impl<E> Mshr<E> {
     /// check [`Mshr::has_room`] and stall the core).
     pub fn alloc(&mut self, block: u64, entry: E) -> &mut E {
         assert!(self.has_room(), "MSHR overflow");
-        let prev = self.entries.insert(block, entry);
-        assert!(prev.is_none(), "duplicate MSHR for block {block:#x}");
-        self.entries.get_mut(&block).expect("just inserted")
+        match self.entries.entry(block) {
+            Entry::Occupied(_) => panic!("duplicate MSHR for block {block:#x}"),
+            Entry::Vacant(slot) => slot.insert(entry),
+        }
     }
 
     /// Entry for `block`, if in flight.

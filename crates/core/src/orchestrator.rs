@@ -1499,15 +1499,23 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cmpsim-unit-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A directory in the system temp dir, removed with everything in it
+    /// when dropped.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
-    fn planned_sweep(tag: &str, spec: &SweepSpec) -> SweepOutcome {
-        let opts = SweepOptions { out_dir: temp_dir(tag), ..Default::default() };
-        run_sweep(spec, &opts).expect("sweep runs")
+    /// Runs `spec` into a fresh directory named by `tag`, which lives as
+    /// long as the returned guard.
+    fn planned_sweep(tag: &str, spec: &SweepSpec) -> (SweepOutcome, TempDir) {
+        let dir = std::env::temp_dir().join(format!("cmpsim-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = SweepOptions { out_dir: dir.clone(), ..Default::default() };
+        (run_sweep(spec, &opts).expect("sweep runs"), TempDir(dir))
     }
 
     #[test]
@@ -1516,7 +1524,7 @@ mod tests {
             plans: vec![Some(FaultPlan::recoverable(42))],
             ..SweepSpec::matrix(&[ProtocolKind::DiCo], &[Benchmark::Apache], &SystemConfig::smoke())
         };
-        let outcome = planned_sweep("verify", &spec);
+        let (outcome, _dir) = planned_sweep("verify", &spec);
         let CellState::Done { artifact, .. } = &outcome.states[1] else {
             panic!("expected verified recovery, got {:?}", outcome.states[1])
         };
@@ -1536,7 +1544,7 @@ mod tests {
                 &SystemConfig::smoke(),
             )
         };
-        let outcome = planned_sweep("smoke", &spec);
+        let (outcome, _dir) = planned_sweep("smoke", &spec);
         assert_eq!(outcome.cells.len(), 6);
         assert!(outcome.ok(), "violations: {:?}", outcome.violations());
         assert_eq!(outcome.count("done"), 6);

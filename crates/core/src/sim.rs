@@ -881,7 +881,7 @@ impl CmpSimulator {
         const _: () = assert!(BLOCKS_PER_PAGE == u64::BITS as u64);
         let authority = self.proto.authority();
         let mut versioned = vec![0u64; self.memory.physical_pages() as usize];
-        for (&block, _) in authority.iter().filter(|&(_, &version)| version != 0) {
+        for (block, _) in authority.iter().filter(|&(_, version)| version != 0) {
             let page = usize::try_from(block / BLOCKS_PER_PAGE).ok();
             if let Some(mask) = page.and_then(|p| versioned.get_mut(p)) {
                 *mask |= 1 << (block % BLOCKS_PER_PAGE);

@@ -11,14 +11,39 @@ use cmpsim::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-fn temp_dir(tag: &str) -> PathBuf {
+/// A fresh directory in the system temp dir, removed with everything
+/// in it when dropped.
+struct TempDir(PathBuf);
+
+impl Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("cmpsim-orch-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    TempDir(dir)
 }
 
 fn small_spec() -> SweepSpec {
@@ -258,7 +283,7 @@ fn quarantined_crash_dump_replays() {
 /// Reference sweep shared by the kill-point property: journal text,
 /// terminal state set, and every artifact's bytes.
 struct Reference {
-    dir: PathBuf,
+    dir: TempDir,
     journal: String,
     states: Vec<(usize, String)>,
     artifacts: BTreeMap<PathBuf, Vec<u8>>,
@@ -282,16 +307,21 @@ fn reference() -> &'static Reference {
             })
             .collect();
         Reference {
-            dir: dir.clone(),
             journal: std::fs::read_to_string(dir.join("sweep.ndjson")).unwrap(),
+            dir,
             states: outcome.state_set(),
             artifacts,
         }
     })
 }
 
+/// Cases of `resume_from_any_kill_point`; the last one to finish
+/// removes the shared reference sweep, which a static never drops.
+const KILL_POINT_CASES: u32 = 12;
+static KILL_POINTS_DONE: AtomicU32 = AtomicU32::new(0);
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: KILL_POINT_CASES, ..ProptestConfig::default() })]
 
     /// Crash-resume property: truncating the journal at ANY byte
     /// offset past the start line (simulating `kill -9` mid-write,
@@ -312,6 +342,9 @@ proptest! {
             prop_assert_eq!(&std::fs::read(path).unwrap(), bytes, "artifact {} diverged", path.display());
         }
         let _ = std::fs::remove_file(&truncated);
+        if KILL_POINTS_DONE.fetch_add(1, Ordering::SeqCst) + 1 == KILL_POINT_CASES {
+            let _ = std::fs::remove_dir_all(&*r.dir);
+        }
     }
 }
 
@@ -465,7 +498,7 @@ fn a_moved_sweep_directory_resumes_in_place() {
 
     let resumed = resume_sweep(&to.join("sweep.ndjson"), Some(2)).unwrap();
     assert_eq!(resumed.skipped, resumed.cells.len());
-    assert_eq!(resumed.out_dir, to);
+    assert_eq!(resumed.out_dir, *to);
     assert_eq!(resumed.state_set(), first.state_set());
     assert!(!from.exists(), "resume recreated {}", from.display());
     let journal = std::fs::read_to_string(to.join("sweep.ndjson")).unwrap();

@@ -302,6 +302,23 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
 }
 
+/// Digests of each protocol's warm-boundary image of the apache smoke
+/// cell, as every build since `SNAPSHOT_VERSION` 2 has written them.
+const PINNED_APACHE_IMAGES: [(ProtocolKind, u64); 4] = [
+    (ProtocolKind::Directory, 0x86ad_b382_5847_1261),
+    (ProtocolKind::DiCo, 0xa404_3083_87dd_76c2),
+    (ProtocolKind::DiCoProviders, 0x6e84_049f_2dc4_f5b0),
+    (ProtocolKind::DiCoArin, 0xe56a_920c_56ac_7825),
+];
+
+/// The warm-boundary image of `kind`'s apache smoke cell.
+fn warm_apache_image(kind: ProtocolKind) -> Vec<u8> {
+    let cfg = SystemConfig::smoke();
+    let mut sim = CmpSimulator::new(kind, Benchmark::Apache, &cfg);
+    assert!(sim.warm_up().expect("warm-up"), "{kind:?} must reach the boundary");
+    sim.save_snapshot(snapshot_key(kind, Benchmark::Apache, &cfg))
+}
+
 /// The warm-boundary image of each protocol's apache smoke cell is
 /// pinned byte for byte: a change to how the simulator stores its state
 /// (e.g. the cache arrays' host layout) must not change what it
@@ -310,18 +327,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 #[test]
 fn warm_snapshot_bytes_are_pinned() {
     assert_eq!(cmpsim::snapshot::SNAPSHOT_VERSION, 2);
-    let cfg = SystemConfig::smoke();
-    let b = Benchmark::Apache;
-    let pinned = [
-        (ProtocolKind::Directory, 0x86ad_b382_5847_1261u64),
-        (ProtocolKind::DiCo, 0xa404_3083_87dd_76c2),
-        (ProtocolKind::DiCoProviders, 0x6e84_049f_2dc4_f5b0),
-        (ProtocolKind::DiCoArin, 0xe56a_920c_56ac_7825),
-    ];
-    for (kind, want) in pinned {
-        let mut sim = CmpSimulator::new(kind, b, &cfg);
-        assert!(sim.warm_up().expect("warm-up"), "{kind:?} must reach the boundary");
-        let image = sim.save_snapshot(snapshot_key(kind, b, &cfg));
+    for (kind, want) in PINNED_APACHE_IMAGES {
+        let image = warm_apache_image(kind);
         let got = fnv1a64(&image);
         assert_eq!(
             got,
@@ -329,5 +336,20 @@ fn warm_snapshot_bytes_are_pinned() {
             "{kind:?}/apache warm image digest {got:#018x} (len {})",
             image.len()
         );
+    }
+}
+
+/// An image with the pinned bytes, i.e. one an earlier build wrote,
+/// restores into the narrower host records (one-byte tile ids, `u32`
+/// page tables and version maps) and saves back byte for byte.
+#[test]
+fn pinned_images_restore_and_save_back_identically() {
+    let cfg = SystemConfig::smoke();
+    let b = Benchmark::Apache;
+    for (kind, want) in PINNED_APACHE_IMAGES {
+        let image = warm_apache_image(kind);
+        assert_eq!(fnv1a64(&image), want, "{kind:?}: not the pinned image");
+        let restored = CmpSimulator::restore_snapshot(kind, b, &cfg, &image).expect("restore");
+        assert!(restored.save_snapshot(snapshot_key(kind, b, &cfg)) == image, "{kind:?}");
     }
 }

@@ -78,6 +78,36 @@ impl std::fmt::Debug for Propos {
     }
 }
 
+/// A tile index in one byte, as the per-line pointers store it: L1C$
+/// and L2C$ entries, sharer hints, and the directory's owner fields.
+/// Every chip has at most [`MAX_TILES`] tiles, so the paper's
+/// log2(n)-bit pointer fits, and `Option<TileId>` takes two bytes where
+/// an `Option<Tile>` takes sixteen. Snapshots and `Debug` output spell
+/// the value as the [`Tile`] it names.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct TileId(u8);
+
+impl TileId {
+    /// `tile` as a one-byte id.
+    #[inline]
+    pub fn new(tile: Tile) -> Self {
+        assert!(tile < MAX_TILES, "tile {tile} is past the {MAX_TILES}-tile limit");
+        TileId(tile as u8)
+    }
+
+    /// The tile it names.
+    #[inline]
+    pub fn get(self) -> Tile {
+        Tile::from(self.0)
+    }
+}
+
+impl std::fmt::Debug for TileId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// Identifies a protocol implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
@@ -1194,6 +1224,19 @@ impl Snap for Propos {
     }
 }
 
+impl Snap for TileId {
+    fn save(&self, w: &mut SnapWriter) {
+        self.get().save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        match Tile::load(r)? {
+            t if t < MAX_TILES => Ok(TileId(t as u8)),
+            _ => Err(SnapError::Corrupt("tile id past the tile limit")),
+        }
+    }
+}
+
 impl Snap for Supplier {
     fn save(&self, w: &mut SnapWriter) {
         w.u8(match self {
@@ -1489,8 +1532,54 @@ impl Snap for ProtoStats {
 }
 
 cmpsim_engine::impl_snap!(BlockQueues { busy, pending });
-cmpsim_engine::impl_snap!(VersionAuthority { latest });
-cmpsim_engine::impl_snap!(MemoryImage { versions });
+
+// Version maps keep the image of the `FxHashMap<u64, u64>` they were:
+// `(block, version)` pairs ascending by block, each half a `u64`. An
+// entry that does not fit the 32-bit halves is refused.
+fn save_versions(map: &FxHashMap<u32, u32>, w: &mut SnapWriter) {
+    let mut pairs: Vec<(u32, u32)> = map.iter().map(|(&b, &v)| (b, v)).collect();
+    pairs.sort_unstable();
+    w.len_prefix(pairs.len());
+    for (block, version) in pairs {
+        w.u64(u64::from(block));
+        w.u64(u64::from(version));
+    }
+}
+
+fn load_versions(r: &mut SnapReader<'_>) -> Result<FxHashMap<u32, u32>, SnapError> {
+    let n = r.len_prefix("FxHashMap", 2)?;
+    let mut map = FxHashMap::default();
+    map.reserve(n);
+    for _ in 0..n {
+        let block = u32::try_from(r.u64()?);
+        let version = u32::try_from(r.u64()?);
+        let (Ok(block), Ok(version)) = (block, version) else {
+            return Err(SnapError::Corrupt("version-map entry does not fit 32 bits"));
+        };
+        map.insert(block, version);
+    }
+    Ok(map)
+}
+
+impl Snap for VersionAuthority {
+    fn save(&self, w: &mut SnapWriter) {
+        save_versions(&self.latest, w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Self { latest: load_versions(r)? })
+    }
+}
+
+impl Snap for MemoryImage {
+    fn save(&self, w: &mut SnapWriter) {
+        save_versions(&self.versions, w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(Self { versions: load_versions(r)? })
+    }
+}
 
 /// State a protocol keeps with one entry per tile, checked against the
 /// chip when a snapshot is restored.
@@ -1640,39 +1729,60 @@ pub fn iter_bits(mut v: u64) -> impl Iterator<Item = Tile> {
     })
 }
 
+// Every block a simulated machine hands out fits the version maps'
+// 32-bit keys: a chip has at most `MAX_AREAS` VMs (one per area, or
+// one in all).
+const _: () = assert!(
+    cmpsim_virt::mem::block_limit(MAX_AREAS) <= 1 << 32,
+    "block addresses must fit the version maps' u32 keys"
+);
+
+/// `block` as a version-map key (see the assertion above).
+#[inline]
+fn block_key(block: Block) -> u32 {
+    u32::try_from(block).expect("block address past the machine's block limit")
+}
+
 /// Write-serialization authority: every committed store gets a fresh,
 /// globally increasing version per block. Data messages carry versions so
 /// the checker can detect stale data being served, and the end-of-run
 /// architectural digest (`arch_state` in `cmpsim`'s simulator) reads the
 /// final versions straight from here through
-/// [`CoherenceProtocol::authority`].
+/// [`CoherenceProtocol::authority`]. Blocks and versions are kept as
+/// `u32`: every block address a machine hands out is below
+/// [`cmpsim_virt::mem::block_limit`], and a version counts the stores to
+/// one block.
 #[derive(Debug, Clone, Default)]
 pub struct VersionAuthority {
-    latest: FxHashMap<Block, u64>,
+    latest: FxHashMap<u32, u32>,
 }
 
 impl VersionAuthority {
     /// Commits a store to `block`, returning its new version.
+    ///
+    /// # Panics
+    /// Panics on the `u32::MAX + 1`-th store to one block.
     pub fn commit(&mut self, block: Block) -> u64 {
-        let v = self.latest.entry(block).or_insert(0);
-        *v += 1;
-        *v
+        let v = self.latest.entry(block_key(block)).or_insert(0);
+        *v = v.checked_add(1).expect("more than u32::MAX stores to one block");
+        u64::from(*v)
     }
 
     /// Latest committed version of `block` (0 if never written).
     pub fn latest(&self, block: Block) -> u64 {
-        self.latest.get(&block).copied().unwrap_or(0)
+        self.latest.get(&block_key(block)).map_or(0, |&v| u64::from(v))
     }
 
     /// Iterates `(block, version)` pairs, in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Block, &u64)> {
-        self.latest.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (Block, u64)> + '_ {
+        self.latest.iter().map(|(&b, &v)| (Block::from(b), u64::from(v)))
     }
 
     /// Every committed block together with the `held` ones, distinct
     /// and ascending (see [`CoherenceProtocol::blocks`]).
     pub fn with_held(&self, held: impl Iterator<Item = Block>) -> Vec<Block> {
-        let mut blocks: Vec<Block> = self.latest.keys().copied().chain(held).collect();
+        let mut blocks: Vec<Block> =
+            self.latest.keys().map(|&b| Block::from(b)).chain(held).collect();
         blocks.sort_unstable();
         blocks.dedup();
         blocks
@@ -1680,21 +1790,23 @@ impl VersionAuthority {
 }
 
 /// Off-chip memory image, tracked as versions only (the simulator never
-/// materializes data bytes).
+/// materializes data bytes), in the authority's `u32` blocks and
+/// versions.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryImage {
-    versions: FxHashMap<Block, u64>,
+    versions: FxHashMap<u32, u32>,
 }
 
 impl MemoryImage {
     /// Version memory holds for `block` (0 = never written back).
     pub fn version(&self, block: Block) -> u64 {
-        self.versions.get(&block).copied().unwrap_or(0)
+        self.versions.get(&block_key(block)).map_or(0, |&v| u64::from(v))
     }
 
-    /// Records a write-back of `version`.
+    /// Records a write-back of `version`, one the authority committed.
     pub fn write_back(&mut self, block: Block, version: u64) {
-        self.versions.insert(block, version);
+        let version = u32::try_from(version).expect("versions are committed as u32");
+        self.versions.insert(block_key(block), version);
     }
 }
 
@@ -1772,6 +1884,104 @@ mod tests {
                 matches!(Propos::load(&mut SnapReader::new(&bytes)), Err(SnapError::Corrupt(_))),
                 "slot Some({bad}) must not decode"
             );
+        }
+    }
+
+    /// A tile id saves as the `Tile` it names, so an `Option<TileId>`
+    /// field keeps the bytes of the `Option<Tile>` it replaced.
+    #[test]
+    fn tile_id_round_trips_as_a_tile() {
+        for t in [0, 1, 17, MAX_TILES - 1] {
+            let id = TileId::new(t);
+            assert_eq!(id.get(), t);
+            assert_eq!(snap_bytes(&id), snap_bytes(&t));
+            assert_eq!(snap_bytes(&Some(id)), snap_bytes(&Some(t)));
+            assert_eq!(format!("{:?}", Some(id)), format!("{:?}", Some(t)));
+            let bytes = snap_bytes(&t);
+            let mut r = SnapReader::new(&bytes);
+            assert_eq!(TileId::load(&mut r), Ok(id));
+            assert!(r.finish().is_ok());
+        }
+        assert_eq!(snap_bytes(&None::<TileId>), snap_bytes(&None::<Tile>));
+        assert_eq!(std::mem::size_of::<Option<TileId>>(), 2);
+    }
+
+    #[test]
+    fn tile_id_load_refuses_tiles_past_the_limit() {
+        for bad in [MAX_TILES, MAX_TILES + 1, 255, 256, usize::MAX] {
+            let bytes = snap_bytes(&bad);
+            assert!(
+                matches!(TileId::load(&mut SnapReader::new(&bytes)), Err(SnapError::Corrupt(_))),
+                "tile {bad} must not decode"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 64-tile limit")]
+    fn tile_id_refuses_tiles_past_the_limit() {
+        TileId::new(MAX_TILES);
+    }
+
+    /// The `u64` encoding the version maps keep: key-sorted `(block,
+    /// version)` pairs of an `FxHashMap<u64, u64>`.
+    fn wide_versions(pairs: &[(u64, u64)]) -> Vec<u8> {
+        let wide: FxHashMap<u64, u64> = pairs.iter().copied().collect();
+        snap_bytes(&wide)
+    }
+
+    proptest! {
+        /// The `u32` version maps write the bytes of the `u64` maps
+        /// they replaced, and read them back to the same contents.
+        #[test]
+        fn version_maps_keep_the_u64_encoding(
+            stores in prop::collection::vec((0u64..64, prop::bool::weighted(0.3), 0u64..4), 0..200)
+        ) {
+            let mut authority = VersionAuthority::default();
+            let mut memory = MemoryImage::default();
+            let mut latest: FxHashMap<u64, u64> = FxHashMap::default();
+            let mut written: FxHashMap<u64, u64> = FxHashMap::default();
+            for (i, wide, back) in stores {
+                // Blocks across the whole 32-bit range a machine can use.
+                let block = if wide { u64::from(u32::MAX) - i } else { i * 4099 };
+                let v = authority.commit(block);
+                *latest.entry(block).or_insert(0) += 1;
+                prop_assert_eq!(v, latest[&block]);
+                if back == 0 {
+                    memory.write_back(block, v);
+                    written.insert(block, v);
+                }
+            }
+            for (&block, &v) in &latest {
+                prop_assert_eq!(authority.latest(block), v);
+            }
+            for (&block, &v) in &written {
+                prop_assert_eq!(memory.version(block), v);
+            }
+            let pairs = |m: &FxHashMap<u64, u64>| m.iter().map(|(&b, &v)| (b, v)).collect::<Vec<_>>();
+            let image = snap_bytes(&authority);
+            prop_assert_eq!(&image, &wide_versions(&pairs(&latest)));
+            let back = VersionAuthority::load(&mut SnapReader::new(&image)).unwrap();
+            prop_assert_eq!(snap_bytes(&back), image);
+            let image = snap_bytes(&memory);
+            prop_assert_eq!(&image, &wide_versions(&pairs(&written)));
+            let back = MemoryImage::load(&mut SnapReader::new(&image)).unwrap();
+            prop_assert_eq!(snap_bytes(&back), image);
+        }
+    }
+
+    #[test]
+    fn version_maps_refuse_entries_past_32_bits() {
+        let top = u64::from(u32::MAX);
+        assert!(VersionAuthority::load(&mut SnapReader::new(&wide_versions(&[(top, top)]))).is_ok());
+        for pairs in [[(top + 1, 1)], [(7, top + 1)], [(u64::MAX, 1)]] {
+            let bytes = wide_versions(&pairs);
+            for result in [
+                VersionAuthority::load(&mut SnapReader::new(&bytes)).map(|_| ()),
+                MemoryImage::load(&mut SnapReader::new(&bytes)).map(|_| ()),
+            ] {
+                assert!(matches!(result, Err(SnapError::Corrupt(_))), "{pairs:?}");
+            }
         }
     }
 

@@ -138,6 +138,13 @@ mod tests {
         Harness::new(DiCo::new(ChipSpec::small()))
     }
 
+    /// Sharer hints are one-byte tile ids: a wider field that comes
+    /// back should fail here, not in a memory profile.
+    #[test]
+    fn per_line_records_stay_narrow() {
+        assert_eq!(std::mem::size_of::<crate::dico_core::L1Line<NoPropos>>(), 24);
+    }
+
     #[test]
     fn restore_refuses_per_tile_state_of_the_wrong_length() {
         crate::common::assert_restore_checks_per_tile!(

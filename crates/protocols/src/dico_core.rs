@@ -25,8 +25,9 @@
 
 use crate::checker::{BlockView, CopyState, CopyView, L2View};
 use crate::common::*;
-use cmpsim_cache::{Mshr, SetAssoc};
+use cmpsim_cache::{LineAt, Mshr, SetAssoc};
 use cmpsim_engine::{Cycle, FxHashMap, FxHashSet, Snap, SnapError, SnapReader, SnapWriter};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
@@ -37,7 +38,7 @@ pub enum L1State {
     /// line's directory-info space, moved to the L1C$ on eviction).
     Sharer {
         /// Last known supplier.
-        hint: Option<Tile>,
+        hint: Option<TileId>,
     },
     /// Provider (area policies only): supplies in-area reads.
     Provider,
@@ -336,7 +337,7 @@ pub struct DiCoCore<P: AreaPolicy> {
     pub(crate) authority: VersionAuthority,
     pub(crate) mem: MemoryImage,
     pub(crate) l1: Vec<SetAssoc<L1Line<P::Propos>>>,
-    pub(crate) l1c: Vec<SetAssoc<Tile>>,
+    pub(crate) l1c: Vec<SetAssoc<TileId>>,
     pub(crate) mshr: Vec<Mshr<MshrEntry>>,
     /// Per-L1 pending queues (owner busy with an upgrade or awaiting its
     /// Change_Owner ack).
@@ -349,7 +350,7 @@ pub struct DiCoCore<P: AreaPolicy> {
     /// Recently transferred-away blocks: new-owner tombstones.
     pub(crate) tombstones: Vec<Tombstones<Node>>,
     pub(crate) l2: Vec<SetAssoc<L2Entry<P::Home>>>,
-    pub(crate) l2c: Vec<SetAssoc<Tile>>,
+    pub(crate) l2c: Vec<SetAssoc<TileId>>,
     pub(crate) home_queues: Vec<BlockQueues>,
     pub(crate) tx: Vec<FxHashMap<Block, HomeTx>>,
     /// Requests that returned to the home while its owner pointer was
@@ -648,10 +649,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
             return None;
         }
         self.stats.l1c_access.inc();
-        match self.l1c[tile].get_mut(block) {
-            Some(&mut t) if t != tile => Some(t),
-            _ => None,
-        }
+        self.l1c[tile].get_mut(block).map(|t| t.get()).filter(|&t| t != tile)
     }
 
     /// Records a supplier hint (line space first, else the L1C$ array).
@@ -659,12 +657,18 @@ impl<P: AreaPolicy> DiCoCore<P> {
         if supplier == tile {
             return;
         }
+        let supplier = TileId::new(supplier);
         if let Some(line) = self.l1[tile].peek_mut(block) {
             if let L1State::Sharer { hint } = &mut line.state {
                 *hint = Some(supplier);
                 return;
             }
         }
+        self.l1c_record(tile, block, supplier);
+    }
+
+    /// Points `tile`'s L1C$ entry for `block` at `supplier`.
+    fn l1c_record(&mut self, tile: Tile, block: Block, supplier: TileId) {
         self.stats.l1c_access.inc();
         if let Some(p) = self.l1c[tile].get_mut(block) {
             *p = supplier;
@@ -680,7 +684,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
         }
         // A sharer's line hint is the first prediction source.
         let line_hint = match self.l1[tile].peek(block).map(|l| &l.state) {
-            Some(L1State::Sharer { hint }) => hint.filter(|&t| t != tile),
+            Some(L1State::Sharer { hint }) => hint.map(TileId::get).filter(|&t| t != tile),
             _ => None,
         };
         let predicted = if upgrade || !self.spec.enable_prediction {
@@ -852,7 +856,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
                 L1State::Provider
             } else {
                 let hint = e.fill_from.map(|n| n.tile()).filter(|&t| t != tile);
-                L1State::Sharer { hint }
+                L1State::Sharer { hint: hint.map(TileId::new) }
             };
             let line =
                 L1Line { state, sharers: 0, propos: P::Propos::default(), version: fill.version };
@@ -919,12 +923,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
                 // Silent data eviction; the supplier identity is retained
                 // in the L1C$ for future two-hop misses (paper §IV-A2).
                 if let Some(h) = hint {
-                    self.stats.l1c_access.inc();
-                    if let Some(p) = self.l1c[tile].get_mut(block) {
-                        *p = h;
-                    } else {
-                        self.l1c[tile].insert(block, h);
-                    }
+                    self.l1c_record(tile, block, h);
                 }
             }
             L1State::Provider => P::evict_provider(self, ctx, tile, block, line),
@@ -1169,16 +1168,11 @@ impl<P: AreaPolicy> DiCoCore<P> {
         version: u64,
     ) {
         self.stats.l1_tag.inc();
-        if self.l1[tile].contains(block) {
+        if let Some(line) = self.l1[tile].remove(block) {
             debug_assert!(
-                P::AREAS
-                    || matches!(
-                        self.l1[tile].peek(block).map(|l| &l.state),
-                        Some(L1State::Sharer { .. })
-                    ),
+                P::AREAS || matches!(line.state, L1State::Sharer { .. }),
                 "invalidation reached an owner (tile {tile}, block {block:#x})"
             );
-            self.l1[tile].remove(block);
         } else if let Some(e) = self.mshr[tile].get_mut(block) {
             if !e.write && !e.have_data {
                 // A read fill may be in flight from the pre-write epoch.
@@ -1243,9 +1237,9 @@ impl<P: AreaPolicy> DiCoCore<P> {
             }
             return;
         }
-        if self.l1[tile].contains(block) {
+        if let Some((at, _)) = self.l1[tile].find(block) {
             // A sharer (or provider) accepts the ownership.
-            let line = self.l1[tile].get_mut(block).expect("sharer line");
+            let line = self.l1[tile].touch_at(at);
             debug_assert!(P::AREAS || line.version == version, "sharer holds the current version");
             line.state = L1State::Owner { exclusive, dirty };
             // Merge: a DiCo-Providers provider keeps its area's sharers.
@@ -1434,6 +1428,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
 
     pub(crate) fn l2c_insert(&mut self, ctx: &mut Ctx, home: Tile, block: Block, owner: Tile) {
         self.stats.l2c_access.inc();
+        let owner = TileId::new(owner);
         if let Some(o) = self.l2c[home].get_mut(block) {
             *o = owner;
             return;
@@ -1449,7 +1444,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
                     kind: MsgKind::OwnershipRecall,
                     block: vb,
                     src: Node::L2(home),
-                    dst: Node::L1(vo),
+                    dst: Node::L1(vo.get()),
                 },
                 self.spec.lat.l2_tag,
             );
@@ -1535,10 +1530,8 @@ impl<P: AreaPolicy> DiCoCore<P> {
         self.stats.l2_tag.inc();
         self.stats.l2c_access.inc();
         self.stats.home_lookups.inc();
-        if self.l2c[home].contains(block) {
+        if let Some(owner) = self.l2c[home].peek(block).map(|o| o.get()) {
             self.stats.home_hits.inc();
-        }
-        if let Some(&owner) = self.l2c[home].peek(block) {
             // A *vouched* request that bounced off the very cache our
             // pointer still names proves that cache lost the ownership
             // after we vouched for it — its loss notification (a
@@ -1623,9 +1616,10 @@ impl<P: AreaPolicy> DiCoCore<P> {
         src: Tile,
         became_owner: bool,
     ) {
-        if let Some(HomeTx::Granting { to }) = self.tx[home].get(&block) {
-            debug_assert_eq!(*to, src, "Unblock from a non-grantee");
-            self.tx[home].remove(&block);
+        if let Entry::Occupied(tx) = self.tx[home].entry(block) {
+            let HomeTx::Granting { to } = *tx.get() else { return };
+            debug_assert_eq!(to, src, "Unblock from a non-grantee");
+            tx.remove();
             if became_owner {
                 self.l2c_insert(ctx, home, block, src);
             }
@@ -1661,7 +1655,7 @@ impl<P: AreaPolicy> DiCoCore<P> {
             return;
         }
         if let Some(o) = self.l2c[home].get_mut(block) {
-            *o = new_owner;
+            *o = TileId::new(new_owner);
         } else {
             self.l2c_insert(ctx, home, block, new_owner);
         }
@@ -1742,36 +1736,36 @@ impl<P: AreaPolicy> CoherenceProtocol for DiCoCore<P> {
         }
         let lat = self.spec.lat;
         enum Action {
-            HitRead,
-            HitWrite,
+            HitRead(LineAt),
+            HitWrite(LineAt),
             Upgrade,
             Miss,
         }
-        let action = match self.l1[tile].peek(block) {
+        let action = match self.l1[tile].find(block) {
             None => Action::Miss,
-            Some(_) if !write => Action::HitRead,
-            Some(line) => match line.state {
+            Some((at, _)) if !write => Action::HitRead(at),
+            Some((at, line)) => match line.state {
                 L1State::Sharer { .. } | L1State::Provider => Action::Miss,
-                L1State::Owner { exclusive: true, .. } => Action::HitWrite,
+                L1State::Owner { exclusive: true, .. } => Action::HitWrite(at),
                 L1State::Owner { .. } if line.sharers == 0 && line.propos.count() == 0 => {
                     // Every tracked copy is gone. Plain DiCo tracks its
                     // sharers exactly, so it never gets here.
                     debug_assert!(P::AREAS, "non-exclusive owner without sharers");
-                    Action::HitWrite
+                    Action::HitWrite(at)
                 }
                 L1State::Owner { .. } => Action::Upgrade,
             },
         };
         let outcome = match action {
-            Action::HitRead => {
-                self.l1[tile].touch(block);
+            Action::HitRead(at) => {
+                self.l1[tile].touch_at(at);
                 self.stats.l1_data_read.inc();
                 self.stats.l1_hits.inc();
                 AccessOutcome::Hit { latency: lat.l1_hit() }
             }
-            Action::HitWrite => {
+            Action::HitWrite(at) => {
                 let v = self.authority.commit(block);
-                let line = self.l1[tile].get_mut(block).expect("hit");
+                let line = self.l1[tile].touch_at(at);
                 line.version = v;
                 line.state = L1State::Owner { exclusive: true, dirty: true };
                 self.stats.l1_data_write.inc();
@@ -2006,7 +2000,7 @@ impl<P: AreaPolicy> CoherenceProtocol for DiCoCore<P> {
             }
             None => self.l2c[home]
                 .peek(block)
-                .map(|&o| L2View { owner_in_l1: Some(o), ..L2View::default() }),
+                .map(|o| L2View { owner_in_l1: Some(o.get()), ..L2View::default() }),
         };
         view.recorded = recorded;
         view.authority = self.authority.latest(block);

@@ -38,14 +38,14 @@ struct L2Entry {
     dirty: bool,
     version: u64,
     sharers: u64,
-    owner: Option<Tile>,
+    owner: Option<TileId>,
 }
 
 /// Directory-cache entry (dir info for blocks not resident in L2 data).
 #[derive(Debug, Clone)]
 struct DirEntry {
     sharers: u64,
-    owner: Option<Tile>,
+    owner: Option<TileId>,
 }
 
 /// Outstanding miss bookkeeping at the requestor.
@@ -398,16 +398,16 @@ impl Directory {
     /// Directory info for `block`, wherever it lives.
     fn dir_info(&self, home: Tile, block: Block) -> Option<(u64, Option<Tile>)> {
         if let Some(e) = self.l2[home].peek(block) {
-            return Some((e.sharers, e.owner));
+            return Some((e.sharers, e.owner.map(TileId::get)));
         }
-        self.dircache[home].peek(block).map(|d| (d.sharers, d.owner))
+        self.dircache[home].peek(block).map(|d| (d.sharers, d.owner.map(TileId::get)))
     }
 
     fn dir_update(
         &mut self,
         home: Tile,
         block: Block,
-        f: impl FnOnce(&mut u64, &mut Option<Tile>),
+        f: impl FnOnce(&mut u64, &mut Option<TileId>),
     ) {
         self.stats.dir_access.inc();
         if let Some(e) = self.l2[home].peek_mut(block) {
@@ -445,7 +445,7 @@ impl Directory {
         self.stats.l2_evictions.inc();
         let mut targets = dirent.sharers;
         if let Some(o) = dirent.owner {
-            targets |= bit(o);
+            targets |= bit(o.get());
         }
         let n = targets.count_ones();
         if n == 0 {
@@ -610,8 +610,8 @@ impl Directory {
                 );
             }
             _ => {
-                if self.l2[home].contains(block) {
-                    self.l2[home].touch(block);
+                if let Some((at, _)) = self.l2[home].find(block) {
+                    self.l2[home].touch_at(at);
                     self.serve_from_home(ctx, home, msg, req, Supplier::HomeL2);
                 } else {
                     // Fetch from memory (dir info, if any, stays put).
@@ -680,15 +680,14 @@ impl Directory {
             return;
         } else {
             self.dir_update(home, block, |sharers, owner| {
-                if *owner == Some(src) {
+                if *owner == Some(TileId::new(src)) {
                     *owner = None;
                 }
                 *sharers |= stay_sharers;
             });
         }
         if dirty {
-            if self.l2[home].contains(block) {
-                let e = self.l2[home].peek_mut(block).expect("contains");
+            if let Some(e) = self.l2[home].peek_mut(block) {
                 e.dirty = true;
                 e.version = version;
                 self.stats.l2_data_write.inc();
@@ -743,7 +742,7 @@ impl Directory {
         let (home, block, src) = (msg.dst.tile(), msg.block, msg.src.tile());
         self.dir_update(home, block, |sharers, owner| {
             if became_owner {
-                *owner = Some(src);
+                *owner = Some(TileId::new(src));
                 *sharers = 0;
             } else {
                 *sharers |= bit(src);
@@ -1005,13 +1004,16 @@ impl CoherenceProtocol for Directory {
                 has_data: true,
                 version: e.version,
                 dirty: e.dirty,
-                owner_in_l1: e.owner,
+                owner_in_l1: e.owner.map(TileId::get),
             }),
-            (None, Some(d)) => Some(L2View { owner_in_l1: d.owner, ..L2View::default() }),
+            (None, Some(d)) => {
+                Some(L2View { owner_in_l1: d.owner.map(TileId::get), ..L2View::default() })
+            }
             (None, None) => None,
         };
         // Coverage: the directory's full map must name every copy.
-        let code = |sharers: u64, owner: Option<Tile>| sharers | owner.map_or(0, bit);
+        let code =
+            |sharers: u64, owner: Option<TileId>| sharers | owner.map_or(0, |o| bit(o.get()));
         view.recorded =
             [entry.map(|e| code(e.sharers, e.owner)), dir.map(|d| code(d.sharers, d.owner))]
                 .into_iter()
@@ -1036,6 +1038,14 @@ mod tests {
 
     fn harness() -> Harness<Directory> {
         Harness::new(Directory::new(ChipSpec::small()))
+    }
+
+    /// Owner fields are one-byte tile ids: a wider field that comes
+    /// back should fail here, not in a memory profile.
+    #[test]
+    fn l2_and_directory_entries_stay_narrow() {
+        assert_eq!(std::mem::size_of::<L2Entry>(), 24);
+        assert_eq!(std::mem::size_of::<DirEntry>(), 16);
     }
 
     #[test]

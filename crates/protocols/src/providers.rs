@@ -505,8 +505,8 @@ fn apply_provider_update(propos: &mut Propos, ctx: &mut Ctx, msg: Msg, src: Node
 fn home_provider_update(c: &mut Providers, ctx: &mut Ctx, home: Tile, msg: Msg) {
     c.stats.l2c_access.inc();
     let block = msg.block;
-    if let Some(&owner) = c.l2c[home].peek(block) {
-        ctx.send(Msg { dst: Node::L1(owner), src: Node::L2(home), ..msg }, c.spec.lat.l2_tag);
+    if let Some(owner) = c.l2c[home].peek(block) {
+        ctx.send(Msg { dst: Node::L1(owner.get()), src: Node::L2(home), ..msg }, c.spec.lat.l2_tag);
         return;
     }
     let delay = c.spec.lat.l2_tag;

@@ -49,17 +49,28 @@ pub struct LogicalPage {
 }
 
 /// Page-table slot value of a logical page that has not been touched.
-const UNMAPPED: u64 = u64::MAX;
+const UNMAPPED: u32 = u32::MAX;
 
 /// Largest page index (exclusive) a region pool may use. Page tables
 /// are dense vectors indexed by page index, so this bounds one table at
-/// 8 MiB — far above any workload pool (the largest, jbb's per-VM
+/// 4 MiB — far above any workload pool (the largest, jbb's per-VM
 /// private pool, is 32k pages) — and lets snapshot decoding refuse
 /// indices that would make it allocate without bound.
 const MAX_PAGE_INDEX: u64 = 1 << 20;
 
 /// Number of [`Region`] variants (one page table per VM per region).
 const REGIONS: usize = 3;
+
+/// Exclusive bound on the physical block addresses a
+/// [`MachineMemory::new`]`(num_vms)` can hand out. Each `(vm, region,
+/// index)` slot, with `index < MAX_PAGE_INDEX`, is backed by at most one
+/// page of its own (its first touch, or its copy-on-write copy of a
+/// dedup page), and each dedup content class by one shared page, so at
+/// most `(num_vms * REGIONS + 1) * MAX_PAGE_INDEX` pages exist. Callers
+/// that keep blocks narrower than a `u64` pin this against their width.
+pub const fn block_limit(num_vms: usize) -> u64 {
+    (num_vms as u64 * REGIONS as u64 + 1) * MAX_PAGE_INDEX * BLOCKS_PER_PAGE
+}
 
 const ALL_REGIONS: [Region; REGIONS] = [Region::CorePrivate, Region::VmShared, Region::Dedup];
 
@@ -69,16 +80,18 @@ const ALL_REGIONS: [Region; REGIONS] = [Region::CorePrivate, Region::VmShared, R
 /// loads: page tables are indexed by page index, the dedup map by
 /// content class, and page kinds by physical page number. The vectors
 /// grow to the highest index touched, never to a pool's full size.
+/// Table slots hold physical page numbers as `u32`: a machine has far
+/// fewer than `u32::MAX` pages (see [`block_limit`]).
 #[derive(Debug, Clone)]
 pub struct MachineMemory {
     /// Per-VM page tables, one per [`Region`] (in declaration order):
     /// slot `index` holds the physical page number, or [`UNMAPPED`].
-    tables: Vec<[Vec<u64>; REGIONS]>,
+    tables: Vec<[Vec<u32>; REGIONS]>,
     /// Content class -> shared physical page (or [`UNMAPPED`]), for
     /// dedup pages. The content class of dedup page `i` is simply `i`:
     /// VMs touching the same index share the backing page (identical
     /// contents by construction).
-    dedup_index: Vec<u64>,
+    dedup_index: Vec<u32>,
     /// Kind of each allocated physical page, indexed by page number;
     /// its length is the next page number to allocate.
     kinds: Vec<PageKind>,
@@ -91,17 +104,18 @@ pub struct MachineMemory {
 /// Reads slot `index` of a dense table, treating slots past its end as
 /// unmapped.
 #[inline]
-fn slot(table: &[u64], index: u64) -> Option<u64> {
+fn slot(table: &[u32], index: u64) -> Option<u64> {
     let ppn = *table.get(usize::try_from(index).ok()?)?;
-    (ppn != UNMAPPED).then_some(ppn)
+    (ppn != UNMAPPED).then_some(u64::from(ppn))
 }
 
 /// Writes slot `index` of a dense table, growing it with unmapped slots.
-fn set_slot(table: &mut Vec<u64>, index: u64, ppn: u64) {
+fn set_slot(table: &mut Vec<u32>, index: u64, ppn: u64) {
     assert!(
         index < MAX_PAGE_INDEX,
         "page index {index} exceeds the dense page-table limit ({MAX_PAGE_INDEX})"
     );
+    let ppn = u32::try_from(ppn).ok().filter(|&p| p != UNMAPPED).expect("page number fits a slot");
     let i = index as usize;
     if i >= table.len() {
         table.resize(i + 1, UNMAPPED);
@@ -110,8 +124,12 @@ fn set_slot(table: &mut Vec<u64>, index: u64, ppn: u64) {
 }
 
 /// The mapped `(index, ppn)` slots of a dense table, ascending.
-fn mapped(table: &[u64]) -> impl Iterator<Item = (u64, u64)> + '_ {
-    table.iter().enumerate().filter(|&(_, &ppn)| ppn != UNMAPPED).map(|(i, &ppn)| (i as u64, ppn))
+fn mapped(table: &[u32]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    table
+        .iter()
+        .enumerate()
+        .filter(|&(_, &ppn)| ppn != UNMAPPED)
+        .map(|(i, &ppn)| (i as u64, u64::from(ppn)))
 }
 
 impl MachineMemory {
@@ -265,7 +283,7 @@ fn load_table(
     r: &mut SnapReader<'_>,
     next_ppn: u64,
     mut read_key: impl FnMut(&mut SnapReader<'_>) -> Result<(usize, u64), SnapError>,
-    tables: &mut [Vec<u64>],
+    tables: &mut [Vec<u32>],
     what: &'static str,
     min_entry_bytes: usize,
 ) -> Result<(), SnapError> {
@@ -326,9 +344,13 @@ impl MachineMemory {
     /// Decodes an image written by [`Self::snap_save`] for a machine
     /// with `num_vms` virtual machines. Refuses a different VM count,
     /// keys out of order or past the page-table limit, translations to
-    /// unallocated pages, and page kinds not numbered `0..next_ppn`.
+    /// unallocated pages, more pages than a `u32` slot can name, and
+    /// page kinds not numbered `0..next_ppn`.
     pub fn snap_load(r: &mut SnapReader<'_>, num_vms: usize) -> Result<Self, SnapError> {
         let next_ppn = r.u64()?;
+        if next_ppn > u64::from(UNMAPPED) {
+            return Err(SnapError::Corrupt("more physical pages than a page-table slot can name"));
+        }
         if r.len_prefix("page tables", 8)? != num_vms {
             return Err(SnapError::Corrupt("page-table VM count does not match configuration"));
         }
@@ -582,9 +604,29 @@ mod tests {
         let mut img = good_image();
         img.tables[1][0].2 = 3;
         assert!(matches!(decode(&img.bytes()), Err(SnapError::Corrupt(_))));
-        let mut img = good_image();
-        img.tables[0][0].2 = UNMAPPED;
-        assert!(matches!(decode(&img.bytes()), Err(SnapError::Corrupt(_))));
+        for ppn in [u64::from(UNMAPPED), u64::MAX] {
+            let mut img = good_image();
+            img.tables[0][0].2 = ppn;
+            assert!(matches!(decode(&img.bytes()), Err(SnapError::Corrupt(_))));
+        }
+    }
+
+    #[test]
+    fn page_counts_past_the_slot_width_are_refused() {
+        // The page-kind section is not reached: the count alone is refused.
+        for next_ppn in [u64::from(UNMAPPED) + 1, u64::MAX] {
+            let img = Image { next_ppn, ..good_image() };
+            assert!(matches!(decode(&img.bytes()), Err(SnapError::Corrupt(_))));
+        }
+    }
+
+    /// Every block a machine can hand out fits a `u32` with room to
+    /// spare at the largest VM count the simulator builds.
+    #[test]
+    fn block_limit_counts_every_backing_page() {
+        assert_eq!(block_limit(0), MAX_PAGE_INDEX * BLOCKS_PER_PAGE);
+        assert_eq!(block_limit(16), 49 * MAX_PAGE_INDEX * BLOCKS_PER_PAGE);
+        assert!(block_limit(16) < 1 << 32);
     }
 
     #[test]
@@ -615,8 +657,9 @@ mod tests {
     }
 }
 
-/// The ordered-map implementation the dense tables replaced, kept as
-/// the oracle they are checked against.
+/// The ordered-map implementation the dense tables replaced, with
+/// `u64` page numbers throughout, kept as the oracle the dense `u32`
+/// tables are checked against.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -763,6 +806,34 @@ mod oracle {
             let image = dense_bytes(&dense);
             prop_assert_eq!(&image, &model_bytes(&model));
             let back = MachineMemory::snap_load(&mut SnapReader::new(&image), 4).expect("decode");
+            prop_assert_eq!(dense_bytes(&back), image);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+
+        /// The same agreement with pages at the top of the index range,
+        /// where a `u32` slot sits furthest into its table.
+        #[test]
+        fn dense_tables_match_the_map_model_at_the_index_limit(
+            ops in prop::collection::vec(
+                ((0usize..2, region()), (prop::bool::weighted(0.3), 0u64..6), prop::bool::weighted(0.3)),
+                1..120,
+            ),
+        ) {
+            let mut dense = MachineMemory::new(2);
+            let mut model = MapMemory::new(2);
+            for ((vm, region), (far, i), write) in ops {
+                let index = if far { MAX_PAGE_INDEX - 1 - i } else { i };
+                let lp = LogicalPage { vm, region, index };
+                let off = index % BLOCKS_PER_PAGE;
+                prop_assert_eq!(dense.translate(lp, off, write), model.translate(lp, off, write));
+            }
+            prop_assert_eq!(dense.mappings().collect::<Vec<_>>(), model.mappings());
+            let image = dense_bytes(&dense);
+            prop_assert_eq!(&image, &model_bytes(&model));
+            let back = MachineMemory::snap_load(&mut SnapReader::new(&image), 2).expect("decode");
             prop_assert_eq!(dense_bytes(&back), image);
         }
     }

@@ -36,7 +36,7 @@ fn run<P: CoherenceProtocol>(proto: P, script: &[(usize, u64, bool)]) -> BTreeMa
     }
     h.run_checked(script.len() as u64 * 800 + 20_000);
     checker::check_chip(&h.proto).expect("coherent at quiescence");
-    h.proto.authority().iter().map(|(&block, &version)| (block, version)).collect()
+    h.proto.authority().iter().collect()
 }
 
 #[test]

@@ -24,14 +24,24 @@ fn counter(reg: &cmpsim::MetricsRegistry, name: &str) -> Option<u64> {
     reg.counters().find(|(n, _)| *n == name).map(|(_, v)| v)
 }
 
+/// A directory in the system temp dir, removed with everything in it
+/// when dropped.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Sweeps `plans` over the smoke chip into a fresh directory named by
-/// `tag`.
+/// `tag`, which lives as long as the returned guard.
 fn sweep(
     tag: &str,
     protocols: &[ProtocolKind],
     benchmarks: &[Benchmark],
     plans: Vec<FaultPlan>,
-) -> SweepOutcome {
+) -> (SweepOutcome, TempDir) {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("cmpsim-faults-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -40,7 +50,7 @@ fn sweep(
         ..SweepSpec::matrix(protocols, benchmarks, &SystemConfig::smoke())
     };
     let opts = SweepOptions { out_dir: dir.clone(), ..Default::default() };
-    run_sweep(&spec, &opts).expect("sweep runs")
+    (run_sweep(&spec, &opts).expect("sweep runs"), TempDir(dir))
 }
 
 /// A counter of the metrics artifact at `path`.
@@ -54,7 +64,7 @@ fn artifact_counter(path: &Path, name: &str) -> Option<u64> {
 /// recover and verify bit-identical against its fault-free golden twin.
 #[test]
 fn all_32_cells_recover_and_match_golden() {
-    let outcome =
+    let (outcome, _dir) =
         sweep("all32", &ProtocolKind::all(), &Benchmark::all(), vec![FaultPlan::recoverable(7)]);
     assert_eq!(outcome.cells.len(), 64, "32 golden twins + 32 planned cells");
     assert!(outcome.ok(), "violations: {:#?}", outcome.violations());
@@ -90,7 +100,7 @@ fn same_plan_and_seed_reruns_identically() {
 #[test]
 fn recovery_counters_and_effective_cycles_are_exported() {
     let plan = FaultPlan::recoverable(3);
-    let outcome =
+    let (outcome, _dir) =
         sweep("counters", &[ProtocolKind::DiCo], &[Benchmark::Apache], vec![plan.clone()]);
     let [CellState::Done { artifact: golden, .. }, CellState::Done { artifact, .. }] =
         &outcome.states[..]
@@ -205,7 +215,7 @@ proptest! {
         plan.retry_cap = retry_cap as u32;
         plan.outages = outages as u32;
         let protocol = ProtocolKind::all()[pidx];
-        let outcome = sweep("arbitrary", &[protocol], &[Benchmark::Radix], vec![plan]);
+        let (outcome, _dir) = sweep("arbitrary", &[protocol], &[Benchmark::Radix], vec![plan]);
         prop_assert!(matches!(outcome.states[0], CellState::Done { .. }), "golden failed");
         match &outcome.states[1] {
             CellState::Done { artifact, .. } =>

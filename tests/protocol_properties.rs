@@ -27,7 +27,7 @@ fn run<P: CoherenceProtocol>(proto: P, script: &Script, jitter_seed: u64) -> BTr
     if let Err(errors) = checker::check_chip(&h.proto) {
         panic!("invariants violated:\n{}", errors.join("\n"));
     }
-    h.proto.authority().iter().map(|(&block, &version)| (block, version)).collect()
+    h.proto.authority().iter().collect()
 }
 
 fn script_strategy(max_ops: usize, blocks: u64) -> impl Strategy<Value = Script> {

@@ -40,6 +40,7 @@ fn starved_run_stalls_with_structured_dump() {
     assert!(shown.contains("event budget exhausted"), "{shown}");
     assert!(shown.contains("in-flight messages"), "{shown}");
     assert!(shown.contains("stalled cores"), "{shown}");
+    let _ = std::fs::remove_file(err.artifact().expect("a failing run writes an artifact"));
 }
 
 #[test]
@@ -95,6 +96,7 @@ fn replay_artifact_survives_an_explicit_save_load_cycle() {
     assert_eq!(loaded.failing_cycle, err.failing_cycle());
     assert_eq!(loaded.config.refs_per_core, cfg.refs_per_core);
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir(&dir);
 }
 
 #[test]
